@@ -1,8 +1,9 @@
 """Four ellipses (semi-axes 2 and 1) centered at -3, 3, 10i, -10i.
 
-Analytic boundaries mean all integrals go through adaptive Simpson
-quadrature; convergence in the ring-pole count is still geometric.  Pass
-``--full`` for the slow high-accuracy ladder (a minute or two).
+No circles, so every Gram integral goes through the periodic trapezoid
+rule, which converges geometrically on these analytic boundaries; convergence
+in the ring-pole count is geometric too.  Pass ``--full`` for the
+high-accuracy ladder (a few seconds).
 """
 
 import sys

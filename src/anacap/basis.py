@@ -248,10 +248,6 @@ class BasisSet:
         self._ck = np.array([funcs[i].k for i in corner_idx], int)
 
     @property
-    def all_rational(self) -> bool:
-        return len(self._ci) == 0
-
-    @property
     def all_simple(self) -> bool:
         return len(self._pi) == 0 and len(self._ci) == 0
 
@@ -262,8 +258,8 @@ class BasisSet:
         """Values of every basis function at z (scalar or array).
 
         ``corner_subs`` is an optional list of (corner_point, delta) pairs,
-        valid for scalar z only: corner-adapted members anchored at
-        corner_point are evaluated with the exact displacement
+        delta a scalar or an array of z's shape: corner-adapted members
+        anchored at corner_point are evaluated with the exact displacement
         z - a = delta, which stays accurate when z is so close to the corner
         that the subtraction would round to zero.
         """
@@ -280,7 +276,7 @@ class BasisSet:
             num = zf[None, :] - self._ca[:, None]
             if corner_subs:
                 for pt, delta in corner_subs:
-                    num[self._ca == pt] = delta
+                    num[self._ca == pt] = np.reshape(delta, -1)
             w = num / zc
             vals = np.exp(self._cb[:, None] * np.log(w))
             out[self._ci] = vals * zc ** (-self._ck[:, None])

@@ -38,7 +38,7 @@ class PoleOnContourError(AnacapError):
 
 
 class MaxDepthError(AnacapError):
-    """Adaptive quadrature failed to meet its tolerance at maximum recursion depth."""
+    """Quadrature failed to meet its tolerance within its refinement limit."""
 
 
 class SingularGramError(AnacapError):

@@ -99,8 +99,9 @@ class ParametricArc:
     ``end`` cache ``point(0)`` and ``point(1)`` so corner endpoints can be
     matched without calling back into the maps.
 
-    ``disp_start(s)`` is the exact displacement z(s) - z(0) for a small
-    parameter distance s from the start; ``disp_end(s)`` is z(1-s) - z(1).
+    ``disp_start(s)`` is the exact displacement z(s) - z(0) for a parameter
+    distance s from the start (scalar or array); ``disp_end(s)`` is
+    z(1-s) - z(1).
     Quadrature near a corner endpoint uses these instead of subtracting two
     nearly equal points, which would round the difference to zero.
     """
@@ -334,26 +335,18 @@ def _piece_endpoint(piece, at_end: bool) -> complex:
 def arcs(s: Shape) -> list[ParametricArc]:
     """Positively oriented analytic arcs covering the boundary of s."""
     if isinstance(s, Disk):
-        c, r = s.center, s.radius
-
-        def pt(t, c=c, r=r):
-            return c + r * np.exp(2j * math.pi * np.asarray(t, float))
-
-        def vel(t, r=r):
-            return 2j * math.pi * r * np.exp(2j * math.pi * np.asarray(t, float))
-
-        return [ParametricArc(pt, vel, c + r, c + r)]
+        return arcs(Ellipse(s.center, s.radius, s.radius))
     if isinstance(s, Ellipse):
         c, a, b = s.center, s.semi_major, s.semi_minor
         rot = cmath.exp(1j * s.rotation)
 
         def pt(t, c=c, a=a, b=b, rot=rot):
-            ang = TWO_PI * np.asarray(t, float)
-            return c + rot * (a * np.cos(ang) + 1j * b * np.sin(ang))
+            e = _turn(t)
+            return c + rot * (a * e.real + 1j * b * e.imag)
 
         def vel(t, a=a, b=b, rot=rot):
-            ang = TWO_PI * np.asarray(t, float)
-            return rot * TWO_PI * (-a * np.sin(ang) + 1j * b * np.cos(ang))
+            e = _turn(t)
+            return rot * TWO_PI * (-a * e.imag + 1j * b * e.real)
 
         start = c + rot * a
         return [ParametricArc(pt, vel, start, start)]
@@ -372,6 +365,18 @@ def arcs(s: Shape) -> list[ParametricArc]:
                 out.append(_circular_arc(piece))
         return out
     raise DegenerateShapeError(f"unknown shape {type(s).__name__}")
+
+
+_QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
+
+
+def _turn(t):
+    """exp(2 pi i t) from t = q/4 + r, |r| <= 1/8: i^q is exact and the angle
+    2 pi r rounds little, where the rounding of 2 pi t grows with t and biases
+    the points just before t = 1 against the same points reached from t = 0."""
+    t = np.asarray(t, float)
+    q = np.round(4.0 * t)
+    return _QUARTER_TURNS[q.astype(int) % 4] * np.exp(2j * math.pi * (t - 0.25 * q))
 
 
 def _segment_arc(z0: complex, z1: complex) -> ParametricArc:
@@ -406,18 +411,18 @@ def _circular_arc(piece: CircularArc) -> ParametricArc:
 
     def dstart(s, r=r, t0=t0, dt=dt):
         # r e^{i t0} (e^{i dt s} - 1), written to stay accurate for tiny s
-        half = 0.5 * dt * s
-        return r * cmath.exp(1j * t0) * 2j * math.sin(half) * cmath.exp(1j * half)
+        half = 0.5 * dt * np.asarray(s, float)
+        return r * cmath.exp(1j * t0) * 2j * np.sin(half) * np.exp(1j * half)
 
     def dend(s, r=r, t1=t1, dt=dt):
-        half = 0.5 * dt * s
-        return -r * cmath.exp(1j * t1) * 2j * math.sin(half) * cmath.exp(-1j * half)
+        half = 0.5 * dt * np.asarray(s, float)
+        return -r * cmath.exp(1j * t1) * 2j * np.sin(half) * np.exp(-1j * half)
 
     return ParametricArc(pt, vel, start, end, disp_start=dstart, disp_end=dend)
 
 
 def arc_length(s: Shape) -> float:
-    """Exact perimeter where a closed form exists, else adaptive quadrature."""
+    """Exact perimeter where a closed form exists, else the arc quadrature."""
     if isinstance(s, Disk):
         return TWO_PI * s.radius
     if isinstance(s, Polygon):
@@ -429,7 +434,7 @@ def arc_length(s: Shape) -> float:
     total = 0.0
     settings = QuadratureSettings(abs_tol=1e-13)
     for arc in arcs(s):
-        val = integrate_arc(lambda t, z, s0, s1: 1.0 + 0j, arc, settings)
+        val = integrate_arc(lambda t, z, s0, s1, w: w.sum(), arc, settings)
         total += float(val.real)
     return total
 

@@ -9,8 +9,11 @@ The Gram data of a scene consists of
 On a circle |z - c| = r the substitutions ``conj(z) = conj(c) + r^2/(z - c)``
 and ``|dz| = (r/i) dz/(z - c)`` turn every rational-pair integrand into a
 rational function of z, evaluated exactly by summing residues at the poles
-strictly inside the circle.  Non-circular boundaries (and pairs involving the
-fractional-power corner functions) go through adaptive Simpson quadrature.
+strictly inside the circle.  Gram assembly uses the vectorized closed form
+of those residues for disks under an all-simple-pole basis; every other
+boundary goes through the node-and-weight quadrature of
+:mod:`anacap.quadrature`, one matrix product ``(V w) V^H`` per node set.  The
+general residue routines stay public as exact references.
 
 Contributions are accumulated shape by shape in index order, so assembled
 matrices are bitwise reproducible.
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisFunction, BasisSet, CornerAdapted, PowerPole, SimplePole
+from .basis import BasisFunction, BasisSet, PowerPole, SimplePole
 from .errors import NonRationalBasisError, PoleOnContourError
 from .geometry import Disk, Scene, arcs
 from .quadrature import QuadratureSettings, integrate_arc
@@ -272,26 +275,15 @@ class GramData:
     c0: float
 
 
-def _pair_components(n: int):
-    iu, ju = np.triu_indices(n)
-    return iu, ju
+def _quad_block(bs: BasisSet, shape, settings: QuadratureSettings
+                ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Gram contributions of one shape's boundary by node-and-weight quadrature.
 
-
-def _quad_block(basis_set: BasisSet, shape, settings: QuadratureSettings,
-                select=None) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gram contributions of one shape's boundary by vector quadrature.
-
-    ``select`` optionally restricts the pair components to the given list of
-    (j, k) index pairs (j <= k); by default all upper-triangle pairs.
+    On each node set the basis values V (n x nodes) give the whole block at
+    once: H += (V w) V^H, u += V w, length += sum(w).
     """
-    n = basis_set.n
-    if select is None:
-        iu, ju = _pair_components(n)
-    else:
-        iu = np.array([p[0] for p in select], int)
-        ju = np.array([p[1] for p in select], int)
-    corner_pts = basis_set.corner_points()
-
+    n = bs.n
+    corner_pts = bs.corner_points()
     H = np.zeros((n, n), complex)
     u = np.zeros(n, complex)
     length = 0.0
@@ -300,25 +292,36 @@ def _quad_block(basis_set: BasisSet, shape, settings: QuadratureSettings,
         start_corner = _matching_corner(corner_pts, arc.start, scale)
         end_corner = _matching_corner(corner_pts, arc.end, scale)
 
-        def f(t, z, s0, s1, arc=arc, sc=start_corner, ec=end_corner):
+        def f(t, z, s0, s1, w, arc=arc, sc=start_corner, ec=end_corner):
+            # corner-adapted members anchored at an arc endpoint take the
+            # exact displacement z - corner from the parametrization; near
+            # the corner the subtraction would round to zero
             subs = []
-            # near a corner the displacement z - corner comes from the arc
-            # parametrization directly; the subtraction would round to zero
-            if sc is not None and s0 < 1e-3:
+            if sc is not None:
                 subs.append((sc, arc.disp_start(s0)))
-            if ec is not None and s1 < 1e-3:
+            if ec is not None:
                 subs.append((ec, arc.disp_end(s1)))
-            v = basis_set.eval_all(z, corner_subs=subs or None)
-            pair = v[iu] * np.conj(v[ju])
-            return np.concatenate((pair, v, np.array([1.0 + 0j])))
+            V = bs.eval_all(z, corner_subs=subs or None)
+            Vw = V * w
+            return np.concatenate(((Vw @ V.conj().T).ravel(), V @ w, [w.sum()]))
 
         vals = integrate_arc(f, arc, settings,
                              singular_start=start_corner is not None,
-                             singular_end=end_corner is not None)
-        H[iu, ju] += vals[: iu.size]
-        u += vals[iu.size: iu.size + n]
+                             singular_end=end_corner is not None,
+                             scale=lambda v: _gram_scale(v, n))
+        H += vals[: n * n].reshape(n, n)
+        u += vals[n * n: n * n + n]
         length += float(vals[-1].real)
     return H, u, length
+
+
+def _gram_scale(vals: np.ndarray, n: int) -> np.ndarray:
+    """Cauchy-Schwarz bounds on the weighted sums of |terms| of (H, u, length):
+    sqrt(H_jj H_kk) and sqrt(H_jj length).  Entries that cancel far below
+    these carry rounding noise of that size, so it sets their floor."""
+    d = np.abs(vals[: n * n: n + 1].real)
+    length = abs(vals[-1].real)
+    return np.concatenate((np.sqrt(np.outer(d, d)).ravel(), np.sqrt(d * length), [length]))
 
 
 def _matching_corner(corner_pts: np.ndarray, endpoint: complex, scale: float):
@@ -335,9 +338,10 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
                   settings: QuadratureSettings | None = None) -> GramData:
     """Assemble H, u, c0 for the scene boundary and the given basis.
 
-    Circles with rational function pairs use exact residues; everything else
-    uses adaptive Simpson at ``settings.abs_tol``.  Only the upper triangle is
-    computed; the lower is its conjugate mirror, so H is Hermitian exactly.
+    Disks under an all-simple-pole basis use the closed-form residue block;
+    every other boundary goes through node-and-weight quadrature at
+    ``settings.abs_tol``.  Only the upper triangle is kept; the lower is its
+    conjugate mirror, so H is Hermitian exactly.
     """
     if settings is None:
         settings = QuadratureSettings()
@@ -346,7 +350,6 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
     H = np.zeros((n, n), complex)
     u = np.zeros(n, complex)
     length = 0.0
-    rational = [not isinstance(b, CornerAdapted) for b in bs.funcs]
     for shape in sc.shapes:
         if isinstance(shape, Disk) and bs.all_simple:
             Hs, us = _simple_block(bs._sa, shape)
@@ -354,27 +357,6 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
             idx = bs._si
             H[np.ix_(idx, idx)] += Hs
             u[idx] += us
-            length += TWO_PI * shape.radius
-        elif isinstance(shape, Disk) and bs.all_rational:
-            for j in range(n):
-                for k in range(j, n):
-                    H[j, k] += circle_pair_integral(bs.funcs[j], bs.funcs[k], shape)
-                u[j] += circle_mean_integral(bs.funcs[j], shape)
-            length += TWO_PI * shape.radius
-        elif isinstance(shape, Disk):
-            # mixed: quadrature for pairs touching a corner function, exact
-            # residues for the rational pairs and means
-            select = [(j, k) for j in range(n) for k in range(j, n)
-                      if not (rational[j] and rational[k])]
-            Hq, uq, _ = _quad_block(bs, shape, settings, select=select)
-            H += Hq
-            for j in range(n):
-                if rational[j]:
-                    uq[j] = circle_mean_integral(bs.funcs[j], shape)
-                for k in range(j, n):
-                    if rational[j] and rational[k]:
-                        H[j, k] += circle_pair_integral(bs.funcs[j], bs.funcs[k], shape)
-            u += uq
             length += TWO_PI * shape.radius
         else:
             Hq, uq, L = _quad_block(bs, shape, settings)

@@ -1,16 +1,21 @@
-"""Recursive adaptive Simpson quadrature for (vector-valued) arc integrands.
+"""Node-and-weight quadrature for (vector-valued) arc integrands.
 
-The integrands here are complex-valued, possibly many components at once
-(whole Gram blocks are integrated in a single pass).  Acceptance per interval
-uses the classical Simpson halving estimate, tested separately on real and
-imaginary parts of every component.  Intervals whose error estimate falls
-below the double-precision noise floor of the panel value are accepted as
-converged; this keeps absolute tolerances meaningful for integrands of very
-large magnitude without looping to the depth limit on pure rounding noise.
+Each arc gets nodes t in [0, 1] and real weights that include |z'(t)|; the
+integrand reduces its values at a whole node array against the weights, so a
+Gram block is one matrix product per node set.  Rules double until two
+successive sums agree, per component and separately on real and imaginary
+parts, to max(abs_tol, 64 eps * size): the floor keeps absolute tolerances
+meaningful for integrands of very large magnitude.
 
-Integrable endpoint singularities (corner-adapted basis products behave like
-|t - t0|^s with s > -1/2 at a corner) are handled by the substitution
-t = t0 + w*u^6, which makes the weighted integrand vanish at the endpoint.
+* Closed arcs (start == end: disks, ellipses) use the periodic trapezoid
+  rule, which converges geometrically on analytic curves: 64 midpoint nodes,
+  then each doubling adds the midpoints and keeps the earlier sum.
+* Open arcs (segments, circular arcs) use composite 16-point Gauss-Legendre
+  panels, doubling the panel count.
+* Integrable endpoint singularities (corner-adapted products behave like
+  |t - t0|^s with s > -1/2 at a corner) are handled on the half arc next to
+  the corner by t = t0 + w*u^6 with u on Gauss-Legendre panels, which makes
+  the weighted integrand vanish at the endpoint.
 """
 
 from __future__ import annotations
@@ -24,6 +29,10 @@ from .geometry import ParametricArc
 
 _EPS = float(np.finfo(float).eps)
 _SING_POWER = 6  # u^6 endpoint map: exponent s > -1/2 becomes > +2
+_TRAPEZOID_START = 64
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+_MAX_NODES = 1 << 16  # per arc piece
+_CHUNK = 4096  # nodes per integrand call; bounds the integrand's temporaries
 
 
 @dataclass(frozen=True)
@@ -38,115 +47,114 @@ class QuadratureSettings:
             raise ValueError("max_depth must be >= 1")
 
 
-def _simpson_children(f, a, b, fa, fm, fb, whole, tol, depth, max_depth, out):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    h12 = (b - a) / 12.0
-    left = h12 * (fa + 4.0 * flm + fm)
-    right = h12 * (fm + 4.0 * frm + fb)
-    s2 = left + right
-    err = (s2 - whole) / 15.0
-    mag = np.maximum(np.abs(s2.real), np.abs(s2.imag))
-    floor = 64.0 * _EPS * mag
-    bound = np.maximum(tol, floor)
-    if (np.abs(err.real) <= bound).all() and (np.abs(err.imag) <= bound).all():
-        out += s2 + err
-        return
-    if depth >= max_depth:
-        raise MaxDepthError(
-            f"Simpson tolerance {tol:.3g} not met on [{a:.6g}, {b:.6g}] "
-            f"at depth {depth}")
-    _simpson_children(f, a, m, fa, flm, fm, left, 0.5 * tol, depth + 1, max_depth, out)
-    _simpson_children(f, m, b, fm, frm, fb, right, 0.5 * tol, depth + 1, max_depth, out)
+def _trapezoid_levels():
+    """(nodes, weight, kept share of the previous sum, total nodes) per level."""
+    n = _TRAPEZOID_START
+    shift = 0.5 / n
+    yield shift + np.arange(n) / n, 1.0 / n, 0.0, n
+    while True:
+        # the current nodes are shift + k/n; add the midpoints between them
+        yield (shift + (np.arange(n) + 0.5) / n) % 1.0, 0.5 / n, 0.5, 2 * n
+        n *= 2
 
 
-def adaptive_simpson(f, a: float, b: float, settings: QuadratureSettings) -> np.ndarray:
-    """Integrate the vector-valued integrand f over [a, b] to ``abs_tol``.
+def _panel_levels():
+    """Composite Gauss-Legendre rules on [0, 1] with 1, 2, 4, ... panels."""
+    panels = 1
+    while True:
+        h = 1.0 / panels
+        x = ((np.arange(panels)[:, None] + 0.5 * (_GL_X + 1.0)) * h).ravel()
+        yield x, np.tile(0.5 * h * _GL_W, panels), 0.0, x.size
+        panels *= 2
 
-    ``f`` maps a float to a complex ndarray (all calls the same shape).
-    Raises :class:`MaxDepthError` if the tolerance (above the rounding noise
-    floor) cannot be met within ``max_depth`` halvings.
-    """
-    fa = np.asarray(f(a), complex)
-    fb = np.asarray(f(b), complex)
-    fm = np.asarray(f(0.5 * (a + b)), complex)
-    whole = ((b - a) / 6.0) * (fa + 4.0 * fm + fb)
-    out = np.zeros_like(whole)
-    _simpson_children(f, a, b, fa, fm, fb, whole, settings.abs_tol, 0,
-                      settings.max_depth, out)
+
+def _plain(a: float, b: float):
+    def nodes(x):
+        t = a + (b - a) * x
+        return t, t, 1.0 - t, b - a
+    return nodes
+
+
+def _mapped(width: float, at_end: bool):
+    # s = width * u^6 is the exact parameter distance from the endpoint
+    def nodes(u):
+        s = width * u ** _SING_POWER
+        jac = _SING_POWER * width * u ** (_SING_POWER - 1)
+        return (1.0 - s, 1.0 - s, s, jac) if at_end else (s, s, 1.0 - s, jac)
+    return nodes
+
+
+def _weighted_sum(f, arc: ParametricArc, t, s0, s1, w) -> np.ndarray:
+    out = 0j
+    for i in range(0, t.size, _CHUNK):
+        c = slice(i, i + _CHUNK)
+        out = out + np.asarray(f(t[c], arc.point(t[c]), s0[c], s1[c], w[c]), complex)
     return out
 
 
-def integrate_arc(f, arc: ParametricArc, settings: QuadratureSettings,
-                  singular_start: bool = False, singular_end: bool = False):
-    """Integral over the arc of f(t, z(t), s0, s1) * |z'(t)| dt, t in [0, 1].
+def _component_size(value: np.ndarray) -> np.ndarray:
+    """max(|Re|, |Im|) of each component: the default rounding scale."""
+    return np.maximum(np.abs(value.real), np.abs(value.imag))
 
-    The integrand receives the parameter t, the point z(t), and the exact
-    parameter distances s0 = t - 0 and s1 = 1 - t from the arc endpoints;
-    under the singular endpoint maps these distances are computed directly
-    (never as a difference that could round to zero), so corner-adapted
-    integrands can evaluate stably arbitrarily close to a corner.
+
+def _converged(new: np.ndarray, old: np.ndarray, tol: float, scale) -> bool:
+    diff = new - old
+    bound = np.maximum(tol, 64.0 * _EPS * scale(new))
+    return bool((np.abs(diff.real) <= bound).all() and (np.abs(diff.imag) <= bound).all())
+
+
+def _refine(f, arc: ParametricArc, piece, levels, tol: float, max_depth: int,
+            scale) -> np.ndarray:
+    prev = 0j
+    for depth, (x, wx, keep, count) in enumerate(levels):
+        t, s0, s1, jac = piece(x)
+        w = wx * jac * np.abs(arc.velocity(t))
+        est = _weighted_sum(f, arc, t, s0, s1, w) + keep * prev
+        if depth and _converged(est, prev, tol, scale):
+            return est
+        if depth >= max_depth or 2 * count > _MAX_NODES:
+            raise MaxDepthError(
+                f"quadrature tolerance {tol:.3g} not met with {count} nodes "
+                f"on the arc from {arc.start:.6g} to {arc.end:.6g}")
+        prev = est
+
+
+def integrate_arc(f, arc: ParametricArc, settings: QuadratureSettings,
+                  singular_start: bool = False, singular_end: bool = False,
+                  scale=_component_size):
+    """Integral over the arc of g(t) * |z'(t)| dt, t in [0, 1].
+
+    ``f(t, z, s0, s1, w)`` receives node arrays: parameters t, points z(t),
+    the exact parameter distances s0 = t and s1 = 1 - t from the endpoints
+    (computed directly under the endpoint maps, so they never round to zero
+    next to a corner), and the weights w.  It returns the weighted sum of g,
+    e.g. ``g @ w``, as a complex scalar or array of fixed shape.
 
     ``singular_start`` / ``singular_end`` flag integrable endpoint
-    singularities of f (corner points); the flagged half of the parameter
-    interval is integrated under the u^6 endpoint map and the (vanishing)
-    endpoint value is taken as 0.
+    singularities of g (corner points).  ``scale`` maps an estimate to the
+    size of its terms, which sets the rounding floor: a component's own size
+    by default, while sums that cancel far below their terms (off-diagonal
+    Gram entries) must pass a bound on the sum of |g|.  Raises
+    :class:`MaxDepthError` if the tolerance is not met within ``max_depth``
+    doublings or 2^16 nodes.
     """
-    probe = np.asarray(f(0.5, arc.point(0.5), 0.5, 0.5), complex)
-    zero = np.zeros_like(probe)
-
-    def weighted(t, s0, s1):
-        z = arc.point(t)
-        return np.asarray(f(t, z, s0, s1), complex) * abs(arc.velocity(t))
-
-    pieces = []
     if singular_start or singular_end:
-        pieces.append(("map0", 0.0, 0.5) if singular_start else ("plain", 0.0, 0.5))
-        pieces.append(("map1", 0.5, 1.0) if singular_end else ("plain", 0.5, 1.0))
+        pieces = [_mapped(0.5, False) if singular_start else _plain(0.0, 0.5),
+                  _mapped(0.5, True) if singular_end else _plain(0.5, 1.0)]
+        levels = _panel_levels
     else:
-        pieces.append(("plain", 0.0, 1.0))
+        pieces = [_plain(0.0, 1.0)]
+        levels = _trapezoid_levels if arc.start == arc.end else _panel_levels
     tol = settings.abs_tol / len(pieces)
-    sub = QuadratureSettings(tol, settings.max_depth)
-
-    total = np.zeros_like(probe)
-    for kind, t0, t1 in pieces:
-        if kind == "plain":
-            total = total + adaptive_simpson(
-                lambda t: weighted(t, t, 1.0 - t), t0, t1, sub)
-        elif kind == "map0":
-            w = t1 - t0
-
-            def g(u, w=w):
-                if u == 0.0:
-                    return zero
-                s = w * u ** _SING_POWER
-                return weighted(s, s, 1.0 - s) * (_SING_POWER * w * u ** (_SING_POWER - 1))
-
-            total = total + adaptive_simpson(g, 0.0, 1.0, sub)
-        else:
-            w = t1 - t0
-
-            def g(u, w=w):
-                if u == 0.0:
-                    return zero
-                s = w * u ** _SING_POWER
-                return weighted(1.0 - s, 1.0 - s, s) * (_SING_POWER * w * u ** (_SING_POWER - 1))
-
-            total = total + adaptive_simpson(g, 0.0, 1.0, sub)
-    return total if probe.ndim else complex(total)
-
-
-def arc_integrand(f):
-    """Adapt a plain f(t, z) integrand to the 4-argument arc protocol."""
-    return lambda t, z, s0, s1: f(t, z)
+    total = sum(_refine(f, arc, piece, levels(), tol, settings.max_depth, scale)
+                for piece in pieces)
+    return total if total.ndim else complex(total)
 
 
 def quad_arc(f, arc: ParametricArc, settings: QuadratureSettings,
              singular_start: bool = False, singular_end: bool = False) -> complex:
-    """Scalar form of :func:`integrate_arc` for integrands f(t) -> complex."""
-    val = integrate_arc(lambda t, z, s0, s1: f(t), arc, settings,
-                        singular_start=singular_start, singular_end=singular_end)
+    """Scalar form of :func:`integrate_arc` for integrands f(t) -> values at the nodes."""
+    val = integrate_arc(lambda t, z, s0, s1, w: np.broadcast_to(f(t), t.shape) @ w,
+                        arc, settings, singular_start=singular_start,
+                        singular_end=singular_end)
     return complex(val)

@@ -18,7 +18,17 @@ from anacap.basis import (
     schedule_to_config,
 )
 from anacap.errors import BranchCutError, PoleEvaluationError, SceneConfigError
-from anacap.geometry import Disk, Ellipse, Polygon, scene, validate_scene
+from anacap.geometry import (
+    ArcChain,
+    CircularArc,
+    Disk,
+    Ellipse,
+    Polygon,
+    Segment,
+    arcs,
+    scene,
+    validate_scene,
+)
 
 SQUARE = Polygon((1 + 0j, 1j, -1 + 0j, -1j))
 
@@ -203,6 +213,27 @@ def test_basis_set_array_eval():
     vals = bs.eval_all(z)
     assert vals.shape == (2, 3)
     assert vals[0, 0] == pytest.approx(1 / (3 - 1j))
+
+
+def test_corner_subs_array_matches_scalar_calls():
+    # half-disk with corners at +-0.5; its arcs carry the exact displacements
+    # from both corners, which eval_all applies over whole node arrays
+    chain = ArcChain((Segment(-0.5 + 0j, 0.5 + 0j), CircularArc(0j, 0.5, 0.0, math.pi)))
+    c = 0.25j
+    s = np.concatenate(([1e-200], np.logspace(-12, -0.3, 40)))
+    for arc in arcs(chain):
+        bs = BasisSet([CornerAdapted(c, arc.start, -1 / 6, 1), CornerAdapted(c, arc.start, -1 / 6, 3),
+                       CornerAdapted(c, arc.end, -1 / 6, 2), PowerPole(c, 2)])
+
+        def subs(x):
+            return [(arc.start, arc.disp_start(x)), (arc.end, arc.disp_end(1.0 - x))]
+
+        vals = bs.eval_all(arc.point(s), corner_subs=subs(s))
+        for k, x in enumerate(s):
+            assert arc.disp_start(s)[k] == pytest.approx(arc.disp_start(float(x)), rel=1e-14)
+            one = bs.eval_all(arc.point(float(x)), corner_subs=subs(float(x)))
+            assert np.all(np.abs(vals[:, k] - one) <= 1e-14 * np.abs(one))
+        assert np.all(np.isfinite(vals[:, 0])) and np.all(vals[:, 0] != 0)
 
 
 def test_d_vector_order():

@@ -19,16 +19,20 @@ ORACLE = QuadratureSettings(abs_tol=1e-12)
 
 
 def quad_pair(b1, b2, circle):
-    # independent oracle: adaptive quadrature of b1 * conj(b2) over the circle
+    # independent oracle: quadrature of b1 * conj(b2) over the circle
     (arc,) = arcs(circle)
-    return complex(integrate_arc(
-        lambda t, z, s0, s1: b1.eval(complex(z)) * b2.eval(complex(z)).conjugate(),
-        arc, ORACLE))
+
+    def f(t, z, s0, s1, w):
+        v1, v2 = BasisSet([b1, b2]).eval_all(z)
+        return (v1 * np.conj(v2)) @ w
+
+    return complex(integrate_arc(f, arc, ORACLE))
 
 
 def quad_mean(b, circle):
     (arc,) = arcs(circle)
-    return complex(integrate_arc(lambda t, z, s0, s1: b.eval(complex(z)), arc, ORACLE))
+    return complex(integrate_arc(lambda t, z, s0, s1, w: BasisSet([b]).eval_all(z)[0] @ w,
+                                 arc, ORACLE))
 
 
 # --- exact circle integrals -------------------------------------------------
@@ -195,27 +199,21 @@ def test_conj_symmetry_against_independent_lower_triangle(two_disks, rng):
         assert g.H[j, k] == pytest.approx(g.H[k, j].conjugate(), abs=0)
 
 
-def test_mixed_disk_and_corner_scene_consistency():
-    # a disk in a scene with corner-adapted functions routes rational pairs
-    # through residues and the rest through quadrature; totals must agree
-    # with the all-quadrature assembly of the same scene
-    from anacap.integrals import _quad_block
-
-    sq = Polygon((1 + 0j, 1j, -1 + 0j, -1j))
-    d = Disk(4 + 0j, 1.0)
-    sc = validate_scene(scene([sq, d]))
-    basis = [PowerPole(0j, 1), CornerAdapted(0j, 1 + 0j, -1 / 6, 1), SimplePole(4 + 0j)]
-    g = assemble_gram(sc, basis, QuadratureSettings(1e-10))
-    bs = BasisSet(basis)
-    ref_H = np.zeros((3, 3), complex)
-    ref_u = np.zeros(3, complex)
-    for shape in sc.shapes:
-        Hq, uq, _ = _quad_block(bs, shape, QuadratureSettings(1e-10))
-        ref_H += Hq
-        ref_u += uq
-    iu, ju = np.tril_indices(3, -1)
-    ref_H[iu, ju] = np.conj(ref_H[ju, iu])
-    ref_H /= 2 * math.pi
-    ref_u /= 2 * math.pi
-    assert np.allclose(g.H, ref_H, atol=1e-9)
-    assert np.allclose(g.u, ref_u, atol=1e-9)
+def test_engine_disk_blocks_match_residues():
+    # disks under a basis that is not all simple poles go through the
+    # periodic trapezoid rule; each disk's block must match the exact residue
+    # integrals, including disk A, where B's pole at 1.001 sits 1e-3 outside
+    A = Disk(0j, 1.0)
+    B = Disk(1.5 + 0j, 0.4995)
+    sc = validate_scene(scene([A, B]))
+    basis = [SimplePole(0.3j), PowerPole(0j, 1), PowerPole(0j, 3),
+             SimplePole(1.001 + 0j), PowerPole(1.5 + 0j, 2)]
+    n = len(basis)
+    for disk in sc.shapes:
+        g = assemble_gram(scene([disk]), basis)
+        ref_H = np.array([[circle_pair_integral(basis[j], basis[k], disk)
+                           for k in range(n)] for j in range(n)]) / TWO_PI
+        ref_u = np.array([circle_mean_integral(b, disk) for b in basis]) / TWO_PI
+        assert np.abs(g.H - ref_H).max() <= 1e-13 * np.abs(ref_H).max()
+        assert np.abs(g.u - ref_u).max() <= 1e-13 * np.abs(ref_u).max()
+        assert g.c0 == pytest.approx(disk.radius, rel=1e-13)

@@ -5,7 +5,7 @@ import pytest
 
 from anacap.errors import MaxDepthError
 from anacap.geometry import Disk, Ellipse, Polygon, arcs
-from anacap.quadrature import QuadratureSettings, adaptive_simpson, integrate_arc, quad_arc
+from anacap.quadrature import QuadratureSettings, integrate_arc, quad_arc
 
 TIGHT = QuadratureSettings(abs_tol=1e-12)
 DEFAULT = QuadratureSettings()
@@ -33,15 +33,15 @@ def test_ellipse_perimeter():
 
 def test_abs_z_squared_on_unit_circle():
     (arc,) = arcs(Disk(0, 1.0))
-    val = integrate_arc(lambda t, z, s0, s1: z * np.conj(z), arc, TIGHT)
+    val = integrate_arc(lambda t, z, s0, s1, w: (z * np.conj(z)) @ w, arc, TIGHT)
     assert complex(val) == pytest.approx(2 * math.pi, abs=1e-11)
 
 
 def test_vector_integrand():
     (arc,) = arcs(Disk(0, 1.0))
 
-    def f(t, z, s0, s1):
-        return np.array([1.0 + 0j, z, z * np.conj(z)])
+    def f(t, z, s0, s1, w):
+        return np.stack([np.ones_like(z), z, z * np.conj(z)]) @ w
 
     vals = integrate_arc(f, arc, TIGHT)
     assert vals.shape == (3,)
@@ -54,11 +54,8 @@ def test_singular_endpoint_power():
     # integral of t^(-1/3) over a unit segment: exact value 3/2
     seg = arcs(Polygon((0j, 1 + 0j, 1 + 1j, 1j)))[0]
 
-    def f(t):
-        return complex(t) ** (-1 / 3) if t > 0 else complex("inf")
-
-    val = quad_arc(lambda t: f(t), seg, QuadratureSettings(1e-10),
-                   singular_start=True)
+    val = integrate_arc(lambda t, z, s0, s1, w: s0 ** (-1 / 3) @ w, seg,
+                        QuadratureSettings(1e-10), singular_start=True)
     assert val.real == pytest.approx(1.5, abs=1e-9)
 
 
@@ -68,11 +65,12 @@ def test_singular_both_endpoints():
 
     seg = arcs(Polygon((0j, 1 + 0j, 1 + 1j, 1j)))[0]
 
-    def f(t):
-        return complex(t ** (-1 / 3) * (1 - t) ** (-1 / 3)) if 0 < t < 1 else 0j
+    def f(t, z, s0, s1, w):
+        # the exact endpoint distances s0, s1 never round to zero
+        return (s0 ** (-1 / 3) * s1 ** (-1 / 3)) @ w
 
-    val = quad_arc(f, seg, QuadratureSettings(1e-10),
-                   singular_start=True, singular_end=True)
+    val = integrate_arc(f, seg, QuadratureSettings(1e-10),
+                        singular_start=True, singular_end=True)
     assert val.real == pytest.approx(beta_fn(2 / 3, 2 / 3), abs=1e-9)
 
 
@@ -81,7 +79,7 @@ def test_huge_magnitude_integrand_converges():
     # sits below the rounding floor; the integral must still converge to
     # machine-relative accuracy instead of erroring out
     seg = arcs(Polygon((1 + 0j, 1j, -1 + 0j, -1j)))[0]
-    val = quad_arc(lambda t: complex(abs(1 + t * (1j - 1)) ** -80.0), seg, DEFAULT)
+    val = quad_arc(lambda t: np.abs(1 + t * (1j - 1)) ** -80.0, seg, DEFAULT)
     from scipy.integrate import quad as spquad
 
     ref = spquad(lambda t: abs(1 + t * (1j - 1)) ** -80.0 * math.sqrt(2), 0, 1,
@@ -90,16 +88,20 @@ def test_huge_magnitude_integrand_converges():
 
 
 def test_max_depth_error():
-    # a discontinuous integrand cannot satisfy the Simpson acceptance test
-    def f(t):
-        return complex(0.0 if t < 1 / math.pi else 1.0)
+    # a discontinuous integrand cannot satisfy the refinement acceptance test
+    seg = arcs(Polygon((0j, 1 + 0j, 1 + 1j, 1j)))[0]
+
+    def f(t, z, s0, s1, w):
+        return np.where(t < 1 / math.pi, 0.0, 1.0) @ w
 
     with pytest.raises(MaxDepthError):
-        adaptive_simpson(lambda t: np.asarray(f(t)), 0.0, 1.0,
-                         QuadratureSettings(1e-12, max_depth=8))
+        integrate_arc(f, seg, QuadratureSettings(1e-12, max_depth=8))
+    # with the default depth the fixed node ceiling stops the refinement
+    with pytest.raises(MaxDepthError, match="65536 nodes"):
+        integrate_arc(f, seg, QuadratureSettings(1e-12))
 
 
 def test_real_and_imaginary_parts_tested_separately():
     (arc,) = arcs(Disk(0, 1.0))
-    val = integrate_arc(lambda t, z, s0, s1: z ** 2 + 1j * (z * np.conj(z)), arc, TIGHT)
+    val = integrate_arc(lambda t, z, s0, s1, w: (z ** 2 + 1j * (z * np.conj(z))) @ w, arc, TIGHT)
     assert abs(complex(val) - 2j * math.pi) < 1e-10
