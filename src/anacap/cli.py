@@ -7,6 +7,10 @@ Subcommands::
     anacap discrete --config disks.json [--m M]
     anacap sweep    --config disks.json --m M --r-min A --r-max B --steps N
                     [--out file.csv] [--threads K] [--seed S]
+                    [--quad-tol T] [--quad-max-depth D]
+
+Only ``gamma`` and ``sweep`` integrate over boundaries, so only they take the
+quadrature flags.
 
 Exit codes: 0 success, 2 configuration/domain error, 3 numerical failure,
 4 certified monotonicity violation in a sweep.
@@ -168,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--s", type=float, default=1.0)
     es.set_defaults(func=cmd_exact, form="square")
 
-    d = sub.add_parser("discrete", parents=[quad],
+    d = sub.add_parser("discrete",
                        help="discrete-capacity report for a disk scene")
     d.add_argument("--config", required=True)
     d.add_argument("--m", type=int, default=None)

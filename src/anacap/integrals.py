@@ -9,11 +9,15 @@ The Gram data of a scene consists of
 On a circle |z - c| = r the substitutions ``conj(z) = conj(c) + r^2/(z - c)``
 and ``|dz| = (r/i) dz/(z - c)`` turn every rational-pair integrand into a
 rational function of z, evaluated exactly by summing residues at the poles
-strictly inside the circle.  Gram assembly uses the vectorized closed form
-of those residues for disks under an all-simple-pole basis; every other
+strictly inside the circle.  For disks under an all-simple-pole basis Gram
+assembly uses the closed form that the Hardy-space split gives: 1/(z - a) is
+in H^2 of the disk for a outside and in its orthogonal complement for a
+inside, so a pair on opposite sides contributes exactly zero.  Every other
 boundary goes through the node-and-weight quadrature of
 :mod:`anacap.quadrature`, one matrix product ``(V w) V^H`` per node set.  The
-general residue routines stay public as exact references.
+general residue routines (``circle_pair_integral``, with its spectral
+midpoint rule for near-confluent poles, and ``circle_mean_integral``) are on
+no Gram path; they stay public as exact references.
 
 Contributions are accumulated shape by shape in index order, so assembled
 matrices are bitwise reproducible.
@@ -217,48 +221,32 @@ def circle_mean_integral(b: BasisFunction, circle: Disk) -> complex:
 def _simple_block(poles: np.ndarray, circle: Disk) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized pair/mean integrals for an all-simple-pole basis.
 
-    Closed forms (a = row pole, b = column pole, both relative to the circle):
+    With w = pole - c, 1/(z - a) lies in the Hardy space H^2 of the disk when
+    a is outside the circle and in its orthogonal complement when a is
+    inside, so (a = row pole, b = column pole)
 
-    ========  ========  ==================================================
+    ========  ========  =============================================
     a         b         \\oint (1/(z-a)) conj(1/(z-b)) |dz|
-    ========  ========  ==================================================
-    inside    inside    2 pi r / (r^2 + (a-c) conj(c-b))
-    inside    outside   previous term + 2 pi r / ((z*-a) conj(c-b))
-    outside   inside    0
-    outside   outside   2 pi r / ((z*-a) conj(c-b))
-    ========  ========  ==================================================
+    ========  ========  =============================================
+    inside    inside    2 pi r / (r^2 - w_a conj(w_b))
+    outside   outside   -2 pi r / (r^2 - w_a conj(w_b))
+    mixed               0 exactly
+    ========  ========  =============================================
 
-    with z* = c - r^2/conj(c - b) the reflection of b across the circle.
-    When z* collides with a (a double pole of the transformed integrand; ring
-    layouts do hit this exactly for aligned disks) both closed-form terms
-    diverge with cancelling leading parts, so near-confluent entries are
-    recomputed by quadrature on the circle, where the integrand is smooth.
+    The quotient is taken only on same-side pairs, where the denominator
+    cannot vanish (|w_a||w_b| != r^2); a mixed pair may have |w_a||w_b| = r^2.
     """
     c, r = circle.center, circle.radius
-    a = poles[:, None]
-    b = poles[None, :]
-    dist = np.abs(poles - c)
+    w = poles - c
+    dist = np.abs(w)
     if np.any(np.abs(dist - r) <= 1e-12 * np.maximum(r, dist)):
         raise PoleOnContourError("simple pole on the circle")
-    a_in = dist[:, None] < r
-    b_in = dist[None, :] < r
-    cb = np.conj(c - b)
-    denom = r * r + (a - c) * cb  # vanishes exactly at confluence z* == a
-    # the closed-form error grows like eps/denom^2; route near-confluent
-    # entries to the spectral rule well before that becomes visible
-    bad = (~b_in) & (np.abs(denom) < 1e-2 * r * r)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        main = TWO_PI * r / np.where(bad, 1.0, denom)
-        zs = c - r * r / np.where(cb != 0, cb, 1.0)
-        refl = TWO_PI * r / np.where(bad, 1.0, (zs - a) * np.where(cb != 0, cb, 1.0))
-    H = np.where(a_in & b_in, main, 0j)
-    H = np.where(a_in & ~b_in, main + refl, H)
-    H = np.where(~a_in & ~b_in, refl, H)
-    if bad.any():
-        for j, k in zip(*np.nonzero(bad)):
-            H[j, k] = _spectral_circle_pair(SimplePole(complex(poles[j])),
-                                            SimplePole(complex(poles[k])), circle)
-    mean = np.where(dist < r, 0j, TWO_PI * r / np.where(poles != c, c - poles, 1.0))
+    inside = dist < r
+    same = inside[:, None] == inside[None, :]
+    denom = r * r - np.outer(w, np.conj(w))
+    H = np.divide(TWO_PI * r * np.where(inside, 1.0, -1.0)[:, None], denom,
+                  out=np.zeros_like(denom), where=same)
+    mean = np.where(inside, 0j, TWO_PI * r / np.where(poles != c, c - poles, 1.0))
     return H, mean
 
 
@@ -338,8 +326,11 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
                   settings: QuadratureSettings | None = None) -> GramData:
     """Assemble H, u, c0 for the scene boundary and the given basis.
 
-    Disks under an all-simple-pole basis use the closed-form residue block;
-    every other boundary goes through node-and-weight quadrature at
+    Disks under an all-simple-pole basis use the closed-form Hardy-split
+    block (opposite-side pole pairs are exactly zero; the spectral rule only
+    backs the ``circle_pair_integral`` reference), added in place since the
+    basis order is the pole order; every other boundary goes through
+    node-and-weight quadrature at
     ``settings.abs_tol``.  Only the upper triangle is kept; the lower is its
     conjugate mirror, so H is Hermitian exactly.
     """
@@ -353,10 +344,8 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
     for shape in sc.shapes:
         if isinstance(shape, Disk) and bs.all_simple:
             Hs, us = _simple_block(bs._sa, shape)
-            # poles are stored grouped; map back to original order
-            idx = bs._si
-            H[np.ix_(idx, idx)] += Hs
-            u[idx] += us
+            H += Hs
+            u += us
             length += TWO_PI * shape.radius
         else:
             Hq, uq, L = _quad_block(bs, shape, settings)

@@ -127,6 +127,14 @@ def test_discrete_rejects_mixed_radii(config_file, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_discrete_has_no_quadrature_flags(config_file, capsys):
+    # the discrete report integrates nothing, so it takes no quadrature flags
+    with pytest.raises(SystemExit) as exc:
+        main(["discrete", "--config", config_file(TWO_DISKS), "--quad-tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quad-tol" in capsys.readouterr().err
+
+
 # --- sweep ------------------------------------------------------------------
 
 def test_sweep_csv_and_verdict(config_file, capsys):

@@ -58,6 +58,9 @@ def test_two_pole_cancellation():
     c = Disk(2, 1.0)
     val = circle_pair_integral(SimplePole(2 + 0j), SimplePole(-2 + 0j), c)
     assert abs(val) < 1e-14
+    # the closed-form disk block gives an inside/outside pair exactly zero
+    g = assemble_gram(scene([c]), [SimplePole(2 + 0j), SimplePole(-2 + 0j)])
+    assert g.H[0, 1] == 0
 
 
 def test_mean_integral_cases():
@@ -200,20 +203,35 @@ def test_conj_symmetry_against_independent_lower_triangle(two_disks, rng):
 
 
 def test_engine_disk_blocks_match_residues():
-    # disks under a basis that is not all simple poles go through the
-    # periodic trapezoid rule; each disk's block must match the exact residue
-    # integrals, including disk A, where B's pole at 1.001 sits 1e-3 outside
+    # each disk's block, and the scene total, must match the exact residue
+    # integrals.  Under a basis that is not all simple poles disks go through
+    # the periodic trapezoid rule (on disk A, B's pole at 1.001 sits 1e-3
+    # outside); all-simple-pole bases take the closed-form block, checked on
+    # two disks where the reflection of the pole 2.0 across disk A is exactly
+    # A's pole 0.5, and on three small disks far from the origin
     A = Disk(0j, 1.0)
     B = Disk(1.5 + 0j, 0.4995)
-    sc = validate_scene(scene([A, B]))
-    basis = [SimplePole(0.3j), PowerPole(0j, 1), PowerPole(0j, 3),
-             SimplePole(1.001 + 0j), PowerPole(1.5 + 0j, 2)]
-    n = len(basis)
-    for disk in sc.shapes:
-        g = assemble_gram(scene([disk]), basis)
-        ref_H = np.array([[circle_pair_integral(basis[j], basis[k], disk)
-                           for k in range(n)] for j in range(n)]) / TWO_PI
-        ref_u = np.array([circle_mean_integral(b, disk) for b in basis]) / TWO_PI
-        assert np.abs(g.H - ref_H).max() <= 1e-13 * np.abs(ref_H).max()
-        assert np.abs(g.u - ref_u).max() <= 1e-13 * np.abs(ref_u).max()
-        assert g.c0 == pytest.approx(disk.radius, rel=1e-13)
+    cases = [
+        ((A, B), [SimplePole(0.3j), PowerPole(0j, 1), PowerPole(0j, 3),
+                  SimplePole(1.001 + 0j), PowerPole(1.5 + 0j, 2)]),
+        ((Disk(0j, 1.0), Disk(2.5 + 0j, 1.0)), Rings(1)),
+        (tuple(Disk(c, 0.03) for c in (8 + 1j, -6 + 6j, 3 - 9j)), Rings(2)),
+    ]
+    for disks, basis in cases:
+        sc = validate_scene(scene(list(disks)))
+        if isinstance(basis, Rings):
+            basis = build_basis(sc, basis)
+        n = len(basis)
+        total_H, total_u = 0, 0
+        for disk in sc.shapes:
+            g = assemble_gram(scene([disk]), basis)
+            ref_H = np.array([[circle_pair_integral(basis[j], basis[k], disk)
+                               for k in range(n)] for j in range(n)]) / TWO_PI
+            ref_u = np.array([circle_mean_integral(b, disk) for b in basis]) / TWO_PI
+            assert np.abs(g.H - ref_H).max() <= 1e-13 * np.abs(ref_H).max()
+            assert np.abs(g.u - ref_u).max() <= 1e-13 * np.abs(ref_u).max()
+            assert g.c0 == pytest.approx(disk.radius, rel=1e-13)
+            total_H, total_u = total_H + ref_H, total_u + ref_u
+        g = assemble_gram(sc, basis)
+        assert np.abs(g.H - total_H).max() <= 1e-13 * np.abs(g.H).max()
+        assert np.abs(g.u - total_u).max() <= 1e-13 * np.abs(g.u).max()

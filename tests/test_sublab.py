@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from anacap.basis import Rings
+from anacap.basis import Rings, build_basis
 from anacap.discrete import DiskConfiguration
 from anacap.errors import SplitError
 from anacap.exact import nome_from_geometry, ratio_f
-from anacap.solver import BoundsResult
+from anacap.geometry import Disk, Scene
+from anacap.integrals import assemble_gram
+from anacap.solver import BoundsResult, _Factorization, gamma_bounds
 from anacap.sublab import (
     CERTIFIED_DECREASE,
     CERTIFIED_INCREASE,
@@ -99,6 +101,19 @@ def test_sweep_thread_count_does_not_change_results():
     for a, b in zip(serial, parallel):
         assert a.ratio_low == b.ratio_low
         assert a.ratio_high == b.ratio_high
+
+
+def test_nine_small_disks_factor_without_jitter():
+    # the F half of an 18-disk sweep job whose bounds crossed by 1.6e-6 when
+    # inside/outside pole pairs, exactly zero, were summed from two
+    # cancelling terms; the rounding forced a 1e-11 Cholesky jitter
+    r = 0.02993839705453403
+    disks = tuple(Disk(c, r) for c in random_configuration(18, 386449719)[9:])
+    sc = Scene(disks, ("E",) * len(disks))
+    res = gamma_bounds(sc, Rings(4))
+    assert res.lower <= res.upper
+    gram = assemble_gram(sc, build_basis(sc, Rings(4)))
+    assert _Factorization(gram.H).jitter == 0.0
 
 
 def test_max_sweep_radius():
