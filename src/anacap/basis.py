@@ -25,7 +25,7 @@ import numpy as np
 
 from . import geometry
 from .errors import BranchCutError, PoleEvaluationError, SceneConfigError
-from .geometry import Corner, Disk, Ellipse, Scene, Shape
+from .geometry import Disk, Ellipse, Scene, Segment, Shape
 
 
 @dataclass(frozen=True)
@@ -184,7 +184,7 @@ def _shape_basis(shape: Shape, mode) -> list[BasisFunction]:
         if mode.with_corners:
             corner_list = geometry.corners(shape)
             if corner_list:
-                _require_star_shaped(shape, c, corner_list)
+                _require_star_shaped(shape, c)
             for corner in corner_list:
                 beta = corner_exponent(corner.omega_angle)
                 out += [CornerAdapted(c, corner.location, beta, k)
@@ -193,19 +193,36 @@ def _shape_basis(shape: Shape, mode) -> list[BasisFunction]:
     raise SceneConfigError(f"unknown schedule mode {type(mode).__name__}")
 
 
-def _require_star_shaped(shape: Shape, c: complex, corner_list: list[Corner]) -> None:
-    # the branch cut of each corner function is the segment (corner, c); it
-    # must stay inside the shape, which holds when the shape is star-shaped
-    # about c.  Sampled check: points along anchor-to-boundary segments.
-    boundary = geometry.boundary_polyline(shape, 128)
-    fracs = np.linspace(0.08, 0.92, 9)
-    for p in boundary[::2]:
-        pts = c + fracs * (p - c)
-        for q in pts:
-            if not geometry.point_in_shape(shape, complex(q)):
-                raise SceneConfigError(
-                    "shape is not star-shaped about its anchor; corner-adapted "
-                    "basis would cross its branch cut")
+def _require_star_shaped(shape: Shape, c: complex) -> None:
+    """Exact test that arg(z - c) strictly increases along the boundary.
+
+    The branch cut of each corner function is the segment (corner, c); it
+    stays inside the shape when the shape is star-shaped about c, which for
+    a positively oriented simple boundary is exactly this monotonicity.  It
+    holds piece by piece:
+
+    * segment z0 -> z1: Im(conj(z0 - c) (z1 - z0)) > 0;
+    * arc C + r e^{i theta} travelled in direction s = +-1, with w = C - c:
+      the rate of arg(z - c) along the arc has the sign of
+      s (r + Re(conj(w) e^{i theta})), whose extremes in theta lie at the
+      two ends and at theta = arg w + k pi inside the arc.
+    """
+    for piece in geometry.boundary_pieces(shape):
+        if isinstance(piece, Segment):
+            ok = ((piece.start - c).conjugate() * (piece.end - piece.start)).imag > 0
+        else:
+            s = 1.0 if piece.theta_end > piece.theta_start else -1.0
+            w = piece.center - c
+            lo, hi = sorted((piece.theta_start, piece.theta_end))
+            aw = cmath.phase(w)
+            ks = range(math.ceil((lo - aw) / math.pi), math.floor((hi - aw) / math.pi) + 1)
+            thetas = [lo, hi, *(aw + k * math.pi for k in ks)]
+            ok = all(s * (piece.radius + (w.conjugate() * cmath.exp(1j * t)).real) > 0
+                     for t in thetas)
+        if not ok:
+            raise SceneConfigError(
+                "shape is not star-shaped about its anchor; corner-adapted "
+                "basis would cross its branch cut")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ assembly uses the closed form that the Hardy-space split gives: 1/(z - a) is
 in H^2 of the disk for a outside and in its orthogonal complement for a
 inside, so a pair on opposite sides contributes exactly zero.  Every other
 boundary goes through the node-and-weight quadrature of
-:mod:`anacap.quadrature`, one matrix product ``(V w) V^H`` per node set.  The
+:mod:`anacap.quadrature`, one matrix product ``(V w) V^H`` per node set, with
+the constant 1 appended to V so that the same product carries u and the
+length.  The
 general residue routines (``circle_pair_integral``, with its spectral
 midpoint rule for near-confluent poles, and ``circle_mean_integral``) are on
 no Gram path; they stay public as exact references.
@@ -29,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 
 from .basis import BasisFunction, BasisSet, PowerPole, SimplePole
 from .errors import NonRationalBasisError, PoleOnContourError
@@ -102,36 +105,32 @@ def _residue(num: np.ndarray, factors: list[tuple[complex, int]], idx: int) -> c
 # exact circle integrals
 
 
-def _rational_parts(b: BasisFunction) -> tuple[complex, int]:
+def _rational_parts(b: BasisFunction, c: complex) -> tuple[complex, int]:
+    """(pole - c, order) of a rational basis function, for a circle about c."""
     if isinstance(b, SimplePole):
-        return b.a, 1
+        return b.a - c, 1
     if isinstance(b, PowerPole):
-        return b.c, b.k
+        return b.c - c, b.k
     raise NonRationalBasisError(
         f"{type(b).__name__} is not rational; use the quadrature path")
 
 
-def _eval_rational(b: BasisFunction, z: np.ndarray) -> np.ndarray:
-    p, k = _rational_parts(b)
-    return (z - p) ** (-k)
+def _spectral_circle_pair(q1: tuple[complex, int], q2: tuple[complex, int], r: float) -> complex:
+    """Pair integral by the periodic midpoint rule on |w| = r.
 
-
-def _spectral_circle_pair(b1: BasisFunction, b2: BasisFunction, circle: Disk) -> complex:
-    """Pair integral by the periodic midpoint rule on the circle.
-
-    The integrand is analytic on the contour (poles strictly off it), so the
+    ``q1`` and ``q2`` are (pole - c, order) of the two factors.  The
+    integrand is analytic on the contour (poles strictly off it), so the
     rule converges geometrically; used where the residue decomposition is
     numerically unstable because two poles of the transformed integrand
     nearly coincide.
     """
-    c, r = circle.center, circle.radius
+    (p1, k1), (p2, k2) = q1, q2
     n = 64
     prev = None
     while n <= 1 << 17:
         theta = (2.0 * math.pi / n) * (np.arange(n) + 0.5)
-        z = c + r * np.exp(1j * theta)
-        val = complex(np.mean(_eval_rational(b1, z) * np.conj(_eval_rational(b2, z)))
-                      * TWO_PI * r)
+        w = r * np.exp(1j * theta)
+        val = complex(np.mean((w - p1) ** (-k1) * np.conj((w - p2) ** (-k2))) * TWO_PI * r)
         if prev is not None and abs(val - prev) <= 1e-13 * max(1.0, abs(val)):
             return val
         prev = val
@@ -141,48 +140,51 @@ def _spectral_circle_pair(b1: BasisFunction, b2: BasisFunction, circle: Disk) ->
 
 
 class _Contour:
-    """Pole bookkeeping for one residue integral over |z - c| = r."""
+    """Pole bookkeeping for one residue integral over |w| = r.
 
-    def __init__(self, c: complex, r: float):
-        self.c = c
+    Poles are taken relative to the circle's centre (w = z - c), so the
+    reflected poles and the residues do not carry the rounding of the
+    centre's absolute coordinates.
+    """
+
+    def __init__(self, r: float):
         self.r = r
         self.scalar = r / 1j
         self.num = np.array([1.0 + 0j])
         self.factors: list[tuple[complex, int]] = []
 
-    def add_pole(self, z0: complex, m: int) -> None:
-        for i, (zi, mi) in enumerate(self.factors):
-            if zi == z0:
-                self.factors[i] = (zi, mi + m)
+    def add_pole(self, w0: complex, m: int) -> None:
+        for i, (wi, mi) in enumerate(self.factors):
+            if wi == w0:
+                self.factors[i] = (wi, mi + m)
                 return
-        self.factors.append((z0, m))
+        self.factors.append((w0, m))
 
-    def reflect(self, b: BasisFunction) -> None:
-        # multiply the integrand by conj(b(z)) restricted to the circle
-        p, k = _rational_parts(b)
-        self.num = _poly_mul(self.num, _poly_pow(np.array([-self.c, 1.0], complex), k))
-        if p == self.c:
+    def reflect(self, q: complex, k: int) -> None:
+        # multiply the integrand by conj((w - q)^-k), which on |w| = r is
+        # w^k / (r^2 - conj(q) w)^k
+        self.num = _poly_mul(self.num, _poly_pow(np.array([0.0, 1.0], complex), k))
+        if q == 0:
             self.scalar /= self.r ** (2 * k)
         else:
-            cb = (self.c - p).conjugate()
+            cb = -q.conjugate()
             self.scalar /= cb ** k
-            self.add_pole(self.c - self.r * self.r / cb, k)
+            self.add_pole(-self.r * self.r / cb, k)
 
-    def direct(self, b: BasisFunction) -> None:
-        p, k = _rational_parts(b)
-        self.add_pole(p, k)
+    def direct(self, q: complex, k: int) -> None:
+        self.add_pole(q, k)
 
     def measure(self) -> None:
-        # |dz| = (r/i) dz/(z - c); the r/i lives in self.scalar already
-        self.add_pole(self.c, 1)
+        # |dz| = (r/i) dw/w; the r/i lives in self.scalar already
+        self.add_pole(0j, 1)
 
     def evaluate(self) -> complex:
         total = 0j
-        for i, (z0, _) in enumerate(self.factors):
-            d = abs(z0 - self.c)
+        for i, (w0, _) in enumerate(self.factors):
+            d = abs(w0)
             if abs(d - self.r) <= 1e-12 * max(self.r, d):
                 raise PoleOnContourError(
-                    f"pole {z0} lies on the circle |z - {self.c}| = {self.r}")
+                    f"pole {w0} from the centre lies on the circle of radius {self.r}")
             if d < self.r:
                 total += _residue(self.num, self.factors, i)
         return 2j * math.pi * self.scalar * total
@@ -197,23 +199,25 @@ def circle_pair_integral(b1: BasisFunction, b2: BasisFunction, circle: Disk) -> 
     spectral midpoint rule instead.  Exactly coincident poles stay on the
     residue path, which merges them into one higher-order pole.
     """
-    ct = _Contour(circle.center, circle.radius)
-    ct.direct(b1)
-    ct.reflect(b2)
+    r = circle.radius
+    q1, q2 = _rational_parts(b1, circle.center), _rational_parts(b2, circle.center)
+    ct = _Contour(r)
+    ct.direct(*q1)
+    ct.reflect(*q2)
     ct.measure()
-    roots = [z for z, _ in ct.factors]
+    roots = [w for w, _ in ct.factors]
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             d = abs(roots[i] - roots[j])
-            if 0.0 < d < 1e-4 * circle.radius:
-                return _spectral_circle_pair(b1, b2, circle)
+            if 0.0 < d < 1e-4 * r:
+                return _spectral_circle_pair(q1, q2, r)
     return ct.evaluate()
 
 
 def circle_mean_integral(b: BasisFunction, circle: Disk) -> complex:
     """Exact value of \\oint_{|z-c|=r} b(z) |dz| by residues."""
-    ct = _Contour(circle.center, circle.radius)
-    ct.direct(b)
+    ct = _Contour(circle.radius)
+    ct.direct(*_rational_parts(b, circle.center))
     ct.measure()
     return ct.evaluate()
 
@@ -267,14 +271,17 @@ def _quad_block(bs: BasisSet, shape, settings: QuadratureSettings
                 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Gram contributions of one shape's boundary by node-and-weight quadrature.
 
-    On each node set the basis values V (n x nodes) give the whole block at
-    once: H += (V w) V^H, u += V w, length += sum(w).
+    On each node set the basis values with the constant 1 appended as row n,
+    A (n+1 x nodes), give the whole block at once: G = (A w) A^H holds H in
+    G[:n, :n], u in G[:n, n] and the length in G[n, n].  The product runs on
+    SciPy's BLAS, like the solver's factorization: NumPy and SciPy each bundle
+    an OpenBLAS with its own thread pool, and alternating between the two
+    leaves one pool's workers spinning while the other's run, which on a
+    two-core machine stalled a 20 ms job by up to 0.2 s.
     """
     n = bs.n
     corner_pts = bs.corner_points()
-    H = np.zeros((n, n), complex)
-    u = np.zeros(n, complex)
-    length = 0.0
+    G = np.zeros((n + 1, n + 1), complex)
     scale = max(1.0, abs(arcs(shape)[0].start))
     for arc in arcs(shape):
         start_corner = _matching_corner(corner_pts, arc.start, scale)
@@ -289,27 +296,28 @@ def _quad_block(bs: BasisSet, shape, settings: QuadratureSettings
                 subs.append((sc, arc.disp_start(s0)))
             if ec is not None:
                 subs.append((ec, arc.disp_end(s1)))
-            V = bs.eval_all(z, corner_subs=subs or None)
-            Vw = V * w
-            return np.concatenate(((Vw @ V.conj().T).ravel(), V @ w, [w.sum()]))
+            A = np.empty((n + 1, z.size), complex)
+            A[:n] = bs.eval_all(z, corner_subs=subs or None)
+            A[n] = 1.0
+            # (A w) A^H is the transpose of conj(A w) A^T; passing the
+            # transposes hands BLAS Fortran-ordered arrays without copies
+            return zgemm(1.0, (A * w).T, A.T, trans_a=2).T.ravel()
 
         vals = integrate_arc(f, arc, settings,
                              singular_start=start_corner is not None,
                              singular_end=end_corner is not None,
-                             scale=lambda v: _gram_scale(v, n))
-        H += vals[: n * n].reshape(n, n)
-        u += vals[n * n: n * n + n]
-        length += float(vals[-1].real)
-    return H, u, length
+                             scale=lambda v: _gram_scale(v, n + 1))
+        G += vals.reshape(n + 1, n + 1)
+    return G[:n, :n], G[:n, n], float(G[n, n].real)
 
 
-def _gram_scale(vals: np.ndarray, n: int) -> np.ndarray:
-    """Cauchy-Schwarz bounds on the weighted sums of |terms| of (H, u, length):
-    sqrt(H_jj H_kk) and sqrt(H_jj length).  Entries that cancel far below
-    these carry rounding noise of that size, so it sets their floor."""
-    d = np.abs(vals[: n * n: n + 1].real)
-    length = abs(vals[-1].real)
-    return np.concatenate((np.sqrt(np.outer(d, d)).ravel(), np.sqrt(d * length), [length]))
+def _gram_scale(vals: np.ndarray, m: int) -> np.ndarray:
+    """Cauchy-Schwarz bounds sqrt(G_jj G_kk) on the weighted sums of |terms|
+    of the m x m block G (H bordered by u and the length).  Entries that
+    cancel far below these carry rounding noise of that size, so it sets
+    their floor."""
+    d = np.abs(vals[:: m + 1].real)
+    return np.sqrt(np.outer(d, d)).ravel()
 
 
 def _matching_corner(corner_pts: np.ndarray, endpoint: complex, scale: float):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import zgemv
 
 from .basis import BasisSet, build_basis
 from .errors import SingularGramError, SolveError
@@ -53,6 +54,13 @@ class BoundsResult:
     def to_json_dict(self) -> dict:
         return {"lower": self.lower, "upper": self.upper, "n_basis": self.n_basis,
                 "slack": self.slack, "wall_time_s": self.wall_time}
+
+
+def _hmul(H: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """H @ x on SciPy's BLAS, the one library that assembly and the
+    factorization use (see ``integrals._quad_block``); for a C-ordered H,
+    H.T is the same memory in Fortran order, so nothing is copied."""
+    return zgemv(1.0, H.T, x, trans=1)
 
 
 class _Factorization:
@@ -92,7 +100,7 @@ class _Factorization:
         y = scipy.linalg.cho_solve(self.cf, rhs * self.s, check_finite=False)
         x = y * self.s
         norm = float(np.max(np.abs(rhs))) or 1.0
-        residual = float(np.max(np.abs(self.H @ x - rhs))) / norm
+        residual = float(np.max(np.abs(_hmul(self.H, x) - rhs))) / norm
         return x, residual
 
 
@@ -110,13 +118,13 @@ def _upper(fact: _Factorization, gram: GramData) -> tuple[float, float]:
     u = gram.u
     x, res = fact.solve(-u)
     # objective evaluated at x stays a valid upper bound under solve error
-    val = gram.c0 + 2.0 * np.vdot(x, u).real + np.vdot(x, fact.H @ x).real
+    val = gram.c0 + 2.0 * np.vdot(x, u).real + np.vdot(x, _hmul(fact.H, x)).real
     return float(val), res
 
 
 def _lower(fact: _Factorization, gram: GramData, d: np.ndarray) -> tuple[float, float]:
     x, res = fact.solve(d.astype(complex))
-    val = 2.0 * np.vdot(x, d).real - np.vdot(x, fact.H @ x).real
+    val = 2.0 * np.vdot(x, d).real - np.vdot(x, _hmul(fact.H, x)).real
     return float(val), res
 
 

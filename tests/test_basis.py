@@ -176,6 +176,25 @@ def test_non_star_shape_with_corners_rejected():
         build_basis(sc, Powers(1, with_corners=True))
 
 
+def test_notched_square_with_corners_rejected():
+    # the notch's far edge turns arg(z - anchor) backwards; sampled rays miss it
+    notched = Polygon((-1 - 1j, 1 - 1j, 1 + 0.499j, 0.5 + 0.8j, 1 + 0.501j, 1 + 1j, -1 + 1j))
+    sc = validate_scene(scene([notched]))
+    with pytest.raises(SceneConfigError):
+        build_basis(sc, Powers(4, with_corners=True))
+
+
+def test_star_shape_arc_checked_between_its_ends():
+    # about c = -0.5 + 1.2i the half-disk's arc passes both end checks and
+    # the segment check, but arg(z - c) turns back near theta = arg(-c) + pi
+    from anacap.basis import _require_star_shaped
+
+    hd = ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, math.pi)))
+    _require_star_shaped(hd, 0.5j)
+    with pytest.raises(SceneConfigError):
+        _require_star_shaped(hd, -0.5 + 1.2j)
+
+
 def test_vanishing_at_infinity(two_disks):
     sq = validate_scene(scene([SQUARE]))
     basis = build_basis(sq, Powers(2, with_corners=True))

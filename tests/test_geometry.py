@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anacap.errors import (
     DegenerateShapeError,
@@ -75,6 +78,133 @@ def test_validate_idempotent(two_disks):
 def test_single_shape_gap_infinite():
     sc = validate_scene(scene([Disk(0, 1.0)]))
     assert sc.min_gap == math.inf
+
+
+def test_validate_mixed_scene_idempotent_and_deterministic():
+    square_at_6 = Polygon(tuple(v + 6 for v in SQUARE.vertices))
+    sc = scene([Disk(0j, 1.0), half_disk(3 + 0j, 0.5), Ellipse(-4j, 2.0, 1.0, 0.4), square_at_6])
+    once = validate_scene(sc)
+    assert validate_scene(once) == once
+    assert validate_scene(sc) == once
+    assert 0 < once.min_gap < math.inf
+
+
+def test_crossing_bars_rejected():
+    # no vertex of either bar lies inside the other, but the edges cross
+    bar = Polygon((-2 - 0.1j, 2 - 0.1j, 2 + 0.1j, -2 + 0.1j))
+    turned = Polygon(tuple(1j * v for v in bar.vertices))
+    with pytest.raises(OverlapError):
+        validate_scene(scene([bar, turned]))
+
+
+def _ellipse_point_normal(e: Ellipse, t: float) -> tuple[complex, complex]:
+    rot = cmath.exp(1j * e.rotation)
+    p = e.center + rot * complex(e.semi_major * math.cos(t), e.semi_minor * math.sin(t))
+    n = rot * complex(e.semi_minor * math.cos(t), e.semi_major * math.sin(t))
+    return p, n / abs(n)
+
+
+def test_disk_overlapping_ellipse_rejected():
+    e = Ellipse(0j, 2.0, 1.0, 0.3)
+    p, n = _ellipse_point_normal(e, 0.9)
+    with pytest.raises(OverlapError):
+        validate_scene(scene([e, Disk(p + (0.5 - 1e-3) * n, 0.5)]))
+
+
+def test_disk_just_outside_rotated_ellipse_gap():
+    # for a convex shape the disk of radius rho about p + (rho + delta) n,
+    # n the outward normal at p, is exactly delta away
+    e = Ellipse(0j, 2.0, 1.0, 0.3)
+    delta, scale = 1e-6, 2.0
+    p, n = _ellipse_point_normal(e, 0.9)
+    gap = validate_scene(scene([e, Disk(p + (0.5 + delta) * n, 0.5)])).min_gap
+    assert delta * (1 - 1e-6) <= gap <= delta + 1e-14 * scale
+
+
+def test_tiny_disk_nested_in_half_disk_rejected():
+    # the disk sits in the sliver between the arc and a 1024-point chord,
+    # where containment on a sampled polyline misses it
+    hd = half_disk(3 + 0j, 0.5)
+    theta = 100.5 * math.pi / 512
+    tiny = Disk(3 + (0.5 - 1e-6) * cmath.exp(1j * theta), 1e-8)
+    assert point_in_shape(hd, tiny.center)
+    with pytest.raises(OverlapError):
+        validate_scene(scene([hd, tiny]))
+
+
+def test_arc_chain_with_crossing_pieces_rejected():
+    # positively oriented, but pieces 0 and 2 cross at 2.5
+    chain = ArcChain((Segment(0j, 4 + 0j), CircularArc(4 + 1.5j, 1.5, -math.pi / 2, math.pi / 2),
+                      Segment(4 + 3j, 2 - 1j), Segment(2 - 1j, 0j)))
+    with pytest.raises(DegenerateShapeError):
+        validate_scene(scene([chain]))
+
+
+def test_point_in_shape_exact_on_concave_arc(rng):
+    # a rectangle with a clockwise (concave) arc bite of radius 1.5 about 0
+    r = 1.5
+    bite = ArcChain((CircularArc(0j, r, math.pi / 2, -math.pi / 2), Segment(-1.5j, 3 - 1.5j),
+                     Segment(3 - 1.5j, 3 + 1.5j), Segment(3 + 1.5j, 1.5j)))
+    validate_scene(scene([bite]))
+    pts = rng.uniform(-0.5, 3.5, 4000) + 1j * rng.uniform(-2, 2, 4000)
+    for z in pts:
+        inside = abs(z) > r and 0 < z.real < 3 and abs(z.imag) < 1.5
+        assert point_in_shape(bite, complex(z)) == inside
+    # points 1e-12 either side of the arc
+    for phi in (-1.2, 0.0, 0.7):
+        u = cmath.exp(1j * phi)
+        assert point_in_shape(bite, (r + 1e-12) * u)
+        assert not point_in_shape(bite, (r - 1e-12) * u)
+
+
+def test_full_circle_arc_chain_contains_its_centre():
+    ring = ArcChain((CircularArc(1 + 1j, 2.0, 0.5, 0.5 + 2 * math.pi),))
+    assert point_in_shape(ring, 1 + 1j) and point_in_shape(ring, 2.9 + 1j)
+    assert not point_in_shape(ring, 3.1 + 1j)
+
+
+# --- certified gaps: disk placed along an outward normal ---------------------
+
+def _half_disk_point_normal(hd: ArcChain, frac: float) -> tuple[complex, complex]:
+    arc = hd.pieces[1]
+    u = cmath.exp(1j * (arc.theta_start + frac * (arc.theta_end - arc.theta_start)))
+    return arc.center + arc.radius * u, u
+
+
+@st.composite
+def convex_shape_point(draw):
+    """A convex shape, a boundary point p with outward normal n, and the
+    size that sets its rounding level."""
+    kind = draw(st.sampled_from(["disk", "ellipse", "half_disk"]))
+    c = complex(draw(st.floats(-2, 2)), draw(st.floats(-2, 2)))
+    size = draw(st.floats(0.3, 2.0))
+    angle = draw(st.floats(-math.pi, math.pi))
+    if kind == "disk":
+        u = cmath.exp(1j * angle)
+        return Disk(c, size), c + size * u, u, abs(c) + size
+    if kind == "ellipse":
+        e = Ellipse(c, size, size * draw(st.floats(0.2, 1.0)), draw(st.floats(-math.pi, math.pi)))
+        return (e, *_ellipse_point_normal(e, angle), abs(c) + size)
+    rot = cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    phi = cmath.phase(rot)
+    hd = ArcChain((Segment(c - size * rot, c + size * rot), CircularArc(c, size, phi, phi + math.pi)))
+    return (hd, *_half_disk_point_normal(hd, draw(st.floats(0.02, 0.98))), abs(c) + size)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(convex_shape_point(), st.floats(-7, -1), st.booleans(), st.floats(0.05, 1.0))
+def test_certified_gap_along_normal(shape_point, log_delta, outside, rel_rho):
+    # 1e-7 scale <= |delta| <= 0.1 scale, log-uniform
+    shape, p, n, scale = shape_point
+    delta = 10 ** log_delta * scale * (1 if outside else -1)
+    rho = rel_rho * scale
+    sc = scene([shape, Disk(p + (rho + delta) * n, rho)])
+    if delta > 0:
+        gap = validate_scene(sc).min_gap
+        assert delta * (1 - 1e-6) <= gap <= delta + 1e-14 * scale
+    else:
+        with pytest.raises(OverlapError):
+            validate_scene(sc)
 
 
 def test_degenerate_shapes_rejected():
