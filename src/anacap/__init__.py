@@ -60,7 +60,7 @@ from .geometry import (
     validate_scene,
 )
 from .integrals import GramData, assemble_gram, circle_mean_integral, circle_pair_integral
-from .quadrature import QuadratureSettings, quad_arc
+from .quadrature import QuadratureSettings
 from .solver import (
     BoundsResult,
     GramSystem,

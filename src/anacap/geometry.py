@@ -11,7 +11,9 @@ many analytic pieces.  The module knows how to
   hold the minimum are bisected),
 * list the corners of a shape together with the angle the complement
   occupies there,
-* parametrize the boundary as analytic arcs for quadrature,
+* describe every boundary piece (segment, circular arc, ellipse, disk) in one
+  coefficient form, :class:`ParametricArc`, which both the quadrature and
+  the gap kernel read,
 * pick an interior anchor point for pole placement, and
 * apply affine maps z -> a*z + b.
 
@@ -25,7 +27,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -96,27 +98,116 @@ class Corner:
     omega_angle: float
 
 
-@dataclass(frozen=True)
-class ParametricArc:
-    """One analytic boundary piece, parametrized over t in [0, 1].
+class ParametricArc(NamedTuple):
+    """One analytic boundary piece in coefficient form, over t in [0, 1]:
 
-    ``point`` and ``velocity`` accept scalars or numpy arrays.  ``start`` and
-    ``end`` cache ``point(0)`` and ``point(1)`` so corner endpoints can be
-    matched without calling back into the maps.
+        z(t) = p0 + p1 t + b e(t) + d conj(e(t)),   e(t) = e0 exp(2 pi i turns t).
 
-    ``disp_start(s)`` is the exact displacement z(s) - z(0) for a parameter
-    distance s from the start (scalar or array); ``disp_end(s)`` is
-    z(1-s) - z(1).
-    Quadrature near a corner endpoint uses these instead of subtracting two
-    nearly equal points, which would round the difference to zero.
+    A segment has b = d = turns = 0, a circular arc p1 = d = 0, and an
+    ellipse (the affine image of a circle) p1 = 0 and turns = 1.  Every point
+    of a parameter interval of angle delta lies within the sagitta
+    k (1 - cos delta/2) of its chord, where k is the radius of an arc, the
+    semi-major axis of an ellipse and 0 for a segment.
+
+    Quadrature reads single pieces.  The gap kernel stacks pieces, one array
+    entry per piece in every field, and reads ``point``, ``sagitta``,
+    ``chords`` and ``size``, which take arrays of one t per piece.
     """
 
-    point: Callable
-    velocity: Callable
-    start: complex
-    end: complex
-    disp_start: Callable = None
-    disp_end: Callable = None
+    p0: complex
+    p1: complex
+    b: complex
+    d: complex
+    e0: complex
+    turns: float
+    k: float
+
+    def point(self, t):
+        """z(t) at a scalar or an array t."""
+        e = self.e0 * _turn(self.turns * t)
+        return self.p0 + self.p1 * t + self.b * e + self.d * np.conj(e)
+
+    def velocity(self, t):
+        """z'(t) at a scalar or an array t."""
+        return self._point_velocity(t)[1] + 0.0 * t  # a segment's is a constant
+
+    def _point_velocity(self, t):
+        """z(t), equal to ``point(t)`` up to rounding, and z'(t) of one piece,
+        both from one e(t).
+
+        Terms with a zero coefficient are skipped (the angle of a segment, d
+        of a circular arc, p1 of a curved piece): quadrature calls this on
+        node arrays of a few dozen entries, where each array operation costs
+        about as much as its arithmetic.  A segment's z' is a scalar.
+        """
+        if not self.turns:
+            return self.p0 + self.p1 * t, self.p1
+        e = _turn(self.turns * t)
+        dz = (self.b * self.e0) * e
+        z = (self.p0 + self.p1 * t if self.p1 else self.p0) + dz
+        if self.d:
+            de = (self.d * self.e0.conjugate()) * np.conj(e)
+            z, dz = z + de, dz - de
+        dz = (TWO_PI * 1j * self.turns) * dz
+        return z, (self.p1 + dz if self.p1 else dz)
+
+    @property
+    def start(self) -> complex:
+        return self.p0 + self.b * self.e0 + self.d * self.e0.conjugate()
+
+    @property
+    def end(self) -> complex:
+        e = self._e1()
+        return self.p0 + self.p1 + self.b * e + self.d * e.conjugate()
+
+    def _e1(self) -> complex:
+        # e(1) in Python scalars with _turn's quarter turns: exactly e0 after
+        # a whole turn, so a closed piece has end == start
+        q = round(4.0 * self.turns)
+        return self.e0 * 1j ** q * cmath.exp(TWO_PI * 1j * (self.turns - 0.25 * q))
+
+    def disp_start(self, s):
+        """The exact displacement z(s) - z(0), s a scalar or an array.
+
+        Quadrature next to a corner endpoint uses it (and ``disp_end``)
+        instead of subtracting two nearly equal points, which would round the
+        difference to zero.
+        """
+        return self._disp(s, self.p1, self.e0, self.turns)
+
+    def disp_end(self, s):
+        """z(1 - s) - z(1): ``disp_start`` of the piece traversed backwards."""
+        return self._disp(s, -self.p1, self._e1(), -self.turns)
+
+    def _disp(self, s, p1, e0, turns):
+        # b e0 (e^{2ih} - 1) = 2i b e0 sin(h) e^{ih} with h = pi turns s, and
+        # the conjugate for d, stay accurate for tiny s
+        if not turns:
+            return p1 * s
+        h = math.pi * turns * s
+        sin_h, w = np.sin(h), np.exp(1j * h)
+        out = (2j * self.b * e0) * sin_h * w
+        if self.d:
+            out = out - (2j * self.d * e0.conjugate()) * sin_h * np.conj(w)
+        if p1:
+            out = out + p1 * s
+        return out
+
+    def sagitta(self, t0, t1):
+        """A bound on the distance from z([t0, t1]) to its chord."""
+        return 2.0 * self.k * np.sin(0.5 * math.pi * np.abs(self.turns) * (t1 - t0)) ** 2
+
+    def chords(self):
+        """(piece, t0, t1) arrays that cut each stacked piece into chords of at
+        most _CHORD_TURNS of a turn."""
+        m = np.maximum(1, np.ceil(np.abs(self.turns) / _CHORD_TURNS)).astype(int)
+        i = np.repeat(np.arange(m.size), m)
+        j = np.arange(i.size) - np.repeat(np.cumsum(m) - m, m)
+        return i, j / m[i], (j + 1) / m[i]
+
+    def size(self) -> float:
+        """A bound on |z(t)|, which sets the rounding error of the points."""
+        return float(np.max(np.abs(self.p0) + np.abs(self.p1) + np.abs(self.b) + np.abs(self.d)))
 
 
 @dataclass(frozen=True)
@@ -147,11 +238,19 @@ def scene(shapes, labels=None) -> Scene:
 # per-shape helpers
 
 
+def _require_finite(what: str, *values) -> None:
+    if not all(map(cmath.isfinite, values)):
+        raise DegenerateShapeError(f"{what} must be finite")
+
+
 def _check_shape(s: Shape) -> None:
     if isinstance(s, Disk):
-        if not (math.isfinite(s.radius) and s.radius > 0):
+        _require_finite("disk center and radius", s.center, s.radius)
+        if not s.radius > 0:
             raise DegenerateShapeError(f"disk radius must be positive, got {s.radius}")
     elif isinstance(s, Ellipse):
+        _require_finite("ellipse center, semi-axes and rotation",
+                        s.center, s.semi_major, s.semi_minor, s.rotation)
         if not (s.semi_major > 0 and s.semi_minor > 0):
             raise DegenerateShapeError("ellipse semi-axes must be positive")
     elif isinstance(s, Polygon):
@@ -166,6 +265,7 @@ def _check_polygon(p: Polygon) -> None:
     v = p.vertices
     if len(v) < 3:
         raise DegenerateShapeError("polygon needs at least 3 vertices")
+    _require_finite("polygon vertices", *v)
     n = len(v)
     # adjacent-collinear vertices collapse an analytic piece
     scale = max(abs(a - b) for a in v for b in v)
@@ -179,7 +279,7 @@ def _check_polygon(p: Polygon) -> None:
         cross = (e1.conjugate() * e2).imag
         if abs(cross) < 1e-14 * scale * scale and (e1.conjugate() * e2).real > 0:
             raise DegenerateShapeError("collinear adjacent polygon vertices")
-    _check_simple_curve(boundary_pieces(p))
+    _check_simple_curve(p)
 
 
 def _check_arc_chain(ch: ArcChain) -> None:
@@ -188,9 +288,12 @@ def _check_arc_chain(ch: ArcChain) -> None:
     pts = []
     for piece in ch.pieces:
         if isinstance(piece, Segment):
+            _require_finite("segment ends", piece.start, piece.end)
             if abs(piece.end - piece.start) == 0:
                 raise DegenerateShapeError("zero-length segment")
         elif isinstance(piece, CircularArc):
+            _require_finite("arc center, radius and angles",
+                            piece.center, piece.radius, piece.theta_start, piece.theta_end)
             if piece.radius <= 0:
                 raise DegenerateShapeError("arc radius must be positive")
             if piece.theta_end == piece.theta_start:
@@ -206,17 +309,18 @@ def _check_arc_chain(ch: ArcChain) -> None:
         start_next = pts[(i + 1) % len(pts)][0]
         if abs(end_i - start_next) > 1e-9 * scale:
             raise DegenerateShapeError("arc chain pieces do not join end-to-start")
-    _check_simple_curve(ch.pieces)
+    _check_simple_curve(ch)
 
 
-def _check_simple_curve(pieces) -> None:
+def _check_simple_curve(s: Union[Polygon, ArcChain]) -> None:
     """Positive orientation (exact signed area) and simplicity: every two
     non-adjacent pieces have a certified positive gap."""
+    pieces = boundary_pieces(s)
     if _signed_area(pieces) <= 0:
         raise DegenerateShapeError("boundary must be positively oriented")
     if len(pieces) > 3:
         try:
-            _certified_gaps([_pieces_curve(pieces)], [(0, 0)], ["two non-adjacent pieces"])
+            _certified_gaps([_stack(arcs(s))], [(0, 0)], ["two non-adjacent pieces"])
         except OverlapError as exc:
             raise DegenerateShapeError(f"boundary is not simple: {exc}") from None
 
@@ -253,11 +357,9 @@ def boundary_pieces(s: Union[Polygon, ArcChain]) -> tuple[Union[Segment, Circula
 
 def boundary_polyline(s: Shape, n: int = 512) -> np.ndarray:
     """Sampled boundary points (complex ndarray), positively oriented."""
-    out = []
-    for arc in arcs(s):
-        t = np.linspace(0.0, 1.0, max(8, n // max(1, len(arcs(s)))), endpoint=False)
-        out.append(arc.point(t))
-    return np.concatenate(out)
+    pieces = arcs(s)
+    t = np.linspace(0.0, 1.0, max(8, n // len(pieces)), endpoint=False)
+    return np.concatenate([arc.point(t) for arc in pieces])
 
 
 def point_in_shape(s: Shape, z: complex) -> bool:
@@ -305,40 +407,26 @@ def corners(s: Shape) -> list[Corner]:
     """Corners of a shape with the complement-side angle at each.
 
     Smooth shapes (disks, ellipses) have none.  For polygons and arc chains,
-    every junction where the tangent turns becomes a corner with
-    ``omega_angle = pi + turn`` where ``turn`` is the signed tangent rotation
-    in (-pi, pi).
+    every junction where the tangent turns by more than 1e-9 becomes a corner
+    with ``omega_angle = pi + turn`` where ``turn`` is the signed tangent
+    rotation in (-pi, pi); a turn within 1e-9 of +-pi (a cusp) raises
+    :class:`DegenerateShapeError`.  Corners come in boundary order, from the
+    start of the first piece (a polygon's first vertex).
     """
     if isinstance(s, (Disk, Ellipse)):
         return []
-    if isinstance(s, Polygon):
-        v = s.vertices
-        n = len(v)
-        out = []
-        for i in range(n):
-            t_in = v[i] - v[i - 1]
-            t_out = v[(i + 1) % n] - v[i]
-            turn = cmath.phase(t_out / t_in)
-            if abs(turn) < 1e-12:
-                continue
-            out.append(Corner(v[i], math.pi + turn))
-        return out
-    if isinstance(s, ArcChain):
-        pieces = s.pieces
-        out = []
-        for i in range(len(pieces)):
-            t_in = _piece_tangent(pieces[i], at_end=True)
-            nxt = pieces[(i + 1) % len(pieces)]
-            t_out = _piece_tangent(nxt, at_end=False)
-            turn = cmath.phase(t_out / t_in)
-            if abs(turn) < 1e-9:
-                continue
-            if abs(abs(turn) - math.pi) < 1e-9:
-                raise DegenerateShapeError("cusp in arc chain (zero-angle corner)")
-            loc = _piece_endpoint(pieces[i], at_end=True)
-            out.append(Corner(loc, math.pi + turn))
-        return out
-    raise DegenerateShapeError(f"unknown shape {type(s).__name__}")
+    pieces = boundary_pieces(s)
+    out = []
+    for i, piece in enumerate(pieces):
+        # the junction where piece i - 1 ends and piece i starts
+        turn = cmath.phase(_piece_tangent(piece, at_end=False)
+                           / _piece_tangent(pieces[i - 1], at_end=True))
+        if abs(turn) < 1e-9:
+            continue
+        if abs(abs(turn) - math.pi) < 1e-9:
+            raise DegenerateShapeError("cusp in boundary (zero-angle corner)")
+        out.append(Corner(_piece_endpoint(pieces[i - 1], at_end=True), math.pi + turn))
+    return out
 
 
 def _piece_tangent(piece, at_end: bool) -> complex:
@@ -365,34 +453,19 @@ def arcs(s: Shape) -> list[ParametricArc]:
     if isinstance(s, Disk):
         return arcs(Ellipse(s.center, s.radius, s.radius))
     if isinstance(s, Ellipse):
-        c, a, b = s.center, s.semi_major, s.semi_minor
+        a, b = s.semi_major, s.semi_minor
         rot = cmath.exp(1j * s.rotation)
-
-        def pt(t, c=c, a=a, b=b, rot=rot):
-            e = _turn(t)
-            return c + rot * (a * e.real + 1j * b * e.imag)
-
-        def vel(t, a=a, b=b, rot=rot):
-            e = _turn(t)
-            return rot * TWO_PI * (-a * e.imag + 1j * b * e.real)
-
-        start = c + rot * a
-        return [ParametricArc(pt, vel, start, start)]
-    if isinstance(s, Polygon):
-        out = []
-        v = s.vertices
-        for i in range(len(v)):
-            out.append(_segment_arc(v[i], v[(i + 1) % len(v)]))
-        return out
-    if isinstance(s, ArcChain):
-        out = []
-        for piece in s.pieces:
-            if isinstance(piece, Segment):
-                out.append(_segment_arc(piece.start, piece.end))
-            else:
-                out.append(_circular_arc(piece))
-        return out
-    raise DegenerateShapeError(f"unknown shape {type(s).__name__}")
+        return [ParametricArc(s.center, 0j, 0.5 * (a + b) * rot, 0.5 * (a - b) * rot,
+                              1 + 0j, 1.0, max(a, b))]
+    out = []
+    for pc in boundary_pieces(s):
+        if isinstance(pc, Segment):
+            out.append(ParametricArc(pc.start, pc.end - pc.start, 0j, 0j, 1 + 0j, 0.0, 0.0))
+        else:
+            out.append(ParametricArc(pc.center, 0j, pc.radius + 0j, 0j,
+                                     cmath.exp(1j * pc.theta_start),
+                                     (pc.theta_end - pc.theta_start) / TWO_PI, pc.radius))
+    return out
 
 
 _QUARTER_TURNS = np.array([1.0, 1j, -1.0, -1j])
@@ -402,51 +475,8 @@ def _turn(t):
     """exp(2 pi i t) from t = q/4 + r, |r| <= 1/8: i^q is exact and the angle
     2 pi r rounds little, where the rounding of 2 pi t grows with t and biases
     the points just before t = 1 against the same points reached from t = 0."""
-    t = np.asarray(t, float)
-    q = np.round(4.0 * t)
-    return _QUARTER_TURNS[q.astype(int) % 4] * np.exp(2j * math.pi * (t - 0.25 * q))
-
-
-def _segment_arc(z0: complex, z1: complex) -> ParametricArc:
-    d = z1 - z0
-
-    def pt(t, z0=z0, d=d):
-        return z0 + d * np.asarray(t, float)
-
-    def vel(t, d=d):
-        t = np.asarray(t, float)
-        return np.full_like(t, d, dtype=complex) if t.shape else d
-
-    return ParametricArc(pt, vel, z0, z1,
-                         disp_start=lambda s, d=d: s * d,
-                         disp_end=lambda s, d=d: -s * d)
-
-
-def _circular_arc(piece: CircularArc) -> ParametricArc:
-    c, r = piece.center, piece.radius
-    t0, t1 = piece.theta_start, piece.theta_end
-    dt = t1 - t0
-    start = c + r * cmath.exp(1j * t0)
-    end = c + r * cmath.exp(1j * t1)
-
-    def pt(t, c=c, r=r, t0=t0, dt=dt):
-        ang = t0 + dt * np.asarray(t, float)
-        return c + r * np.exp(1j * ang)
-
-    def vel(t, r=r, t0=t0, dt=dt):
-        ang = t0 + dt * np.asarray(t, float)
-        return 1j * dt * r * np.exp(1j * ang)
-
-    def dstart(s, r=r, t0=t0, dt=dt):
-        # r e^{i t0} (e^{i dt s} - 1), written to stay accurate for tiny s
-        half = 0.5 * dt * np.asarray(s, float)
-        return r * cmath.exp(1j * t0) * 2j * np.sin(half) * np.exp(1j * half)
-
-    def dend(s, r=r, t1=t1, dt=dt):
-        half = 0.5 * dt * np.asarray(s, float)
-        return -r * cmath.exp(1j * t1) * 2j * np.sin(half) * np.exp(-1j * half)
-
-    return ParametricArc(pt, vel, start, end, disp_start=dstart, disp_end=dend)
+    q = np.rint(4.0 * t)
+    return np.exp((t - 0.25 * q) * (2j * math.pi)) * _QUARTER_TURNS.take(q.astype(int), mode="wrap")
 
 
 def arc_length(s: Shape) -> float:
@@ -582,89 +612,29 @@ def validate_scene(sc: Scene) -> Scene:
         else:
             pairs.append((i, j))
     if pairs:
-        gaps = _certified_gaps([_shape_curve(s) for s in sc.shapes], pairs,
+        gaps = _certified_gaps([_stack(arcs(s)) for s in sc.shapes], pairs,
                                [f"shapes {i} and {j}" for i, j in pairs])
         gap = min(gap, float(gaps.min()))
     return replace(sc, min_gap=gap)
 
 
 _EPS = float(np.finfo(float).eps)
-_CHORD_ANGLE = TWO_PI / 32  # widest initial chord of a curved piece
+_CHORD_TURNS = 1.0 / 32  # widest initial chord of a curved piece, in turns
 _GAP_REL = 1e-7  # a chord pair is settled when its lower bound is this close to the upper
 _GAP_ROUNDS = 64
 _GAP_MAX_PAIRS = 1 << 17
 
 
-class _Curve(NamedTuple):
-    """The boundary pieces of a shape as arrays, each over t in [0, 1].
-
-    Piece i is z(t) = p0 + p1 t + b e^{i phi} + d e^{-i phi} with
-    phi = phi0 + dphi t: a segment has b = d = dphi = 0, a circular arc
-    p1 = d = 0, and an ellipse (the affine image of a circle) p1 = 0.  Every
-    point of a parameter interval of angle delta lies within the sagitta
-    k (1 - cos delta/2) of its chord, where k is the radius of an arc, the
-    semi-major axis of an ellipse (the largest stretch of the affine map) and
-    0 for a segment.
-    """
-
-    p0: np.ndarray
-    p1: np.ndarray
-    b: np.ndarray
-    d: np.ndarray
-    phi0: np.ndarray
-    dphi: np.ndarray
-    k: np.ndarray
-
-    def point(self, i, t):
-        e = np.exp(1j * (self.phi0[i] + self.dphi[i] * t))
-        return self.p0[i] + self.p1[i] * t + self.b[i] * e + self.d[i] * np.conj(e)
-
-    def sagitta(self, i, t0, t1):
-        return 2.0 * self.k[i] * np.sin(0.25 * np.abs(self.dphi[i]) * (t1 - t0)) ** 2
-
-    def chords(self):
-        """(piece, t0, t1) arrays that cut each piece into chords of angle at most _CHORD_ANGLE."""
-        m = np.maximum(1, np.ceil(np.abs(self.dphi) / _CHORD_ANGLE)).astype(int)
-        i = np.repeat(np.arange(m.size), m)
-        j = np.arange(i.size) - np.repeat(np.cumsum(m) - m, m)
-        return i, j / m[i], (j + 1) / m[i]
-
-    def size(self) -> float:
-        """A bound on |z(t)|, which sets the rounding error of the points."""
-        return float(np.max(np.abs(self.p0) + np.abs(self.p1) + np.abs(self.b) + np.abs(self.d)))
+def _stack(pieces: list[ParametricArc]) -> ParametricArc:
+    """The pieces as one ParametricArc of arrays, one entry per piece."""
+    return ParametricArc(*map(np.array, zip(*pieces)))
 
 
-def _curve(rows) -> _Curve:
-    dtypes = (complex,) * 4 + (float,) * 3
-    return _Curve(*(np.array(col, dt) for col, dt in zip(zip(*rows), dtypes)))
-
-
-def _shape_curve(s: Shape) -> _Curve:
-    if isinstance(s, Disk):
-        return _curve([(s.center, 0, s.radius, 0, 0.0, TWO_PI, s.radius)])
-    if isinstance(s, Ellipse):
-        rot = cmath.exp(1j * s.rotation)
-        a, b = s.semi_major, s.semi_minor
-        return _curve([(s.center, 0, 0.5 * (a + b) * rot, 0.5 * (a - b) * rot,
-                        0.0, TWO_PI, max(a, b))])
-    return _pieces_curve(boundary_pieces(s))
-
-
-def _pieces_curve(pieces) -> _Curve:
-    rows = []
-    for pc in pieces:
-        if isinstance(pc, Segment):
-            rows.append((pc.start, pc.end - pc.start, 0, 0, 0.0, 0.0, 0.0))
-        else:
-            rows.append((pc.center, 0, pc.radius, 0, pc.theta_start,
-                         pc.theta_end - pc.theta_start, pc.radius))
-    return _curve(rows)
-
-
-def _certified_gaps(curves: list[_Curve], pairs: list[tuple[int, int]],
+def _certified_gaps(curves: list[ParametricArc], pairs: list[tuple[int, int]],
                     names: list[str]) -> np.ndarray:
     """Certified lower bounds on the distance between curves m and n for each
     (m, n) in ``pairs``; for m == n, between the non-adjacent pieces of m.
+    Each curve is one shape's pieces, stacked by :func:`_stack`.
 
     Each curve is covered by chords that carry their pieces' sagitta bounds.
     For a pair of chords, the segment-segment distance (0 when they cross)
@@ -686,7 +656,7 @@ def _certified_gaps(curves: list[_Curve], pairs: list[tuple[int, int]],
     two curves meet within rounding, when a gap is not certified positive,
     or after ``_GAP_ROUNDS`` rounds.
     """
-    curve = _Curve(*map(np.concatenate, zip(*curves)))
+    curve = ParametricArc(*map(np.concatenate, zip(*curves)))
     off = np.cumsum([0] + [c.p0.size for c in curves])
     cuts = [(i + o, t0, t1) for (i, t0, t1), o in zip((c.chords() for c in curves), off)]
     slack = 32.0 * _EPS * np.array([max(curves[m].size(), curves[n].size()) for m, n in pairs])
@@ -714,22 +684,24 @@ def _certified_gaps(curves: list[_Curve], pairs: list[tuple[int, int]],
     return gap
 
 
-def _refine_gaps(curve: _Curve, blocks, ub, gap, slack, names) -> None:
+def _refine_gaps(curve: ParametricArc, blocks, ub, gap, slack, names) -> None:
     """Run one batch of chord pairs to the end, lowering ``ub`` and ``gap``
     (indexed by curve pair) in place."""
     rows = [np.concatenate(col) for col in zip(*blocks)]
     for _ in range(_GAP_ROUNDS):
         g, ai, a0, a1, bi, b0, b1 = rows
-        za0, za1 = curve.point(ai, a0), curve.point(ai, a1)
-        zb0, zb1 = curve.point(bi, b0), curve.point(bi, b1)
+        # the pieces of each chord pair's two chords, one entry per row
+        pa, pb = curve._make(x[ai] for x in curve), curve._make(x[bi] for x in curve)
+        za0, za1 = pa.point(a0), pa.point(a1)
+        zb0, zb1 = pb.point(b0), pb.point(b1)
         dist, s, u = _segment_distance(za0, za1, zb0, zb1)
-        lb = dist - curve.sagitta(ai, a0, a1) - curve.sagitta(bi, b0, b1)
-        near = np.abs(curve.point(ai, a0 + s * (a1 - a0)) - curve.point(bi, b0 + u * (b1 - b0)))
+        lb = dist - pa.sagitta(a0, a1) - pb.sagitta(b0, b1)
+        near = np.abs(pa.point(a0 + s * (a1 - a0)) - pb.point(b0 + u * (b1 - b0)))
         for p, q in ((za0, zb0), (za0, zb1), (za1, zb0), (za1, zb1)):
             near = np.minimum(near, np.abs(p - q))
         np.minimum.at(ub, g, near)
         _raise_first(ub <= slack, names, "have intersecting closures (distance within rounding)")
-        bent_a, bent_b = curve.k[ai] > 0, curve.k[bi] > 0
+        bent_a, bent_b = pa.k > 0, pb.k > 0
         done = (lb >= (1.0 - _GAP_REL) * ub[g]) | ~(bent_a | bent_b)
         if 4 * np.count_nonzero(~done) > _GAP_MAX_PAIRS:
             # too many chord pairs to tighten: the live bounds stand as they are

@@ -282,8 +282,9 @@ def _quad_block(bs: BasisSet, shape, settings: QuadratureSettings
     n = bs.n
     corner_pts = bs.corner_points()
     G = np.zeros((n + 1, n + 1), complex)
-    scale = max(1.0, abs(arcs(shape)[0].start))
-    for arc in arcs(shape):
+    pieces = arcs(shape)
+    scale = max(1.0, abs(pieces[0].start))
+    for arc in pieces:
         start_corner = _matching_corner(corner_pts, arc.start, scale)
         end_corner = _matching_corner(corner_pts, arc.end, scale)
 

@@ -84,11 +84,11 @@ def _mapped(width: float, at_end: bool):
     return nodes
 
 
-def _weighted_sum(f, arc: ParametricArc, t, s0, s1, w) -> np.ndarray:
+def _weighted_sum(f, t, z, s0, s1, w) -> np.ndarray:
     out = 0j
     for i in range(0, t.size, _CHUNK):
         c = slice(i, i + _CHUNK)
-        out = out + np.asarray(f(t[c], arc.point(t[c]), s0[c], s1[c], w[c]), complex)
+        out = out + np.asarray(f(t[c], z[c], s0[c], s1[c], w[c]), complex)
     return out
 
 
@@ -108,8 +108,8 @@ def _refine(f, arc: ParametricArc, piece, levels, tol: float, max_depth: int,
     prev = 0j
     for depth, (x, wx, keep, count) in enumerate(levels):
         t, s0, s1, jac = piece(x)
-        w = wx * jac * np.abs(arc.velocity(t))
-        est = _weighted_sum(f, arc, t, s0, s1, w) + keep * prev
+        z, dz = arc._point_velocity(t)
+        est = _weighted_sum(f, t, z, s0, s1, wx * jac * np.abs(dz)) + keep * prev
         if depth and _converged(est, prev, tol, scale):
             return est
         if depth >= max_depth or 2 * count > _MAX_NODES:
@@ -150,11 +150,3 @@ def integrate_arc(f, arc: ParametricArc, settings: QuadratureSettings,
                 for piece in pieces)
     return total if total.ndim else complex(total)
 
-
-def quad_arc(f, arc: ParametricArc, settings: QuadratureSettings,
-             singular_start: bool = False, singular_end: bool = False) -> complex:
-    """Scalar form of :func:`integrate_arc` for integrands f(t) -> values at the nodes."""
-    val = integrate_arc(lambda t, z, s0, s1, w: np.broadcast_to(f(t), t.shape) @ w,
-                        arc, settings, singular_start=singular_start,
-                        singular_end=singular_end)
-    return complex(val)

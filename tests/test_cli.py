@@ -227,3 +227,14 @@ def test_max_depth_failure_is_numerical_exit(config_file, capsys):
                        "--quad-max-depth", "2")
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in err
+
+
+def test_non_finite_vertex_is_numerical_exit(config_file, capsys):
+    from anacap.cli import EXIT_NUMERICAL
+
+    # NaN is valid JSON to Python's reader; the shape check rejects it like a zero radius
+    bad = dict(SQUARE_CORNERS, shapes=[dict(SQUARE_CORNERS["shapes"][0],
+                                            vertices=[[1, 0], [0, 1], [float("nan"), 1], [0, -1]])])
+    code, _, err = run(capsys, "gamma", "--config", config_file(bad))
+    assert code == EXIT_NUMERICAL
+    assert "finite" in err

@@ -220,6 +220,21 @@ def test_degenerate_shapes_rejected():
         validate_scene(scene([Polygon((0j, 1 + 0j, 2 + 0j, 1 + 1j))]))
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("shape", [
+    Disk(complex(NAN, 0.0), 1.0),
+    Ellipse(0j, 2.0, 1.0, INF),
+    Polygon((1 + 0j, 1j, complex(NAN, 1.0), -1j)),
+    ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, NAN))),
+], ids=["disk", "ellipse", "polygon", "arc_chain"])
+def test_non_finite_shape_data_rejected(shape):
+    # a NaN centre once passed validation with min_gap = inf next to a disk
+    with pytest.raises(DegenerateShapeError, match="finite"):
+        validate_scene(scene([shape, Disk(10 + 0j, 1.0)]))
+
+
 def test_bad_labels_rejected():
     with pytest.raises(SceneConfigError):
         scene([Disk(0, 1.0)], labels=("X",))
@@ -276,6 +291,52 @@ def test_ellipse_arc_parametrization():
     t = np.linspace(0, 1, 9)
     expect = 2 * np.cos(2 * math.pi * t) + 1j * np.sin(2 * math.pi * t)
     assert np.allclose(arc.point(t), expect)
+
+
+def _mp_piece(kind):
+    """A boundary piece, its z(t) from the shape's own definition in mpmath,
+    a bound on |z'| and a bound on |z|."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    c = lambda z: mp.mpc(z.real, z.imag)
+    if kind == "segment":
+        z0, z1 = 0.3 - 1.2j, 2.1 + 0.4j
+        return (arcs(Polygon((z0, z1, -0.5 + 1.5j)))[0],
+                lambda t: c(z0) + (c(z1) - c(z0)) * t, abs(z1 - z0), 2.2)
+    if kind.startswith("arc"):
+        th0, th1 = (0.4, 2.9) if kind == "arc_forward" else (2.9, -1.1)
+        (arc,) = arcs(ArcChain((CircularArc(1 + 2j, 1.5, th0, th1),)))
+        return (arc, lambda t: c(1 + 2j) + 1.5 * mp.expjpi((th0 + (mp.mpf(th1) - th0) * t) / mp.pi),
+                1.5 * abs(th1 - th0), 3.8)
+    if kind == "ellipse":
+        (arc,) = arcs(Ellipse(-1 + 0.5j, 2.0, 0.7, 0.6))
+        return (arc, lambda t: c(-1 + 0.5j) + mp.expj(0.6) * (2.0 * mp.cospi(2 * t)
+                                                               + 0.7j * mp.sinpi(2 * t)),
+                4 * math.pi, 3.2)
+    (arc,) = arcs(Disk(2 - 1j, 0.8))
+    return arc, lambda t: c(2 - 1j) + 0.8 * mp.expjpi(2 * t), 1.6 * math.pi, 3.1
+
+
+@pytest.mark.parametrize("kind", ["segment", "arc_forward", "arc_backward", "ellipse", "disk"])
+def test_piece_parametrization_against_mpmath(kind):
+    import mpmath as mp
+
+    arc, z, speed, size = _mp_piece(kind)
+    # the displacements from each end stay exact down to s = 1e-15
+    s = np.logspace(-15, 0, 31)
+    for got, ref in ((arc.disp_start(s), lambda x: z(x) - z(0)),
+                     (arc.disp_end(s), lambda x: z(1 - mp.mpf(x)) - z(1))):
+        for x, g in zip(s, got):
+            assert abs(complex(ref(x)) - g) <= 1e-14 * x * speed
+    t = np.linspace(0.0, 1.0, 9)
+    for x, p, v in zip(t, arc.point(t), arc.velocity(t)):
+        assert abs(complex(z(x)) - p) <= 1e-15 * size
+        assert abs(complex(mp.diff(z, x)) - v) <= 1e-14 * speed
+    assert arc.start == pytest.approx(complex(z(0)), abs=1e-15 * size)
+    assert arc.end == pytest.approx(complex(z(1)), abs=1e-15 * size)
+    if kind in ("ellipse", "disk"):
+        # integrate_arc picks the periodic trapezoid rule from start == end
+        assert arc.point(1.0) == arc.point(0.0) and arc.end == arc.start
 
 
 def test_square_has_four_segment_arcs():
