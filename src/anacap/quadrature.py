@@ -20,6 +20,7 @@ meaningful for integrands of very large magnitude.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +59,24 @@ def _trapezoid_levels():
         n *= 2
 
 
+@functools.cache
+def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule on [0, 1];
+    read-only, since every call with the same panel count shares them."""
+    h = 1.0 / panels
+    x = ((np.arange(panels)[:, None] + 0.5 * (_GL_X + 1.0)) * h).ravel()
+    w = np.tile(0.5 * h * _GL_W, panels)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _panel_levels():
     """Composite Gauss-Legendre rules on [0, 1] with 1, 2, 4, ... panels."""
     panels = 1
     while True:
-        h = 1.0 / panels
-        x = ((np.arange(panels)[:, None] + 0.5 * (_GL_X + 1.0)) * h).ravel()
-        yield x, np.tile(0.5 * h * _GL_W, panels), 0.0, x.size
+        x, w = _panel_rule(panels)
+        yield x, w, 0.0, x.size
         panels *= 2
 
 

@@ -6,13 +6,15 @@ import pytest
 
 from anacap.basis import BasisSet, CornerAdapted, PowerPole, Rings, SimplePole, build_basis
 from anacap.errors import NonRationalBasisError, PoleOnContourError
-from anacap.geometry import Disk, Polygon, arcs, scene, validate_scene
+from anacap.geometry import Disk, Ellipse, Polygon, arcs, scene, validate_scene
 from anacap.integrals import (
+    _DISK_CHUNK,
     assemble_gram,
     circle_mean_integral,
     circle_pair_integral,
 )
 from anacap.quadrature import QuadratureSettings, integrate_arc
+from anacap.sublab import max_sweep_radius, random_configuration
 
 TWO_PI = 2 * math.pi
 ORACLE = QuadratureSettings(abs_tol=1e-12)
@@ -252,3 +254,78 @@ def test_circle_pair_integral_small_far_disk_against_mpmath():
                 ref = 2 * mp.pi * r / (r * r - wa * mp.conj(wb))
                 got = mp.mpc(circle_pair_integral(ba, bb, d))
                 assert abs(got - ref) <= 1e-15 * abs(ref)
+
+
+# --- the chunked all-disk kernel --------------------------------------------
+
+def one_disk_block(poles, disk):
+    # the Hardy-split closed form for a single disk as a full n x n block
+    w, r = poles - disk.center, disk.radius
+    inside = np.abs(w) < r
+    denom = r * r - np.outer(w, np.conj(w))
+    H = np.divide(TWO_PI * r * np.where(inside, 1.0, -1.0)[:, None], denom,
+                  out=np.zeros_like(denom), where=inside[:, None] == inside[None, :])
+    mean = np.where(inside, 0j, TWO_PI * r / np.where(poles != disk.center,
+                                                       disk.center - poles, 1.0))
+    return H, mean
+
+
+def eighteen_disks():
+    centers = random_configuration(18, 3)
+    r = 0.4 * max_sweep_radius(centers)
+    return [Disk(c, r) for c in centers]
+
+
+@pytest.mark.parametrize("disks, basis", [
+    (eighteen_disks(), Rings(4)),
+    # the poles 0.5 and 2 form a mixed pair on both disks, with r^2 - w_a conj(w_b) = 0
+    ([Disk(0j, 1.0), Disk(2.5 + 0j, 1.0)], Rings(1)),
+    ([Disk(0.3 - 0.2j, 0.7)], Rings(4)),
+    # a one-entry Gram: its disk terms must still be summed in disk order
+    ([Disk(complex(3.0 * k, 0.7 * k), 0.3 + 0.1 * k) for k in range(12)],
+     [SimplePole(0.1 + 0.05j)]),
+], ids=["18-disks", "zero-mixed-denominator", "one-disk", "one-pole"])
+def test_disk_kernel_bitwise_equal_to_per_disk_sum(disks, basis):
+    sc = validate_scene(scene(disks))
+    if isinstance(basis, Rings):
+        basis = build_basis(sc, basis)
+    poles = np.array([b.a for b in basis])
+    n = poles.size
+    H, u = np.zeros((n, n), complex), np.zeros(n, complex)
+    for disk in sc.shapes:
+        Hd, ud = one_disk_block(poles, disk)
+        H += Hd
+        u += ud
+    di = np.arange(n)
+    H[di, di] = H[di, di].real
+    lower = np.tril_indices(n, -1)
+    H[lower] = np.conj(H.T[lower])
+    g = assemble_gram(sc, basis)
+    assert np.array_equal(g.H, H / TWO_PI)
+    assert np.array_equal(g.u, u / TWO_PI)
+    assert g.c0 == sum(TWO_PI * d.radius for d in sc.shapes) / TWO_PI
+    if len(disks) == 18:
+        # many row chunks, and the first chunk's row count does not divide n
+        assert n == 306 and n % (_DISK_CHUNK // (18 * n)) != 0
+
+
+def test_disk_and_ellipse_gram_is_sum_of_one_shape_grams():
+    # disks are summed before the other shapes, so the ellipse, listed first,
+    # is added after the disk block
+    sc = validate_scene(scene([Ellipse(2 + 0j, 1.5, 0.7, 0.3), Disk(-3 + 0j, 1.0),
+                               Disk(0.5 + 4j, 0.5)]))
+    basis = build_basis(sc, Rings(2))
+    g = assemble_gram(sc, basis)
+    parts = [assemble_gram(scene([s]), basis) for s in sc.shapes]
+    scale = np.abs(g.H).max()
+    assert np.abs(g.H - sum(p.H for p in parts)).max() <= 1e-14 * scale
+    assert np.abs(g.u - sum(p.u for p in parts)).max() <= 1e-14 * np.abs(g.u).max()
+    assert g.c0 == pytest.approx(sum(p.c0 for p in parts), rel=1e-14)
+
+
+def test_pole_on_last_disk_circle_raises():
+    disks = [Disk(0j, 1.0), Disk(3 + 0j, 1.0), Disk(6 + 1j, 0.5)]
+    sc = validate_scene(scene(disks))
+    basis = build_basis(sc, Rings(1)) + [SimplePole(6.5 + 1j)]
+    with pytest.raises(PoleOnContourError):
+        assemble_gram(sc, basis)

@@ -5,7 +5,7 @@ import pytest
 
 from anacap.errors import MaxDepthError
 from anacap.geometry import Disk, Ellipse, Polygon, arcs
-from anacap.quadrature import QuadratureSettings, integrate_arc
+from anacap.quadrature import QuadratureSettings, _panel_rule, integrate_arc
 
 TIGHT = QuadratureSettings(abs_tol=1e-12)
 DEFAULT = QuadratureSettings()
@@ -106,3 +106,12 @@ def test_real_and_imaginary_parts_tested_separately():
     (arc,) = arcs(Disk(0, 1.0))
     val = integrate_arc(lambda t, z, s0, s1, w: (z ** 2 + 1j * (z * np.conj(z))) @ w, arc, TIGHT)
     assert abs(complex(val) - 2j * math.pi) < 1e-10
+
+
+def test_panel_rules_shared_and_read_only():
+    x, w = _panel_rule(4)
+    assert _panel_rule(4)[0] is x and _panel_rule(4)[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.5
+    assert x.size == w.size == 64 and math.fsum(w) == pytest.approx(1.0, abs=1e-15)
