@@ -149,6 +149,12 @@ def build_basis(sc: Scene, schedule) -> list[BasisFunction]:
     ``schedule`` is a single Rings/Powers mode applied to each shape, or a
     sequence with one mode per shape.
     """
+    return _shape_counted_basis(sc, schedule)[0]
+
+
+def _shape_counted_basis(sc: Scene, schedule) -> tuple[list[BasisFunction], list[int]]:
+    """``build_basis`` and how many functions each shape contributed; the
+    functions of shape i follow those of shapes 0 .. i-1."""
     if isinstance(schedule, (Rings, Powers)):
         per_shape = [schedule] * len(sc.shapes)
     else:
@@ -156,11 +162,14 @@ def build_basis(sc: Scene, schedule) -> list[BasisFunction]:
         if len(per_shape) != len(sc.shapes):
             raise SceneConfigError("need one schedule per shape")
     out: list[BasisFunction] = []
+    counts = []
     for shape, mode in zip(sc.shapes, per_shape):
-        out.extend(_shape_basis(shape, mode))
+        funcs = _shape_basis(shape, mode)
+        out.extend(funcs)
+        counts.append(len(funcs))
     if len(set(map(_identity_key, out))) != len(out):
         raise SceneConfigError("duplicate basis functions in schedule")
-    return out
+    return out, counts
 
 
 def _identity_key(b: BasisFunction):

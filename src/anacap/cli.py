@@ -6,7 +6,7 @@ Subcommands::
     anacap exact    two-disks --c C --r R | square --s S
     anacap discrete --config disks.json [--m M]
     anacap sweep    --config disks.json --m M --r-min A --r-max B --steps N
-                    [--out file.csv] [--threads K] [--seed S]
+                    [--out file.csv] [--seed S]
                     [--quad-tol T] [--quad-max-depth D]
 
 Only ``gamma`` and ``sweep`` integrate over boundaries, so only they take the
@@ -126,8 +126,7 @@ def cmd_sweep(args) -> int:
     else:
         step = (args.r_max - args.r_min) / (args.steps - 1)
         grid = [args.r_min + i * step for i in range(args.steps)]
-    records = _sweepmod.sweep(centers, m, grid, schedule,
-                              _settings(args), threads=args.threads)
+    records = _sweepmod.sweep(centers, m, grid, schedule, _settings(args))
     csv_text = _sweepmod.records_to_csv(records)
     if args.out:
         with open(args.out, "w") as fh:
@@ -187,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--steps", type=int, required=True)
     s.add_argument("--out", default=None)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threads", type=int, default=1)
     s.set_defaults(func=cmd_sweep)
     return p
 

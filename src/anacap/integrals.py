@@ -14,13 +14,16 @@ assembly uses the closed form that the Hardy-space split gives: 1/(z - a) is
 in H^2 of the disk for a outside and in its orthogonal complement for a
 inside, so a pair on opposite sides contributes exactly zero.  One chunked
 kernel sums these blocks over all the disks of a scene at once, upper
-triangle only.  Every other boundary goes through the node-and-weight
-quadrature of :mod:`anacap.quadrature`, one matrix product ``(V w) V^H`` per
-node set, with the constant 1 appended to V so that the same product carries
-u and the length.  The general residue routines (``circle_pair_integral``,
-with its spectral midpoint rule for near-confluent poles, and
-``circle_mean_integral``) are on no Gram path; they stay public as exact
-references.
+triangle only; from the same terms it can also sum a split of the scene
+into its first m shapes (on their basis functions) and the rest, which
+gives the Grams of E, F and E u F of a subadditivity record in one pass,
+each bitwise what it would be assembled alone.  Every other boundary goes
+through the node-and-weight quadrature of :mod:`anacap.quadrature`, one
+matrix product ``(V w) V^H`` per node set, with the constant 1 appended to V
+so that the same product carries u and the length.  The general residue
+routines (``circle_pair_integral``, with its spectral midpoint rule for
+near-confluent poles, and ``circle_mean_integral``) are on no Gram path; they
+stay public as exact references.
 
 Contributions are accumulated disks first, in index order, then the other
 shapes, in index order, so assembled matrices are bitwise reproducible.
@@ -226,8 +229,9 @@ def circle_mean_integral(b: BasisFunction, circle: Disk) -> complex:
     return ct.evaluate()
 
 
-def _disk_blocks(poles: np.ndarray, disks: list[Disk]) -> tuple[np.ndarray, np.ndarray]:
-    """Pair/mean integrals over all the disks for an all-simple-pole basis.
+def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pair/mean integrals over groups of disks for an all-simple-pole basis.
 
     With w = pole - c, 1/(z - a) lies in the Hardy space H^2 of a disk when
     a is outside its circle and in the orthogonal complement when a is
@@ -243,9 +247,13 @@ def _disk_blocks(poles: np.ndarray, disks: list[Disk]) -> tuple[np.ndarray, np.n
 
     The quotient is taken only on same-side pairs, where the denominator
     cannot vanish (|w_a||w_b| != r^2); a mixed pair may have |w_a||w_b| = r^2.
-    Only the upper triangle of H is filled, in chunks of whole rows holding
-    about ``_DISK_CHUNK`` disk-entry terms (at least one row); each entry
-    sums its disks in index order.
+    Each group ``(d0, d1, j0, j1)`` asks for the sums over disks d0 .. d1-1
+    on basis indices j0 .. j1-1, returned as (H, u) in the group's own
+    indices.  The terms are formed once for all the disks, on the upper
+    triangle, in chunks of whole rows holding about ``_DISK_CHUNK`` disk-entry
+    terms (at least one row); each group sums the part of a chunk that lies
+    in its own block, every entry over its disks in index order.  So a group
+    gets bitwise the (H, u) that its disks and indices would give alone.
     """
     c = np.array([d.center for d in disks], complex)[:, None]
     r = np.array([d.radius for d in disks])[:, None]
@@ -259,7 +267,7 @@ def _disk_blocks(poles: np.ndarray, disks: list[Disk]) -> tuple[np.ndarray, np.n
     w_row, w_col = w[:, :, None], np.conj(w)[:, None, :]
     in_row, in_col = inside[:, :, None], inside[:, None, :]
     n = poles.size
-    H = np.zeros((n, n), complex)
+    Hs = [np.zeros((j1 - j0, j1 - j0), complex) for _, _, j0, j1 in groups]
     i0 = 0
     while i0 < n:
         i1 = min(n, i0 + max(1, _DISK_CHUNK // (len(disks) * (n - i0))))
@@ -268,17 +276,25 @@ def _disk_blocks(poles: np.ndarray, disks: list[Disk]) -> tuple[np.ndarray, np.n
         same = in_row[:, i0:i1] == in_col[:, :, i0:]
         q = np.divide(num[:, i0:i1], den, out=den, where=same)
         np.copyto(q, 0, where=~same)
-        out = H[i0:i1, i0:]
-        if out.size > 1:
-            q.sum(axis=0, out=out)
-        else:  # NumPy sums the terms of a lone entry pairwise, not in disk order
-            for qk in q:
-                out += qk
+        for (d0, d1, j0, j1), H in zip(groups, Hs):
+            a, b = max(i0, j0), min(i1, j1)
+            if a < b:
+                out = H[a - j0:b - j0, a - j0:]
+                terms = q[d0:d1, a - i0:b - i0, a - i0:j1 - i0]
+                if out.size > 1:
+                    terms.sum(axis=0, out=out)
+                else:  # NumPy sums a lone entry's terms pairwise, not in disk order
+                    for qk in terms:
+                        out += qk
         i0 = i1
-    u = np.zeros(n, complex)
-    for mean in np.where(inside, 0j, TWO_PI * r / np.where(poles != c, c - poles, 1.0)):
-        u += mean
-    return H, u
+    means = np.where(inside, 0j, TWO_PI * r / np.where(poles != c, c - poles, 1.0))
+    blocks = []
+    for (d0, d1, j0, j1), H in zip(groups, Hs):
+        u = np.zeros(j1 - j0, complex)
+        for mean in means[d0:d1, j0:j1]:
+            u += mean
+        blocks.append((H, u))
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -369,27 +385,63 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
     boundary goes through node-and-weight quadrature at
     ``settings.abs_tol``.  The disks are accumulated first, in index order,
     then the other shapes.  Only the upper triangle is kept; the lower is
-    its conjugate mirror, so H is Hermitian exactly.
+    its conjugate mirror, so H is Hermitian exactly.  The same pass can also
+    give the Grams of a split of the scene (:func:`_assemble_grams`).
+    """
+    bs = basis if isinstance(basis, BasisSet) else BasisSet(basis)
+    return _assemble_grams(sc, bs, settings)[0]
+
+
+def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None,
+                    split: tuple[int, int] | None = None) -> list[GramData]:
+    """``[assemble_gram(sc, bs)]``, and with ``split = (m, k)`` also the Grams
+    of the first m shapes on the first k basis functions (theirs) and of the
+    other shapes on the other functions, from the same pass.
+
+    The disk kernel sums each group's own disks over its own indices
+    (:func:`_disk_blocks`), so with disks the group Grams are bitwise those of
+    the groups assembled alone.  A quadrature shape's block is computed once
+    over the whole basis and restricted to its group's indices; the adaptive
+    rule then refines for the whole basis, which moves a group's entries by
+    rounding only.
     """
     if settings is None:
         settings = QuadratureSettings()
-    bs = basis if isinstance(basis, BasisSet) else BasisSet(basis)
     n = bs.n
+    groups = [(0, len(sc.shapes), 0, n)]
+    if split is not None:
+        m, k = split
+        groups += [(0, m, 0, k), (m, len(sc.shapes), k, n)]
     closed_form = [isinstance(s, Disk) and bs.all_simple for s in sc.shapes]
     disks = [s for s, cf in zip(sc.shapes, closed_form) if cf]
+    # a group's disks, counted among the closed-form disks
+    before = np.cumsum([0, *closed_form])
+    disk_groups = [(before[s0], before[s1], j0, j1) for s0, s1, j0, j1 in groups]
     if disks:
-        H, u = _disk_blocks(bs._sa, disks)
+        blocks = _disk_blocks(bs._sa, disks, disk_groups)
     else:
-        H, u = np.zeros((n, n), complex), np.zeros(n, complex)
-    length = sum(TWO_PI * d.radius for d in disks)
-    for shape, cf in zip(sc.shapes, closed_form):
+        blocks = [(np.zeros((j1 - j0, j1 - j0), complex), np.zeros(j1 - j0, complex))
+                  for _, _, j0, j1 in groups]
+    lengths = [sum(TWO_PI * d.radius for d in disks[d0:d1]) for d0, d1, _, _ in disk_groups]
+    for i, (shape, cf) in enumerate(zip(sc.shapes, closed_form)):
         if not cf:
             Hq, uq, L = _quad_block(bs, shape, settings)
-            H += Hq
-            u += uq
-            length += L
+            for g, (s0, s1, j0, j1) in enumerate(groups):
+                if s0 <= i < s1:
+                    H, u = blocks[g]
+                    H += Hq[j0:j1, j0:j1]
+                    u += uq[j0:j1]
+                    lengths[g] += L
+    return [_gram_data(H, u, L) for (H, u), L in zip(blocks, lengths)]
+
+
+def _gram_data(H: np.ndarray, u: np.ndarray, length: float) -> GramData:
+    """Finish summed boundary integrals in place: real diagonal, lower triangle
+    the conjugate mirror of the upper, everything over 2 pi."""
+    n = u.size
     di = np.arange(n)
     H[di, di] = H[di, di].real  # Gram diagonal is real; drop rounding residue
-    iu, ju = np.tril_indices(n, -1)
-    H[iu, ju] = np.conj(H[ju, iu])
-    return GramData(H / TWO_PI, u / TWO_PI, length / TWO_PI)
+    np.copyto(H, H.T.conj(), where=np.tri(n, k=-1, dtype=bool))
+    H /= TWO_PI
+    u /= TWO_PI
+    return GramData(H, u, length / TWO_PI)

@@ -80,12 +80,23 @@ class _Factorization:
         if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
             raise SingularGramError("Gram diagonal not strictly positive")
         self.s = 1.0 / np.sqrt(diag)
-        Hs = H * self.s[:, None] * self.s[None, :]
+        n = len(diag)
+        # LAPACK takes the equilibrated A[j, k] = (H[j, k] s_j) s_k in Fortran
+        # order, i.e. as the C-ordered buffer B = A^T.  H is Hermitian, so
+        # B[k, j] = (conj(H[k, j]) s_j) s_k: contiguous passes over conj(H)
+        # fill B with the same numbers, and it is factored in place.  A failed
+        # attempt overwrites it, so each step of the ladder rebuilds it.
+        buf = np.empty((n, n), complex)
         err = None
         for jit in self._JITTERS:
+            np.conjugate(H, out=buf)
+            buf *= self.s[None, :]
+            buf *= self.s[:, None]
+            if jit:
+                buf.ravel()[:: n + 1] += jit
             try:
-                A = Hs if jit == 0.0 else Hs + jit * np.eye(len(diag))
-                self.cf = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
+                self.cf = scipy.linalg.cho_factor(buf.T, lower=True, overwrite_a=True,
+                                                  check_finite=False)
                 self.jitter = jit
                 break
             except scipy.linalg.LinAlgError as exc:
@@ -128,6 +139,25 @@ def _lower(fact: _Factorization, gram: GramData, d: np.ndarray) -> tuple[float, 
     return float(val), res
 
 
+def _bracket(gram: GramData, d: np.ndarray, settings: QuadratureSettings,
+             t0: float) -> BoundsResult:
+    """Both bounds from one factorization of the Gram; a crossing within the
+    slack is clamped, a larger one is a :class:`SolveError`.  ``wall_time``
+    runs from ``t0``."""
+    fact = _Factorization(gram.H)
+    up, res_u = _upper(fact, gram)
+    lo, res_l = _lower(fact, gram, d)
+    slack = 10.0 * settings.abs_tol * len(d)
+    if lo > up:
+        if lo - up <= max(1e-10, slack) * max(1.0, abs(up)):
+            lo = up
+        else:
+            raise SolveError(f"bounds crossed: lower {lo} > upper {up}")
+    return BoundsResult(lower=lo, upper=up, n_basis=len(d),
+                        solve_residual=max(res_u, res_l),
+                        wall_time=time.perf_counter() - t0, slack=slack)
+
+
 def bounds_for_basis(sc: Scene, basis, settings: QuadratureSettings | None = None,
                      *, _validated: bool = False) -> BoundsResult:
     """Capacity bracket from an explicit basis-function list."""
@@ -137,19 +167,7 @@ def bounds_for_basis(sc: Scene, basis, settings: QuadratureSettings | None = Non
     if not _validated:
         sc = validate_scene(sc)
     bs = basis if isinstance(basis, BasisSet) else BasisSet(basis)
-    gram = assemble_gram(sc, bs, settings)
-    fact = _Factorization(gram.H)
-    up, res_u = _upper(fact, gram)
-    lo, res_l = _lower(fact, gram, bs.d_vector())
-    residual = max(res_u, res_l)
-    slack = 10.0 * settings.abs_tol * bs.n
-    if lo > up:
-        if lo - up <= max(1e-10, slack) * max(1.0, abs(up)):
-            lo = up
-        else:
-            raise SolveError(f"bounds crossed: lower {lo} > upper {up}")
-    return BoundsResult(lower=lo, upper=up, n_basis=bs.n, solve_residual=residual,
-                        wall_time=time.perf_counter() - t0, slack=slack)
+    return _bracket(assemble_gram(sc, bs, settings), bs.d_vector(), settings, t0)
 
 
 def gamma_bounds(sc: Scene, schedule, settings: QuadratureSettings | None = None) -> BoundsResult:

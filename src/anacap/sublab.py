@@ -7,26 +7,31 @@ point produces a certified interval
 
     [ef.lower/(e.upper + f.upper),  ef.upper/(e.lower + f.lower)]
 
-containing R.  Verdicts between adjacent radii compare intervals, never
-midpoints: a decrease (or increase) is only certified when the brackets are
-disjoint in the corresponding order.
+containing R.  One record is one validation, one basis and one Gram
+assembly of E u F: the E and F Grams are sums of the union's per-disk terms
+over their own disks and basis functions, so only the factorizations and
+solves run three times.  Verdicts between adjacent radii compare intervals,
+never midpoints: a decrease (or increase) is only certified when the
+brackets are disjoint in the corresponding order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import discrete
-from .basis import Rings, Schedule
+from .basis import BasisSet, Rings, Schedule, _shape_counted_basis
 from .discrete import DiskConfiguration
 from .errors import OverlapError, SplitError
-from .geometry import Disk, Scene
+from .geometry import Disk, Scene, validate_scene
+from .integrals import _assemble_grams
 from .quadrature import QuadratureSettings
-from .solver import BoundsResult, gamma_bounds
+# gamma_bounds is not called here; bench/tracing.py swaps sublab.gamma_bounds
+from .solver import BoundsResult, _bracket, gamma_bounds  # noqa: F401
 
 CSV_COLUMNS = ("r", "ratio_low", "ratio_high", "gamma_ef_low", "gamma_ef_high",
                "gamma_e_low", "gamma_e_high", "gamma_f_low", "gamma_f_high",
@@ -85,15 +90,32 @@ def _scene_for(centers, r: float) -> Scene:
 
 def ratio_bounds(cfg: DiskConfiguration, schedule: Schedule,
                  settings: QuadratureSettings | None = None) -> SweepRecord:
-    """Certified bracket for gamma(E u F)/(gamma(E) + gamma(F))."""
+    """Certified bracket for gamma(E u F)/(gamma(E) + gamma(F)).
+
+    One validation, one basis and one Gram assembly serve all three
+    brackets: the E and F Grams are sums of the union's per-disk terms, and
+    equal bitwise what E and F give assembled alone.  ``ef.wall_time``
+    covers the shared stages and the union's solve, ``e`` and ``f`` their
+    own solves.
+    """
     if cfg.m is None:
         raise SplitError("configuration needs a split index m")
     if cfg.n >= 2 and cfg.min_center_distance() <= 2.0 * cfg.radius:
         raise OverlapError(
             f"disks of radius {cfg.radius} overlap at spacing {cfg.min_center_distance()}")
-    ef = gamma_bounds(_scene_for(cfg.centers, cfg.radius), schedule, settings)
-    e = gamma_bounds(_scene_for(cfg.centers[: cfg.m], cfg.radius), schedule, settings)
-    f = gamma_bounds(_scene_for(cfg.centers[cfg.m:], cfg.radius), schedule, settings)
+    if settings is None:
+        settings = QuadratureSettings()
+    t0 = time.perf_counter()
+    # the union's validation, basis and pole checks cover E's and F's
+    sc = validate_scene(_scene_for(cfg.centers, cfg.radius))
+    funcs, counts = _shape_counted_basis(sc, schedule)
+    bs = BasisSet(funcs)
+    k = sum(counts[: cfg.m])
+    gram_ef, gram_e, gram_f = _assemble_grams(sc, bs, settings, split=(cfg.m, k))
+    d = bs.d_vector()
+    ef = _bracket(gram_ef, d, settings, t0)
+    e = _bracket(gram_e, d[:k], settings, time.perf_counter())
+    f = _bracket(gram_f, d[k:], settings, time.perf_counter())
     return SweepRecord(
         r=cfg.radius,
         ratio_low=ef.lower / (e.upper + f.upper),
@@ -109,12 +131,11 @@ def max_sweep_radius(centers) -> float:
 
 
 def sweep(centers, m: int, r_grid, schedule: Schedule,
-          settings: QuadratureSettings | None = None,
-          threads: int = 1) -> list[SweepRecord]:
+          settings: QuadratureSettings | None = None) -> list[SweepRecord]:
     """One certified ratio record per radius, in grid order.
 
     A radius that fails (overlap, numerical error) yields an error record
-    rather than being dropped.  Results are independent of ``threads``.
+    rather than being dropped.
     """
     centers = tuple(complex(c) for c in centers)
     if not (1 <= m <= len(centers) - 1):
@@ -130,9 +151,6 @@ def sweep(centers, m: int, r_grid, schedule: Schedule,
         except Exception as exc:  # recorded per spec, not dropped
             return _error_record(r, f"{type(exc).__name__}: {exc}")
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, r_grid))
     return [one(r) for r in r_grid]
 
 

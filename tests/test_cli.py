@@ -161,6 +161,14 @@ def test_sweep_to_file(config_file, tmp_path, capsys):
     assert out_path.read_text().startswith("r,ratio_low")
 
 
+def test_sweep_has_no_threads_flag(config_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", config_file(TWO_DISKS), "--m", "1", "--r-min", "0.5",
+              "--r-max", "1.0", "--steps", "2", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
 def test_sweep_overlapping_rmax_rejected(config_file, capsys):
     code, _, err = run(capsys, "sweep", "--config", config_file(TWO_DISKS),
                        "--m", "1", "--r-min", "0.5", "--r-max", "2.5",

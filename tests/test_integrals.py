@@ -4,11 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from anacap.basis import BasisSet, CornerAdapted, PowerPole, Rings, SimplePole, build_basis
+from anacap import integrals
+from anacap.basis import (
+    BasisSet,
+    CornerAdapted,
+    PowerPole,
+    Powers,
+    Rings,
+    SimplePole,
+    build_basis,
+)
 from anacap.errors import NonRationalBasisError, PoleOnContourError
 from anacap.geometry import Disk, Ellipse, Polygon, arcs, scene, validate_scene
 from anacap.integrals import (
     _DISK_CHUNK,
+    _assemble_grams,
     assemble_gram,
     circle_mean_integral,
     circle_pair_integral,
@@ -321,6 +331,76 @@ def test_disk_and_ellipse_gram_is_sum_of_one_shape_grams():
     assert np.abs(g.H - sum(p.H for p in parts)).max() <= 1e-14 * scale
     assert np.abs(g.u - sum(p.u for p in parts)).max() <= 1e-14 * np.abs(g.u).max()
     assert g.c0 == pytest.approx(sum(p.c0 for p in parts), rel=1e-14)
+
+
+def test_split_grams_are_sums_of_one_disk_grams():
+    # each Gram of a ratio record is the sum of its disks' one-disk Grams on
+    # the same basis
+    sc = validate_scene(scene(eighteen_disks()))
+    parts = (scene(sc.shapes[:9]), scene(sc.shapes[9:]))
+    bases = [build_basis(p, Rings(4)) for p in parts]
+    union = bases[0] + bases[1]
+    grams = _assemble_grams(sc, BasisSet(union), None, split=(9, len(bases[0])))
+    for g, part, basis in zip(grams, (sc, *parts), (union, *bases)):
+        ones = [assemble_gram(scene([s]), basis) for s in part.shapes]
+        assert np.abs(g.H - sum(p.H for p in ones)).max() <= 1e-14 * np.abs(g.H).max()
+        assert np.abs(g.u - sum(p.u for p in ones)).max() <= 1e-14 * np.abs(g.u).max()
+
+
+def chunk_rows(n, disks):
+    # the row chunks [i0, i1) of the disk kernel, by its own formula
+    rows, i0 = [], 0
+    while i0 < n:
+        i1 = min(n, i0 + max(1, integrals._DISK_CHUNK // (disks * (n - i0))))
+        rows.append((i0, i1))
+        i0 = i1
+    return rows
+
+
+@pytest.mark.parametrize("disks, m, chunk", [
+    (eighteen_disks(), 9, None),  # a row chunk holds both E and F rows
+    (eighteen_disks(), 9, 1),  # one row per chunk: a lone entry ends each block
+    (eighteen_disks(), 1, None),
+    (eighteen_disks(), 17, None),
+    # F x F ends in a lone entry whose nine disk terms sum to another value
+    # pairwise than in disk order
+    ([Disk(complex(3.0 * k, 0.7 * k), 0.3 + 0.1 * k) for k in range(12)], 3, 1),
+], ids=["straddle", "lone-entries", "m=1", "m=D-1", "lone-entry-nine-disks"])
+def test_split_grams_bitwise_equal_to_separate_assembly(disks, m, chunk, monkeypatch):
+    sc = validate_scene(scene(disks))
+    parts = (scene(sc.shapes[:m]), scene(sc.shapes[m:]))
+    if len(disks) == 18:
+        bases = [build_basis(p, Rings(4)) for p in parts]
+    else:
+        bases = [[SimplePole(d.center) for d in p.shapes] for p in parts]
+        bases[1].append(SimplePole(-1 + 2j))
+    union = bases[0] + bases[1]
+    # references with the kernel's own chunking, before any patch
+    want = [assemble_gram(s, b) for s, b in zip((sc, *parts), (union, *bases))]
+    if chunk is not None:
+        monkeypatch.setattr(integrals, "_DISK_CHUNK", chunk)
+    k = len(bases[0])
+    if chunk is None and m == 9:
+        assert any(i0 < k < i1 for i0, i1 in chunk_rows(len(union), 18))
+    got = _assemble_grams(sc, BasisSet(union), None, split=(m, k))
+    for g, w in zip(got, want):
+        assert np.array_equal(g.H, w.H)
+        assert np.array_equal(g.u, w.u)
+        assert g.c0 == w.c0
+
+
+def test_split_grams_by_quadrature_match_separate_assembly():
+    # power poles take the quadrature path: each group's blocks are the union
+    # basis's, restricted, and refined for the whole basis
+    sc = validate_scene(scene([Disk(2 + 0j, 1.0), Disk(-2 + 0j, 1.0), Disk(4j, 0.5)]))
+    parts = (scene(sc.shapes[:1]), scene(sc.shapes[1:]))
+    bases = [build_basis(p, Powers(4)) for p in parts]
+    got = _assemble_grams(sc, BasisSet(bases[0] + bases[1]), None, split=(1, len(bases[0])))
+    for g, part in zip(got, (sc, *parts)):
+        w = assemble_gram(part, build_basis(part, Powers(4)))
+        assert np.abs(g.H - w.H).max() <= 1e-13 * np.abs(w.H).max()
+        assert np.abs(g.u - w.u).max() <= 1e-13 * np.abs(w.u).max()
+        assert g.c0 == pytest.approx(w.c0, rel=1e-15)
 
 
 def test_pole_on_last_disk_circle_raises():

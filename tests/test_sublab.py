@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from anacap.basis import Rings, build_basis
+from anacap import basis
+from anacap.basis import Powers, Rings, build_basis
 from anacap.discrete import DiskConfiguration
 from anacap.errors import SplitError
 from anacap.exact import nome_from_geometry, ratio_f
@@ -58,6 +59,39 @@ def test_ratio_tends_to_one_for_small_radius():
     assert rec.ratio_low - 1e-12 <= exact_ratio(0.01) <= rec.ratio_high + 1e-12
 
 
+@pytest.mark.parametrize("centers, schedule, share, rtol", [
+    (random_configuration(18, 1), Rings(4), None, 0.0),  # r = 0.02
+    (random_configuration(18, 1), Rings(4), 0.5, 0.0),
+    (random_configuration(18, 1), Rings(4), 0.95, 0.0),
+    # power poles take the quadrature path, whose refinement sees the union basis
+    (PAIR, Powers(4), 0.5, 1e-12),
+], ids=["18-disks-r0.02", "18-disks-50%", "18-disks-95%", "pair-powers"])
+def test_ratio_bounds_equal_three_gamma_bounds(centers, schedule, share, rtol):
+    r = 0.02 if share is None else share * max_sweep_radius(centers)
+    m = len(centers) // 2
+    rec = ratio_bounds(DiskConfiguration(centers, r, m), schedule)
+    parts = (centers, centers[:m], centers[m:])
+    for got, part in zip((rec.ef, rec.e, rec.f), parts):
+        sc = Scene(tuple(Disk(c, r) for c in part), ("E",) * len(part))
+        want = gamma_bounds(sc, schedule)
+        assert got.lower == pytest.approx(want.lower, rel=rtol, abs=0)
+        assert got.upper == pytest.approx(want.upper, rel=rtol, abs=0)
+        assert (got.n_basis, got.slack) == (want.n_basis, want.slack)
+    assert rec.ratio_low == rec.ef.lower / (rec.e.upper + rec.f.upper)
+    assert rec.ratio_high == rec.ef.upper / (rec.e.lower + rec.f.lower)
+
+
+def test_pole_of_e_on_a_circle_of_f_is_an_error_record(monkeypatch):
+    # an extra E pole at -1 lies on the circle of the F disk about -2; only
+    # the union's pole check sees it
+    layout = basis.disk_pole_layout
+    monkeypatch.setattr(basis, "disk_pole_layout", lambda d, layers: layout(d, layers)
+                        + ([-1 + 0j] if d.center == PAIR[0] else []))
+    (rec,) = sweep(PAIR, 1, [1.0], Rings(1))
+    assert rec.error.startswith("PoleOnContourError")
+    assert math.isnan(rec.ratio_low) and not rec.subadditive_certified
+
+
 def test_ratio_requires_split():
     with pytest.raises(SplitError):
         ratio_bounds(DiskConfiguration(PAIR, 1.0), Rings(2))
@@ -92,15 +126,6 @@ def test_sweep_error_rows_recorded():
     records = sweep(PAIR, 1, [0.5, 1.9999, 1.0], Rings(2))
     assert [rec.error is None for rec in records] == [True, False, True]
     assert math.isnan(records[1].ratio_low)
-
-
-def test_sweep_thread_count_does_not_change_results():
-    grid = np.linspace(0.3, 1.5, 6)
-    serial = sweep(PAIR, 1, grid, Rings(3), threads=1)
-    parallel = sweep(PAIR, 1, grid, Rings(3), threads=4)
-    for a, b in zip(serial, parallel):
-        assert a.ratio_low == b.ratio_low
-        assert a.ratio_high == b.ratio_high
 
 
 def test_nine_small_disks_factor_without_jitter():
