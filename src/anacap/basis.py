@@ -82,8 +82,10 @@ class CornerAdapted:
         return val * (z - self.c) ** (-self.k) if self.k else val
 
     def d_infinity(self) -> complex:
-        # ((z-a)/(z-c))^beta -> 1 at infinity, so the 1/z coefficient comes
-        # from the power factor alone
+        # ((z-a)/(z-c))^beta = 1 + beta (c - a)/z + O(1/z^2), so for k >= 1
+        # the 1/z coefficient comes from the power factor alone
+        if self.k == 0:
+            return complex(self.beta * (self.c - self.a))
         return (1.0 + 0j) if self.k == 1 else 0j
 
 
@@ -243,35 +245,59 @@ class BasisSet:
 
     ``eval_all(z)`` returns the values of every basis function at a complex
     scalar (or at each entry of an array) with a handful of numpy operations,
-    preserving the original ordering.  Branch-cut and pole checks are not
-    performed here; boundary quadrature never touches those sets for valid
-    scenes.
+    preserving the original ordering.  Each distinct factor is evaluated once
+    per call: the pole powers (z - c)^-k once per (c, k), shared by the
+    ``PowerPole`` and ``CornerAdapted`` members, and the fractional powers
+    ((z - a)/(z - c))^beta once per corner group (c, a, beta), whatever its
+    number of k.  A member is then one gather, or one gather and one product;
+    the operations on each element are those of a member-by-member
+    evaluation, so the values are bitwise the same.  Branch-cut and pole
+    checks are not performed here; boundary quadrature never touches those
+    sets for valid scenes.
+
+    Every member must vanish at infinity: a ``PowerPole`` or
+    ``CornerAdapted`` with k < 1 is a :class:`SceneConfigError`.
     """
 
     def __init__(self, funcs: list[BasisFunction]):
         self.funcs = list(funcs)
-        n = len(funcs)
         simple_idx, power_idx, corner_idx = [], [], []
-        for i, b in enumerate(funcs):
+        poles: dict[tuple[complex, int], int] = {}  # (c, k) -> pole-power row
+        groups: dict[tuple[complex, complex, float], int] = {}  # (c, a, beta) -> row
+        power_row, corner_group, corner_pole = [], [], []
+        for i, b in enumerate(self.funcs):
             if isinstance(b, SimplePole):
                 simple_idx.append(i)
-            elif isinstance(b, PowerPole):
-                power_idx.append(i)
-            elif isinstance(b, CornerAdapted):
-                corner_idx.append(i)
-            else:
+                continue
+            if not isinstance(b, (PowerPole, CornerAdapted)):
                 raise TypeError(f"not a basis function: {b!r}")
-        self.n = n
+            if b.k < 1:
+                raise SceneConfigError(f"{b!r} does not vanish at infinity (k < 1)")
+            row = poles.setdefault((b.c, b.k), len(poles))
+            if isinstance(b, PowerPole):
+                power_idx.append(i)
+                power_row.append(row)
+            else:
+                corner_idx.append(i)
+                corner_pole.append(row)
+                corner_group.append(groups.setdefault((b.c, b.a, b.beta), len(groups)))
+        self.n = len(self.funcs)
         self._si = np.array(simple_idx, dtype=int)
         self._pi = np.array(power_idx, dtype=int)
         self._ci = np.array(corner_idx, dtype=int)
-        self._sa = np.array([funcs[i].a for i in simple_idx], complex)
-        self._pc = np.array([funcs[i].c for i in power_idx], complex)
-        self._pk = np.array([funcs[i].k for i in power_idx], int)
-        self._cc = np.array([funcs[i].c for i in corner_idx], complex)
-        self._ca = np.array([funcs[i].a for i in corner_idx], complex)
-        self._cb = np.array([funcs[i].beta for i in corner_idx], float)
-        self._ck = np.array([funcs[i].k for i in corner_idx], int)
+        self._sa = np.array([self.funcs[i].a for i in simple_idx], complex)
+        self._pc = np.array([c for c, _ in poles], complex)[:, None]
+        self._pk = -np.array([k for _, k in poles], int)[:, None]  # exponents -k
+        self._p_row = np.array(power_row, dtype=int)
+        self._gc = np.array([c for c, _, _ in groups], complex)[:, None]
+        self._ga = np.array([a for _, a, _ in groups], complex)[:, None]
+        self._gb = np.array([beta for _, _, beta in groups], float)[:, None]
+        self._c_group = np.array(corner_group, dtype=int)
+        self._c_pole = np.array(corner_pole, dtype=int)
+        # corner point -> the rows of its groups, for eval_all's corner_subs
+        self._rows_at: dict[complex, list[int]] = {}
+        for row, (_, a, _) in enumerate(groups):
+            self._rows_at.setdefault(complex(a), []).append(row)
 
     @property
     def all_simple(self) -> bool:
@@ -295,24 +321,30 @@ class BasisSet:
         out = np.empty((self.n, zf.size), complex)
         if self._si.size:
             out[self._si] = 1.0 / (zf[None, :] - self._sa[:, None])
-        if self._pi.size:
-            out[self._pi] = (zf[None, :] - self._pc[:, None]) ** (-self._pk[:, None])
-        if self._ci.size:
-            zc = zf[None, :] - self._cc[:, None]
-            num = zf[None, :] - self._ca[:, None]
-            if corner_subs:
-                for pt, delta in corner_subs:
-                    num[self._ca == pt] = np.reshape(delta, -1)
-            w = num / zc
-            vals = np.exp(self._cb[:, None] * np.log(w))
-            out[self._ci] = vals * zc ** (-self._ck[:, None])
+        if self._pc.size:
+            pw = (zf[None, :] - self._pc) ** self._pk
+            if self._pi.size:
+                out[self._pi] = pw[self._p_row]
+            if self._ci.size:
+                zc = zf[None, :] - self._gc
+                num = zf[None, :] - self._ga
+                for pt, delta in corner_subs or ():
+                    rows = self._rows_at.get(pt)
+                    if rows is not None:
+                        num[rows] = np.reshape(delta, -1)
+                frac = np.exp(self._gb * np.log(num / zc))
+                # NumPy's complex multiply is not commutative to the last bit,
+                # and for a temporary right operand of 256 KiB or more it
+                # reuses that buffer and swaps the operands.  A named left
+                # factor and a temporary right one, as in the row-per-member
+                # form vals * (z - c)**-k, give that form's bits at any size.
+                vals = frac[self._c_group]
+                out[self._ci] = vals * pw[self._c_pole]
         return out[:, 0] if scalar else out.reshape((self.n,) + z.shape)
 
     def corner_points(self) -> np.ndarray:
         """Distinct corner locations used by corner-adapted members."""
-        if not self._ca.size:
-            return np.empty(0, complex)
-        return np.unique(self._ca)
+        return np.unique(self._ga)
 
 
 # ---------------------------------------------------------------------------

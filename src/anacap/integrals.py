@@ -442,6 +442,10 @@ def _gram_data(H: np.ndarray, u: np.ndarray, length: float) -> GramData:
     di = np.arange(n)
     H[di, di] = H[di, di].real  # Gram diagonal is real; drop rounding residue
     np.copyto(H, H.T.conj(), where=np.tri(n, k=-1, dtype=bool))
-    H /= TWO_PI
-    u /= TWO_PI
+    # dividing a complex array by 2 pi gives x * fl(1/2pi) in each finite
+    # component (it may drop the sign of a zero real part); the product on
+    # the float64 view gives that without NumPy's complex division loop
+    for a in (H, u):
+        a_re = a.view(np.float64)
+        a_re *= 1.0 / TWO_PI
     return GramData(H, u, length / TWO_PI)

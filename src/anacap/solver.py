@@ -24,9 +24,9 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import zgemv
 
-from .basis import BasisSet, build_basis
-from .errors import SingularGramError, SolveError
-from .geometry import Scene, validate_scene
+from .basis import BasisSet, SimplePole, build_basis
+from .errors import SceneConfigError, SingularGramError, SolveError
+from .geometry import Scene, point_in_shape, validate_scene
 from .integrals import GramData, assemble_gram
 from .quadrature import QuadratureSettings
 
@@ -160,14 +160,31 @@ def _bracket(gram: GramData, d: np.ndarray, settings: QuadratureSettings,
 
 def bounds_for_basis(sc: Scene, basis, settings: QuadratureSettings | None = None,
                      *, _validated: bool = False) -> BoundsResult:
-    """Capacity bracket from an explicit basis-function list."""
+    """Capacity bracket from an explicit basis-function list.
+
+    Every pole must lie strictly inside a shape of the scene, and every
+    member must vanish at infinity; otherwise the bracket would not be a
+    bracket, and this is a :class:`SceneConfigError`.  ``_validated`` says
+    that the scene is validated and the basis comes from a schedule, which
+    places its poles inside their shapes, so neither is checked again.
+    """
     if settings is None:
         settings = QuadratureSettings()
     t0 = time.perf_counter()
+    bs = basis if isinstance(basis, BasisSet) else BasisSet(basis)
     if not _validated:
         sc = validate_scene(sc)
-    bs = basis if isinstance(basis, BasisSet) else BasisSet(basis)
+        _require_poles_inside(sc, bs.funcs)
     return _bracket(assemble_gram(sc, bs, settings), bs.d_vector(), settings, t0)
+
+
+def _require_poles_inside(sc: Scene, funcs) -> None:
+    """Exact test that each member's pole is strictly inside a shape of sc."""
+    for b in funcs:
+        pole = b.a if isinstance(b, SimplePole) else b.c
+        if not any(point_in_shape(s, pole) for s in sc.shapes):
+            raise SceneConfigError(
+                f"the pole of basis member {b!r} is not strictly inside a shape of the scene")
 
 
 def gamma_bounds(sc: Scene, schedule, settings: QuadratureSettings | None = None) -> BoundsResult:

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from anacap.geometry import Disk, Polygon, Scene, scene
+from anacap.basis import CornerAdapted, PowerPole, SimplePole
+from anacap.geometry import ArcChain, CircularArc, Disk, Polygon, Scene, Segment, scene
 
 
 @pytest.fixture
@@ -19,6 +22,15 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
+def half_disk(center: complex, r: float = 0.5) -> ArcChain:
+    """Half-disk over the diameter [center - r, center + r]: two corners."""
+    return ArcChain((Segment(center - r, center + r), CircularArc(center, r, 0.0, math.pi)))
+
+
+# disk plus two half-disks: power poles on the disk, corner groups on the chains
+MIXED_SHAPES = (Disk(0j, 1.0), half_disk(3 + 0j), half_disk(3j))
+
+
 def random_points(rng, n, box=4.0, min_sep=0.5):
     pts = []
     while len(pts) < n:
@@ -26,3 +38,42 @@ def random_points(rng, n, box=4.0, min_sep=0.5):
         if all(abs(cand - p) > min_sep for p in pts):
             pts.append(cand)
     return pts
+
+
+def row_per_member_eval(funcs, z, corner_subs=None):
+    """Basis values with one row per member and every factor recomputed for
+    each member: the ungrouped expressions that ``BasisSet.eval_all`` must
+    reproduce bit for bit."""
+    z = np.asarray(z, complex)
+    zf = z.reshape(-1)
+    out = np.empty((len(funcs), zf.size), complex)
+    si = [i for i, b in enumerate(funcs) if isinstance(b, SimplePole)]
+    pi = [i for i, b in enumerate(funcs) if isinstance(b, PowerPole)]
+    ci = [i for i, b in enumerate(funcs) if isinstance(b, CornerAdapted)]
+    if si:
+        sa = np.array([funcs[i].a for i in si], complex)
+        out[si] = 1.0 / (zf[None, :] - sa[:, None])
+    if pi:
+        pc = np.array([funcs[i].c for i in pi], complex)
+        pk = np.array([funcs[i].k for i in pi], int)
+        out[pi] = (zf[None, :] - pc[:, None]) ** (-pk[:, None])
+    if ci:
+        cc = np.array([funcs[i].c for i in ci], complex)
+        ca = np.array([funcs[i].a for i in ci], complex)
+        cb = np.array([funcs[i].beta for i in ci], float)
+        ck = np.array([funcs[i].k for i in ci], int)
+        zc = zf[None, :] - cc[:, None]
+        num = zf[None, :] - ca[:, None]
+        for pt, delta in corner_subs or ():
+            num[ca == pt] = np.reshape(delta, -1)
+        w = num / zc
+        vals = np.exp(cb[:, None] * np.log(w))
+        out[ci] = vals * zc ** (-ck[:, None])
+    return out.reshape((len(funcs),) + z.shape)
+
+
+def same_bits(x, y) -> bool:
+    """True iff two complex arrays have the same shape and the same bits."""
+    x, y = np.asarray(x, complex), np.asarray(y, complex)
+    return x.shape == y.shape and np.array_equal(x.reshape(-1).view(np.uint64),
+                                                 y.reshape(-1).view(np.uint64))

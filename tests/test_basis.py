@@ -30,6 +30,8 @@ from anacap.geometry import (
     validate_scene,
 )
 
+from conftest import MIXED_SHAPES, row_per_member_eval, same_bits
+
 SQUARE = Polygon((1 + 0j, 1j, -1 + 0j, -1j))
 
 
@@ -253,6 +255,76 @@ def test_corner_subs_array_matches_scalar_calls():
             one = bs.eval_all(arc.point(float(x)), corner_subs=subs(float(x)))
             assert np.all(np.abs(vals[:, k] - one) <= 1e-14 * np.abs(one))
         assert np.all(np.isfinite(vals[:, 0])) and np.all(vals[:, 0] != 0)
+
+
+def _arc_nodes(arc, m, first=None):
+    """m midpoint nodes of an arc (the first one moved to parameter ``first``
+    if given), with the exact displacements from both ends as ``corner_subs``."""
+    s = (np.arange(m) + 0.5) / m
+    if first is not None:
+        s[0] = first
+    return arc.point(s), [(arc.start, arc.disp_start(s)), (arc.end, arc.disp_end(1.0 - s))]
+
+
+@pytest.mark.parametrize("shapes,schedule", [
+    ([SQUARE], Powers(6, True)),
+    (MIXED_SHAPES, Powers(3, True)),
+], ids=["square-Powers6", "mixed-Powers3"])
+def test_eval_all_bitwise_equal_to_row_per_member_eval(shapes, schedule):
+    # 1024 nodes make the member arrays of the square 384 KiB, past the size
+    # at which NumPy reuses a temporary operand's buffer
+    sc = validate_scene(scene(shapes))
+    funcs = build_basis(sc, schedule)
+    bs = BasisSet(funcs)
+    for shape in sc.shapes:
+        for arc in arcs(shape):
+            for m in (1, 16, 128, 1024):
+                z, _ = _arc_nodes(arc, m)
+                assert same_bits(bs.eval_all(z), row_per_member_eval(funcs, z))
+                # a node 1e-200 from the start: only the substitution keeps
+                # z - a from rounding to zero there
+                z, subs = _arc_nodes(arc, m, first=1e-200)
+                assert same_bits(bs.eval_all(z, corner_subs=subs),
+                                 row_per_member_eval(funcs, z, subs))
+            z0, subs0 = complex(z[0]), [(p, d[0]) for p, d in subs]
+            assert same_bits(bs.eval_all(z0, corner_subs=subs0),
+                             row_per_member_eval(funcs, z0, subs0))
+
+
+def test_eval_all_interleaved_groups_and_shared_pole_powers():
+    # corner groups interleaved in member order, corner members sharing (c, k)
+    # with power poles, and two exponents at one corner point
+    c = 0.1j
+    funcs = [CornerAdapted(c, 1 + 0j, -1 / 6, 2), PowerPole(c, 2), CornerAdapted(c, 1j, -1 / 6, 1),
+             SimplePole(0.2 + 0j), CornerAdapted(c, 1 + 0j, -1 / 6, 1), PowerPole(c, 1),
+             CornerAdapted(c, 1j, -1 / 6, 3), CornerAdapted(c, 1 + 0j, 1 / 3, 2),
+             PowerPole(-0.1 + 0j, 2), CornerAdapted(-0.1 + 0j, -1 + 0j, -1 / 6, 2)]
+    bs = BasisSet(funcs)
+    # 4 corner groups, 4 distinct (c, k)
+    assert len(bs._gb) == 4 and len(bs._pk) == 4
+    z = 3.0 * np.exp(1j * np.linspace(0.1, 6.2, 2000)).reshape(40, 50)
+    assert same_bits(bs.eval_all(z), row_per_member_eval(funcs, z))
+    subs = [(1 + 0j, z - 1), (-1 + 0j, z + 1)]
+    assert same_bits(bs.eval_all(z, corner_subs=subs), row_per_member_eval(funcs, z, subs))
+    assert bs.eval_all(z).shape == (10, 40, 50)
+
+
+@pytest.mark.parametrize("member", [
+    PowerPole(0j, 0), PowerPole(0.3 + 0j, -1), CornerAdapted(0j, 1 + 0j, -1 / 6, 0),
+    CornerAdapted(0j, 1 + 0j, -1 / 6, -2),
+])
+def test_basis_set_rejects_members_not_vanishing_at_infinity(member):
+    with pytest.raises(SceneConfigError, match="vanish at infinity"):
+        BasisSet([PowerPole(0j, 1), member])
+    member.eval(2.5 + 0.5j)  # the scalar function itself stays defined
+
+
+def test_d_infinity_of_corner_factor_alone():
+    # ((z-a)/(z-c))^beta = 1 + beta (c - a)/z + O(1/z^2)
+    f = CornerAdapted(0.2j, 1 + 0j, 0.25, 0)
+    assert f.d_infinity() == pytest.approx(0.25 * (0.2j - 1))
+    vals = [z * (f.eval(z) - 1.0) for z in (R * cmath.exp(0.37j) for R in (1e4, 1e5, 1e6))]
+    assert vals[2] + (vals[2] - vals[1]) / 9.0 == pytest.approx(f.d_infinity(), abs=1e-6)
 
 
 def test_d_vector_order():

@@ -26,6 +26,8 @@ from anacap.integrals import (
 from anacap.quadrature import QuadratureSettings, integrate_arc
 from anacap.sublab import max_sweep_radius, random_configuration
 
+from conftest import MIXED_SHAPES, row_per_member_eval, same_bits
+
 TWO_PI = 2 * math.pi
 ORACLE = QuadratureSettings(abs_tol=1e-12)
 
@@ -409,3 +411,53 @@ def test_pole_on_last_disk_circle_raises():
     basis = build_basis(sc, Rings(1)) + [SimplePole(6.5 + 1j)]
     with pytest.raises(PoleOnContourError):
         assemble_gram(sc, basis)
+
+
+@pytest.mark.parametrize("shapes,schedule", [
+    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, True)),
+    (MIXED_SHAPES, Powers(3, True)),
+], ids=["square-Powers6", "mixed-Powers3"])
+def test_corner_gram_bitwise_equal_to_row_per_member_assembly(shapes, schedule):
+    # the grouped evaluator gives the row-per-member values at every node, so
+    # the adaptive rule takes the same nodes and the Gram has the same bits
+    sc = validate_scene(scene(shapes))
+    funcs = build_basis(sc, schedule)
+    ref = BasisSet(funcs)
+    ref.eval_all = lambda z, corner_subs=None: row_per_member_eval(funcs, z, corner_subs)
+    want = assemble_gram(sc, ref)
+    got = assemble_gram(sc, funcs)
+    assert same_bits(got.H, want.H) and same_bits(got.u, want.u)
+    assert got.c0 == want.c0
+
+
+def test_gram_data_scales_each_component_by_the_reciprocal_of_two_pi(rng):
+    n = 40
+    parts = [rng.normal(size=(n + 1, n)) * 10.0 ** rng.integers(-300, 300, (n + 1, n))
+             for _ in range(2)]
+    A = parts[0] + 1j * parts[1]
+    # subnormals, extremes and zeros of both signs, in the upper triangle,
+    # on the diagonal and in u
+    A[0, 1:9] = [5e-324, -1e-310 + 3j, 1.7e308, -1e300j, 0j, complex(-0.0, -0.0),
+                 complex(-0.0, 2.0), complex(1.0, -0.0)]
+    A[3, 3] = 2.5e-320
+    A[n, :4] = [complex(-0.0, 0.0), complex(0.0, -0.0), -7e-321, 1e299]
+    H, u = A[:n].copy(), A[n].copy()
+    g = integrals._gram_data(H, u, 3.0)
+    # reference: real diagonal, conjugate mirror of the upper triangle, then
+    # both float64 components times fl(1/2pi)
+    ref = A[:n].copy()
+    di = np.arange(n)
+    ref[di, di] = ref[di, di].real
+    lower = np.tri(n, k=-1, dtype=bool)
+    ref[lower] = np.conj(ref.T[lower])
+    for got, x in ((g.H, ref), (g.u, A[n])):
+        assert same_bits(got, (x.view(np.float64) * (1.0 / TWO_PI)).view(complex))
+        # the complex division gives the same bits in every nonzero component
+        div = x / TWO_PI
+        nonzero = x.view(np.float64) != 0
+        assert np.array_equal(got, div)
+        assert np.array_equal(got.view(np.float64)[nonzero].view(np.uint64),
+                              div.view(np.float64)[nonzero].view(np.uint64))
+    # the lower triangle is the conjugate of the upper bit for bit, zeros too
+    assert same_bits(g.H[lower], np.conj(g.H.T[lower]))
+    assert g.c0 == 3.0 / TWO_PI

@@ -1,12 +1,14 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
 import anacap.exact as exact
-from anacap.basis import BasisSet, Powers, Rings, SimplePole, build_basis
-from anacap.errors import SingularGramError
+from anacap import solver
+from anacap.basis import BasisSet, CornerAdapted, PowerPole, Powers, Rings, SimplePole, build_basis
+from anacap.errors import SceneConfigError, SingularGramError
 from anacap.geometry import Disk, scene, transform, validate_scene
 from anacap.integrals import GramData, assemble_gram
 from anacap.quadrature import QuadratureSettings
@@ -203,3 +205,36 @@ def test_wall_time_recorded(two_disks):
     res = gamma_bounds(two_disks, Rings(0))
     assert isinstance(res, BoundsResult)
     assert res.wall_time > 0
+
+
+# --- explicit bases that cannot give a bracket ------------------------------
+
+def test_basis_growing_at_infinity_rejected(unit_square):
+    # PowerPole(0.3, -1) = z - 0.3 does not vanish at infinity; the bracket it
+    # gave, [0.70711, 0.79323], misses gamma = 0.83463
+    with pytest.raises(SceneConfigError, match="vanish at infinity"):
+        bounds_for_basis(unit_square, [PowerPole(0j, 1), PowerPole(0.3 + 0j, -1)])
+
+
+@pytest.mark.parametrize("member", [
+    SimplePole(2 + 0j),  # outside
+    PowerPole(1 + 0j, 2),  # a vertex: on the boundary, not strictly inside
+    CornerAdapted(1.5j, 1 + 0j, -1 / 6, 1),
+], ids=["simple-outside", "power-on-vertex", "corner-anchor-outside"])
+def test_explicit_pole_outside_the_scene_rejected(unit_square, member):
+    with pytest.raises(SceneConfigError, match=re.escape(repr(member))):
+        bounds_for_basis(unit_square, [PowerPole(0j, 1), member])
+
+
+def test_pole_between_two_disks_rejected(two_disks):
+    with pytest.raises(SceneConfigError, match="not strictly inside"):
+        bounds_for_basis(two_disks, [SimplePole(2 + 0j), SimplePole(0j)])
+
+
+def test_scheduled_bases_skip_the_pole_check(two_disks, unit_square, monkeypatch):
+    def refuse(sc, funcs):
+        raise AssertionError("pole check on a scheduled basis")
+
+    monkeypatch.setattr(solver, "_require_poles_inside", refuse)
+    gamma_bounds(two_disks, Rings(1))
+    gamma_bounds(unit_square, Powers(2, with_corners=True))
