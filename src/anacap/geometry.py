@@ -6,9 +6,9 @@ many analytic pieces.  The module knows how to
 
 * validate a scene without sampling: simple, positively oriented curves,
   containment by an exact winding number, and a certified lower bound on
-  every pairwise gap from a chord-bound kernel (each boundary is covered by
-  chords that carry their sagitta bounds, and only chord pairs that could
-  hold the minimum are bisected),
+  the least pairwise gap from a chord-bound branch-and-bound (each boundary
+  is covered by chords that carry their sagitta bounds, and only chord
+  pairs that could hold the minimum are cut finer),
 * list the corners of a shape together with the angle the complement
   occupies there,
 * describe every boundary piece (segment, circular arc, ellipse, disk) in one
@@ -105,9 +105,13 @@ class ParametricArc(NamedTuple):
 
     A segment has b = d = turns = 0, a circular arc p1 = d = 0, and an
     ellipse (the affine image of a circle) p1 = 0 and turns = 1.  Every point
-    of a parameter interval of angle delta lies within the sagitta
-    k (1 - cos delta/2) of its chord, where k is the radius of an arc, the
-    semi-major axis of an ellipse and 0 for a segment.
+    of a parameter interval of angle delta = 2 pi |turns| (t1 - t0), any
+    width up to a full turn, lies within the sagitta k (1 - cos delta/2) of
+    its chord, where k = |b| + |d| is the radius of an arc, the semi-major
+    axis of an ellipse and 0 for a segment.  Proof: with c the point of the
+    chord of e at the fraction that projects e(t) onto it (its midpoint once
+    delta > pi), z(t) less the chord of z at the same fraction is
+    b (e - c) + d conj(e - c), and |e - c| <= 1 - cos delta/2.
 
     Quadrature reads single pieces.  The gap kernel stacks pieces, one array
     entry per piece in every field, and reads ``point``, ``sagitta``,
@@ -587,16 +591,19 @@ def validate_scene(sc: Scene) -> Scene:
 
     Returns the scene with ``min_gap`` set to a certified lower bound on the
     smallest pairwise gap (inf for a single shape).  Two disks use the closed
-    form; every other pair goes through the chord-bound kernel
+    form; every other pair goes through one call of the chord-bound kernel
     :func:`_certified_gaps`, which sees crossing boundaries exactly and
-    resolves each gap to 1e-7 relative.  A shape inside another is found by
-    the exact winding number.  Raises :class:`OverlapError` for any pair whose
-    gap is not certified positive.  Idempotent and deterministic.
+    resolves only the least gap of those pairs to 1e-7 relative (looser where
+    two boundaries run parallel over a long stretch, see there).  A shape
+    inside another is found by the exact winding number.  Raises
+    :class:`OverlapError` for any pair whose gap is not certified positive.
+    Idempotent and deterministic.
     """
     if not sc.shapes:
         raise SceneConfigError("scene needs at least one shape")
     for s in sc.shapes:
         _check_shape(s)
+    pieces = [arcs(s) for s in sc.shapes]
     gap = math.inf
     pairs = []
     for i, j in itertools.combinations(range(len(sc.shapes)), 2):
@@ -607,22 +614,23 @@ def validate_scene(sc: Scene) -> Scene:
                 raise OverlapError(f"shapes {i} and {j} have intersecting closures (gap {g:.3g})")
             gap = min(gap, g)
         # a shape inside the other has no boundary crossing for the kernel to see
-        elif point_in_shape(s2, arcs(s1)[0].start) or point_in_shape(s1, arcs(s2)[0].start):
+        elif point_in_shape(s2, pieces[i][0].start) or point_in_shape(s1, pieces[j][0].start):
             raise OverlapError(f"shapes {i} and {j} overlap: a boundary point of one lies inside the other")
         else:
             pairs.append((i, j))
     if pairs:
-        gaps = _certified_gaps([_stack(arcs(s)) for s in sc.shapes], pairs,
-                               [f"shapes {i} and {j}" for i, j in pairs])
-        gap = min(gap, float(gaps.min()))
+        gap = min(gap, _certified_gaps([_stack(p) for p in pieces], pairs,
+                                       [f"shapes {i} and {j}" for i, j in pairs]))
     return replace(sc, min_gap=gap)
 
 
 _EPS = float(np.finfo(float).eps)
-_CHORD_TURNS = 1.0 / 32  # widest initial chord of a curved piece, in turns
-_GAP_REL = 1e-7  # a chord pair is settled when its lower bound is this close to the upper
+_CHORD_TURNS = 1.0 / 4  # widest initial chord of a curved piece, in turns
+_GAP_REL = 1e-7  # a chord pair settles when its lower bound is this close to the least upper
 _GAP_ROUNDS = 64
 _GAP_MAX_PAIRS = 1 << 17
+_SPLIT_ROWS = 256  # chord pairs a round may reach by cutting curved chords finer than halves
+_SPLIT_MAX = 5  # at most 2**_SPLIT_MAX pieces per chord and round
 
 
 def _stack(pieces: list[ParametricArc]) -> ParametricArc:
@@ -631,37 +639,42 @@ def _stack(pieces: list[ParametricArc]) -> ParametricArc:
 
 
 def _certified_gaps(curves: list[ParametricArc], pairs: list[tuple[int, int]],
-                    names: list[str]) -> np.ndarray:
-    """Certified lower bounds on the distance between curves m and n for each
-    (m, n) in ``pairs``; for m == n, between the non-adjacent pieces of m.
-    Each curve is one shape's pieces, stacked by :func:`_stack`.
+                    names: list[str]) -> float:
+    """A certified lower bound on the least distance between curves m and n
+    over the (m, n) in ``pairs``; for m == n, between the non-adjacent pieces
+    of m.  Each curve is one shape's pieces, stacked by :func:`_stack`.
 
-    Each curve is covered by chords that carry their pieces' sagitta bounds.
-    For a pair of chords, the segment-segment distance (0 when they cross)
-    minus both sagittas is a lower bound on the distance between the two
-    pieces; the distance between the curve points at the chords' nearest
-    parameters, and each vertex-vertex distance, bound the gap from above.
-    A chord pair is settled when its lower bound is within ``_GAP_REL`` of
-    its curve pair's least upper bound, or when both chords are straight
-    (its bound is then exact); every other chord pair has each curved chord
-    bisected.  Chord pairs go through the rounds as arrays of
-    (pair, piece, t0, t1, piece, t0, t1), in batches of at most
-    ``_GAP_MAX_PAIRS`` that share each curve pair's bounds.  Each curve
-    pair's gap is its least settled lower bound less a rounding slack.
+    Each curve is covered by chords of at most ``_CHORD_TURNS`` of a turn that
+    carry their pieces' sagitta bounds.  For a pair of chords, the
+    segment-segment distance (0 when they cross) minus both sagittas is a
+    lower bound on the distance between the two pieces; the distance between
+    the curve points at the chords' nearest parameters, and each
+    vertex-vertex distance, bound the least gap from above.  A chord pair is
+    settled when its lower bound is within ``_GAP_REL`` of the least upper
+    bound over all curve pairs so far, or when both chords are straight (its
+    bound is then exact).  So a curve pair far from the nearest one settles
+    in its first round, and only the least gap is resolved; every settled
+    lower bound is positive, which certifies each pair.  Every other chord
+    pair has each curved chord cut into 2^s equal pieces, s >= 1 the largest
+    (up to ``_SPLIT_MAX``) that keeps the next round within ``_SPLIT_ROWS``
+    chord pairs.  Chord pairs go through the rounds as arrays of (pair,
+    piece, t0, t1, piece, t0, t1), in batches of at most ``_GAP_MAX_PAIRS``
+    that share the bounds.  The result is the least settled lower bound less
+    its curve pair's rounding slack.
 
     A boundary that runs parallel to another over a long stretch (a concave
     arc around a disk) can need more than ``_GAP_MAX_PAIRS`` chord pairs for
-    that tolerance; its gap is then the least lower bound as it stands, still
-    certified but looser.  Raises OverlapError, naming the curve pair, when
-    two curves meet within rounding, when a gap is not certified positive,
-    or after ``_GAP_ROUNDS`` rounds.
+    that tolerance; the live lower bounds then stand as they are, still
+    certified but looser (at a 1e-6 gap under a bite of radius 1.5, 1.4%
+    below the gap).  Raises OverlapError, naming the curve pair, when two
+    curves meet within rounding, when a lower bound is not certified
+    positive, or after ``_GAP_ROUNDS`` rounds.
     """
     curve = ParametricArc(*map(np.concatenate, zip(*curves)))
     off = np.cumsum([0] + [c.p0.size for c in curves])
     cuts = [(i + o, t0, t1) for (i, t0, t1), o in zip((c.chords() for c in curves), off)]
     slack = 32.0 * _EPS * np.array([max(curves[m].size(), curves[n].size()) for m, n in pairs])
-    ub = np.full(len(pairs), math.inf)
-    gap = np.full(len(pairs), math.inf)
+    ub = gap = math.inf
     batch, rows = [], 0
     for g, (m, n) in enumerate(pairs):
         (ia, ta0, ta1), (ib, tb0, tb1) = cuts[m], cuts[n]
@@ -676,17 +689,17 @@ def _certified_gaps(curves: list[ParametricArc], pairs: list[tuple[int, int]],
                 keep = (apart > 1) & (apart < curves[m].p0.size - 1)
                 ja, jb = ja[keep], jb[keep]
             if batch and rows + ja.size > _GAP_MAX_PAIRS:
-                _refine_gaps(curve, batch, ub, gap, slack, names)
+                ub, gap = _refine_gaps(curve, batch, ub, gap, slack, names)
                 batch, rows = [], 0
             batch.append((np.full(ja.size, g), ia[ja], ta0[ja], ta1[ja], ib[jb], tb0[jb], tb1[jb]))
             rows += ja.size
-    _refine_gaps(curve, batch, ub, gap, slack, names)
-    return gap
+    return _refine_gaps(curve, batch, ub, gap, slack, names)[1]
 
 
-def _refine_gaps(curve: ParametricArc, blocks, ub, gap, slack, names) -> None:
-    """Run one batch of chord pairs to the end, lowering ``ub`` and ``gap``
-    (indexed by curve pair) in place."""
+def _refine_gaps(curve: ParametricArc, blocks, ub: float, gap: float, slack, names):
+    """Run one batch of chord pairs to the end; returns the least upper bound
+    and the least settled lower bound less slack, each lowered from ``ub``
+    and ``gap``."""
     rows = [np.concatenate(col) for col in zip(*blocks)]
     for _ in range(_GAP_ROUNDS):
         g, ai, a0, a1, bi, b0, b1 = rows
@@ -699,38 +712,54 @@ def _refine_gaps(curve: ParametricArc, blocks, ub, gap, slack, names) -> None:
         near = np.abs(pa.point(a0 + s * (a1 - a0)) - pb.point(b0 + u * (b1 - b0)))
         for p, q in ((za0, zb0), (za0, zb1), (za1, zb0), (za1, zb1)):
             near = np.minimum(near, np.abs(p - q))
-        np.minimum.at(ub, g, near)
-        _raise_first(ub <= slack, names, "have intersecting closures (distance within rounding)")
+        _raise_first(near <= slack[g], g, names,
+                     "have intersecting closures (distance within rounding)")
+        ub = min(ub, float(near.min()))
         bent_a, bent_b = pa.k > 0, pb.k > 0
-        done = (lb >= (1.0 - _GAP_REL) * ub[g]) | ~(bent_a | bent_b)
+        done = (lb >= (1.0 - _GAP_REL) * ub) | ~(bent_a | bent_b)
         if 4 * np.count_nonzero(~done) > _GAP_MAX_PAIRS:
             # too many chord pairs to tighten: the live bounds stand as they are
             done[:] = True
-        np.minimum.at(gap, g[done], lb[done] - slack[g[done]])
-        _raise_first(gap <= 0, names, "gap not certified above rounding")
+        settled = lb[done] - slack[g[done]]
+        _raise_first(settled <= 0, g[done], names, "gap not certified above rounding")
+        gap = min(gap, float(settled.min(initial=math.inf)))
         live = ~done
         if not live.any():
-            return
-        rows = _halve([x[live] for x in rows], bent_a[live], 2, 3)
-        rows = _halve(rows, curve.k[rows[4]] > 0, 5, 6)
+            return ub, gap
+        bent_a, bent_b = bent_a[live], bent_b[live]
+        m = _split_count(bent_a, bent_b)
+        rows = _split([x[live] for x in rows], bent_a, m, 2, 3)
+        rows = _split(rows, curve.k[rows[4]] > 0, m, 5, 6)
     raise OverlapError(f"{names[rows[0][0]]}: gap not resolved within {_GAP_ROUNDS} rounds")
 
 
-def _raise_first(bad: np.ndarray, names: list[str], what: str) -> None:
+def _raise_first(bad: np.ndarray, g: np.ndarray, names: list[str], what: str) -> None:
     if bad.any():
-        raise OverlapError(f"{names[int(np.argmax(bad))]} {what}")
+        raise OverlapError(f"{names[g[int(np.argmax(bad))]]} {what}")
 
 
-def _halve(pairs, split, lo, hi):
-    """Replace the chord (pairs[lo], pairs[hi]) of each row with ``split``
-    set by its two halves; the other columns are copied."""
-    rep = np.repeat(np.arange(split.size), 1 + split)
-    second = np.zeros(rep.size, bool)
-    second[1:] = rep[1:] == rep[:-1]
-    out = [x[rep] for x in pairs]
-    mid = 0.5 * (out[lo] + out[hi])
-    out[hi] = np.where(split[rep] & ~second, mid, out[hi])
-    out[lo] = np.where(second, mid, out[lo])
+def _split_count(bent_a: np.ndarray, bent_b: np.ndarray) -> int:
+    """2^s pieces per curved chord: the largest s in [1, _SPLIT_MAX] that keeps
+    the next round within _SPLIT_ROWS rows, or 1 when none does."""
+    one = np.count_nonzero(bent_a != bent_b)
+    two = np.count_nonzero(bent_a & bent_b)
+    s = 1
+    while s < _SPLIT_MAX and one * 2 ** (s + 1) + two * 4 ** (s + 1) <= _SPLIT_ROWS:
+        s += 1
+    return 2 ** s
+
+
+def _split(rows, split, m, lo, hi):
+    """Replace the chord (rows[lo], rows[hi]) of each row with ``split`` set
+    by its m equal pieces; the other columns are copied.  The cut points are
+    (1 - f) t0 + f t1, so the pieces meet exactly and end at t0 and t1."""
+    per = np.where(split, m, 1)
+    rep = np.repeat(np.arange(split.size), per)
+    j = np.arange(rep.size) - np.repeat(np.cumsum(per) - per, per)
+    out = [x[rep] for x in rows]
+    f0, f1 = j / per[rep], (j + 1) / per[rep]
+    t0, t1 = out[lo], out[hi]
+    out[lo], out[hi] = (1 - f0) * t0 + f0 * t1, (1 - f1) * t0 + f1 * t1
     return out
 
 

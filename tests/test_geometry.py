@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anacap import geometry
 from anacap.errors import (
     DegenerateShapeError,
     OverlapError,
@@ -205,6 +206,83 @@ def test_certified_gap_along_normal(shape_point, log_delta, outside, rel_rho):
     else:
         with pytest.raises(OverlapError):
             validate_scene(sc)
+
+
+@st.composite
+def far_shapes(draw, scale):
+    """1-3 disks or ellipses of size at most ``scale`` on a circle of radius
+    10 scale about 0, at least 5 scale from the near pair and each other."""
+    out = []
+    for k in range(draw(st.integers(1, 3))):
+        c = 10 * scale * cmath.exp(1j * (2 * math.pi * k / 3 + draw(st.floats(-0.3, 0.3))))
+        size = scale * draw(st.floats(0.2, 1.0))
+        if draw(st.booleans()):
+            out.append(Disk(c, size))
+        else:
+            out.append(Ellipse(c, size, size * draw(st.floats(0.05, 1.0)),
+                               draw(st.floats(-math.pi, math.pi))))
+    return out
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(convex_shape_point(), st.floats(-7, -1), st.floats(0.05, 1.0), st.data())
+def test_least_gap_among_several_pairs(shape_point, log_delta, rel_rho, data):
+    # the near pair's gap delta is the least; the far pairs settle against it
+    shape, p, n, scale = shape_point
+    delta, rho = 10 ** log_delta * scale, rel_rho * scale
+    shapes = [shape, Disk(p + (rho + delta) * n, rho), *data.draw(far_shapes(scale))]
+    gap = validate_scene(scene(data.draw(st.permutations(shapes)))).min_gap
+    assert delta * (1 - 1e-6) <= gap <= delta + 1e-14 * scale
+
+
+def test_sagitta_bounds_wide_chords(rng):
+    # every point of z([t0, t1]) lies within the sagitta of the chord, for
+    # chords up to a full turn of thin ellipses and of arcs either way round
+    for _ in range(300):
+        c, size = complex(*rng.uniform(-3, 3, 2)), rng.uniform(0.1, 3)
+        if rng.random() < 0.5:
+            shape = Ellipse(c, size, size * 10 ** rng.uniform(-3, 0), rng.uniform(-math.pi, math.pi))
+        else:
+            th, turn = rng.uniform(-math.pi, math.pi), rng.choice([-1, 1]) * rng.uniform(0.1, 1)
+            shape = ArcChain((CircularArc(c, size, th, th + 2 * math.pi * turn),))
+        arc = arcs(shape)[0]
+        width = rng.uniform(0.05, 1.0) / abs(arc.turns)
+        t0 = rng.uniform(0, 1 - width) if width < 1 else 0.0
+        t1 = t0 + min(width, 1.0)
+        z0, z1 = arc.point(t0), arc.point(t1)
+        z = arc.point(np.linspace(t0, t1, 2001))
+        f = np.clip(((z - z0) * np.conj(z1 - z0)).real / abs(z1 - z0) ** 2, 0, 1) if z1 != z0 else 0
+        off = np.abs(z - (z0 + f * (z1 - z0)))
+        assert off.max() <= arc.sagitta(t0, t1) + 1e-13 * (abs(c) + size)
+
+
+@pytest.mark.parametrize("g, floor", [(0.1, 1 - 1.4e-7), (1e-3, 1 - 1.4e-5), (1e-6, 0.986)])
+def test_gap_under_concave_bite_stops_at_the_pair_cap(g, floor):
+    # the arc of the bite runs at gap g along half the disk: the chord pairs
+    # that could hold the minimum outgrow the cap, and the bounds stand
+    r = 1.5
+    bite = ArcChain((CircularArc(0j, r, math.pi / 2, -math.pi / 2), Segment(-1.5j, 3 - 1.5j),
+                     Segment(3 - 1.5j, 3 + 1.5j), Segment(3 + 1.5j, 1.5j)))
+    gap = validate_scene(scene([bite, Disk(0j, r - g)])).min_gap
+    assert floor * g <= gap <= g
+
+
+@pytest.mark.parametrize("shapes, limit", [
+    ([Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)], 1500),
+    ([Disk(0j, 1.0), half_disk(3 + 0j, 0.5), half_disk(3j, 0.5)], 1000),
+])
+def test_gap_kernel_work(monkeypatch, shapes, limit):
+    # chord pairs the kernel evaluates, over all its rounds
+    rows = []
+    segment_distance = geometry._segment_distance
+
+    def counted(a0, a1, b0, b1):
+        rows.append(a0.size)
+        return segment_distance(a0, a1, b0, b1)
+
+    monkeypatch.setattr(geometry, "_segment_distance", counted)
+    validate_scene(scene(shapes))
+    assert 0 < sum(rows) <= limit
 
 
 def test_degenerate_shapes_rejected():
