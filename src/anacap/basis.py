@@ -240,6 +240,25 @@ def _require_star_shaped(shape: Shape, c: complex) -> None:
 # vectorized evaluation engine
 
 
+def _principal_power(w: np.ndarray, beta) -> np.ndarray:
+    """w**beta on the principal branch, in real arithmetic.
+
+    exp(beta ln|w|) (cos(beta theta) + i sin(beta theta)) with
+    theta = arctan2(Im w, Re w): the branch of the complex log, signed zeros
+    on the negative axis included, from real vectorized log, exp, sin and
+    cos and the overflow-safe |w|.  ``beta`` broadcasts against ``w``.
+    """
+    mod = np.log(np.abs(w))
+    mod *= beta
+    np.exp(mod, out=mod)
+    theta = np.arctan2(w.imag, w.real)
+    theta *= beta
+    out = np.empty(mod.shape, complex)
+    np.multiply(mod, np.cos(theta), out=out.real)
+    np.multiply(mod, np.sin(theta), out=out.imag)
+    return out
+
+
 class BasisSet:
     """Grouped, vectorized evaluator for a list of basis functions.
 
@@ -249,9 +268,11 @@ class BasisSet:
     per call: the pole powers (z - c)^-k once per (c, k), shared by the
     ``PowerPole`` and ``CornerAdapted`` members, and the fractional powers
     ((z - a)/(z - c))^beta once per corner group (c, a, beta), whatever its
-    number of k.  A member is then one gather, or one gather and one product;
+    number of k, in real arithmetic (:func:`_principal_power`).  A member is
+    then one gather, or one gather and one product in a fixed operand order;
     the operations on each element are those of a member-by-member
-    evaluation, so the values are bitwise the same.  Branch-cut and pole
+    evaluation, so the values are bitwise the same, and a value's bits do
+    not depend on how many nodes the call evaluates.  Branch-cut and pole
     checks are not performed here; boundary quadrature never touches those
     sets for valid scenes.
 
@@ -332,14 +353,12 @@ class BasisSet:
                     rows = self._rows_at.get(pt)
                     if rows is not None:
                         num[rows] = np.reshape(delta, -1)
-                frac = np.exp(self._gb * np.log(num / zc))
-                # NumPy's complex multiply is not commutative to the last bit,
-                # and for a temporary right operand of 256 KiB or more it
-                # reuses that buffer and swaps the operands.  A named left
-                # factor and a temporary right one, as in the row-per-member
-                # form vals * (z - c)**-k, give that form's bits at any size.
+                frac = _principal_power(num / zc, self._gb)
+                # into a named buffer in a fixed operand order, so a value's
+                # bits do not depend on how many nodes the call evaluates
                 vals = frac[self._c_group]
-                out[self._ci] = vals * pw[self._c_pole]
+                np.multiply(vals, pw[self._c_pole], out=vals)
+                out[self._ci] = vals
         return out[:, 0] if scalar else out.reshape((self.n,) + z.shape)
 
     def corner_points(self) -> np.ndarray:

@@ -5,13 +5,15 @@ integrand reduces its values at a whole node array against the weights, so a
 Gram block is one matrix product per node set.  Rules double until two
 successive sums agree, per component and separately on real and imaginary
 parts, to max(abs_tol, 64 eps * size): the floor keeps absolute tolerances
-meaningful for integrands of very large magnitude.
+meaningful for integrands of very large magnitude.  Both rules start at 64
+nodes; coarser levels cost integrand calls without ever being accepted on
+corner-mapped pieces.
 
 * Closed arcs (start == end: disks, ellipses) use the periodic trapezoid
   rule, which converges geometrically on analytic curves: 64 midpoint nodes,
   then each doubling adds the midpoints and keeps the earlier sum.
 * Open arcs (segments, circular arcs) use composite 16-point Gauss-Legendre
-  panels, doubling the panel count.
+  panels: 4 panels, then each doubling doubles the panel count.
 * Integrable endpoint singularities (corner-adapted products behave like
   |t - t0|^s with s > -1/2 at a corner) are handled on the half arc next to
   the corner by t = t0 + w*u^6 with u on Gauss-Legendre panels, which makes
@@ -30,7 +32,7 @@ from .geometry import ParametricArc
 
 _EPS = float(np.finfo(float).eps)
 _SING_POWER = 6  # u^6 endpoint map: exponent s > -1/2 becomes > +2
-_TRAPEZOID_START = 64
+_START_NODES = 64  # first level of both rules
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _MAX_NODES = 1 << 16  # per arc piece
 _CHUNK = 4096  # nodes per integrand call; bounds the integrand's temporaries
@@ -50,7 +52,7 @@ class QuadratureSettings:
 
 def _trapezoid_levels():
     """(nodes, weight, kept share of the previous sum, total nodes) per level."""
-    n = _TRAPEZOID_START
+    n = _START_NODES
     shift = 0.5 / n
     yield shift + np.arange(n) / n, 1.0 / n, 0.0, n
     while True:
@@ -72,8 +74,8 @@ def _panel_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _panel_levels():
-    """Composite Gauss-Legendre rules on [0, 1] with 1, 2, 4, ... panels."""
-    panels = 1
+    """Composite Gauss-Legendre rules on [0, 1] with 4, 8, 16, ... panels."""
+    panels = _START_NODES // _GL_X.size
     while True:
         x, w = _panel_rule(panels)
         yield x, w, 0.0, x.size
@@ -146,9 +148,11 @@ def integrate_arc(f, arc: ParametricArc, settings: QuadratureSettings,
     singularities of g (corner points).  ``scale`` maps an estimate to the
     size of its terms, which sets the rounding floor: a component's own size
     by default, while sums that cancel far below their terms (off-diagonal
-    Gram entries) must pass a bound on the sum of |g|.  Raises
+    Gram entries) must pass a bound on the sum of |g|.  Each piece starts at
+    64 nodes (64 trapezoid nodes, or 4 Gauss-Legendre panels), and
+    ``max_depth`` counts the doublings from there.  Raises
     :class:`MaxDepthError` if the tolerance is not met within ``max_depth``
-    doublings or 2^16 nodes.
+    doublings or 2^16 nodes per piece.
     """
     if singular_start or singular_end:
         pieces = [_mapped(0.5, False) if singular_start else _plain(0.0, 0.5),

@@ -107,12 +107,14 @@ class _Factorization:
                 "dependent -- use a smaller schedule") from err
         self.H = H
 
-    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """x with H x = rhs, the product H x, and the relative residual."""
         y = scipy.linalg.cho_solve(self.cf, rhs * self.s, check_finite=False)
         x = y * self.s
+        hx = _hmul(self.H, x)
         norm = float(np.max(np.abs(rhs))) or 1.0
-        residual = float(np.max(np.abs(_hmul(self.H, x) - rhs))) / norm
-        return x, residual
+        residual = float(np.max(np.abs(hx - rhs))) / norm
+        return x, hx, residual
 
 
 def upper_bound(sys: GramSystem) -> float:
@@ -127,15 +129,15 @@ def lower_bound(sys: GramSystem) -> float:
 
 def _upper(fact: _Factorization, gram: GramData) -> tuple[float, float]:
     u = gram.u
-    x, res = fact.solve(-u)
+    x, hx, res = fact.solve(-u)
     # objective evaluated at x stays a valid upper bound under solve error
-    val = gram.c0 + 2.0 * np.vdot(x, u).real + np.vdot(x, _hmul(fact.H, x)).real
+    val = gram.c0 + 2.0 * np.vdot(x, u).real + np.vdot(x, hx).real
     return float(val), res
 
 
 def _lower(fact: _Factorization, gram: GramData, d: np.ndarray) -> tuple[float, float]:
-    x, res = fact.solve(d.astype(complex))
-    val = 2.0 * np.vdot(x, d).real - np.vdot(x, _hmul(fact.H, x)).real
+    x, hx, res = fact.solve(d.astype(complex))
+    val = 2.0 * np.vdot(x, d).real - np.vdot(x, hx).real
     return float(val), res
 
 

@@ -67,8 +67,15 @@ def row_per_member_eval(funcs, z, corner_subs=None):
         for pt, delta in corner_subs or ():
             num[ca == pt] = np.reshape(delta, -1)
         w = num / zc
-        vals = np.exp(cb[:, None] * np.log(w))
-        out[ci] = vals * zc ** (-ck[:, None])
+        # exp(beta ln|w|) (cos + i sin)(beta arg w), arg w = arctan2(Im w, Re w)
+        beta = cb[:, None]
+        mod = np.exp(beta * np.log(np.abs(w)))
+        theta = beta * np.arctan2(w.imag, w.real)
+        vals = np.empty(w.shape, complex)
+        vals.real = mod * np.cos(theta)
+        vals.imag = mod * np.sin(theta)
+        np.multiply(vals, zc ** (-ck[:, None]), out=vals)
+        out[ci] = vals
     return out.reshape((len(funcs),) + z.shape)
 
 

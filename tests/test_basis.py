@@ -11,6 +11,7 @@ from anacap.basis import (
     PowerPole,
     Rings,
     SimplePole,
+    _principal_power,
     build_basis,
     corner_exponent,
     disk_pole_layout,
@@ -33,6 +34,7 @@ from anacap.geometry import (
 from conftest import MIXED_SHAPES, row_per_member_eval, same_bits
 
 SQUARE = Polygon((1 + 0j, 1j, -1 + 0j, -1j))
+EPS = float(np.finfo(float).eps)
 
 
 # --- evaluation -------------------------------------------------------------
@@ -289,6 +291,66 @@ def test_eval_all_bitwise_equal_to_row_per_member_eval(shapes, schedule):
             z0, subs0 = complex(z[0]), [(p, d[0]) for p, d in subs]
             assert same_bits(bs.eval_all(z0, corner_subs=subs0),
                              row_per_member_eval(funcs, z0, subs0))
+
+
+def test_corner_values_do_not_depend_on_the_node_count():
+    # at 1024 nodes the square's gathered pole powers take 384 KiB, past the
+    # size at which NumPy reuses a temporary operand and swaps the operands of
+    # a complex product; the first 16 nodes keep the bits they have alone
+    sc = validate_scene(scene([SQUARE]))
+    bs = BasisSet(build_basis(sc, Powers(6, True)))
+    for arc in arcs(SQUARE):
+        z, subs = _arc_nodes(arc, 1024)
+        assert same_bits(bs.eval_all(z)[:, :16], bs.eval_all(z[:16]))
+        head = [(p, d[:16]) for p, d in subs]
+        assert same_bits(bs.eval_all(z, corner_subs=subs)[:, :16],
+                         bs.eval_all(z[:16], corner_subs=head))
+
+
+def _mp_principal_power(mp, w: complex, beta: float):
+    """40-digit w**beta on the principal branch; -0 imaginary parts on the
+    negative axis take the lower side of the cut."""
+    lower_side = w.imag == 0.0 and w.real < 0.0 and math.copysign(1.0, w.imag) < 0.0
+    v = mp.exp(mp.mpf(beta) * mp.log(mp.mpc(w.real, abs(w.imag) if lower_side else w.imag)))
+    return mp.conj(v) if lower_side else v
+
+
+def test_principal_power_against_mpmath(rng):
+    # |w| log-uniform over [1e-200, 1e3]; arguments anywhere in (-pi, pi],
+    # within 1e-16 .. 1e-1 of +-pi, and exactly +-pi through signed zeros
+    mp = pytest.importorskip("mpmath")
+    m = 200
+    mod = 10.0 ** rng.uniform(-200.0, 3.0, 4 * m)
+    near = math.pi - 10.0 ** rng.uniform(-16.0, -1.0, m)
+    arg = np.concatenate((rng.uniform(-math.pi, math.pi, 2 * m), near, -near))
+    w = mod * np.exp(1j * arg)
+    axis = 10.0 ** rng.uniform(-200.0, 3.0, 2 * m)
+    w = np.concatenate((w, [complex(-x, 0.0) for x in axis[:m]],
+                        [complex(-x, -0.0) for x in axis[m:]]))
+    for beta in (-1 / 6, -1 / 3, 1 / 4, 0.499):
+        got = _principal_power(w, beta)
+        with mp.workdps(40):
+            for wi, gi in zip(w, got):
+                ref = _mp_principal_power(mp, complex(wi), beta)
+                bound = (abs(beta * math.log(abs(wi))) + abs(beta * cmath.phase(wi)) + 8.0)
+                assert abs(mp.mpc(gi) - ref) <= bound * EPS * abs(ref)
+
+
+def test_eval_all_matches_scalar_eval_on_both_sides_of_the_cut():
+    # the cut of ((z - a)/(z - c))^beta is the segment from a to c; nodes just
+    # above and below it take the value of their own side
+    c, a = 0.1 + 0.2j, 1.3 - 0.4j
+    funcs = [CornerAdapted(c, a, beta, k) for beta in (-1 / 6, 0.499) for k in (1, 3)]
+    bs = BasisSet(funcs)
+    normal = 1j * (a - c) / abs(a - c)
+    t = np.linspace(0.05, 0.95, 7)
+    for offset in (1e-13, 1e-9, 1e-5, 1e-2):
+        for side in (1.0, -1.0):
+            z = c + t * (a - c) + side * offset * normal
+            vals = bs.eval_all(z)
+            for i, b in enumerate(funcs):
+                want = np.array([b.eval(complex(x)) for x in z])
+                assert np.all(np.abs(vals[i] - want) <= 1e-13 * np.abs(want))
 
 
 def test_eval_all_interleaved_groups_and_shared_pole_powers():

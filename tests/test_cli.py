@@ -230,9 +230,10 @@ def test_quad_flags_after_subcommand(config_file, capsys):
 def test_max_depth_failure_is_numerical_exit(config_file, capsys):
     from anacap.cli import EXIT_NUMERICAL
 
-    # two panel doublings do not resolve the corner-adapted square; three do
+    # at tolerance 1e-12, one doubling from the 4-panel start does not
+    # resolve the corner-adapted square; two do
     code, _, err = run(capsys, "gamma", "--config", config_file(SQUARE_CORNERS),
-                       "--quad-max-depth", "2")
+                       "--quad-max-depth", "1", "--quad-tol", "1e-12")
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in err
 

@@ -430,6 +430,27 @@ def test_corner_gram_bitwise_equal_to_row_per_member_assembly(shapes, schedule):
     assert got.c0 == want.c0
 
 
+@pytest.mark.parametrize("shapes,schedule,calls,nodes", [
+    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, True), 16, 1536),
+    (MIXED_SHAPES, Powers(3, True), 26, 4736),
+], ids=["square-Powers6", "mixed-Powers3"])
+def test_corner_assembly_work(monkeypatch, shapes, schedule, calls, nodes):
+    # integrand calls and nodes of one assembly: every piece starts at 64
+    # nodes, and no corner-mapped piece is accepted below 8 panels
+    sc = validate_scene(scene(shapes))
+    bs = BasisSet(build_basis(sc, schedule))
+    sizes = []
+    eval_all = bs.eval_all
+
+    def counted(z, corner_subs=None):
+        sizes.append(np.size(z))
+        return eval_all(z, corner_subs)
+
+    monkeypatch.setattr(bs, "eval_all", counted)
+    assemble_gram(sc, bs)
+    assert 0 < len(sizes) <= calls and sum(sizes) <= nodes
+
+
 def test_gram_data_scales_each_component_by_the_reciprocal_of_two_pi(rng):
     n = 40
     parts = [rng.normal(size=(n + 1, n)) * 10.0 ** rng.integers(-300, 300, (n + 1, n))
