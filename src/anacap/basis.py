@@ -25,7 +25,7 @@ import numpy as np
 
 from . import geometry
 from .errors import BranchCutError, PoleEvaluationError, SceneConfigError
-from .geometry import Disk, Ellipse, Scene, Segment, Shape
+from .geometry import Disk, Ellipse, Scene, Shape
 
 
 @dataclass(frozen=True)
@@ -210,25 +210,26 @@ def _require_star_shaped(shape: Shape, c: complex) -> None:
     The branch cut of each corner function is the segment (corner, c); it
     stays inside the shape when the shape is star-shaped about c, which for
     a positively oriented simple boundary is exactly this monotonicity.  It
-    holds piece by piece:
+    holds piece by piece, on the pieces of ``geometry.arcs``:
 
-    * segment z0 -> z1: Im(conj(z0 - c) (z1 - z0)) > 0;
-    * arc C + r e^{i theta} travelled in direction s = +-1, with w = C - c:
-      the rate of arg(z - c) along the arc has the sign of
-      s (r + Re(conj(w) e^{i theta})), whose extremes in theta lie at the
-      two ends and at theta = arg w + k pi inside the arc.
+    * segment p0 -> p0 + p1: Im(conj(p0 - c) p1) > 0;
+    * arc p0 + |b| e^{i theta}, theta from arg e0 over 2 pi turns, with
+      s = sign(turns) and w = p0 - c: the rate of arg(z - c) along the arc
+      has the sign of s (|b| + Re(conj(w) e^{i theta})), whose extremes in
+      theta lie at the two ends and at theta = arg w + k pi inside the arc.
     """
-    for piece in geometry.boundary_pieces(shape):
-        if isinstance(piece, Segment):
-            ok = ((piece.start - c).conjugate() * (piece.end - piece.start)).imag > 0
+    for arc in geometry.arcs(shape):
+        if not arc.turns:
+            ok = ((arc.p0 - c).conjugate() * arc.p1).imag > 0
         else:
-            s = 1.0 if piece.theta_end > piece.theta_start else -1.0
-            w = piece.center - c
-            lo, hi = sorted((piece.theta_start, piece.theta_end))
+            w = arc.p0 - c
+            theta0 = cmath.phase(arc.e0)
+            lo, hi = sorted((theta0, theta0 + 2.0 * math.pi * arc.turns))
             aw = cmath.phase(w)
             ks = range(math.ceil((lo - aw) / math.pi), math.floor((hi - aw) / math.pi) + 1)
             thetas = [lo, hi, *(aw + k * math.pi for k in ks)]
-            ok = all(s * (piece.radius + (w.conjugate() * cmath.exp(1j * t)).real) > 0
+            ok = all(math.copysign(1.0, arc.turns)
+                     * (abs(arc.b) + (w.conjugate() * cmath.exp(1j * t)).real) > 0
                      for t in thetas)
         if not ok:
             raise SceneConfigError(
@@ -371,24 +372,34 @@ class BasisSet:
 
 
 def schedule_from_config(obj: dict) -> Schedule:
+    """Parse a schedule config.  ``layers`` and ``n`` must be JSON integers
+    and ``corners`` a JSON boolean: a float, a bool or a string in their
+    place is a :class:`SceneConfigError`, not a coerced value."""
     if not isinstance(obj, dict) or "mode" not in obj:
         raise SceneConfigError("schedule needs a 'mode' field")
     mode = obj["mode"]
     if mode == "rings":
         if set(obj) - {"mode", "layers"}:
             raise SceneConfigError("unknown fields in rings schedule")
-        try:
-            return Rings(int(obj["layers"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SceneConfigError(f"bad rings schedule: {exc}") from exc
+        return Rings(_config_int(obj, "layers", mode))
     if mode == "powers":
         if set(obj) - {"mode", "n", "corners"}:
             raise SceneConfigError("unknown fields in powers schedule")
-        try:
-            return Powers(int(obj["n"]), bool(obj.get("corners", False)))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SceneConfigError(f"bad powers schedule: {exc}") from exc
+        corners = obj.get("corners", False)
+        if not isinstance(corners, bool):
+            raise SceneConfigError(f"powers schedule 'corners' must be true or false, "
+                                   f"got {corners!r}")
+        return Powers(_config_int(obj, "n", mode), corners)
     raise SceneConfigError(f"unknown schedule mode {mode!r}")
+
+
+def _config_int(obj: dict, key: str, mode: str) -> int:
+    if key not in obj:
+        raise SceneConfigError(f"{mode} schedule needs a {key!r} field")
+    val = obj[key]
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise SceneConfigError(f"{mode} schedule {key!r} must be an integer, got {val!r}")
+    return val
 
 
 def schedule_to_config(s: Schedule) -> dict:

@@ -26,7 +26,7 @@ from . import exact
 from . import sublab as _sweepmod
 from .basis import schedule_from_config
 from .discrete import DiskConfiguration, discrete_report
-from .errors import AnacapError, DomainError, SceneConfigError
+from .errors import AnacapError, DomainError, SceneConfigError, SplitError
 from .geometry import Disk, load_scene, validate_scene
 from .quadrature import QuadratureSettings
 from .solver import gamma_bounds
@@ -36,7 +36,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VIOLATION = 4
 
-_CONFIG_ERRORS = (SceneConfigError, DomainError)
+_CONFIG_ERRORS = (SceneConfigError, DomainError, SplitError)
 
 
 def _fmt(x) -> str:

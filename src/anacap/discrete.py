@@ -58,12 +58,7 @@ class DiskConfiguration:
         return len(self.centers)
 
     def min_center_distance(self) -> float:
-        z = np.asarray(self.centers, complex)
-        if len(z) == 1:
-            return math.inf
-        d = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(d, math.inf)
-        return float(d.min())
+        return float(_pair_distances(np.asarray(self.centers, complex)).min())
 
 
 @dataclass(frozen=True)
@@ -86,13 +81,17 @@ class DiscreteReport:
         return out
 
 
+def _pair_distances(z: np.ndarray) -> np.ndarray:
+    """|z_j - z_k| for all pairs, with an infinite diagonal."""
+    d = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(d, np.inf)
+    return d
+
+
 def _centers_array(Z) -> np.ndarray:
     z = np.asarray(list(Z), complex)
-    if z.size > 1:
-        d = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(d, np.inf)
-        if d.min() == 0.0:
-            raise DuplicateCenterError("coincident centers")
+    if z.size > 1 and _pair_distances(z).min() == 0.0:
+        raise DuplicateCenterError("coincident centers")
     return z
 
 
@@ -130,8 +129,7 @@ def melnikov_M(Z, r: float) -> float:
     z = _centers_array(Z)
     if len(z) == 1:
         return 0.0
-    d = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(d, np.inf)
+    d = _pair_distances(z)
     return float(r ** 4 * np.sum(d ** -4.0))
 
 
@@ -140,8 +138,7 @@ def melnikov_N(Z, r: float) -> float:
     z = _centers_array(Z)
     if len(z) == 1:
         return 0.0
-    d = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(d, np.inf)
+    d = _pair_distances(z)
     s2 = float(np.sum(d ** -2.0))
     return r * math.sqrt(s2) * math.sqrt(melnikov_M(Z, r))
 
@@ -171,8 +168,7 @@ def alpha_geometric(Z) -> float:
     n = len(z)
     if n == 1:
         return 0.0
-    d = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(d, np.inf)
+    d = _pair_distances(z)
     total = float(np.sum(d ** -2.0))
     diam = float(np.max(np.where(np.isfinite(d), d, 0.0))) or 1.0
     area_floor = 1e-14 * diam * diam
@@ -220,8 +216,7 @@ def sandwich_check(Z, r: float, gamma_lower: float, gamma_upper: float,
     bracket [gamma_lower, gamma_upper]; requires 4r-separated centers."""
     z = _centers_array(Z)
     if len(z) > 1:
-        d = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(d, np.inf)
+        d = _pair_distances(z)
         if d.min() <= 4.0 * r:
             raise PreconditionError(
                 f"doubled disks overlap: min center distance {d.min()} <= 4r = {4 * r}")

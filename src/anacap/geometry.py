@@ -4,18 +4,25 @@ A compact set K is a :class:`Scene`: a list of pairwise-disjoint closed shapes,
 each tagged ``"E"`` or ``"F"``.  Every shape is a Jordan curve made of finitely
 many analytic pieces.  The module knows how to
 
+* describe every boundary piece (segment, circular arc, ellipse, disk) in one
+  coefficient form, :class:`ParametricArc`, which every other operation
+  here, the quadrature and the gap kernel read,
 * validate a scene without sampling: simple, positively oriented curves,
-  containment by an exact winding number, and a certified lower bound on
-  the least pairwise gap from a chord-bound branch-and-bound (each boundary
-  is covered by chords that carry their sagitta bounds, and only chord
-  pairs that could hold the minimum are cut finer),
+  containment by an exact winding number (points on a boundary are
+  outside), and a certified lower bound on the least pairwise gap from a
+  chord-bound branch-and-bound (each boundary is covered by chords that
+  carry their sagitta bounds, and only chord pairs that could hold the
+  minimum are cut finer),
 * list the corners of a shape together with the angle the complement
   occupies there,
-* describe every boundary piece (segment, circular arc, ellipse, disk) in one
-  coefficient form, :class:`ParametricArc`, which both the quadrature and
-  the gap kernel read,
-* pick an interior anchor point for pole placement, and
+* pick an interior anchor point for pole placement, exactly: the mean of
+  the pieces' parameter means, or an inward probe when that is not inside,
+  and
 * apply affine maps z -> a*z + b.
+
+``Segment`` and ``CircularArc`` are input records of an :class:`ArcChain`;
+only the input checks, :func:`arcs`, :func:`transform` and the JSON schema
+read them.
 
 Points are plain ``complex`` numbers throughout.
 """
@@ -289,7 +296,6 @@ def _check_polygon(p: Polygon) -> None:
 def _check_arc_chain(ch: ArcChain) -> None:
     if not ch.pieces:
         raise DegenerateShapeError("arc chain has no pieces")
-    pts = []
     for piece in ch.pieces:
         if isinstance(piece, Segment):
             _require_finite("segment ends", piece.start, piece.end)
@@ -306,12 +312,10 @@ def _check_arc_chain(ch: ArcChain) -> None:
                 raise DegenerateShapeError("arc turns more than once")
         else:
             raise DegenerateShapeError(f"unknown piece {type(piece).__name__}")
-        pts.append(_piece_ends(piece))
-    scale = max(max(abs(a), abs(b)) for a, b in pts) or 1.0
-    for i in range(len(pts)):
-        end_i = pts[i][1]
-        start_next = pts[(i + 1) % len(pts)][0]
-        if abs(end_i - start_next) > 1e-9 * scale:
+    pieces = arcs(ch)
+    scale = max(max(abs(arc.start), abs(arc.end)) for arc in pieces) or 1.0
+    for i, arc in enumerate(pieces):
+        if abs(pieces[i - 1].end - arc.start) > 1e-9 * scale:
             raise DegenerateShapeError("arc chain pieces do not join end-to-start")
     _check_simple_curve(ch)
 
@@ -319,87 +323,71 @@ def _check_arc_chain(ch: ArcChain) -> None:
 def _check_simple_curve(s: Union[Polygon, ArcChain]) -> None:
     """Positive orientation (exact signed area) and simplicity: every two
     non-adjacent pieces have a certified positive gap."""
-    pieces = boundary_pieces(s)
+    pieces = arcs(s)
     if _signed_area(pieces) <= 0:
         raise DegenerateShapeError("boundary must be positively oriented")
     if len(pieces) > 3:
         try:
-            _certified_gaps([_stack(arcs(s))], [(0, 0)], ["two non-adjacent pieces"])
+            _certified_gaps([_stack(pieces)], [(0, 0)], ["two non-adjacent pieces"])
         except OverlapError as exc:
             raise DegenerateShapeError(f"boundary is not simple: {exc}") from None
 
 
-def _piece_ends(piece) -> tuple[complex, complex]:
-    if isinstance(piece, Segment):
-        return piece.start, piece.end
-    return _piece_endpoint(piece, at_end=False), _piece_endpoint(piece, at_end=True)
-
-
-def _signed_area(pieces) -> float:
-    # (1/2) sum of Im(conj(z) dz) over each piece, in closed form; on an arc
-    # z = C + r e^{i theta} it is Im(conj(C) (z1 - z0)) + r^2 (theta1 - theta0)
-    total = 0.0
-    for piece in pieces:
-        z0, z1 = _piece_ends(piece)
-        if isinstance(piece, Segment):
-            total += (z0.conjugate() * z1).imag
-        else:
-            total += ((piece.center.conjugate() * (z1 - z0)).imag
-                      + piece.radius ** 2 * (piece.theta_end - piece.theta_start))
-    return 0.5 * total
-
-
-def boundary_pieces(s: Union[Polygon, ArcChain]) -> tuple[Union[Segment, CircularArc], ...]:
-    """The segments and circular arcs of a polygon or an arc chain, in order."""
-    if isinstance(s, Polygon):
-        v = s.vertices
-        return tuple(Segment(v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
-    if isinstance(s, ArcChain):
-        return s.pieces
-    raise DegenerateShapeError(f"{type(s).__name__} has no segment or arc pieces")
-
-
-def boundary_polyline(s: Shape, n: int = 512) -> np.ndarray:
-    """Sampled boundary points (complex ndarray), positively oriented."""
-    pieces = arcs(s)
-    t = np.linspace(0.0, 1.0, max(8, n // len(pieces)), endpoint=False)
-    return np.concatenate([arc.point(t) for arc in pieces])
+def _signed_area(pieces: list[ParametricArc]) -> float:
+    # (1/2) sum of Im(conj(z) dz) over each piece, in closed form: with
+    # z = p0 + u, u = b e + d conj(e) (p1 = 0 on a curved piece), it is
+    # Im(conj(p0) (z1 - z0)) plus (|b|^2 - |d|^2) times the angle 2 pi turns
+    return 0.5 * sum((arc.p0.conjugate() * (arc.end - arc.start)).imag
+                     + (abs(arc.b) ** 2 - abs(arc.d) ** 2) * TWO_PI * arc.turns
+                     for arc in pieces)
 
 
 def point_in_shape(s: Shape, z: complex) -> bool:
-    """True iff z lies strictly inside s."""
-    if isinstance(s, Disk):
-        return abs(z - s.center) < s.radius
-    if isinstance(s, Ellipse):
-        w = (z - s.center) * cmath.exp(-1j * s.rotation)
-        return (w.real / s.semi_major) ** 2 + (w.imag / s.semi_minor) ** 2 < 1.0
-    if isinstance(s, (Polygon, ArcChain)):
-        return _winding_number(boundary_pieces(s), z) != 0
-    raise DegenerateShapeError(f"unknown shape {type(s).__name__}")
+    """True iff z lies strictly inside s (points on the boundary are outside).
+
+    Each call builds the boundary pieces; a caller that tests many points
+    builds ``arcs(s)`` once and reads :func:`_winding_number`.
+    """
+    return _winding_number(arcs(s), z) != 0
 
 
-def _winding_number(pieces, z: complex) -> int:
+def _winding_number(pieces: list[ParametricArc], z: complex) -> int:
     """Winding number of the closed boundary about z, in closed form.
 
-    A segment z0 -> z1 turns arg(w - z) by arg((z1 - z)/(z0 - z)).  An arc
-    turns it by the same chord angle plus 2 pi (signed by the arc's
-    direction) when z lies between the arc and its chord, since arc plus
-    reversed chord is a loop around that region.  Points on the boundary
-    count as outside.
+    Each piece z0 -> z1 turns arg(w - z) by its chord angle
+    arg((z1 - z)/(z0 - z)).  A curved piece (p1 = 0) turns it by 2 pi more,
+    signed by its direction, when z lies in its lens between the piece and
+    its chord, since piece plus reversed chord is a loop around the lens.
+    The lens is the part of the piece's disk or ellipse, the points whose e
+    solving z - p0 = b e + d conj(e) has |e| < 1, on the piece's side of
+    the chord (all of it for a whole turn); on the open chord itself the
+    piece turns the argument by half a turn.  Points on the boundary count
+    as outside: a segment holds z when its chord ratio is real and
+    negative, a curved piece when |e| = 1 on its side of the chord.
     """
     total = 0.0
-    for piece in pieces:
-        z0, z1 = _piece_ends(piece)
-        if z0 == z or z1 == z:
+    for arc in pieces:
+        z0, z1 = arc.start, arc.end
+        if z in (z0, z1):
             return 0
-        total += cmath.phase((z1 - z) / (z0 - z))
-        if isinstance(piece, CircularArc) and abs(z - piece.center) < piece.radius:
-            turn = piece.theta_end - piece.theta_start
-            mid = _piece_point(piece, piece.theta_start + 0.5 * turn)
+        ratio = (z1 - z) / (z0 - z)
+        angle = cmath.phase(ratio)
+        if arc.turns:
+            w = z - arc.p0
+            e = abs((arc.b.conjugate() * w - arc.d * w.conjugate())
+                    / (abs(arc.b) ** 2 - abs(arc.d) ** 2))
             chord = (z1 - z0).conjugate()
-            # a full circle has no chord: its whole disk is the region
-            if abs(turn) == TWO_PI or (chord * (z - z0)).imag * (chord * (mid - z0)).imag > 0:
-                total += math.copysign(TWO_PI, turn)
+            side = 1.0 if abs(arc.turns) == 1 else (
+                (chord * (z - z0)).imag * (chord * (arc.point(0.5) - z0)).imag)
+            if e == 1 and side > 0:
+                return 0
+            if e < 1 and side > 0:
+                angle += math.copysign(TWO_PI, arc.turns)
+            elif e < 1 and side == 0:
+                angle = math.copysign(math.pi, arc.turns)
+        elif ratio.imag == 0 and ratio.real < 0:
+            return 0
+        total += angle
     return round(total / TWO_PI)
 
 
@@ -413,47 +401,26 @@ def corners(s: Shape) -> list[Corner]:
     Smooth shapes (disks, ellipses) have none.  For polygons and arc chains,
     every junction where the tangent turns by more than 1e-9 becomes a corner
     with ``omega_angle = pi + turn`` where ``turn`` is the signed tangent
-    rotation in (-pi, pi); a turn within 1e-9 of +-pi (a cusp) raises
+    rotation in (-pi, pi), the angle of z'(0) of a piece over z'(1) of the
+    piece before; a turn within 1e-9 of +-pi (a cusp) raises
     :class:`DegenerateShapeError`.  Corners come in boundary order, from the
     start of the first piece (a polygon's first vertex).
     """
-    if isinstance(s, (Disk, Ellipse)):
-        return []
-    pieces = boundary_pieces(s)
+    pieces = arcs(s)
     out = []
-    for i, piece in enumerate(pieces):
-        # the junction where piece i - 1 ends and piece i starts
-        turn = cmath.phase(_piece_tangent(piece, at_end=False)
-                           / _piece_tangent(pieces[i - 1], at_end=True))
+    for i, arc in enumerate(pieces):
+        turn = cmath.phase(arc.velocity(0) / pieces[i - 1].velocity(1))
         if abs(turn) < 1e-9:
             continue
         if abs(abs(turn) - math.pi) < 1e-9:
             raise DegenerateShapeError("cusp in boundary (zero-angle corner)")
-        out.append(Corner(_piece_endpoint(pieces[i - 1], at_end=True), math.pi + turn))
+        out.append(Corner(arc.start, math.pi + turn))
     return out
 
 
-def _piece_tangent(piece, at_end: bool) -> complex:
-    if isinstance(piece, Segment):
-        d = piece.end - piece.start
-        return d / abs(d)
-    sign = 1.0 if piece.theta_end > piece.theta_start else -1.0
-    theta = piece.theta_end if at_end else piece.theta_start
-    return sign * 1j * cmath.exp(1j * theta)
-
-
-def _piece_endpoint(piece, at_end: bool) -> complex:
-    if isinstance(piece, Segment):
-        return piece.end if at_end else piece.start
-    return _piece_point(piece, piece.theta_end if at_end else piece.theta_start)
-
-
-def _piece_point(arc: CircularArc, theta: float) -> complex:
-    return arc.center + arc.radius * cmath.exp(1j * theta)
-
-
 def arcs(s: Shape) -> list[ParametricArc]:
-    """Positively oriented analytic arcs covering the boundary of s."""
+    """Positively oriented analytic arcs covering the boundary of s; a
+    polygon's and an arc chain's in boundary order, one per edge or piece."""
     if isinstance(s, Disk):
         return arcs(Ellipse(s.center, s.radius, s.radius))
     if isinstance(s, Ellipse):
@@ -461,8 +428,15 @@ def arcs(s: Shape) -> list[ParametricArc]:
         rot = cmath.exp(1j * s.rotation)
         return [ParametricArc(s.center, 0j, 0.5 * (a + b) * rot, 0.5 * (a - b) * rot,
                               1 + 0j, 1.0, max(a, b))]
+    if isinstance(s, Polygon):
+        v = s.vertices
+        pieces = [Segment(z0, z1) for z0, z1 in zip(v, v[1:] + v[:1])]
+    elif isinstance(s, ArcChain):
+        pieces = s.pieces
+    else:
+        raise DegenerateShapeError(f"unknown shape {type(s).__name__}")
     out = []
-    for pc in boundary_pieces(s):
+    for pc in pieces:
         if isinstance(pc, Segment):
             out.append(ParametricArc(pc.start, pc.end - pc.start, 0j, 0j, 1 + 0j, 0.0, 0.0))
         else:
@@ -502,52 +476,32 @@ def arc_length(s: Shape) -> float:
 
 
 def interior_anchor(s: Shape) -> complex:
-    """A point strictly inside the shape, used as the default pole center."""
-    if isinstance(s, (Disk, Ellipse)):
-        return s.center
-    if isinstance(s, Polygon):
-        v = s.vertices
-        cand = sum(v) / len(v)
-        if point_in_shape(s, cand):
-            return cand
-        # area centroid, then inward probes from edge midpoints
-        cand = _polygon_centroid(v)
-        if point_in_shape(s, cand):
-            return cand
-        for i in range(len(v)):
-            mid = 0.5 * (v[i] + v[(i + 1) % len(v)])
-            normal = 1j * (v[(i + 1) % len(v)] - v[i])  # interior is left of travel
-            for frac in (0.25, 0.1, 0.02):
-                p = mid + frac * normal
-                if point_in_shape(s, p):
-                    return p
-        raise DegenerateShapeError("could not find an interior point of polygon")
-    if isinstance(s, ArcChain):
-        poly = boundary_polyline(s, 512)
-        cand = complex(np.mean(poly))
-        if point_in_shape(s, cand):
-            return cand
-        for frac in (0.5, 0.25, 0.75, 0.1, 0.9):
-            for k in range(0, len(poly), 37):
-                p = complex(poly[k] * (1 - frac) + cand * frac)
-                if point_in_shape(s, p):
-                    return p
-        raise DegenerateShapeError("could not find an interior point of arc chain")
-    raise DegenerateShapeError(f"unknown shape {type(s).__name__}")
+    """A point strictly inside the shape, used as the default pole center.
+
+    The mean over the pieces of each piece's exact parameter mean
+    p0 + p1/2 + b m + d conj(m), m = (e(1) - e0)/(2 pi i turns) the mean of
+    e(t): the centre of a disk or an ellipse, the vertex mean of a polygon,
+    c + i r/pi for the half-disk over [c - r, c + r].  When that point is not
+    inside, the anchor is the first inward probe point(1/2) + f i z'(1/2),
+    f = 1/4, 1/10, 1/50, piece by piece, that is inside.
+    """
+    pieces = arcs(s)
+    cand = sum(map(_mean_point, pieces)) / len(pieces)
+    if _winding_number(pieces, cand):
+        return cand
+    for arc in pieces:
+        mid, inward = arc.point(0.5), 1j * arc.velocity(0.5)  # the interior is left of travel
+        for frac in (0.25, 0.1, 0.02):
+            p = complex(mid + frac * inward)
+            if _winding_number(pieces, p):
+                return p
+    raise DegenerateShapeError(f"could not find an interior point of {type(s).__name__}")
 
 
-def _polygon_centroid(v) -> complex:
-    a = 0.0
-    cx = 0.0
-    cy = 0.0
-    for i in range(len(v)):
-        p, q = v[i], v[(i + 1) % len(v)]
-        w = p.real * q.imag - q.real * p.imag
-        a += w
-        cx += (p.real + q.real) * w
-        cy += (p.imag + q.imag) * w
-    a *= 0.5
-    return complex(cx / (6 * a), cy / (6 * a))
+def _mean_point(arc: ParametricArc) -> complex:
+    """The mean of z(t) over t in [0, 1]."""
+    m = (arc._e1() - arc.e0) / (TWO_PI * 1j * arc.turns) if arc.turns else 0j
+    return arc.p0 + 0.5 * arc.p1 + arc.b * m + arc.d * m.conjugate()
 
 
 def transform(sc: Scene, a: complex, b: complex = 0j) -> Scene:
@@ -614,7 +568,8 @@ def validate_scene(sc: Scene) -> Scene:
                 raise OverlapError(f"shapes {i} and {j} have intersecting closures (gap {g:.3g})")
             gap = min(gap, g)
         # a shape inside the other has no boundary crossing for the kernel to see
-        elif point_in_shape(s2, pieces[i][0].start) or point_in_shape(s1, pieces[j][0].start):
+        elif (_winding_number(pieces[j], pieces[i][0].start)
+              or _winding_number(pieces[i], pieces[j][0].start)):
             raise OverlapError(f"shapes {i} and {j} overlap: a boundary point of one lies inside the other")
         else:
             pairs.append((i, j))

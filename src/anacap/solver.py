@@ -26,7 +26,7 @@ from scipy.linalg.blas import zgemv
 
 from .basis import BasisSet, SimplePole, build_basis
 from .errors import SceneConfigError, SingularGramError, SolveError
-from .geometry import Scene, point_in_shape, validate_scene
+from .geometry import Scene, _winding_number, arcs, validate_scene
 from .integrals import GramData, assemble_gram
 from .quadrature import QuadratureSettings
 
@@ -182,9 +182,10 @@ def bounds_for_basis(sc: Scene, basis, settings: QuadratureSettings | None = Non
 
 def _require_poles_inside(sc: Scene, funcs) -> None:
     """Exact test that each member's pole is strictly inside a shape of sc."""
+    boundaries = [arcs(s) for s in sc.shapes]
     for b in funcs:
         pole = b.a if isinstance(b, SimplePole) else b.c
-        if not any(point_in_shape(s, pole) for s in sc.shapes):
+        if not any(_winding_number(pieces, pole) for pieces in boundaries):
             raise SceneConfigError(
                 f"the pole of basis member {b!r} is not strictly inside a shape of the scene")
 

@@ -410,3 +410,30 @@ def test_schedule_config_rejects():
         schedule_from_config({"mode": "spiral", "layers": 1})
     with pytest.raises(SceneConfigError):
         schedule_from_config({"layers": 1})
+
+
+@pytest.mark.parametrize("obj", [
+    {"mode": "powers", "n": 4, "corners": "false"},
+    {"mode": "powers", "n": 4, "corners": 1},
+    {"mode": "powers", "n": 4, "corners": None},
+    {"mode": "powers", "n": 2.9},
+    {"mode": "powers", "n": 4.0},
+    {"mode": "powers", "n": "4"},
+    {"mode": "powers", "n": True},
+    {"mode": "powers"},
+    {"mode": "rings", "layers": True},
+    {"mode": "rings", "layers": 1.5},
+    {"mode": "rings", "layers": "2"},
+    {"mode": "rings", "layers": None},
+])
+def test_schedule_config_rejects_wrong_types(obj):
+    # no coercion: bool("false") is True, int(2.9) is 2 and int(True) is 1
+    with pytest.raises(SceneConfigError):
+        schedule_from_config(obj)
+
+
+def test_schedule_config_accepts_json_types():
+    assert schedule_from_config({"mode": "powers", "n": 4}) == Powers(4, False)
+    assert schedule_from_config({"mode": "powers", "n": 4, "corners": False}) == Powers(4, False)
+    assert schedule_from_config({"mode": "powers", "n": 4, "corners": True}) == Powers(4, True)
+    assert schedule_from_config({"mode": "rings", "layers": 0}) == Rings(0)

@@ -68,6 +68,14 @@ def test_gamma_missing_schedule(config_file, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_gamma_mistyped_schedule_is_config_error(config_file, capsys):
+    # the string "false" is not a boolean: it must not switch corner functions on
+    bad = dict(SQUARE_CORNERS, schedule={"mode": "powers", "n": 4, "corners": "false"})
+    code, _, err = run(capsys, "gamma", "--config", config_file(bad))
+    assert code == EXIT_CONFIG
+    assert "corners" in err
+
+
 def test_gamma_overlap_is_config_error(config_file, capsys):
     bad = {"shapes": [
         {"type": "disk", "center": [0, 0], "radius": 1.0, "label": "E"},
@@ -127,6 +135,12 @@ def test_discrete_rejects_mixed_radii(config_file, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_discrete_split_out_of_range_is_config_error(config_file, capsys):
+    code, _, err = run(capsys, "discrete", "--config", config_file(TWO_DISKS), "--m", "0")
+    assert code == EXIT_CONFIG
+    assert "split m=0" in err
+
+
 def test_discrete_has_no_quadrature_flags(config_file, capsys):
     # the discrete report integrates nothing, so it takes no quadrature flags
     with pytest.raises(SystemExit) as exc:
@@ -174,6 +188,13 @@ def test_sweep_overlapping_rmax_rejected(config_file, capsys):
                        "--m", "1", "--r-min", "0.5", "--r-max", "2.5",
                        "--steps", "3")
     assert code == EXIT_CONFIG
+
+
+def test_sweep_split_out_of_range_is_config_error(config_file, capsys):
+    code, _, err = run(capsys, "sweep", "--config", config_file(TWO_DISKS),
+                       "--m", "5", "--r-min", "0.5", "--r-max", "1.0", "--steps", "2")
+    assert code == EXIT_CONFIG
+    assert "split m=5" in err
 
 
 def test_sweep_violation_exit_code(config_file, capsys, monkeypatch):

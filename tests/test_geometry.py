@@ -33,6 +33,10 @@ from anacap.geometry import (
 )
 
 SQUARE = Polygon((1 + 0j, 1j, -1 + 0j, -1j))
+L_SHAPE = Polygon((0j, 4 + 0j, 4 + 1j, 1 + 1j, 1 + 3j, 3j))
+# a rectangle with a clockwise (concave) arc bite of radius 1.5 about 0
+BITE = ArcChain((CircularArc(0j, 1.5, math.pi / 2, -math.pi / 2), Segment(-1.5j, 3 - 1.5j),
+                 Segment(3 - 1.5j, 3 + 1.5j), Segment(3 + 1.5j, 1.5j)))
 
 
 def half_disk(center=3 + 0j, r=1.0) -> ArcChain:
@@ -142,20 +146,37 @@ def test_arc_chain_with_crossing_pieces_rejected():
 
 
 def test_point_in_shape_exact_on_concave_arc(rng):
-    # a rectangle with a clockwise (concave) arc bite of radius 1.5 about 0
     r = 1.5
-    bite = ArcChain((CircularArc(0j, r, math.pi / 2, -math.pi / 2), Segment(-1.5j, 3 - 1.5j),
-                     Segment(3 - 1.5j, 3 + 1.5j), Segment(3 + 1.5j, 1.5j)))
-    validate_scene(scene([bite]))
+    validate_scene(scene([BITE]))
     pts = rng.uniform(-0.5, 3.5, 4000) + 1j * rng.uniform(-2, 2, 4000)
     for z in pts:
         inside = abs(z) > r and 0 < z.real < 3 and abs(z.imag) < 1.5
-        assert point_in_shape(bite, complex(z)) == inside
+        assert point_in_shape(BITE, complex(z)) == inside
     # points 1e-12 either side of the arc
     for phi in (-1.2, 0.0, 0.7):
         u = cmath.exp(1j * phi)
-        assert point_in_shape(bite, (r + 1e-12) * u)
-        assert not point_in_shape(bite, (r - 1e-12) * u)
+        assert point_in_shape(BITE, (r + 1e-12) * u)
+        assert not point_in_shape(BITE, (r - 1e-12) * u)
+
+
+@pytest.mark.parametrize("shape, z", [
+    (L_SHAPE, 1.5 + 1j), (L_SHAPE, 2 + 1j), (L_SHAPE, 1 + 2j),
+    (Polygon((0j, 2 + 0j, 2 + 2j, 2j)), 2 + 1j), (Polygon((0j, 2 + 0j, 2 + 2j, 2j)), 1 + 2j),
+    (BITE, 1.5 + 0j), (BITE, 3 + 0j), (BITE, 1 + 1.5j),
+    (Disk(1j, 2.0), 1 - 1j), (Ellipse(0j, 2.0, 1.0), 2 + 0j), (Ellipse(0j, 2.0, 1.0), -1j),
+])
+def test_boundary_points_are_outside(shape, z):
+    assert not point_in_shape(shape, z)
+
+
+def test_points_on_a_chord_inside_its_arc_disk():
+    # on the chord the arc turns arg(w - z) by half a turn in its own direction,
+    # whatever sign of pi the chord ratio's phase takes
+    dome = ArcChain((CircularArc(0j, 1.0, -math.pi / 2, math.pi / 2), Segment(1j, -1 + 1j),
+                     Segment(-1 + 1j, -1 - 1j), Segment(-1 - 1j, -1j)))
+    for y in (-0.5, -0.3, 0.0, 0.3, 0.5):
+        assert point_in_shape(dome, complex(0, y))
+        assert not point_in_shape(BITE, complex(0, y))
 
 
 def test_full_circle_arc_chain_contains_its_centre():
@@ -456,11 +477,43 @@ def test_anchor_examples():
     assert point_in_shape(tri, anchor)
 
 
+def _edge_distance(vertices, z: complex) -> float:
+    """Least distance from z to a polygon's edges, by projection onto each."""
+    out = math.inf
+    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
+        t = min(1.0, max(0.0, ((z - a) * (b - a).conjugate()).real / abs(b - a) ** 2))
+        out = min(out, abs(z - (a + t * (b - a))))
+    return out
+
+
 def test_anchor_inside_every_shape():
-    for shape in [Ellipse(3 + 1j, 2.0, 0.5, 0.7),
-                  half_disk(),
-                  Polygon((0j, 4 + 0j, 4 + 1j, 1 + 1j, 1 + 3j, 0 + 3j))]:
-        assert point_in_shape(shape, interior_anchor(shape))
+    # checked against each shape's own interior, independently of point_in_shape
+    e = Ellipse(3 + 1j, 2.0, 0.5, 0.7)
+    w = (interior_anchor(e) - e.center) * cmath.exp(-1j * e.rotation)
+    assert (w.real / e.semi_major) ** 2 + (w.imag / e.semi_minor) ** 2 < 1
+    z = interior_anchor(half_disk())  # the half-disk over [2, 4]
+    assert z == pytest.approx(3 + 1j / math.pi, abs=1e-15)
+    assert min(1 - abs(z - 3), z.imag) > 0
+    z = interior_anchor(L_SHAPE)
+    assert (0 < z.real < 4 and 0 < z.imag < 1) or (0 < z.real < 1 and 0 < z.imag < 3)
+    assert _edge_distance(L_SHAPE.vertices, z) > 0
+
+
+def test_anchor_off_the_boundary_gives_a_bracket():
+    # the L-shape's area centroid 1.5 + 1j lies on its own edge; a pole there
+    # leaves the quadrature unresolved
+    from anacap.basis import PowerPole, Powers
+    from anacap.solver import bounds_for_basis, gamma_bounds
+
+    sc = scene([L_SHAPE])
+    assert interior_anchor(L_SHAPE) == 2 + 0.4j
+    res = gamma_bounds(sc, Powers(4))
+    # Ahlfors-Beurling: gamma >= sqrt(area / pi); the disk of radius 2.5
+    # about 2 + 1.5j encloses the shape
+    assert res.upper >= math.sqrt(6 / math.pi)
+    assert res.lower <= 2.5
+    with pytest.raises(SceneConfigError):
+        bounds_for_basis(sc, [PowerPole(2 + 1j, 1)])
 
 
 # --- transform --------------------------------------------------------------
