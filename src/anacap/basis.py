@@ -169,17 +169,9 @@ def _shape_counted_basis(sc: Scene, schedule) -> tuple[list[BasisFunction], list
         funcs = _shape_basis(shape, mode)
         out.extend(funcs)
         counts.append(len(funcs))
-    if len(set(map(_identity_key, out))) != len(out):
+    if len(set(out)) != len(out):
         raise SceneConfigError("duplicate basis functions in schedule")
     return out, counts
-
-
-def _identity_key(b: BasisFunction):
-    if isinstance(b, SimplePole):
-        return ("s", b.a)
-    if isinstance(b, PowerPole):
-        return ("p", b.c, b.k)
-    return ("c", b.c, b.a, b.beta, b.k)
 
 
 def _shape_basis(shape: Shape, mode) -> list[BasisFunction]:

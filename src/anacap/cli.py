@@ -2,18 +2,18 @@
 
 Subcommands::
 
-    anacap gamma    --config scene.json [--quad-tol T] [--quad-max-depth D]
+    anacap gamma    --config scene.json [--quad-tol T]
     anacap exact    two-disks --c C --r R | square --s S
     anacap discrete --config disks.json [--m M]
     anacap sweep    --config disks.json --m M --r-min A --r-max B --steps N
-                    [--out file.csv] [--seed S]
-                    [--quad-tol T] [--quad-max-depth D]
+                    [--out file.csv] [--seed S] [--quad-tol T]
 
 Only ``gamma`` and ``sweep`` integrate over boundaries, so only they take the
-quadrature flags.
+quadrature tolerance.
 
-Exit codes: 0 success, 2 configuration/domain error, 3 numerical failure,
-4 certified monotonicity violation in a sweep.
+Exit codes: 0 success, 2 configuration/domain error (an invalid scene, such
+as overlapping or degenerate shapes, included), 3 numerical failure, 4
+certified monotonicity violation in a sweep.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from . import exact
 from . import sublab as _sweepmod
 from .basis import schedule_from_config
 from .discrete import DiskConfiguration, discrete_report
-from .errors import AnacapError, DomainError, SceneConfigError, SplitError
+from .errors import (AnacapError, DegenerateShapeError, DomainError, OverlapError,
+                     SceneConfigError, SplitError)
 from .geometry import Disk, load_scene, validate_scene
 from .quadrature import QuadratureSettings
 from .solver import gamma_bounds
@@ -36,7 +37,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VIOLATION = 4
 
-_CONFIG_ERRORS = (SceneConfigError, DomainError, SplitError)
+_CONFIG_ERRORS = (SceneConfigError, DomainError, SplitError, OverlapError,
+                  DegenerateShapeError)
 
 
 def _fmt(x) -> str:
@@ -52,7 +54,7 @@ def _json_line(obj: dict) -> str:
 
 
 def _settings(args) -> QuadratureSettings:
-    return QuadratureSettings(abs_tol=args.quad_tol, max_depth=args.quad_max_depth)
+    return QuadratureSettings(abs_tol=args.quad_tol)
 
 
 def _load_disks(path, m_flag):
@@ -150,7 +152,6 @@ def cmd_sweep(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     quad = argparse.ArgumentParser(add_help=False)
     quad.add_argument("--quad-tol", type=float, default=1e-9)
-    quad.add_argument("--quad-max-depth", type=int, default=50)
 
     p = argparse.ArgumentParser(prog="anacap",
                                 description="analytic capacity bounds and experiments")

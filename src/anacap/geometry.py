@@ -457,24 +457,6 @@ def _turn(t):
     return np.exp((t - 0.25 * q) * (2j * math.pi)) * _QUARTER_TURNS.take(q.astype(int), mode="wrap")
 
 
-def arc_length(s: Shape) -> float:
-    """Exact perimeter where a closed form exists, else the arc quadrature."""
-    if isinstance(s, Disk):
-        return TWO_PI * s.radius
-    if isinstance(s, Polygon):
-        v = s.vertices
-        return sum(abs(v[(i + 1) % len(v)] - v[i]) for i in range(len(v)))
-    # ellipse, arc chain: integrate |z'(t)|
-    from .quadrature import QuadratureSettings, integrate_arc
-
-    total = 0.0
-    settings = QuadratureSettings(abs_tol=1e-13)
-    for arc in arcs(s):
-        val = integrate_arc(lambda t, z, s0, s1, w: w.sum(), arc, settings)
-        total += float(val.real)
-    return total
-
-
 def interior_anchor(s: Shape) -> complex:
     """A point strictly inside the shape, used as the default pole center.
 

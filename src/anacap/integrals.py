@@ -331,13 +331,13 @@ def _quad_block(bs: BasisSet, shape, settings: QuadratureSettings
         start_corner = _matching_corner(corner_pts, arc.start, scale)
         end_corner = _matching_corner(corner_pts, arc.end, scale)
 
-        def f(t, z, s0, s1, w, arc=arc, sc=start_corner, ec=end_corner):
+        def f(t, z, s1, w, arc=arc, sc=start_corner, ec=end_corner):
             # corner-adapted members anchored at an arc endpoint take the
             # exact displacement z - corner from the parametrization; near
             # the corner the subtraction would round to zero
             subs = []
             if sc is not None:
-                subs.append((sc, arc.disp_start(s0)))
+                subs.append((sc, arc.disp_start(t)))
             if ec is not None:
                 subs.append((ec, arc.disp_end(s1)))
             A = np.empty((n + 1, z.size), complex)

@@ -7,7 +7,7 @@ successive sums agree, per component and separately on real and imaginary
 parts, to max(abs_tol, 64 eps * size): the floor keeps absolute tolerances
 meaningful for integrands of very large magnitude.  Both rules start at 64
 nodes; coarser levels cost integrand calls without ever being accepted on
-corner-mapped pieces.
+corner-mapped pieces.  Refinement stops at 2^16 nodes per piece.
 
 * Closed arcs (start == end: disks, ellipses) use the periodic trapezoid
   rule, which converges geometrically on analytic curves: 64 midpoint nodes,
@@ -41,13 +41,10 @@ _CHUNK = 4096  # nodes per integrand call; bounds the integrand's temporaries
 @dataclass(frozen=True)
 class QuadratureSettings:
     abs_tol: float = 1e-9
-    max_depth: int = 50
 
     def __post_init__(self):
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
 
 
 def _trapezoid_levels():
@@ -85,7 +82,7 @@ def _panel_levels():
 def _plain(a: float, b: float):
     def nodes(x):
         t = a + (b - a) * x
-        return t, t, 1.0 - t, b - a
+        return t, 1.0 - t, b - a
     return nodes
 
 
@@ -94,15 +91,15 @@ def _mapped(width: float, at_end: bool):
     def nodes(u):
         s = width * u ** _SING_POWER
         jac = _SING_POWER * width * u ** (_SING_POWER - 1)
-        return (1.0 - s, 1.0 - s, s, jac) if at_end else (s, s, 1.0 - s, jac)
+        return (1.0 - s, s, jac) if at_end else (s, 1.0 - s, jac)
     return nodes
 
 
-def _weighted_sum(f, t, z, s0, s1, w) -> np.ndarray:
+def _weighted_sum(f, t, z, s1, w) -> np.ndarray:
     out = 0j
     for i in range(0, t.size, _CHUNK):
         c = slice(i, i + _CHUNK)
-        out = out + np.asarray(f(t[c], z[c], s0[c], s1[c], w[c]), complex)
+        out = out + np.asarray(f(t[c], z[c], s1[c], w[c]), complex)
     return out
 
 
@@ -117,16 +114,15 @@ def _converged(new: np.ndarray, old: np.ndarray, tol: float, scale) -> bool:
     return bool((np.abs(diff.real) <= bound).all() and (np.abs(diff.imag) <= bound).all())
 
 
-def _refine(f, arc: ParametricArc, piece, levels, tol: float, max_depth: int,
-            scale) -> np.ndarray:
+def _refine(f, arc: ParametricArc, piece, levels, tol: float, scale) -> np.ndarray:
     prev = 0j
     for depth, (x, wx, keep, count) in enumerate(levels):
-        t, s0, s1, jac = piece(x)
+        t, s1, jac = piece(x)
         z, dz = arc._point_velocity(t)
-        est = _weighted_sum(f, t, z, s0, s1, wx * jac * np.abs(dz)) + keep * prev
+        est = _weighted_sum(f, t, z, s1, wx * jac * np.abs(dz)) + keep * prev
         if depth and _converged(est, prev, tol, scale):
             return est
-        if depth >= max_depth or 2 * count > _MAX_NODES:
+        if 2 * count > _MAX_NODES:
             raise MaxDepthError(
                 f"quadrature tolerance {tol:.3g} not met with {count} nodes "
                 f"on the arc from {arc.start:.6g} to {arc.end:.6g}")
@@ -138,21 +134,21 @@ def integrate_arc(f, arc: ParametricArc, settings: QuadratureSettings,
                   scale=_component_size):
     """Integral over the arc of g(t) * |z'(t)| dt, t in [0, 1].
 
-    ``f(t, z, s0, s1, w)`` receives node arrays: parameters t, points z(t),
-    the exact parameter distances s0 = t and s1 = 1 - t from the endpoints
-    (computed directly under the endpoint maps, so they never round to zero
-    next to a corner), and the weights w.  It returns the weighted sum of g,
-    e.g. ``g @ w``, as a complex scalar or array of fixed shape.
+    ``f(t, z, s1, w)`` receives node arrays: parameters t, points z(t), the
+    parameter distance s1 = 1 - t from the end, and the weights w.  Under
+    the endpoint maps t and s1 are both computed directly, so each is the
+    exact distance from its endpoint and never rounds to zero next to a
+    corner.  It returns the weighted sum of g, e.g. ``g @ w``, as a complex
+    scalar or array of fixed shape.
 
     ``singular_start`` / ``singular_end`` flag integrable endpoint
     singularities of g (corner points).  ``scale`` maps an estimate to the
     size of its terms, which sets the rounding floor: a component's own size
     by default, while sums that cancel far below their terms (off-diagonal
     Gram entries) must pass a bound on the sum of |g|.  Each piece starts at
-    64 nodes (64 trapezoid nodes, or 4 Gauss-Legendre panels), and
-    ``max_depth`` counts the doublings from there.  Raises
-    :class:`MaxDepthError` if the tolerance is not met within ``max_depth``
-    doublings or 2^16 nodes per piece.
+    64 nodes (64 trapezoid nodes, or 4 Gauss-Legendre panels) and doubles
+    them.  Raises :class:`MaxDepthError` if the tolerance is not met within
+    2^16 nodes per piece.
     """
     if singular_start or singular_end:
         pieces = [_mapped(0.5, False) if singular_start else _plain(0.0, 0.5),
@@ -162,7 +158,6 @@ def integrate_arc(f, arc: ParametricArc, settings: QuadratureSettings,
         pieces = [_plain(0.0, 1.0)]
         levels = _trapezoid_levels if arc.start == arc.end else _panel_levels
     tol = settings.abs_tol / len(pieces)
-    total = sum(_refine(f, arc, piece, levels(), tol, settings.max_depth, scale)
-                for piece in pieces)
+    total = sum(_refine(f, arc, piece, levels(), tol, scale) for piece in pieces)
     return total if total.ndim else complex(total)
 

@@ -160,23 +160,20 @@ def _bracket(gram: GramData, d: np.ndarray, settings: QuadratureSettings,
                         wall_time=time.perf_counter() - t0, slack=slack)
 
 
-def bounds_for_basis(sc: Scene, basis, settings: QuadratureSettings | None = None,
-                     *, _validated: bool = False) -> BoundsResult:
+def bounds_for_basis(sc: Scene, basis, settings: QuadratureSettings | None = None
+                     ) -> BoundsResult:
     """Capacity bracket from an explicit basis-function list.
 
     Every pole must lie strictly inside a shape of the scene, and every
     member must vanish at infinity; otherwise the bracket would not be a
-    bracket, and this is a :class:`SceneConfigError`.  ``_validated`` says
-    that the scene is validated and the basis comes from a schedule, which
-    places its poles inside their shapes, so neither is checked again.
+    bracket, and this is a :class:`SceneConfigError`.
     """
     if settings is None:
         settings = QuadratureSettings()
     t0 = time.perf_counter()
     bs = basis if isinstance(basis, BasisSet) else BasisSet(basis)
-    if not _validated:
-        sc = validate_scene(sc)
-        _require_poles_inside(sc, bs.funcs)
+    sc = validate_scene(sc)
+    _require_poles_inside(sc, bs.funcs)
     return _bracket(assemble_gram(sc, bs, settings), bs.d_vector(), settings, t0)
 
 
@@ -191,10 +188,15 @@ def _require_poles_inside(sc: Scene, funcs) -> None:
 
 
 def gamma_bounds(sc: Scene, schedule, settings: QuadratureSettings | None = None) -> BoundsResult:
-    """Validate, build the scheduled basis, assemble, and solve both programs."""
+    """Validate, build the scheduled basis, assemble, and solve both programs;
+    ``wall_time`` covers all of it.  A schedule places its poles inside their
+    shapes, so they are not checked again."""
+    if settings is None:
+        settings = QuadratureSettings()
+    t0 = time.perf_counter()
     sc = validate_scene(sc)
-    basis = build_basis(sc, schedule)
-    return bounds_for_basis(sc, basis, settings, _validated=True)
+    bs = BasisSet(build_basis(sc, schedule))
+    return _bracket(assemble_gram(sc, bs, settings), bs.d_vector(), settings, t0)
 
 
 def refine(sc: Scene, ladder, settings: QuadratureSettings | None = None) -> list[BoundsResult]:

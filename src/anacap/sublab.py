@@ -26,7 +26,7 @@ import numpy as np
 from . import discrete
 from .basis import BasisSet, Rings, Schedule, _shape_counted_basis
 from .discrete import DiskConfiguration
-from .errors import OverlapError, SplitError
+from .errors import SplitError
 from .geometry import Disk, Scene, validate_scene
 from .integrals import _assemble_grams
 from .quadrature import QuadratureSettings
@@ -100,9 +100,6 @@ def ratio_bounds(cfg: DiskConfiguration, schedule: Schedule,
     """
     if cfg.m is None:
         raise SplitError("configuration needs a split index m")
-    if cfg.n >= 2 and cfg.min_center_distance() <= 2.0 * cfg.radius:
-        raise OverlapError(
-            f"disks of radius {cfg.radius} overlap at spacing {cfg.min_center_distance()}")
     if settings is None:
         settings = QuadratureSettings()
     t0 = time.perf_counter()

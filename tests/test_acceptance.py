@@ -224,7 +224,7 @@ def test_criterion_11_randomized_property_suites(rng):
             b2 = SimplePole(rand_pole())
             val = circle_pair_integral(b1, b2, circle)
             ref = complex(integrate_arc(
-                lambda t, z, s0, s1, w: (BasisSet([b1]).eval_all(z)[0]
+                lambda t, z, s1, w: (BasisSet([b1]).eval_all(z)[0]
                                          * np.conj(BasisSet([b2]).eval_all(z)[0])) @ w,
                 arc, QuadratureSettings(1e-12)))
             worst = max(worst, abs(val - ref))

@@ -162,6 +162,12 @@ def test_rings_on_polygon_rejected():
         build_basis(validate_scene(scene([SQUARE])), Rings(1))
 
 
+def test_duplicate_members_rejected():
+    # two copies of one disk give the same scheduled pole twice
+    with pytest.raises(SceneConfigError, match="duplicate"):
+        build_basis(scene([Disk(0, 1), Disk(0, 1)]), Rings(0))
+
+
 def test_rings_on_ellipse():
     e = Ellipse(0, 2.0, 1.0)
     basis = build_basis(validate_scene(scene([e])), Rings(1))

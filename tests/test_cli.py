@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from anacap.cli import EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
+from anacap.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION, main
 
 TWO_DISKS = {
     "shapes": [
@@ -17,6 +17,17 @@ SQUARE_CORNERS = {
                 "vertices": [[1, 0], [0, 1], [-1, 0], [0, -1]], "label": "E"}],
     "schedule": {"mode": "powers", "n": 6, "corners": True},
 }
+
+OVERLAPPING_DISKS = {"shapes": [
+    {"type": "disk", "center": [0, 0], "radius": 1.0, "label": "E"},
+    {"type": "disk", "center": [1.5, 0], "radius": 1.0, "label": "F"},
+], "schedule": {"mode": "rings", "layers": 0}}
+
+# semi-axes 1 and 1e-3: a ring pole inside lies within 1e-3 of the boundary,
+# and the 2^16-node cap does not resolve its integrand
+THIN_ELLIPSE = {"shapes": [
+    {"type": "ellipse", "center": [0, 0], "semi_major": 1.0, "semi_minor": 1e-3},
+], "schedule": {"mode": "rings", "layers": 1}}
 
 
 @pytest.fixture
@@ -77,12 +88,9 @@ def test_gamma_mistyped_schedule_is_config_error(config_file, capsys):
 
 
 def test_gamma_overlap_is_config_error(config_file, capsys):
-    bad = {"shapes": [
-        {"type": "disk", "center": [0, 0], "radius": 1.0, "label": "E"},
-        {"type": "disk", "center": [1.5, 0], "radius": 1.0, "label": "F"},
-    ], "schedule": {"mode": "rings", "layers": 0}}
-    code, _, err = run(capsys, "gamma", "--config", config_file(bad))
-    assert code != EXIT_OK
+    code, _, err = run(capsys, "gamma", "--config", config_file(OVERLAPPING_DISKS))
+    assert code == EXIT_CONFIG
+    assert "intersecting closures" in err
 
 
 # --- exact ------------------------------------------------------------------
@@ -133,6 +141,12 @@ def test_discrete_rejects_mixed_radii(config_file, capsys):
     ]}
     code, _, _ = run(capsys, "discrete", "--config", config_file(bad))
     assert code == EXIT_CONFIG
+
+
+def test_discrete_overlap_is_config_error(config_file, capsys):
+    code, _, err = run(capsys, "discrete", "--config", config_file(OVERLAPPING_DISKS))
+    assert code == EXIT_CONFIG
+    assert "intersecting closures" in err
 
 
 def test_discrete_split_out_of_range_is_config_error(config_file, capsys):
@@ -243,28 +257,27 @@ def test_determinism_identical_runs(config_file, capsys):
 
 def test_quad_flags_after_subcommand(config_file, capsys):
     code, out, _ = run(capsys, "gamma", "--config", config_file(TWO_DISKS),
-                       "--quad-tol", "1e-8", "--quad-max-depth", "40")
+                       "--quad-tol", "1e-8")
     assert code == EXIT_OK
     assert json.loads(out)["slack"] == pytest.approx(10 * 1e-8 * 34)
+    # the node cap is the only stop rule, so there is no depth flag
+    with pytest.raises(SystemExit) as exc:
+        main(["gamma", "--config", config_file(TWO_DISKS), "--quad-max-depth", "40"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quad-max-depth" in capsys.readouterr().err
 
 
 def test_max_depth_failure_is_numerical_exit(config_file, capsys):
-    from anacap.cli import EXIT_NUMERICAL
-
-    # at tolerance 1e-12, one doubling from the 4-panel start does not
-    # resolve the corner-adapted square; two do
-    code, _, err = run(capsys, "gamma", "--config", config_file(SQUARE_CORNERS),
-                       "--quad-max-depth", "1", "--quad-tol", "1e-12")
+    code, _, err = run(capsys, "gamma", "--config", config_file(THIN_ELLIPSE))
     assert code == EXIT_NUMERICAL
     assert "numerical failure" in err
+    assert "65536 nodes" in err
 
 
-def test_non_finite_vertex_is_numerical_exit(config_file, capsys):
-    from anacap.cli import EXIT_NUMERICAL
-
+def test_non_finite_vertex_is_config_error(config_file, capsys):
     # NaN is valid JSON to Python's reader; the shape check rejects it like a zero radius
     bad = dict(SQUARE_CORNERS, shapes=[dict(SQUARE_CORNERS["shapes"][0],
                                             vertices=[[1, 0], [0, 1], [float("nan"), 1], [0, -1]])])
     code, _, err = run(capsys, "gamma", "--config", config_file(bad))
-    assert code == EXIT_NUMERICAL
+    assert code == EXIT_CONFIG
     assert "finite" in err

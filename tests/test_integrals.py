@@ -36,7 +36,7 @@ def quad_pair(b1, b2, circle):
     # independent oracle: quadrature of b1 * conj(b2) over the circle
     (arc,) = arcs(circle)
 
-    def f(t, z, s0, s1, w):
+    def f(t, z, s1, w):
         v1, v2 = BasisSet([b1, b2]).eval_all(z)
         return (v1 * np.conj(v2)) @ w
 
@@ -45,7 +45,7 @@ def quad_pair(b1, b2, circle):
 
 def quad_mean(b, circle):
     (arc,) = arcs(circle)
-    return complex(integrate_arc(lambda t, z, s0, s1, w: BasisSet([b]).eval_all(z)[0] @ w,
+    return complex(integrate_arc(lambda t, z, s1, w: BasisSet([b]).eval_all(z)[0] @ w,
                                  arc, ORACLE))
 
 

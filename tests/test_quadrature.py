@@ -14,34 +14,34 @@ DEFAULT = QuadratureSettings()
 def test_settings_validation():
     with pytest.raises(ValueError):
         QuadratureSettings(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSettings(max_depth=0)
+    # the 2^16-node cap is the only stop rule: there is no depth setting
+    with pytest.raises(TypeError):
+        QuadratureSettings(max_depth=50)
     assert DEFAULT.abs_tol == 1e-9
-    assert DEFAULT.max_depth == 50
 
 
 def test_unit_circle_perimeter():
     (arc,) = arcs(Disk(0, 1.0))
-    val = integrate_arc(lambda t, z, s0, s1, w: np.ones_like(z) @ w, arc, TIGHT)
+    val = integrate_arc(lambda t, z, s1, w: np.ones_like(z) @ w, arc, TIGHT)
     assert val == pytest.approx(2 * math.pi, abs=1e-12)
 
 
 def test_ellipse_perimeter():
     (arc,) = arcs(Ellipse(0, 2.0, 1.0))
-    val = integrate_arc(lambda t, z, s0, s1, w: np.ones_like(z) @ w, arc, TIGHT)
+    val = integrate_arc(lambda t, z, s1, w: np.ones_like(z) @ w, arc, TIGHT)
     assert val.real == pytest.approx(9.688448220547675, abs=1e-11)
 
 
 def test_abs_z_squared_on_unit_circle():
     (arc,) = arcs(Disk(0, 1.0))
-    val = integrate_arc(lambda t, z, s0, s1, w: (z * np.conj(z)) @ w, arc, TIGHT)
+    val = integrate_arc(lambda t, z, s1, w: (z * np.conj(z)) @ w, arc, TIGHT)
     assert complex(val) == pytest.approx(2 * math.pi, abs=1e-11)
 
 
 def test_vector_integrand():
     (arc,) = arcs(Disk(0, 1.0))
 
-    def f(t, z, s0, s1, w):
+    def f(t, z, s1, w):
         return np.stack([np.ones_like(z), z, z * np.conj(z)]) @ w
 
     vals = integrate_arc(f, arc, TIGHT)
@@ -55,7 +55,7 @@ def test_singular_endpoint_power():
     # integral of t^(-1/3) over a unit segment: exact value 3/2
     seg = arcs(Polygon((0j, 1 + 0j, 1 + 1j, 1j)))[0]
 
-    val = integrate_arc(lambda t, z, s0, s1, w: s0 ** (-1 / 3) @ w, seg,
+    val = integrate_arc(lambda t, z, s1, w: t ** (-1 / 3) @ w, seg,
                         QuadratureSettings(1e-10), singular_start=True)
     assert val.real == pytest.approx(1.5, abs=1e-9)
 
@@ -66,9 +66,9 @@ def test_singular_both_endpoints():
 
     seg = arcs(Polygon((0j, 1 + 0j, 1 + 1j, 1j)))[0]
 
-    def f(t, z, s0, s1, w):
-        # the exact endpoint distances s0, s1 never round to zero
-        return (s0 ** (-1 / 3) * s1 ** (-1 / 3)) @ w
+    def f(t, z, s1, w):
+        # the exact endpoint distances t, s1 never round to zero
+        return (t ** (-1 / 3) * s1 ** (-1 / 3)) @ w
 
     val = integrate_arc(f, seg, QuadratureSettings(1e-10),
                         singular_start=True, singular_end=True)
@@ -80,7 +80,7 @@ def test_huge_magnitude_integrand_converges():
     # sits below the rounding floor; the integral must still converge to
     # machine-relative accuracy instead of erroring out
     seg = arcs(Polygon((1 + 0j, 1j, -1 + 0j, -1j)))[0]
-    val = integrate_arc(lambda t, z, s0, s1, w: np.abs(1 + t * (1j - 1)) ** -80.0 @ w, seg, DEFAULT)
+    val = integrate_arc(lambda t, z, s1, w: np.abs(1 + t * (1j - 1)) ** -80.0 @ w, seg, DEFAULT)
     from scipy.integrate import quad as spquad
 
     ref = spquad(lambda t: abs(1 + t * (1j - 1)) ** -80.0 * math.sqrt(2), 0, 1,
@@ -92,19 +92,17 @@ def test_max_depth_error():
     # a discontinuous integrand cannot satisfy the refinement acceptance test
     seg = arcs(Polygon((0j, 1 + 0j, 1 + 1j, 1j)))[0]
 
-    def f(t, z, s0, s1, w):
+    def f(t, z, s1, w):
         return np.where(t < 1 / math.pi, 0.0, 1.0) @ w
 
-    with pytest.raises(MaxDepthError):
-        integrate_arc(f, seg, QuadratureSettings(1e-12, max_depth=8))
-    # with the default depth the fixed node ceiling stops the refinement
+    # the fixed node ceiling stops the refinement
     with pytest.raises(MaxDepthError, match="65536 nodes"):
         integrate_arc(f, seg, QuadratureSettings(1e-12))
 
 
 def test_real_and_imaginary_parts_tested_separately():
     (arc,) = arcs(Disk(0, 1.0))
-    val = integrate_arc(lambda t, z, s0, s1, w: (z ** 2 + 1j * (z * np.conj(z))) @ w, arc, TIGHT)
+    val = integrate_arc(lambda t, z, s1, w: (z ** 2 + 1j * (z * np.conj(z))) @ w, arc, TIGHT)
     assert abs(complex(val) - 2j * math.pi) < 1e-10
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -205,6 +206,18 @@ def test_wall_time_recorded(two_disks):
     res = gamma_bounds(two_disks, Rings(0))
     assert isinstance(res, BoundsResult)
     assert res.wall_time > 0
+
+
+def test_wall_time_covers_validation(two_disks, monkeypatch):
+    # wall_time runs from entry, so validation and the basis build count
+    validate = solver.validate_scene
+
+    def slow_validate(sc):
+        time.sleep(0.02)
+        return validate(sc)
+
+    monkeypatch.setattr(solver, "validate_scene", slow_validate)
+    assert gamma_bounds(two_disks, Rings(0)).wall_time >= 0.02
 
 
 # --- explicit bases that cannot give a bracket ------------------------------

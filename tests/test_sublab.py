@@ -6,7 +6,7 @@ import pytest
 from anacap import basis
 from anacap.basis import Powers, Rings, build_basis
 from anacap.discrete import DiskConfiguration
-from anacap.errors import SplitError
+from anacap.errors import OverlapError, SplitError
 from anacap.exact import nome_from_geometry, ratio_f
 from anacap.geometry import Disk, Scene
 from anacap.integrals import assemble_gram
@@ -90,6 +90,12 @@ def test_pole_of_e_on_a_circle_of_f_is_an_error_record(monkeypatch):
     (rec,) = sweep(PAIR, 1, [1.0], Rings(1))
     assert rec.error.startswith("PoleOnContourError")
     assert math.isnan(rec.ratio_low) and not rec.subadditive_certified
+
+
+def test_touching_pair_is_overlap_error():
+    # validation of the union rejects disks whose closures meet
+    with pytest.raises(OverlapError):
+        ratio_bounds(DiskConfiguration(PAIR, 2.0, 1), Rings(0))
 
 
 def test_ratio_requires_split():
