@@ -12,8 +12,9 @@ Only ``gamma`` and ``sweep`` integrate over boundaries, so only they take the
 quadrature tolerance.
 
 Exit codes: 0 success, 2 configuration/domain error (an invalid scene, such
-as overlapping or degenerate shapes, included), 3 numerical failure, 4
-certified monotonicity violation in a sweep.
+as overlapping or degenerate shapes, and a --quad-tol that is not finite and
+positive included), 3 numerical failure, 4 certified monotonicity violation
+in a sweep.
 """
 
 from __future__ import annotations

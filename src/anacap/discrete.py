@@ -90,7 +90,9 @@ def _pair_distances(z: np.ndarray) -> np.ndarray:
 
 def _centers_array(Z) -> np.ndarray:
     z = np.asarray(list(Z), complex)
-    if z.size > 1 and _pair_distances(z).min() == 0.0:
+    if not z.size:
+        raise DuplicateCenterError("need at least one center")
+    if _pair_distances(z).min() == 0.0:
         raise DuplicateCenterError("coincident centers")
     return z
 
@@ -98,12 +100,11 @@ def _centers_array(Z) -> np.ndarray:
 def cauchy_matrix(Z) -> np.ndarray:
     """C with c_jk = 1/(z_j - z_k) for j != k and zero diagonal."""
     z = _centers_array(Z)
-    n = len(z)
     diff = z[:, None] - z[None, :]
     np.fill_diagonal(diff, 1.0)
     C = 1.0 / diff
     np.fill_diagonal(C, 0.0)
-    return C if n > 1 else np.zeros((1, 1), complex)
+    return C
 
 
 def lambda_discrete(Z, r: float) -> float:
@@ -126,19 +127,13 @@ def lambda_discrete(Z, r: float) -> float:
 
 def melnikov_M(Z, r: float) -> float:
     """M = r^4 sum_k sum_{j != k} |z_k - z_j|^{-4}."""
-    z = _centers_array(Z)
-    if len(z) == 1:
-        return 0.0
-    d = _pair_distances(z)
+    d = _pair_distances(_centers_array(Z))
     return float(r ** 4 * np.sum(d ** -4.0))
 
 
 def melnikov_N(Z, r: float) -> float:
     """N = r (sum |z_k - z_j|^{-2})^{1/2} M^{1/2}."""
-    z = _centers_array(Z)
-    if len(z) == 1:
-        return 0.0
-    d = _pair_distances(z)
+    d = _pair_distances(_centers_array(Z))
     s2 = float(np.sum(d ** -2.0))
     return r * math.sqrt(s2) * math.sqrt(melnikov_M(Z, r))
 
@@ -166,8 +161,6 @@ def alpha_geometric(Z) -> float:
     """
     z = _centers_array(Z)
     n = len(z)
-    if n == 1:
-        return 0.0
     d = _pair_distances(z)
     total = float(np.sum(d ** -2.0))
     diam = float(np.max(np.where(np.isfinite(d), d, 0.0))) or 1.0
@@ -214,12 +207,10 @@ def sandwich_check(Z, r: float, gamma_lower: float, gamma_upper: float,
                    slack: float = 0.0) -> bool:
     """Check gamma/(1+4N) <= lambda <= (1+2M) gamma against a certified
     bracket [gamma_lower, gamma_upper]; requires 4r-separated centers."""
-    z = _centers_array(Z)
-    if len(z) > 1:
-        d = _pair_distances(z)
-        if d.min() <= 4.0 * r:
-            raise PreconditionError(
-                f"doubled disks overlap: min center distance {d.min()} <= 4r = {4 * r}")
+    d = _pair_distances(_centers_array(Z))
+    if d.min() <= 4.0 * r:
+        raise PreconditionError(
+            f"doubled disks overlap: min center distance {d.min()} <= 4r = {4 * r}")
     lam = lambda_discrete(Z, r)
     M = melnikov_M(Z, r)
     N = melnikov_N(Z, r)
@@ -236,7 +227,7 @@ def discrete_report(cfg: DiskConfiguration) -> DiscreteReport:
         N=melnikov_N(Z, r),
         alpha=alpha(Z),
         beta=beta(Z),
-        delta=delta(Z, cfg.m) if cfg.m is not None and cfg.n > 1 else None,
+        delta=delta(Z, cfg.m) if cfg.m is not None else None,
         poly_lower=lo,
         poly_upper=hi,
     )

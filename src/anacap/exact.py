@@ -29,7 +29,9 @@ factor c):
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 
 from .errors import DomainError
 
@@ -45,38 +47,41 @@ def _check_q(q: float) -> None:
         raise DomainError(f"nome q must lie in (0, 1), got {q}")
 
 
+def _series(q: float, s: float, n: int, power, coef) -> float:
+    """s + sum of coef(m) q^power(m) over m = n, n + 1, ..., stopped once a
+    term falls below _REL relative to the partial sum (from m = 2 on)."""
+    for n in itertools.count(n):
+        t = q ** power(n)
+        s += coef(n) * t
+        if n > 1 and t < _REL * abs(s):
+            return s
+
+
+def _product(p: float, factor) -> float:
+    """p times factor(1) factor(2) ..., stopped at the first factor within
+    _REL of 1."""
+    for n in itertools.count(1):
+        f = factor(n)
+        p *= f
+        if abs(f - 1.0) < _REL:
+            return p
+
+
 def theta2(q: float) -> float:
     _check_q(q)
     if q > _MODULAR_SWITCH:
         # theta2(q) = sqrt(x) theta4(e^{-pi x}); for q > 0.99 the transformed
         # nome e^{-pi x} underflows, so theta4 there is 1 to all precision
-        x = math.pi / (-math.log(q))
-        return math.sqrt(x)
-    s = 0.0
-    n = 0
-    while True:
-        t = q ** ((n + 0.5) ** 2)
-        s += t
-        if n > 1 and t < _REL * s:
-            break
-        n += 1
-    return 2.0 * s
+        return math.sqrt(math.pi / (-math.log(q)))
+    return 2.0 * _series(q, 0.0, 0, lambda n: (n + 0.5) ** 2, lambda n: 1.0)
 
 
 def theta3(q: float) -> float:
     _check_q(q)
     if q > _MODULAR_SWITCH:
-        x = math.pi / (-math.log(q))
-        return math.sqrt(x)  # theta3(e^{-pi x}) = 1 to all precision here
-    s = 1.0
-    n = 1
-    while True:
-        t = q ** (n * n)
-        s += 2.0 * t
-        if n > 1 and t < _REL * s:
-            break
-        n += 1
-    return s
+        # theta3(e^{-pi x}) = 1 to all precision here
+        return math.sqrt(math.pi / (-math.log(q)))
+    return _series(q, 1.0, 1, lambda n: n * n, lambda n: 2.0)
 
 
 def theta4(q: float) -> float:
@@ -89,59 +94,26 @@ def theta4(q: float) -> float:
         # in log form since qq itself can underflow
         x = math.pi / (-math.log(q))
         return math.sqrt(x) * 2.0 * math.exp(-0.25 * math.pi * x)
-    s = 1.0
-    n = 1
-    sign = -1.0
-    while True:
-        t = q ** (n * n)
-        s += 2.0 * sign * t
-        if n > 1 and t < _REL * abs(s):
-            break
-        n += 1
-        sign = -sign
-    return s
+    return _series(q, 1.0, 1, lambda n: n * n, lambda n: -2.0 if n % 2 else 2.0)
 
 
 def theta2_product(q: float) -> float:
     """theta2 via 2 q^{1/4} prod (1-q^{2n})(1+q^{2n})^2."""
     _check_q(q)
-    p = 2.0 * q ** 0.25
-    n = 1
-    while True:
-        f = (1.0 - q ** (2 * n)) * (1.0 + q ** (2 * n)) ** 2
-        p *= f
-        if abs(f - 1.0) < _REL:
-            break
-        n += 1
-    return p
+    return _product(2.0 * q ** 0.25,
+                    lambda n: (1.0 - q ** (2 * n)) * (1.0 + q ** (2 * n)) ** 2)
 
 
 def theta3_product(q: float) -> float:
     """theta3 via prod (1-q^{2n})(1+q^{2n-1})^2."""
     _check_q(q)
-    p = 1.0
-    n = 1
-    while True:
-        f = (1.0 - q ** (2 * n)) * (1.0 + q ** (2 * n - 1)) ** 2
-        p *= f
-        if abs(f - 1.0) < _REL:
-            break
-        n += 1
-    return p
+    return _product(1.0, lambda n: (1.0 - q ** (2 * n)) * (1.0 + q ** (2 * n - 1)) ** 2)
 
 
 def theta4_product(q: float) -> float:
     """theta4 via prod (1-q^{2n})(1-q^{2n-1})^2."""
     _check_q(q)
-    p = 1.0
-    n = 1
-    while True:
-        f = (1.0 - q ** (2 * n)) * (1.0 - q ** (2 * n - 1)) ** 2
-        p *= f
-        if abs(f - 1.0) < _REL:
-            break
-        n += 1
-    return p
+    return _product(1.0, lambda n: (1.0 - q ** (2 * n)) * (1.0 - q ** (2 * n - 1)) ** 2)
 
 
 def nome_from_geometry(c: float, r: float) -> float:
@@ -177,11 +149,20 @@ def elliptic_F(k: float) -> float:
 
 
 def murai_capacity(c: float, r: float) -> float:
-    """Two-disk capacity via elliptic integrals; agrees with the theta form."""
+    """Two-disk capacity via elliptic integrals; agrees with the theta form.
+
+    k' = theta4^2/theta3^2 rather than sqrt(1 - k^2), which loses k' as the
+    disks touch, and F(k) = pi/(2 agm(1, k')), F(k') = pi/(2 agm(1, k)).  A
+    k' below the normal range (1 - r/c under about 6e-6) is a DomainError.
+    """
     q = nome_from_geometry(c, r)
-    k = theta2(q) ** 2 / theta3(q) ** 2
-    F = elliptic_F(k)
-    Fp = elliptic_F(math.sqrt(1.0 - k * k))
+    t3 = theta3(q) ** 2
+    k = theta2(q) ** 2 / t3
+    kp = theta4(q) ** 2 / t3
+    if kp < sys.float_info.min:
+        raise DomainError(f"complementary modulus underflows at r={r}, c={c}")
+    F = 0.5 * math.pi / agm(1.0, kp)
+    Fp = 0.5 * math.pi / agm(1.0, k)
     return (2.0 / math.pi) * c * k * F * math.tanh(0.5 * math.pi * Fp / F)
 
 
@@ -205,14 +186,8 @@ def ratio_f(q: float) -> float:
         qq = math.exp(-math.pi * x)
         t4 = theta4(qq) if qq > 0.0 else 1.0
         return 0.5 * x * math.sinh(0.5 * math.pi / x) * t4 ** 2
-    prod = 1.0 - q
-    n = 1
-    while True:
-        f = (1.0 - q ** (4 * n)) ** 2 * (1.0 + q ** (2 * n)) ** 2
-        prod *= f
-        if abs(f - 1.0) < _REL:
-            break
-        n += 1
+    prod = _product(1.0 - q,
+                    lambda n: (1.0 - q ** (4 * n)) ** 2 * (1.0 + q ** (2 * n)) ** 2)
     series = 0.25 * (1.0 / math.sqrt(q) - math.sqrt(q)) * theta2(q) ** 2
     if abs(series - prod) > 1e-12 * max(1.0, abs(prod)):
         raise ArithmeticError(

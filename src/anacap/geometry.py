@@ -464,8 +464,10 @@ def interior_anchor(s: Shape) -> complex:
     p0 + p1/2 + b m + d conj(m), m = (e(1) - e0)/(2 pi i turns) the mean of
     e(t): the centre of a disk or an ellipse, the vertex mean of a polygon,
     c + i r/pi for the half-disk over [c - r, c + r].  When that point is not
-    inside, the anchor is the first inward probe point(1/2) + f i z'(1/2),
-    f = 1/4, 1/10, 1/50, piece by piece, that is inside.
+    inside, the anchor is the first inward probe p = point(1/2) + f i z'(1/2),
+    f = 1/4, 1/10, 1/50, piece by piece, that is inside with the cross
+    p +- h, p +- i h, h = (f/2) i z'(1/2): so a probe on another piece is
+    refused whichever side of it rounding puts it.
     """
     pieces = arcs(s)
     cand = sum(map(_mean_point, pieces)) / len(pieces)
@@ -475,7 +477,8 @@ def interior_anchor(s: Shape) -> complex:
         mid, inward = arc.point(0.5), 1j * arc.velocity(0.5)  # the interior is left of travel
         for frac in (0.25, 0.1, 0.02):
             p = complex(mid + frac * inward)
-            if _winding_number(pieces, p):
+            h = 0.5 * frac * inward
+            if all(_winding_number(pieces, p + dz) for dz in (0, h, -h, 1j * h, -1j * h)):
                 return p
     raise DegenerateShapeError(f"could not find an interior point of {type(s).__name__}")
 

@@ -23,11 +23,12 @@ corner-mapped pieces.  Refinement stops at 2^16 nodes per piece.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxDepthError
+from .errors import MaxDepthError, SceneConfigError
 from .geometry import ParametricArc
 
 _EPS = float(np.finfo(float).eps)
@@ -43,8 +44,10 @@ class QuadratureSettings:
     abs_tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
+        # an infinite one would report an infinite slack as if certified
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
+            raise SceneConfigError(
+                f"quadrature tolerance must be finite and positive, got {self.abs_tol}")
 
 
 def _trapezoid_levels():

@@ -24,10 +24,10 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import zgemv
 
-from .basis import BasisSet, SimplePole, build_basis
+from .basis import BasisSet, CornerAdapted, SimplePole, _require_star_shaped, build_basis
 from .errors import SceneConfigError, SingularGramError, SolveError
-from .geometry import Scene, _winding_number, arcs, validate_scene
-from .integrals import GramData, assemble_gram
+from .geometry import Scene, _winding_number, arcs, corners, validate_scene
+from .integrals import GramData, _matching_corner, assemble_gram
 from .quadrature import QuadratureSettings
 
 
@@ -164,9 +164,11 @@ def bounds_for_basis(sc: Scene, basis, settings: QuadratureSettings | None = Non
                      ) -> BoundsResult:
     """Capacity bracket from an explicit basis-function list.
 
-    Every pole must lie strictly inside a shape of the scene, and every
-    member must vanish at infinity; otherwise the bracket would not be a
-    bracket, and this is a :class:`SceneConfigError`.
+    Every pole must lie strictly inside a shape of the scene, every corner
+    member's branch point must be a corner of that shape with the shape
+    star-shaped about the pole, and every member must vanish at infinity;
+    otherwise the bracket would not be a bracket, and this is a
+    :class:`SceneConfigError`.
     """
     if settings is None:
         settings = QuadratureSettings()
@@ -178,13 +180,26 @@ def bounds_for_basis(sc: Scene, basis, settings: QuadratureSettings | None = Non
 
 
 def _require_poles_inside(sc: Scene, funcs) -> None:
-    """Exact test that each member's pole is strictly inside a shape of sc."""
+    """Exact test that each member's pole is strictly inside a shape of sc and
+    that a corner member's branch cut (a, c) stays in that shape: a is one of
+    its corners and it is star-shaped about c, as under ``Powers``."""
     boundaries = [arcs(s) for s in sc.shapes]
     for b in funcs:
         pole = b.a if isinstance(b, SimplePole) else b.c
-        if not any(_winding_number(pieces, pole) for pieces in boundaries):
+        i = next((i for i, pieces in enumerate(boundaries) if _winding_number(pieces, pole)),
+                 None)
+        if i is None:
             raise SceneConfigError(
                 f"the pole of basis member {b!r} is not strictly inside a shape of the scene")
+        if isinstance(b, CornerAdapted):
+            pts = np.array([k.location for k in corners(sc.shapes[i])], complex)
+            if _matching_corner(pts, b.a, max(1.0, abs(boundaries[i][0].start))) is None:
+                raise SceneConfigError(f"the branch point of basis member {b!r} is not a "
+                                       "corner of the shape that holds its pole")
+            try:
+                _require_star_shaped(sc.shapes[i], b.c)
+            except SceneConfigError as exc:
+                raise SceneConfigError(f"basis member {b!r}: {exc}") from None
 
 
 def gamma_bounds(sc: Scene, schedule, settings: QuadratureSettings | None = None) -> BoundsResult:

@@ -267,6 +267,18 @@ def test_quad_flags_after_subcommand(config_file, capsys):
     assert "unrecognized arguments: --quad-max-depth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_bad_quad_tol_is_config_error(config_file, capsys, tol):
+    path = config_file(TWO_DISKS)
+    sweep = ("sweep", "--config", path, "--m", "1", "--r-min", "0.5", "--r-max", "1.0",
+             "--steps", "2")
+    for argv in (("gamma", "--config", path), sweep):
+        code, out, err = run(capsys, *argv, "--quad-tol", tol)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "quadrature tolerance must be finite and positive" in err
+
+
 def test_max_depth_failure_is_numerical_exit(config_file, capsys):
     code, _, err = run(capsys, "gamma", "--config", config_file(THIN_ELLIPSE))
     assert code == EXIT_NUMERICAL

@@ -54,6 +54,21 @@ def test_cauchy_duplicate_rejected():
         cauchy_matrix([1, 1])
 
 
+@pytest.mark.parametrize("call", [
+    cauchy_matrix, alpha, beta, alpha_geometric,
+    lambda Z: lambda_discrete(Z, 0.5),
+    lambda Z: melnikov_M(Z, 0.5),
+    lambda Z: melnikov_N(Z, 0.5),
+    lambda Z: lambda_poly_bounds(Z, 0.5),
+    lambda Z: sandwich_check(Z, 0.5, 0.1, 0.2),
+], ids=["cauchy_matrix", "alpha", "beta", "alpha_geometric", "lambda_discrete",
+        "melnikov_M", "melnikov_N", "lambda_poly_bounds", "sandwich_check"])
+def test_empty_configuration_rejected(call):
+    # no centers must not pass for one center (lambda = r, a 1 x 1 zero C)
+    with pytest.raises(DuplicateCenterError, match="at least one center"):
+        call([])
+
+
 # --- discrete capacity ------------------------------------------------------
 
 def test_lambda_single_point():

@@ -126,6 +126,16 @@ def test_murai_agrees_with_theta_form_on_grid():
             r = rho * c
             assert murai_capacity(c, r) == pytest.approx(
                 two_disk_capacity(c, r), abs=1e-10)
+    # nearly touching disks, where sqrt(1 - k^2) loses all of k'
+    for rho in (0.99, 0.999, 0.9999):
+        for c in (0.5, 1.0, 7.3):
+            assert murai_capacity(c, rho * c) == pytest.approx(
+                two_disk_capacity(c, rho * c), rel=1e-13)
+
+
+def test_murai_rejects_underflowing_complementary_modulus():
+    with pytest.raises(DomainError, match="underflows"):
+        murai_capacity(1.0, 1.0 - 1e-9)
 
 
 def test_elliptic_F_limits():

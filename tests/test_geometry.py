@@ -525,6 +525,20 @@ def test_anchor_off_the_boundary_gives_a_bracket():
         bounds_for_basis(sc, [PowerPole(2 + 1j, 1)])
 
 
+@pytest.mark.parametrize("angle", [0.3, 1.0, 1.5, 3.0])
+def test_anchor_follows_a_rotation(angle):
+    # the L's first inward probe, 2 + i, lies on its edge from 4 + i to
+    # 1 + i, and under a rotation rounding can put it on either side
+    from anacap.basis import Powers
+    from anacap.solver import gamma_bounds
+
+    a = cmath.exp(1j * angle)
+    sc = transform(scene([L_SHAPE]), a)
+    assert interior_anchor(sc.shapes[0]) == pytest.approx(a * (2 + 0.4j), abs=1e-14)
+    res = gamma_bounds(sc, Powers(4))
+    assert res.upper >= math.sqrt(6 / math.pi)
+
+
 # --- transform --------------------------------------------------------------
 
 def test_transform_identity(two_disks):

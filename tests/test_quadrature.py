@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anacap.errors import MaxDepthError
+from anacap.errors import MaxDepthError, SceneConfigError
 from anacap.geometry import Disk, Ellipse, Polygon, arcs
 from anacap.quadrature import QuadratureSettings, _panel_rule, integrate_arc
 
@@ -12,8 +12,9 @@ DEFAULT = QuadratureSettings()
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        QuadratureSettings(abs_tol=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(SceneConfigError):
+            QuadratureSettings(abs_tol=bad)
     # the 2^16-node cap is the only stop rule: there is no depth setting
     with pytest.raises(TypeError):
         QuadratureSettings(max_depth=50)

@@ -5,12 +5,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anacap.exact as exact
 from anacap import solver
 from anacap.basis import BasisSet, CornerAdapted, PowerPole, Powers, Rings, SimplePole, build_basis
 from anacap.errors import SceneConfigError, SingularGramError
-from anacap.geometry import Disk, scene, transform, validate_scene
+from anacap.geometry import (Disk, Ellipse, Polygon, _signed_area, arcs, scene,
+                             transform, validate_scene)
 from anacap.integrals import GramData, assemble_gram
 from anacap.quadrature import QuadratureSettings
 from anacap.solver import (
@@ -22,7 +25,7 @@ from anacap.solver import (
     refine,
     upper_bound,
 )
-from conftest import random_points
+from conftest import MIXED_SHAPES, random_points
 
 TWO_DISK_GAMMA = 1.8755950190971197289
 
@@ -220,6 +223,34 @@ def test_wall_time_covers_validation(two_disks, monkeypatch):
     assert gamma_bounds(two_disks, Rings(0)).wall_time >= 0.02
 
 
+# --- bounds every bracket must respect --------------------------------------
+
+PROPERTY_SCENES = {
+    "two-disks": (scene([Disk(2 + 0j, 1.0), Disk(-2 + 0j, 1.0)]), Rings(2)),
+    "square": (scene([Polygon((1 + 0j, 1j, -1 + 0j, -1j))]), Powers(6, with_corners=True)),
+    "four-ellipses": (scene([Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)]),
+                      Rings(2)),
+    "disk-and-half-disks": (scene(list(MIXED_SHAPES)), Powers(3, with_corners=True)),
+    "l-shape": (scene([Polygon((0j, 4 + 0j, 4 + 1j, 1 + 1j, 1 + 3j, 3j))]), Powers(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROPERTY_SCENES))
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.floats(0.5, 2.0), st.floats(0.0, 2.0 * math.pi), st.floats(-5.0, 5.0),
+       st.floats(-5.0, 5.0))
+def test_bracket_respects_area_and_enclosing_disk(name, scale, angle, bx, by):
+    # Ahlfors-Beurling: gamma >= sqrt(Area/pi); monotonicity: gamma is at most
+    # the radius of a disk that contains K, here one about 0 bounding every piece
+    base, schedule = PROPERTY_SCENES[name]
+    sc = transform(base, scale * cmath.exp(1j * angle), complex(bx, by))
+    res = gamma_bounds(sc, schedule)
+    area = sum(_signed_area(arcs(s)) for s in sc.shapes)
+    radius = max(arc.size() for s in sc.shapes for arc in arcs(s))
+    assert res.upper >= math.sqrt(area / math.pi)
+    assert res.lower <= radius
+
+
 # --- explicit bases that cannot give a bracket ------------------------------
 
 def test_basis_growing_at_infinity_rejected(unit_square):
@@ -237,6 +268,33 @@ def test_basis_growing_at_infinity_rejected(unit_square):
 def test_explicit_pole_outside_the_scene_rejected(unit_square, member):
     with pytest.raises(SceneConfigError, match=re.escape(repr(member))):
         bounds_for_basis(unit_square, [PowerPole(0j, 1), member])
+
+
+SQUARE_POWERS = [PowerPole(0j, k) for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("a", [1.05 + 0j, 0.9 + 0j, 0.5 + 0.5j],
+                         ids=["outside", "inside", "on-edge"])
+def test_corner_member_off_a_corner_rejected(unit_square, a):
+    # with a = 1.05 the branch cut (a, 0) leaves the square, and the bracket
+    # it gave, [0.79431, 0.81880], misses gamma = 0.83463
+    members = [CornerAdapted(0j, a, -1 / 6, k) for k in (1, 2)]
+    with pytest.raises(SceneConfigError, match=re.escape(repr(members[0]))):
+        bounds_for_basis(unit_square, SQUARE_POWERS + members)
+
+
+def test_corner_member_on_a_corner_brackets_gamma(unit_square):
+    res = bounds_for_basis(unit_square, SQUARE_POWERS + [CornerAdapted(0j, 1 + 0j, -1 / 6, 1)])
+    assert res.lower <= exact.square_capacity(1.0) <= res.upper
+
+
+def test_corner_member_whose_cut_leaves_a_non_star_shape_rejected():
+    # the segment from the pole 3.5 + 0.5i in the L's foot to its corner 3i
+    # crosses the notch x > 1, y > 1
+    sc = scene([Polygon((0j, 4 + 0j, 4 + 1j, 1 + 1j, 1 + 3j, 3j))])
+    member = CornerAdapted(3.5 + 0.5j, 3j, -1 / 6, 1)
+    with pytest.raises(SceneConfigError, match="not star-shaped"):
+        bounds_for_basis(sc, [PowerPole(3.5 + 0.5j, 1), member])
 
 
 def test_pole_between_two_disks_rejected(two_disks):
