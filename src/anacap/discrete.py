@@ -48,8 +48,7 @@ class DiskConfiguration:
     def __post_init__(self):
         if not self.centers:
             raise DuplicateCenterError("need at least one center")
-        if self.radius <= 0:
-            raise PreconditionError(f"radius must be positive, got {self.radius}")
+        _check_radius(self.radius)
         if self.m is not None and not (1 <= self.m <= len(self.centers) - 1):
             raise SplitError(f"split m={self.m} invalid for n={len(self.centers)}")
 
@@ -88,6 +87,11 @@ def _pair_distances(z: np.ndarray) -> np.ndarray:
     return d
 
 
+def _check_radius(r: float) -> None:
+    if not (math.isfinite(r) and r > 0):
+        raise PreconditionError(f"radius must be finite and positive, got {r}")
+
+
 def _centers_array(Z) -> np.ndarray:
     z = np.asarray(list(Z), complex)
     if not z.size:
@@ -109,8 +113,7 @@ def cauchy_matrix(Z) -> np.ndarray:
 
 def lambda_discrete(Z, r: float) -> float:
     """lambda(Z, r) via the Hermitian positive-definite matrix form."""
-    if r <= 0:
-        raise PreconditionError(f"radius must be positive, got {r}")
+    _check_radius(r)
     C = cauchy_matrix(Z)
     n = C.shape[0]
     A = (1.0 / r) * np.eye(n) + r * (C @ C.conj().T)
@@ -127,15 +130,17 @@ def lambda_discrete(Z, r: float) -> float:
 
 def melnikov_M(Z, r: float) -> float:
     """M = r^4 sum_k sum_{j != k} |z_k - z_j|^{-4}."""
+    _check_radius(r)
     d = _pair_distances(_centers_array(Z))
     return float(r ** 4 * np.sum(d ** -4.0))
 
 
 def melnikov_N(Z, r: float) -> float:
     """N = r (sum |z_k - z_j|^{-2})^{1/2} M^{1/2}."""
-    d = _pair_distances(_centers_array(Z))
-    s2 = float(np.sum(d ** -2.0))
-    return r * math.sqrt(s2) * math.sqrt(melnikov_M(Z, r))
+    _check_radius(r)
+    z = _centers_array(Z)
+    s2 = float(np.sum(_pair_distances(z) ** -2.0))
+    return r * math.sqrt(s2) * math.sqrt(melnikov_M(z, r))
 
 
 def alpha(Z) -> float:
@@ -191,29 +196,31 @@ def delta(Z, m: int) -> float:
 
 def lambda_poly_bounds(Z, r: float) -> tuple[float, float]:
     """(n r - alpha r^3,  n r - alpha r^3 + beta r^5)."""
-    n = len(list(Z))
-    a = alpha(Z)
-    b = beta(Z)
-    lo = n * r - a * r ** 3
-    return lo, lo + b * r ** 5
+    _check_radius(r)
+    z = _centers_array(Z)
+    lo = z.size * r - alpha(z) * r ** 3
+    return lo, lo + beta(z) * r ** 5
 
 
 def predicted_slope(Z, m: int) -> float:
     """The coefficient delta/n in R(Z, r, m) = 1 - (delta/n) r^2 + O(r^3)."""
-    return delta(Z, m) / len(list(Z))
+    z = _centers_array(Z)
+    return delta(z, m) / z.size
 
 
 def sandwich_check(Z, r: float, gamma_lower: float, gamma_upper: float,
                    slack: float = 0.0) -> bool:
     """Check gamma/(1+4N) <= lambda <= (1+2M) gamma against a certified
     bracket [gamma_lower, gamma_upper]; requires 4r-separated centers."""
-    d = _pair_distances(_centers_array(Z))
+    _check_radius(r)
+    z = _centers_array(Z)
+    d = _pair_distances(z)
     if d.min() <= 4.0 * r:
         raise PreconditionError(
             f"doubled disks overlap: min center distance {d.min()} <= 4r = {4 * r}")
-    lam = lambda_discrete(Z, r)
-    M = melnikov_M(Z, r)
-    N = melnikov_N(Z, r)
+    lam = lambda_discrete(z, r)
+    M = melnikov_M(z, r)
+    N = melnikov_N(z, r)
     return (gamma_lower / (1.0 + 4.0 * N) <= lam + slack
             and lam <= (1.0 + 2.0 * M) * gamma_upper + slack)
 

@@ -21,8 +21,7 @@ many analytic pieces.  The module knows how to
 * apply affine maps z -> a*z + b.
 
 ``Segment`` and ``CircularArc`` are input records of an :class:`ArcChain`;
-only the input checks, :func:`arcs`, :func:`transform` and the JSON schema
-read them.
+only :func:`arcs`, :func:`transform` and the JSON schema read them.
 
 Points are plain ``complex`` numbers throughout.
 """
@@ -246,84 +245,40 @@ def scene(shapes, labels=None) -> Scene:
 
 
 # ---------------------------------------------------------------------------
-# per-shape helpers
+# boundary check
 
 
-def _require_finite(what: str, *values) -> None:
-    if not all(map(cmath.isfinite, values)):
-        raise DegenerateShapeError(f"{what} must be finite")
-
-
-def _check_shape(s: Shape) -> None:
-    if isinstance(s, Disk):
-        _require_finite("disk center and radius", s.center, s.radius)
-        if not s.radius > 0:
-            raise DegenerateShapeError(f"disk radius must be positive, got {s.radius}")
-    elif isinstance(s, Ellipse):
-        _require_finite("ellipse center, semi-axes and rotation",
-                        s.center, s.semi_major, s.semi_minor, s.rotation)
-        if not (s.semi_major > 0 and s.semi_minor > 0):
-            raise DegenerateShapeError("ellipse semi-axes must be positive")
-    elif isinstance(s, Polygon):
-        _check_polygon(s)
-    elif isinstance(s, ArcChain):
-        _check_arc_chain(s)
-    else:
-        raise DegenerateShapeError(f"unknown shape {type(s).__name__}")
-
-
-def _check_polygon(p: Polygon) -> None:
-    v = p.vertices
-    if len(v) < 3:
-        raise DegenerateShapeError("polygon needs at least 3 vertices")
-    _require_finite("polygon vertices", *v)
-    n = len(v)
-    # adjacent-collinear vertices collapse an analytic piece
-    scale = max(abs(a - b) for a in v for b in v)
-    if scale == 0:
-        raise DegenerateShapeError("polygon vertices coincide")
-    for i in range(n):
-        e1 = v[(i + 1) % n] - v[i]
-        e2 = v[(i + 2) % n] - v[(i + 1) % n]
-        if abs(e1) < 1e-14 * scale or abs(e2) < 1e-14 * scale:
-            raise DegenerateShapeError("repeated polygon vertex")
-        cross = (e1.conjugate() * e2).imag
-        if abs(cross) < 1e-14 * scale * scale and (e1.conjugate() * e2).real > 0:
-            raise DegenerateShapeError("collinear adjacent polygon vertices")
-    _check_simple_curve(p)
-
-
-def _check_arc_chain(ch: ArcChain) -> None:
-    if not ch.pieces:
-        raise DegenerateShapeError("arc chain has no pieces")
-    for piece in ch.pieces:
-        if isinstance(piece, Segment):
-            _require_finite("segment ends", piece.start, piece.end)
-            if abs(piece.end - piece.start) == 0:
-                raise DegenerateShapeError("zero-length segment")
-        elif isinstance(piece, CircularArc):
-            _require_finite("arc center, radius and angles",
-                            piece.center, piece.radius, piece.theta_start, piece.theta_end)
-            if piece.radius <= 0:
-                raise DegenerateShapeError("arc radius must be positive")
-            if piece.theta_end == piece.theta_start:
-                raise DegenerateShapeError("zero-length arc")
-            if abs(piece.theta_end - piece.theta_start) > TWO_PI:
-                raise DegenerateShapeError("arc turns more than once")
-        else:
-            raise DegenerateShapeError(f"unknown piece {type(piece).__name__}")
-    pieces = arcs(ch)
-    scale = max(max(abs(arc.start), abs(arc.end)) for arc in pieces) or 1.0
+def _check_boundary(pieces: list[ParametricArc]) -> None:
+    """Check one shape's boundary pieces, its ``arcs``, by rules that read no
+    shape kind, so a polygon and the arc chain of its edges get one verdict.
+    Raises :class:`DegenerateShapeError` unless there are pieces, all finite;
+    each starts within 1e-9 max|z| of where the one before ends; a curved
+    piece has k > 0 and turns at most once; a straight piece is longer than
+    1e-14 diam, diam the widest distance between piece starts (a zero-length
+    arc is a straight piece with p1 = 0); two straight pieces in a row turn or
+    fold back; the signed area is positive (a radius or semi-axis <= 0 breaks
+    this or k > 0); and non-adjacent pieces have a certified positive gap.
+    """
+    if not pieces:
+        raise DegenerateShapeError("boundary has no pieces")
+    if not all(map(cmath.isfinite, itertools.chain.from_iterable(pieces))):
+        raise DegenerateShapeError("boundary pieces must be finite")
+    starts = [arc.start for arc in pieces]
+    ends = [arc.end for arc in pieces]
+    scale = max(map(abs, starts + ends)) or 1.0
+    diam = max(abs(z - w) for z in starts for w in starts)
     for i, arc in enumerate(pieces):
-        if abs(pieces[i - 1].end - arc.start) > 1e-9 * scale:
-            raise DegenerateShapeError("arc chain pieces do not join end-to-start")
-    _check_simple_curve(ch)
-
-
-def _check_simple_curve(s: Union[Polygon, ArcChain]) -> None:
-    """Positive orientation (exact signed area) and simplicity: every two
-    non-adjacent pieces have a certified positive gap."""
-    pieces = arcs(s)
+        if abs(ends[i - 1] - starts[i]) > 1e-9 * scale:
+            raise DegenerateShapeError(f"piece {i} does not start where the one before ends")
+        if arc.turns:
+            if not (arc.k > 0 and abs(arc.turns) <= 1):
+                raise DegenerateShapeError(f"curved piece {i} needs k > 0 and at most one turn")
+        elif not abs(arc.p1) > 1e-14 * diam:
+            raise DegenerateShapeError(f"straight piece {i} is too short (repeated vertex)")
+        elif not pieces[i - 1].turns:
+            w = pieces[i - 1].p1.conjugate() * arc.p1
+            if abs(w.imag) < 1e-14 * diam * diam and w.real > 0:
+                raise DegenerateShapeError(f"straight piece {i} is collinear with the one before")
     if _signed_area(pieces) <= 0:
         raise DegenerateShapeError("boundary must be positively oriented")
     if len(pieces) > 3:
@@ -334,12 +289,18 @@ def _check_simple_curve(s: Union[Polygon, ArcChain]) -> None:
 
 
 def _signed_area(pieces: list[ParametricArc]) -> float:
-    # (1/2) sum of Im(conj(z) dz) over each piece, in closed form: with
-    # z = p0 + u, u = b e + d conj(e) (p1 = 0 on a curved piece), it is
-    # Im(conj(p0) (z1 - z0)) plus (|b|^2 - |d|^2) times the angle 2 pi turns
-    return 0.5 * sum((arc.p0.conjugate() * (arc.end - arc.start)).imag
-                     + (abs(arc.b) ** 2 - abs(arc.d) ** 2) * TWO_PI * arc.turns
-                     for arc in pieces)
+    # (1/2) sum of Im(conj(z - o) dz) over each piece in closed form, o the first
+    # start: with z = p0 + p1 t + b e + d conj(e) (p1 = 0 on a curved piece) it is
+    # Im(conj(p0 - o) (z1 - z0)) + (|b|^2 - |d|^2) 2 pi turns, and z1 - z0 =
+    # p1 + b (e1 - e0) + d conj(e1 - e0) makes a two-vertex polygon's area exactly 0
+    o = pieces[0].start
+    area = 0.0
+    for arc in pieces:
+        de = arc._e1() - arc.e0
+        chord = arc.p1 + arc.b * de + arc.d * de.conjugate()
+        area += (((arc.p0 - o).conjugate() * chord).imag
+                 + (abs(arc.b) ** 2 - abs(arc.d) ** 2) * TWO_PI * arc.turns)
+    return 0.5 * area
 
 
 def point_in_shape(s: Shape, z: complex) -> bool:
@@ -439,10 +400,12 @@ def arcs(s: Shape) -> list[ParametricArc]:
     for pc in pieces:
         if isinstance(pc, Segment):
             out.append(ParametricArc(pc.start, pc.end - pc.start, 0j, 0j, 1 + 0j, 0.0, 0.0))
-        else:
+        elif isinstance(pc, CircularArc):
             out.append(ParametricArc(pc.center, 0j, pc.radius + 0j, 0j,
                                      cmath.exp(1j * pc.theta_start),
                                      (pc.theta_end - pc.theta_start) / TWO_PI, pc.radius))
+        else:
+            raise DegenerateShapeError(f"unknown piece {type(pc).__name__}")
     return out
 
 
@@ -526,7 +489,8 @@ def _transform_shape(s: Shape, a: complex, b: complex) -> Shape:
 
 
 def validate_scene(sc: Scene) -> Scene:
-    """Check every shape and the pairwise disjointness of their closures.
+    """Check every shape's ``arcs`` by :func:`_check_boundary`, one rule set
+    for every shape kind, then the pairwise disjointness of their closures.
 
     Returns the scene with ``min_gap`` set to a certified lower bound on the
     smallest pairwise gap (inf for a single shape).  Two disks use the closed
@@ -540,9 +504,9 @@ def validate_scene(sc: Scene) -> Scene:
     """
     if not sc.shapes:
         raise SceneConfigError("scene needs at least one shape")
-    for s in sc.shapes:
-        _check_shape(s)
     pieces = [arcs(s) for s in sc.shapes]
+    for p in pieces:
+        _check_boundary(p)
     gap = math.inf
     pairs = []
     for i, j in itertools.combinations(range(len(sc.shapes)), 2):

@@ -26,7 +26,7 @@ import numpy as np
 from . import discrete
 from .basis import BasisSet, Rings, Schedule, _shape_counted_basis
 from .discrete import DiskConfiguration
-from .errors import SplitError
+from .errors import AnacapError, SplitError
 from .geometry import Disk, Scene, validate_scene
 from .integrals import _assemble_grams
 from .quadrature import QuadratureSettings
@@ -131,8 +131,8 @@ def sweep(centers, m: int, r_grid, schedule: Schedule,
           settings: QuadratureSettings | None = None) -> list[SweepRecord]:
     """One certified ratio record per radius, in grid order.
 
-    A radius that fails (overlap, numerical error) yields an error record
-    rather than being dropped.
+    A radius that fails with an AnacapError (overlap, numerical error)
+    yields an error record, not a dropped row; other exceptions propagate.
     """
     centers = tuple(complex(c) for c in centers)
     if not (1 <= m <= len(centers) - 1):
@@ -145,7 +145,7 @@ def sweep(centers, m: int, r_grid, schedule: Schedule,
             return _error_record(r, f"radius {r} exceeds sweep cap {cap}")
         try:
             return ratio_bounds(DiskConfiguration(centers, r, m), schedule, settings)
-        except Exception as exc:  # recorded per spec, not dropped
+        except AnacapError as exc:  # recorded per spec, not dropped
             return _error_record(r, f"{type(exc).__name__}: {exc}")
 
     return [one(r) for r in r_grid]

@@ -69,6 +69,40 @@ def test_empty_configuration_rejected(call):
         call([])
 
 
+@pytest.mark.parametrize("call", [
+    cauchy_matrix, alpha, beta, alpha_geometric,
+    lambda Z: lambda_discrete(Z, 0.1),
+    lambda Z: melnikov_M(Z, 0.1),
+    lambda Z: melnikov_N(Z, 0.1),
+    lambda Z: lambda_poly_bounds(Z, 0.1),
+    lambda Z: delta(Z, 1),
+    lambda Z: predicted_slope(Z, 1),
+    lambda Z: sandwich_check(Z, 0.1, 0.2, 0.3),
+], ids=["cauchy_matrix", "alpha", "beta", "alpha_geometric", "lambda_discrete",
+        "melnikov_M", "melnikov_N", "lambda_poly_bounds", "delta", "predicted_slope",
+        "sandwich_check"])
+def test_iterator_and_list_give_equal_values(call):
+    # each function reads Z once: a second read of an iterator sees no centers
+    Z = [0j, 2 + 0j, 5j]
+    assert np.array_equal(call(iter(Z)), call(Z))
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda r: DiskConfiguration((0j, 2 + 0j), r),
+    lambda r: lambda_discrete([0j, 2 + 0j], r),
+    lambda r: melnikov_M([0j, 2 + 0j], r),
+    lambda r: melnikov_N([0j, 2 + 0j], r),
+    lambda r: lambda_poly_bounds([0j, 2 + 0j], r),
+    lambda r: sandwich_check([0j, 5 + 0j], r, 0.1, 0.2),
+], ids=["DiskConfiguration", "lambda_discrete", "melnikov_M", "melnikov_N",
+        "lambda_poly_bounds", "sandwich_check"])
+def test_radius_not_finite_and_positive_rejected(call, r):
+    # inf gave lambda 0.0, -1 gave M = 0.125 and crossed polynomial bounds
+    with pytest.raises(PreconditionError, match="finite and positive"):
+        call(r)
+
+
 # --- discrete capacity ------------------------------------------------------
 
 def test_lambda_single_point():

@@ -331,6 +331,65 @@ def test_degenerate_shapes_rejected():
 NAN, INF = float("nan"), float("inf")
 
 
+class Unknown:
+    pass
+
+
+@pytest.mark.parametrize("shape", [
+    Disk(0j, 0.0), Disk(0j, -1.0), Disk(0j, INF),
+    Ellipse(0j, 2.0, 0.0), Ellipse(0j, 2.0, -1.0), Ellipse(0j, -2.0, -1.0),
+    Ellipse(0j, -1.0, 2.0), Ellipse(0j, 2.0, 1.0, INF),
+    Polygon(()), Polygon((0j,)),
+    Polygon((0.1 + 0.2j, 0.3 + 0.7j)),  # its two edges' closed-form area rounds above 0
+    Polygon((0j, 1 + 0j, 1 + 0j, 1j)), Polygon((0j, 1 + 0j, 1 + 1e-16j, 1j)),
+    Polygon((1 + 1j,) * 4), Polygon((0j, 2 + 0j, 1 + 0j, 1 + 1j)),
+    Polygon((0j, 1 + 0j, 0.5 + 1e-15j)),
+    ArcChain(()),
+    ArcChain((Segment(-1 + 0j, 1 + 0j), Segment(1 + 0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, math.pi))),
+    ArcChain(half_disk(0j).pieces + (CircularArc(0j, 1.0, math.pi, math.pi),)),
+    ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, -1.0, math.pi, 2 * math.pi))),
+    ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, 3 * math.pi))),
+    ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, math.pi - 1e-3))),
+    ArcChain((CircularArc(0j, 1.0, math.pi, 0.0), Segment(1 + 0j, -1 + 0j))),
+    ArcChain((Segment(-1 + 0j, 1 + 0j), Unknown())),
+    Unknown(),
+], ids=["disk_r0", "disk_r-1", "disk_rinf",
+        "ellipse_2_0", "ellipse_2_-1", "ellipse_-2_-1", "ellipse_-1_2", "ellipse_rot_inf",
+        "polygon_0", "polygon_1", "polygon_2",
+        "polygon_repeated_vertex", "polygon_1e-16_edge", "polygon_all_equal", "polygon_spike",
+        "polygon_1e-15_sliver",
+        "chain_empty", "chain_zero_segment", "chain_zero_arc", "chain_radius_-1", "chain_3pi_arc",
+        "chain_1e-3_gap", "chain_clockwise", "chain_unknown_piece",
+        "unknown_shape"])
+def test_every_degenerate_boundary_is_rejected(shape):
+    with pytest.raises(DegenerateShapeError):
+        validate_scene(scene([shape]))
+
+
+def _edge_chain(p: Polygon) -> ArcChain:
+    v = p.vertices
+    return ArcChain(tuple(Segment(a, b) for a, b in zip(v, v[1:] + v[:1])))
+
+
+@pytest.mark.parametrize("poly, valid", [
+    (SQUARE, True),
+    (L_SHAPE, True),
+    (Polygon((0j, 1 + 0j, 2 + 0j, 1 + 1j)), False),  # collinear vertex at 1
+    (Polygon((0j, 1 + 0j, 1 + 1e-16j)), False),  # a 1e-16 edge, three pieces: no gap test
+    (Polygon((0.1 + 0.2j, 0.3 + 0.7j)), False),  # two vertices: zero area
+])
+def test_polygon_and_its_edge_chain_get_one_verdict(poly, valid):
+    gaps = []
+    for s in (poly, _edge_chain(poly)):
+        sc = scene([s, Disk(10 + 0j, 1.0)])
+        if valid:
+            gaps.append(validate_scene(sc).min_gap)
+        else:
+            with pytest.raises(DegenerateShapeError):
+                validate_scene(sc)
+    assert len(set(gaps)) <= 1
+
+
 @pytest.mark.parametrize("shape", [
     Disk(complex(NAN, 0.0), 1.0),
     Ellipse(0j, 2.0, 1.0, INF),

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from anacap import basis
+from anacap import basis, sublab
 from anacap.basis import Powers, Rings, build_basis
 from anacap.discrete import DiskConfiguration
-from anacap.errors import OverlapError, SplitError
+from anacap.errors import OverlapError, SolveError, SplitError
 from anacap.exact import nome_from_geometry, ratio_f
 from anacap.geometry import Disk, Scene
 from anacap.integrals import assemble_gram
@@ -132,6 +132,21 @@ def test_sweep_error_rows_recorded():
     records = sweep(PAIR, 1, [0.5, 1.9999, 1.0], Rings(2))
     assert [rec.error is None for rec in records] == [True, False, True]
     assert math.isnan(records[1].ratio_low)
+
+
+def test_sweep_records_only_library_errors(monkeypatch):
+    # a library failure is an error row; a bug's TypeError is not swallowed
+    def fail(exc):
+        def ratio_bounds(*args):
+            raise exc
+        return ratio_bounds
+
+    monkeypatch.setattr(sublab, "ratio_bounds", fail(SolveError("bounds cross")))
+    (rec,) = sweep(PAIR, 1, [0.5], Rings(2))
+    assert rec.error == "SolveError: bounds cross"
+    monkeypatch.setattr(sublab, "ratio_bounds", fail(TypeError("a bug")))
+    with pytest.raises(TypeError, match="a bug"):
+        sweep(PAIR, 1, [0.5], Rings(2))
 
 
 def test_nine_small_disks_factor_without_jitter():
