@@ -320,25 +320,37 @@ class BasisSet:
     def d_vector(self) -> np.ndarray:
         return np.array([b.d_infinity() for b in self.funcs], complex)
 
-    def eval_all(self, z, corner_subs=None) -> np.ndarray:
-        """Values of every basis function at z (scalar or array).
+    def eval_all(self, z, corner_subs=None, out=None) -> np.ndarray:
+        """Values of every basis function at z (scalar or array), shape
+        ``(n,) + z.shape``.
 
         ``corner_subs`` is an optional list of (corner_point, delta) pairs,
         delta a scalar or an array of z's shape: corner-adapted members
         anchored at corner_point are evaluated with the exact displacement
         z - a = delta, which stays accurate when z is so close to the corner
         that the subtraction would round to zero.
+
+        ``out``, if given, is a C-contiguous complex array of that shape
+        (quadrature passes rows of its product buffer); the values are
+        written into it, bitwise those of a call without it, and it is
+        returned.
         """
         z = np.asarray(z, complex)
-        scalar = z.ndim == 0
         zf = z.reshape(-1)
-        out = np.empty((self.n, zf.size), complex)
+        if out is None:
+            out = np.empty((self.n,) + z.shape, complex)
+        elif not (out.shape == (self.n,) + z.shape and out.dtype == complex
+                  and out.flags.c_contiguous):
+            # any other array would be reshaped into a copy, or cast on writing
+            raise ValueError("out must be a C-contiguous complex array of shape (n,) + z.shape")
+        buf = out.reshape(self.n, zf.size)
         if self._si.size:
-            out[self._si] = 1.0 / (zf[None, :] - self._sa[:, None])
+            d = zf[None, :] - self._sa[:, None]
+            buf[self._si] = np.divide(1.0, d, out=d)
         if self._pc.size:
             pw = (zf[None, :] - self._pc) ** self._pk
             if self._pi.size:
-                out[self._pi] = pw[self._p_row]
+                buf[self._pi] = pw[self._p_row]
             if self._ci.size:
                 zc = zf[None, :] - self._gc
                 num = zf[None, :] - self._ga
@@ -351,8 +363,8 @@ class BasisSet:
                 # bits do not depend on how many nodes the call evaluates
                 vals = frac[self._c_group]
                 np.multiply(vals, pw[self._c_pole], out=vals)
-                out[self._ci] = vals
-        return out[:, 0] if scalar else out.reshape((self.n,) + z.shape)
+                buf[self._ci] = vals
+        return out
 
     def corner_points(self) -> np.ndarray:
         """Distinct corner locations used by corner-adapted members."""

@@ -255,9 +255,11 @@ def _check_boundary(pieces: list[ParametricArc]) -> None:
     each starts within 1e-9 max|z| of where the one before ends; a curved
     piece has k > 0 and turns at most once; a straight piece is longer than
     1e-14 diam, diam the widest distance between piece starts (a zero-length
-    arc is a straight piece with p1 = 0); two straight pieces in a row turn or
-    fold back; the signed area is positive (a radius or semi-axis <= 0 breaks
-    this or k > 0); and non-adjacent pieces have a certified positive gap.
+    arc is a straight piece with p1 = 0); two straight pieces in a row do not
+    lie on one line, so they neither run on nor fold straight back; two curved
+    pieces in a row do not turn opposite ways on one circle; the signed area
+    is positive (a radius or semi-axis <= 0 breaks this or k > 0); and
+    non-adjacent pieces have a certified positive gap.
     """
     if not pieces:
         raise DegenerateShapeError("boundary has no pieces")
@@ -270,14 +272,18 @@ def _check_boundary(pieces: list[ParametricArc]) -> None:
     for i, arc in enumerate(pieces):
         if abs(ends[i - 1] - starts[i]) > 1e-9 * scale:
             raise DegenerateShapeError(f"piece {i} does not start where the one before ends")
+        prev = pieces[i - 1]
         if arc.turns:
             if not (arc.k > 0 and abs(arc.turns) <= 1):
                 raise DegenerateShapeError(f"curved piece {i} needs k > 0 and at most one turn")
+            if prev.turns * arc.turns < 0 and (prev.p0, prev.b, prev.d) == (arc.p0, arc.b, arc.d):
+                raise DegenerateShapeError(
+                    f"curved piece {i} turns back along the circle of the one before")
         elif not abs(arc.p1) > 1e-14 * diam:
             raise DegenerateShapeError(f"straight piece {i} is too short (repeated vertex)")
-        elif not pieces[i - 1].turns:
-            w = pieces[i - 1].p1.conjugate() * arc.p1
-            if abs(w.imag) < 1e-14 * diam * diam and w.real > 0:
+        elif not prev.turns:
+            w = prev.p1.conjugate() * arc.p1
+            if abs(w.imag) < 1e-14 * diam * diam:
                 raise DegenerateShapeError(f"straight piece {i} is collinear with the one before")
     if _signed_area(pieces) <= 0:
         raise DegenerateShapeError("boundary must be positively oriented")

@@ -19,11 +19,13 @@ into its first m shapes (on their basis functions) and the rest, which
 gives the Grams of E, F and E u F of a subadditivity record in one pass,
 each bitwise what it would be assembled alone.  Every other boundary goes
 through the node-and-weight quadrature of :mod:`anacap.quadrature`, one
-matrix product ``(V w) V^H`` per node set, with the constant 1 appended to V
-so that the same product carries u and the length.  The general residue
-routines (``circle_pair_integral``, with its spectral midpoint rule for
-near-confluent poles, and ``circle_mean_integral``) are on no Gram path; they
-stay public as exact references.
+Hermitian product per node set: the basis values V, with the constant 1
+appended as a last row and scaled by sqrt(w) in the same buffer, give the
+upper triangle of ``(V w) V^H`` from one ``zherk``, and that bordered block
+carries u and the length too.  The general residue routines
+(``circle_pair_integral``, with its spectral midpoint rule for near-confluent
+poles, and ``circle_mean_integral``) are on no Gram path; they stay public as
+exact references.
 
 Contributions are accumulated disks first, in index order, then the other
 shapes, in index order, so assembled matrices are bitwise reproducible.
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import zgemm
+from scipy.linalg.blas import zherk
 
 from .basis import BasisFunction, BasisSet, PowerPole, SimplePole
 from .errors import NonRationalBasisError, PoleOnContourError
@@ -314,13 +316,26 @@ def _quad_block(bs: BasisSet, shape, settings: QuadratureSettings
                 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Gram contributions of one shape's boundary by node-and-weight quadrature.
 
-    On each node set the basis values with the constant 1 appended as row n,
-    A (n+1 x nodes), give the whole block at once: G = (A w) A^H holds H in
-    G[:n, :n], u in G[:n, n] and the length in G[n, n].  The product runs on
-    SciPy's BLAS, like the solver's factorization: NumPy and SciPy each bundle
-    an OpenBLAS with its own thread pool, and alternating between the two
-    leaves one pool's workers spinning while the other's run, which on a
-    two-core machine stalled a 20 ms job by up to 0.2 s.
+    Each integrand call fills one buffer A (n+1 x nodes): ``bs.eval_all``
+    writes the basis values into A[:n], row n is the constant 1, and A is
+    scaled in place by sqrt(w) (the weights are >= 0).  One Hermitian
+    rank-k update (``zherk``) then gives the upper triangle of the bordered
+    block G = (A w) A^H: H in G[:n, :n], u in G[:n, n] and the length in
+    G[n, n], with an exactly real diagonal; the lower triangle stays zero,
+    and ``_gram_data`` mirrors the upper one into it.
+
+    The update runs on SciPy's BLAS, like the solver's factorization: NumPy
+    and SciPy each bundle an OpenBLAS with its own thread pool, and
+    alternating between the two leaves one pool's workers spinning while the
+    other's run, which on a two-core machine stalled a 20 ms job by up to
+    0.2 s.  Even so, a call that OpenBLAS threads stalls for about 4 ms
+    right after threaded work in NumPy's pool, and a single-threaded one
+    does not.  With OpenBLAS 0.3.31 on two cores, ``zherk`` runs on one
+    thread at 31 rows by 64 or 128 nodes and 22 rows by 512, and is threaded
+    from 69 rows; a ``zgemm`` from 31 by 128 and a ``zgemv`` at 21 by 512
+    are threaded, which is why u and the length come through the bordered
+    row.  So bases of up to 30 functions (the bench's corner bases) make no
+    threaded call here; the four ellipses under ``Rings(4)`` (n = 68) do.
     """
     n = bs.n
     corner_pts = bs.corner_points()
@@ -341,11 +356,13 @@ def _quad_block(bs: BasisSet, shape, settings: QuadratureSettings
             if ec is not None:
                 subs.append((ec, arc.disp_end(s1)))
             A = np.empty((n + 1, z.size), complex)
-            A[:n] = bs.eval_all(z, corner_subs=subs or None)
+            bs.eval_all(z, subs or None, out=A[:n])
             A[n] = 1.0
-            # (A w) A^H is the transpose of conj(A w) A^T; passing the
-            # transposes hands BLAS Fortran-ordered arrays without copies
-            return zgemm(1.0, (A * w).T, A.T, trans_a=2).T.ravel()
+            A *= np.sqrt(w)
+            # A.T is A in Fortran order, so BLAS takes it without a copy;
+            # it returns conj(G) = G^T in its lower triangle, whose
+            # transpose is G's upper triangle in C order
+            return zherk(1.0, A.T, trans=2, lower=1).T.ravel()
 
         vals = integrate_arc(f, arc, settings,
                              singular_start=start_corner is not None,

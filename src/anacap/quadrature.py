@@ -2,7 +2,7 @@
 
 Each arc gets nodes t in [0, 1] and real weights that include |z'(t)|; the
 integrand reduces its values at a whole node array against the weights, so a
-Gram block is one matrix product per node set.  Rules double until two
+Gram block is one Hermitian product per node set.  Rules double until two
 successive sums agree, per component and separately on real and imaginary
 parts, to max(abs_tol, 64 eps * size): the floor keeps absolute tolerances
 meaningful for integrands of very large magnitude.  Both rules start at 64

@@ -299,6 +299,31 @@ def test_eval_all_bitwise_equal_to_row_per_member_eval(shapes, schedule):
                              row_per_member_eval(funcs, z0, subs0))
 
 
+@pytest.mark.parametrize("shapes,schedule", [
+    ([Disk(0j, 1.0), Ellipse(5 + 0j, 2.0, 1.0, 0.3)], Rings(2)),
+    ([SQUARE], Powers(6)),
+    ([SQUARE], Powers(6, True)),
+    (MIXED_SHAPES, Powers(3, True)),
+], ids=["disk-ellipse-Rings2", "square-Powers6", "square-Powers6-corners", "mixed-Powers3"])
+def test_eval_all_into_buffer_rows(shapes, schedule):
+    # quadrature passes the first n rows of its (n+1) x nodes buffer as out
+    sc = validate_scene(scene(shapes))
+    bs = BasisSet(build_basis(sc, schedule))
+    n = bs.n
+    for shape in sc.shapes:
+        for arc in arcs(shape):
+            for first in (None, 1e-200):
+                z, subs = _arc_nodes(arc, 128, first)
+                cs = subs if first else None
+                A = np.full((n + 1, z.size), complex(np.nan, np.nan))
+                view = A[:n]
+                assert bs.eval_all(z, cs, out=view) is view
+                assert same_bits(view, bs.eval_all(z, cs))
+                assert np.isnan(A[n]).all()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        bs.eval_all(z, out=np.empty((n, 2 * z.size), complex)[:, ::2])
+
+
 def test_corner_values_do_not_depend_on_the_node_count():
     # at 1024 nodes the square's gathered pole powers take 384 KiB, past the
     # size at which NumPy reuses a temporary operand and swaps the operands of

@@ -351,6 +351,12 @@ class Unknown:
     ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, 3 * math.pi))),
     ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, math.pi - 1e-3))),
     ArcChain((CircularArc(0j, 1.0, math.pi, 0.0), Segment(1 + 0j, -1 + 0j))),
+    # a half-disk with a slit out to 1: the second segment folds straight back
+    ArcChain((Segment(-1 + 0j, 1 + 0j), Segment(1 + 0j, 0j),
+              CircularArc(-0.5 + 0j, 0.5, 0.0, math.pi))),
+    # an arc from 1 to -1, back along its circle to i, then the chord to 1
+    ArcChain((CircularArc(0j, 1.0, 0.0, math.pi), CircularArc(0j, 1.0, math.pi, math.pi / 2),
+              Segment(1j, 1 + 0j))),
     ArcChain((Segment(-1 + 0j, 1 + 0j), Unknown())),
     Unknown(),
 ], ids=["disk_r0", "disk_r-1", "disk_rinf",
@@ -359,11 +365,22 @@ class Unknown:
         "polygon_repeated_vertex", "polygon_1e-16_edge", "polygon_all_equal", "polygon_spike",
         "polygon_1e-15_sliver",
         "chain_empty", "chain_zero_segment", "chain_zero_arc", "chain_radius_-1", "chain_3pi_arc",
-        "chain_1e-3_gap", "chain_clockwise", "chain_unknown_piece",
+        "chain_1e-3_gap", "chain_clockwise", "chain_slit", "chain_arc_turns_back",
+        "chain_unknown_piece",
         "unknown_shape"])
 def test_every_degenerate_boundary_is_rejected(shape):
     with pytest.raises(DegenerateShapeError):
         validate_scene(scene([shape]))
+
+
+@pytest.mark.parametrize("chain", [
+    half_disk(0j),
+    ArcChain((Segment(0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, math.pi / 2), Segment(1j, 0j))),
+    ArcChain((CircularArc(0j, 1.0, 0.0, math.pi), CircularArc(0j, 1.0, math.pi, 2 * math.pi))),
+], ids=["half_disk", "quarter_disk", "disk_in_two_arcs"])
+def test_chain_turning_on_at_each_join_validates(chain):
+    # the fold-back rules reject neither a corner nor an arc running on along its circle
+    assert validate_scene(scene([chain])).min_gap == math.inf
 
 
 def _edge_chain(p: Polygon) -> ArcChain:

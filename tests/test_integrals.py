@@ -423,7 +423,12 @@ def test_corner_gram_bitwise_equal_to_row_per_member_assembly(shapes, schedule):
     sc = validate_scene(scene(shapes))
     funcs = build_basis(sc, schedule)
     ref = BasisSet(funcs)
-    ref.eval_all = lambda z, corner_subs=None: row_per_member_eval(funcs, z, corner_subs)
+
+    def row_per_member(z, corner_subs=None, out=None):
+        out[...] = row_per_member_eval(funcs, z, corner_subs)
+        return out
+
+    ref.eval_all = row_per_member
     want = assemble_gram(sc, ref)
     got = assemble_gram(sc, funcs)
     assert same_bits(got.H, want.H) and same_bits(got.u, want.u)
@@ -442,13 +447,63 @@ def test_corner_assembly_work(monkeypatch, shapes, schedule, calls, nodes):
     sizes = []
     eval_all = bs.eval_all
 
-    def counted(z, corner_subs=None):
+    def counted(z, corner_subs=None, out=None):
         sizes.append(np.size(z))
-        return eval_all(z, corner_subs)
+        return eval_all(z, corner_subs, out=out)
 
     monkeypatch.setattr(bs, "eval_all", counted)
     assemble_gram(sc, bs)
     assert 0 < len(sizes) <= calls and sum(sizes) <= nodes
+
+
+def bordered_product_gram(sc, bs: BasisSet, settings: QuadratureSettings) -> np.ndarray:
+    """Reference for quadrature assembly: on each node set the full bordered
+    product (A w) A^H of the basis values A with the constant 1 appended as
+    row n, over 2 pi, integrated on the arcs and with the corner flags and
+    displacements that ``_quad_block`` uses."""
+    n = bs.n
+    corner_pts = bs.corner_points()
+    G = np.zeros((n + 1, n + 1), complex)
+    for shape in sc.shapes:
+        pieces = arcs(shape)
+        scale = max(1.0, abs(pieces[0].start))
+        for arc in pieces:
+            a0 = integrals._matching_corner(corner_pts, arc.start, scale)
+            a1 = integrals._matching_corner(corner_pts, arc.end, scale)
+
+            def f(t, z, s1, w, arc=arc, a0=a0, a1=a1):
+                subs = [(a, d) for a, d in ((a0, arc.disp_start(t)), (a1, arc.disp_end(s1)))
+                        if a is not None]
+                A = np.vstack([bs.eval_all(z, subs or None), np.ones(z.size)])
+                return ((A * w) @ A.conj().T).ravel()
+
+            vals = integrate_arc(f, arc, settings, singular_start=a0 is not None,
+                                 singular_end=a1 is not None,
+                                 scale=lambda v: integrals._gram_scale(v, n + 1))
+            G += vals.reshape(n + 1, n + 1)
+    return G / TWO_PI
+
+
+@pytest.mark.parametrize("shapes,schedule", [
+    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, True)),
+    (MIXED_SHAPES, Powers(3, True)),
+    ([Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)], Rings(4)),
+], ids=["square-Powers6", "mixed-Powers3", "four-ellipses-Rings4"])
+def test_quadrature_gram_matches_the_full_bordered_product(shapes, schedule):
+    # the upper triangle from one Hermitian update of sqrt(w)-scaled values
+    # against the full product of the values and the weighted values
+    sc = validate_scene(scene(shapes))
+    bs = BasisSet(build_basis(sc, schedule))
+    settings = QuadratureSettings()
+    ref = bordered_product_gram(sc, bs, settings)
+    g = assemble_gram(sc, bs, settings)
+    n = bs.n
+    tol = 1e-13 * np.abs(ref).max()
+    assert np.abs(g.H - ref[:n, :n]).max() <= tol
+    assert np.abs(g.u - ref[:n, n]).max() <= tol
+    assert abs(g.c0 - ref[n, n].real) <= tol
+    # exactly Hermitian, with an exactly real diagonal
+    assert np.array_equal(g.H, g.H.conj().T) and not np.diag(g.H).imag.any()
 
 
 def test_gram_data_scales_each_component_by_the_reciprocal_of_two_pi(rng):
