@@ -110,14 +110,17 @@ class ParametricArc(NamedTuple):
         z(t) = p0 + p1 t + b e(t) + d conj(e(t)),   e(t) = e0 exp(2 pi i turns t).
 
     A segment has b = d = turns = 0, a circular arc p1 = d = 0, and an
-    ellipse (the affine image of a circle) p1 = 0 and turns = 1.  Every point
-    of a parameter interval of angle delta = 2 pi |turns| (t1 - t0), any
-    width up to a full turn, lies within the sagitta k (1 - cos delta/2) of
-    its chord, where k = |b| + |d| is the radius of an arc, the semi-major
-    axis of an ellipse and 0 for a segment.  Proof: with c the point of the
-    chord of e at the fraction that projects e(t) onto it (its midpoint once
-    delta > pi), z(t) less the chord of z at the same fraction is
-    b (e - c) + d conj(e - c), and |e - c| <= 1 - cos delta/2.
+    ellipse (the affine image of a circle) p1 = 0 and turns = 1.  So a
+    curved piece (turns != 0) has p1 = 0, and ``_point_velocity``,
+    ``_disp``, ``_signed_area`` and ``_winding_number`` leave its p1 term
+    out.  Every point of a parameter interval of angle delta =
+    2 pi |turns| (t1 - t0), any width up to a full turn, lies within the
+    sagitta k (1 - cos delta/2) of its chord, where k = |b| + |d| is the
+    radius of an arc, the semi-major axis of an ellipse and 0 for a
+    segment.  Proof: with c the point of the chord of e at the fraction that
+    projects e(t) onto it (its midpoint once delta > pi), z(t) less the
+    chord of z at the same fraction is b (e - c) + d conj(e - c), and
+    |e - c| <= 1 - cos delta/2.
 
     Quadrature reads single pieces.  The gap kernel stacks pieces, one array
     entry per piece in every field, and reads ``point``, ``sagitta``,
@@ -146,20 +149,19 @@ class ParametricArc(NamedTuple):
         both from one e(t).
 
         Terms with a zero coefficient are skipped (the angle of a segment, d
-        of a circular arc, p1 of a curved piece): quadrature calls this on
-        node arrays of a few dozen entries, where each array operation costs
-        about as much as its arithmetic.  A segment's z' is a scalar.
+        of a circular arc): quadrature calls this on node arrays of a few
+        dozen entries, where each array operation costs about as much as its
+        arithmetic.  A segment's z' is a scalar.
         """
         if not self.turns:
             return self.p0 + self.p1 * t, self.p1
         e = _turn(self.turns * t)
         dz = (self.b * self.e0) * e
-        z = (self.p0 + self.p1 * t if self.p1 else self.p0) + dz
+        z = self.p0 + dz
         if self.d:
             de = (self.d * self.e0.conjugate()) * np.conj(e)
             z, dz = z + de, dz - de
-        dz = (TWO_PI * 1j * self.turns) * dz
-        return z, (self.p1 + dz if self.p1 else dz)
+        return z, (TWO_PI * 1j * self.turns) * dz
 
     @property
     def start(self) -> complex:
@@ -199,8 +201,6 @@ class ParametricArc(NamedTuple):
         out = (2j * self.b * e0) * sin_h * w
         if self.d:
             out = out - (2j * self.d * e0.conjugate()) * sin_h * np.conj(w)
-        if p1:
-            out = out + p1 * s
         return out
 
     def sagitta(self, t0, t1):
@@ -252,14 +252,17 @@ def _check_boundary(pieces: list[ParametricArc]) -> None:
     """Check one shape's boundary pieces, its ``arcs``, by rules that read no
     shape kind, so a polygon and the arc chain of its edges get one verdict.
     Raises :class:`DegenerateShapeError` unless there are pieces, all finite;
-    each starts within 1e-9 max|z| of where the one before ends; a curved
-    piece has k > 0 and turns at most once; a straight piece is longer than
-    1e-14 diam, diam the widest distance between piece starts (a zero-length
-    arc is a straight piece with p1 = 0); two straight pieces in a row do not
-    lie on one line, so they neither run on nor fold straight back; two curved
-    pieces in a row do not turn opposite ways on one circle; the signed area
-    is positive (a radius or semi-axis <= 0 breaks this or k > 0); and
-    non-adjacent pieces have a certified positive gap.
+    each starts within tol = 1e-9 max|z| of where the one before ends; a
+    curved piece has k > 0 and turns less than once, or once as the only
+    piece; a straight piece is longer than 1e-14 diam, diam the widest
+    distance between piece starts (a zero-length arc is a straight piece with
+    p1 = 0); two straight pieces in a row do not lie on one line, so they
+    neither run on nor fold straight back; two curved pieces in a row do not
+    turn opposite ways on one circle; the signed area is positive (a radius or
+    semi-axis <= 0 breaks this or k > 0); two pieces in a row, one of them
+    curved, share no point but their join to within tol (see
+    :func:`_meet_again`); and non-adjacent pieces have a certified positive
+    gap.
     """
     if not pieces:
         raise DegenerateShapeError("boundary has no pieces")
@@ -276,6 +279,8 @@ def _check_boundary(pieces: list[ParametricArc]) -> None:
         if arc.turns:
             if not (arc.k > 0 and abs(arc.turns) <= 1):
                 raise DegenerateShapeError(f"curved piece {i} needs k > 0 and at most one turn")
+            if abs(arc.turns) == 1 and len(pieces) > 1:
+                raise DegenerateShapeError(f"curved piece {i} turns once but is not the only piece")
             if prev.turns * arc.turns < 0 and (prev.p0, prev.b, prev.d) == (arc.p0, arc.b, arc.d):
                 raise DegenerateShapeError(
                     f"curved piece {i} turns back along the circle of the one before")
@@ -287,11 +292,60 @@ def _check_boundary(pieces: list[ParametricArc]) -> None:
                 raise DegenerateShapeError(f"straight piece {i} is collinear with the one before")
     if _signed_area(pieces) <= 0:
         raise DegenerateShapeError("boundary must be positively oriented")
+    # the two pieces of a two-piece boundary meet only at its two joins: a line
+    # or a circle shares at most two points with a circle
+    if len(pieces) > 2:
+        for i, arc in enumerate(pieces):
+            if _meet_again(pieces[i - 1], arc, 1e-9 * scale):
+                raise DegenerateShapeError(f"piece {i} meets the one before away from their join")
     if len(pieces) > 3:
         try:
             _certified_gaps([_stack(pieces)], [(0, 0)], ["two non-adjacent pieces"])
         except OverlapError as exc:
             raise DegenerateShapeError(f"boundary is not simple: {exc}") from None
+
+
+def _meet_again(prev: ParametricArc, arc: ParametricArc, tol: float) -> bool:
+    """Whether two pieces in a row, segments or circular arcs of less than a
+    whole turn, share a point other than their join z = arc.start, to within
+    tol; two segments are left to the collinearity rule.
+
+    A line or a circle meets another circle in at most two points, so the
+    second one p is in closed form.  For a segment a + v t the join is the
+    root t = 1 (or t = 0 when the segment comes second) of
+    |a + v t - c|^2 = r^2, whose roots sum to -2 Re(conj(v) (a - c)) / |v|^2;
+    two circles meet again at the join reflected across their line of
+    centres.  A p within tol of the join is a double root, a tangency (or a
+    cusp, left to ``corners``).  Two arcs about one centre meet again when
+    they turn opposite ways or cover a whole turn between them.
+    """
+    if not (prev.turns or arc.turns):
+        return False
+    z = arc.start
+    if prev.turns and arc.turns:
+        c = prev.p0
+        if arc.p0 == c:
+            return (prev.turns * arc.turns < 0
+                    or abs(prev.turns) + abs(arc.turns) >= 1 - tol / (TWO_PI * arc.k))
+        u = (arc.p0 - c) / abs(arc.p0 - c)
+        p = c + u * u * (z - c).conjugate()
+    else:
+        seg, circle = (arc, prev) if prev.turns else (prev, arc)
+        a, v = seg.p0, seg.p1
+        t_join = 1.0 if seg is prev else 0.0
+        p = a + v * (-2.0 * (v.conjugate() * (a - circle.p0)).real / abs(v) ** 2 - t_join)
+    return abs(p - z) > tol and _distance(prev, p) <= tol and _distance(arc, p) <= tol
+
+
+def _distance(arc: ParametricArc, z: complex) -> float:
+    """Distance from z to a segment or a circular arc of less than a whole turn."""
+    if not arc.turns:
+        t = min(max((arc.p1.conjugate() * (z - arc.p0)).real / abs(arc.p1) ** 2, 0.0), 1.0)
+        return abs(z - (arc.p0 + arc.p1 * t))
+    w = (z - arc.p0) / (arc.b * arc.e0)  # arg w: the angle from the start
+    if cmath.phase(w if arc.turns > 0 else w.conjugate()) % TWO_PI <= TWO_PI * abs(arc.turns):
+        return abs(abs(z - arc.p0) - arc.k)
+    return min(abs(z - arc.start), abs(z - arc.end))
 
 
 def _signed_area(pieces: list[ParametricArc]) -> float:

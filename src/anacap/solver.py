@@ -9,10 +9,12 @@ derivative-at-infinity vector d:
 * lower bound:  max over h in the span of  2 Re h'(inf) - (1/2pi) \\oint |h|^2 |dz|
                 = <H^{-1} d, d>,
 
-where <x, y> = y^H x.  Both optima are evaluated as the objective at the
-computed solution vector, so an inexact linear solve can only loosen the
-bracket, never invalidate it.  The bounds are rigorous up to quadrature
-error; the reported ``slack`` (10 * abs_tol * n_basis) budgets for it.
+where <x, y> = y^H x.  Both come from one Cholesky factorization of the
+Gram (:func:`_objectives`, which ``upper_bound`` and ``lower_bound`` also
+read), each evaluated as the objective at its computed solution vector, so
+an inexact linear solve can only loosen the bracket, never invalidate it.
+The bounds are rigorous up to quadrature error; the reported ``slack``
+(10 * abs_tol * n_basis) budgets for it.
 """
 
 from __future__ import annotations
@@ -56,17 +58,12 @@ class BoundsResult:
                 "slack": self.slack, "wall_time_s": self.wall_time}
 
 
-def _hmul(H: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """H @ x on SciPy's BLAS, the one library that assembly (its ``zherk``)
-    and the factorization use (see ``integrals._quad_block``); for a
-    C-ordered H, H.T is the same memory in Fortran order, so nothing is
-    copied.  OpenBLAS runs this ``zgemv`` on one thread at n = 30 and on
-    several at n = 68."""
-    return zgemv(1.0, H.T, x, trans=1)
+_JITTERS = (0.0, 4e-15, 1e-13, 1e-11, 1e-9)
 
 
-class _Factorization:
-    """Cholesky of H after symmetric diagonal equilibration.
+def _factor(H: np.ndarray):
+    """Cholesky of H after symmetric diagonal equilibration: the
+    ``cho_factor`` result, the scaling s and the jitter used.
 
     For large bases the equilibrated matrix can be singular to working
     precision although positive definite in exact arithmetic; a bounded
@@ -74,91 +71,79 @@ class _Factorization:
     validity is unaffected: the objectives are evaluated at the computed
     point with the true H, and any point yields a valid bound.
     """
+    diag = np.ascontiguousarray(H.diagonal().real)
+    if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
+        raise SingularGramError("Gram diagonal not strictly positive")
+    s = 1.0 / np.sqrt(diag)
+    n = len(diag)
+    # LAPACK takes the equilibrated A[j, k] = (H[j, k] s_j) s_k in Fortran
+    # order, i.e. as the C-ordered buffer B = A^T.  H is Hermitian, so
+    # B[k, j] = (conj(H[k, j]) s_j) s_k: contiguous passes over conj(H)
+    # fill B with the same numbers, and it is factored in place.  A failed
+    # attempt overwrites it, so each step of the ladder rebuilds it.
+    buf = np.empty((n, n), complex)
+    err = None
+    for jit in _JITTERS:
+        np.conjugate(H, out=buf)
+        buf *= s[None, :]
+        buf *= s[:, None]
+        if jit:
+            buf.ravel()[:: n + 1] += jit
+        try:
+            return scipy.linalg.cho_factor(buf.T, lower=True, overwrite_a=True,
+                                           check_finite=False), s, jit
+        except scipy.linalg.LinAlgError as exc:
+            err = exc
+    raise SingularGramError(
+        f"Gram factorization failed ({err}); the basis is numerically "
+        "dependent -- use a smaller schedule") from err
 
-    _JITTERS = (0.0, 4e-15, 1e-13, 1e-11, 1e-9)
 
-    def __init__(self, H: np.ndarray):
-        diag = np.ascontiguousarray(H.diagonal().real)
-        if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
-            raise SingularGramError("Gram diagonal not strictly positive")
-        self.s = 1.0 / np.sqrt(diag)
-        n = len(diag)
-        # LAPACK takes the equilibrated A[j, k] = (H[j, k] s_j) s_k in Fortran
-        # order, i.e. as the C-ordered buffer B = A^T.  H is Hermitian, so
-        # B[k, j] = (conj(H[k, j]) s_j) s_k: contiguous passes over conj(H)
-        # fill B with the same numbers, and it is factored in place.  A failed
-        # attempt overwrites it, so each step of the ladder rebuilds it.
-        buf = np.empty((n, n), complex)
-        err = None
-        for jit in self._JITTERS:
-            np.conjugate(H, out=buf)
-            buf *= self.s[None, :]
-            buf *= self.s[:, None]
-            if jit:
-                buf.ravel()[:: n + 1] += jit
-            try:
-                self.cf = scipy.linalg.cho_factor(buf.T, lower=True, overwrite_a=True,
-                                                  check_finite=False)
-                self.jitter = jit
-                break
-            except scipy.linalg.LinAlgError as exc:
-                err = exc
-        else:
-            raise SingularGramError(
-                f"Gram factorization failed ({err}); the basis is numerically "
-                "dependent -- use a smaller schedule") from err
-        self.H = H
-
-    def solve(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """x with H x = rhs, the product H x, and the relative residual."""
-        y = scipy.linalg.cho_solve(self.cf, rhs * self.s, check_finite=False)
-        x = y * self.s
-        hx = _hmul(self.H, x)
-        norm = float(np.max(np.abs(rhs))) or 1.0
-        residual = float(np.max(np.abs(hx - rhs))) / norm
-        return x, hx, residual
+def _objectives(gram: GramData, d: np.ndarray) -> tuple[float, float, float]:
+    """(upper, lower, residual) from one factorization of the Gram: each
+    objective at its own solve, of H x = -u and then of H x = d, and the
+    larger relative residual max|H x - rhs| / max|rhs| of the two.  H x runs
+    on SciPy's BLAS, the one library that assembly (its ``zherk``) and the
+    factorization use (see ``integrals._quad_block``); for a C-ordered H, H.T
+    is the same memory in Fortran order, so nothing is copied.  OpenBLAS runs
+    this ``zgemv`` on one thread at n = 30 and on several at n = 68.
+    """
+    cf, s, _ = _factor(gram.H)
+    sols = []
+    for rhs in (-gram.u, d.astype(complex)):
+        x = scipy.linalg.cho_solve(cf, rhs * s, check_finite=False) * s
+        hx = zgemv(1.0, gram.H.T, x, trans=1)
+        res = float(np.max(np.abs(hx - rhs))) / (float(np.max(np.abs(rhs))) or 1.0)
+        sols.append((x, hx, res))
+    (xu, hu, res_u), (xd, hd, res_d) = sols
+    up = gram.c0 + 2.0 * np.vdot(xu, gram.u).real + np.vdot(xu, hu).real
+    lo = 2.0 * np.vdot(xd, d).real - np.vdot(xd, hd).real
+    return float(up), float(lo), max(res_u, res_d)
 
 
 def upper_bound(sys: GramSystem) -> float:
     """Least boundary energy of 1 + (span member); an upper bound for gamma."""
-    return _upper(_Factorization(sys.gram.H), sys.gram)[0]
+    return _objectives(sys.gram, sys.d)[0]
 
 
 def lower_bound(sys: GramSystem) -> float:
     """Best dual objective over the span; a lower bound for gamma."""
-    return _lower(_Factorization(sys.gram.H), sys.gram, sys.d)[0]
-
-
-def _upper(fact: _Factorization, gram: GramData) -> tuple[float, float]:
-    u = gram.u
-    x, hx, res = fact.solve(-u)
-    # objective evaluated at x stays a valid upper bound under solve error
-    val = gram.c0 + 2.0 * np.vdot(x, u).real + np.vdot(x, hx).real
-    return float(val), res
-
-
-def _lower(fact: _Factorization, gram: GramData, d: np.ndarray) -> tuple[float, float]:
-    x, hx, res = fact.solve(d.astype(complex))
-    val = 2.0 * np.vdot(x, d).real - np.vdot(x, hx).real
-    return float(val), res
+    return _objectives(sys.gram, sys.d)[1]
 
 
 def _bracket(gram: GramData, d: np.ndarray, settings: QuadratureSettings,
              t0: float) -> BoundsResult:
-    """Both bounds from one factorization of the Gram; a crossing within the
-    slack is clamped, a larger one is a :class:`SolveError`.  ``wall_time``
-    runs from ``t0``."""
-    fact = _Factorization(gram.H)
-    up, res_u = _upper(fact, gram)
-    lo, res_l = _lower(fact, gram, d)
+    """Both bounds from :func:`_objectives`; a crossing within the slack is
+    clamped, a larger one is a :class:`SolveError`.  ``wall_time`` runs from
+    ``t0``."""
+    up, lo, res = _objectives(gram, d)
     slack = 10.0 * settings.abs_tol * len(d)
     if lo > up:
         if lo - up <= max(1e-10, slack) * max(1.0, abs(up)):
             lo = up
         else:
             raise SolveError(f"bounds crossed: lower {lo} > upper {up}")
-    return BoundsResult(lower=lo, upper=up, n_basis=len(d),
-                        solve_residual=max(res_u, res_l),
+    return BoundsResult(lower=lo, upper=up, n_basis=len(d), solve_residual=res,
                         wall_time=time.perf_counter() - t0, slack=slack)
 
 

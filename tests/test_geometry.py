@@ -315,6 +315,24 @@ def test_gap_kernel_work(monkeypatch, shapes, limit):
     assert 0 < sum(rows) <= limit
 
 
+def test_pair_over_more_chord_pairs_than_one_batch(monkeypatch):
+    # two 400-gons give the pair 160,000 chord pairs, more than _GAP_MAX_PAIRS:
+    # they go through more than one batch, which share the bounds
+    batches = []
+    refine_gaps = geometry._refine_gaps
+
+    def spy(curve, blocks, ub, gap, slack, names):
+        batches.append(names[0])
+        return refine_gaps(curve, blocks, ub, gap, slack, names)
+
+    monkeypatch.setattr(geometry, "_refine_gaps", spy)
+    gons = [Polygon(tuple(c + cmath.exp(2j * math.pi * k / 400) for k in range(400)))
+            for c in (0j, 2.5 + 0j)]
+    gap = validate_scene(scene(gons)).min_gap
+    assert batches.count("shapes 0 and 1") > 1
+    assert 0.5 * (1 - 2e-7) - 1e-13 <= gap <= 0.5
+
+
 def test_degenerate_shapes_rejected():
     with pytest.raises(DegenerateShapeError):
         validate_scene(scene([Disk(0, 0.0)]))
@@ -357,6 +375,20 @@ class Unknown:
     # an arc from 1 to -1, back along its circle to i, then the chord to 1
     ArcChain((CircularArc(0j, 1.0, 0.0, math.pi), CircularArc(0j, 1.0, math.pi, math.pi / 2),
               Segment(1j, 1 + 0j))),
+    # the arc crosses its own first segment at 1, as three pieces and as four
+    ArcChain((Segment(0j, 2 + 0j), CircularArc(1.5 + 0j, 0.5, 0.0, 1.5 * math.pi),
+              Segment(1.5 - 0.5j, 0j))),
+    ArcChain((Segment(0j, 2 + 0j), CircularArc(1.5 + 0j, 0.5, 0.0, 1.5 * math.pi),
+              Segment(1.5 - 0.5j, 0.75 - 0.5j), Segment(0.75 - 0.5j, 0j))),
+    # two whole circles tangent at 2: the boundary passes 2 twice
+    ArcChain((CircularArc(0j, 2.0, 0.0, 2 * math.pi), CircularArc(1 + 0j, 1.0, 0.0, -2 * math.pi))),
+    # arcs of two circles in a row that cross again at -i
+    ArcChain((CircularArc(1 - 1j, 1.0, math.pi / 2, 1.25 * math.pi),
+              Segment(1 - 1j + cmath.exp(1.25j * math.pi), -1 + 0j),
+              CircularArc(0j, 1.0, math.pi, 2 * math.pi))),
+    # arcs of one circle in a row that cover more than a whole turn
+    ArcChain((CircularArc(0j, 1.0, 1.5 * math.pi, 2.25 * math.pi),
+              Segment(cmath.exp(0.25j * math.pi), 1 + 0j), CircularArc(0j, 1.0, 0.0, 1.5 * math.pi))),
     ArcChain((Segment(-1 + 0j, 1 + 0j), Unknown())),
     Unknown(),
 ], ids=["disk_r0", "disk_r-1", "disk_rinf",
@@ -366,7 +398,8 @@ class Unknown:
         "polygon_1e-15_sliver",
         "chain_empty", "chain_zero_segment", "chain_zero_arc", "chain_radius_-1", "chain_3pi_arc",
         "chain_1e-3_gap", "chain_clockwise", "chain_slit", "chain_arc_turns_back",
-        "chain_unknown_piece",
+        "chain_arc_crosses_segment", "chain_arc_crosses_segment_4", "chain_two_whole_circles",
+        "chain_two_circles_cross", "chain_one_circle_overlaps", "chain_unknown_piece",
         "unknown_shape"])
 def test_every_degenerate_boundary_is_rejected(shape):
     with pytest.raises(DegenerateShapeError):
@@ -377,9 +410,12 @@ def test_every_degenerate_boundary_is_rejected(shape):
     half_disk(0j),
     ArcChain((Segment(0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, math.pi / 2), Segment(1j, 0j))),
     ArcChain((CircularArc(0j, 1.0, 0.0, math.pi), CircularArc(0j, 1.0, math.pi, 2 * math.pi))),
-], ids=["half_disk", "quarter_disk", "disk_in_two_arcs"])
+    ArcChain((Segment(-1 - 1j, 1 - 1j), CircularArc(1 + 0j, 1.0, -math.pi / 2, math.pi / 2),
+              Segment(1 + 1j, -1 + 1j), CircularArc(-1 + 0j, 1.0, math.pi / 2, 1.5 * math.pi))),
+], ids=["half_disk", "quarter_disk", "disk_in_two_arcs", "stadium"])
 def test_chain_turning_on_at_each_join_validates(chain):
-    # the fold-back rules reject neither a corner nor an arc running on along its circle
+    # the fold-back and meet-again rules reject neither a corner, nor an arc
+    # running on along its circle, nor a segment meeting an arc tangentially
     assert validate_scene(scene([chain])).min_gap == math.inf
 
 

@@ -268,6 +268,24 @@ def test_circle_pair_integral_small_far_disk_against_mpmath():
                 assert abs(got - ref) <= 1e-15 * abs(ref)
 
 
+def test_circle_pair_integral_pole_near_the_centre_takes_the_midpoint_rule(monkeypatch):
+    # a pole 1e-6 from the centre lies within 1e-4 r of the measure's pole at
+    # the centre, where the residues would cancel: the midpoint rule runs
+    mp = pytest.importorskip("mpmath")
+    calls = []
+    spectral = integrals._spectral_circle_pair
+    monkeypatch.setattr(integrals, "_spectral_circle_pair",
+                        lambda *args: calls.append(args) or spectral(*args))
+    b = SimplePole(1e-6 + 0j)
+    got = circle_pair_integral(b, b, Disk(0j, 1.0))
+    assert len(calls) == 1
+    exact = TWO_PI / (1.0 - 1e-12)  # 2 pi r / (r^2 - |w|^2)
+    assert abs(got - exact) <= 1e-13 * exact
+    with mp.workdps(40):
+        ref = 2 * mp.pi / (1 - mp.mpf(1e-6) ** 2)
+        assert abs(mp.mpc(got) - ref) <= 1e-13 * ref
+
+
 # --- the chunked all-disk kernel --------------------------------------------
 
 def one_disk_block(poles, disk):

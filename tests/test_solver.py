@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import anacap.exact as exact
 from anacap import solver
 from anacap.basis import BasisSet, CornerAdapted, PowerPole, Powers, Rings, SimplePole, build_basis
-from anacap.errors import SceneConfigError, SingularGramError
+from anacap.errors import SceneConfigError, SingularGramError, SolveError
 from anacap.geometry import (Disk, Ellipse, Polygon, _signed_area, arcs, scene,
                              transform, validate_scene)
 from anacap.integrals import GramData, assemble_gram
@@ -195,6 +195,31 @@ def test_singular_gram_rejected():
     gram2 = GramData(np.array([[0.0]], complex), np.zeros(1, complex), 1.0)
     with pytest.raises(SingularGramError):
         lower_bound(GramSystem(gram2, np.ones(1, complex)))
+
+
+@pytest.mark.parametrize("c0", [0.5, 1 - 5e-11])
+def test_bracket_clamps_only_a_crossing_within_rounding(c0):
+    # H = [1], u = 0, d = 1: the upper objective is c0, the lower one 1; at
+    # abs_tol 1e-14 the slack is below the 1e-10 floor, which governs
+    gram = GramData(np.array([[1.0]], complex), np.zeros(1, complex), c0)
+    args = (gram, np.array([1.0]), QuadratureSettings(1e-14), 0.0)
+    if c0 == 0.5:
+        with pytest.raises(SolveError, match="bounds crossed"):
+            solver._bracket(*args)
+    else:
+        res = solver._bracket(*args)
+        assert res.lower == res.upper == c0
+
+
+@pytest.mark.parametrize("shape, schedule", [
+    ("two_disks", Rings(3)), ("unit_square", Powers(6, with_corners=True))])
+def test_bound_entry_points_equal_the_bracket_bitwise(shape, schedule, request):
+    sc = validate_scene(request.getfixturevalue(shape))
+    bs = BasisSet(build_basis(sc, schedule))
+    gram = assemble_gram(sc, bs, QuadratureSettings())
+    res = solver._bracket(gram, bs.d_vector(), QuadratureSettings(), 0.0)
+    system = GramSystem(gram, bs.d_vector())
+    assert (lower_bound(system), upper_bound(system)) == (res.lower, res.upper)
 
 
 def test_bounds_result_json_fields(two_disks):
