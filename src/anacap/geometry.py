@@ -9,10 +9,10 @@ many analytic pieces.  The module knows how to
   here, the quadrature and the gap kernel read,
 * validate a scene without sampling: simple, positively oriented curves,
   containment by an exact winding number (points on a boundary are
-  outside), and a certified lower bound on the least pairwise gap from a
-  chord-bound branch-and-bound (each boundary is covered by chords that
-  carry their sagitta bounds, and only chord pairs that could hold the
-  minimum are cut finer),
+  outside), and pairwise disjointness certified by a chord-bound
+  branch-and-bound (each boundary is covered by chords that carry their
+  sagitta bounds, and only chord pairs whose lower bound is not yet above
+  rounding are halved); no gap is measured,
 * list the corners of a shape together with the angle the complement
   occupies there,
 * pick an interior anchor point for pole placement, exactly: the mean of
@@ -32,7 +32,7 @@ import cmath
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -45,6 +45,7 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
 
 # ---------------------------------------------------------------------------
 # shape types
@@ -222,11 +223,11 @@ class ParametricArc(NamedTuple):
 
 @dataclass(frozen=True)
 class Scene:
-    """A compact set: disjoint closed shapes with an E/F tag per shape."""
+    """A compact set: disjoint closed shapes with an E/F tag per shape;
+    :func:`validate_scene` certifies the disjointness."""
 
     shapes: tuple[Shape, ...]
     labels: tuple[str, ...]
-    min_gap: float | None = None  # set by validate_scene
 
     def __post_init__(self):
         if len(self.shapes) != len(self.labels):
@@ -461,9 +462,13 @@ def arcs(s: Shape) -> list[ParametricArc]:
         if isinstance(pc, Segment):
             out.append(ParametricArc(pc.start, pc.end - pc.start, 0j, 0j, 1 + 0j, 0.0, 0.0))
         elif isinstance(pc, CircularArc):
+            sweep = pc.theta_end - pc.theta_start
+            # a whole turn up to the rounding of its two angles (a rotated
+            # one, say) is exactly one, so the piece still closes
+            if abs(abs(sweep) - TWO_PI) <= 4 * _EPS * max(abs(pc.theta_start), abs(pc.theta_end)):
+                sweep = math.copysign(TWO_PI, sweep)
             out.append(ParametricArc(pc.center, 0j, pc.radius + 0j, 0j,
-                                     cmath.exp(1j * pc.theta_start),
-                                     (pc.theta_end - pc.theta_start) / TWO_PI, pc.radius))
+                                     cmath.exp(1j * pc.theta_start), sweep / TWO_PI, pc.radius))
         else:
             raise DegenerateShapeError(f"unknown piece {type(pc).__name__}")
     return out
@@ -516,11 +521,7 @@ def transform(sc: Scene, a: complex, b: complex = 0j) -> Scene:
     """Apply z -> a*z + b to every shape; shape types are preserved."""
     if a == 0:
         raise ZeroScaleError("scale factor a must be nonzero")
-    shapes = tuple(_transform_shape(s, a, b) for s in sc.shapes)
-    out = Scene(shapes, sc.labels)
-    if sc.min_gap is not None:
-        out = replace(out, min_gap=sc.min_gap * abs(a))
-    return out
+    return Scene(tuple(_transform_shape(s, a, b) for s in sc.shapes), sc.labels)
 
 
 def _transform_shape(s: Shape, a: complex, b: complex) -> Shape:
@@ -552,22 +553,19 @@ def validate_scene(sc: Scene) -> Scene:
     """Check every shape's ``arcs`` by :func:`_check_boundary`, one rule set
     for every shape kind, then the pairwise disjointness of their closures.
 
-    Returns the scene with ``min_gap`` set to a certified lower bound on the
-    smallest pairwise gap (inf for a single shape).  Two disks use the closed
-    form; every other pair goes through one call of the chord-bound kernel
-    :func:`_certified_gaps`, which sees crossing boundaries exactly and
-    resolves only the least gap of those pairs to 1e-7 relative (looser where
-    two boundaries run parallel over a long stretch, see there).  A shape
+    Returns the scene unchanged.  Two disks use the closed form; every other
+    pair goes through one call of the chord-bound kernel
+    :func:`_certified_gaps`, which sees crossing boundaries exactly and stops
+    once each gap is certified above rounding; no gap is measured.  A shape
     inside another is found by the exact winding number.  Raises
     :class:`OverlapError` for any pair whose gap is not certified positive.
-    Idempotent and deterministic.
+    Deterministic.
     """
     if not sc.shapes:
         raise SceneConfigError("scene needs at least one shape")
     pieces = [arcs(s) for s in sc.shapes]
     for p in pieces:
         _check_boundary(p)
-    gap = math.inf
     pairs = []
     for i, j in itertools.combinations(range(len(sc.shapes)), 2):
         s1, s2 = sc.shapes[i], sc.shapes[j]
@@ -575,7 +573,6 @@ def validate_scene(sc: Scene) -> Scene:
             g = abs(s1.center - s2.center) - s1.radius - s2.radius
             if g <= 0:
                 raise OverlapError(f"shapes {i} and {j} have intersecting closures (gap {g:.3g})")
-            gap = min(gap, g)
         # a shape inside the other has no boundary crossing for the kernel to see
         elif (_winding_number(pieces[j], pieces[i][0].start)
               or _winding_number(pieces[i], pieces[j][0].start)):
@@ -583,18 +580,13 @@ def validate_scene(sc: Scene) -> Scene:
         else:
             pairs.append((i, j))
     if pairs:
-        gap = min(gap, _certified_gaps([_stack(p) for p in pieces], pairs,
-                                       [f"shapes {i} and {j}" for i, j in pairs]))
-    return replace(sc, min_gap=gap)
+        _certified_gaps([_stack(p) for p in pieces], pairs, [f"shapes {i} and {j}" for i, j in pairs])
+    return sc
 
 
-_EPS = float(np.finfo(float).eps)
 _CHORD_TURNS = 1.0 / 4  # widest initial chord of a curved piece, in turns
-_GAP_REL = 1e-7  # a chord pair settles when its lower bound is this close to the least upper
 _GAP_ROUNDS = 64
 _GAP_MAX_PAIRS = 1 << 17
-_SPLIT_ROWS = 256  # chord pairs a round may reach by cutting curved chords finer than halves
-_SPLIT_MAX = 5  # at most 2**_SPLIT_MAX pieces per chord and round
 
 
 def _stack(pieces: list[ParametricArc]) -> ParametricArc:
@@ -603,42 +595,31 @@ def _stack(pieces: list[ParametricArc]) -> ParametricArc:
 
 
 def _certified_gaps(curves: list[ParametricArc], pairs: list[tuple[int, int]],
-                    names: list[str]) -> float:
-    """A certified lower bound on the least distance between curves m and n
-    over the (m, n) in ``pairs``; for m == n, between the non-adjacent pieces
-    of m.  Each curve is one shape's pieces, stacked by :func:`_stack`.
+                    names: list[str]) -> None:
+    """Certify a positive distance between curves m and n for every (m, n)
+    in ``pairs``; for m == n, between the non-adjacent pieces of m.  Each
+    curve is one shape's pieces, stacked by :func:`_stack`.
 
     Each curve is covered by chords of at most ``_CHORD_TURNS`` of a turn that
     carry their pieces' sagitta bounds.  For a pair of chords, the
     segment-segment distance (0 when they cross) minus both sagittas is a
-    lower bound on the distance between the two pieces; the distance between
-    the curve points at the chords' nearest parameters, and each
-    vertex-vertex distance, bound the least gap from above.  A chord pair is
-    settled when its lower bound is within ``_GAP_REL`` of the least upper
-    bound over all curve pairs so far, or when both chords are straight (its
-    bound is then exact).  So a curve pair far from the nearest one settles
-    in its first round, and only the least gap is resolved; every settled
-    lower bound is positive, which certifies each pair.  Every other chord
-    pair has each curved chord cut into 2^s equal pieces, s >= 1 the largest
-    (up to ``_SPLIT_MAX``) that keeps the next round within ``_SPLIT_ROWS``
-    chord pairs.  Chord pairs go through the rounds as arrays of (pair,
-    piece, t0, t1, piece, t0, t1), in batches of at most ``_GAP_MAX_PAIRS``
-    that share the bounds.  The result is the least settled lower bound less
-    its curve pair's rounding slack.
+    lower bound on the distance between the two pieces.  A chord pair is
+    settled when that bound is above its curve pair's rounding slack, or when
+    both chords are straight (the bound is then exact and must clear the
+    slack); every other chord pair has each curved chord halved.  Chord
+    pairs go through the rounds as arrays of (pair, piece, t0, t1, piece, t0,
+    t1), in independent batches of at most ``_GAP_MAX_PAIRS``.
 
-    A boundary that runs parallel to another over a long stretch (a concave
-    arc around a disk) can need more than ``_GAP_MAX_PAIRS`` chord pairs for
-    that tolerance; the live lower bounds then stand as they are, still
-    certified but looser (at a 1e-6 gap under a bite of radius 1.5, 1.4%
-    below the gap).  Raises OverlapError, naming the curve pair, when two
-    curves meet within rounding, when a lower bound is not certified
-    positive, or after ``_GAP_ROUNDS`` rounds.
+    Raises OverlapError, naming the curve pair, when two curves meet within
+    rounding (the curve points at the chords' nearest parameters, or two
+    chord ends), when a straight pair's distance is within rounding, when the
+    live chord pairs outgrow the cap (a boundary that runs parallel to
+    another within rounding), or after ``_GAP_ROUNDS`` rounds.
     """
     curve = ParametricArc(*map(np.concatenate, zip(*curves)))
     off = np.cumsum([0] + [c.p0.size for c in curves])
     cuts = [(i + o, t0, t1) for (i, t0, t1), o in zip((c.chords() for c in curves), off)]
     slack = 32.0 * _EPS * np.array([max(curves[m].size(), curves[n].size()) for m, n in pairs])
-    ub = gap = math.inf
     batch, rows = [], 0
     for g, (m, n) in enumerate(pairs):
         (ia, ta0, ta1), (ib, tb0, tb1) = cuts[m], cuts[n]
@@ -653,17 +634,15 @@ def _certified_gaps(curves: list[ParametricArc], pairs: list[tuple[int, int]],
                 keep = (apart > 1) & (apart < curves[m].p0.size - 1)
                 ja, jb = ja[keep], jb[keep]
             if batch and rows + ja.size > _GAP_MAX_PAIRS:
-                ub, gap = _refine_gaps(curve, batch, ub, gap, slack, names)
+                _refine_gaps(curve, batch, slack, names)
                 batch, rows = [], 0
             batch.append((np.full(ja.size, g), ia[ja], ta0[ja], ta1[ja], ib[jb], tb0[jb], tb1[jb]))
             rows += ja.size
-    return _refine_gaps(curve, batch, ub, gap, slack, names)[1]
+    _refine_gaps(curve, batch, slack, names)
 
 
-def _refine_gaps(curve: ParametricArc, blocks, ub: float, gap: float, slack, names):
-    """Run one batch of chord pairs to the end; returns the least upper bound
-    and the least settled lower bound less slack, each lowered from ``ub``
-    and ``gap``."""
+def _refine_gaps(curve: ParametricArc, blocks, slack, names) -> None:
+    """Run one batch of chord pairs until every one is settled."""
     rows = [np.concatenate(col) for col in zip(*blocks)]
     for _ in range(_GAP_ROUNDS):
         g, ai, a0, a1, bi, b0, b1 = rows
@@ -678,22 +657,16 @@ def _refine_gaps(curve: ParametricArc, blocks, ub: float, gap: float, slack, nam
             near = np.minimum(near, np.abs(p - q))
         _raise_first(near <= slack[g], g, names,
                      "have intersecting closures (distance within rounding)")
-        ub = min(ub, float(near.min()))
-        bent_a, bent_b = pa.k > 0, pb.k > 0
-        done = (lb >= (1.0 - _GAP_REL) * ub) | ~(bent_a | bent_b)
-        if 4 * np.count_nonzero(~done) > _GAP_MAX_PAIRS:
-            # too many chord pairs to tighten: the live bounds stand as they are
-            done[:] = True
-        settled = lb[done] - slack[g[done]]
-        _raise_first(settled <= 0, g[done], names, "gap not certified above rounding")
-        gap = min(gap, float(settled.min(initial=math.inf)))
-        live = ~done
+        low = lb <= slack[g]
+        bent_a = pa.k > 0
+        live = low & (bent_a | (pb.k > 0))
+        if 4 * np.count_nonzero(live) > _GAP_MAX_PAIRS:
+            live[:] = False  # too many chord pairs to halve: the low bounds are final
+        _raise_first(low & ~live, g, names, "gap not certified above rounding")
         if not live.any():
-            return ub, gap
-        bent_a, bent_b = bent_a[live], bent_b[live]
-        m = _split_count(bent_a, bent_b)
-        rows = _split([x[live] for x in rows], bent_a, m, 2, 3)
-        rows = _split(rows, curve.k[rows[4]] > 0, m, 5, 6)
+            return
+        rows = _split([x[live] for x in rows], bent_a[live], 2, 3)
+        rows = _split(rows, curve.k[rows[4]] > 0, 5, 6)
     raise OverlapError(f"{names[rows[0][0]]}: gap not resolved within {_GAP_ROUNDS} rounds")
 
 
@@ -702,22 +675,11 @@ def _raise_first(bad: np.ndarray, g: np.ndarray, names: list[str], what: str) ->
         raise OverlapError(f"{names[g[int(np.argmax(bad))]]} {what}")
 
 
-def _split_count(bent_a: np.ndarray, bent_b: np.ndarray) -> int:
-    """2^s pieces per curved chord: the largest s in [1, _SPLIT_MAX] that keeps
-    the next round within _SPLIT_ROWS rows, or 1 when none does."""
-    one = np.count_nonzero(bent_a != bent_b)
-    two = np.count_nonzero(bent_a & bent_b)
-    s = 1
-    while s < _SPLIT_MAX and one * 2 ** (s + 1) + two * 4 ** (s + 1) <= _SPLIT_ROWS:
-        s += 1
-    return 2 ** s
-
-
-def _split(rows, split, m, lo, hi):
+def _split(rows, split, lo, hi):
     """Replace the chord (rows[lo], rows[hi]) of each row with ``split`` set
-    by its m equal pieces; the other columns are copied.  The cut points are
-    (1 - f) t0 + f t1, so the pieces meet exactly and end at t0 and t1."""
-    per = np.where(split, m, 1)
+    by its two halves; the other columns are copied.  The cut point is
+    t0/2 + t1/2, so the halves meet exactly and end at t0 and t1."""
+    per = np.where(split, 2, 1)
     rep = np.repeat(np.arange(split.size), per)
     j = np.arange(rep.size) - np.repeat(np.cumsum(per) - per, per)
     out = [x[rep] for x in rows]

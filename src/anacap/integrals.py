@@ -202,11 +202,13 @@ class _Contour:
 def circle_pair_integral(b1: BasisFunction, b2: BasisFunction, circle: Disk) -> complex:
     """Exact value of \\oint_{|z-c|=r} b1(z) * conj(b2(z)) |dz| by residues.
 
-    Distinct-but-nearly-coincident poles of the transformed integrand make
-    the residue decomposition catastrophically ill-conditioned (the residues
-    diverge with cancelling leading parts); such pairs are integrated by the
-    spectral midpoint rule instead.  Exactly coincident poles stay on the
-    residue path, which merges them into one higher-order pole.
+    Distinct-but-nearly-coincident poles inside the circle make the residue
+    decomposition catastrophically ill-conditioned (the residues diverge
+    with cancelling leading parts); such pairs are integrated by the
+    spectral midpoint rule instead.  Poles outside carry no residue, so a
+    pole next to the circle and its reflection across it stay on the
+    residue path.  Exactly coincident poles stay on it too, merged into one
+    higher-order pole.
     """
     r = circle.radius
     q1, q2 = _rational_parts(b1, circle.center), _rational_parts(b2, circle.center)
@@ -214,7 +216,7 @@ def circle_pair_integral(b1: BasisFunction, b2: BasisFunction, circle: Disk) -> 
     ct.direct(*q1)
     ct.reflect(*q2)
     ct.measure()
-    roots = [w for w, _ in ct.factors]
+    roots = [w for w, _ in ct.factors if abs(w) < r]
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
             d = abs(roots[i] - roots[j])

@@ -286,6 +286,31 @@ def test_circle_pair_integral_pole_near_the_centre_takes_the_midpoint_rule(monke
         assert abs(mp.mpc(got) - ref) <= 1e-13 * ref
 
 
+@pytest.mark.parametrize("a", [0.99999, 1.00001, 1 - 1e-7, 1 + 1e-7, 0.99999 * cmath.exp(0.7j)])
+def test_circle_pair_integral_beside_its_circle(a):
+    # a pole next to the circle and its reflection across it are close, but
+    # only the one inside carries a residue: the residue path stays exact to
+    # the conditioning of r^2 - |a|^2
+    mp = pytest.importorskip("mpmath")
+    b = SimplePole(a)
+    got = circle_pair_integral(b, b, Disk(0j, 1.0))
+    with mp.workdps(40):
+        ref = 2 * mp.pi / abs(1 - abs(mp.mpc(a)) ** 2)
+        assert abs(mp.mpc(got) - ref) <= 8 * np.finfo(float).eps / abs(1 - abs(a) ** 2) * ref
+
+
+@pytest.mark.parametrize("a, j, k", [(0.99999, 2, 3), (1.00001, 2, 2)])
+def test_circle_pair_integral_power_poles_beside_its_circle(a, j, k):
+    mp = pytest.importorskip("mpmath")
+    got = circle_pair_integral(PowerPole(a, j), PowerPole(a, k), Disk(0j, 1.0))
+    with mp.workdps(40):
+        f = lambda t: (mp.expj(t) - a) ** -j * mp.conj((mp.expj(t) - a) ** -k)
+        # break the angle at the peak and at every scale of its width 1e-5
+        cuts = [sign * 10.0 ** -e for sign in (-1, 1) for e in range(1, 8)]
+        ref = mp.quad(f, sorted([-mp.pi, 0, mp.pi, *cuts]))
+        assert abs(mp.mpc(got) - ref) <= 8 * np.finfo(float).eps / abs(1 - a * a) * abs(ref)
+
+
 # --- the chunked all-disk kernel --------------------------------------------
 
 def one_disk_block(poles, disk):
