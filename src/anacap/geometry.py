@@ -464,8 +464,11 @@ def arcs(s: Shape) -> list[ParametricArc]:
         elif isinstance(pc, CircularArc):
             sweep = pc.theta_end - pc.theta_start
             # a whole turn up to the rounding of its two angles (a rotated
-            # one, say) is exactly one, so the piece still closes
-            if abs(abs(sweep) - TWO_PI) <= 4 * _EPS * max(abs(pc.theta_start), abs(pc.theta_end)):
+            # one, say) is exactly one, so the piece still closes; the
+            # rounding is that of angles of at most 32 turns, so a sweep far
+            # from a turn, or one that is not finite, is never snapped
+            big = min(max(abs(pc.theta_start), abs(pc.theta_end)), 32 * TWO_PI)
+            if abs(abs(sweep) - TWO_PI) <= 4 * _EPS * big:
                 sweep = math.copysign(TWO_PI, sweep)
             out.append(ParametricArc(pc.center, 0j, pc.radius + 0j, 0j,
                                      cmath.exp(1j * pc.theta_start), sweep / TWO_PI, pc.radius))
@@ -679,13 +682,13 @@ def _split(rows, split, lo, hi):
     """Replace the chord (rows[lo], rows[hi]) of each row with ``split`` set
     by its two halves; the other columns are copied.  The cut point is
     t0/2 + t1/2, so the halves meet exactly and end at t0 and t1."""
-    per = np.where(split, 2, 1)
-    rep = np.repeat(np.arange(split.size), per)
-    j = np.arange(rep.size) - np.repeat(np.cumsum(per) - per, per)
+    rep = np.repeat(np.arange(split.size), np.where(split, 2, 1))
     out = [x[rep] for x in rows]
-    f0, f1 = j / per[rep], (j + 1) / per[rep]
-    t0, t1 = out[lo], out[hi]
-    out[lo], out[hi] = (1 - f0) * t0 + f0 * t1, (1 - f1) * t0 + f1 * t1
+    first = np.zeros(rep.size, bool)
+    first[:-1] = rep[1:] == rep[:-1]  # the first of a split row's two copies
+    mid = 0.5 * out[lo] + 0.5 * out[hi]
+    out[hi] = np.where(first, mid, out[hi])
+    out[lo] = np.where(np.roll(first, 1), mid, out[lo])
     return out
 
 

@@ -361,6 +361,7 @@ class Unknown:
     ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, -1.0, math.pi, 2 * math.pi))),
     ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, 3 * math.pi))),
     ArcChain((CircularArc(0j, 1.0, 0.0, 2 * math.pi * (1 + 1e-9)),)),
+    ArcChain((CircularArc(0j, 1.0, 1e16, 1e16),)),  # 4 eps |theta| > 2 pi: no turn to round to
     ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, math.pi - 1e-3))),
     ArcChain((CircularArc(0j, 1.0, math.pi, 0.0), Segment(1 + 0j, -1 + 0j))),
     # a half-disk with a slit out to 1: the second segment folds straight back
@@ -391,7 +392,7 @@ class Unknown:
         "polygon_repeated_vertex", "polygon_1e-16_edge", "polygon_all_equal", "polygon_spike",
         "polygon_1e-15_sliver",
         "chain_empty", "chain_zero_segment", "chain_zero_arc", "chain_radius_-1", "chain_3pi_arc",
-        "chain_arc_past_a_turn",
+        "chain_arc_past_a_turn", "chain_zero_arc_at_1e16",
         "chain_1e-3_gap", "chain_clockwise", "chain_slit", "chain_arc_turns_back",
         "chain_arc_crosses_segment", "chain_arc_crosses_segment_4", "chain_two_whole_circles",
         "chain_two_circles_cross", "chain_one_circle_overlaps", "chain_unknown_piece",
@@ -441,7 +442,8 @@ def test_polygon_and_its_edge_chain_get_one_verdict(poly, valid):
     Ellipse(0j, 2.0, 1.0, INF),
     Polygon((1 + 0j, 1j, complex(NAN, 1.0), -1j)),
     ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, NAN))),
-], ids=["disk", "ellipse", "polygon", "arc_chain"])
+    ArcChain((CircularArc(0j, 1.0, 0.0, INF),)),  # an infinite sweep is no whole turn
+], ids=["disk", "ellipse", "polygon", "arc_chain", "arc_chain_infinite_sweep"])
 def test_non_finite_shape_data_rejected(shape):
     # a NaN centre once passed validation with min_gap = inf next to a disk
     with pytest.raises(DegenerateShapeError, match="finite"):
