@@ -573,8 +573,10 @@ def validate_scene(sc: Scene) -> Scene:
     for i, j in itertools.combinations(range(len(sc.shapes)), 2):
         s1, s2 = sc.shapes[i], sc.shapes[j]
         if isinstance(s1, Disk) and isinstance(s2, Disk):
+            # the kernel's rounding slack (|c| + r: a disk piece's size()),
+            # so a circle gets one verdict as a disk or as an ellipse
             g = abs(s1.center - s2.center) - s1.radius - s2.radius
-            if g <= 0:
+            if g <= _SLACK * max(abs(s1.center) + s1.radius, abs(s2.center) + s2.radius):
                 raise OverlapError(f"shapes {i} and {j} have intersecting closures (gap {g:.3g})")
         # a shape inside the other has no boundary crossing for the kernel to see
         elif (_winding_number(pieces[j], pieces[i][0].start)
@@ -590,6 +592,7 @@ def validate_scene(sc: Scene) -> Scene:
 _CHORD_TURNS = 1.0 / 4  # widest initial chord of a curved piece, in turns
 _GAP_ROUNDS = 64
 _GAP_MAX_PAIRS = 1 << 17
+_SLACK = 32.0 * _EPS  # a gap must clear this times the larger curve size
 
 
 def _stack(pieces: list[ParametricArc]) -> ParametricArc:
@@ -622,7 +625,7 @@ def _certified_gaps(curves: list[ParametricArc], pairs: list[tuple[int, int]],
     curve = ParametricArc(*map(np.concatenate, zip(*curves)))
     off = np.cumsum([0] + [c.p0.size for c in curves])
     cuts = [(i + o, t0, t1) for (i, t0, t1), o in zip((c.chords() for c in curves), off)]
-    slack = 32.0 * _EPS * np.array([max(curves[m].size(), curves[n].size()) for m, n in pairs])
+    slack = _SLACK * np.array([max(curves[m].size(), curves[n].size()) for m, n in pairs])
     batch, rows = [], 0
     for g, (m, n) in enumerate(pairs):
         (ia, ta0, ta1), (ib, tb0, tb1) = cuts[m], cuts[n]

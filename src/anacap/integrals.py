@@ -324,7 +324,10 @@ def _quad_block(bs: BasisSet, shape, settings: QuadratureSettings
     rank-k update (``zherk``) then gives the upper triangle of the bordered
     block G = (A w) A^H: H in G[:n, :n], u in G[:n, n] and the length in
     G[n, n], with an exactly real diagonal; the lower triangle stays zero,
-    and ``_gram_data`` mirrors the upper one into it.
+    and ``_gram_data`` mirrors the upper one into it.  Corner endpoints need
+    no flag: the open-piece rule of ``integrate_arc`` integrates their
+    singular products, and ``_matching_corner`` only picks the members that
+    take the exact displacement from the parametrization.
 
     The update runs on SciPy's BLAS, like the solver's factorization: NumPy
     and SciPy each bundle an OpenBLAS with its own thread pool, and
@@ -336,8 +339,9 @@ def _quad_block(bs: BasisSet, shape, settings: QuadratureSettings
     thread at 31 rows by 64 or 128 nodes and 22 rows by 512, and is threaded
     from 69 rows; a ``zgemm`` from 31 by 128 and a ``zgemv`` at 21 by 512
     are threaded, which is why u and the length come through the bordered
-    row.  So bases of up to 30 functions (the bench's corner bases) make no
-    threaded call here; the four ellipses under ``Rings(4)`` (n = 68) do.
+    row.  So bases of up to 30 functions (the bench's corner bases, whose
+    calls are of 64 or 128 nodes) make no threaded call here; the four
+    ellipses under ``Rings(4)`` (n = 68) do.
     """
     n = bs.n
     corner_pts = bs.corner_points()
@@ -366,10 +370,7 @@ def _quad_block(bs: BasisSet, shape, settings: QuadratureSettings
             # transpose is G's upper triangle in C order
             return zherk(1.0, A.T, trans=2, lower=1).T.ravel()
 
-        vals = integrate_arc(f, arc, settings,
-                             singular_start=start_corner is not None,
-                             singular_end=end_corner is not None,
-                             scale=lambda v: _gram_scale(v, n + 1))
+        vals = integrate_arc(f, arc, settings, scale=lambda v: _gram_scale(v, n + 1))
         G += vals.reshape(n + 1, n + 1)
     return G[:n, :n], G[:n, n], float(G[n, n].real)
 

@@ -62,6 +62,27 @@ def test_overlapping_disks_rejected():
         validate_scene(scene([Disk(0, 1.0), Disk(1.5, 1.0)]))
 
 
+def test_tangent_disks_get_the_verdict_of_a_disk_and_a_circular_ellipse():
+    # the disk-disk closed form must clear the kernel's rounding slack: a
+    # tangent pair whose computed gap is a few ulps above zero is rejected
+    # whether the second circle is a Disk or an Ellipse
+    rng = np.random.default_rng(0)
+
+    def valid(shapes):
+        try:
+            validate_scene(scene(shapes))
+        except OverlapError:
+            return False
+        return True
+
+    for _ in range(100):
+        r1, r2 = rng.uniform(0.1, 3.0, 2)
+        c1 = complex(*rng.uniform(-5.0, 5.0, 2))
+        c2 = c1 + (r1 + r2) * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
+        assert (valid([Disk(c1, r1), Disk(c2, r2)])
+                == valid([Disk(c1, r1), Ellipse(c2, r2, r2)]))
+
+
 def test_grid_of_25_disks_valid():
     # neighbours 1 apart: radius 0.4 leaves gaps of 0.2, radius 0.5 makes them touch
     sc = scene([Disk(complex(i, j), 0.4) for i in range(5) for j in range(5)])

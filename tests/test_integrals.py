@@ -26,7 +26,7 @@ from anacap.integrals import (
 from anacap.quadrature import QuadratureSettings, integrate_arc
 from anacap.sublab import max_sweep_radius, random_configuration
 
-from conftest import MIXED_SHAPES, row_per_member_eval, same_bits
+from conftest import MIXED_SHAPES, half_disk, row_per_member_eval, same_bits
 
 TWO_PI = 2 * math.pi
 ORACLE = QuadratureSettings(abs_tol=1e-12)
@@ -479,12 +479,12 @@ def test_corner_gram_bitwise_equal_to_row_per_member_assembly(shapes, schedule):
 
 
 @pytest.mark.parametrize("shapes,schedule,calls,nodes", [
-    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, True), 16, 1536),
-    (MIXED_SHAPES, Powers(3, True), 26, 4736),
+    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, True), 8, 512),
+    (MIXED_SHAPES, Powers(3, True), 12, 896),
 ], ids=["square-Powers6", "mixed-Powers3"])
 def test_corner_assembly_work(monkeypatch, shapes, schedule, calls, nodes):
     # integrand calls and nodes of one assembly: every piece starts at 64
-    # nodes, and no corner-mapped piece is accepted below 8 panels
+    # nodes on one nested ladder, so every node evaluated is kept
     sc = validate_scene(scene(shapes))
     bs = BasisSet(build_basis(sc, schedule))
     sizes = []
@@ -499,11 +499,13 @@ def test_corner_assembly_work(monkeypatch, shapes, schedule, calls, nodes):
     assert 0 < len(sizes) <= calls and sum(sizes) <= nodes
 
 
-def bordered_product_gram(sc, bs: BasisSet, settings: QuadratureSettings) -> np.ndarray:
+def bordered_product_gram(sc, bs: BasisSet, settings: QuadratureSettings,
+                          rule=None) -> np.ndarray:
     """Reference for quadrature assembly: on each node set the full bordered
     product (A w) A^H of the basis values A with the constant 1 appended as
-    row n, over 2 pi, integrated on the arcs and with the corner flags and
-    displacements that ``_quad_block`` uses."""
+    row n, over 2 pi, integrated on the arcs and with the corner
+    displacements that ``_quad_block`` uses; by ``integrate_arc``, or by
+    ``rule(f, arc)`` when given."""
     n = bs.n
     corner_pts = bs.corner_points()
     G = np.zeros((n + 1, n + 1), complex)
@@ -520,9 +522,11 @@ def bordered_product_gram(sc, bs: BasisSet, settings: QuadratureSettings) -> np.
                 A = np.vstack([bs.eval_all(z, subs or None), np.ones(z.size)])
                 return ((A * w) @ A.conj().T).ravel()
 
-            vals = integrate_arc(f, arc, settings, singular_start=a0 is not None,
-                                 singular_end=a1 is not None,
-                                 scale=lambda v: integrals._gram_scale(v, n + 1))
+            if rule is None:
+                vals = integrate_arc(f, arc, settings,
+                                     scale=lambda v: integrals._gram_scale(v, n + 1))
+            else:
+                vals = rule(f, arc)
             G += vals.reshape(n + 1, n + 1)
     return G / TWO_PI
 
@@ -547,6 +551,58 @@ def test_quadrature_gram_matches_the_full_bordered_product(shapes, schedule):
     assert abs(g.c0 - ref[n, n].real) <= tol
     # exactly Hermitian, with an exactly real diagonal
     assert np.array_equal(g.H, g.H.conj().T) and not np.diag(g.H).imag.any()
+
+
+def u6_panel_rule(f, arc, nodes=1 << 14):
+    """A fixed fine reference: on an open piece, 16-point Gauss-Legendre
+    panels on each half under t = 0.5 u^6 from that half's end (``nodes``
+    per half); on a closed piece, the periodic trapezoid rule on twice as
+    many nodes.  Summed in chunks to keep the integrand's buffers small."""
+    if arc.start == arc.end:
+        t = (np.arange(2 * nodes) + 0.5) / (2 * nodes)
+        halves = [(t, 1.0 - t, np.full(t.size, 0.5 / nodes))]
+    else:
+        x, wx = np.polynomial.legendre.leggauss(16)
+        panels = nodes // x.size
+        u = ((np.arange(panels)[:, None] + 0.5 * (x + 1.0)) / panels).ravel()
+        s, w = 0.5 * u ** 6, np.tile(0.5 * wx / panels, panels) * 3.0 * u ** 5
+        halves = [(s, 1.0 - s, w), (1.0 - s, s, w)]
+    total = 0j
+    for t, s1, w in halves:
+        w = w * np.abs(arc._point_velocity(t)[1])
+        z = arc.point(t)
+        for i in range(0, t.size, 4096):
+            c = slice(i, i + 4096)
+            total = total + f(t[c], z[c], s1[c], w[c])
+    return total
+
+
+def _bordered(g) -> np.ndarray:
+    n = g.u.size
+    G = np.empty((n + 1, n + 1), complex)
+    G[:n, :n], G[:n, n], G[n, :n], G[n, n] = g.H, g.u, g.u.conj(), g.c0
+    return G
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-13])
+@pytest.mark.parametrize("shapes,schedule", [
+    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, True)),
+    (MIXED_SHAPES, Powers(3, True)),
+    ([Polygon((1 + 0j, cmath.exp(2j * math.pi / 3), cmath.exp(4j * math.pi / 3)))],
+     Powers(6, True)),
+    ([half_disk(0j, 1.0)], Powers(8)),
+], ids=["square-Powers6", "mixed-Powers3", "triangle-Powers6", "half-disk-Powers8"])
+def test_accepted_gram_within_its_convergence_bound_of_a_fine_reference(shapes, schedule, tol):
+    # every entry of the accepted bordered Gram lies within the bound the
+    # convergence test claims, max(tol, 64 eps sqrt(G_jj G_kk)) / 2 pi, of the
+    # former corner rule run at a fixed fine resolution
+    sc = validate_scene(scene(shapes))
+    bs = BasisSet(build_basis(sc, schedule))
+    ref = bordered_product_gram(sc, bs, None, rule=u6_panel_rule)
+    got = _bordered(assemble_gram(sc, bs, QuadratureSettings(tol)))
+    d = TWO_PI * ref.diagonal().real
+    bound = np.maximum(tol, 64 * np.finfo(float).eps * np.sqrt(np.outer(d, d))) / TWO_PI
+    assert (np.abs(got - ref) <= bound).all()
 
 
 def test_gram_data_scales_each_component_by_the_reciprocal_of_two_pi(rng):

@@ -5,7 +5,7 @@ import pytest
 
 from anacap.errors import MaxDepthError, SceneConfigError
 from anacap.geometry import Disk, Ellipse, Polygon, arcs
-from anacap.quadrature import QuadratureSettings, _panel_rule, integrate_arc
+from anacap.quadrature import QuadratureSettings, _open_nodes, _trapezoid_levels, integrate_arc
 
 TIGHT = QuadratureSettings(abs_tol=1e-12)
 DEFAULT = QuadratureSettings()
@@ -56,8 +56,7 @@ def test_singular_endpoint_power():
     # integral of t^(-1/3) over a unit segment: exact value 3/2
     seg = arcs(Polygon((0j, 1 + 0j, 1 + 1j, 1j)))[0]
 
-    val = integrate_arc(lambda t, z, s1, w: t ** (-1 / 3) @ w, seg,
-                        QuadratureSettings(1e-10), singular_start=True)
+    val = integrate_arc(lambda t, z, s1, w: t ** (-1 / 3) @ w, seg, QuadratureSettings(1e-10))
     assert val.real == pytest.approx(1.5, abs=1e-9)
 
 
@@ -71,9 +70,18 @@ def test_singular_both_endpoints():
         # the exact endpoint distances t, s1 never round to zero
         return (t ** (-1 / 3) * s1 ** (-1 / 3)) @ w
 
-    val = integrate_arc(f, seg, QuadratureSettings(1e-10),
-                        singular_start=True, singular_end=True)
+    val = integrate_arc(f, seg, QuadratureSettings(1e-10))
     assert val.real == pytest.approx(beta_fn(2 / 3, 2 / 3), abs=1e-9)
+
+
+def test_endpoint_powers_near_the_integrability_limit():
+    # t^-0.49 (1-t)^-0.49, the strongest corner singularity the rule is
+    # built for: exact value Beta(0.51, 0.51)
+    from scipy.special import beta as beta_fn
+
+    seg = arcs(Polygon((0j, 1 + 0j, 1 + 1j, 1j)))[0]
+    val = integrate_arc(lambda t, z, s1, w: (t * s1) ** -0.49 @ w, seg, QuadratureSettings(1e-13))
+    assert abs(val - beta_fn(0.51, 0.51)) <= 1e-12
 
 
 def test_huge_magnitude_integrand_converges():
@@ -107,10 +115,18 @@ def test_real_and_imaginary_parts_tested_separately():
     assert abs(complex(val) - 2j * math.pi) < 1e-10
 
 
-def test_panel_rules_shared_and_read_only():
-    x, w = _panel_rule(4)
-    assert _panel_rule(4)[0] is x and _panel_rule(4)[1] is w
-    assert not x.flags.writeable and not w.flags.writeable
-    with pytest.raises(ValueError):
-        x[0] = 0.5
-    assert x.size == w.size == 64 and math.fsum(w) == pytest.approx(1.0, abs=1e-15)
+def test_open_ladder_is_nested_and_exact_for_constants():
+    # the double-exponential map on the midpoint ladder: every level adds new
+    # nodes, both endpoint distances are positive and consistent, and the
+    # weights integrate 1
+    seen, total = set(), 0.0
+    for _, (u, wu, keep, count) in zip(range(4), _trapezoid_levels()):
+        t, s1, jac = _open_nodes(u)
+        assert (t > 0).all() and (s1 > 0).all()
+        assert np.abs(t + s1 - 1.0).max() <= 2 * np.finfo(float).eps
+        # the distance from the nearer end names a node exactly
+        keys = set(zip(t <= s1, np.minimum(t, s1)))
+        assert len(keys) == u.size and not keys & seen
+        seen |= keys
+        total = math.fsum(wu * jac) + keep * total
+        assert len(seen) == count and abs(total - 1.0) <= 1e-15
