@@ -37,6 +37,8 @@ from .errors import DomainError
 
 # Gamma(1/4) to 20 significant digits
 GAMMA_QUARTER = 3.6256099082219083119
+# capacity of the square of half-diagonal 1
+_SQUARE_UNIT = math.sqrt(2.0) * GAMMA_QUARTER ** 2 / (4.0 * math.pi ** 1.5)
 
 _MODULAR_SWITCH = 0.99
 _REL = 1e-16
@@ -116,22 +118,53 @@ def theta4_product(q: float) -> float:
     return _product(1.0, lambda n: (1.0 - q ** (2 * n)) * (1.0 - q ** (2 * n - 1)) ** 2)
 
 
+def _nome_root(c: float, r: float) -> tuple[float, float]:
+    """(sqrt(1 - x^2), sqrt q) for x = r/c.
+
+    c/r = (q^{-1/2} + q^{1/2})/2 has the root q^{1/2} = x / (1 + y) in
+    (0, 1), y = sqrt(1 - x^2), free of cancellation for x << 1.  y comes from
+    (1 - x)(1 + x) with 1 - x = (c - r)/c, which keeps every digit as the
+    disks touch (c - r is exact there), and nothing forms c^2, which
+    overflows at valid scales.
+    """
+    if not (0.0 < r < c and math.isfinite(c)):
+        raise DomainError(f"need 0 < r < c with c finite, got r={r}, c={c}")
+    x = r / c
+    y = math.sqrt((c - r) / c * (1.0 + x))
+    return y, x / (1.0 + y)
+
+
 def nome_from_geometry(c: float, r: float) -> float:
     """The nome q in (0,1) with c/r = (q^{-1/2} + q^{1/2})/2.
 
-    Algebraically q = (2c^2 - r^2 - 2c sqrt(c^2 - r^2))/r^2; computed in the
-    rationalized form q = r^2 / (2c^2 - r^2 + 2c sqrt(c^2 - r^2)), which is
-    identical and avoids cancellation for r << c.
+    Algebraically q = (2c^2 - r^2 - 2c sqrt(c^2 - r^2))/r^2; computed from
+    x = r/c as the square of q^{1/2} = x / (1 + sqrt(1 - x^2)), which is
+    identical, avoids cancellation for r << c and never forms c^2.  It
+    underflows to 0 for r/c below about 1e-154 (a DomainError wherever a
+    theta function reads it).
     """
-    if not (0.0 < r < c):
-        raise DomainError(f"need 0 < r < c, got r={r}, c={c}")
-    return r * r / (2.0 * c * c - r * r + 2.0 * c * math.sqrt(c * c - r * r))
+    return _nome_root(c, r)[1] ** 2
 
 
 def two_disk_capacity(c: float, r: float) -> float:
-    """Exact capacity of two radius-r disks centered at -c and +c."""
-    q = nome_from_geometry(c, r)
-    return math.sqrt(c * c - r * r) * theta2(q) ** 2
+    """Exact capacity of two radius-r disks centered at -c and +c:
+    c sqrt(1 - x^2) theta2(q)^2 with x = r/c, which is
+    sqrt(c^2 - r^2) theta2(q)^2 without forming c^2.
+
+    theta2(q)^2 = 4 q^{1/2} (1 + q^2 + q^6 + ...)^2 is 4 q^{1/2} to rounding
+    once q^2 < eps/4, and c q^{1/2} = r / (1 + sqrt(1 - x^2)): so far pairs,
+    whose nome may underflow, need neither.  A capacity above the float
+    range is a DomainError.
+    """
+    y, root = _nome_root(c, r)
+    q = root * root
+    if q > 2.0 ** -27:
+        gamma = c * y * theta2(q) ** 2
+    else:
+        gamma = 4.0 * (r / (1.0 + y)) * y
+    if not math.isfinite(gamma):
+        raise DomainError(f"capacity overflows at r={r}, c={c}")
+    return gamma
 
 
 def agm(a: float, b: float) -> float:
@@ -167,10 +200,13 @@ def murai_capacity(c: float, r: float) -> float:
 
 
 def square_capacity(s: float = 1.0) -> float:
-    """Capacity of the square with half-diagonal s: s*sqrt(2)*Gamma(1/4)^2/(4 pi^{3/2})."""
-    if not s > 0:
-        raise DomainError(f"half-diagonal must be positive, got {s}")
-    return s * math.sqrt(2.0) * GAMMA_QUARTER ** 2 / (4.0 * math.pi ** 1.5)
+    """Capacity of the square with half-diagonal s: s*sqrt(2)*Gamma(1/4)^2/(4 pi^{3/2}).
+
+    s times the precomputed constant, so it is finite for every finite s.
+    """
+    if not (s > 0 and math.isfinite(s)):
+        raise DomainError(f"half-diagonal must be finite and positive, got {s}")
+    return s * _SQUARE_UNIT
 
 
 def ratio_f(q: float) -> float:

@@ -9,10 +9,11 @@ many analytic pieces.  The module knows how to
   here, the quadrature and the gap kernel read,
 * validate a scene without sampling: simple, positively oriented curves,
   containment by an exact winding number (points on a boundary are
-  outside), and pairwise disjointness certified by a chord-bound
-  branch-and-bound (each boundary is covered by chords that carry their
-  sagitta bounds, and only chord pairs whose lower bound is not yet above
-  rounding are halved); no gap is measured,
+  outside), and pairwise disjointness certified by enclosing disks where
+  they lie apart, and otherwise by a chord-bound branch-and-bound (each
+  boundary is covered by chords that carry their sagitta bounds, and only
+  chord pairs whose lower bound is not yet above rounding are halved); no
+  gap is measured,
 * list the corners of a shape together with the angle the complement
   occupies there,
 * pick an interior anchor point for pole placement, exactly: the mean of
@@ -46,6 +47,7 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal number
 
 # ---------------------------------------------------------------------------
 # shape types
@@ -556,19 +558,21 @@ def validate_scene(sc: Scene) -> Scene:
     """Check every shape's ``arcs`` by :func:`_check_boundary`, one rule set
     for every shape kind, then the pairwise disjointness of their closures.
 
-    Returns the scene unchanged.  Two disks use the closed form; every other
-    pair goes through one call of the chord-bound kernel
-    :func:`_certified_gaps`, which sees crossing boundaries exactly and stops
-    once each gap is certified above rounding; no gap is measured.  A shape
-    inside another is found by the exact winding number.  Raises
-    :class:`OverlapError` for any pair whose gap is not certified positive.
-    Deterministic.
+    Returns the scene unchanged.  Two disks use the closed form.  Every other
+    pair is first settled, if it can be, by the shapes' enclosing disks
+    (:func:`_enclosing_disk`, :func:`_disks_apart`); the rest go through one
+    call of the chord-bound kernel :func:`_certified_gaps`, which sees
+    crossing boundaries exactly and stops once each gap is certified above
+    rounding; no gap is measured.  A shape inside another is found by the
+    exact winding number.  Raises :class:`OverlapError` for any pair whose
+    gap is not certified positive.  Deterministic.
     """
     if not sc.shapes:
         raise SceneConfigError("scene needs at least one shape")
     pieces = [arcs(s) for s in sc.shapes]
     for p in pieces:
         _check_boundary(p)
+    disks = [None] * len(pieces)  # enclosing disks, made when a pair needs them
     pairs = []
     for i, j in itertools.combinations(range(len(sc.shapes)), 2):
         s1, s2 = sc.shapes[i], sc.shapes[j]
@@ -578,12 +582,17 @@ def validate_scene(sc: Scene) -> Scene:
             g = abs(s1.center - s2.center) - s1.radius - s2.radius
             if g <= _SLACK * max(abs(s1.center) + s1.radius, abs(s2.center) + s2.radius):
                 raise OverlapError(f"shapes {i} and {j} have intersecting closures (gap {g:.3g})")
+            continue
+        for k in (i, j):
+            if disks[k] is None:
+                disks[k] = _enclosing_disk(pieces[k])
+        if _disks_apart(disks[i], disks[j]):
+            continue
         # a shape inside the other has no boundary crossing for the kernel to see
-        elif (_winding_number(pieces[j], pieces[i][0].start)
-              or _winding_number(pieces[i], pieces[j][0].start)):
+        if (_winding_number(pieces[j], pieces[i][0].start)
+                or _winding_number(pieces[i], pieces[j][0].start)):
             raise OverlapError(f"shapes {i} and {j} overlap: a boundary point of one lies inside the other")
-        else:
-            pairs.append((i, j))
+        pairs.append((i, j))
     if pairs:
         _certified_gaps([_stack(p) for p in pieces], pairs, [f"shapes {i} and {j}" for i, j in pairs])
     return sc
@@ -593,6 +602,50 @@ _CHORD_TURNS = 1.0 / 4  # widest initial chord of a curved piece, in turns
 _GAP_ROUNDS = 64
 _GAP_MAX_PAIRS = 1 << 17
 _SLACK = 32.0 * _EPS  # a gap must clear this times the larger curve size
+
+
+def _enclosing_disk(pieces: list[ParametricArc]) -> tuple[complex, float, float]:
+    """(centre c, radius R, size) of a disk that holds the boundary, from the
+    pieces' coefficients; size is the kernel's ``size()`` of the pieces.
+
+    Piece k lies in the disk about c_k = p0 + p1/2 of radius
+    r_k = |p1|/2 + |b| + |d|, since z(t) - c_k = p1 (t - 1/2) + b e + d conj(e)
+    with |e| = 1.  The shape's disk is centred at c = c_0, with
+    R = max_k (|c_k - c| + r_k).
+    """
+    c = pieces[0].p0 + 0.5 * pieces[0].p1
+    radius = size = 0.0
+    for arc in pieces:
+        r = 0.5 * abs(arc.p1) + abs(arc.b) + abs(arc.d)
+        radius = max(radius, abs(arc.p0 + 0.5 * arc.p1 - c) + r)
+        size = max(size, abs(arc.p0) + abs(arc.p1) + abs(arc.b) + abs(arc.d))
+    return c, radius, size
+
+
+def _disks_apart(a: tuple[complex, float, float], b: tuple[complex, float, float]) -> bool:
+    """Whether two enclosing disks certify their shapes' pair: the computed
+    gap |c_a - c_b| - R_a - R_b exceeds the pair's kernel slack _SLACK S plus
+    the rounding of the disk arithmetic, S the larger size.
+
+    That rounding is below 32 eps S.  With u = eps/2, every piece has
+    |p0| + |p1| + |b| + |d| <= S, so |c_k| <= S and r_k <= S.  Each sum,
+    difference and product rounds by at most u of its result, and each
+    modulus by at most 2u.  So the computed c_k is within u S of the exact
+    one and the computed r_k within 4u S: piece k lies in the computed
+    disk widened by 5u S.  The modulus of c_k - c (at most 2S) is off by at
+    most 6u S and adding r_k (at most 3S) rounds by 3u S, so the shape lies
+    in the disk about the computed c of the computed R plus 14u S.
+    |c_a - c_b| (at most 2S) is off by at most 6u S, and the two
+    subtractions of the gap, of results at most 5S and 8S, round by 13u S.
+    In all the exact distance between the shapes is at least the computed
+    gap less 2 * 14u S + 6u S + 13u S = 47u S < 32 eps S, to first order in
+    u.  Halving p1 and taking moduli may also underflow, by less than the
+    smallest normal number in all.  An overflow settles nothing wrongly: an
+    infinite radius or size makes the comparison false.
+    """
+    (ca, ra, sa), (cb, rb, sb) = a, b
+    size = max(sa, sb)
+    return abs(ca - cb) - ra - rb > 2.0 * _SLACK * size + _TINY
 
 
 def _stack(pieces: list[ParametricArc]) -> ParametricArc:

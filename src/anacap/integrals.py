@@ -18,14 +18,15 @@ triangle only; from the same terms it can also sum a split of the scene
 into its first m shapes (on their basis functions) and the rest, which
 gives the Grams of E, F and E u F of a subadditivity record in one pass,
 each bitwise what it would be assembled alone.  Every other boundary goes
-through the node-and-weight quadrature of :mod:`anacap.quadrature`, one
-Hermitian product per node set: the basis values V, with the constant 1
-appended as a last row and scaled by sqrt(w) in the same buffer, give the
-upper triangle of ``(V w) V^H`` from one ``zherk``, and that bordered block
-carries u and the length too.  The general residue routines
-(``circle_pair_integral``, with its spectral midpoint rule for near-confluent
-poles, and ``circle_mean_integral``) are on no Gram path; they stay public as
-exact references.
+through one call of the node-and-weight quadrature of :mod:`anacap.quadrature`
+over all its pieces, which climb one ladder together: one basis evaluation
+per integrand call, and one Hermitian product per piece's node set.  The
+basis values V, with the constant 1 appended as a last row and scaled by
+sqrt(w) in the same buffer, give the upper triangle of ``(V w) V^H`` from
+one ``zherk``, and that bordered block carries u and the length too.  The
+general residue routines (``circle_pair_integral``, with its spectral
+midpoint rule for near-confluent poles, and ``circle_mean_integral``) are on
+no Gram path; they stay public as exact references.
 
 Contributions are accumulated disks first, in index order, then the other
 shapes, in index order, so assembled matrices are bitwise reproducible.
@@ -314,20 +315,29 @@ class GramData:
     c0: float
 
 
-def _quad_block(bs: BasisSet, shape, settings: QuadratureSettings
-                ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Gram contributions of one shape's boundary by node-and-weight quadrature.
+def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
+                 ) -> list[np.ndarray]:
+    """Bordered Gram blocks of the shapes' boundaries by node-and-weight
+    quadrature, one (n+1) x (n+1) block per shape, from one ladder over all
+    their pieces.
 
-    Each integrand call fills one buffer A (n+1 x nodes): ``bs.eval_all``
-    writes the basis values into A[:n], row n is the constant 1, and A is
-    scaled in place by sqrt(w) (the weights are >= 0).  One Hermitian
-    rank-k update (``zherk``) then gives the upper triangle of the bordered
-    block G = (A w) A^H: H in G[:n, :n], u in G[:n, n] and the length in
-    G[n, n], with an exactly real diagonal; the lower triangle stays zero,
-    and ``_gram_data`` mirrors the upper one into it.  Corner endpoints need
-    no flag: the open-piece rule of ``integrate_arc`` integrates their
-    singular products, and ``_matching_corner`` only picks the members that
-    take the exact displacement from the parametrization.
+    Each integrand call fills one buffer A (n+1 x nodes) for all the parts it
+    gets: ``bs.eval_all`` writes the basis values into A[:n], row n is the
+    constant 1, and A is scaled in place by sqrt(w) (the weights are >= 0).
+    One Hermitian rank-k update (``zherk``) per part, on the part's columns,
+    then gives the upper triangle of the bordered block G = (A w) A^H: H in
+    G[:n, :n], u in G[:n, n] and the length in G[n, n], with an exactly real
+    diagonal; the lower triangle stays zero, and ``_gram_data`` mirrors the
+    upper one into it.  Corner endpoints need no flag: the open-piece rule of
+    ``integrate_arc`` integrates their singular products, and
+    ``_matching_corner`` only picks the members that take the exact
+    displacement from the parametrization, spliced in per part: a corner's
+    displacement is ``disp_start(t)`` on a piece that starts at it,
+    ``disp_end(s1)`` on one that ends at it, and z - corner elsewhere, the
+    subtraction ``eval_all`` makes itself.  A basis value does not depend on
+    the other nodes of its call, so each piece's sums, and the blocks summed
+    from them piece by piece in order, have the bits of a piece-by-piece
+    assembly.
 
     The update runs on SciPy's BLAS, like the solver's factorization: NumPy
     and SciPy each bundle an OpenBLAS with its own thread pool, and
@@ -339,49 +349,57 @@ def _quad_block(bs: BasisSet, shape, settings: QuadratureSettings
     thread at 31 rows by 64 or 128 nodes and 22 rows by 512, and is threaded
     from 69 rows; a ``zgemm`` from 31 by 128 and a ``zgemv`` at 21 by 512
     are threaded, which is why u and the length come through the bordered
-    row.  So bases of up to 30 functions (the bench's corner bases, whose
-    calls are of 64 or 128 nodes) make no threaded call here; the four
-    ellipses under ``Rings(4)`` (n = 68) do.
+    row.  The update stays per part, so bases of up to 30 functions (the
+    bench's corner bases, whose parts are of 64 or 128 nodes) make no
+    threaded call here; the four ellipses under ``Rings(4)`` (n = 68) do.
     """
     n = bs.n
     corner_pts = bs.corner_points()
-    G = np.zeros((n + 1, n + 1), complex)
-    pieces = arcs(shape)
-    scale = max(1.0, abs(pieces[0].start))
-    for arc in pieces:
-        start_corner = _matching_corner(corner_pts, arc.start, scale)
-        end_corner = _matching_corner(corner_pts, arc.end, scale)
+    pieces, ends, owner = [], [], []
+    for k, shape in enumerate(shapes):
+        shape_pieces = arcs(shape)
+        scale = max(1.0, abs(shape_pieces[0].start))
+        for arc in shape_pieces:
+            pieces.append(arc)
+            ends.append((_matching_corner(corner_pts, arc.start, scale),
+                         _matching_corner(corner_pts, arc.end, scale)))
+            owner.append(k)
 
-        def f(t, z, s1, w, arc=arc, sc=start_corner, ec=end_corner):
-            # corner-adapted members anchored at an arc endpoint take the
-            # exact displacement z - corner from the parametrization; near
-            # the corner the subtraction would round to zero
-            subs = []
-            if sc is not None:
-                subs.append((sc, arc.disp_start(t)))
-            if ec is not None:
-                subs.append((ec, arc.disp_end(s1)))
-            A = np.empty((n + 1, z.size), complex)
-            bs.eval_all(z, subs or None, out=A[:n])
-            A[n] = 1.0
-            A *= np.sqrt(w)
-            # A.T is A in Fortran order, so BLAS takes it without a copy;
-            # it returns conj(G) = G^T in its lower triangle, whose
-            # transpose is G's upper triangle in C order
-            return zherk(1.0, A.T, trans=2, lower=1).T.ravel()
+    def f(spans, t, z, s1, w):
+        # corner-adapted members anchored at a piece's endpoint take the
+        # exact displacement z - corner from the parametrization; near the
+        # corner the subtraction would round to zero
+        subs = {}
+        for i, c in spans:
+            (start, end), arc = ends[i], pieces[i]
+            if start is not None:
+                subs.setdefault(start, z - start)[c] = arc.disp_start(t[c])
+            if end is not None:
+                subs.setdefault(end, z - end)[c] = arc.disp_end(s1[c])
+        A = np.empty((n + 1, z.size), complex)
+        bs.eval_all(z, list(subs.items()) or None, out=A[:n])
+        A[n] = 1.0
+        A *= np.sqrt(w)
+        # A[:, c].T is a part's A in Fortran order (copied unless the part
+        # fills the call); BLAS returns conj(G) = G^T in its lower triangle,
+        # whose transpose is G's upper triangle in C order
+        return [zherk(1.0, A[:, c].T, trans=2, lower=1).T.ravel() for _, c in spans]
 
-        vals = integrate_arc(f, arc, settings, scale=lambda v: _gram_scale(v, n + 1))
-        G += vals.reshape(n + 1, n + 1)
-    return G[:n, :n], G[:n, n], float(G[n, n].real)
+    vals = integrate_arc(f, pieces, settings, scale=lambda v: _gram_scale(v, n + 1),
+                         rows=n + 1)
+    blocks = [np.zeros((n + 1, n + 1), complex) for _ in shapes]
+    for k, v in zip(owner, vals):
+        blocks[k] += v.reshape(n + 1, n + 1)
+    return blocks
 
 
 def _gram_scale(vals: np.ndarray, m: int) -> np.ndarray:
     """Cauchy-Schwarz bounds sqrt(G_jj G_kk) on the weighted sums of |terms|
-    of the m x m block G (H bordered by u and the length).  Entries that
-    cancel far below these carry rounding noise of that size, so it sets
-    their floor."""
-    d = np.abs(vals[:: m + 1].real)
-    return np.sqrt(np.outer(d, d)).ravel()
+    of m x m blocks G (H bordered by u and the length), stacked one raveled
+    block per row.  Entries that cancel far below these carry rounding noise
+    of that size, so it sets their floor."""
+    d = np.abs(vals[:, :: m + 1].real)
+    return np.sqrt(d[:, :, None] * d[:, None, :]).reshape(vals.shape)
 
 
 def _matching_corner(corner_pts: np.ndarray, endpoint: complex, scale: float):
@@ -443,15 +461,15 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
         blocks = [(np.zeros((j1 - j0, j1 - j0), complex), np.zeros(j1 - j0, complex))
                   for _, _, j0, j1 in groups]
     lengths = [sum(TWO_PI * d.radius for d in disks[d0:d1]) for d0, d1, _, _ in disk_groups]
-    for i, (shape, cf) in enumerate(zip(sc.shapes, closed_form)):
-        if not cf:
-            Hq, uq, L = _quad_block(bs, shape, settings)
+    quad = [i for i, cf in enumerate(closed_form) if not cf]
+    if quad:
+        for i, G in zip(quad, _quad_blocks(bs, [sc.shapes[i] for i in quad], settings)):
             for g, (s0, s1, j0, j1) in enumerate(groups):
                 if s0 <= i < s1:
                     H, u = blocks[g]
-                    H += Hq[j0:j1, j0:j1]
-                    u += uq[j0:j1]
-                    lengths[g] += L
+                    H += G[j0:j1, j0:j1]
+                    u += G[j0:j1, n]
+                    lengths[g] += float(G[n, n].real)
     return [_gram_data(H, u, L) for (H, u), L in zip(blocks, lengths)]
 
 

@@ -104,7 +104,7 @@ def _objectives(gram: GramData, d: np.ndarray) -> tuple[float, float, float]:
     objective at its own solve, of H x = -u and then of H x = d, and the
     larger relative residual max|H x - rhs| / max|rhs| of the two.  H x runs
     on SciPy's BLAS, the one library that assembly (its ``zherk``) and the
-    factorization use (see ``integrals._quad_block``); for a C-ordered H, H.T
+    factorization use (see ``integrals._quad_blocks``); for a C-ordered H, H.T
     is the same memory in Fortran order, so nothing is copied.  OpenBLAS runs
     this ``zgemv`` on one thread at n = 30 and on several at n = 68.
     """

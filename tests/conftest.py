@@ -31,6 +31,12 @@ def half_disk(center: complex, r: float = 0.5) -> ArcChain:
 MIXED_SHAPES = (Disk(0j, 1.0), half_disk(3 + 0j), half_disk(3j))
 
 
+def each_piece(g):
+    """An ``integrate_arc`` integrand from g(t, z, s1, w), the weighted sum of
+    one part's values: g runs on each part of a call alone."""
+    return lambda spans, t, z, s1, w: [g(t[c], z[c], s1[c], w[c]) for _, c in spans]
+
+
 def random_points(rng, n, box=4.0, min_sep=0.5):
     pts = []
     while len(pts) < n:

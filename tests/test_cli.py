@@ -116,6 +116,26 @@ def test_exact_domain_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv,value", [
+    (("square", "--s", "1e308"), 8.346268416740732e307),
+    (("two-disks", "--c", "2e300", "--r", "1e300"), 1.8755950190971197e300),
+    (("two-disks", "--c", "1e300", "--r", "1"), 2.0),
+])
+def test_exact_at_extreme_scales_prints_a_finite_value(capsys, argv, value):
+    code, out, _ = run(capsys, "exact", *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["value"] == pytest.approx(value, rel=1e-14)
+
+
+@pytest.mark.parametrize("argv", [
+    ("square", "--s", "inf"), ("square", "--s", "nan"),
+    ("two-disks", "--c", "inf", "--r", "1"), ("two-disks", "--c", "nan", "--r", "1"),
+])
+def test_exact_rejects_a_value_that_is_not_finite(capsys, argv):
+    code, out, err = run(capsys, "exact", *argv)
+    assert code == EXIT_CONFIG and not out and "error" in err
+
+
 # --- discrete ---------------------------------------------------------------
 
 def test_discrete_report(config_file, capsys):

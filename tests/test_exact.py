@@ -114,6 +114,30 @@ def test_two_disk_homogeneity():
             s * two_disk_capacity(2, 1), rel=1e-14)
 
 
+def test_two_disk_at_extreme_scales():
+    # nothing forms c^2, so pairs at 1e+-300 scale like the reference pair
+    for s in (1e-300, 1e300, 1e305):
+        assert nome_from_geometry(2 * s, s) == pytest.approx(Q21, abs=1e-15)
+        assert two_disk_capacity(2 * s, s) == pytest.approx(s * TWO_DISK_GAMMA, rel=1e-14)
+    # far pairs tend to the sum 2r of the two capacities, also where the nome
+    # underflows: gamma = 4 r y / (1 + y) (1 + O(q^2)), y = sqrt(1 - (r/c)^2)
+    for c, r in ((1e4, 1.0), (1e300, 1.0), (1.7e308, 1e-300)):
+        y = math.sqrt(1 - (r / c) ** 2)
+        assert two_disk_capacity(c, r) == pytest.approx(4 * r * y / (1 + y), rel=1e-15)
+    assert two_disk_capacity(1e300, 1.0) == 2.0
+
+
+def test_two_disk_rejects_values_that_are_not_finite():
+    for c, r in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan), (math.inf, math.inf)):
+        with pytest.raises(DomainError):
+            two_disk_capacity(c, r)
+        with pytest.raises(DomainError):
+            nome_from_geometry(c, r)
+    # a capacity above the float range is no value
+    with pytest.raises(DomainError, match="overflows"):
+        two_disk_capacity(1.7e308, 1.6e308)
+
+
 def test_murai_reference_value():
     assert murai_capacity(2, 1) == pytest.approx(1.875595019097120, abs=1e-12)
 
@@ -156,6 +180,17 @@ def test_square_homogeneity():
     assert square_capacity(2.0) == pytest.approx(2 * square_capacity(1.0), rel=1e-15)
     with pytest.raises(DomainError):
         square_capacity(0.0)
+
+
+def test_square_at_extreme_scales():
+    # s times the precomputed constant: finite for every finite s, and only
+    # a finite positive s is a half-diagonal
+    for s in (1e-300, 1e300, 1e307, 1e308, 1.7976931348623157e308):
+        val = square_capacity(s)
+        assert math.isfinite(val) and val == pytest.approx(s * square_capacity(1.0), rel=1e-15)
+    for bad in (math.inf, math.nan, -math.inf, -1e300):
+        with pytest.raises(DomainError):
+            square_capacity(bad)
 
 
 def test_gamma_quarter_constant():

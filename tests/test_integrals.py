@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg.blas import zherk
 
 from anacap import integrals
 from anacap.basis import (
@@ -14,7 +15,7 @@ from anacap.basis import (
     SimplePole,
     build_basis,
 )
-from anacap.errors import NonRationalBasisError, PoleOnContourError
+from anacap.errors import MaxDepthError, NonRationalBasisError, PoleOnContourError
 from anacap.geometry import Disk, Ellipse, Polygon, arcs, scene, validate_scene
 from anacap.integrals import (
     _DISK_CHUNK,
@@ -26,7 +27,7 @@ from anacap.integrals import (
 from anacap.quadrature import QuadratureSettings, integrate_arc
 from anacap.sublab import max_sweep_radius, random_configuration
 
-from conftest import MIXED_SHAPES, half_disk, row_per_member_eval, same_bits
+from conftest import MIXED_SHAPES, each_piece, half_disk, row_per_member_eval, same_bits
 
 TWO_PI = 2 * math.pi
 ORACLE = QuadratureSettings(abs_tol=1e-12)
@@ -40,13 +41,13 @@ def quad_pair(b1, b2, circle):
         v1, v2 = BasisSet([b1, b2]).eval_all(z)
         return (v1 * np.conj(v2)) @ w
 
-    return complex(integrate_arc(f, arc, ORACLE))
+    return complex(integrate_arc(each_piece(f), [arc], ORACLE)[0])
 
 
 def quad_mean(b, circle):
     (arc,) = arcs(circle)
-    return complex(integrate_arc(lambda t, z, s1, w: BasisSet([b]).eval_all(z)[0] @ w,
-                                 arc, ORACLE))
+    return complex(integrate_arc(each_piece(lambda t, z, s1, w: BasisSet([b]).eval_all(z)[0] @ w),
+                                 [arc], ORACLE)[0])
 
 
 # --- exact circle integrals -------------------------------------------------
@@ -479,12 +480,13 @@ def test_corner_gram_bitwise_equal_to_row_per_member_assembly(shapes, schedule):
 
 
 @pytest.mark.parametrize("shapes,schedule,calls,nodes", [
-    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, True), 8, 512),
-    (MIXED_SHAPES, Powers(3, True), 12, 896),
+    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, True), 2, 512),
+    (MIXED_SHAPES, Powers(3, True), 3, 896),
 ], ids=["square-Powers6", "mixed-Powers3"])
 def test_corner_assembly_work(monkeypatch, shapes, schedule, calls, nodes):
     # integrand calls and nodes of one assembly: every piece starts at 64
-    # nodes on one nested ladder, so every node evaluated is kept
+    # nodes on one nested ladder, so every node evaluated is kept, and the
+    # pieces climb it together, all of a level's nodes in one call
     sc = validate_scene(scene(shapes))
     bs = BasisSet(build_basis(sc, schedule))
     sizes = []
@@ -504,8 +506,8 @@ def bordered_product_gram(sc, bs: BasisSet, settings: QuadratureSettings,
     """Reference for quadrature assembly: on each node set the full bordered
     product (A w) A^H of the basis values A with the constant 1 appended as
     row n, over 2 pi, integrated on the arcs and with the corner
-    displacements that ``_quad_block`` uses; by ``integrate_arc``, or by
-    ``rule(f, arc)`` when given."""
+    displacements that ``_quad_blocks`` uses; by ``integrate_arc`` on each
+    piece alone, or by ``rule(f, arc)`` when given."""
     n = bs.n
     corner_pts = bs.corner_points()
     G = np.zeros((n + 1, n + 1), complex)
@@ -523,12 +525,98 @@ def bordered_product_gram(sc, bs: BasisSet, settings: QuadratureSettings,
                 return ((A * w) @ A.conj().T).ravel()
 
             if rule is None:
-                vals = integrate_arc(f, arc, settings,
-                                     scale=lambda v: integrals._gram_scale(v, n + 1))
+                (vals,) = integrate_arc(each_piece(f), [arc], settings,
+                                        scale=lambda v: integrals._gram_scale(v, n + 1))
             else:
                 vals = rule(f, arc)
             G += vals.reshape(n + 1, n + 1)
     return G / TWO_PI
+
+
+def piece_by_piece_gram(sc, bs: BasisSet, settings: QuadratureSettings):
+    """Reference for the batched ladder: the Gram of a scene without
+    closed-form disks with each piece on a ladder of its own, through
+    ``integrate_arc`` on that piece alone, its integrand the bordered
+    ``zherk`` of sqrt(w)-scaled values with the corner displacements of
+    ``_quad_blocks``; the shapes' blocks summed piece by piece and then shape
+    by shape, in order."""
+    n = bs.n
+    corner_pts = bs.corner_points()
+    H, u, length = np.zeros((n, n), complex), np.zeros(n, complex), 0
+    for shape in sc.shapes:
+        pieces = arcs(shape)
+        scale = max(1.0, abs(pieces[0].start))
+        G = np.zeros((n + 1, n + 1), complex)
+        for arc in pieces:
+            a0 = integrals._matching_corner(corner_pts, arc.start, scale)
+            a1 = integrals._matching_corner(corner_pts, arc.end, scale)
+
+            def f(t, z, s1, w, arc=arc, a0=a0, a1=a1):
+                subs = [(a, d) for a, d in ((a0, arc.disp_start(t)), (a1, arc.disp_end(s1)))
+                        if a is not None]
+                A = np.empty((n + 1, z.size), complex)
+                bs.eval_all(z, subs or None, out=A[:n])
+                A[n] = 1.0
+                A *= np.sqrt(w)
+                return zherk(1.0, A.T, trans=2, lower=1).T.ravel()
+
+            (vals,) = integrate_arc(each_piece(f), [arc], settings, rows=n + 1,
+                                    scale=lambda v: integrals._gram_scale(v, n + 1))
+            G += vals.reshape(n + 1, n + 1)
+        H += G[:n, :n]
+        u += G[:n, n]
+        length += float(G[n, n].real)
+    return integrals._gram_data(H, u, length)
+
+
+FORTY_GON = Polygon(tuple(cmath.exp(2j * math.pi * k / 40) for k in range(40)))
+
+
+@pytest.mark.parametrize("shapes,schedule,first_calls", [
+    ([half_disk(0j, 1.0), Ellipse(40 + 0j, 3.0, 0.5, 0.3)], [Powers(4, True), Rings(2)], None),
+    ([FORTY_GON], Powers(3), [2048, 512]),
+    ([FORTY_GON, half_disk(3 + 0j)], Powers(1, True), None),
+    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, True), [256]),
+    ([Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)], Rings(4), [64] * 4),
+], ids=["half-disk-far-ellipse", "40-gon-Powers3", "40-gon-half-disk-corners", "square-Powers6",
+        "four-ellipses-Rings4"])
+@pytest.mark.parametrize("tol", [1e-9, 1e-13])
+def test_batched_ladder_gram_has_the_bits_of_piece_by_piece_assembly(
+        monkeypatch, shapes, schedule, first_calls, tol):
+    # the pieces of a scene share one ladder and one integrand call per level
+    # while the call stays within _BATCH_TERMS; pieces converge at their own
+    # levels (the half-disk's and the far ellipse's differ), a level of the
+    # 40-gon takes more than one call, and corners are spliced per piece in
+    # calls that hold both pieces at a vertex: the Gram keeps every bit,
+    # signed zeros included
+    sc = validate_scene(scene(shapes))
+    bs = BasisSet(build_basis(sc, schedule))
+    settings = QuadratureSettings(tol)
+    want = piece_by_piece_gram(sc, bs, settings)
+    sizes = []
+    eval_all = bs.eval_all
+
+    def counted(z, corner_subs=None, out=None):
+        sizes.append(np.size(z))
+        return eval_all(z, corner_subs, out=out)
+
+    monkeypatch.setattr(bs, "eval_all", counted)
+    got = assemble_gram(sc, bs, settings)
+    assert got.H.tobytes() == want.H.tobytes() and got.u.tobytes() == want.u.tobytes()
+    assert np.float64(got.c0).tobytes() == np.float64(want.c0).tobytes()
+    if first_calls is not None:
+        assert sizes[:len(first_calls)] == first_calls
+
+
+def test_max_depth_error_names_the_first_failing_piece_in_scene_order():
+    # two flat ellipses fail the 2^16-node cap at the same level; the error
+    # names the earlier one, as a shape-by-shape assembly would, and the
+    # half-disk before them converges first
+    shapes = [half_disk(0j, 1.0), Ellipse(10 + 0j, 1.0, 1e-3), Ellipse(-10 + 0j, 1.0, 1e-3)]
+    sc = validate_scene(scene(shapes))
+    bs = BasisSet(build_basis(sc, [Powers(2, True), Rings(1), Rings(1)]))
+    with pytest.raises(MaxDepthError, match=r"65536 nodes on the arc from 11\+0j to 11\+0j"):
+        assemble_gram(sc, bs)
 
 
 @pytest.mark.parametrize("shapes,schedule", [

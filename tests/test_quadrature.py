@@ -7,6 +7,8 @@ from anacap.errors import MaxDepthError, SceneConfigError
 from anacap.geometry import Disk, Ellipse, Polygon, arcs
 from anacap.quadrature import QuadratureSettings, _open_nodes, _trapezoid_levels, integrate_arc
 
+from conftest import each_piece
+
 TIGHT = QuadratureSettings(abs_tol=1e-12)
 DEFAULT = QuadratureSettings()
 
@@ -23,19 +25,19 @@ def test_settings_validation():
 
 def test_unit_circle_perimeter():
     (arc,) = arcs(Disk(0, 1.0))
-    val = integrate_arc(lambda t, z, s1, w: np.ones_like(z) @ w, arc, TIGHT)
+    val = integrate_arc(each_piece(lambda t, z, s1, w: np.ones_like(z) @ w), [arc], TIGHT)[0]
     assert val == pytest.approx(2 * math.pi, abs=1e-12)
 
 
 def test_ellipse_perimeter():
     (arc,) = arcs(Ellipse(0, 2.0, 1.0))
-    val = integrate_arc(lambda t, z, s1, w: np.ones_like(z) @ w, arc, TIGHT)
+    val = integrate_arc(each_piece(lambda t, z, s1, w: np.ones_like(z) @ w), [arc], TIGHT)[0]
     assert val.real == pytest.approx(9.688448220547675, abs=1e-11)
 
 
 def test_abs_z_squared_on_unit_circle():
     (arc,) = arcs(Disk(0, 1.0))
-    val = integrate_arc(lambda t, z, s1, w: (z * np.conj(z)) @ w, arc, TIGHT)
+    val = integrate_arc(each_piece(lambda t, z, s1, w: (z * np.conj(z)) @ w), [arc], TIGHT)[0]
     assert complex(val) == pytest.approx(2 * math.pi, abs=1e-11)
 
 
@@ -45,7 +47,7 @@ def test_vector_integrand():
     def f(t, z, s1, w):
         return np.stack([np.ones_like(z), z, z * np.conj(z)]) @ w
 
-    vals = integrate_arc(f, arc, TIGHT)
+    vals = integrate_arc(each_piece(f), [arc], TIGHT)[0]
     assert vals.shape == (3,)
     assert vals[0] == pytest.approx(2 * math.pi, abs=1e-11)
     assert abs(vals[1]) < 1e-11
@@ -56,7 +58,8 @@ def test_singular_endpoint_power():
     # integral of t^(-1/3) over a unit segment: exact value 3/2
     seg = arcs(Polygon((0j, 1 + 0j, 1 + 1j, 1j)))[0]
 
-    val = integrate_arc(lambda t, z, s1, w: t ** (-1 / 3) @ w, seg, QuadratureSettings(1e-10))
+    val = integrate_arc(each_piece(lambda t, z, s1, w: t ** (-1 / 3) @ w), [seg],
+                        QuadratureSettings(1e-10))[0]
     assert val.real == pytest.approx(1.5, abs=1e-9)
 
 
@@ -70,7 +73,7 @@ def test_singular_both_endpoints():
         # the exact endpoint distances t, s1 never round to zero
         return (t ** (-1 / 3) * s1 ** (-1 / 3)) @ w
 
-    val = integrate_arc(f, seg, QuadratureSettings(1e-10))
+    val = integrate_arc(each_piece(f), [seg], QuadratureSettings(1e-10))[0]
     assert val.real == pytest.approx(beta_fn(2 / 3, 2 / 3), abs=1e-9)
 
 
@@ -80,7 +83,8 @@ def test_endpoint_powers_near_the_integrability_limit():
     from scipy.special import beta as beta_fn
 
     seg = arcs(Polygon((0j, 1 + 0j, 1 + 1j, 1j)))[0]
-    val = integrate_arc(lambda t, z, s1, w: (t * s1) ** -0.49 @ w, seg, QuadratureSettings(1e-13))
+    val = integrate_arc(each_piece(lambda t, z, s1, w: (t * s1) ** -0.49 @ w), [seg],
+                        QuadratureSettings(1e-13))[0]
     assert abs(val - beta_fn(0.51, 0.51)) <= 1e-12
 
 
@@ -89,7 +93,8 @@ def test_huge_magnitude_integrand_converges():
     # sits below the rounding floor; the integral must still converge to
     # machine-relative accuracy instead of erroring out
     seg = arcs(Polygon((1 + 0j, 1j, -1 + 0j, -1j)))[0]
-    val = integrate_arc(lambda t, z, s1, w: np.abs(1 + t * (1j - 1)) ** -80.0 @ w, seg, DEFAULT)
+    val = integrate_arc(each_piece(lambda t, z, s1, w: np.abs(1 + t * (1j - 1)) ** -80.0 @ w),
+                        [seg], DEFAULT)[0]
     from scipy.integrate import quad as spquad
 
     ref = spquad(lambda t: abs(1 + t * (1j - 1)) ** -80.0 * math.sqrt(2), 0, 1,
@@ -106,12 +111,41 @@ def test_max_depth_error():
 
     # the fixed node ceiling stops the refinement
     with pytest.raises(MaxDepthError, match="65536 nodes"):
-        integrate_arc(f, seg, QuadratureSettings(1e-12))
+        integrate_arc(each_piece(f), [seg], QuadratureSettings(1e-12))[0]
+
+
+def test_max_depth_error_names_the_first_failing_piece():
+    # the integrand jumps on the square's second and fourth edges only: the
+    # other two converge, and the error names the second edge
+    pieces = arcs(Polygon((0j, 1 + 0j, 1 + 1j, 1j)))
+
+    def f(t, z, s1, w):
+        return np.where(z.imag < 1 / math.pi, 0.0, 1.0) @ w
+
+    with pytest.raises(MaxDepthError, match=r"65536 nodes on the arc from 1\+0j to 1\+1j"):
+        integrate_arc(each_piece(f), pieces, QuadratureSettings(1e-12))
+
+
+@pytest.mark.parametrize("rows", [1, 64, 1 << 13])
+def test_pieces_integrated_together_keep_the_bits_they_have_alone(rows):
+    # each piece keeps its own sum and its own convergence test, whatever the
+    # pieces beside it in a call and the levels at which they stop
+    pieces = (arcs(Polygon((2 + 0j, 3 + 0j, 3 + 1j, 2 + 1j))) + arcs(Ellipse(5 + 0j, 2.0, 0.3, 0.4))
+              + arcs(Disk(-4j, 1.0)))
+
+    def f(t, z, s1, w):
+        return np.stack([np.ones_like(z), z ** -3, np.exp(2j * z.conj())]) @ w
+
+    together = integrate_arc(each_piece(f), pieces, TIGHT, rows=rows)
+    for arc, got in zip(pieces, together):
+        (alone,) = integrate_arc(each_piece(f), [arc], TIGHT, rows=rows)
+        assert got.tobytes() == alone.tobytes()
 
 
 def test_real_and_imaginary_parts_tested_separately():
     (arc,) = arcs(Disk(0, 1.0))
-    val = integrate_arc(lambda t, z, s1, w: (z ** 2 + 1j * (z * np.conj(z))) @ w, arc, TIGHT)
+    val = integrate_arc(each_piece(lambda t, z, s1, w: (z ** 2 + 1j * (z * np.conj(z))) @ w),
+                        [arc], TIGHT)[0]
     assert abs(complex(val) - 2j * math.pi) < 1e-10
 
 
