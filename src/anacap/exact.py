@@ -158,7 +158,12 @@ def two_disk_capacity(c: float, r: float) -> float:
     """
     y, root = _nome_root(c, r)
     q = root * root
-    if q > 2.0 ** -27:
+    if q > _MODULAR_SWITCH:
+        # theta2(q)^2 = pi / -ln q as in theta2, with -ln q taken as
+        # 2 (ln(1 + y) - ln x) from y and 1 - x = (c - r)/c: q itself rounds
+        # near 1 as the disks touch, and -ln q from it would lose its digits
+        gamma = c * y * (0.5 * math.pi / (math.log1p(y) - math.log1p(-(c - r) / c)))
+    elif q > 2.0 ** -27:
         gamma = c * y * theta2(q) ** 2
     else:
         gamma = 4.0 * (r / (1.0 + y)) * y

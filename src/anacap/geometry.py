@@ -558,9 +558,10 @@ def validate_scene(sc: Scene) -> Scene:
     """Check every shape's ``arcs`` by :func:`_check_boundary`, one rule set
     for every shape kind, then the pairwise disjointness of their closures.
 
-    Returns the scene unchanged.  Two disks use the closed form.  Every other
-    pair is first settled, if it can be, by the shapes' enclosing disks
-    (:func:`_enclosing_disk`, :func:`_disks_apart`); the rest go through one
+    Returns the scene unchanged.  Every pair is first settled, if it can be,
+    by the shapes' enclosing disks (:func:`_enclosing_disk`,
+    :func:`_disks_apart`), which for a disk is the disk itself, so a circle
+    gets one verdict as a ``Disk`` or an ``Ellipse``; the rest go through one
     call of the chord-bound kernel :func:`_certified_gaps`, which sees
     crossing boundaries exactly and stops once each gap is certified above
     rounding; no gap is measured.  A shape inside another is found by the
@@ -572,26 +573,16 @@ def validate_scene(sc: Scene) -> Scene:
     pieces = [arcs(s) for s in sc.shapes]
     for p in pieces:
         _check_boundary(p)
-    disks = [None] * len(pieces)  # enclosing disks, made when a pair needs them
+    disks = [_enclosing_disk(p) for p in pieces]
     pairs = []
     for i, j in itertools.combinations(range(len(sc.shapes)), 2):
-        s1, s2 = sc.shapes[i], sc.shapes[j]
-        if isinstance(s1, Disk) and isinstance(s2, Disk):
-            # the kernel's rounding slack (|c| + r: a disk piece's size()),
-            # so a circle gets one verdict as a disk or as an ellipse
-            g = abs(s1.center - s2.center) - s1.radius - s2.radius
-            if g <= _SLACK * max(abs(s1.center) + s1.radius, abs(s2.center) + s2.radius):
-                raise OverlapError(f"shapes {i} and {j} have intersecting closures (gap {g:.3g})")
-            continue
-        for k in (i, j):
-            if disks[k] is None:
-                disks[k] = _enclosing_disk(pieces[k])
         if _disks_apart(disks[i], disks[j]):
             continue
         # a shape inside the other has no boundary crossing for the kernel to see
         if (_winding_number(pieces[j], pieces[i][0].start)
                 or _winding_number(pieces[i], pieces[j][0].start)):
-            raise OverlapError(f"shapes {i} and {j} overlap: a boundary point of one lies inside the other")
+            raise OverlapError(f"shapes {i} and {j} have intersecting closures: "
+                               "a boundary point of one lies inside the other")
         pairs.append((i, j))
     if pairs:
         _certified_gaps([_stack(p) for p in pieces], pairs, [f"shapes {i} and {j}" for i, j in pairs])

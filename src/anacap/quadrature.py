@@ -23,15 +23,15 @@ piece.  Only the map from u to t depends on the piece:
 
 Since every piece sees the same u-grid at a given level, all the pieces of
 one call climb the ladder together: each level maps u once per kind of
-piece, and the new nodes of the pieces not yet converged go to the integrand
-in as few calls as ``_BATCH_TERMS`` allows.  Each piece keeps its own sum,
-its own convergence test and its own error, so its integral has the bits it
-would have alone.
+piece and gives every piece not yet converged the same m new nodes, in
+equal parts of min(m, ``_CHUNK``); the integrand takes as many whole parts
+per call as ``_BATCH_TERMS`` allows.  Each piece keeps its own sum, its own
+convergence test and its own error, so its integral has the bits it would
+have alone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -94,10 +94,9 @@ def _open_nodes(u):
     return t, s1, (2.0 * _DE_X * _DE_A) * np.cosh(x) * t * s1
 
 
-def _parts(pieces, closed, live, u, wu):
-    """One level's new nodes on each live piece, in order, as parts of at most
-    ``_CHUNK`` nodes: (piece index, t, z, s1, w).  The map from u to t and
-    its weights are computed once per kind of piece."""
+def _nodes(pieces, closed, live, u, wu):
+    """One level's new nodes (t, z, s1, w) on each live piece, in order; the
+    map from u to t and its weights are made once per kind of piece."""
     rules = {}
     for i in live:
         kind = closed[i]
@@ -106,33 +105,7 @@ def _parts(pieces, closed, live, u, wu):
             rules[kind] = t, s1, wu * jac
         t, s1, wj = rules[kind]
         z, dz = pieces[i]._point_velocity(t)
-        w = wj * np.abs(dz)
-        for a in range(0, t.size, _CHUNK):
-            c = slice(a, a + _CHUNK)
-            yield i, t[c], z[c], s1[c], w[c]
-
-
-def _calls(f, parts, rows: int):
-    """Run f on the parts, in order, batched while rows x nodes stays within
-    ``_BATCH_TERMS`` (a larger part goes alone); yields (call number, piece
-    index, sum) per part."""
-    batches, size = [], 0
-    for part in parts:
-        m = part[1].size
-        if not batches or rows * (size + m) > _BATCH_TERMS:
-            batches.append([])
-            size = 0
-        batches[-1].append(part)
-        size += m
-    for k, batch in enumerate(batches):
-        spans, a = [], 0
-        for i, t, *_ in batch:
-            spans.append((i, slice(a, a + t.size)))
-            a += t.size
-        arrays = batch[0][1:] if len(batch) == 1 else [
-            np.concatenate(col) for col in zip(*(p[1:] for p in batch))]
-        for (i, _), val in zip(spans, f(spans, *arrays)):
-            yield k, i, val
+        yield t, z, s1, wj * np.abs(dz)
 
 
 def _rows(values: list) -> np.ndarray:
@@ -161,14 +134,16 @@ def integrate_arc(f, pieces: list[ParametricArc], settings: QuadratureSettings,
 
     ``f(spans, t, z, s1, w)`` receives the node arrays of one call, which it
     must not modify (pieces share them): parameters t, points z(t), the
-    parameter distance s1 = 1 - t from the end, and the weights w.  They
-    hold one or more parts, each of one piece's nodes;
-    ``spans`` lists (piece index, slice of the arrays) per part.  On open
-    pieces t and s1 are both computed directly, so each is the exact distance
-    from its endpoint and never rounds to zero next to a corner.  f returns
-    one weighted sum of g per part, e.g. ``g[c] @ w[c]``, each a complex
-    scalar or an array of one fixed shape.  ``rows`` is the number of values
-    f computes per node (n + 1 for a bordered Gram); it sizes the calls.
+    parameter distance s1 = 1 - t from the end, and the weights w.  At a
+    level of m new nodes a piece, they hold whole parts of min(m, ``_CHUNK``)
+    nodes of one piece each, in order, as many as keep rows x nodes within
+    ``_BATCH_TERMS`` (at least one); ``spans`` lists (piece index, slice of
+    the arrays) per part.  On open pieces t and s1 are both computed
+    directly, so each is the exact distance from its endpoint and never
+    rounds to zero next to a corner.  f returns one weighted sum of g per
+    part, e.g. ``g[c] @ w[c]``, each a complex scalar or an array of one
+    fixed shape.  ``rows`` is the number of values f computes per node
+    (n + 1 for a bordered Gram); it sizes the calls.
 
     g may have integrable endpoint singularities on open pieces: a factor
     C |t - t0|^s with s > -1/2 at an end t0 (a corner) needs no flag.  The
@@ -178,10 +153,10 @@ def integrate_arc(f, pieces: list[ParametricArc], settings: QuadratureSettings,
     terms, which sets the rounding floor: a component's own size by default,
     while sums that cancel far below their terms (off-diagonal Gram entries)
     must pass a bound on the sum of |g|.  Every piece starts at 64 nodes and
-    doubles them until it converges, whatever the others do; the pieces whose
-    sums one call completes take their convergence tests in one vectorized
-    pass, and a piece's integral does not depend on the pieces it is
-    integrated with.  Raises
+    doubles them until it converges, whatever the others do; once a level's
+    calls are made, the pieces whose last part one call holds take their
+    convergence tests in one vectorized pass, and a piece's integral does
+    not depend on the pieces it is integrated with.  Raises
     :class:`MaxDepthError`, naming the first piece in order that has not
     converged, if the tolerance is not met within 2^16 nodes.
     """
@@ -193,20 +168,29 @@ def integrate_arc(f, pieces: list[ParametricArc], settings: QuadratureSettings,
     for depth, (u, wu, keep, count) in enumerate(_trapezoid_levels()):
         if not live:
             return out
+        # m new nodes a live piece, in parts of c; the call at part k holds the
+        # last parts of live[k c // m:(k + per) c // m]
+        m = u.size
+        c = min(m, _CHUNK)
+        per = max(1, _BATCH_TERMS // (rows * c))
+        parts = [[x[a:a + c] for x in nodes] for nodes in _nodes(pieces, closed, live, u, wu)
+                 for a in range(0, m, c)]
+        calls = range(0, len(parts), per)
         sums = dict.fromkeys(live, 0j)
-        last = {}  # piece index -> the call that completes its sum
-        for k, i, val in _calls(f, _parts(pieces, closed, live, u, wu), rows):
-            sums[i] = sums[i] + np.asarray(val, complex)
-            last[i] = k
+        for k in calls:
+            batch = parts[k:k + per]
+            arrays = batch[0] if len(batch) == 1 else map(np.concatenate, zip(*batch))
+            spans = [(live[(k + b) * c // m], slice(b * c, b * c + c)) for b in range(len(batch))]
+            for (i, _), val in zip(spans, f(spans, *arrays)):
+                sums[i] = sums[i] + np.asarray(val, complex)
         rest = []
-        # the pieces that one call completes take one convergence test
-        for _, group in itertools.groupby(live, key=last.get):
-            group = list(group)
+        for k in calls:
+            group = live[k * c // m:(k + per) * c // m]
+            if not group:
+                continue
             est = [sums[i] + keep * prev[i] for i in group]
-            if depth:
-                done = _converged(_rows(est), _rows([prev[i] for i in group]), tol, scale)
-            else:
-                done = [False] * len(group)
+            done = (_converged(_rows(est), _rows([prev[i] for i in group]), tol, scale)
+                    if depth else [False] * len(group))
             for i, total, ok in zip(group, est, done):
                 if ok:
                     out[i] = total if total.ndim else complex(total)

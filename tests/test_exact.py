@@ -127,6 +127,20 @@ def test_two_disk_at_extreme_scales():
     assert two_disk_capacity(1e300, 1.0) == 2.0
 
 
+def test_two_disk_keeps_its_digits_as_the_disks_touch():
+    # on the modular side -ln q comes from y and (c - r)/c, not from a q
+    # rounded near 1: every digit holds from 1 - r/c = 1e-5 down to 1e-12
+    mp = pytest.importorskip("mpmath")
+    for gap in 10.0 ** -np.arange(5, 12.5, 0.5):
+        for c in (1.0, 0.37, 3e5):
+            r = c * (1.0 - gap)
+            with mp.workdps(50):
+                cm, rm = mp.mpf(c), mp.mpf(r)
+                y = mp.sqrt(cm * cm - rm * rm)
+                want = float(y * mp.jtheta(2, 0, ((cm - y) / rm) ** 2) ** 2)
+            assert two_disk_capacity(c, r) == pytest.approx(want, rel=1e-14)
+
+
 def test_two_disk_rejects_values_that_are_not_finite():
     for c, r in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan), (math.inf, math.inf)):
         with pytest.raises(DomainError):

@@ -5,7 +5,13 @@ import pytest
 
 from anacap.errors import MaxDepthError, SceneConfigError
 from anacap.geometry import Disk, Ellipse, Polygon, arcs
-from anacap.quadrature import QuadratureSettings, _open_nodes, _trapezoid_levels, integrate_arc
+from anacap.quadrature import (
+    _CHUNK,
+    QuadratureSettings,
+    _open_nodes,
+    _trapezoid_levels,
+    integrate_arc,
+)
 
 from conftest import each_piece
 
@@ -140,6 +146,71 @@ def test_pieces_integrated_together_keep_the_bits_they_have_alone(rows):
     for arc, got in zip(pieces, together):
         (alone,) = integrate_arc(each_piece(f), [arc], TIGHT, rows=rows)
         assert got.tobytes() == alone.tobytes()
+
+
+def ladder_reference(g, arc, tol):
+    """One piece alone on a plain loop: 64 midpoint nodes, then each level
+    adds the midpoints and keeps half the previous sum; a level's new nodes
+    are summed in parts of ``_CHUNK`` in order, and the sums stop once two
+    successive ones agree to max(tol, 64 eps |part|), real and imaginary
+    parts separately.  Returns the integral and the new nodes per level."""
+    shift, n = 0.5 / 64, 64
+    u, wu, keep = shift + np.arange(n) / n, 1.0 / n, 0.0
+    prev, levels = 0j, []
+    while True:
+        t, s1, jac = _open_nodes(u) if arc.start != arc.end else (u, 1.0 - u, 1.0)
+        z, dz = arc._point_velocity(t)
+        w = wu * jac * np.abs(dz)
+        total = 0j
+        for a in range(0, u.size, _CHUNK):
+            c = slice(a, a + _CHUNK)
+            total = total + np.asarray(g(t[c], z[c], s1[c], w[c]), complex)
+        total = total + keep * prev
+        levels.append(u.size)
+        if len(levels) > 1:
+            bound = np.maximum(tol, 64.0 * np.finfo(float).eps
+                               * np.maximum(abs(total.real), abs(total.imag)))
+            diff = total - prev
+            if ((abs(diff.real) <= bound) & (abs(diff.imag) <= bound)).all():
+                return total, levels
+        u, wu, keep = (shift + (np.arange(n) + 0.5) / n) % 1.0, 0.5 / n, 0.5
+        prev, n = total, 2 * n
+
+
+# node counts of the integrand calls: at rows = 1 a call holds up to 2^13
+# nodes, six pieces' first 64 at once; the disk alone goes on to 8,192 and
+# then 16,384 new nodes a level, two 4,096-node parts to a call, and its test
+# closes the second call of its last level.  At rows = 2 a call holds one
+# such part, and at rows = 69 one part of any size
+LADDER_CALLS = {
+    1: [384, 384, 256, 512, 512, 1024, 2048, 4096, 8192, 8192, 8192],
+    2: [384, 384, 256, 512, 512, 1024, 2048] + [4096] * 7,
+    69: [64] * 12 + [128, 128, 256, 256, 512, 1024, 2048] + [4096] * 7,
+}
+
+
+@pytest.mark.parametrize("rows", sorted(LADDER_CALLS))
+def test_ladder_matches_a_plain_loop_bit_for_bit(rows):
+    # four open edges, an ellipse and a disk with a pole 3e-3 outside it,
+    # which converges only at 32,768 nodes
+    pieces = (arcs(Polygon((2 + 0j, 3 + 0j, 3 + 1j, 2 + 1j))) + arcs(Ellipse(5 + 0j, 2.0, 0.3, 0.4))
+              + arcs(Disk(0j, 1.0)))
+
+    def g(t, z, s1, w):
+        return np.stack([np.ones_like(z), z ** -3, 1 / (z - 1.003)]) @ w
+
+    sizes = []
+
+    def f(spans, t, z, s1, w):
+        sizes.append(t.size)
+        return [g(t[c], z[c], s1[c], w[c]) for _, c in spans]
+
+    got = integrate_arc(f, pieces, TIGHT, rows=rows)
+    assert sizes == LADDER_CALLS[rows]
+    for arc, val in zip(pieces, got):
+        want, levels = ladder_reference(g, arc, TIGHT.abs_tol)
+        assert val.tobytes() == want.tobytes()
+    assert levels[-2:] == [8192, 16384]
 
 
 def test_real_and_imaginary_parts_tested_separately():
