@@ -8,8 +8,8 @@ Theta functions are evaluated by their rapidly convergent q-series
     theta4(q) = sum_n (-1)^n q^{n^2},
 
 with the classical product forms available as an independent second path.
-Near q = 1 (q > 0.99) the series converge slowly and evaluation is routed
-through the Jacobi modular identities
+Near q = 1 (q > 0.8, ``_MODULAR_SWITCH``) the series converge slowly and
+lose digits, and evaluation is routed through the Jacobi modular identities
 
     theta2(e^{-pi/x}) = sqrt(x) theta4(e^{-pi x}),
     theta3(e^{-pi/x}) = sqrt(x) theta3(e^{-pi x}),
@@ -40,7 +40,11 @@ GAMMA_QUARTER = 3.6256099082219083119
 # capacity of the square of half-diagonal 1
 _SQUARE_UNIT = math.sqrt(2.0) * GAMMA_QUARTER ** 2 / (4.0 * math.pi ** 1.5)
 
-_MODULAR_SWITCH = 0.99
+# above this nome every theta function and the two-disk capacity take the
+# modular side: there the transformed nome qq = e^{-pi x}, x = pi / -ln q, is
+# below 6.3e-20, so theta3(qq) and theta4(qq) are 1 and theta2(qq) is
+# 2 qq^{1/4} to rounding
+_MODULAR_SWITCH = 0.8
 _REL = 1e-16
 
 
@@ -72,8 +76,8 @@ def _product(p: float, factor) -> float:
 def theta2(q: float) -> float:
     _check_q(q)
     if q > _MODULAR_SWITCH:
-        # theta2(q) = sqrt(x) theta4(e^{-pi x}); for q > 0.99 the transformed
-        # nome e^{-pi x} underflows, so theta4 there is 1 to all precision
+        # theta2(q) = sqrt(x) theta4(e^{-pi x}), and theta4 there is 1 to
+        # rounding (the transformed nome is below 6.3e-20)
         return math.sqrt(math.pi / (-math.log(q)))
     return 2.0 * _series(q, 0.0, 0, lambda n: (n + 0.5) ** 2, lambda n: 1.0)
 
@@ -81,19 +85,19 @@ def theta2(q: float) -> float:
 def theta3(q: float) -> float:
     _check_q(q)
     if q > _MODULAR_SWITCH:
-        # theta3(e^{-pi x}) = 1 to all precision here
+        # theta3(e^{-pi x}) = 1 to rounding here
         return math.sqrt(math.pi / (-math.log(q)))
     return _series(q, 1.0, 1, lambda n: n * n, lambda n: 2.0)
 
 
 def theta4(q: float) -> float:
     _check_q(q)
-    if q > 0.8:
+    if q > _MODULAR_SWITCH:
         # the alternating series cancels catastrophically as q -> 1 (the
-        # value decays like e^{-pi x/4} while the terms stay O(1)), so switch
-        # to the modular side early: theta4(q) = sqrt(x) theta2(e^{-pi x})
-        # with theta2(qq) = 2 qq^{1/4} to all precision for q > 0.8, written
-        # in log form since qq itself can underflow
+        # value decays like e^{-pi x/4} while the terms stay O(1)), so take
+        # the modular side: theta4(q) = sqrt(x) theta2(e^{-pi x}) with
+        # theta2(qq) = 2 qq^{1/4} to rounding here, written in log form since
+        # qq itself can underflow
         x = math.pi / (-math.log(q))
         return math.sqrt(x) * 2.0 * math.exp(-0.25 * math.pi * x)
     return _series(q, 1.0, 1, lambda n: n * n, lambda n: -2.0 if n % 2 else 2.0)

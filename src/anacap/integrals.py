@@ -10,17 +10,21 @@ On a circle |z - c| = r the substitutions ``conj(z) = conj(c) + r^2/(z - c)``
 and ``|dz| = (r/i) dz/(z - c)`` turn every rational-pair integrand into a
 rational function of z, evaluated exactly by summing residues at the poles
 strictly inside the circle.  For disks under an all-simple-pole basis Gram
-assembly uses the closed form that the Hardy-space split gives: 1/(z - a) is
-in H^2 of the disk for a outside and in its orthogonal complement for a
-inside, so a pair on opposite sides contributes exactly zero.  One chunked
-kernel sums these blocks over all the disks of a scene at once, upper
-triangle only; from the same terms it can also sum a split of the scene
-into its first m shapes (on their basis functions) and the rest, which
-gives the Grams of E, F and E u F of a subadditivity record in one pass,
-each bitwise what it would be assembled alone.  Every other boundary goes
-through one call of the node-and-weight quadrature of :mod:`anacap.quadrature`
-over all its pieces, which climb one ladder together: one basis evaluation
-per integrand call, and one Hermitian product per piece's node set.  The
+assembly uses the Hardy-space split: 1/(z - a) is in H^2 of the disk for a
+outside and in its orthogonal complement for a inside, so a pair on
+opposite sides contributes exactly zero, a pair inside keeps its closed
+form, and a pair outside is a geometric series in kappa = r/(a - c), a sum
+of products of multipole moments.  The moments of all the disks of a scene,
+as many per disk as an a priori bound asks (the dropped tail of each entry
+is within eps/2 of sqrt(H_aa H_bb)), give the upper triangle from one
+Hermitian product (``zherk``).  The same call can also give the Grams of a
+split of the scene into its first m shapes (on their basis functions) and
+the rest, the E, F and E u F of a subadditivity record, each from its own
+moments and so bitwise what it would be assembled alone.  Every other
+boundary goes through one call of the node-and-weight quadrature of
+:mod:`anacap.quadrature` over all its pieces, which climb one ladder
+together: one basis evaluation per integrand call, and one Hermitian product
+per piece's node set.  The
 basis values V, with the constant 1 appended as a last row and scaled by
 sqrt(w) in the same buffer, give the upper triangle of ``(V w) V^H`` from
 one ``zherk``, and that bordered block carries u and the length too.  The
@@ -28,8 +32,9 @@ general residue routines (``circle_pair_integral``, with its spectral
 midpoint rule for near-confluent poles, and ``circle_mean_integral``) are on
 no Gram path; they stay public as exact references.
 
-Contributions are accumulated disks first, in index order, then the other
-shapes, in index order, so assembled matrices are bitwise reproducible.
+Contributions are accumulated disks first, then the other shapes, in index
+order, so assembled matrices are bitwise reproducible.  The disks' H is not
+summed disk by disk: BLAS sums the moments of all of them at once.
 """
 
 from __future__ import annotations
@@ -46,9 +51,9 @@ from .geometry import Disk, Scene, arcs
 from .quadrature import QuadratureSettings, integrate_arc
 
 TWO_PI = 2.0 * math.pi
-# terms per chunk of _disk_blocks: bounds its temporaries, and was the fastest
-# of 2^13 ... 2^17 on an 18-disk scene with 306 poles
-_DISK_CHUNK = 1 << 15
+_HALF_EPS = 0.5 * np.finfo(float).eps
+# most multipole moments one disk takes in _moment_gram
+_K_MAX = 64
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +239,15 @@ def circle_mean_integral(b: BasisFunction, circle: Disk) -> complex:
     return ct.evaluate()
 
 
+def _moment_counts(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Moments per disk from its largest ratio rho = max |kappa| (0 where no
+    pole lies outside it): the least K with rho^(2K) / (1 - rho^2) <= eps/2,
+    capped at ``_K_MAX``, and whether the cap cut it."""
+    with np.errstate(divide="ignore"):  # log(0) at rho = 0 gives K = 0
+        k = np.ceil(np.log(_HALF_EPS * (1.0 - rho * rho)) / (2.0 * np.log(rho)))
+    return np.minimum(k, _K_MAX).astype(int), k > _K_MAX
+
+
 def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups
                  ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pair/mean integrals over groups of disks for an all-simple-pole basis.
@@ -250,15 +264,14 @@ def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups
     mixed               0 exactly
     ========  ========  =============================================
 
-    The quotient is taken only on same-side pairs, where the denominator
-    cannot vanish (|w_a||w_b| != r^2); a mixed pair may have |w_a||w_b| = r^2.
     Each group ``(d0, d1, j0, j1)`` asks for the sums over disks d0 .. d1-1
     on basis indices j0 .. j1-1, returned as (H, u) in the group's own
-    indices.  The terms are formed once for all the disks, on the upper
-    triangle, in chunks of whole rows holding about ``_DISK_CHUNK`` disk-entry
-    terms (at least one row); each group sums the part of a chunk that lies
-    in its own block, every entry over its disks in index order.  So a group
-    gets bitwise the (H, u) that its disks and indices would give alone.
+    indices.  H comes from multipole moments (:func:`_moment_gram`): each
+    entry is within eps/2 of sqrt(H_aa H_bb) of the closed forms' sum, plus
+    rounding, and is not summed over its disks in disk order.  Each
+    group's H is built from the group's own slice of the disks-by-poles
+    arrays, and u is summed in disk order as before, so a group gets bitwise
+    the (H, u) that its disks and indices give alone.
     """
     c = np.array([d.center for d in disks], complex)[:, None]
     r = np.array([d.radius for d in disks])[:, None]
@@ -267,39 +280,78 @@ def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups
     if np.any(np.abs(dist - r) <= 1e-12 * np.maximum(r, dist)):
         raise PoleOnContourError("simple pole on the circle")
     inside = dist < r
-    num = (TWO_PI * r * np.where(inside, 1.0, -1.0))[:, :, None]
-    r2 = (r * r)[:, :, None]
-    w_row, w_col = w[:, :, None], np.conj(w)[:, None, :]
-    in_row, in_col = inside[:, :, None], inside[:, None, :]
-    n = poles.size
-    Hs = [np.zeros((j1 - j0, j1 - j0), complex) for _, _, j0, j1 in groups]
-    i0 = 0
-    while i0 < n:
-        i1 = min(n, i0 + max(1, _DISK_CHUNK // (len(disks) * (n - i0))))
-        den = w_row[:, i0:i1] * w_col[:, :, i0:]
-        np.subtract(r2, den, out=den)
-        same = in_row[:, i0:i1] == in_col[:, :, i0:]
-        q = np.divide(num[:, i0:i1], den, out=den, where=same)
-        np.copyto(q, 0, where=~same)
-        for (d0, d1, j0, j1), H in zip(groups, Hs):
-            a, b = max(i0, j0), min(i1, j1)
-            if a < b:
-                out = H[a - j0:b - j0, a - j0:]
-                terms = q[d0:d1, a - i0:b - i0, a - i0:j1 - i0]
-                if out.size > 1:
-                    terms.sum(axis=0, out=out)
-                else:  # NumPy sums a lone entry's terms pairwise, not in disk order
-                    for qk in terms:
-                        out += qk
-        i0 = i1
     means = np.where(inside, 0j, TWO_PI * r / np.where(poles != c, c - poles, 1.0))
     blocks = []
-    for (d0, d1, j0, j1), H in zip(groups, Hs):
+    for d0, d1, j0, j1 in groups:
         u = np.zeros(j1 - j0, complex)
         for mean in means[d0:d1, j0:j1]:
             u += mean
-        blocks.append((H, u))
+        blocks.append((_moment_gram(w[d0:d1, j0:j1], r[d0:d1], inside[d0:d1, j0:j1]), u))
     return blocks
+
+
+def _moment_gram(w: np.ndarray, r: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Upper triangle of the sum over disks of the Hardy-split pair integrals
+    (:func:`_disk_blocks`), given w = pole - c (disks x poles), the radii
+    (disks x 1) and which poles lie inside which disk.
+
+    Outside, with kappa = r / w (|kappa| < 1), the pair integral is the
+    series (2 pi / r) sum_{k >= 1} kappa_a^k conj(kappa_b^k): on each disk a
+    sum of products of multipole moments.  The moment rows
+    sqrt(2 pi / r) conj(kappa)^k, zero at the poles inside the disk, are built
+    by one recurrence in k-major order (k, then disk), and one Hermitian
+    product (``zherk``) of all of them gives the upper triangle of every
+    outside pair on every disk at once; a mixed pair meets a zero row.  Disk d
+    takes K_d moments, the least K with rho^(2K) / (1 - rho^2) <= eps/2, rho
+    the largest |kappa| on d, so by Cauchy-Schwarz each dropped tail is within
+    eps/2 of sqrt(H_aa H_bb).  K_d is capped at ``_K_MAX``; a capped disk adds
+    the exact tail p^K times the closed form, p = kappa_a conj(kappa_b), to
+    its pairs with both |kappa|^K / (1 - |kappa|) above eps/2, the only ones
+    whose tail can exceed that bound.  Pairs inside one disk keep the closed
+    form.  No entry is summed over the disks in disk order.
+    """
+    n = w.shape[1]
+    ck = np.divide(r, np.conj(w), out=np.zeros_like(w), where=~inside)  # conj(kappa)
+    rho = np.abs(ck)
+    k_d, capped = _moment_counts(rho.max(axis=1, initial=0.0))
+    rows = np.empty((int(k_d.sum()), n), complex)
+    live = np.flatnonzero(k_d)
+    prev = np.multiply(np.sqrt(TWO_PI / r[live]), ck[live], out=rows[:live.size])
+    at = live.size
+    for k in range(2, k_d.max(initial=0) + 1):
+        keep = k_d[live] >= k
+        if not keep.all():
+            live, prev = live[keep], prev[keep]
+        prev = np.multiply(prev, ck[live], out=rows[at:at + live.size])
+        at += live.size
+    # A = rows.T is n x K in Fortran order; BLAS puts A A^H = conj(H) in its
+    # lower triangle, whose transpose is H's upper triangle in C order
+    H = zherk(1.0, rows.T, trans=0, lower=1).T
+    _, a, b, term = _closed_form_pairs(w, r, inside, 1.0)
+    np.add.at(H, (a, b), term)
+    # past _K_MAX moments a pair's tail is within eps/2 of its scale unless
+    # both poles have |kappa|^K / (1 - |kappa|) above eps/2 (|kappa| > 0.556)
+    tail = capped[:, None] & (rho ** _K_MAX > _HALF_EPS * (1.0 - rho))
+    d, a, b, term = _closed_form_pairs(w, r, tail, -1.0)
+    np.add.at(H, (a, b), (np.conj(ck[d, a]) * ck[d, b]) ** _K_MAX * term)
+    return H
+
+
+def _closed_form_pairs(w: np.ndarray, r: np.ndarray, mask: np.ndarray, sign: float):
+    """(d, a, b, value) of the closed form sign 2 pi r / (r^2 - w_a conj(w_b))
+    on disk d, for every pair a <= b of poles that mask marks on d, sorted by
+    (d, a, b)."""
+    d, j = np.nonzero(mask)
+    count = np.bincount(d, minlength=mask.shape[0])
+    # entry p is repeated once for each entry q on its disk: q runs from the
+    # disk's first entry through the repeat block of p
+    rep = count[d]
+    p = np.repeat(np.arange(d.size), rep)
+    q = (np.cumsum(count) - count)[d[p]] + np.arange(p.size) - np.repeat(np.cumsum(rep) - rep, rep)
+    keep = j[p] <= j[q]
+    d, a, b = d[p[keep]], j[p[keep]], j[q[keep]]
+    rd = r[d, 0]
+    return d, a, b, sign * TWO_PI * rd / (rd * rd - w[d, a] * np.conj(w[d, b]))
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +468,14 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
                   settings: QuadratureSettings | None = None) -> GramData:
     """Assemble H, u, c0 for the scene boundary and the given basis.
 
-    Disks under an all-simple-pole basis use the closed-form Hardy-split
-    blocks (opposite-side pole pairs are exactly zero; the spectral rule only
-    backs the ``circle_pair_integral`` reference), summed over all of them
-    in one call since the basis order is the pole order; every other
-    boundary goes through node-and-weight quadrature at
-    ``settings.abs_tol``.  The disks are accumulated first, in index order,
-    then the other shapes.  Only the upper triangle is kept; the lower is
+    Disks under an all-simple-pole basis use the Hardy split (opposite-side
+    pole pairs are exactly zero; the spectral rule only backs the
+    ``circle_pair_integral`` reference), with the outside pairs of all the
+    disks from one Hermitian product of their multipole moments, accurate to
+    eps/2 of sqrt(H_aa H_bb) plus rounding (:func:`_disk_blocks`); every
+    other boundary goes through node-and-weight quadrature at
+    ``settings.abs_tol``.  The disks are accumulated first, then the other
+    shapes in index order.  Only the upper triangle is kept; the lower is
     its conjugate mirror, so H is Hermitian exactly.  The same pass can also
     give the Grams of a split of the scene (:func:`_assemble_grams`).
     """
@@ -436,12 +489,12 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
     of the first m shapes on the first k basis functions (theirs) and of the
     other shapes on the other functions, from the same pass.
 
-    The disk kernel sums each group's own disks over its own indices
-    (:func:`_disk_blocks`), so with disks the group Grams are bitwise those of
-    the groups assembled alone.  A quadrature shape's block is computed once
-    over the whole basis and restricted to its group's indices; the adaptive
-    rule then refines for the whole basis, which moves a group's entries by
-    rounding only.
+    The disk kernel takes each group's moments from its own disks and its own
+    indices only (:func:`_disk_blocks`), so with disks the group Grams are
+    bitwise those of the groups assembled alone.  A quadrature shape's block
+    is computed once over the whole basis and restricted to its group's
+    indices; the adaptive rule then refines for the whole basis, which moves
+    a group's entries by rounding only.
     """
     if settings is None:
         settings = QuadratureSettings()

@@ -8,11 +8,11 @@ point produces a certified interval
     [ef.lower/(e.upper + f.upper),  ef.upper/(e.lower + f.lower)]
 
 containing R.  One record is one validation, one basis and one Gram
-assembly of E u F: the E and F Grams are sums of the union's per-disk terms
-over their own disks and basis functions, so only the factorizations and
-solves run three times.  Verdicts between adjacent radii compare intervals,
-never midpoints: a decrease (or increase) is only certified when the
-brackets are disjoint in the corresponding order.
+assembly of E u F: the same kernel call gives the E and F Grams from the
+multipole moments of their own disks on their own basis functions, so only
+the factorizations and solves run three times.  Verdicts between adjacent
+radii compare intervals, never midpoints: a decrease (or increase) is only
+certified when the brackets are disjoint in the corresponding order.
 """
 
 from __future__ import annotations
@@ -93,10 +93,10 @@ def ratio_bounds(cfg: DiskConfiguration, schedule: Schedule,
     """Certified bracket for gamma(E u F)/(gamma(E) + gamma(F)).
 
     One validation, one basis and one Gram assembly serve all three
-    brackets: the E and F Grams are sums of the union's per-disk terms, and
-    equal bitwise what E and F give assembled alone.  ``ef.wall_time``
-    covers the shared stages and the union's solve, ``e`` and ``f`` their
-    own solves.
+    brackets: the same kernel call gives the E and F Grams from their own
+    disks' moments on their own basis functions, and they equal bitwise what
+    E and F give assembled alone.  ``ef.wall_time`` covers the shared stages
+    and the union's solve, ``e`` and ``f`` their own solves.
     """
     if cfg.m is None:
         raise SplitError("configuration needs a split index m")

@@ -138,7 +138,26 @@ def test_two_disk_keeps_its_digits_as_the_disks_touch():
                 cm, rm = mp.mpf(c), mp.mpf(r)
                 y = mp.sqrt(cm * cm - rm * rm)
                 want = float(y * mp.jtheta(2, 0, ((cm - y) / rm) ** 2) ** 2)
-            assert two_disk_capacity(c, r) == pytest.approx(want, rel=1e-14)
+            assert two_disk_capacity(c, r) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_modular_side_keeps_every_digit_from_q_of_point_eight():
+    # from q = 0.8 the transformed nome is below 6.3e-20, so theta2, theta3 and
+    # the capacity take the modular form; the series there lose digits to
+    # 1.1e-15 (theta2, theta3) and 1.7e-14 (capacity) up to q = 0.99
+    mp = pytest.importorskip("mpmath")
+    for q in np.linspace(0.8, 0.99, 39):
+        with mp.workdps(50):
+            qm = mp.mpf(float(q))
+            assert theta2(q) == pytest.approx(float(mp.jtheta(2, 0, qm)), rel=1e-15, abs=0)
+            assert theta3(q) == pytest.approx(float(mp.jtheta(3, 0, qm)), rel=1e-15, abs=0)
+        for c in (1.0, 3.0, 0.37):
+            r = c * 2.0 / (q ** -0.5 + q ** 0.5)
+            with mp.workdps(50):
+                cm, rm = mp.mpf(c), mp.mpf(r)
+                y = mp.sqrt(cm * cm - rm * rm)
+                want = float(y * mp.jtheta(2, 0, ((cm - y) / rm) ** 2) ** 2)
+            assert two_disk_capacity(c, r) == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def test_two_disk_rejects_values_that_are_not_finite():

@@ -18,7 +18,6 @@ from anacap.basis import (
 from anacap.errors import MaxDepthError, NonRationalBasisError, PoleOnContourError
 from anacap.geometry import Disk, Ellipse, Polygon, arcs, scene, validate_scene
 from anacap.integrals import (
-    _DISK_CHUNK,
     _assemble_grams,
     assemble_gram,
     circle_mean_integral,
@@ -312,18 +311,41 @@ def test_circle_pair_integral_power_poles_beside_its_circle(a, j, k):
         assert abs(mp.mpc(got) - ref) <= 8 * np.finfo(float).eps / abs(1 - a * a) * abs(ref)
 
 
-# --- the chunked all-disk kernel --------------------------------------------
+# --- the multipole disk kernel -----------------------------------------------
 
-def one_disk_block(poles, disk):
-    # the Hardy-split closed form for a single disk as a full n x n block
-    w, r = poles - disk.center, disk.radius
-    inside = np.abs(w) < r
-    denom = r * r - np.outer(w, np.conj(w))
-    H = np.divide(TWO_PI * r * np.where(inside, 1.0, -1.0)[:, None], denom,
-                  out=np.zeros_like(denom), where=inside[:, None] == inside[None, :])
-    mean = np.where(inside, 0j, TWO_PI * r / np.where(poles != disk.center,
-                                                       disk.center - poles, 1.0))
-    return H, mean
+EPS = np.finfo(float).eps
+
+
+def closed_form_reference(poles, disks, rows):
+    """H[a, b] for a in rows and b >= a, and the whole diagonal, at 50 digits:
+    the Hardy-split closed form summed disk by disk, from the same float
+    poles, centres and radii that the kernel reads."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        disks = [(mp.mpc(d.center), mp.mpf(d.radius)) for d in disks]
+        w = [[mp.mpc(complex(p)) - c for p in poles] for c, _ in disks]
+        conj_w = [[mp.conj(x) for x in wd] for wd in w]
+
+        def entry(a, b):
+            total = mp.mpc(0)
+            for (c, r), wd, cw in zip(disks, w, conj_w):
+                ins_a, ins_b = abs(wd[a]) < r, abs(wd[b]) < r
+                if ins_a == ins_b:
+                    total += (1 if ins_a else -1) * 2 * mp.pi * r / (r * r - wd[a] * cw[b])
+            return total / (2 * mp.pi)
+
+        H = {(a, b): entry(a, b) for a in rows for b in range(a, len(poles))}
+        diag = [mp.re(entry(a, a)) for a in range(len(poles))]
+    return H, diag
+
+
+def relative_error(H, poles, disks, rows):
+    """max |H_ab - ref_ab| / sqrt(ref_aa ref_bb) over the reference's entries."""
+    mp = pytest.importorskip("mpmath")
+    ref, diag = closed_form_reference(poles, disks, rows)
+    with mp.workdps(50):
+        return max(float(abs(mp.mpc(complex(H[a, b])) - v) / mp.sqrt(diag[a] * diag[b]))
+                   for (a, b), v in ref.items())
 
 
 def eighteen_disks():
@@ -332,37 +354,67 @@ def eighteen_disks():
     return [Disk(c, r) for c in centers]
 
 
-@pytest.mark.parametrize("disks, basis", [
-    (eighteen_disks(), Rings(4)),
+# two unit disks 2e-10 apart, and a pole 3e-10 outside the first circle: its
+# |kappa| on that disk is 1 - 3e-10, so the disk takes _K_MAX moments and the
+# tail, which is nearly all of the pair's value
+GAP_SCENE = [Disk(-1 - 1e-10 + 0j, 1.0), Disk(1 + 1e-10 + 0j, 1.0)]
+GAP_POLE = SimplePole(-1 - 1e-10 + (1 + 3e-10) * cmath.exp(1j))
+
+
+@pytest.mark.parametrize("disks, basis, elementwise_error", [
+    (eighteen_disks(), Rings(4), None),
     # the poles 0.5 and 2 form a mixed pair on both disks, with r^2 - w_a conj(w_b) = 0
-    ([Disk(0j, 1.0), Disk(2.5 + 0j, 1.0)], Rings(1)),
-    ([Disk(0.3 - 0.2j, 0.7)], Rings(4)),
-    # a one-entry Gram: its disk terms must still be summed in disk order
+    ([Disk(0j, 1.0), Disk(2.5 + 0j, 1.0)], Rings(1), None),
+    ([Disk(0.3 - 0.2j, 0.7)], Rings(4), None),
+    # a one-entry Gram: one moment row per disk
     ([Disk(complex(3.0 * k, 0.7 * k), 0.3 + 0.1 * k) for k in range(12)],
-     [SimplePole(0.1 + 0.05j)]),
-], ids=["18-disks", "zero-mixed-denominator", "one-disk", "one-pole"])
-def test_disk_kernel_bitwise_equal_to_per_disk_sum(disks, basis):
+     [SimplePole(0.1 + 0.05j)], None),
+    # |kappa| up to 0.9 on the other disk: both disks are capped, with tails
+    ([Disk(0j, 1.0), Disk(2.001 + 0j, 1.0)], Rings(8), None),
+    # the large disk sees the small one's poles at |kappa| near 1 - 3e-4, and
+    # its r^2 - w_a conj(w_b) cancels to about 1e-3: ill-conditioned input
+    ([Disk(0j, 1.0), Disk(1.0011 + 0j, 1e-3)], Rings(4), 6.456e-14),
+    # the conditioning of r^2 - |w|^2 = -6e-10 is eps / 6e-10 = 3.7e-7
+    (GAP_SCENE, "gap-pole", 4.843e-08),
+], ids=["18-disks", "zero-mixed-denominator", "one-disk", "one-pole",
+        "rings8-gap-1e-3", "small-disk-beside", "gap-2e-10"])
+def test_disk_kernel_matches_the_closed_form_at_50_digits(disks, basis, elementwise_error,
+                                                          monkeypatch):
+    # the moment sums replace the closed form outside each disk; every entry
+    # stays within rounding of the closed form's sum at 50 digits, relative to
+    # sqrt(H_aa H_bb), and where the input is ill-conditioned within 1.25
+    # times the error of the elementwise closed-form kernel that the moments
+    # replaced (measured with it, by this test's reference)
     sc = validate_scene(scene(disks))
     if isinstance(basis, Rings):
         basis = build_basis(sc, basis)
+    elif basis == "gap-pole":
+        basis = build_basis(sc, Rings(4)) + [GAP_POLE]
     poles = np.array([b.a for b in basis])
     n = poles.size
-    H, u = np.zeros((n, n), complex), np.zeros(n, complex)
-    for disk in sc.shapes:
-        Hd, ud = one_disk_block(poles, disk)
-        H += Hd
-        u += ud
-    di = np.arange(n)
-    H[di, di] = H[di, di].real
-    lower = np.tril_indices(n, -1)
-    H[lower] = np.conj(H.T[lower])
+    moment_rows = []
+
+    def counting_zherk(alpha, a, **kw):
+        moment_rows.append(a.shape[1])
+        return zherk(alpha, a, **kw)
+
+    monkeypatch.setattr(integrals, "zherk", counting_zherk)
     g = assemble_gram(sc, basis)
-    assert np.array_equal(g.H, H / TWO_PI)
-    assert np.array_equal(g.u, u / TWO_PI)
+    # on the 18 disks the rows of every 61st pole: the whole upper triangle
+    # would take about 15 s in mpmath
+    rows = range(0, n, 61) if n > 100 else range(n)
+    err = relative_error(g.H, poles, sc.shapes, rows)
+    if elementwise_error is None:
+        assert err <= 8 * EPS
+    else:
+        assert err <= 1.25 * elementwise_error + 4 * EPS
+    assert sum(moment_rows) <= integrals._K_MAX * len(disks)
+    if basis[-1] is GAP_POLE:
+        assert moment_rows == [integrals._K_MAX * len(disks)]
+    mean = [sum(TWO_PI * d.radius / (d.center - p) for d in sc.shapes
+                if abs(p - d.center) > d.radius) for p in poles]
+    np.testing.assert_allclose(g.u, np.array(mean) / TWO_PI, rtol=1e-15, atol=0)
     assert g.c0 == sum(TWO_PI * d.radius for d in sc.shapes) / TWO_PI
-    if len(disks) == 18:
-        # many row chunks, and the first chunk's row count does not divide n
-        assert n == 306 and n % (_DISK_CHUNK // (18 * n)) != 0
 
 
 def test_disk_and_ellipse_gram_is_sum_of_one_shape_grams():
@@ -393,26 +445,15 @@ def test_split_grams_are_sums_of_one_disk_grams():
         assert np.abs(g.u - sum(p.u for p in ones)).max() <= 1e-14 * np.abs(g.u).max()
 
 
-def chunk_rows(n, disks):
-    # the row chunks [i0, i1) of the disk kernel, by its own formula
-    rows, i0 = [], 0
-    while i0 < n:
-        i1 = min(n, i0 + max(1, integrals._DISK_CHUNK // (disks * (n - i0))))
-        rows.append((i0, i1))
-        i0 = i1
-    return rows
-
-
-@pytest.mark.parametrize("disks, m, chunk", [
-    (eighteen_disks(), 9, None),  # a row chunk holds both E and F rows
-    (eighteen_disks(), 9, 1),  # one row per chunk: a lone entry ends each block
-    (eighteen_disks(), 1, None),
-    (eighteen_disks(), 17, None),
-    # F x F ends in a lone entry whose nine disk terms sum to another value
-    # pairwise than in disk order
-    ([Disk(complex(3.0 * k, 0.7 * k), 0.3 + 0.1 * k) for k in range(12)], 3, 1),
+@pytest.mark.parametrize("disks, m", [
+    (eighteen_disks(), 9),
+    (eighteen_disks(), 9),
+    (eighteen_disks(), 1),
+    (eighteen_disks(), 17),
+    # a one-pole-per-disk basis with a lone last entry
+    ([Disk(complex(3.0 * k, 0.7 * k), 0.3 + 0.1 * k) for k in range(12)], 3),
 ], ids=["straddle", "lone-entries", "m=1", "m=D-1", "lone-entry-nine-disks"])
-def test_split_grams_bitwise_equal_to_separate_assembly(disks, m, chunk, monkeypatch):
+def test_split_grams_bitwise_equal_to_separate_assembly(disks, m):
     sc = validate_scene(scene(disks))
     parts = (scene(sc.shapes[:m]), scene(sc.shapes[m:]))
     if len(disks) == 18:
@@ -421,14 +462,8 @@ def test_split_grams_bitwise_equal_to_separate_assembly(disks, m, chunk, monkeyp
         bases = [[SimplePole(d.center) for d in p.shapes] for p in parts]
         bases[1].append(SimplePole(-1 + 2j))
     union = bases[0] + bases[1]
-    # references with the kernel's own chunking, before any patch
     want = [assemble_gram(s, b) for s, b in zip((sc, *parts), (union, *bases))]
-    if chunk is not None:
-        monkeypatch.setattr(integrals, "_DISK_CHUNK", chunk)
-    k = len(bases[0])
-    if chunk is None and m == 9:
-        assert any(i0 < k < i1 for i0, i1 in chunk_rows(len(union), 18))
-    got = _assemble_grams(sc, BasisSet(union), None, split=(m, k))
+    got = _assemble_grams(sc, BasisSet(union), None, split=(m, len(bases[0])))
     for g, w in zip(got, want):
         assert np.array_equal(g.H, w.H)
         assert np.array_equal(g.u, w.u)
