@@ -3,7 +3,7 @@
 This is a reconstruction of a classic many-component example (the original
 layout is known only from a figure, so the numbers below are properties of
 *this* grid, not reference values).  It shows the solver scaling to 25
-boundary components with exact residue integrals.
+boundary components with closed-form disk blocks.
 """
 
 import anacap as ac

@@ -30,7 +30,7 @@ class BranchCutError(AnacapError):
 
 
 class NonRationalBasisError(AnacapError):
-    """Residue-path integral requested for a non-rational basis function."""
+    """Closed-form circle integral requested for a non-rational basis function."""
 
 
 class PoleOnContourError(AnacapError):

@@ -222,15 +222,14 @@ def ratio_f(q: float) -> float:
     """The two-disk capacity ratio f(q) = (q^{-1/2} - q^{1/2}) theta2(q)^2 / 4.
 
     Evaluated through the product form (1-q) prod (1-q^{4n})^2 (1+q^{2n})^2
-    (cross-checked against the theta form), and through the modular form
-    (x/2) sinh(pi/2x) theta4(e^{-pi x})^2 for q close to 1.
+    (cross-checked against the theta form), and above ``_MODULAR_SWITCH``
+    through the modular form (x/2) sinh(pi/2x) theta4(e^{-pi x})^2, whose
+    theta4 factor is 1 to rounding there.
     """
     _check_q(q)
-    if q > 0.9:
+    if q > _MODULAR_SWITCH:
         x = math.pi / (-math.log(q))
-        qq = math.exp(-math.pi * x)
-        t4 = theta4(qq) if qq > 0.0 else 1.0
-        return 0.5 * x * math.sinh(0.5 * math.pi / x) * t4 ** 2
+        return 0.5 * x * math.sinh(0.5 * math.pi / x)
     prod = _product(1.0 - q,
                     lambda n: (1.0 - q ** (4 * n)) ** 2 * (1.0 + q ** (2 * n)) ** 2)
     series = 0.25 * (1.0 / math.sqrt(q) - math.sqrt(q)) * theta2(q) ** 2

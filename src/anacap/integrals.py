@@ -6,15 +6,12 @@ The Gram data of a scene consists of
 * ``u[j]   = (1/2pi) \\oint g_j(z) |dz|``,
 * ``c0     = (boundary length) / 2pi``.
 
-On a circle |z - c| = r the substitutions ``conj(z) = conj(c) + r^2/(z - c)``
-and ``|dz| = (r/i) dz/(z - c)`` turn every rational-pair integrand into a
-rational function of z, evaluated exactly by summing residues at the poles
-strictly inside the circle.  For disks under an all-simple-pole basis Gram
-assembly uses the Hardy-space split: 1/(z - a) is in H^2 of the disk for a
-outside and in its orthogonal complement for a inside, so a pair on
-opposite sides contributes exactly zero, a pair inside keeps its closed
-form, and a pair outside is a geometric series in kappa = r/(a - c), a sum
-of products of multipole moments.  The moments of all the disks of a scene,
+For disks under an all-simple-pole basis Gram assembly uses the Hardy-space
+split: 1/(z - a) is in H^2 of the disk for a outside and in its orthogonal
+complement for a inside, so a pair on opposite sides contributes exactly
+zero, a pair inside keeps its closed form, and a pair outside is a
+geometric series in kappa = r/(a - c), a sum of products of multipole
+moments.  The moments of all the disks of a scene,
 as many per disk as an a priori bound asks (the dropped tail of each entry
 is within eps/2 of sqrt(H_aa H_bb)), give the upper triangle from one
 Hermitian product (``zherk``).  The same call can also give the Grams of a
@@ -28,9 +25,9 @@ per piece's node set.  The
 basis values V, with the constant 1 appended as a last row and scaled by
 sqrt(w) in the same buffer, give the upper triangle of ``(V w) V^H`` from
 one ``zherk``, and that bordered block carries u and the length too.  The
-general residue routines (``circle_pair_integral``, with its spectral
-midpoint rule for near-confluent poles, and ``circle_mean_integral``) are on
-no Gram path; they stay public as exact references.
+same split gives ``circle_pair_integral`` and ``circle_mean_integral`` in
+closed form for poles of any order; they are on no Gram path and stay
+public as exact references.
 
 Contributions are accumulated disks first, then the other shapes, in index
 order, so assembled matrices are bitwise reproducible.  The disks' H is not
@@ -57,66 +54,6 @@ _K_MAX = 64
 
 
 # ---------------------------------------------------------------------------
-# small dense polynomial helpers (ascending coefficients, tiny degrees)
-
-
-def _poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.convolve(p, q)
-
-
-def _poly_pow(p: np.ndarray, k: int) -> np.ndarray:
-    out = np.array([1.0 + 0j])
-    for _ in range(k):
-        out = _poly_mul(out, p)
-    return out
-
-
-def _taylor_shift(p: np.ndarray, z0: complex) -> np.ndarray:
-    # coefficients of p(z0 + w) in w, by repeated synthetic division
-    work = list(p[::-1])  # descending
-    out = np.zeros(len(p), complex)
-    for j in range(len(p)):
-        rem = work[0]
-        deflated = [work[0]]
-        for i in range(1, len(work)):
-            rem = rem * z0 + work[i]
-            deflated.append(rem)
-        out[j] = rem
-        work = deflated[:-1]
-        if not work:
-            break
-    return out
-
-
-def _series_inv(d: np.ndarray, order: int) -> np.ndarray:
-    # power series of 1/d(w) through w^order; requires d[0] != 0
-    inv = np.zeros(order + 1, complex)
-    inv[0] = 1.0 / d[0]
-    for k in range(1, order + 1):
-        acc = 0j
-        top = min(k, len(d) - 1)
-        for i in range(1, top + 1):
-            acc += d[i] * inv[k - i]
-        inv[k] = -acc / d[0]
-    return inv
-
-
-def _residue(num: np.ndarray, factors: list[tuple[complex, int]], idx: int) -> complex:
-    """Residue of num(z) / prod (z - z_i)^{m_i} at the idx-th root."""
-    z0, m = factors[idx]
-    nsh = _taylor_shift(num, z0)
-    den = np.array([1.0 + 0j])
-    for j, (zj, mj) in enumerate(factors):
-        if j == idx:
-            continue
-        den = _poly_mul(den, _poly_pow(np.array([z0 - zj, 1.0], complex), mj))
-    inv = _series_inv(den, m - 1)
-    need = m - 1
-    ser = _poly_mul(nsh[: m], inv)
-    return ser[need] if need < len(ser) else 0j
-
-
-# ---------------------------------------------------------------------------
 # exact circle integrals
 
 
@@ -130,113 +67,47 @@ def _rational_parts(b: BasisFunction, c: complex) -> tuple[complex, int]:
         f"{type(b).__name__} is not rational; use the quadrature path")
 
 
-def _spectral_circle_pair(q1: tuple[complex, int], q2: tuple[complex, int], r: float) -> complex:
-    """Pair integral by the periodic midpoint rule on |w| = r.
-
-    ``q1`` and ``q2`` are (pole - c, order) of the two factors.  The
-    integrand is analytic on the contour (poles strictly off it), so the
-    rule converges geometrically; used where the residue decomposition is
-    numerically unstable because two poles of the transformed integrand
-    nearly coincide.
-    """
-    (p1, k1), (p2, k2) = q1, q2
-    n = 64
-    prev = None
-    while n <= 1 << 17:
-        theta = (2.0 * math.pi / n) * (np.arange(n) + 0.5)
-        w = r * np.exp(1j * theta)
-        val = complex(np.mean((w - p1) ** (-k1) * np.conj((w - p2) ** (-k2))) * TWO_PI * r)
-        if prev is not None and abs(val - prev) <= 1e-13 * max(1.0, abs(val)):
-            return val
-        prev = val
-        n *= 2
-    raise PoleOnContourError(
-        "circle integral did not converge; a pole lies too close to the contour")
-
-
-class _Contour:
-    """Pole bookkeeping for one residue integral over |w| = r.
-
-    Poles are taken relative to the circle's centre (w = z - c), so the
-    reflected poles and the residues do not carry the rounding of the
-    centre's absolute coordinates.
-    """
-
-    def __init__(self, r: float):
-        self.r = r
-        self.scalar = r / 1j
-        self.num = np.array([1.0 + 0j])
-        self.factors: list[tuple[complex, int]] = []
-
-    def add_pole(self, w0: complex, m: int) -> None:
-        for i, (wi, mi) in enumerate(self.factors):
-            if wi == w0:
-                self.factors[i] = (wi, mi + m)
-                return
-        self.factors.append((w0, m))
-
-    def reflect(self, q: complex, k: int) -> None:
-        # multiply the integrand by conj((w - q)^-k), which on |w| = r is
-        # w^k / (r^2 - conj(q) w)^k
-        self.num = _poly_mul(self.num, _poly_pow(np.array([0.0, 1.0], complex), k))
-        if q == 0:
-            self.scalar /= self.r ** (2 * k)
-        else:
-            cb = -q.conjugate()
-            self.scalar /= cb ** k
-            self.add_pole(-self.r * self.r / cb, k)
-
-    def direct(self, q: complex, k: int) -> None:
-        self.add_pole(q, k)
-
-    def measure(self) -> None:
-        # |dz| = (r/i) dw/w; the r/i lives in self.scalar already
-        self.add_pole(0j, 1)
-
-    def evaluate(self) -> complex:
-        total = 0j
-        for i, (w0, _) in enumerate(self.factors):
-            d = abs(w0)
-            if abs(d - self.r) <= 1e-12 * max(self.r, d):
-                raise PoleOnContourError(
-                    f"pole {w0} from the centre lies on the circle of radius {self.r}")
-            if d < self.r:
-                total += _residue(self.num, self.factors, i)
-        return 2j * math.pi * self.scalar * total
+def _inside(w: complex, r: float) -> bool:
+    """Whether the pole w (from the centre) lies inside the circle |w| = r;
+    a pole on it, under the rule of :func:`_disk_blocks`, is an error."""
+    d = abs(w)
+    if abs(d - r) <= 1e-12 * max(r, d):
+        raise PoleOnContourError(f"pole {w} from the centre lies on the circle of radius {r}")
+    return d < r
 
 
 def circle_pair_integral(b1: BasisFunction, b2: BasisFunction, circle: Disk) -> complex:
-    """Exact value of \\oint_{|z-c|=r} b1(z) * conj(b2(z)) |dz| by residues.
+    """Exact value of \\oint_{|z-c|=r} b1(z) * conj(b2(z)) |dz| in closed form.
 
-    Distinct-but-nearly-coincident poles inside the circle make the residue
-    decomposition catastrophically ill-conditioned (the residues diverge
-    with cancelling leading parts); such pairs are integrated by the
-    spectral midpoint rule instead.  Poles outside carry no residue, so a
-    pole next to the circle and its reflection across it stay on the
-    residue path.  Exactly coincident poles stay on it too, merged into one
-    higher-order pole.
+    With x = a - c and y = b - c for the poles a of b1 and b of b2, the
+    Hardy split of :func:`_disk_blocks` gives a pair of simple poles as
+    s 2 pi r / D, D = r^2 - x conj(y), s = 1 with both poles inside and -1
+    with both outside, and 0 with one on each side.  Orders k1 = m + 1 and
+    k2 = n + 1 follow by differentiating m times in x and n times in
+    conj(y), over m! n!; over one power of D the Leibniz sum reads
+
+        s 2 pi r sum_{i <= min(m, n)} C(m, i) C(n, i)
+                 x^(n-i) conj(y)^(m-i) r^(2i) / D^(m+n+1).
     """
     r = circle.radius
-    q1, q2 = _rational_parts(b1, circle.center), _rational_parts(b2, circle.center)
-    ct = _Contour(r)
-    ct.direct(*q1)
-    ct.reflect(*q2)
-    ct.measure()
-    roots = [w for w, _ in ct.factors if abs(w) < r]
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            d = abs(roots[i] - roots[j])
-            if 0.0 < d < 1e-4 * r:
-                return _spectral_circle_pair(q1, q2, r)
-    return ct.evaluate()
+    (x, k1), (y, k2) = (_rational_parts(b, circle.center) for b in (b1, b2))
+    inside = _inside(x, r)
+    if inside != _inside(y, r):
+        return 0j
+    m, n, yc = k1 - 1, k2 - 1, y.conjugate()
+    total = sum(math.comb(m, i) * math.comb(n, i) * x ** (n - i) * yc ** (m - i) * r ** (2 * i)
+                for i in range(min(m, n) + 1))
+    s = TWO_PI * r if inside else -TWO_PI * r
+    return s * total / (r * r - x * yc) ** (m + n + 1)
 
 
 def circle_mean_integral(b: BasisFunction, circle: Disk) -> complex:
-    """Exact value of \\oint_{|z-c|=r} b(z) |dz| by residues."""
-    ct = _Contour(circle.radius)
-    ct.direct(*_rational_parts(b, circle.center))
-    ct.measure()
-    return ct.evaluate()
+    """Exact value of \\oint_{|z-c|=r} b(z) |dz| in closed form: the mean
+    value 2 pi r (c - a)^-k for a pole a outside the circle, 0 inside."""
+    x, k = _rational_parts(b, circle.center)
+    if _inside(x, circle.radius):
+        return 0j
+    return TWO_PI * circle.radius * (-x) ** -k
 
 
 def _moment_counts(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -469,8 +340,7 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
     """Assemble H, u, c0 for the scene boundary and the given basis.
 
     Disks under an all-simple-pole basis use the Hardy split (opposite-side
-    pole pairs are exactly zero; the spectral rule only backs the
-    ``circle_pair_integral`` reference), with the outside pairs of all the
+    pole pairs are exactly zero), with the outside pairs of all the
     disks from one Hermitian product of their multipole moments, accurate to
     eps/2 of sqrt(H_aa H_bb) plus rounding (:func:`_disk_blocks`); every
     other boundary goes through node-and-weight quadrature at

@@ -206,7 +206,7 @@ def test_criterion_10_conjecture_machinery():
 
 def test_criterion_11_randomized_property_suites(rng):
     cases = 0
-    # residue path vs quadrature, 60 cases
+    # closed-form pair integrals vs quadrature, 60 cases
     worst = 0.0
     for trial in range(30):
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
@@ -229,7 +229,7 @@ def test_criterion_11_randomized_property_suites(rng):
                 [arc], QuadratureSettings(1e-12))[0])
             worst = max(worst, abs(val - ref))
             cases += 1
-    residue_ok = worst <= 1e-9
+    pair_ok = worst <= 1e-9
 
     # bound nesting under basis growth, 50 cases
     nesting_ok = True
@@ -280,7 +280,7 @@ def test_criterion_11_randomized_property_suites(rng):
         gram_ok &= ev_min > 0
         cases += 1
 
-    ok = residue_ok and nesting_ok and equiv_ok and gram_ok and cases >= 200
+    ok = pair_ok and nesting_ok and equiv_ok and gram_ok and cases >= 200
     report("criterion 11 (randomized property suites)", ok,
-           f"{cases} cases: residue_worst={worst:.2e} nesting={nesting_ok} "
+           f"{cases} cases: pair_worst={worst:.2e} nesting={nesting_ok} "
            f"equivariance={equiv_ok} gram_pd={gram_ok}")

@@ -232,7 +232,7 @@ def test_basis_set_matches_scalar_eval(rng):
         z = complex(rng.uniform(2, 4), rng.uniform(0.5, 3))
         vals = bs.eval_all(z)
         for i, b in enumerate(basis):
-            assert vals[i] == pytest.approx(b.eval(z), rel=1e-13)
+            assert vals[i] == pytest.approx(b.eval(z), rel=1e-13, abs=0)
 
 
 def test_basis_set_array_eval():
@@ -259,7 +259,7 @@ def test_corner_subs_array_matches_scalar_calls():
 
         vals = bs.eval_all(arc.point(s), corner_subs=subs(s))
         for k, x in enumerate(s):
-            assert arc.disp_start(s)[k] == pytest.approx(arc.disp_start(float(x)), rel=1e-14)
+            assert arc.disp_start(s)[k] == pytest.approx(arc.disp_start(float(x)), rel=1e-14, abs=0)
             one = bs.eval_all(arc.point(float(x)), corner_subs=subs(float(x)))
             assert np.all(np.abs(vals[:, k] - one) <= 1e-14 * np.abs(one))
         assert np.all(np.isfinite(vals[:, 0])) and np.all(vals[:, 0] != 0)

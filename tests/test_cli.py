@@ -124,7 +124,7 @@ def test_exact_domain_error(capsys):
 def test_exact_at_extreme_scales_prints_a_finite_value(capsys, argv, value):
     code, out, _ = run(capsys, "exact", *argv)
     assert code == EXIT_OK
-    assert json.loads(out)["value"] == pytest.approx(value, rel=1e-14)
+    assert json.loads(out)["value"] == pytest.approx(value, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("argv", [

@@ -134,7 +134,7 @@ def test_lambda_sup_form_oracle(rng):
     assert best <= lam + 1e-9
     a_star = np.linalg.solve(A, np.ones(2))
     attained = abs(np.sum(a_star)) ** 2 / np.vdot(a_star, A @ a_star).real
-    assert attained == pytest.approx(lam, rel=1e-12)
+    assert attained == pytest.approx(lam, rel=1e-12, abs=0)
 
 
 def test_lambda_monotone_in_radius():
@@ -161,20 +161,20 @@ def test_melnikov_scale_invariance(rng):
     r = 0.2
     for s in (0.5, 3.0):
         assert melnikov_M([s * z for z in Z], s * r) == pytest.approx(
-            melnikov_M(Z, r), rel=1e-12)
+            melnikov_M(Z, r), rel=1e-12, abs=0)
 
 
 # --- alpha, beta, delta -----------------------------------------------------
 
 def test_alpha_two_points():
     for d in (1.0, 2.5, 7.0):
-        assert alpha([0, d]) == pytest.approx(2 / d ** 2, rel=1e-14)
+        assert alpha([0, d]) == pytest.approx(2 / d ** 2, rel=1e-14, abs=0)
 
 
 def test_alpha_equilateral():
     s = 1.7
     w = s * np.exp(2j * np.pi * np.arange(3) / 3)
-    assert alpha(list(w * 1j)) == pytest.approx(9 / (abs(w[1] - w[0])) ** 2, rel=1e-12)
+    assert alpha(list(w * 1j)) == pytest.approx(9 / (abs(w[1] - w[0])) ** 2, rel=1e-12, abs=0)
 
 
 def test_alpha_singleton():
@@ -184,15 +184,15 @@ def test_alpha_singleton():
 
 def test_alpha_geometric_collinear():
     # pairs only: 2*(1 + 1 + 1/4)
-    assert alpha_geometric([0, 1, 2]) == pytest.approx(4.5, rel=1e-14)
-    assert alpha([0, 1, 2]) == pytest.approx(4.5, rel=1e-12)
+    assert alpha_geometric([0, 1, 2]) == pytest.approx(4.5, rel=1e-14, abs=0)
+    assert alpha([0, 1, 2]) == pytest.approx(4.5, rel=1e-12, abs=0)
 
 
 def test_alpha_geometric_equilateral():
     w = np.exp(2j * np.pi * np.arange(3) / 3)
     s = abs(w[1] - w[0])
     # circumradius s/sqrt(3) contributes 3/s^2 beyond the 6/s^2 pair sum
-    assert alpha_geometric(list(w)) == pytest.approx(9 / s ** 2, rel=1e-12)
+    assert alpha_geometric(list(w)) == pytest.approx(9 / s ** 2, rel=1e-12, abs=0)
 
 
 def test_alpha_identity_randomized(rng):
@@ -201,19 +201,19 @@ def test_alpha_identity_randomized(rng):
         Z = random_points(rng, n, box=5.0, min_sep=0.3)
         a1 = alpha(Z)
         a2 = alpha_geometric(Z)
-        assert a2 == pytest.approx(a1, rel=1e-10)
+        assert a2 == pytest.approx(a1, rel=1e-10, abs=0)
 
 
 def test_delta_examples():
-    assert delta([2, -2], 1) == pytest.approx(2 / 16, rel=1e-13)
+    assert delta([2, -2], 1) == pytest.approx(2 / 16, rel=1e-13, abs=0)
     w = list(np.exp(2j * np.pi * np.arange(3) / 3))
     s = abs(w[1] - w[0])
-    assert delta(w, 1) == pytest.approx(9 / s ** 2 - 2 / s ** 2, rel=1e-12)
+    assert delta(w, 1) == pytest.approx(9 / s ** 2 - 2 / s ** 2, rel=1e-12, abs=0)
 
 
 def test_delta_equals_alpha_for_pairs(rng):
     Z = random_points(rng, 2)
-    assert delta(Z, 1) == pytest.approx(alpha(Z), rel=1e-14)
+    assert delta(Z, 1) == pytest.approx(alpha(Z), rel=1e-14, abs=0)
 
 
 def test_delta_positive_randomized(rng):
@@ -261,7 +261,7 @@ def test_poly_bounds_randomized(rng):
 # --- predicted slope --------------------------------------------------------
 
 def test_predicted_slope_reference_pair():
-    assert predicted_slope([2, -2], 1) == pytest.approx(1 / 16, rel=1e-13)
+    assert predicted_slope([2, -2], 1) == pytest.approx(1 / 16, rel=1e-13, abs=0)
 
 
 def test_predicted_slope_scaling(rng):
@@ -269,7 +269,7 @@ def test_predicted_slope_scaling(rng):
     m = 2
     for s in (0.5, 2.0):
         assert predicted_slope([s * z for z in Z], m) == pytest.approx(
-            predicted_slope(Z, m) / s ** 2, rel=1e-12)
+            predicted_slope(Z, m) / s ** 2, rel=1e-12, abs=0)
 
 
 def test_slope_matches_exact_ratio_expansion():
@@ -278,7 +278,7 @@ def test_slope_matches_exact_ratio_expansion():
 
     r = 1e-3
     lhs = (1 - ratio_f(nome_from_geometry(2, r))) / r ** 2
-    assert lhs == pytest.approx(1 / 16, rel=1e-4)
+    assert lhs == pytest.approx(1 / 16, rel=1e-4, abs=0)
 
 
 # --- sandwich ---------------------------------------------------------------

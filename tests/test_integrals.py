@@ -68,7 +68,7 @@ def test_interior_pole_pair_closed_form():
 
 
 def test_two_pole_cancellation():
-    # one pole inside, the other's reflection inside: residues cancel exactly
+    # one pole inside, the other outside: the Hardy split makes the pair zero
     c = Disk(2, 1.0)
     val = circle_pair_integral(SimplePole(2 + 0j), SimplePole(-2 + 0j), c)
     assert abs(val) < 1e-14
@@ -109,7 +109,7 @@ def test_pole_on_contour_error():
 
 
 def test_residue_vs_quadrature_randomized(rng):
-    # property: the residue and quadrature paths agree to 1e-9 for random
+    # property: the closed form and quadrature agree to 1e-9 for random
     # circles and random interior/exterior poles of random order
     cases = 0
     for trial in range(40):
@@ -217,12 +217,13 @@ def test_conj_symmetry_against_independent_lower_triangle(two_disks, rng):
 
 
 def test_engine_disk_blocks_match_residues():
-    # each disk's block, and the scene total, must match the exact residue
-    # integrals.  Under a basis that is not all simple poles disks go through
-    # the periodic trapezoid rule (on disk A, B's pole at 1.001 sits 1e-3
-    # outside); all-simple-pole bases take the closed-form block, checked on
-    # two disks where the reflection of the pole 2.0 across disk A is exactly
-    # A's pole 0.5, and on three small disks far from the origin
+    # each disk's block, and the scene total, must match the exact
+    # closed-form integrals.  Under a basis that is not all simple poles
+    # disks go through the periodic trapezoid rule (on disk A, B's pole at
+    # 1.001 sits 1e-3 outside); all-simple-pole bases take the closed-form
+    # block, checked on two disks where the reflection of the pole 2.0
+    # across disk A is exactly A's pole 0.5, and on three small disks far
+    # from the origin
     A = Disk(0j, 1.0)
     B = Disk(1.5 + 0j, 0.4995)
     cases = [
@@ -244,7 +245,7 @@ def test_engine_disk_blocks_match_residues():
             ref_u = np.array([circle_mean_integral(b, disk) for b in basis]) / TWO_PI
             assert np.abs(g.H - ref_H).max() <= 1e-13 * np.abs(ref_H).max()
             assert np.abs(g.u - ref_u).max() <= 1e-13 * np.abs(ref_u).max()
-            assert g.c0 == pytest.approx(disk.radius, rel=1e-13)
+            assert g.c0 == pytest.approx(disk.radius, rel=1e-13, abs=0)
             total_H, total_u = total_H + ref_H, total_u + ref_u
         g = assemble_gram(sc, basis)
         assert np.abs(g.H - total_H).max() <= 1e-13 * np.abs(g.H).max()
@@ -268,17 +269,11 @@ def test_circle_pair_integral_small_far_disk_against_mpmath():
                 assert abs(got - ref) <= 1e-15 * abs(ref)
 
 
-def test_circle_pair_integral_pole_near_the_centre_takes_the_midpoint_rule(monkeypatch):
-    # a pole 1e-6 from the centre lies within 1e-4 r of the measure's pole at
-    # the centre, where the residues would cancel: the midpoint rule runs
+def test_circle_pair_integral_pole_near_the_centre():
+    # a pole 1e-6 from the centre keeps every digit
     mp = pytest.importorskip("mpmath")
-    calls = []
-    spectral = integrals._spectral_circle_pair
-    monkeypatch.setattr(integrals, "_spectral_circle_pair",
-                        lambda *args: calls.append(args) or spectral(*args))
     b = SimplePole(1e-6 + 0j)
     got = circle_pair_integral(b, b, Disk(0j, 1.0))
-    assert len(calls) == 1
     exact = TWO_PI / (1.0 - 1e-12)  # 2 pi r / (r^2 - |w|^2)
     assert abs(got - exact) <= 1e-13 * exact
     with mp.workdps(40):
@@ -288,9 +283,8 @@ def test_circle_pair_integral_pole_near_the_centre_takes_the_midpoint_rule(monke
 
 @pytest.mark.parametrize("a", [0.99999, 1.00001, 1 - 1e-7, 1 + 1e-7, 0.99999 * cmath.exp(0.7j)])
 def test_circle_pair_integral_beside_its_circle(a):
-    # a pole next to the circle and its reflection across it are close, but
-    # only the one inside carries a residue: the residue path stays exact to
-    # the conditioning of r^2 - |a|^2
+    # a pole next to the circle: the closed form stays exact to the
+    # conditioning of r^2 - |a|^2
     mp = pytest.importorskip("mpmath")
     b = SimplePole(a)
     got = circle_pair_integral(b, b, Disk(0j, 1.0))
@@ -309,6 +303,57 @@ def test_circle_pair_integral_power_poles_beside_its_circle(a, j, k):
         cuts = [sign * 10.0 ** -e for sign in (-1, 1) for e in range(1, 8)]
         ref = mp.quad(f, sorted([-mp.pi, 0, mp.pi, *cuts]))
         assert abs(mp.mpc(got) - ref) <= 8 * np.finfo(float).eps / abs(1 - a * a) * abs(ref)
+
+
+def hardy_pair_reference(mp, a, k1, b, k2, c, r):
+    """\\oint (z - a)^-k1 conj((z - b)^-k2) |dz| over |z - c| = r at mpmath's
+    working precision, from the power series of the two factors in
+    w = z - c, which are orthogonal on the circle (<w^p, w^q> is
+    2 pi r^(2p+1) if p = q, else 0).
+
+    Poles outside expand in w^p, p >= 0, and the sum is
+    2 pi r (-x)^-k1 conj((-y)^-k2) 2F1(k1, k2; 1; r^2 / (x conj(y))); poles
+    inside expand in w^-p, p >= k, and with big and small the larger and
+    smaller of m = k1 - 1 and n = k2 - 1 the sum is 2 pi r x^(big-m)
+    conj(y)^(big-n) r^(-2 big-2) C(big, small)
+    2F1(big + 1, big + 1; big - small + 1; x conj(y) / r^2); a pole on each
+    side has no power in common."""
+    x, y, r = mp.mpc(a) - mp.mpc(c), mp.mpc(b) - mp.mpc(c), mp.mpf(r)
+    if (abs(x) < r) != (abs(y) < r):
+        return mp.mpc(0)
+    yc = mp.conj(y)
+    if abs(x) > r:
+        return 2 * mp.pi * r * (-x) ** -k1 * (-yc) ** -k2 * mp.hyp2f1(k1, k2, 1, r * r / (x * yc))
+    m, n = k1 - 1, k2 - 1
+    big, small = max(m, n), min(m, n)
+    series = mp.hyp2f1(big + 1, big + 1, big - small + 1, x * yc / (r * r))
+    return (2 * mp.pi * r * x ** (big - m) * yc ** (big - n) / r ** (2 * big + 2)
+            * mp.binomial(big, small) * series)
+
+
+def test_circle_pair_integral_closed_form_against_mpmath(rng):
+    # random circles, orders 1-5, each pole inside (0-0.9 r from the centre)
+    # or outside (1.15-3 r): every pair is within 16 eps of its
+    # Cauchy-Schwarz scale sqrt(H11 H22), against a 30-digit reference
+    mp = pytest.importorskip("mpmath")
+    sides = set()
+    with mp.workdps(30):
+        for _ in range(240):
+            c, r = complex(*rng.uniform(-2, 2, 2)), rng.uniform(0.2, 3.0)
+            poles = []
+            for _ in range(2):
+                inside = rng.random() < 0.5
+                rho = rng.uniform(0.0, 0.9) if inside else rng.uniform(1.15, 3.0)
+                poles.append((c + rho * r * cmath.exp(1j * rng.uniform(0, TWO_PI)),
+                              int(rng.integers(1, 6))))
+                sides.add(inside)
+            (a, k1), (b, k2) = poles
+            got = circle_pair_integral(PowerPole(a, k1), PowerPole(b, k2), Disk(c, r))
+            ref = hardy_pair_reference(mp, a, k1, b, k2, c, r)
+            scale = mp.sqrt(abs(hardy_pair_reference(mp, a, k1, a, k1, c, r))
+                            * abs(hardy_pair_reference(mp, b, k2, b, k2, c, r)))
+            assert abs(mp.mpc(got) - ref) <= 16 * np.finfo(float).eps * scale
+    assert sides == {True, False}
 
 
 # --- the multipole disk kernel -----------------------------------------------
@@ -428,7 +473,7 @@ def test_disk_and_ellipse_gram_is_sum_of_one_shape_grams():
     scale = np.abs(g.H).max()
     assert np.abs(g.H - sum(p.H for p in parts)).max() <= 1e-14 * scale
     assert np.abs(g.u - sum(p.u for p in parts)).max() <= 1e-14 * np.abs(g.u).max()
-    assert g.c0 == pytest.approx(sum(p.c0 for p in parts), rel=1e-14)
+    assert g.c0 == pytest.approx(sum(p.c0 for p in parts), rel=1e-14, abs=0)
 
 
 def test_split_grams_are_sums_of_one_disk_grams():
@@ -481,7 +526,7 @@ def test_split_grams_by_quadrature_match_separate_assembly():
         w = assemble_gram(part, build_basis(part, Powers(4)))
         assert np.abs(g.H - w.H).max() <= 1e-13 * np.abs(w.H).max()
         assert np.abs(g.u - w.u).max() <= 1e-13 * np.abs(w.u).max()
-        assert g.c0 == pytest.approx(w.c0, rel=1e-15)
+        assert g.c0 == pytest.approx(w.c0, rel=1e-15, abs=0)
 
 
 def test_pole_on_last_disk_circle_raises():

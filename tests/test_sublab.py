@@ -234,7 +234,7 @@ def test_asymptotic_slope_on_exact_curve():
     radii = [0.4 * 2 ** (-k) for k in range(6)]
     mids = [exact_ratio(r) for r in radii]
     slope = fit_quadratic_slope(radii, mids)
-    assert slope == pytest.approx(1 / 16, rel=0.05)
+    assert slope == pytest.approx(1 / 16, rel=0.05, abs=0)
 
 
 def test_asymptotic_slope_random_configuration(rng):
@@ -250,7 +250,7 @@ def test_asymptotic_slope_random_configuration(rng):
 def test_asymptotic_scale_invariance():
     rep1 = asymptotic_check(PAIR, 1, Rings(3), r0=0.4)
     rep2 = asymptotic_check([2 * z for z in PAIR], 1, Rings(3), r0=0.8)
-    assert rep2.fitted_slope * 4 == pytest.approx(rep1.fitted_slope, rel=0.02)
+    assert rep2.fitted_slope * 4 == pytest.approx(rep1.fitted_slope, rel=0.02, abs=0)
 
 
 # --- CSV --------------------------------------------------------------------
