@@ -32,11 +32,19 @@ public as exact references.
 Contributions are accumulated disks first, then the other shapes, in index
 order, so assembled matrices are bitwise reproducible.  The disks' H is not
 summed disk by disk: BLAS sums the moments of all of them at once.
+
+A Gram is kept as its upper triangle from the ``zherk`` that makes it to
+the Cholesky factorization that reads it (:mod:`anacap.solver`); its lower
+triangle stays exactly zero, and only the public :func:`assemble_gram`
+mirrors it, so that the H it returns is Hermitian.  The moment rows, the
+disk path's one transient array of a Gram's size or more, live in a
+per-thread buffer that the next call reuses (:func:`_scratch`).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +59,21 @@ TWO_PI = 2.0 * math.pi
 _HALF_EPS = 0.5 * np.finfo(float).eps
 # most multipole moments one disk takes in _moment_gram
 _K_MAX = 64
+_THREAD = threading.local()
+
+
+def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized C-ordered complex array of ``shape`` in this thread's
+    buffer ``name``, grown on demand.  The next call for the same name in
+    the same thread hands out the same memory, so the array must not outlive
+    the call that took it; a thread keeps only its largest buffer per name.
+    Reusing it spares the fresh pages of a new array of that size."""
+    size = math.prod(shape)
+    buf = getattr(_THREAD, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size, complex)
+        setattr(_THREAD, name, buf)
+    return buf[:size].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +160,14 @@ def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups
 
     Each group ``(d0, d1, j0, j1)`` asks for the sums over disks d0 .. d1-1
     on basis indices j0 .. j1-1, returned as (H, u) in the group's own
-    indices.  H comes from multipole moments (:func:`_moment_gram`): each
-    entry is within eps/2 of sqrt(H_aa H_bb) of the closed forms' sum, plus
-    rounding, and is not summed over its disks in disk order.  Each
-    group's H is built from the group's own slice of the disks-by-poles
-    arrays, and u is summed in disk order as before, so a group gets bitwise
-    the (H, u) that its disks and indices give alone.
+    indices, H as its upper triangle over a zero lower one.  H comes from
+    multipole moments (:func:`_moment_gram`): each entry is within eps/2 of
+    sqrt(H_aa H_bb) of the closed forms' sum, plus rounding, and is not
+    summed over its disks in disk order.  Each group's moments come from the
+    group's own slice of the disks-by-poles arrays, its inside pairs are the
+    elementwise closed forms of the same inputs, formed once for all the
+    groups, and u is summed in disk order, so a group gets bitwise the
+    (H, u) that its disks and indices give alone.
     """
     c = np.array([d.center for d in disks], complex)[:, None]
     r = np.array([d.radius for d in disks])[:, None]
@@ -152,19 +177,26 @@ def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups
         raise PoleOnContourError("simple pole on the circle")
     inside = dist < r
     means = np.where(inside, 0j, TWO_PI * r / np.where(poles != c, c - poles, 1.0))
+    # the closed forms of the pairs inside a disk, once for every group: a
+    # group takes those on its disks and indices, the values it would form
+    d_in, a_in, b_in, term_in = _closed_form_pairs(w, r, inside, 1.0)
     blocks = []
     for d0, d1, j0, j1 in groups:
         u = np.zeros(j1 - j0, complex)
         for mean in means[d0:d1, j0:j1]:
             u += mean
-        blocks.append((_moment_gram(w[d0:d1, j0:j1], r[d0:d1], inside[d0:d1, j0:j1]), u))
+        # a <= b, so a >= j0 and b < j1 put both in the group
+        mine = (d0 <= d_in) & (d_in < d1) & (j0 <= a_in) & (b_in < j1)
+        pairs = a_in[mine] - j0, b_in[mine] - j0, term_in[mine]
+        blocks.append((_moment_gram(w[d0:d1, j0:j1], r[d0:d1], inside[d0:d1, j0:j1], pairs), u))
     return blocks
 
 
-def _moment_gram(w: np.ndarray, r: np.ndarray, inside: np.ndarray) -> np.ndarray:
+def _moment_gram(w: np.ndarray, r: np.ndarray, inside: np.ndarray, pairs) -> np.ndarray:
     """Upper triangle of the sum over disks of the Hardy-split pair integrals
     (:func:`_disk_blocks`), given w = pole - c (disks x poles), the radii
-    (disks x 1) and which poles lie inside which disk.
+    (disks x 1), which poles lie inside which disk, and the closed forms
+    (a, b, value) of the pairs inside one disk; the lower triangle is zero.
 
     Outside, with kappa = r / w (|kappa| < 1), the pair integral is the
     series (2 pi / r) sum_{k >= 1} kappa_a^k conj(kappa_b^k): on each disk a
@@ -179,13 +211,16 @@ def _moment_gram(w: np.ndarray, r: np.ndarray, inside: np.ndarray) -> np.ndarray
     the exact tail p^K times the closed form, p = kappa_a conj(kappa_b), to
     its pairs with both |kappa|^K / (1 - |kappa|) above eps/2, the only ones
     whose tail can exceed that bound.  Pairs inside one disk keep the closed
-    form.  No entry is summed over the disks in disk order.
+    form; a pole lies inside at most one disk, so each of them is one entry.
+    No entry is summed over the disks in disk order.  The moment rows live
+    in this thread's scratch buffer (:func:`_scratch`), which the next call
+    reuses.
     """
     n = w.shape[1]
     ck = np.divide(r, np.conj(w), out=np.zeros_like(w), where=~inside)  # conj(kappa)
     rho = np.abs(ck)
     k_d, capped = _moment_counts(rho.max(axis=1, initial=0.0))
-    rows = np.empty((int(k_d.sum()), n), complex)
+    rows = _scratch("rows", (int(k_d.sum()), n))
     live = np.flatnonzero(k_d)
     prev = np.multiply(np.sqrt(TWO_PI / r[live]), ck[live], out=rows[:live.size])
     at = live.size
@@ -198,13 +233,14 @@ def _moment_gram(w: np.ndarray, r: np.ndarray, inside: np.ndarray) -> np.ndarray
     # A = rows.T is n x K in Fortran order; BLAS puts A A^H = conj(H) in its
     # lower triangle, whose transpose is H's upper triangle in C order
     H = zherk(1.0, rows.T, trans=0, lower=1).T
-    _, a, b, term = _closed_form_pairs(w, r, inside, 1.0)
-    np.add.at(H, (a, b), term)
-    # past _K_MAX moments a pair's tail is within eps/2 of its scale unless
-    # both poles have |kappa|^K / (1 - |kappa|) above eps/2 (|kappa| > 0.556)
-    tail = capped[:, None] & (rho ** _K_MAX > _HALF_EPS * (1.0 - rho))
-    d, a, b, term = _closed_form_pairs(w, r, tail, -1.0)
-    np.add.at(H, (a, b), (np.conj(ck[d, a]) * ck[d, b]) ** _K_MAX * term)
+    a, b, term = pairs
+    H[a, b] += term
+    if capped.any():
+        # past _K_MAX moments a pair's tail is within eps/2 of its scale unless
+        # both poles have |kappa|^K / (1 - |kappa|) above eps/2 (|kappa| > 0.556)
+        tail = capped[:, None] & (rho ** _K_MAX > _HALF_EPS * (1.0 - rho))
+        d, a, b, term = _closed_form_pairs(w, r, tail, -1.0)
+        np.add.at(H, (a, b), (np.conj(ck[d, a]) * ck[d, b]) ** _K_MAX * term)
     return H
 
 
@@ -250,11 +286,11 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
     One Hermitian rank-k update (``zherk``) per part, on the part's columns,
     then gives the upper triangle of the bordered block G = (A w) A^H: H in
     G[:n, :n], u in G[:n, n] and the length in G[n, n], with an exactly real
-    diagonal; the lower triangle stays zero, and ``_gram_data`` mirrors the
-    upper one into it.  Corner endpoints need no flag: the open-piece rule of
-    ``integrate_arc`` integrates their singular products, and
-    ``_matching_corner`` only picks the members that take the exact
-    displacement from the parametrization, spliced in per part: a corner's
+    diagonal; the lower triangle stays zero, and so it stays in the Gram
+    that :func:`_assemble_grams` returns.  Corner endpoints need no flag:
+    the open-piece rule of ``integrate_arc`` integrates their singular
+    products, and ``_matching_corner`` only picks the members that take the
+    exact displacement from the parametrization, spliced in per part: a corner's
     displacement is ``disp_start(t)`` on a piece that starts at it,
     ``disp_end(s1)`` on one that ends at it, and z - corner elsewhere, the
     subtraction ``eval_all`` makes itself.  A basis value does not depend on
@@ -345,19 +381,24 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
     eps/2 of sqrt(H_aa H_bb) plus rounding (:func:`_disk_blocks`); every
     other boundary goes through node-and-weight quadrature at
     ``settings.abs_tol``.  The disks are accumulated first, then the other
-    shapes in index order.  Only the upper triangle is kept; the lower is
-    its conjugate mirror, so H is Hermitian exactly.  The same pass can also
-    give the Grams of a split of the scene (:func:`_assemble_grams`).
+    shapes in index order.  Only the upper triangle is computed; here the
+    lower is filled with its conjugate mirror, so H is Hermitian exactly.
+    The same pass can also give the Grams of a split of the scene, as upper
+    triangles (:func:`_assemble_grams`).
     """
     bs = basis if isinstance(basis, BasisSet) else BasisSet(basis)
-    return _assemble_grams(sc, bs, settings)[0]
+    g = _assemble_grams(sc, bs, settings)[0]
+    np.copyto(g.H, g.H.T.conj(), where=np.tri(bs.n, k=-1, dtype=bool))
+    return g
 
 
 def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None,
                     split: tuple[int, int] | None = None) -> list[GramData]:
-    """``[assemble_gram(sc, bs)]``, and with ``split = (m, k)`` also the Grams
-    of the first m shapes on the first k basis functions (theirs) and of the
-    other shapes on the other functions, from the same pass.
+    """``[assemble_gram(sc, bs)]`` with each H its upper triangle over an
+    exactly zero lower one, the part the solver reads, and with
+    ``split = (m, k)`` also the Grams of the first m shapes on the first k
+    basis functions (theirs) and of the other shapes on the other
+    functions, from the same pass.
 
     The disk kernel takes each group's moments from its own disks and its own
     indices only (:func:`_disk_blocks`), so with disks the group Grams are
@@ -397,12 +438,11 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
 
 
 def _gram_data(H: np.ndarray, u: np.ndarray, length: float) -> GramData:
-    """Finish summed boundary integrals in place: real diagonal, lower triangle
-    the conjugate mirror of the upper, everything over 2 pi."""
-    n = u.size
-    di = np.arange(n)
+    """Finish summed boundary integrals in place: real diagonal, everything
+    over 2 pi.  H's lower triangle is not read or mirrored: the summed
+    blocks leave it zero, and zero it stays."""
+    di = np.arange(u.size)
     H[di, di] = H[di, di].real  # Gram diagonal is real; drop rounding residue
-    np.copyto(H, H.T.conj(), where=np.tri(n, k=-1, dtype=bool))
     # dividing a complex array by 2 pi gives x * fl(1/2pi) in each finite
     # component (it may drop the sign of a zero real part); the product on
     # the float64 view gives that without NumPy's complex division loop

@@ -15,6 +15,12 @@ read), each evaluated as the objective at its computed solution vector, so
 an inexact linear solve can only loosen the bracket, never invalidate it.
 The bounds are rigorous up to quadrature error; the reported ``slack``
 (10 * abs_tol * n_basis) budgets for it.
+
+The solver reads only the upper triangle of H, in the factorization and in
+the products H x, so it takes the triangle that assembly makes
+(``integrals._assemble_grams``) and the mirrored H of ``assemble_gram``
+alike, with the same bits.  The equilibrated copy that LAPACK factors lives
+in a per-thread buffer that the next factorization reuses.
 """
 
 from __future__ import annotations
@@ -23,13 +29,13 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import zgemv
+from scipy.linalg.blas import zhemv
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .basis import BasisSet, CornerAdapted, SimplePole, _require_star_shaped, build_basis
 from .errors import SceneConfigError, SingularGramError, SolveError
 from .geometry import Scene, _winding_number, arcs, corners, validate_scene
-from .integrals import GramData, _matching_corner, assemble_gram
+from .integrals import GramData, _matching_corner, _scratch, assemble_gram
 from .quadrature import QuadratureSettings
 
 
@@ -62,8 +68,9 @@ _JITTERS = (0.0, 4e-15, 1e-13, 1e-11, 1e-9)
 
 
 def _factor(H: np.ndarray):
-    """Cholesky of H after symmetric diagonal equilibration: the
-    ``cho_factor`` result, the scaling s and the jitter used.
+    """Cholesky factor of conj(A), A = S H S the symmetric diagonal
+    equilibration of H with S = diag(s): the factor in Fortran order (its
+    lower triangle), s and the jitter used.  Only H's upper triangle is read.
 
     For large bases the equilibrated matrix can be singular to working
     precision although positive definite in exact arithmetic; a bounded
@@ -76,43 +83,50 @@ def _factor(H: np.ndarray):
         raise SingularGramError("Gram diagonal not strictly positive")
     s = 1.0 / np.sqrt(diag)
     n = len(diag)
-    # LAPACK takes the equilibrated A[j, k] = (H[j, k] s_j) s_k in Fortran
-    # order, i.e. as the C-ordered buffer B = A^T.  H is Hermitian, so
-    # B[k, j] = (conj(H[k, j]) s_j) s_k: contiguous passes over conj(H)
-    # fill B with the same numbers, and it is factored in place.  A failed
-    # attempt overwrites it, so each step of the ladder rebuilds it.
-    buf = np.empty((n, n), complex)
-    err = None
+    # the C-ordered buffer B[j, k] = (H[j, k] s_k) s_j is, in Fortran order,
+    # B^T, whose lower triangle holds A's upper one: H is Hermitian, so that
+    # is the lower triangle of A^T = conj(A), factored in place as
+    # conj(A) = L L^H.  It is the conjugate of A's factor, bit for bit, so a
+    # solve with conjugated right-hand side and result gives A's solution.
+    # A failed attempt overwrites the buffer, so each step of the ladder
+    # rebuilds it; the buffer is this thread's, reused by the next call.
+    buf = _scratch("factor", (n, n))
+    info = 0
     for jit in _JITTERS:
-        np.conjugate(H, out=buf)
-        buf *= s[None, :]
+        np.multiply(H, s[None, :], out=buf)
         buf *= s[:, None]
         if jit:
             buf.ravel()[:: n + 1] += jit
-        try:
-            return scipy.linalg.cho_factor(buf.T, lower=True, overwrite_a=True,
-                                           check_finite=False), s, jit
-        except scipy.linalg.LinAlgError as exc:
-            err = exc
+        c, info = zpotrf(buf.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            return c, s, jit
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
     raise SingularGramError(
-        f"Gram factorization failed ({err}); the basis is numerically "
-        "dependent -- use a smaller schedule") from err
+        f"Gram factorization failed ({info}-th leading minor of the array is not "
+        "positive definite); the basis is numerically dependent -- use a smaller schedule")
 
 
 def _objectives(gram: GramData, d: np.ndarray) -> tuple[float, float, float]:
     """(upper, lower, residual) from one factorization of the Gram: each
     objective at its own solve, of H x = -u and then of H x = d, and the
-    larger relative residual max|H x - rhs| / max|rhs| of the two.  H x runs
-    on SciPy's BLAS, the one library that assembly (its ``zherk``) and the
-    factorization use (see ``integrals._quad_blocks``); for a C-ordered H, H.T
-    is the same memory in Fortran order, so nothing is copied.  OpenBLAS runs
-    this ``zgemv`` on one thread at n = 30 and on several at n = 68.
+    larger relative residual max|H x - rhs| / max|rhs| of the two.
+
+    Only H's upper triangle is read.  For a C-ordered H, H.T is the same
+    memory in Fortran order, the matrix conj(H) with H's upper triangle as
+    its lower one, so H x = conj(conj(H) conj(x)) is one ``zhemv`` on that
+    lower triangle, and nothing is copied.  H x runs on SciPy's BLAS, the
+    one library that assembly (its ``zherk``) and the factorization use (see
+    ``integrals._quad_blocks``).  With SciPy's OpenBLAS 0.3.30 on two
+    cores this ``zhemv`` runs on one thread at n = 30 and on both at n = 68,
+    as a ``zgemv`` on the mirrored H does, but at n = 306 it takes about
+    130 us where that ``zgemv`` takes 33 us.
     """
-    cf, s, _ = _factor(gram.H)
+    c, s, _ = _factor(gram.H)
     sols = []
     for rhs in (-gram.u, d.astype(complex)):
-        x = scipy.linalg.cho_solve(cf, rhs * s, check_finite=False) * s
-        hx = zgemv(1.0, gram.H.T, x, trans=1)
+        x = np.conj(zpotrs(c, np.conj(rhs * s), lower=1, overwrite_b=1)[0]) * s
+        hx = np.conj(zhemv(1.0, gram.H.T, np.conj(x), lower=1))
         res = float(np.max(np.abs(hx - rhs))) / (float(np.max(np.abs(rhs))) or 1.0)
         sols.append((x, hx, res))
     (xu, hu, res_u), (xd, hd, res_d) = sols

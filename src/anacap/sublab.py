@@ -178,10 +178,13 @@ def monotonicity_verdict(records: list[SweepRecord]) -> Verdict:
 
 
 def gap_report(records: list[SweepRecord]) -> float:
-    """Largest certified-bracket width over the records."""
+    """Largest certified-bracket width over the records that succeeded."""
     if not records:
         raise ValueError("no records")
-    return max(rec.gap for rec in records if rec.error is None)
+    gaps = [rec.gap for rec in records if rec.error is None]
+    if not gaps:
+        raise ValueError(f"no record succeeded: all {len(records)} are error records")
+    return max(gaps)
 
 
 @dataclass(frozen=True)

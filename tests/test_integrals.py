@@ -195,6 +195,9 @@ def test_gram_exactly_hermitian_and_pd(two_disks):
         basis = build_basis(sc, Rings(layers))
         g = assemble_gram(sc, basis, ORACLE)
         assert np.array_equal(g.H, g.H.conj().T)
+        # the public Gram's lower triangle mirrors the upper bit for bit, zeros too
+        lower = np.tri(len(basis), k=-1, dtype=bool)
+        assert same_bits(g.H[lower], np.conj(g.H.T[lower]))
         L = np.linalg.cholesky(g.H)  # raises if not PD
         assert np.all(np.diag(L).real > 0)
 
@@ -486,7 +489,10 @@ def test_split_grams_are_sums_of_one_disk_grams():
     grams = _assemble_grams(sc, BasisSet(union), None, split=(9, len(bases[0])))
     for g, part, basis in zip(grams, (sc, *parts), (union, *bases)):
         ones = [assemble_gram(scene([s]), basis) for s in part.shapes]
-        assert np.abs(g.H - sum(p.H for p in ones)).max() <= 1e-14 * np.abs(g.H).max()
+        # the internal Grams are upper triangles over an exactly zero lower one
+        assert not np.tril(g.H, -1).any()
+        assert (np.abs(g.H - np.triu(sum(p.H for p in ones))).max()
+                <= 1e-14 * np.abs(g.H).max())
         assert np.abs(g.u - sum(p.u for p in ones)).max() <= 1e-14 * np.abs(g.u).max()
 
 
@@ -510,7 +516,8 @@ def test_split_grams_bitwise_equal_to_separate_assembly(disks, m):
     want = [assemble_gram(s, b) for s, b in zip((sc, *parts), (union, *bases))]
     got = _assemble_grams(sc, BasisSet(union), None, split=(m, len(bases[0])))
     for g, w in zip(got, want):
-        assert np.array_equal(g.H, w.H)
+        assert not np.tril(g.H, -1).any()
+        assert np.array_equal(np.triu(g.H), np.triu(w.H))
         assert np.array_equal(g.u, w.u)
         assert g.c0 == w.c0
 
@@ -524,9 +531,22 @@ def test_split_grams_by_quadrature_match_separate_assembly():
     got = _assemble_grams(sc, BasisSet(bases[0] + bases[1]), None, split=(1, len(bases[0])))
     for g, part in zip(got, (sc, *parts)):
         w = assemble_gram(part, build_basis(part, Powers(4)))
-        assert np.abs(g.H - w.H).max() <= 1e-13 * np.abs(w.H).max()
+        assert not np.tril(g.H, -1).any()
+        assert np.abs(g.H - np.triu(w.H)).max() <= 1e-13 * np.abs(w.H).max()
         assert np.abs(g.u - w.u).max() <= 1e-13 * np.abs(w.u).max()
         assert g.c0 == pytest.approx(w.c0, rel=1e-15, abs=0)
+
+
+def test_second_assembly_leaves_the_first_gram_unchanged():
+    # the moment rows are reused between calls; the Grams are owned arrays
+    first, second = (validate_scene(scene([Disk(c, 0.4 * max_sweep_radius(centers))
+                                           for c in centers]))
+                     for centers in (random_configuration(18, 3), random_configuration(18, 4)))
+    g = assemble_gram(first, build_basis(first, Rings(4)))
+    H, u = g.H.copy(), g.u.copy()
+    other = assemble_gram(second, build_basis(second, Rings(4)))
+    assert same_bits(g.H, H) and same_bits(g.u, u)
+    assert not np.shares_memory(g.H, other.H)
 
 
 def test_pole_on_last_disk_circle_raises():
@@ -681,8 +701,10 @@ def test_batched_ladder_gram_has_the_bits_of_piece_by_piece_assembly(
         return eval_all(z, corner_subs, out=out)
 
     monkeypatch.setattr(bs, "eval_all", counted)
-    got = assemble_gram(sc, bs, settings)
-    assert got.H.tobytes() == want.H.tobytes() and got.u.tobytes() == want.u.tobytes()
+    got = _assemble_grams(sc, bs, settings)[0]
+    assert not np.tril(got.H, -1).any()
+    assert (np.triu(got.H).tobytes() == np.triu(want.H).tobytes()
+            and got.u.tobytes() == want.u.tobytes())
     assert np.float64(got.c0).tobytes() == np.float64(want.c0).tobytes()
     if first_calls is not None:
         assert sizes[:len(first_calls)] == first_calls
@@ -786,14 +808,12 @@ def test_gram_data_scales_each_component_by_the_reciprocal_of_two_pi(rng):
     A[n, :4] = [complex(-0.0, 0.0), complex(0.0, -0.0), -7e-321, 1e299]
     H, u = A[:n].copy(), A[n].copy()
     g = integrals._gram_data(H, u, 3.0)
-    # reference: real diagonal, conjugate mirror of the upper triangle, then
-    # both float64 components times fl(1/2pi)
+    # reference: real diagonal, then both float64 components times
+    # fl(1/2pi); only the upper triangle of H is the Gram's
     ref = A[:n].copy()
     di = np.arange(n)
     ref[di, di] = ref[di, di].real
-    lower = np.tri(n, k=-1, dtype=bool)
-    ref[lower] = np.conj(ref.T[lower])
-    for got, x in ((g.H, ref), (g.u, A[n])):
+    for got, x in ((np.triu(g.H), np.triu(ref)), (g.u, A[n])):
         assert same_bits(got, (x.view(np.float64) * (1.0 / TWO_PI)).view(complex))
         # the complex division gives the same bits in every nonzero component
         div = x / TWO_PI
@@ -801,6 +821,4 @@ def test_gram_data_scales_each_component_by_the_reciprocal_of_two_pi(rng):
         assert np.array_equal(got, div)
         assert np.array_equal(got.view(np.float64)[nonzero].view(np.uint64),
                               div.view(np.float64)[nonzero].view(np.uint64))
-    # the lower triangle is the conjugate of the upper bit for bit, zeros too
-    assert same_bits(g.H[lower], np.conj(g.H.T[lower]))
     assert g.c0 == 3.0 / TWO_PI

@@ -190,7 +190,7 @@ def test_real_block_system_cross_check(two_disks):
 def test_singular_gram_rejected():
     H = np.array([[1.0, 2.0], [2.0, 1.0]], complex)  # indefinite
     gram = GramData(H, np.zeros(2, complex), 1.0)
-    with pytest.raises(SingularGramError):
+    with pytest.raises(SingularGramError, match="2-th leading minor"):
         upper_bound(GramSystem(gram, np.ones(2, complex)))
     gram2 = GramData(np.array([[0.0]], complex), np.zeros(1, complex), 1.0)
     with pytest.raises(SingularGramError):
@@ -220,6 +220,21 @@ def test_bound_entry_points_equal_the_bracket_bitwise(shape, schedule, request):
     res = solver._bracket(gram, bs.d_vector(), QuadratureSettings(), 0.0)
     system = GramSystem(gram, bs.d_vector())
     assert (lower_bound(system), upper_bound(system)) == (res.lower, res.upper)
+
+
+@pytest.mark.parametrize("shapes, schedule", [
+    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, with_corners=True)),
+    (MIXED_SHAPES, Powers(3, with_corners=True)),
+    ([Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)], Rings(4)),
+], ids=["square-Powers6", "mixed-Powers3", "four-ellipses-Rings4"])
+def test_public_stages_give_gamma_bounds_bracket_bitwise(shapes, schedule):
+    # assemble_gram -> GramSystem -> upper_bound / lower_bound, the stages a
+    # traced bench run replays, give gamma_bounds' bracket bit for bit
+    sc = validate_scene(scene(shapes))
+    bs = BasisSet(build_basis(sc, schedule))
+    system = GramSystem(assemble_gram(sc, bs), bs.d_vector())
+    res = gamma_bounds(sc, schedule)
+    assert (upper_bound(system), lower_bound(system)) == (res.upper, res.lower)
 
 
 def test_bounds_result_json_fields(two_disks):

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +165,63 @@ def test_nine_small_disks_factor_without_jitter():
     assert _factor(gram.H)[2] == 0.0
 
 
+def eighteen_disk_record(seed):
+    centers = random_configuration(18, seed)
+    return DiskConfiguration(centers, 0.4 * max_sweep_radius(centers), 9)
+
+
+def record_bits(rec):
+    # everything of a record but its wall times
+    return (rec.r, rec.ratio_low, rec.ratio_high, rec.error,
+            *((b.lower, b.upper, b.n_basis, b.solve_residual, b.slack)
+              for b in (rec.ef, rec.e, rec.f)))
+
+
+def test_concurrent_ratio_records_match_sequential_ones():
+    # the moment rows and the Cholesky copy live in per-thread buffers: two
+    # threads making different records at once get the records of sequential
+    # calls, bit for bit
+    cfgs = [eighteen_disk_record(seed) for seed in (3, 4)]
+    want = [record_bits(ratio_bounds(cfg, Rings(4))) for cfg in cfgs]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def work(i):
+        start.wait()
+        for _ in range(20):
+            got[i].append(record_bits(ratio_bounds(cfgs[i], Rings(4))))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the buffers' use
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for w, g in zip(want, got):
+        assert g == [w] * 20
+
+
+def test_ratio_record_makes_no_gram_sized_temporaries():
+    # after a warm-up call, a record's traced peak is its three Grams and
+    # little more: the Grams stay upper triangles (no mirror temporaries) and
+    # the moment rows and the factor copies reuse this thread's buffers
+    cfg = eighteen_disk_record(3)
+    rec = ratio_bounds(cfg, Rings(4))
+    grams = 16 * sum(b.n_basis ** 2 for b in (rec.ef, rec.e, rec.f))
+    tracemalloc.start()
+    try:
+        ratio_bounds(cfg, Rings(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * grams
+
+
 def test_max_sweep_radius():
     assert max_sweep_radius(PAIR) == pytest.approx(0.999 * 2.0)
 
@@ -220,6 +280,14 @@ def test_gap_report_tightens_with_schedule():
 def test_gap_report_empty():
     with pytest.raises(ValueError):
         gap_report([])
+
+
+def test_gap_report_of_error_records_only_says_none_succeeded():
+    # two radii past the sweep cap: both are error records
+    records = sweep(PAIR, 1, [1.9999, 2.5], Rings(2))
+    assert all(rec.error for rec in records)
+    with pytest.raises(ValueError, match="no record succeeded"):
+        gap_report(records)
 
 
 # --- asymptotics ------------------------------------------------------------
