@@ -344,7 +344,10 @@ class BasisSet:
             # any other array would be reshaped into a copy, or cast on writing
             raise ValueError("out must be a C-contiguous complex array of shape (n,) + z.shape")
         buf = out.reshape(self.n, zf.size)
-        if self._si.size:
+        if self.all_simple:
+            # straight into out: no temporary of out's size
+            np.divide(1.0, np.subtract(zf[None, :], self._sa[:, None], out=buf), out=buf)
+        elif self._si.size:
             d = zf[None, :] - self._sa[:, None]
             buf[self._si] = np.divide(1.0, d, out=d)
         if self._pc.size:

@@ -11,34 +11,34 @@ split: 1/(z - a) is in H^2 of the disk for a outside and in its orthogonal
 complement for a inside, so a pair on opposite sides contributes exactly
 zero, a pair inside keeps its closed form, and a pair outside is a
 geometric series in kappa = r/(a - c), a sum of products of multipole
-moments.  The moments of all the disks of a scene,
-as many per disk as an a priori bound asks (the dropped tail of each entry
-is within eps/2 of sqrt(H_aa H_bb)), give the upper triangle from one
-Hermitian product (``zherk``).  The same call can also give the Grams of a
-split of the scene into its first m shapes (on their basis functions) and
-the rest, the E, F and E u F of a subadditivity record, each from its own
-moments and so bitwise what it would be assembled alone.  Every other
-boundary goes through one call of the node-and-weight quadrature of
-:mod:`anacap.quadrature` over all its pieces, which climb one ladder
-together: one basis evaluation per integrand call, and one Hermitian product
-per piece's node set.  The
-basis values V, with the constant 1 appended as a last row and scaled by
-sqrt(w) in the same buffer, give the upper triangle of ``(V w) V^H`` from
-one ``zherk``, and that bordered block carries u and the length too.  The
-same split gives ``circle_pair_integral`` and ``circle_mean_integral`` in
-closed form for poles of any order; they are on no Gram path and stay
-public as exact references.
+moments.  The moments of all the disks of a scene, as many per disk as an
+a priori bound asks (the dropped tail of each entry is within eps/2 of
+sqrt(H_aa H_bb)), give the upper triangle from one Hermitian product
+(``zherk``), and every disk value is formed over 2 pi already.  The same
+call can also give the Grams of a split of the scene into its first m
+shapes (on their basis functions) and the rest, the E, F and E u F of a
+subadditivity record, each from its own moments and so bitwise what it
+would be assembled alone.  Every other boundary goes through one call of
+the node-and-weight quadrature of :mod:`anacap.quadrature` over all its
+pieces, which climb one ladder together: the basis values V of an
+integrand call, with the constant 1 appended as a last row and scaled by
+sqrt(w) in one per-thread buffer, give the upper triangle of ``(V w) V^H``
+from one ``zherk`` per piece's node set, and that bordered block carries u
+and the length too.  The same split gives ``circle_pair_integral`` and
+``circle_mean_integral`` in closed form for poles of any order; they are on
+no Gram path and stay public as exact references.
 
-Contributions are accumulated disks first, then the other shapes, in index
-order, so assembled matrices are bitwise reproducible.  The disks' H is not
-summed disk by disk: BLAS sums the moments of all of them at once.
+The quadrature blocks are summed shape by shape in index order, then
+divided by 2 pi and added to the disks' part, so assembled matrices are
+bitwise reproducible.  The disks' H is not summed disk by disk: BLAS sums
+the moments of all of them at once.
 
 A Gram is kept as its upper triangle from the ``zherk`` that makes it to
 the Cholesky factorization that reads it (:mod:`anacap.solver`); its lower
 triangle stays exactly zero, and only the public :func:`assemble_gram`
-mirrors it, so that the H it returns is Hermitian.  The moment rows, the
-disk path's one transient array of a Gram's size or more, live in a
-per-thread buffer that the next call reuses (:func:`_scratch`).
+mirrors it, so that the H it returns is Hermitian.  The moment rows and
+the integrand values live in per-thread buffers that the next call reuses
+(:func:`_scratch`).
 """
 
 from __future__ import annotations
@@ -67,7 +67,10 @@ def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
     buffer ``name``, grown on demand.  The next call for the same name in
     the same thread hands out the same memory, so the array must not outlive
     the call that took it; a thread keeps only its largest buffer per name.
-    Reusing it spares the fresh pages of a new array of that size."""
+    Reusing it spares the fresh pages of a new array of that size.  A
+    thread keeps the moment rows and the factor copy of its largest disk
+    Gram (about 3.8 MB at n = 306) and the quadrature integrand's values,
+    at most (n+1) * 4096 * 16 B (282 KB on the four ellipses, n = 68)."""
     size = math.prod(shape)
     buf = getattr(_THREAD, name, None)
     if buf is None or buf.size < size:
@@ -142,32 +145,31 @@ def _moment_counts(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(k, _K_MAX).astype(int), k > _K_MAX
 
 
-def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups
-                 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pair/mean integrals over groups of disks for an all-simple-pole basis.
+def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups) -> list[GramData]:
+    """Gram data over groups of disks for an all-simple-pole basis.
 
     With w = pole - c, 1/(z - a) lies in the Hardy space H^2 of a disk when
     a is outside its circle and in the orthogonal complement when a is
     inside, so on each disk (a = row pole, b = column pole)
 
     ========  ========  =============================================
-    a         b         \\oint (1/(z-a)) conj(1/(z-b)) |dz|
+    a         b         (1/2pi) \\oint (1/(z-a)) conj(1/(z-b)) |dz|
     ========  ========  =============================================
-    inside    inside    2 pi r / (r^2 - w_a conj(w_b))
-    outside   outside   -2 pi r / (r^2 - w_a conj(w_b))
+    inside    inside    r / (r^2 - w_a conj(w_b))
+    outside   outside   -r / (r^2 - w_a conj(w_b))
     mixed               0 exactly
     ========  ========  =============================================
 
-    Each group ``(d0, d1, j0, j1)`` asks for the sums over disks d0 .. d1-1
-    on basis indices j0 .. j1-1, returned as (H, u) in the group's own
-    indices, H as its upper triangle over a zero lower one.  H comes from
-    multipole moments (:func:`_moment_gram`): each entry is within eps/2 of
-    sqrt(H_aa H_bb) of the closed forms' sum, plus rounding, and is not
-    summed over its disks in disk order.  Each group's moments come from the
-    group's own slice of the disks-by-poles arrays, its inside pairs are the
-    elementwise closed forms of the same inputs, formed once for all the
-    groups, and u is summed in disk order, so a group gets bitwise the
-    (H, u) that its disks and indices give alone.
+    and the mean (1/2pi) \\oint 1/(z - a) |dz| is r / (c - a) outside, 0
+    inside.  Each group ``(d0, d1, j0, j1)`` asks for the sums over disks
+    d0 .. d1-1 on basis indices j0 .. j1-1, returned as :class:`GramData` in
+    the group's own indices, H as its upper triangle over a zero lower one
+    and c0 the sum of the radii.  H comes from multipole moments
+    (:func:`_moment_gram`): each entry is within eps/2 of sqrt(H_aa H_bb)
+    of the closed forms' sum, plus rounding.  conj(kappa), |kappa| and the
+    inside pairs' closed forms are elementwise, formed once for all the
+    groups, and u is summed in disk order, so a group gets bitwise the Gram
+    data that its disks and indices give alone.
     """
     c = np.array([d.center for d in disks], complex)[:, None]
     r = np.array([d.radius for d in disks])[:, None]
@@ -176,60 +178,59 @@ def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups
     if np.any(np.abs(dist - r) <= 1e-12 * np.maximum(r, dist)):
         raise PoleOnContourError("simple pole on the circle")
     inside = dist < r
-    means = np.where(inside, 0j, TWO_PI * r / np.where(poles != c, c - poles, 1.0))
-    # the closed forms of the pairs inside a disk, once for every group: a
-    # group takes those on its disks and indices, the values it would form
-    d_in, a_in, b_in, term_in = _closed_form_pairs(w, r, inside, 1.0)
-    blocks = []
-    for d0, d1, j0, j1 in groups:
-        u = np.zeros(j1 - j0, complex)
-        for mean in means[d0:d1, j0:j1]:
-            u += mean
-        # a <= b, so a >= j0 and b < j1 put both in the group
-        mine = (d0 <= d_in) & (d_in < d1) & (j0 <= a_in) & (b_in < j1)
-        pairs = a_in[mine] - j0, b_in[mine] - j0, term_in[mine]
-        blocks.append((_moment_gram(w[d0:d1, j0:j1], r[d0:d1], inside[d0:d1, j0:j1], pairs), u))
-    return blocks
-
-
-def _moment_gram(w: np.ndarray, r: np.ndarray, inside: np.ndarray, pairs) -> np.ndarray:
-    """Upper triangle of the sum over disks of the Hardy-split pair integrals
-    (:func:`_disk_blocks`), given w = pole - c (disks x poles), the radii
-    (disks x 1), which poles lie inside which disk, and the closed forms
-    (a, b, value) of the pairs inside one disk; the lower triangle is zero.
-
-    Outside, with kappa = r / w (|kappa| < 1), the pair integral is the
-    series (2 pi / r) sum_{k >= 1} kappa_a^k conj(kappa_b^k): on each disk a
-    sum of products of multipole moments.  The moment rows
-    sqrt(2 pi / r) conj(kappa)^k, zero at the poles inside the disk, are built
-    by one recurrence in k-major order (k, then disk), and one Hermitian
-    product (``zherk``) of all of them gives the upper triangle of every
-    outside pair on every disk at once; a mixed pair meets a zero row.  Disk d
-    takes K_d moments, the least K with rho^(2K) / (1 - rho^2) <= eps/2, rho
-    the largest |kappa| on d, so by Cauchy-Schwarz each dropped tail is within
-    eps/2 of sqrt(H_aa H_bb).  K_d is capped at ``_K_MAX``; a capped disk adds
-    the exact tail p^K times the closed form, p = kappa_a conj(kappa_b), to
-    its pairs with both |kappa|^K / (1 - |kappa|) above eps/2, the only ones
-    whose tail can exceed that bound.  Pairs inside one disk keep the closed
-    form; a pole lies inside at most one disk, so each of them is one entry.
-    No entry is summed over the disks in disk order.  The moment rows live
-    in this thread's scratch buffer (:func:`_scratch`), which the next call
-    reuses.
-    """
-    n = w.shape[1]
+    means = np.where(inside, 0j, r / np.where(poles != c, c - poles, 1.0))
     ck = np.divide(r, np.conj(w), out=np.zeros_like(w), where=~inside)  # conj(kappa)
     rho = np.abs(ck)
+    # a group takes the pairs inside its disks on its indices, the values
+    # it would form; a <= b, so a >= j0 and b < j1 put both in the group
+    d_in, a_in, b_in, term_in = _closed_form_pairs(w, r, inside, 1.0)
+    grams = []
+    for d0, d1, j0, j1 in groups:
+        mine = (d0 <= d_in) & (d_in < d1) & (j0 <= a_in) & (b_in < j1)
+        pairs = a_in[mine] - j0, b_in[mine] - j0, term_in[mine]
+        part = np.s_[d0:d1, j0:j1]
+        H = _moment_gram(w[part], r[d0:d1], ck[part], rho[part], pairs)
+        grams.append(GramData(H, np.add.reduce(means[part], axis=0),
+                              sum(d.radius for d in disks[d0:d1])))
+    return grams
+
+
+def _moment_gram(w: np.ndarray, r: np.ndarray, ck: np.ndarray, rho: np.ndarray,
+                 pairs) -> np.ndarray:
+    """Upper triangle of the sum over disks of the Hardy-split pair integrals
+    (:func:`_disk_blocks`) over a zero lower one, given w = pole - c (disks
+    x poles), the radii (disks x 1), ck = conj(kappa) and rho = |kappa| (0
+    inside a disk), and the closed forms (a, b, value) of the inside pairs.
+
+    Outside, with kappa = r / w (|kappa| < 1), the pair integral is the
+    series (1/r) sum_{k >= 1} kappa_a^k conj(kappa_b^k): on each disk a sum
+    of products of multipole moments.  Disk d takes K_d moments, the least
+    K with rho^(2K) / (1 - rho^2) <= eps/2, rho the largest |kappa| on d,
+    so by Cauchy-Schwarz each dropped tail is within eps/2 of
+    sqrt(H_aa H_bb).  With the disks in a stable order of K_d, most first,
+    those that take a k-th moment are a prefix, so one recurrence of slice
+    products builds the moment rows r^(-1/2) conj(kappa)^k, zero at the
+    poles inside the disk, in k-major order, and one ``zherk`` of all of
+    them gives the upper triangle of every outside pair on every disk at
+    once; a mixed pair meets a zero row.  K_d is capped at ``_K_MAX``; a
+    capped disk adds the exact tail p^K times the closed form, p = kappa_a
+    conj(kappa_b), to its pairs with both |kappa|^K / (1 - |kappa|) above
+    eps/2, the only ones whose tail can exceed that bound.  Pairs inside one
+    disk keep the closed form; a pole lies inside at most one disk, so each
+    of them is one entry.  No entry is summed over the disks in disk order.
+    The moment rows live in this thread's scratch buffer (:func:`_scratch`),
+    which the next call reuses.
+    """
+    n = w.shape[1]
     k_d, capped = _moment_counts(rho.max(axis=1, initial=0.0))
-    rows = _scratch("rows", (int(k_d.sum()), n))
-    live = np.flatnonzero(k_d)
-    prev = np.multiply(np.sqrt(TWO_PI / r[live]), ck[live], out=rows[:live.size])
-    at = live.size
-    for k in range(2, k_d.max(initial=0) + 1):
-        keep = k_d[live] >= k
-        if not keep.all():
-            live, prev = live[keep], prev[keep]
-        prev = np.multiply(prev, ck[live], out=rows[at:at + live.size])
-        at += live.size
+    order = np.argsort(-k_d, kind="stable")
+    # live[k - 1] disks, the first of that order, take a k-th moment
+    live = np.count_nonzero(k_d[:, None] > np.arange(k_d.max(initial=0)), axis=0)
+    rows = _scratch("rows", (int(live.sum()), n))
+    prev, ck_sorted, at = 1.0 / np.sqrt(r[order]), ck[order], 0
+    for m in live:
+        prev = np.multiply(prev[:m], ck_sorted[:m], out=rows[at:at + m])
+        at += m
     # A = rows.T is n x K in Fortran order; BLAS puts A A^H = conj(H) in its
     # lower triangle, whose transpose is H's upper triangle in C order
     H = zherk(1.0, rows.T, trans=0, lower=1).T
@@ -241,12 +242,14 @@ def _moment_gram(w: np.ndarray, r: np.ndarray, inside: np.ndarray, pairs) -> np.
         tail = capped[:, None] & (rho ** _K_MAX > _HALF_EPS * (1.0 - rho))
         d, a, b, term = _closed_form_pairs(w, r, tail, -1.0)
         np.add.at(H, (a, b), (np.conj(ck[d, a]) * ck[d, b]) ** _K_MAX * term)
+    # zherk's diagonal is real; the closed forms added to it may not be
+    np.fill_diagonal(H.imag, 0.0)
     return H
 
 
 def _closed_form_pairs(w: np.ndarray, r: np.ndarray, mask: np.ndarray, sign: float):
-    """(d, a, b, value) of the closed form sign 2 pi r / (r^2 - w_a conj(w_b))
-    on disk d, for every pair a <= b of poles that mask marks on d, sorted by
+    """(d, a, b, value) of the closed form sign r / (r^2 - w_a conj(w_b)) on
+    disk d, for every pair a <= b of poles that mask marks on d, sorted by
     (d, a, b)."""
     d, j = np.nonzero(mask)
     count = np.bincount(d, minlength=mask.shape[0])
@@ -258,7 +261,7 @@ def _closed_form_pairs(w: np.ndarray, r: np.ndarray, mask: np.ndarray, sign: flo
     keep = j[p] <= j[q]
     d, a, b = d[p[keep]], j[p[keep]], j[q[keep]]
     rd = r[d, 0]
-    return d, a, b, sign * TWO_PI * rd / (rd * rd - w[d, a] * np.conj(w[d, b]))
+    return d, a, b, sign * rd / (rd * rd - w[d, a] * np.conj(w[d, b]))
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +283,10 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
     quadrature, one (n+1) x (n+1) block per shape, from one ladder over all
     their pieces.
 
-    Each integrand call fills one buffer A (n+1 x nodes) for all the parts it
-    gets: ``bs.eval_all`` writes the basis values into A[:n], row n is the
-    constant 1, and A is scaled in place by sqrt(w) (the weights are >= 0).
+    Each integrand call fills one per-thread buffer A (n+1 x nodes,
+    :func:`_scratch`) for all the parts it gets: ``bs.eval_all`` writes the
+    basis values into A[:n], row n is the constant 1, and A is scaled in
+    place by sqrt(w) (the weights are >= 0).
     One Hermitian rank-k update (``zherk``) per part, on the part's columns,
     then gives the upper triangle of the bordered block G = (A w) A^H: H in
     G[:n, :n], u in G[:n, n] and the length in G[n, n], with an exactly real
@@ -335,7 +339,7 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
                 subs.setdefault(start, z - start)[c] = arc.disp_start(t[c])
             if end is not None:
                 subs.setdefault(end, z - end)[c] = arc.disp_end(s1[c])
-        A = np.empty((n + 1, z.size), complex)
+        A = _scratch("quad", (n + 1, z.size))
         bs.eval_all(z, list(subs.items()) or None, out=A[:n])
         A[n] = 1.0
         A *= np.sqrt(w)
@@ -403,9 +407,10 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
     The disk kernel takes each group's moments from its own disks and its own
     indices only (:func:`_disk_blocks`), so with disks the group Grams are
     bitwise those of the groups assembled alone.  A quadrature shape's block
-    is computed once over the whole basis and restricted to its group's
-    indices; the adaptive rule then refines for the whole basis, which moves
-    a group's entries by rounding only.
+    is computed once over the whole basis and summed into each group that
+    holds it, on the group's indices (the adaptive rule then refines for the
+    whole basis, which moves a group's entries by rounding only); the sums
+    are finished by :func:`_gram_data` and added to the disks' Grams.
     """
     if settings is None:
         settings = QuadratureSettings()
@@ -416,31 +421,32 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
         groups += [(0, m, 0, k), (m, len(sc.shapes), k, n)]
     closed_form = [isinstance(s, Disk) and bs.all_simple for s in sc.shapes]
     disks = [s for s, cf in zip(sc.shapes, closed_form) if cf]
+    quad = [i for i, cf in enumerate(closed_form) if not cf]
     # a group's disks, counted among the closed-form disks
     before = np.cumsum([0, *closed_form])
-    disk_groups = [(before[s0], before[s1], j0, j1) for s0, s1, j0, j1 in groups]
-    if disks:
-        blocks = _disk_blocks(bs._sa, disks, disk_groups)
-    else:
-        blocks = [(np.zeros((j1 - j0, j1 - j0), complex), np.zeros(j1 - j0, complex))
-                  for _, _, j0, j1 in groups]
-    lengths = [sum(TWO_PI * d.radius for d in disks[d0:d1]) for d0, d1, _, _ in disk_groups]
-    quad = [i for i, cf in enumerate(closed_form) if not cf]
-    if quad:
-        for i, G in zip(quad, _quad_blocks(bs, [sc.shapes[i] for i in quad], settings)):
-            for g, (s0, s1, j0, j1) in enumerate(groups):
-                if s0 <= i < s1:
-                    H, u = blocks[g]
-                    H += G[j0:j1, j0:j1]
-                    u += G[j0:j1, n]
-                    lengths[g] += float(G[n, n].real)
-    return [_gram_data(H, u, L) for (H, u), L in zip(blocks, lengths)]
+    grams = _disk_blocks(bs._sa, disks, [(before[s0], before[s1], j0, j1)
+                                         for s0, s1, j0, j1 in groups]) if disks else None
+    if disks and not quad:
+        return grams
+    blocks = [(np.zeros((j1 - j0, j1 - j0), complex), np.zeros(j1 - j0, complex))
+              for _, _, j0, j1 in groups]
+    lengths = [0.0] * len(groups)
+    for i, G in zip(quad, _quad_blocks(bs, [sc.shapes[i] for i in quad], settings)):
+        for g, (s0, s1, j0, j1) in enumerate(groups):
+            if s0 <= i < s1:
+                H, u = blocks[g]
+                H += G[j0:j1, j0:j1]
+                u += G[j0:j1, n]
+                lengths[g] += float(G[n, n].real)
+    quads = [_gram_data(H, u, L) for (H, u), L in zip(blocks, lengths)]
+    return [GramData(g.H + q.H, g.u + q.u, g.c0 + q.c0)
+            for g, q in zip(grams, quads)] if disks else quads
 
 
 def _gram_data(H: np.ndarray, u: np.ndarray, length: float) -> GramData:
-    """Finish summed boundary integrals in place: real diagonal, everything
-    over 2 pi.  H's lower triangle is not read or mirrored: the summed
-    blocks leave it zero, and zero it stays."""
+    """Finish summed quadrature blocks in place: real diagonal, everything
+    over 2 pi, the units the disk kernel forms.  H's lower triangle is not
+    read or mirrored: the summed blocks leave it zero, and zero it stays."""
     di = np.arange(u.size)
     H[di, di] = H[di, di].real  # Gram diagonal is real; drop rounding residue
     # dividing a complex array by 2 pi gives x * fl(1/2pi) in each finite

@@ -19,8 +19,9 @@ The bounds are rigorous up to quadrature error; the reported ``slack``
 The solver reads only the upper triangle of H, in the factorization and in
 the products H x, so it takes the triangle that assembly makes
 (``integrals._assemble_grams``) and the mirrored H of ``assemble_gram``
-alike, with the same bits.  The equilibrated copy that LAPACK factors lives
-in a per-thread buffer that the next factorization reuses.
+alike, with the same bits.  LAPACK factors a copy of the Gram as
+assembled, with no equilibration, in a per-thread buffer that the next
+factorization reuses, and solves for both objectives in one call.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import zhemv
+from scipy.linalg.blas import zhemm
 from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .basis import BasisSet, CornerAdapted, SimplePole, _require_star_shaped, build_basis
@@ -68,38 +69,38 @@ _JITTERS = (0.0, 4e-15, 1e-13, 1e-11, 1e-9)
 
 
 def _factor(H: np.ndarray):
-    """Cholesky factor of conj(A), A = S H S the symmetric diagonal
-    equilibration of H with S = diag(s): the factor in Fortran order (its
-    lower triangle), s and the jitter used.  Only H's upper triangle is read.
+    """Cholesky factor of conj(H) in Fortran order (its lower triangle) and
+    the jitter used.  Only H's upper triangle is read.
 
-    For large bases the equilibrated matrix can be singular to working
-    precision although positive definite in exact arithmetic; a bounded
-    ladder of diagonal jitters recovers a usable factorization.  Bound
-    validity is unaffected: the objectives are evaluated at the computed
-    point with the true H, and any point yields a valid bound.
+    H is factored as assembled: Cholesky's success and backward error depend
+    on H only through D^-1 H D^-1, D = diag(H)^(1/2) (Demmel, LAPACK Working
+    Note 14, 1989; Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., sec. 10.1), so it needs no equilibration.  A large basis can be
+    singular to working precision although positive definite; a bounded
+    ladder of jitters, each adding jit H_jj to the diagonal (jit to that of
+    D^-1 H D^-1), recovers a usable factorization.  Bound validity is
+    unaffected: the objectives are evaluated at the computed point with the
+    true H, and any point yields a valid bound.
     """
-    diag = np.ascontiguousarray(H.diagonal().real)
+    diag = H.diagonal().real
     if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
         raise SingularGramError("Gram diagonal not strictly positive")
-    s = 1.0 / np.sqrt(diag)
     n = len(diag)
-    # the C-ordered buffer B[j, k] = (H[j, k] s_k) s_j is, in Fortran order,
-    # B^T, whose lower triangle holds A's upper one: H is Hermitian, so that
-    # is the lower triangle of A^T = conj(A), factored in place as
-    # conj(A) = L L^H.  It is the conjugate of A's factor, bit for bit, so a
-    # solve with conjugated right-hand side and result gives A's solution.
-    # A failed attempt overwrites the buffer, so each step of the ladder
-    # rebuilds it; the buffer is this thread's, reused by the next call.
+    # the C-ordered copy of H is, in Fortran order, H^T = conj(H), whose
+    # lower triangle holds H's upper one; it is factored in place as
+    # conj(H) = L L^H, the conjugate of H's factor bit for bit, so a solve
+    # with conjugated right-hand side and result gives H's solution.  A
+    # failed attempt overwrites the buffer, this thread's, so each step of
+    # the ladder copies H again.
     buf = _scratch("factor", (n, n))
     info = 0
     for jit in _JITTERS:
-        np.multiply(H, s[None, :], out=buf)
-        buf *= s[:, None]
+        np.copyto(buf, H)
         if jit:
-            buf.ravel()[:: n + 1] += jit
+            buf.ravel()[:: n + 1] += jit * diag
         c, info = zpotrf(buf.T, lower=1, clean=0, overwrite_a=1)
         if info == 0:
-            return c, s, jit
+            return c, jit
         if info < 0:
             raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
     raise SingularGramError(
@@ -109,30 +110,30 @@ def _factor(H: np.ndarray):
 
 def _objectives(gram: GramData, d: np.ndarray) -> tuple[float, float, float]:
     """(upper, lower, residual) from one factorization of the Gram: each
-    objective at its own solve, of H x = -u and then of H x = d, and the
-    larger relative residual max|H x - rhs| / max|rhs| of the two.
+    objective at its own column of the solution of H X = [-u, d], and the
+    larger relative residual max|H x - rhs| / max|rhs| of the two columns.
 
-    Only H's upper triangle is read.  For a C-ordered H, H.T is the same
-    memory in Fortran order, the matrix conj(H) with H's upper triangle as
-    its lower one, so H x = conj(conj(H) conj(x)) is one ``zhemv`` on that
-    lower triangle, and nothing is copied.  H x runs on SciPy's BLAS, the
-    one library that assembly (its ``zherk``) and the factorization use (see
-    ``integrals._quad_blocks``).  With SciPy's OpenBLAS 0.3.30 on two
-    cores this ``zhemv`` runs on one thread at n = 30 and on both at n = 68,
-    as a ``zgemv`` on the mirrored H does, but at n = 306 it takes about
-    130 us where that ``zgemv`` takes 33 us.
+    Only H's upper triangle is read.  The factor is that of conj(H), so one
+    ``zpotrs`` on the conjugated right-hand sides gives conj(X).  For a
+    C-ordered H, H.T is the same memory in Fortran order, the matrix conj(H)
+    with H's upper triangle as its lower one, so H X = conj(conj(H) conj(X))
+    is one ``zhemm`` on that lower triangle, and nothing is copied.  H X runs
+    on SciPy's BLAS, the one library that assembly (its ``zherk``) and the
+    factorization use (see ``integrals._quad_blocks``).  With SciPy's
+    OpenBLAS on two cores, at n = 306 one ``zhemm`` of both columns takes
+    about 147 us against 188 us for two ``zhemv``, and one two-column
+    ``zpotrs`` 243 us against 391 us for two one-column solves.
     """
-    c, s, _ = _factor(gram.H)
-    sols = []
-    for rhs in (-gram.u, d.astype(complex)):
-        x = np.conj(zpotrs(c, np.conj(rhs * s), lower=1, overwrite_b=1)[0]) * s
-        hx = np.conj(zhemv(1.0, gram.H.T, np.conj(x), lower=1))
-        res = float(np.max(np.abs(hx - rhs))) / (float(np.max(np.abs(rhs))) or 1.0)
-        sols.append((x, hx, res))
-    (xu, hu, res_u), (xd, hd, res_d) = sols
+    c, _ = _factor(gram.H)
+    rhs = np.array([-gram.u, d], complex)
+    # rows of a C-ordered 2 x n array are the columns of its n x 2 transpose
+    xc = zpotrs(c, np.conj(rhs).T, lower=1, overwrite_b=1)[0]
+    (xu, xd), (hu, hd) = np.conj(xc.T), np.conj(zhemm(1.0, gram.H.T, xc, lower=1).T)
+    res = max(float(np.max(np.abs(hx - b))) / (float(np.max(np.abs(b))) or 1.0)
+              for hx, b in zip((hu, hd), rhs))
     up = gram.c0 + 2.0 * np.vdot(xu, gram.u).real + np.vdot(xu, hu).real
     lo = 2.0 * np.vdot(xd, d).real - np.vdot(xd, hd).real
-    return float(up), float(lo), max(res_u, res_d)
+    return float(up), float(lo), res
 
 
 def upper_bound(sys: GramSystem) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from anacap.basis import CornerAdapted, PowerPole, SimplePole
 from anacap.geometry import ArcChain, CircularArc, Disk, Polygon, Scene, Segment, scene
+from anacap.sublab import max_sweep_radius, random_configuration
 
 
 @pytest.fixture
@@ -29,6 +30,13 @@ def half_disk(center: complex, r: float = 0.5) -> ArcChain:
 
 # disk plus two half-disks: power poles on the disk, corner groups on the chains
 MIXED_SHAPES = (Disk(0j, 1.0), half_disk(3 + 0j), half_disk(3j))
+
+
+def eighteen_disks() -> list:
+    """The 18 disks of a disk_sweep record, at 0.4 of the sweep's cap."""
+    centers = random_configuration(18, 3)
+    r = 0.4 * max_sweep_radius(centers)
+    return [Disk(c, r) for c in centers]
 
 
 def each_piece(g):

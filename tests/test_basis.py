@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +323,28 @@ def test_eval_all_into_buffer_rows(shapes, schedule):
                 assert np.isnan(A[n]).all()
     with pytest.raises(ValueError, match="C-contiguous"):
         bs.eval_all(z, out=np.empty((n, 2 * z.size), complex)[:, ::2])
+
+
+def test_simple_pole_values_go_straight_into_the_buffer():
+    # an all-simple-pole basis is written into out with no temporary of its
+    # size, and keeps the bits of the per-member expression; at 4096 nodes,
+    # the most one part of a quadrature call holds, the values take 4.4 MB,
+    # and NumPy's own buffers for a broadcast operand (8192 elements each)
+    # stay far below a quarter of that
+    sc = validate_scene(scene([Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)]))
+    funcs = build_basis(sc, Rings(4))
+    bs = BasisSet(funcs)
+    z = arcs(sc.shapes[0])[0].point((np.arange(4096) + 0.5) / 4096)
+    A = np.empty((bs.n, z.size), complex)
+    bs.eval_all(z, out=A)
+    tracemalloc.start()
+    try:
+        bs.eval_all(z, out=A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < A.nbytes / 4
+    assert same_bits(A, row_per_member_eval(funcs, z))
 
 
 def test_corner_values_do_not_depend_on_the_node_count():

@@ -14,7 +14,7 @@ from anacap.basis import BasisSet, CornerAdapted, PowerPole, Powers, Rings, Simp
 from anacap.errors import SceneConfigError, SingularGramError, SolveError
 from anacap.geometry import (Disk, Ellipse, Polygon, _signed_area, arcs, scene,
                              transform, validate_scene)
-from anacap.integrals import GramData, assemble_gram
+from anacap.integrals import GramData, _assemble_grams, assemble_gram
 from anacap.quadrature import QuadratureSettings
 from anacap.solver import (
     BoundsResult,
@@ -25,7 +25,7 @@ from anacap.solver import (
     refine,
     upper_bound,
 )
-from conftest import MIXED_SHAPES, random_points
+from conftest import MIXED_SHAPES, eighteen_disks, random_points
 
 TWO_DISK_GAMMA = 1.8755950190971197289
 
@@ -235,6 +235,46 @@ def test_public_stages_give_gamma_bounds_bracket_bitwise(shapes, schedule):
     system = GramSystem(assemble_gram(sc, bs), bs.d_vector())
     res = gamma_bounds(sc, schedule)
     assert (upper_bound(system), lower_bound(system)) == (res.upper, res.lower)
+
+
+def test_objectives_make_one_factorization_one_solve_and_one_product(monkeypatch):
+    # both right-hand sides go through one zpotrs and one zhemm
+    sc = validate_scene(scene(eighteen_disks()))
+    bs = BasisSet(build_basis(sc, Rings(4)))
+    gram = _assemble_grams(sc, bs, None)[0]
+    calls = []
+
+    def counted(name):
+        f = getattr(solver, name)
+
+        def wrapper(*args, **kw):
+            calls.append(name)
+            return f(*args, **kw)
+        return wrapper
+
+    for name in ("zpotrf", "zpotrs", "zhemm"):
+        monkeypatch.setattr(solver, name, counted(name))
+    solver._objectives(gram, bs.d_vector())
+    assert sorted(calls) == ["zhemm", "zpotrf", "zpotrs"]
+
+
+@pytest.mark.parametrize("shapes, schedule", [
+    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, with_corners=True)),
+    ([Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)], Rings(4)),
+    (eighteen_disks(), Rings(4)),
+], ids=["square-Powers6", "four-ellipses-Rings4", "18-disks-Rings4"])
+def test_power_of_two_scaling_leaves_the_bounds_bitwise_unchanged(shapes, schedule, rng):
+    # with P a diagonal of powers of two, (P H P, P u, P d) has the solutions
+    # P^-1 x and every product of the objectives exactly: Cholesky is
+    # invariant to the diagonal scaling it is factored with, so the bounds
+    # keep every bit
+    sc = validate_scene(scene(shapes))
+    bs = BasisSet(build_basis(sc, schedule))
+    gram, d = _assemble_grams(sc, bs, None)[0], bs.d_vector()
+    p = 2.0 ** rng.integers(-20, 21, bs.n)
+    scaled = GramData(p[:, None] * gram.H * p[None, :], p * gram.u, gram.c0)
+    want = solver._objectives(gram, d)[:2]
+    assert solver._objectives(scaled, p * d)[:2] == want
 
 
 def test_bounds_result_json_fields(two_disks):
