@@ -147,9 +147,9 @@ class ParametricArc(NamedTuple):
         """z'(t) at a scalar or an array t."""
         return self._point_velocity(t)[1] + 0.0 * t  # a segment's is a constant
 
-    def _point_velocity(self, t):
+    def _point_velocity(self, t, e=None):
         """z(t), equal to ``point(t)`` up to rounding, and z'(t) of one piece,
-        both from one e(t).
+        both from one e = ``_turn(turns * t)``, which a caller may pass in.
 
         Terms with a zero coefficient are skipped (the angle of a segment, d
         of a circular arc): quadrature calls this on node arrays of a few
@@ -158,7 +158,7 @@ class ParametricArc(NamedTuple):
         """
         if not self.turns:
             return self.p0 + self.p1 * t, self.p1
-        e = _turn(self.turns * t)
+        e = _turn(self.turns * t) if e is None else e
         dz = (self.b * self.e0) * e
         z = self.p0 + dz
         if self.d:

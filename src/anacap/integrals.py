@@ -24,7 +24,8 @@ pieces, which climb one ladder together: the basis values V of an
 integrand call, with the constant 1 appended as a last row and scaled by
 sqrt(w) in one per-thread buffer, give the upper triangle of ``(V w) V^H``
 from one ``zherk`` per piece's node set, and that bordered block carries u
-and the length too.  The same split gives ``circle_pair_integral`` and
+and the length too; its convergence test reads the diagonal first
+(:func:`_gram_converged`).  The same split gives ``circle_pair_integral`` and
 ``circle_mean_integral`` in closed form for poles of any order; they are on
 no Gram path and stay public as exact references.
 
@@ -53,7 +54,7 @@ from scipy.linalg.blas import zherk
 from .basis import BasisFunction, BasisSet, PowerPole, SimplePole
 from .errors import NonRationalBasisError, PoleOnContourError
 from .geometry import Disk, Scene, arcs
-from .quadrature import QuadratureSettings, integrate_arc
+from .quadrature import _EPS, QuadratureSettings, integrate_arc
 
 TWO_PI = 2.0 * math.pi
 _HALF_EPS = 0.5 * np.finfo(float).eps
@@ -300,7 +301,8 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
     subtraction ``eval_all`` makes itself.  A basis value does not depend on
     the other nodes of its call, so each piece's sums, and the blocks summed
     from them piece by piece in order, have the bits of a piece-by-piece
-    assembly.
+    assembly.  A shape's block is its first piece's sum, the others added in
+    place: a -0 entry vanishes in the sums of :func:`_assemble_grams`.
 
     The update runs on SciPy's BLAS, like the solver's factorization: NumPy
     and SciPy each bundle an OpenBLAS with its own thread pool, and
@@ -348,21 +350,39 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
         # whose transpose is G's upper triangle in C order
         return [zherk(1.0, A[:, c].T, trans=2, lower=1).T.ravel() for _, c in spans]
 
-    vals = integrate_arc(f, pieces, settings, scale=lambda v: _gram_scale(v, n + 1),
-                         rows=n + 1)
-    blocks = [np.zeros((n + 1, n + 1), complex) for _ in shapes]
+    vals = integrate_arc(f, pieces, settings, rows=n + 1,
+                         converged=lambda new, old, tol: _gram_converged(new, old, tol, n + 1))
+    blocks = [None] * len(shapes)
     for k, v in zip(owner, vals):
-        blocks[k] += v.reshape(n + 1, n + 1)
+        v = v.reshape(n + 1, n + 1)
+        blocks[k] = v if blocks[k] is None else np.add(blocks[k], v, out=blocks[k])
     return blocks
 
 
-def _gram_scale(vals: np.ndarray, m: int) -> np.ndarray:
-    """Cauchy-Schwarz bounds sqrt(G_jj G_kk) on the weighted sums of |terms|
-    of m x m blocks G (H bordered by u and the length), stacked one raveled
-    block per row.  Entries that cancel far below these carry rounding noise
-    of that size, so it sets their floor."""
-    d = np.abs(vals[:, :: m + 1].real)
-    return np.sqrt(d[:, :, None] * d[:, None, :]).reshape(vals.shape)
+def _gram_converged(new: np.ndarray, old: np.ndarray, tol: float, m: int) -> np.ndarray:
+    """Whether each of two successive estimates of m x m blocks G (H
+    bordered by u and the length), stacked one raveled block per row, has
+    converged: every entry within max(tol, 64 eps sqrt(G_jj G_kk)) of the
+    last, real and imaginary parts separately, G_jj the |Re| of the new
+    diagonal, a Cauchy-Schwarz bound on the weighted sum of |terms|.  Most
+    blocks that have not converged fail on the diagonal, so it is tested
+    first, and only the blocks that pass it take the whole test."""
+    d = np.abs(new[:, :: m + 1].real)
+    ok = _within(new[:, :: m + 1], old[:, :: m + 1], np.sqrt(d * d), tol)
+    rows = np.flatnonzero(ok)
+    if 0 < rows.size < ok.size:
+        new, old, d = new[rows], old[rows], d[rows]
+    if rows.size:
+        ok[rows] = _within(new, old, np.sqrt(d[:, :, None] * d[:, None, :]).reshape(new.shape), tol)
+    return ok
+
+
+def _within(new: np.ndarray, old: np.ndarray, size: np.ndarray, tol: float) -> np.ndarray:
+    """Whether every entry of each row of new is within max(tol, 64 eps
+    size) of old, real and imaginary parts separately; NaN is not."""
+    diff = new - old
+    return (np.maximum(np.abs(diff.real), np.abs(diff.imag))
+            <= np.maximum(tol, 64.0 * _EPS * size)).all(axis=1)
 
 
 def _matching_corner(corner_pts: np.ndarray, endpoint: complex, scale: float):

@@ -23,9 +23,10 @@ piece.  Only the map from u to t depends on the piece:
 
 Since every piece sees the same u-grid at a given level, all the pieces of
 one call climb the ladder together: each level maps u once per kind of
-piece and gives every piece not yet converged the same m new nodes, in
-equal parts of min(m, ``_CHUNK``); the integrand takes as many whole parts
-per call as ``_BATCH_TERMS`` allows.  Each piece keeps its own sum, its own
+piece (and e(t) once per number of turns) and gives every piece not yet
+converged the same m new nodes, in equal parts of min(m, ``_CHUNK``); the
+integrand takes as many whole parts per call as ``_BATCH_TERMS`` allows.
+Each piece keeps its own running estimate (a row of one array), its own
 convergence test and its own error, so its integral has the bits it would
 have alone.
 """
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MaxDepthError, SceneConfigError
-from .geometry import ParametricArc
+from .geometry import ParametricArc, _turn
 
 _EPS = float(np.finfo(float).eps)
 _START_NODES = 64  # first level of the ladder
@@ -96,40 +97,31 @@ def _open_nodes(u):
 
 def _nodes(pieces, closed, live, u, wu):
     """One level's new nodes (t, z, s1, w) on each live piece, in order; the
-    map from u to t and its weights are made once per kind of piece."""
+    map from u to t, its weights and e(t) per turns, once per kind of piece."""
     rules = {}
     for i in live:
-        kind = closed[i]
+        arc, kind = pieces[i], closed[i]
         if kind not in rules:
             t, s1, jac = (_closed_nodes if kind else _open_nodes)(u)
-            rules[kind] = t, s1, wu * jac
-        t, s1, wj = rules[kind]
-        z, dz = pieces[i]._point_velocity(t)
+            rules[kind] = t, s1, wu * jac, {}
+        t, s1, wj, turns = rules[kind]
+        if arc.turns and arc.turns not in turns:
+            turns[arc.turns] = _turn(arc.turns * t)
+        z, dz = arc._point_velocity(t, turns.get(arc.turns))
         yield t, z, s1, wj * np.abs(dz)
 
 
-def _rows(values: list) -> np.ndarray:
-    """Estimates as the rows of one array; a lone one is not copied."""
-    if len(values) == 1:
-        return np.reshape(values[0], (1, -1))
-    return np.stack(values).reshape(len(values), -1)
-
-
-def _component_size(value: np.ndarray) -> np.ndarray:
-    """max(|Re|, |Im|) of each component: the default rounding scale."""
-    return np.maximum(np.abs(value.real), np.abs(value.imag))
-
-
-def _converged(new: np.ndarray, old: np.ndarray, tol: float, scale) -> np.ndarray:
+def _converged(new: np.ndarray, old: np.ndarray, tol: float) -> np.ndarray:
     """Whether each row (one piece's estimate) of the stacked estimates has
-    converged."""
+    converged: every component agrees with the last level's to
+    max(tol, 64 eps max(|Re|, |Im|)), real and imaginary parts separately."""
     diff = new - old
-    bound = np.maximum(tol, 64.0 * _EPS * scale(new))
+    bound = np.maximum(tol, 64.0 * _EPS * np.maximum(np.abs(new.real), np.abs(new.imag)))
     return ((np.abs(diff.real) <= bound) & (np.abs(diff.imag) <= bound)).all(axis=1)
 
 
 def integrate_arc(f, pieces: list[ParametricArc], settings: QuadratureSettings,
-                  scale=_component_size, rows: int = 1) -> list:
+                  converged=_converged, rows: int = 1) -> list:
     """Integral over each piece of g(t) * |z'(t)| dt, t in [0, 1], in order.
 
     ``f(spans, t, z, s1, w)`` receives the node arrays of one call, which it
@@ -149,57 +141,60 @@ def integrate_arc(f, pieces: list[ParametricArc], settings: QuadratureSettings,
     C |t - t0|^s with s > -1/2 at an end t0 (a corner) needs no flag.  The
     double-exponential map stops at a distance delta = 1/(1 + e^85) from
     each end, which drops at most C delta^(1+s) / (1+s) < 1e-18 C there.
-    ``scale`` maps estimates, stacked one row per piece, to the size of their
-    terms, which sets the rounding floor: a component's own size by default,
-    while sums that cancel far below their terms (off-diagonal Gram entries)
-    must pass a bound on the sum of |g|.  Every piece starts at 64 nodes and
-    doubles them until it converges, whatever the others do; once a level's
-    calls are made, the pieces whose last part one call holds take their
-    convergence tests in one vectorized pass, and a piece's integral does
-    not depend on the pieces it is integrated with.  Raises
-    :class:`MaxDepthError`, naming the first piece in order that has not
-    converged, if the tolerance is not met within 2^16 nodes.
+    ``converged(new, old, tol)`` tells from two successive estimates,
+    stacked one raveled row per piece, which have converged: by default
+    each component to the rounding floor of its own size, while sums that
+    cancel far below their terms (off-diagonal Gram entries) must pass a
+    bound on the sum of |g|.  Every piece starts at 64 nodes and doubles
+    them until it converges, whatever the others do.  The pieces of a call,
+    or the one piece whose parts fill several calls, sum each level's parts
+    from 0j in the rows of one array, add half their running estimates, take
+    their tests in one call of ``converged`` and are copied over their rows
+    of the pieces x size running estimates, of which the returned arrays are
+    views.  Raises :class:`MaxDepthError`, naming the first piece in order
+    that has not converged, if the tolerance is not met within 2^16 nodes.
     """
     tol = settings.abs_tol
     closed = [arc.start == arc.end for arc in pieces]
     live = list(range(len(pieces)))
-    prev = [0j] * len(pieces)
-    out = [None] * len(pieces)
+    est = None
     for depth, (u, wu, keep, count) in enumerate(_trapezoid_levels()):
         if not live:
-            return out
-        # m new nodes a live piece, in parts of c; the call at part k holds the
-        # last parts of live[k c // m:(k + per) c // m]
+            break
+        # m new nodes a live piece, in parts of c, at most per parts a call; a
+        # group of g live pieces fills one call, or one piece fills m / c / per
         m = u.size
         c = min(m, _CHUNK)
         per = max(1, _BATCH_TERMS // (rows * c))
+        g = max(1, per * c // m)
         parts = [[x[a:a + c] for x in nodes] for nodes in _nodes(pieces, closed, live, u, wu)
                  for a in range(0, m, c)]
-        calls = range(0, len(parts), per)
-        sums = dict.fromkeys(live, 0j)
-        for k in calls:
-            batch = parts[k:k + per]
-            arrays = batch[0] if len(batch) == 1 else map(np.concatenate, zip(*batch))
-            spans = [(live[(k + b) * c // m], slice(b * c, b * c + c)) for b in range(len(batch))]
-            for (i, _), val in zip(spans, f(spans, *arrays)):
-                sums[i] = sums[i] + np.asarray(val, complex)
         rest = []
-        for k in calls:
-            group = live[k * c // m:(k + per) * c // m]
-            if not group:
-                continue
-            est = [sums[i] + keep * prev[i] for i in group]
-            done = (_converged(_rows(est), _rows([prev[i] for i in group]), tol, scale)
-                    if depth else [False] * len(group))
-            for i, total, ok in zip(group, est, done):
-                if ok:
-                    out[i] = total if total.ndim else complex(total)
-                else:
-                    rest.append(i)
-                    prev[i] = total
+        for first in range(0, len(live), g):
+            group, new = live[first:first + g], None
+            end = (first + len(group)) * m // c
+            for k in range(first * m // c, end, per):
+                batch = parts[k:min(k + per, end)]
+                arrays = batch[0] if len(batch) == 1 else map(np.concatenate, zip(*batch))
+                spans = [(live[(k + b) * c // m], slice(b * c, b * c + c)) for b in range(len(batch))]
+                for b, val in enumerate(f(spans, *arrays)):
+                    val = np.asarray(val, complex)
+                    if new is None:
+                        shape, new = val.shape, np.empty((len(group), val.size), complex)
+                        est = np.empty((len(pieces), val.size), complex) if est is None else est
+                    # a level's sum of parts starts from 0j
+                    j, at = divmod((k + b) * c, m)
+                    np.add(new[j - first] if at else 0j, val.reshape(-1), out=new[j - first])
+            sel = slice(group[0], group[-1] + 1) if group[-1] - group[0] < len(group) else group
+            if depth:
+                new += keep * est[sel]
+            done = converged(new, est[sel], tol) if depth else [False] * len(group)
+            rest += [i for i, ok in zip(group, done) if not ok]
+            est[sel] = new
         if rest and 2 * count > _MAX_NODES:
             arc = pieces[rest[0]]
             raise MaxDepthError(
                 f"quadrature tolerance {tol:.3g} not met with {count} nodes "
                 f"on the arc from {arc.start:.6g} to {arc.end:.6g}")
         live = rest
+    return [e.reshape(shape) if shape else complex(e[0]) for e in est] if pieces else []

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -601,6 +602,22 @@ def test_corner_assembly_work(monkeypatch, shapes, schedule, calls, nodes):
     assert 0 < len(sizes) <= calls and sum(sizes) <= nodes
 
 
+def whole_block_converged(new, old, tol, m):
+    """Reference for ``integrals._gram_converged``: every entry of each
+    stacked raveled m x m block within max(tol, 64 eps sqrt(d_j d_k)) of the
+    old one, d = |Re| of the new diagonal, real and imaginary parts compared
+    separately; no entry is skipped and nothing is tested first."""
+    d = np.abs(new[:, :: m + 1].real)
+    scale = np.sqrt(d[:, :, None] * d[:, None, :]).reshape(new.shape)
+    diff = new - old
+    bound = np.maximum(tol, 64.0 * np.finfo(float).eps * scale)
+    return ((np.abs(diff.real) <= bound) & (np.abs(diff.imag) <= bound)).all(axis=1)
+
+
+def whole_block_test(m):
+    return lambda new, old, tol: whole_block_converged(new, old, tol, m)
+
+
 def bordered_product_gram(sc, bs: BasisSet, settings: QuadratureSettings,
                           rule=None) -> np.ndarray:
     """Reference for quadrature assembly: on each node set the full bordered
@@ -626,7 +643,7 @@ def bordered_product_gram(sc, bs: BasisSet, settings: QuadratureSettings,
 
             if rule is None:
                 (vals,) = integrate_arc(each_piece(f), [arc], settings,
-                                        scale=lambda v: integrals._gram_scale(v, n + 1))
+                                        converged=whole_block_test(n + 1))
             else:
                 vals = rule(f, arc)
             G += vals.reshape(n + 1, n + 1)
@@ -661,7 +678,7 @@ def piece_by_piece_gram(sc, bs: BasisSet, settings: QuadratureSettings):
                 return zherk(1.0, A.T, trans=2, lower=1).T.ravel()
 
             (vals,) = integrate_arc(each_piece(f), [arc], settings, rows=n + 1,
-                                    scale=lambda v: integrals._gram_scale(v, n + 1))
+                                    converged=whole_block_test(n + 1))
             G += vals.reshape(n + 1, n + 1)
         H += G[:n, :n]
         u += G[:n, n]
@@ -708,6 +725,128 @@ def test_batched_ladder_gram_has_the_bits_of_piece_by_piece_assembly(
     assert np.float64(got.c0).tobytes() == np.float64(want.c0).tobytes()
     if first_calls is not None:
         assert sizes[:len(first_calls)] == first_calls
+
+
+FOUR_ELLIPSES = [Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)]
+
+
+def convergence_cases(m=5, tol=1e-9):
+    """(name, new, old) pairs of m x m blocks with a zero lower triangle,
+    each built to hit one branch of the Gram convergence test."""
+    rng = np.random.default_rng(20261019)
+    cases = []
+
+    def case(name, diag, edit=None, old_edit=None):
+        old = np.triu(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)), 1)
+        old[np.diag_indices(m)] = diag
+        new = old + np.triu(np.full((m, m), 1e-12 + 1e-12j))
+        for block, change in ((new, edit), (old, old_edit)):
+            for (j, k), value in (change or {}).items():
+                block[j, k] = value
+        cases.append((name, new, old))
+
+    big, eps = 1e8, np.finfo(float).eps
+    at_bound = 64.0 * eps * np.sqrt(big * big)
+    case("converged", 1.0)
+    case("converged, large diagonal", big)
+    for part in (1, 1j):
+        case(f"entry at its scale bound ({part})", big, {(1, 3): at_bound * part},
+             {(1, 3): 0j})
+        case(f"entry one ulp over its scale bound ({part})", big,
+             {(1, 3): np.nextafter(at_bound, 1.0) * part}, {(1, 3): 0j})
+        case(f"entry at tol ({part})", 1.0, {(0, 4): tol * part}, {(0, 4): 0j})
+        case(f"entry one ulp over tol ({part})", 1.0, {(0, 4): np.nextafter(tol, 1.0) * part},
+             {(0, 4): 0j})
+    case("diagonal moved", 1.0, {(2, 2): 1.0 + 1e-6})
+    case("NaN entry", 1.0, {(0, 3): complex(np.nan, 0.0)})
+    case("NaN diagonal", 1.0, {(2, 2): np.nan})
+    case("NaN below the diagonal", 1.0, {(3, 1): complex(np.nan, np.nan)})
+    case("NaN in the old estimate", 1.0, None, {(1, 2): np.nan})
+    for sign in (1.0, -1.0):
+        case(f"{sign:+} inf diagonal", 1.0, {(2, 2): sign * np.inf})
+        case(f"{sign:+} inf diagonal and a zero one", 1.0, {(2, 2): sign * np.inf, (4, 4): 0j})
+        case(f"{sign:+} inf diagonal in both", 1.0, {(2, 2): sign * np.inf},
+             {(2, 2): sign * np.inf})
+    case("diagonal 1e160, its square overflows", 1.0, {(1, 1): 1e160 + 1e140})
+    case("diagonal 1e160, an entry within its bound", 1.0, {(1, 1): 1e160, (1, 3): 1e60})
+    case("diagonal 1e160, an entry over its bound", 1.0, {(1, 1): 1e160, (1, 3): 1e70})
+    case("zero diagonal within tol", 0.0, {(3, 3): 5e-10})
+    case("zero diagonal over tol", 0.0, {(3, 3): 2e-9})
+    case("signed zeros", -0.0, {(0, 1): complex(-0.0, -0.0), (2, 4): complex(0.0, -0.0)},
+         {(0, 1): 0j, (2, 4): complex(-0.0, 0.0)})
+    return cases
+
+
+def test_gram_convergence_test_decides_as_the_whole_block_test():
+    # the diagonal first, then the whole test on the blocks that pass it: the
+    # same decision as the whole test, block by block and in any stack of
+    # blocks (a call's pieces), at bounds, overflows, infinities and NaN
+    m, tol = 5, 1e-9
+    cases = convergence_cases(m, tol)
+    new = np.stack([c[1].ravel() for c in cases])
+    old = np.stack([c[2].ravel() for c in cases])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = whole_block_converged(new, old, tol, m)
+        assert np.array_equal(integrals._gram_converged(new, old, tol, m), want)
+        for r, (name, _, _) in enumerate(cases):
+            got = integrals._gram_converged(new[r:r + 1], old[r:r + 1], tol, m)
+            assert got.tolist() == [want[r]], name
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            rows = rng.choice(len(cases), size=rng.integers(2, 6), replace=False)
+            got = integrals._gram_converged(new[rows], old[rows], tol, m)
+            assert np.array_equal(got, want[rows])
+    passed = {name for (name, _, _), ok in zip(cases, want) if ok}
+    assert passed == {
+        "converged", "converged, large diagonal", "entry at its scale bound (1)",
+        "entry at its scale bound (1j)", "entry at tol (1)", "entry at tol (1j)",
+        "+1.0 inf diagonal", "-1.0 inf diagonal", "diagonal 1e160, its square overflows",
+        "diagonal 1e160, an entry within its bound", "zero diagonal within tol", "signed zeros"}
+
+
+@pytest.mark.parametrize("shapes,schedule,tol,fails", [
+    (FOUR_ELLIPSES, Rings(4), 1e-9, 8),
+    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, True), 1e-9, 0),
+    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, True), 1e-13, 0),
+    (MIXED_SHAPES, Powers(3, True), 1e-9, 2),
+], ids=["four-ellipses-Rings4", "square-Powers6", "square-Powers6-1e-13", "mixed-Powers3"])
+def test_gram_convergence_decisions_on_the_ladder_levels(monkeypatch, shapes, schedule, tol,
+                                                         fails):
+    # every piece's test on the level estimates an assembly makes decides as
+    # the whole test, on the levels that fail (each ellipse fails twice, at
+    # 128 and 256 nodes) and on the one where it stops
+    sc = validate_scene(scene(shapes))
+    bs = BasisSet(build_basis(sc, schedule))
+    test, decisions = integrals._gram_converged, []
+
+    def both(new, old, tol, m):
+        got = test(new, old, tol, m)
+        assert np.array_equal(got, whole_block_converged(new, old, tol, m))
+        decisions.extend(got.tolist())
+        return got
+
+    monkeypatch.setattr(integrals, "_gram_converged", both)
+    _assemble_grams(sc, bs, QuadratureSettings(tol))
+    assert decisions.count(True) == sum(len(arcs(s)) for s in sc.shapes)
+    assert decisions.count(False) == fails
+
+
+def test_warm_quadrature_assembly_allocates_few_blocks():
+    # a warm four-ellipse assembly (n = 68) allocates at most 9 blocks of
+    # (n + 1)^2 complex values at once: the pieces' running estimates, one
+    # call's sums and the convergence test's temporaries.  NumPy's own
+    # iteration buffers for the integrand's broadcast operands (two of 128
+    # KiB in NumPy 2.4) come on top
+    sc = validate_scene(scene(FOUR_ELLIPSES))
+    bs = BasisSet(build_basis(sc, Rings(4)))
+    _assemble_grams(sc, bs, None)
+    tracemalloc.start()
+    try:
+        _assemble_grams(sc, bs, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * (bs.n + 1) ** 2 * 16 + 2 * 128 * 1024
 
 
 def test_max_depth_error_names_the_first_failing_piece_in_scene_order():
