@@ -287,7 +287,7 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
     Each integrand call fills one per-thread buffer A (n+1 x nodes,
     :func:`_scratch`) for all the parts it gets: ``bs.eval_all`` writes the
     basis values into A[:n], row n is the constant 1, and A is scaled in
-    place by sqrt(w) (the weights are >= 0).
+    place by complex sqrt(w) (w >= 0; NumPy would cast a float in buffers).
     One Hermitian rank-k update (``zherk``) per part, on the part's columns,
     then gives the upper triangle of the bordered block G = (A w) A^H: H in
     G[:n, :n], u in G[:n, n] and the length in G[n, n], with an exactly real
@@ -344,7 +344,7 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
         A = _scratch("quad", (n + 1, z.size))
         bs.eval_all(z, list(subs.items()) or None, out=A[:n])
         A[n] = 1.0
-        A *= np.sqrt(w)
+        A *= np.sqrt(w).astype(complex)
         # A[:, c].T is a part's A in Fortran order (copied unless the part
         # fills the call); BLAS returns conj(G) = G^T in its lower triangle,
         # whose transpose is G's upper triangle in C order
@@ -369,11 +369,10 @@ def _gram_converged(new: np.ndarray, old: np.ndarray, tol: float, m: int) -> np.
     first, and only the blocks that pass it take the whole test."""
     d = np.abs(new[:, :: m + 1].real)
     ok = _within(new[:, :: m + 1], old[:, :: m + 1], np.sqrt(d * d), tol)
-    rows = np.flatnonzero(ok)
-    if 0 < rows.size < ok.size:
-        new, old, d = new[rows], old[rows], d[rows]
-    if rows.size:
-        ok[rows] = _within(new, old, np.sqrt(d[:, :, None] * d[:, None, :]).reshape(new.shape), tol)
+    if ok.any():
+        rows = slice(None) if ok.all() else np.flatnonzero(ok)
+        size = np.sqrt(d[rows, :, None] * d[rows, None, :])
+        ok[rows] = _within(new[rows], old[rows], size.reshape(len(size), -1), tol)
     return ok
 
 
@@ -381,8 +380,10 @@ def _within(new: np.ndarray, old: np.ndarray, size: np.ndarray, tol: float) -> n
     """Whether every entry of each row of new is within max(tol, 64 eps
     size) of old, real and imaginary parts separately; NaN is not."""
     diff = new - old
-    return (np.maximum(np.abs(diff.real), np.abs(diff.imag))
-            <= np.maximum(tol, 64.0 * _EPS * size)).all(axis=1)
+    err = np.abs(diff.real)
+    np.maximum(err, np.abs(diff.imag), out=err)
+    np.multiply(size, 64.0 * _EPS, out=size)
+    return (err <= np.maximum(size, tol, out=size)).all(axis=1)
 
 
 def _matching_corner(corner_pts: np.ndarray, endpoint: complex, scale: float):

@@ -113,8 +113,7 @@ def _nodes(pieces, closed, live, u, wu):
 
 def _converged(new: np.ndarray, old: np.ndarray, tol: float) -> np.ndarray:
     """Whether each row (one piece's estimate) of the stacked estimates has
-    converged: every component agrees with the last level's to
-    max(tol, 64 eps max(|Re|, |Im|)), real and imaginary parts separately."""
+    converged, each component to max(tol, 64 eps max(|Re|, |Im|)) of old."""
     diff = new - old
     bound = np.maximum(tol, 64.0 * _EPS * np.maximum(np.abs(new.real), np.abs(new.imag)))
     return ((np.abs(diff.real) <= bound) & (np.abs(diff.imag) <= bound)).all(axis=1)
