@@ -46,12 +46,12 @@ _START_NODES = 64  # first level of the ladder
 _MAX_NODES = 1 << 16  # per arc piece
 _CHUNK = 4096  # nodes of one piece per part; bounds the integrand's temporaries
 # rows x nodes of one integrand call, over the parts it batches: 2^13 terms
-# (128 KiB of complex values).  Per-job time on the bench inputs (two cores,
-# in-process, alternating with the piece-by-piece ladder): corner jobs took
-# 0.83 of it at 2^12 (two or three calls a level) and 0.76 from 2^13 on (one
-# call a level); ellipse jobs took 0.88 at 2^13, where each 69-row call
-# holds one piece, and 0.96 at 2^14 and 1.00 at 2^15, batched two or four
-# to a call
+# (128 KiB of complex values).  Assembly time of the 200 seed-1 ellipse and
+# 100 corner bench inputs against 2^13 (two cores, in-process, alternating
+# input by input, running estimates kept per piece): the corners took 1.22
+# at 2^12 (two or three calls a level, not one) and 1.00 and 0.99 at 2^14
+# and 2^15; the ellipses, one 69-row piece a call at 2^13, took 1.03 and
+# 1.04 there, with up to three and seven pieces a call
 _BATCH_TERMS = 1 << 13
 # the open-piece map t = 1/(1 + exp(-a sinh x)) on x in [-X, X] stops at a
 # parameter distance 1/(1 + e^85) < 1e-36 from either end
