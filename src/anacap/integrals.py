@@ -54,7 +54,7 @@ from scipy.linalg.blas import zherk
 from .basis import BasisFunction, BasisSet, PowerPole, SimplePole
 from .errors import NonRationalBasisError, PoleOnContourError
 from .geometry import Disk, Scene, arcs
-from .quadrature import _EPS, QuadratureSettings, integrate_arc
+from .quadrature import QuadratureSettings, _within, integrate_arc
 
 TWO_PI = 2.0 * math.pi
 _HALF_EPS = 0.5 * np.finfo(float).eps
@@ -374,16 +374,6 @@ def _gram_converged(new: np.ndarray, old: np.ndarray, tol: float, m: int) -> np.
         size = np.sqrt(d[rows, :, None] * d[rows, None, :])
         ok[rows] = _within(new[rows], old[rows], size.reshape(len(size), -1), tol)
     return ok
-
-
-def _within(new: np.ndarray, old: np.ndarray, size: np.ndarray, tol: float) -> np.ndarray:
-    """Whether every entry of each row of new is within max(tol, 64 eps
-    size) of old, real and imaginary parts separately; NaN is not."""
-    diff = new - old
-    err = np.abs(diff.real)
-    np.maximum(err, np.abs(diff.imag), out=err)
-    np.multiply(size, 64.0 * _EPS, out=size)
-    return (err <= np.maximum(size, tol, out=size)).all(axis=1)
 
 
 def _matching_corner(corner_pts: np.ndarray, endpoint: complex, scale: float):

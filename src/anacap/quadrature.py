@@ -111,12 +111,21 @@ def _nodes(pieces, closed, live, u, wu):
         yield t, z, s1, wj * np.abs(dz)
 
 
+def _within(new: np.ndarray, old: np.ndarray, size: np.ndarray, tol: float) -> np.ndarray:
+    """Whether every entry of each row of new is within max(tol, 64 eps
+    size) of old, real and imaginary parts separately (a NaN is not); size
+    is overwritten."""
+    diff = new - old
+    err = np.abs(diff.real)
+    np.maximum(err, np.abs(diff.imag), out=err)
+    np.multiply(size, 64.0 * _EPS, out=size)
+    return (err <= np.maximum(size, tol, out=size)).all(axis=1)
+
+
 def _converged(new: np.ndarray, old: np.ndarray, tol: float) -> np.ndarray:
     """Whether each row (one piece's estimate) of the stacked estimates has
-    converged, each component to max(tol, 64 eps max(|Re|, |Im|)) of old."""
-    diff = new - old
-    bound = np.maximum(tol, 64.0 * _EPS * np.maximum(np.abs(new.real), np.abs(new.imag)))
-    return ((np.abs(diff.real) <= bound) & (np.abs(diff.imag) <= bound)).all(axis=1)
+    converged, each component against its own size max(|Re|, |Im|)."""
+    return _within(new, old, np.maximum(np.abs(new.real), np.abs(new.imag)), tol)
 
 
 def integrate_arc(f, pieces: list[ParametricArc], settings: QuadratureSettings,
