@@ -13,7 +13,6 @@ from .basis import (
     Powers,
     PowerPole,
     Rings,
-    SimplePole,
     build_basis,
     disk_pole_layout,
 )

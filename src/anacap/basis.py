@@ -1,15 +1,14 @@
 """Approximating-function families vanishing at infinity.
 
-Three kinds of basis function:
+Two kinds of basis function:
 
-* ``SimplePole``    1/(z - a)
-* ``PowerPole``     1/(z - c)^k
+* ``PowerPole``     1/(z - c)^k, a simple pole 1/(z - c) at k = 1
 * ``CornerAdapted`` ((z - a)/(z - c))^beta / (z - c)^k, the fractional-power
   family that mimics the boundary behaviour of the extremal functions at a
   corner whose complement-side angle is ``omega``: beta = (pi/omega - 1)/2.
 
 A ``Schedule`` describes how to populate a scene with basis functions:
-``Rings(layers)`` lays simple poles on interior rings of disks/ellipses,
+``Rings(layers)`` lays first-order poles on interior rings of disks/ellipses,
 ``Powers(n, with_corners)`` uses 1/(z-c)^k ladders at the interior anchor,
 optionally augmented with the corner-adapted family.
 """
@@ -26,20 +25,6 @@ import numpy as np
 from . import geometry
 from .errors import BranchCutError, PoleEvaluationError, SceneConfigError
 from .geometry import Disk, Ellipse, Scene, Shape
-
-
-@dataclass(frozen=True)
-class SimplePole:
-    a: complex
-
-    def eval(self, z: complex) -> complex:
-        if z == self.a:
-            raise PoleEvaluationError(f"evaluation at pole {self.a}")
-        return 1.0 / (z - self.a)
-
-    def d_infinity(self) -> complex:
-        # 1/(z-a) = 1/z + a/z^2 + ...
-        return 1.0 + 0j
 
 
 @dataclass(frozen=True)
@@ -89,7 +74,7 @@ class CornerAdapted:
         return (1.0 + 0j) if self.k == 1 else 0j
 
 
-BasisFunction = Union[SimplePole, PowerPole, CornerAdapted]
+BasisFunction = Union[PowerPole, CornerAdapted]
 
 
 @dataclass(frozen=True)
@@ -177,9 +162,9 @@ def _shape_counted_basis(sc: Scene, schedule) -> tuple[list[BasisFunction], list
 def _shape_basis(shape: Shape, mode) -> list[BasisFunction]:
     if isinstance(mode, Rings):
         if isinstance(shape, Disk):
-            return [SimplePole(a) for a in disk_pole_layout(shape, mode.layers)]
+            return [PowerPole(a, 1) for a in disk_pole_layout(shape, mode.layers)]
         if isinstance(shape, Ellipse):
-            return [SimplePole(a) for a in ellipse_pole_layout(shape, mode.layers)]
+            return [PowerPole(a, 1) for a in ellipse_pole_layout(shape, mode.layers)]
         raise SceneConfigError("Rings schedule applies to disks and ellipses only")
     if isinstance(mode, Powers):
         c = geometry.interior_anchor(shape)
@@ -265,7 +250,10 @@ class BasisSet:
     then one gather, or one gather and one product in a fixed operand order;
     the operations on each element are those of a member-by-member
     evaluation, so the values are bitwise the same, and a value's bits do
-    not depend on how many nodes the call evaluates.  Branch-cut and pole
+    not depend on how many nodes the call evaluates.  A basis of first-order
+    poles alone (``all_simple``, the basis of the disk kernel) skips the
+    grouping: each row is 1/(z - a), written straight into the output,
+    bitwise (z - a)^-1 wherever z != a.  Branch-cut and pole
     checks are not performed here; boundary quadrature never touches those
     sets for valid scenes.
 
@@ -275,14 +263,16 @@ class BasisSet:
 
     def __init__(self, funcs: list[BasisFunction]):
         self.funcs = list(funcs)
-        simple_idx, power_idx, corner_idx = [], [], []
+        self.n = len(self.funcs)
+        # first-order poles alone: eval_all's fast path and the disk kernel's
+        # basis, which need none of the grouping below
+        self.all_simple = all(isinstance(b, PowerPole) and b.k == 1 for b in self.funcs)
+        self._sa = np.array([b.c for b in self.funcs] if self.all_simple else [], complex)
+        power_idx, corner_idx = [], []
         poles: dict[tuple[complex, int], int] = {}  # (c, k) -> pole-power row
         groups: dict[tuple[complex, complex, float], int] = {}  # (c, a, beta) -> row
         power_row, corner_group, corner_pole = [], [], []
-        for i, b in enumerate(self.funcs):
-            if isinstance(b, SimplePole):
-                simple_idx.append(i)
-                continue
+        for i, b in enumerate([] if self.all_simple else self.funcs):
             if not isinstance(b, (PowerPole, CornerAdapted)):
                 raise TypeError(f"not a basis function: {b!r}")
             if b.k < 1:
@@ -295,11 +285,8 @@ class BasisSet:
                 corner_idx.append(i)
                 corner_pole.append(row)
                 corner_group.append(groups.setdefault((b.c, b.a, b.beta), len(groups)))
-        self.n = len(self.funcs)
-        self._si = np.array(simple_idx, dtype=int)
         self._pi = np.array(power_idx, dtype=int)
         self._ci = np.array(corner_idx, dtype=int)
-        self._sa = np.array([self.funcs[i].a for i in simple_idx], complex)
         self._pc = np.array([c for c, _ in poles], complex)[:, None]
         self._pk = -np.array([k for _, k in poles], int)[:, None]  # exponents -k
         self._p_row = np.array(power_row, dtype=int)
@@ -312,10 +299,6 @@ class BasisSet:
         self._rows_at: dict[complex, list[int]] = {}
         for row, (_, a, _) in enumerate(groups):
             self._rows_at.setdefault(complex(a), []).append(row)
-
-    @property
-    def all_simple(self) -> bool:
-        return len(self._pi) == 0 and len(self._ci) == 0
 
     def d_vector(self) -> np.ndarray:
         return np.array([b.d_infinity() for b in self.funcs], complex)
@@ -347,10 +330,7 @@ class BasisSet:
         if self.all_simple:
             # straight into out: no temporary of out's size
             np.divide(1.0, np.subtract(zf[None, :], self._sa[:, None], out=buf), out=buf)
-        elif self._si.size:
-            d = zf[None, :] - self._sa[:, None]
-            buf[self._si] = np.divide(1.0, d, out=d)
-        if self._pc.size:
+        else:
             pw = (zf[None, :] - self._pc) ** self._pk
             if self._pi.size:
                 buf[self._pi] = pw[self._p_row]

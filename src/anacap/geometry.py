@@ -779,13 +779,21 @@ _SHAPE_KEYS = {
 }
 
 
+def _number(val, what: str) -> float:
+    """A JSON number as a float: a bool, a string or any other type in its
+    place is a :class:`SceneConfigError`, not a coerced value."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise SceneConfigError(f"{what} must be a number, got {val!r}")
+    try:
+        return float(val)
+    except OverflowError:  # an integer past the float range
+        raise SceneConfigError(f"{what} is too large for a float") from None
+
+
 def _xy(val, what: str) -> complex:
     if (not isinstance(val, (list, tuple))) or len(val) != 2:
         raise SceneConfigError(f"{what} must be an [x, y] pair")
-    try:
-        return complex(float(val[0]), float(val[1]))
-    except (TypeError, ValueError) as exc:
-        raise SceneConfigError(f"{what} has non-numeric entries") from exc
+    return complex(_number(val[0], what), _number(val[1], what))
 
 
 def shape_from_config(obj: dict) -> tuple[Shape, str]:
@@ -802,10 +810,11 @@ def shape_from_config(obj: dict) -> tuple[Shape, str]:
         raise SceneConfigError(f"label must be 'E' or 'F', got {label!r}")
     try:
         if kind == "disk":
-            return Disk(_xy(obj["center"], "center"), float(obj["radius"])), label
+            return Disk(_xy(obj["center"], "center"), _number(obj["radius"], "radius")), label
         if kind == "ellipse":
-            return Ellipse(_xy(obj["center"], "center"), float(obj["semi_major"]),
-                           float(obj["semi_minor"]), float(obj.get("rotation", 0.0))), label
+            return Ellipse(_xy(obj["center"], "center"),
+                           *(_number(obj[k], k) for k in ("semi_major", "semi_minor")),
+                           _number(obj.get("rotation", 0.0), "rotation")), label
         if kind == "polygon":
             return Polygon(tuple(_xy(v, "vertex") for v in obj["vertices"])), label
         pieces = []
@@ -819,8 +828,8 @@ def shape_from_config(obj: dict) -> tuple[Shape, str]:
             elif pc["type"] == "circular_arc":
                 if set(pc) - {"type", "center", "radius", "theta_start", "theta_end"}:
                     raise SceneConfigError("unknown fields in circular_arc piece")
-                pieces.append(CircularArc(_xy(pc["center"], "center"), float(pc["radius"]),
-                                          float(pc["theta_start"]), float(pc["theta_end"])))
+                pieces.append(CircularArc(_xy(pc["center"], "center"), *(
+                    _number(pc[k], k) for k in ("radius", "theta_start", "theta_end"))))
             else:
                 raise SceneConfigError(f"unknown piece type {pc['type']!r}")
         return ArcChain(tuple(pieces)), label
@@ -882,6 +891,6 @@ def load_scene(path) -> tuple[Scene, dict]:
             obj = json.load(fh)
     except OSError as exc:
         raise SceneConfigError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, an integer past Python's digit limit, bad UTF-8
         raise SceneConfigError(f"invalid JSON in {path}: {exc}") from exc
     return scene_from_config(obj), obj

@@ -6,7 +6,7 @@ The Gram data of a scene consists of
 * ``u[j]   = (1/2pi) \\oint g_j(z) |dz|``,
 * ``c0     = (boundary length) / 2pi``.
 
-For disks under an all-simple-pole basis Gram assembly uses the Hardy-space
+For disks under a basis of first-order poles Gram assembly uses the Hardy-space
 split: 1/(z - a) is in H^2 of the disk for a outside and in its orthogonal
 complement for a inside, so a pair on opposite sides contributes exactly
 zero, a pair inside keeps its closed form, and a pair outside is a
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import zherk
 
-from .basis import BasisFunction, BasisSet, PowerPole, SimplePole
+from .basis import BasisFunction, BasisSet, PowerPole
 from .errors import NonRationalBasisError, PoleOnContourError
 from .geometry import Disk, Scene, arcs
 from .quadrature import QuadratureSettings, _within, integrate_arc
@@ -86,8 +86,6 @@ def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def _rational_parts(b: BasisFunction, c: complex) -> tuple[complex, int]:
     """(pole - c, order) of a rational basis function, for a circle about c."""
-    if isinstance(b, SimplePole):
-        return b.a - c, 1
     if isinstance(b, PowerPole):
         return b.c - c, b.k
     raise NonRationalBasisError(
@@ -147,7 +145,7 @@ def _moment_counts(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups) -> list[GramData]:
-    """Gram data over groups of disks for an all-simple-pole basis.
+    """Gram data over groups of disks for a basis of first-order poles.
 
     With w = pole - c, 1/(z - a) lies in the Hardy space H^2 of a disk when
     a is outside its circle and in the orthogonal complement when a is
@@ -390,7 +388,7 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
                   settings: QuadratureSettings | None = None) -> GramData:
     """Assemble H, u, c0 for the scene boundary and the given basis.
 
-    Disks under an all-simple-pole basis use the Hardy split (opposite-side
+    Disks under a basis of first-order poles use the Hardy split (opposite-side
     pole pairs are exactly zero), with the outside pairs of all the
     disks from one Hermitian product of their multipole moments, accurate to
     eps/2 of sqrt(H_aa H_bb) plus rounding (:func:`_disk_blocks`); every

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg.blas import zhemm
 from scipy.linalg.lapack import zpotrf, zpotrs
 
-from .basis import BasisSet, CornerAdapted, SimplePole, _require_star_shaped, build_basis
+from .basis import BasisSet, CornerAdapted, _require_star_shaped, build_basis
 from .errors import SceneConfigError, SingularGramError, SolveError
 from .geometry import Scene, _winding_number, arcs, corners, validate_scene
 from .integrals import GramData, _matching_corner, _scratch, assemble_gram
@@ -187,8 +187,7 @@ def _require_poles_inside(sc: Scene, funcs) -> None:
     its corners and it is star-shaped about c, as under ``Powers``."""
     boundaries = [arcs(s) for s in sc.shapes]
     for b in funcs:
-        pole = b.a if isinstance(b, SimplePole) else b.c
-        i = next((i for i, pieces in enumerate(boundaries) if _winding_number(pieces, pole)),
+        i = next((i for i, pieces in enumerate(boundaries) if _winding_number(pieces, b.c)),
                  None)
         if i is None:
             raise SceneConfigError(

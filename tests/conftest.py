@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from anacap.basis import CornerAdapted, PowerPole, SimplePole
+from anacap.basis import CornerAdapted, PowerPole
 from anacap.geometry import ArcChain, CircularArc, Disk, Polygon, Scene, Segment, scene
 from anacap.sublab import max_sweep_radius, random_configuration
 
@@ -61,12 +61,8 @@ def row_per_member_eval(funcs, z, corner_subs=None):
     z = np.asarray(z, complex)
     zf = z.reshape(-1)
     out = np.empty((len(funcs), zf.size), complex)
-    si = [i for i, b in enumerate(funcs) if isinstance(b, SimplePole)]
     pi = [i for i, b in enumerate(funcs) if isinstance(b, PowerPole)]
     ci = [i for i, b in enumerate(funcs) if isinstance(b, CornerAdapted)]
-    if si:
-        sa = np.array([funcs[i].a for i in si], complex)
-        out[si] = 1.0 / (zf[None, :] - sa[:, None])
     if pi:
         pc = np.array([funcs[i].c for i in pi], complex)
         pk = np.array([funcs[i].k for i in pi], int)

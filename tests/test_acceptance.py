@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import anacap.exact as exact
-from anacap.basis import BasisSet, Powers, Rings, SimplePole, build_basis
+from anacap.basis import BasisSet, PowerPole, Powers, Rings, build_basis
 from anacap.discrete import (
     alpha,
     alpha_geometric,
@@ -219,9 +219,8 @@ def test_criterion_11_randomized_property_suites(rng):
                 return c + rho * r * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
 
             k1, k2 = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-            b1 = SimplePole(rand_pole()) if k1 == 1 else __import__(
-                "anacap.basis", fromlist=["PowerPole"]).PowerPole(rand_pole(), k1)
-            b2 = SimplePole(rand_pole())
+            b1 = PowerPole(rand_pole(), k1)
+            b2 = PowerPole(rand_pole(), 1)
             val = circle_pair_integral(b1, b2, circle)
             ref = complex(integrate_arc(each_piece(
                 lambda t, z, s1, w: (BasisSet([b1]).eval_all(z)[0]
@@ -242,9 +241,9 @@ def test_criterion_11_randomized_property_suites(rng):
             disk = sc.shapes[int(rng.integers(0, len(sc.shapes)))]
             pole = disk.center + rng.uniform(0, 0.9) * disk.radius * cmath.exp(
                 1j * rng.uniform(0, 2 * math.pi))
-            if any(isinstance(b, SimplePole) and b.a == pole for b in basis):
+            if PowerPole(pole, 1) in basis:
                 continue
-            basis = basis + [SimplePole(pole)]
+            basis = basis + [PowerPole(pole, 1)]
             cur = bounds_for_basis(sc, basis)
             nesting_ok &= (cur.lower >= prev.lower - 1e-12
                            and cur.upper <= prev.upper + 1e-12)
@@ -263,7 +262,7 @@ def test_criterion_11_randomized_property_suites(rng):
             a = 0.7 + 0.4j
         b = complex(rng.normal(), rng.normal())
         mres = bounds_for_basis(transform(sc, a, b),
-                                [SimplePole(a * f.a + b) for f in basis])
+                                [PowerPole(a * f.c + b, 1) for f in basis])
         equiv_ok &= abs(mres.lower - abs(a) * res.lower) <= 1e-9 * max(1, abs(a))
         equiv_ok &= abs(mres.upper - abs(a) * res.upper) <= 1e-9 * max(1, abs(a))
         cases += 1

@@ -11,7 +11,6 @@ from anacap.basis import (
     Powers,
     PowerPole,
     Rings,
-    SimplePole,
     _principal_power,
     build_basis,
     corner_exponent,
@@ -41,7 +40,7 @@ EPS = float(np.finfo(float).eps)
 # --- evaluation -------------------------------------------------------------
 
 def test_simple_pole_value():
-    assert SimplePole(2 + 0j).eval(3 + 0j) == 1.0
+    assert PowerPole(2 + 0j, 1).eval(3 + 0j) == 1.0
 
 
 def test_power_pole_value():
@@ -55,7 +54,7 @@ def test_corner_function_tends_to_one_at_infinity():
 
 def test_pole_evaluation_errors():
     with pytest.raises(PoleEvaluationError):
-        SimplePole(2 + 0j).eval(2 + 0j)
+        PowerPole(2 + 0j, 1).eval(2 + 0j)
     with pytest.raises(PoleEvaluationError):
         PowerPole(1j, 3).eval(1j)
     with pytest.raises(PoleEvaluationError):
@@ -93,7 +92,7 @@ def numeric_d_infinity(b):
 
 
 @pytest.mark.parametrize("b,expect", [
-    (SimplePole(1.5 - 2j), 1.0),
+    (PowerPole(1.5 - 2j, 1), 1.0),
     (PowerPole(0.5j, 1), 1.0),
     (PowerPole(0.5j, 3), 0.0),
     (CornerAdapted(0j, 1 + 0j, -1 / 6, 1), 1.0),
@@ -131,7 +130,7 @@ def test_layout_counts_and_interiority():
 
 def test_two_disk_single_pole_basis(two_disks):
     basis = build_basis(validate_scene(two_disks), Rings(0))
-    assert basis == [SimplePole(2 + 0j), SimplePole(-2 + 0j)]
+    assert basis == [PowerPole(2 + 0j, 1), PowerPole(-2 + 0j, 1)]
 
 
 def test_square_monomials():
@@ -176,7 +175,7 @@ def test_rings_on_ellipse():
     from anacap.geometry import point_in_shape
 
     for b in basis:
-        assert point_in_shape(e, b.a)
+        assert point_in_shape(e, b.c)
 
 
 def test_non_star_shape_with_corners_rejected():
@@ -225,8 +224,8 @@ def test_per_shape_schedules(two_disks):
 # --- BasisSet ---------------------------------------------------------------
 
 def test_basis_set_matches_scalar_eval(rng):
-    basis = [SimplePole(0.3 + 0.1j), PowerPole(-2 + 0j, 3),
-             CornerAdapted(0j, 1 + 0j, -1 / 6, 2), SimplePole(-1j)]
+    basis = [PowerPole(0.3 + 0.1j, 1), PowerPole(-2 + 0j, 3),
+             CornerAdapted(0j, 1 + 0j, -1 / 6, 2), PowerPole(-1j, 1)]
     bs = BasisSet(basis)
     assert bs.n == 4
     for _ in range(20):
@@ -237,7 +236,7 @@ def test_basis_set_matches_scalar_eval(rng):
 
 
 def test_basis_set_array_eval():
-    basis = [SimplePole(1j), PowerPole(0j, 2)]
+    basis = [PowerPole(1j, 1), PowerPole(0j, 2)]
     bs = BasisSet(basis)
     z = np.array([3 + 0j, 4j, -5 + 1j])
     vals = bs.eval_all(z)
@@ -326,7 +325,7 @@ def test_eval_all_into_buffer_rows(shapes, schedule):
 
 
 def test_simple_pole_values_go_straight_into_the_buffer():
-    # an all-simple-pole basis is written into out with no temporary of its
+    # a basis of first-order poles is written into out with no temporary of its
     # size, and keeps the bits of the per-member expression; at 4096 nodes,
     # the most one part of a quadrature call holds, the values take 4.4 MB,
     # and NumPy's own buffers for a broadcast operand (8192 elements each)
@@ -345,6 +344,31 @@ def test_simple_pole_values_go_straight_into_the_buffer():
         tracemalloc.stop()
     assert peak < A.nbytes / 4
     assert same_bits(A, row_per_member_eval(funcs, z))
+
+
+def test_first_order_rows_have_the_same_bits_in_every_basis():
+    # the fast path of a first-order basis writes 1/(z - a); in a basis that
+    # also holds a k = 2 member and a corner member, the same member is the
+    # pole power (z - a)^-1.  Both keep the reference's bits at displacements
+    # z - a near 1e+-300 and at the ends of the float range, subnormal ones
+    # (whose reciprocals overflow) and ones with signed-zero parts
+    d = np.concatenate((
+        1e300 * np.exp(1j * np.linspace(-3.0, 3.0, 7)), [1.7e308 + 0j, complex(-1e308, 1e308)],
+        1e-300 * np.exp(1j * np.linspace(-3.0, 3.0, 7)), [complex(2.3e-308, -2.3e-308)],
+        [complex(3e-320, -2e-321), complex(-5e-324, 5e-324), complex(1e-310, 1.0),
+         complex(-1.0, 5e-324), complex(4e-309, 0.0)],
+        [complex(-1.0, -0.0), complex(-0.0, 1.0), complex(-0.0, -2.0), complex(3.0, 0.0)]))
+    first = [PowerPole(0j, 1), PowerPole(8 + 0j, 1)]
+    mixed = [PowerPole(8 + 0j, 2), PowerPole(0j, 1), CornerAdapted(8 + 0j, 9 + 0j, -1 / 6, 1)]
+    assert BasisSet(first).all_simple and not BasisSet(mixed).all_simple
+    # z = 0 + d has z - 0 = d exactly, signed zeros included
+    with np.errstate(over="ignore", invalid="ignore"):
+        fast = BasisSet(first).eval_all(d)
+        general = BasisSet(mixed).eval_all(d)
+        ref = row_per_member_eval(first, d)
+    assert np.isinf(fast[0]).sum() == 3
+    assert same_bits(fast, ref)
+    assert same_bits(fast[0], general[1])
 
 
 def test_corner_values_do_not_depend_on_the_node_count():
@@ -412,12 +436,12 @@ def test_eval_all_interleaved_groups_and_shared_pole_powers():
     # with power poles, and two exponents at one corner point
     c = 0.1j
     funcs = [CornerAdapted(c, 1 + 0j, -1 / 6, 2), PowerPole(c, 2), CornerAdapted(c, 1j, -1 / 6, 1),
-             SimplePole(0.2 + 0j), CornerAdapted(c, 1 + 0j, -1 / 6, 1), PowerPole(c, 1),
+             PowerPole(0.2 + 0j, 1), CornerAdapted(c, 1 + 0j, -1 / 6, 1), PowerPole(c, 1),
              CornerAdapted(c, 1j, -1 / 6, 3), CornerAdapted(c, 1 + 0j, 1 / 3, 2),
              PowerPole(-0.1 + 0j, 2), CornerAdapted(-0.1 + 0j, -1 + 0j, -1 / 6, 2)]
     bs = BasisSet(funcs)
-    # 4 corner groups, 4 distinct (c, k)
-    assert len(bs._gb) == 4 and len(bs._pk) == 4
+    # 4 corner groups, 5 distinct (c, k)
+    assert len(bs._gb) == 4 and len(bs._pk) == 5
     z = 3.0 * np.exp(1j * np.linspace(0.1, 6.2, 2000)).reshape(40, 50)
     assert same_bits(bs.eval_all(z), row_per_member_eval(funcs, z))
     subs = [(1 + 0j, z - 1), (-1 + 0j, z + 1)]
@@ -444,7 +468,7 @@ def test_d_infinity_of_corner_factor_alone():
 
 
 def test_d_vector_order():
-    basis = [PowerPole(0j, 2), SimplePole(1j), PowerPole(0j, 1)]
+    basis = [PowerPole(0j, 2), PowerPole(1j, 1), PowerPole(0j, 1)]
     assert list(BasisSet(basis).d_vector()) == [0, 1, 1]
 
 

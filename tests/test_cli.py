@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +86,25 @@ def test_gamma_mistyped_schedule_is_config_error(config_file, capsys):
     code, _, err = run(capsys, "gamma", "--config", config_file(bad))
     assert code == EXIT_CONFIG
     assert "corners" in err
+
+
+def test_gamma_mistyped_shape_number_is_config_error(config_file, capsys):
+    # the string "1.0" is not a JSON number: it is not read as a radius of 1
+    bad = dict(TWO_DISKS, shapes=[dict(TWO_DISKS["shapes"][0], radius="1.0"),
+                                  TWO_DISKS["shapes"][1]])
+    code, _, err = run(capsys, "gamma", "--config", config_file(bad))
+    assert code == EXIT_CONFIG
+    assert "radius must be a number" in err
+    # a radius of 5000 digits is valid JSON that Python's reader refuses to
+    # convert (a ValueError, not a JSONDecodeError), and bytes that are not
+    # UTF-8 are no JSON text at all
+    path = Path(config_file(TWO_DISKS))
+    text = path.read_text().replace('"radius": 1.0', '"radius": ' + "1" * 5000, 1)
+    for data in (text.encode(), b'{"shapes": [\xff]}'):
+        path.write_bytes(data)
+        code, _, err = run(capsys, "gamma", "--config", str(path))
+        assert code == EXIT_CONFIG
+        assert "invalid JSON" in err
 
 
 def test_gamma_overlap_is_config_error(config_file, capsys):

@@ -822,3 +822,40 @@ def test_config_unknown_fields_rejected():
     with pytest.raises(SceneConfigError):
         scene_from_config({"shapes": [{"type": "disk", "center": [0, 0],
                                        "radius": 1.0, "label": "G"}]})
+
+
+_SEGMENT = {"type": "segment", "start": [-1, 0], "end": [1, 0]}
+_ARC = {"type": "circular_arc", "center": [0, 0], "radius": 1,
+        "theta_start": 0, "theta_end": math.pi}
+
+
+@pytest.mark.parametrize("shape", [
+    {"type": "disk", "center": [0, 0], "radius": "1.5"},
+    {"type": "disk", "center": [0, 0], "radius": True},
+    {"type": "disk", "center": [True, "2"], "radius": 1.0},
+    {"type": "disk", "center": [0, None], "radius": 1.0},
+    {"type": "disk", "center": [0, 0], "radius": 10 ** 400},
+    {"type": "ellipse", "center": [0, 0], "semi_major": "2", "semi_minor": 1.0},
+    {"type": "ellipse", "center": [0, 0], "semi_major": 2.0, "semi_minor": [1.0]},
+    {"type": "ellipse", "center": [0, 0], "semi_major": 2.0, "semi_minor": 1.0, "rotation": False},
+    {"type": "polygon", "vertices": [[1, 0], [0, 1], ["-1", 0], [0, -1]]},
+    {"type": "arc_chain", "pieces": [dict(_SEGMENT, end=[1, False]), _ARC]},
+    {"type": "arc_chain", "pieces": [_SEGMENT, dict(_ARC, center=["0", 0])]},
+    {"type": "arc_chain", "pieces": [_SEGMENT, dict(_ARC, radius=True)]},
+    {"type": "arc_chain", "pieces": [_SEGMENT, dict(_ARC, theta_start="0")]},
+    {"type": "arc_chain", "pieces": [_SEGMENT, dict(_ARC, theta_end=None)]},
+])
+def test_config_rejects_numbers_of_the_wrong_json_type(shape):
+    # "1.5", true and "2" are not coerced to numbers; an integer past the
+    # float range is not a float
+    with pytest.raises(SceneConfigError, match="must be a number|too large for a float"):
+        scene_from_config({"shapes": [shape]})
+
+
+def test_config_accepts_json_integers_and_floats():
+    sc = scene_from_config({"shapes": [
+        {"type": "disk", "center": [4, 0.5], "radius": 1},
+        {"type": "ellipse", "center": [0, -4], "semi_major": 2, "semi_minor": 1.0, "rotation": 0},
+        {"type": "arc_chain", "pieces": [_SEGMENT, _ARC]}]})
+    assert sc.shapes == (Disk(4 + 0.5j, 1.0), Ellipse(-4j, 2.0, 1.0, 0.0),
+                         ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, math.pi))))

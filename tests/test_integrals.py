@@ -13,7 +13,6 @@ from anacap.basis import (
     PowerPole,
     Powers,
     Rings,
-    SimplePole,
     build_basis,
 )
 from anacap.errors import MaxDepthError, NonRationalBasisError, PoleOnContourError
@@ -25,6 +24,7 @@ from anacap.integrals import (
     circle_pair_integral,
 )
 from anacap.quadrature import QuadratureSettings, integrate_arc
+from anacap.solver import bounds_for_basis
 from anacap.sublab import max_sweep_radius, random_configuration
 
 from conftest import (MIXED_SHAPES, each_piece, eighteen_disks, half_disk, row_per_member_eval,
@@ -32,6 +32,7 @@ from conftest import (MIXED_SHAPES, each_piece, eighteen_disks, half_disk, row_p
 
 TWO_PI = 2 * math.pi
 ORACLE = QuadratureSettings(abs_tol=1e-12)
+EPS = np.finfo(float).eps
 
 
 def quad_pair(b1, b2, circle):
@@ -55,7 +56,7 @@ def quad_mean(b, circle):
 
 def test_pole_at_center_pair():
     c = Disk(1 + 1j, 0.5)
-    b = SimplePole(1 + 1j)
+    b = PowerPole(1 + 1j, 1)
     val = circle_pair_integral(b, b, c)
     assert val == pytest.approx(TWO_PI / 0.5, abs=1e-12)
 
@@ -63,7 +64,7 @@ def test_pole_at_center_pair():
 def test_interior_pole_pair_closed_form():
     c = Disk(0, 1.0)
     a = 0.3 + 0.4j
-    b = SimplePole(a)
+    b = PowerPole(a, 1)
     val = circle_pair_integral(b, b, c)
     assert val == pytest.approx(TWO_PI / (1 - abs(a) ** 2), abs=1e-10)
     assert val == pytest.approx(quad_pair(b, b, c), abs=1e-10)
@@ -72,20 +73,20 @@ def test_interior_pole_pair_closed_form():
 def test_two_pole_cancellation():
     # one pole inside, the other outside: the Hardy split makes the pair zero
     c = Disk(2, 1.0)
-    val = circle_pair_integral(SimplePole(2 + 0j), SimplePole(-2 + 0j), c)
+    val = circle_pair_integral(PowerPole(2 + 0j, 1), PowerPole(-2 + 0j, 1), c)
     assert abs(val) < 1e-14
     # the closed-form disk block gives an inside/outside pair exactly zero
-    g = assemble_gram(scene([c]), [SimplePole(2 + 0j), SimplePole(-2 + 0j)])
+    g = assemble_gram(scene([c]), [PowerPole(2 + 0j, 1), PowerPole(-2 + 0j, 1)])
     assert g.H[0, 1] == 0
 
 
 def test_mean_integral_cases():
     c = Disk(0.5j, 1.0)
-    assert abs(circle_mean_integral(SimplePole(0.5j + 0.3), c)) < 1e-14
+    assert abs(circle_mean_integral(PowerPole(0.5j + 0.3, 1), c)) < 1e-14
     outside = 3 + 0j
-    val = circle_mean_integral(SimplePole(outside), c)
+    val = circle_mean_integral(PowerPole(outside, 1), c)
     assert val == pytest.approx(TWO_PI * 1.0 / (0.5j - outside), abs=1e-12)
-    assert val == pytest.approx(quad_mean(SimplePole(outside), c), abs=1e-10)
+    assert val == pytest.approx(quad_mean(PowerPole(outside, 1), c), abs=1e-10)
     for k in (2, 3, 5):
         assert abs(circle_mean_integral(PowerPole(0.5j, k), c)) < 1e-14
 
@@ -107,7 +108,7 @@ def test_corner_function_rejected_by_residue_path():
 def test_pole_on_contour_error():
     c = Disk(0, 1.0)
     with pytest.raises(PoleOnContourError):
-        circle_pair_integral(SimplePole(1 + 0j), SimplePole(5 + 0j), c)
+        circle_pair_integral(PowerPole(1 + 0j, 1), PowerPole(5 + 0j, 1), c)
 
 
 def test_residue_vs_quadrature_randomized(rng):
@@ -126,10 +127,10 @@ def test_residue_vs_quadrature_randomized(rng):
 
         kind = trial % 4
         if kind == 0:
-            b1, b2 = SimplePole(rand_pole()), SimplePole(rand_pole())
+            b1, b2 = PowerPole(rand_pole(), 1), PowerPole(rand_pole(), 1)
         elif kind == 1:
             b1 = PowerPole(rand_pole(), int(rng.integers(1, 4)))
-            b2 = SimplePole(rand_pole())
+            b2 = PowerPole(rand_pole(), 1)
         elif kind == 2:
             b1 = PowerPole(c, int(rng.integers(1, 4)))
             b2 = PowerPole(rand_pole(), int(rng.integers(1, 4)))
@@ -177,7 +178,7 @@ def test_two_disk_gram_quadrature_oracle(two_disks):
 
 def test_single_disk_gram():
     sc = validate_scene(scene([Disk(0, 1.0)]))
-    g = assemble_gram(sc, [SimplePole(0j)], ORACLE)
+    g = assemble_gram(sc, [PowerPole(0j, 1)], ORACLE)
     assert g.H[0, 0] == pytest.approx(1.0, abs=1e-14)
     assert abs(g.u[0]) < 1e-14
     assert g.c0 == pytest.approx(1.0, abs=1e-14)
@@ -223,17 +224,17 @@ def test_conj_symmetry_against_independent_lower_triangle(two_disks, rng):
 
 def test_engine_disk_blocks_match_residues():
     # each disk's block, and the scene total, must match the exact
-    # closed-form integrals.  Under a basis that is not all simple poles
-    # disks go through the periodic trapezoid rule (on disk A, B's pole at
-    # 1.001 sits 1e-3 outside); all-simple-pole bases take the closed-form
+    # closed-form integrals.  Under a basis that is not all first-order
+    # poles disks go through the periodic trapezoid rule (on disk A, B's pole
+    # at 1.001 sits 1e-3 outside); first-order bases take the closed-form
     # block, checked on two disks where the reflection of the pole 2.0
     # across disk A is exactly A's pole 0.5, and on three small disks far
     # from the origin
     A = Disk(0j, 1.0)
     B = Disk(1.5 + 0j, 0.4995)
     cases = [
-        ((A, B), [SimplePole(0.3j), PowerPole(0j, 1), PowerPole(0j, 3),
-                  SimplePole(1.001 + 0j), PowerPole(1.5 + 0j, 2)]),
+        ((A, B), [PowerPole(0.3j, 1), PowerPole(0j, 1), PowerPole(0j, 3),
+                  PowerPole(1.001 + 0j, 1), PowerPole(1.5 + 0j, 2)]),
         ((Disk(0j, 1.0), Disk(2.5 + 0j, 1.0)), Rings(1)),
         (tuple(Disk(c, 0.03) for c in (8 + 1j, -6 + 6j, 3 - 9j)), Rings(2)),
     ]
@@ -257,6 +258,39 @@ def test_engine_disk_blocks_match_residues():
         assert np.abs(g.u - total_u).max() <= 1e-13 * np.abs(g.u).max()
 
 
+@pytest.mark.parametrize("basis", [
+    Powers(1),
+    [PowerPole(2.3 + 0.2j, 1), PowerPole(-2 + 0j, 1), PowerPole(-0.4 + 5j, 1),
+     PowerPole(-1.6 + 0.3j, 1)],
+], ids=["Powers1", "explicit-first-order"])
+def test_first_order_pole_bases_take_the_disk_kernel(basis, monkeypatch):
+    # a basis of first-order poles on disks, whether from Powers(1) or listed
+    # by hand, takes the disk kernel and no quadrature; its bracket agrees
+    # with the quadrature route's
+    sc = validate_scene(scene([Disk(2 + 0j, 1.0), Disk(-2 + 0j, 1.0), Disk(5j, 1.0)]))
+    funcs = build_basis(sc, basis) if isinstance(basis, Powers) else basis
+    calls = []
+
+    def counting_integrate_arc(*args, **kwargs):
+        calls.append(args)
+        return integrate_arc(*args, **kwargs)
+
+    monkeypatch.setattr(integrals, "integrate_arc", counting_integrate_arc)
+    bs = BasisSet(funcs)
+    g = assemble_gram(sc, bs)
+    res = bounds_for_basis(sc, bs)
+    assert calls == []
+    ref = np.array([[sum(circle_pair_integral(a, b, d) for d in sc.shapes) for b in funcs]
+                    for a in funcs]) / TWO_PI
+    scale = np.sqrt(np.outer(ref.diagonal().real, ref.diagonal().real))
+    assert np.all(np.abs(g.H - ref) <= 4 * EPS * scale)
+    # the route these bases took before: every disk through quadrature
+    monkeypatch.setattr(integrals, "Disk", type("NotADisk", (), {}))
+    q = bounds_for_basis(sc, funcs)
+    assert len(calls) == 1
+    assert abs(res.lower - q.lower) <= res.slack and abs(res.upper - q.upper) <= res.slack
+
+
 def test_circle_pair_integral_small_far_disk_against_mpmath():
     # poles shifted by -c before reflecting: every entry of a small disk far
     # from the origin matches the 40-digit closed form to 1e-15 relative
@@ -268,7 +302,7 @@ def test_circle_pair_integral_small_far_disk_against_mpmath():
         c, r = mp.mpc(d.center), mp.mpf(d.radius)
         for ba in basis:
             for bb in basis:
-                wa, wb = mp.mpc(ba.a) - c, mp.mpc(bb.a) - c
+                wa, wb = mp.mpc(ba.c) - c, mp.mpc(bb.c) - c
                 ref = 2 * mp.pi * r / (r * r - wa * mp.conj(wb))
                 got = mp.mpc(circle_pair_integral(ba, bb, d))
                 assert abs(got - ref) <= 1e-15 * abs(ref)
@@ -277,7 +311,7 @@ def test_circle_pair_integral_small_far_disk_against_mpmath():
 def test_circle_pair_integral_pole_near_the_centre():
     # a pole 1e-6 from the centre keeps every digit
     mp = pytest.importorskip("mpmath")
-    b = SimplePole(1e-6 + 0j)
+    b = PowerPole(1e-6 + 0j, 1)
     got = circle_pair_integral(b, b, Disk(0j, 1.0))
     exact = TWO_PI / (1.0 - 1e-12)  # 2 pi r / (r^2 - |w|^2)
     assert abs(got - exact) <= 1e-13 * exact
@@ -291,7 +325,7 @@ def test_circle_pair_integral_beside_its_circle(a):
     # a pole next to the circle: the closed form stays exact to the
     # conditioning of r^2 - |a|^2
     mp = pytest.importorskip("mpmath")
-    b = SimplePole(a)
+    b = PowerPole(a, 1)
     got = circle_pair_integral(b, b, Disk(0j, 1.0))
     with mp.workdps(40):
         ref = 2 * mp.pi / abs(1 - abs(mp.mpc(a)) ** 2)
@@ -363,7 +397,6 @@ def test_circle_pair_integral_closed_form_against_mpmath(rng):
 
 # --- the multipole disk kernel -----------------------------------------------
 
-EPS = np.finfo(float).eps
 
 
 def closed_form_reference(poles, disks, rows):
@@ -402,7 +435,7 @@ def relative_error(H, poles, disks, rows):
 # |kappa| on that disk is 1 - 3e-10, so the disk takes _K_MAX moments and the
 # tail, which is nearly all of the pair's value
 GAP_SCENE = [Disk(-1 - 1e-10 + 0j, 1.0), Disk(1 + 1e-10 + 0j, 1.0)]
-GAP_POLE = SimplePole(-1 - 1e-10 + (1 + 3e-10) * cmath.exp(1j))
+GAP_POLE = PowerPole(-1 - 1e-10 + (1 + 3e-10) * cmath.exp(1j), 1)
 
 
 @pytest.mark.parametrize("disks, basis, elementwise_error", [
@@ -412,7 +445,7 @@ GAP_POLE = SimplePole(-1 - 1e-10 + (1 + 3e-10) * cmath.exp(1j))
     ([Disk(0.3 - 0.2j, 0.7)], Rings(4), None),
     # a one-entry Gram: one moment row per disk
     ([Disk(complex(3.0 * k, 0.7 * k), 0.3 + 0.1 * k) for k in range(12)],
-     [SimplePole(0.1 + 0.05j)], None),
+     [PowerPole(0.1 + 0.05j, 1)], None),
     # |kappa| up to 0.9 on the other disk: both disks are capped, with tails
     ([Disk(0j, 1.0), Disk(2.001 + 0j, 1.0)], Rings(8), None),
     # the large disk sees the small one's poles at |kappa| near 1 - 3e-4, and
@@ -434,7 +467,7 @@ def test_disk_kernel_matches_the_closed_form_at_50_digits(disks, basis, elementw
         basis = build_basis(sc, basis)
     elif basis == "gap-pole":
         basis = build_basis(sc, Rings(4)) + [GAP_POLE]
-    poles = np.array([b.a for b in basis])
+    poles = np.array([b.c for b in basis])
     n = poles.size
     moment_rows = []
 
@@ -511,8 +544,8 @@ def test_split_grams_bitwise_equal_to_separate_assembly(disks, m):
     if len(disks) == 18:
         bases = [build_basis(p, Rings(4)) for p in parts]
     else:
-        bases = [[SimplePole(d.center) for d in p.shapes] for p in parts]
-        bases[1].append(SimplePole(-1 + 2j))
+        bases = [[PowerPole(d.center, 1) for d in p.shapes] for p in parts]
+        bases[1].append(PowerPole(-1 + 2j, 1))
     union = bases[0] + bases[1]
     want = [assemble_gram(s, b) for s, b in zip((sc, *parts), (union, *bases))]
     got = _assemble_grams(sc, BasisSet(union), None, split=(m, len(bases[0])))
@@ -553,7 +586,7 @@ def test_second_assembly_leaves_the_first_gram_unchanged():
 def test_pole_on_last_disk_circle_raises():
     disks = [Disk(0j, 1.0), Disk(3 + 0j, 1.0), Disk(6 + 1j, 0.5)]
     sc = validate_scene(scene(disks))
-    basis = build_basis(sc, Rings(1)) + [SimplePole(6.5 + 1j)]
+    basis = build_basis(sc, Rings(1)) + [PowerPole(6.5 + 1j, 1)]
     with pytest.raises(PoleOnContourError):
         assemble_gram(sc, basis)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import anacap.exact as exact
 from anacap import solver
-from anacap.basis import BasisSet, CornerAdapted, PowerPole, Powers, Rings, SimplePole, build_basis
+from anacap.basis import BasisSet, CornerAdapted, PowerPole, Powers, Rings, build_basis
 from anacap.errors import SceneConfigError, SingularGramError, SolveError
 from anacap.geometry import (Disk, Ellipse, Polygon, _signed_area, arcs, scene,
                              transform, validate_scene)
@@ -40,7 +40,7 @@ def system_for(sc, basis, tol=1e-9):
 # --- closed-form anchors ----------------------------------------------------
 
 def test_unit_disk_is_exact():
-    sys = system_for(scene([Disk(0, 1.0)]), [SimplePole(0j)])
+    sys = system_for(scene([Disk(0, 1.0)]), [PowerPole(0j, 1)])
     assert upper_bound(sys) == pytest.approx(1.0, abs=1e-14)
     assert lower_bound(sys) == pytest.approx(1.0, abs=1e-14)
 
@@ -127,9 +127,9 @@ def test_nesting_monotonicity_random_poles(two_disks, rng):
         disk = sc.shapes[int(rng.integers(0, 2))]
         pole = disk.center + rng.uniform(0, 0.9) * disk.radius * cmath.exp(
             1j * rng.uniform(0, 2 * math.pi))
-        if any(isinstance(b, SimplePole) and b.a == pole for b in basis):
+        if PowerPole(pole, 1) in basis:
             continue
-        basis = basis + [SimplePole(pole)]
+        basis = basis + [PowerPole(pole, 1)]
         cur = bounds_for_basis(sc, basis)
         assert cur.lower >= prev.lower - 1e-12
         assert cur.upper <= prev.upper + 1e-12
@@ -148,7 +148,7 @@ def test_equivariance_under_affine_maps(rng):
             a = 1.5j - 0.4
         b = complex(rng.normal(), rng.normal())
         mapped_scene = transform(sc, a, b)
-        mapped_basis = [SimplePole(a * f.a + b) for f in basis]
+        mapped_basis = [PowerPole(a * f.c + b, 1) for f in basis]
         mres = bounds_for_basis(mapped_scene, mapped_basis)
         assert mres.lower == pytest.approx(abs(a) * res.lower, abs=1e-9 * abs(a))
         assert mres.upper == pytest.approx(abs(a) * res.upper, abs=1e-9 * abs(a))
@@ -341,7 +341,7 @@ def test_basis_growing_at_infinity_rejected(unit_square):
 
 
 @pytest.mark.parametrize("member", [
-    SimplePole(2 + 0j),  # outside
+    PowerPole(2 + 0j, 1),  # outside
     PowerPole(1 + 0j, 2),  # a vertex: on the boundary, not strictly inside
     CornerAdapted(1.5j, 1 + 0j, -1 / 6, 1),
 ], ids=["simple-outside", "power-on-vertex", "corner-anchor-outside"])
@@ -379,7 +379,7 @@ def test_corner_member_whose_cut_leaves_a_non_star_shape_rejected():
 
 def test_pole_between_two_disks_rejected(two_disks):
     with pytest.raises(SceneConfigError, match="not strictly inside"):
-        bounds_for_basis(two_disks, [SimplePole(2 + 0j), SimplePole(0j)])
+        bounds_for_basis(two_disks, [PowerPole(2 + 0j, 1), PowerPole(0j, 1)])
 
 
 def test_scheduled_bases_skip_the_pole_check(two_disks, unit_square, monkeypatch):
