@@ -328,8 +328,12 @@ class BasisSet:
             raise ValueError("out must be a C-contiguous complex array of shape (n,) + z.shape")
         buf = out.reshape(self.n, zf.size)
         if self.all_simple:
-            # straight into out: no temporary of out's size
-            np.divide(1.0, np.subtract(zf[None, :], self._sa[:, None], out=buf), out=buf)
+            # straight into out: z copied into every row, then the poles
+            # subtracted in place, which takes half the iteration buffers of
+            # subtracting two broadcast operands
+            np.copyto(buf, zf)
+            np.subtract(buf, self._sa[:, None], out=buf)
+            np.divide(1.0, buf, out=buf)
         else:
             pw = (zf[None, :] - self._pc) ** self._pk
             if self._pi.size:

@@ -13,9 +13,10 @@ zero, a pair inside keeps its closed form, and a pair outside is a
 geometric series in kappa = r/(a - c), a sum of products of multipole
 moments.  The moments of all the disks of a scene, as many per disk as an
 a priori bound asks (the dropped tail of each entry is within eps/2 of
-sqrt(H_aa H_bb)), give the upper triangle from one Hermitian product
-(``zherk``), and every disk value is formed over 2 pi already.  The same
-call can also give the Grams of a split of the scene into its first m
+sqrt(H_aa H_bb)), give the upper triangle from Hermitian products
+(``zherk``) of their rows, a block of whole moment levels at a time, and
+every disk value is formed over 2 pi already.  The same call can also
+give the Grams of a split of the scene into its first m
 shapes (on their basis functions) and the rest, the E, F and E u F of a
 subadditivity record, each from its own moments and so bitwise what it
 would be assembled alone.  Every other boundary goes through one call of
@@ -37,9 +38,13 @@ the moments of all of them at once.
 A Gram is kept as its upper triangle from the ``zherk`` that makes it to
 the Cholesky factorization that reads it (:mod:`anacap.solver`); its lower
 triangle stays exactly zero, and only the public :func:`assemble_gram`
-mirrors it, so that the H it returns is Hermitian.  The moment rows and
-the integrand values live in per-thread buffers that the next call reuses
-(:func:`_scratch`).
+mirrors it, into an owned array, so that the H it returns is Hermitian.
+A disk Gram is written into a per-thread Gram buffer, one per group of a
+split (:func:`_gram_buffer`), valid until the next assembly in the same
+thread.  The moment rows, made in blocks of whole moment levels and each
+block added into the Gram, the integrand values and the solver's Cholesky
+copy take one per-thread work buffer in turn (:func:`_scratch`), so a
+bracket's memory of size n^2 is its Gram(s) and that one n x n buffer.
 """
 
 from __future__ import annotations
@@ -63,21 +68,38 @@ _K_MAX = 64
 _THREAD = threading.local()
 
 
-def _scratch(name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _scratch(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialized C-ordered complex array of ``shape`` in this thread's
-    buffer ``name``, grown on demand.  The next call for the same name in
-    the same thread hands out the same memory, so the array must not outlive
-    the call that took it; a thread keeps only its largest buffer per name.
-    Reusing it spares the fresh pages of a new array of that size.  A
-    thread keeps the moment rows and the factor copy of its largest disk
-    Gram (about 3.8 MB at n = 306) and the quadrature integrand's values,
-    at most (n+1) * 4096 * 16 B (282 KB on the four ellipses, n = 68)."""
+    one work buffer, grown on demand.  The next call in the same thread hands
+    out the same memory, so the array must not outlive the call that took
+    it: the moment rows of :func:`_moment_gram`, the quadrature integrand's
+    values and the solver's Cholesky copy take it in turn.  Reusing it
+    spares the fresh pages of a new array; a buffer that must grow is dropped
+    before the larger one is made, so the two are never held together.  A
+    thread keeps the largest that it has asked for: n x n for a Cholesky
+    copy (1.5 MB at n = 306), max(n, disks) x n for a block of moment rows,
+    at most (n+1) x 4096 for the integrand (282 KB on the four ellipses,
+    n = 68)."""
     size = math.prod(shape)
-    buf = getattr(_THREAD, name, None)
+    buf = getattr(_THREAD, "work", None)
     if buf is None or buf.size < size:
-        buf = np.empty(size, complex)
-        setattr(_THREAD, name, buf)
+        _THREAD.work = buf = None
+        _THREAD.work = buf = np.empty(size, complex)
     return buf[:size].reshape(shape)
+
+
+def _gram_buffer(i: int, n: int) -> np.ndarray:
+    """This thread's i-th disk Gram buffer, a C-ordered n x n complex array
+    whose lower triangle is zero: group i of an assembly writes its upper
+    triangle there (:func:`_disk_blocks`), so the Gram stays valid until the
+    next assembly in the same thread.  A buffer of another shape is dropped
+    and made again, zeroed."""
+    grams = _THREAD.__dict__.setdefault("grams", {})
+    H = grams.get(i)
+    if H is None or H.shape != (n, n):
+        grams[i] = H = None
+        grams[i] = H = np.zeros((n, n), complex)
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +185,13 @@ def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups) -> list[GramData]
     inside.  Each group ``(d0, d1, j0, j1)`` asks for the sums over disks
     d0 .. d1-1 on basis indices j0 .. j1-1, returned as :class:`GramData` in
     the group's own indices, H as its upper triangle over a zero lower one
-    and c0 the sum of the radii.  H comes from multipole moments
-    (:func:`_moment_gram`): each entry is within eps/2 of sqrt(H_aa H_bb)
-    of the closed forms' sum, plus rounding.  conj(kappa), |kappa| and the
-    inside pairs' closed forms are elementwise, formed once for all the
-    groups, and u is summed in disk order, so a group gets bitwise the Gram
-    data that its disks and indices give alone.
+    in this thread's Gram buffer for the group's place in ``groups``
+    (:func:`_gram_buffer`), and c0 the sum of the radii.  H comes from
+    multipole moments (:func:`_moment_gram`): each entry is within eps/2 of
+    sqrt(H_aa H_bb) of the closed forms' sum, plus rounding.  conj(kappa),
+    |kappa| and the inside pairs' closed forms are elementwise, formed once
+    for all the groups, and u is summed in disk order, so a group gets
+    bitwise the Gram data that its disks and indices give alone.
     """
     c = np.array([d.center for d in disks], complex)[:, None]
     r = np.array([d.radius for d in disks])[:, None]
@@ -184,22 +207,24 @@ def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups) -> list[GramData]
     # it would form; a <= b, so a >= j0 and b < j1 put both in the group
     d_in, a_in, b_in, term_in = _closed_form_pairs(w, r, inside, 1.0)
     grams = []
-    for d0, d1, j0, j1 in groups:
+    for i, (d0, d1, j0, j1) in enumerate(groups):
         mine = (d0 <= d_in) & (d_in < d1) & (j0 <= a_in) & (b_in < j1)
         pairs = a_in[mine] - j0, b_in[mine] - j0, term_in[mine]
         part = np.s_[d0:d1, j0:j1]
-        H = _moment_gram(w[part], r[d0:d1], ck[part], rho[part], pairs)
+        H = _moment_gram(w[part], r[d0:d1], ck[part], rho[part], pairs,
+                         _gram_buffer(i, j1 - j0))
         grams.append(GramData(H, np.add.reduce(means[part], axis=0),
                               sum(d.radius for d in disks[d0:d1])))
     return grams
 
 
 def _moment_gram(w: np.ndarray, r: np.ndarray, ck: np.ndarray, rho: np.ndarray,
-                 pairs) -> np.ndarray:
+                 pairs, H: np.ndarray) -> np.ndarray:
     """Upper triangle of the sum over disks of the Hardy-split pair integrals
-    (:func:`_disk_blocks`) over a zero lower one, given w = pole - c (disks
-    x poles), the radii (disks x 1), ck = conj(kappa) and rho = |kappa| (0
-    inside a disk), and the closed forms (a, b, value) of the inside pairs.
+    (:func:`_disk_blocks`), written into H over its zero lower triangle and
+    returned, given w = pole - c (disks x poles), the radii (disks x 1),
+    ck = conj(kappa) and rho = |kappa| (0 inside a disk), and the closed
+    forms (a, b, value) of the inside pairs.
 
     Outside, with kappa = r / w (|kappa| < 1), the pair integral is the
     series (1/r) sum_{k >= 1} kappa_a^k conj(kappa_b^k): on each disk a sum
@@ -209,30 +234,42 @@ def _moment_gram(w: np.ndarray, r: np.ndarray, ck: np.ndarray, rho: np.ndarray,
     sqrt(H_aa H_bb).  With the disks in a stable order of K_d, most first,
     those that take a k-th moment are a prefix, so one recurrence of slice
     products builds the moment rows r^(-1/2) conj(kappa)^k, zero at the
-    poles inside the disk, in k-major order, and one ``zherk`` of all of
-    them gives the upper triangle of every outside pair on every disk at
-    once; a mixed pair meets a zero row.  K_d is capped at ``_K_MAX``; a
-    capped disk adds the exact tail p^K times the closed form, p = kappa_a
-    conj(kappa_b), to its pairs with both |kappa|^K / (1 - |kappa|) above
-    eps/2, the only ones whose tail can exceed that bound.  Pairs inside one
+    poles inside the disk, in k-major order, and a Hermitian product
+    (``zherk``) of them gives the upper triangle of every outside pair on
+    every disk at once; a mixed pair meets a zero row.  The rows are made in
+    blocks of whole moment levels, at most max(n, disks) rows each, in this
+    thread's work buffer (:func:`_scratch`), and each block is added into H
+    (``beta = 1`` after the first), so they never take more memory than the
+    solver's Cholesky copy; when all the rows fit one block, H has the bits
+    of a single product.  K_d is capped at ``_K_MAX``; a capped disk adds
+    the exact tail p^K times the closed form, p = kappa_a conj(kappa_b), to
+    its pairs with both |kappa|^K / (1 - |kappa|) above eps/2, the only
+    ones whose tail can exceed that bound.  Pairs inside one
     disk keep the closed form; a pole lies inside at most one disk, so each
     of them is one entry.  No entry is summed over the disks in disk order.
-    The moment rows live in this thread's scratch buffer (:func:`_scratch`),
-    which the next call reuses.
     """
     n = w.shape[1]
     k_d, capped = _moment_counts(rho.max(axis=1, initial=0.0))
     order = np.argsort(-k_d, kind="stable")
     # live[k - 1] disks, the first of that order, take a k-th moment
     live = np.count_nonzero(k_d[:, None] > np.arange(k_d.max(initial=0)), axis=0)
-    rows = _scratch("rows", (int(live.sum()), n))
-    prev, ck_sorted, at = 1.0 / np.sqrt(r[order]), ck[order], 0
-    for m in live:
+    cap = max(n, live[0]) if live.size else 0
+    rows = _scratch((cap, n))
+    prev, ck_sorted, at, beta = 1.0 / np.sqrt(r[order]), ck[order], 0, 0.0
+    for k, m in enumerate(live, 1):
+        # a block's first level reads the last level of the block before:
+        # the same rows if that block held one level (no level outgrows the
+        # one before it), rows past those it writes if it held more
         prev = np.multiply(prev[:m], ck_sorted[:m], out=rows[at:at + m])
         at += m
-    # A = rows.T is n x K in Fortran order; BLAS puts A A^H = conj(H) in its
-    # lower triangle, whose transpose is H's upper triangle in C order
-    H = zherk(1.0, rows.T, trans=0, lower=1).T
+        if k == live.size or at + live[k] > cap:
+            # A = rows[:at].T is n x at in Fortran order, and H.T is H's
+            # memory there; BLAS adds A A^H, conj(H) = H^T, to its lower
+            # triangle, H's upper one (beta = 0 overwrites it at the first)
+            zherk(1.0, rows[:at].T, beta=beta, c=H.T, trans=0, lower=1, overwrite_c=1)
+            at, beta = 0, 1.0
+    if not live.size:  # no pole outside any disk
+        H.fill(0.0)
     a, b, term = pairs
     H[a, b] += term
     if capped.any():
@@ -339,7 +376,7 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
                 subs.setdefault(start, z - start)[c] = arc.disp_start(t[c])
             if end is not None:
                 subs.setdefault(end, z - end)[c] = arc.disp_end(s1[c])
-        A = _scratch("quad", (n + 1, z.size))
+        A = _scratch((n + 1, z.size))
         bs.eval_all(z, list(subs.items()) or None, out=A[:n])
         A[n] = 1.0
         A *= np.sqrt(w).astype(complex)
@@ -390,19 +427,22 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
 
     Disks under a basis of first-order poles use the Hardy split (opposite-side
     pole pairs are exactly zero), with the outside pairs of all the
-    disks from one Hermitian product of their multipole moments, accurate to
+    disks from Hermitian products of their multipole moments, accurate to
     eps/2 of sqrt(H_aa H_bb) plus rounding (:func:`_disk_blocks`); every
     other boundary goes through node-and-weight quadrature at
     ``settings.abs_tol``.  The disks are accumulated first, then the other
-    shapes in index order.  Only the upper triangle is computed; here the
-    lower is filled with its conjugate mirror, so H is Hermitian exactly.
-    The same pass can also give the Grams of a split of the scene, as upper
-    triangles (:func:`_assemble_grams`).
+    shapes in index order.  Only the upper triangle is computed; here it is
+    copied into an array of the caller's own, which no later assembly
+    overwrites, with the lower triangle its conjugate mirror, so H is
+    Hermitian exactly.  The same pass can also give the Grams of a split of
+    the scene, as upper triangles (:func:`_assemble_grams`).
     """
     bs = basis if isinstance(basis, BasisSet) else BasisSet(basis)
     g = _assemble_grams(sc, bs, settings)[0]
-    np.copyto(g.H, g.H.T.conj(), where=np.tri(bs.n, k=-1, dtype=bool))
-    return g
+    # an owned array: the disk kernel's Gram is this thread's buffer
+    H = np.conj(g.H.T, order="C")
+    np.copyto(H, g.H, where=np.tri(bs.n, dtype=bool).T)
+    return GramData(H, g.u, g.c0)
 
 
 def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None,
@@ -411,7 +451,9 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
     exactly zero lower one, the part the solver reads, and with
     ``split = (m, k)`` also the Grams of the first m shapes on the first k
     basis functions (theirs) and of the other shapes on the other
-    functions, from the same pass.
+    functions, from the same pass.  With disks and no other shapes each H
+    is this thread's Gram buffer of its group (:func:`_gram_buffer`), valid
+    until the next assembly in the same thread: read it, or copy it, first.
 
     The disk kernel takes each group's moments from its own disks and its own
     indices only (:func:`_disk_blocks`), so with disks the group Grams are
@@ -448,7 +490,7 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
                 u += G[j0:j1, n]
                 lengths[g] += float(G[n, n].real)
     quads = [_gram_data(H, u, L) for (H, u), L in zip(blocks, lengths)]
-    return [GramData(g.H + q.H, g.u + q.u, g.c0 + q.c0)
+    return [GramData(np.add(g.H, q.H, out=q.H), g.u + q.u, g.c0 + q.c0)
             for g, q in zip(grams, quads)] if disks else quads
 
 

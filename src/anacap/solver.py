@@ -19,9 +19,14 @@ The bounds are rigorous up to quadrature error; the reported ``slack``
 The solver reads only the upper triangle of H, in the factorization and in
 the products H x, so it takes the triangle that assembly makes
 (``integrals._assemble_grams``) and the mirrored H of ``assemble_gram``
-alike, with the same bits.  LAPACK factors a copy of the Gram as
-assembled, with no equilibration, in a per-thread buffer that the next
-factorization reuses, and solves for both objectives in one call.
+alike, with the same bits; ``gamma_bounds`` and ``bounds_for_basis`` take
+the triangle, which for disks is a per-thread Gram buffer, valid until the
+next assembly in the thread.  LAPACK factors a copy of the Gram as
+assembled, with no equilibration, in the per-thread work buffer that the
+moment rows and the quadrature integrand also take
+(``integrals._scratch``), and solves for both objectives in one call.  So
+a disk bracket holds its Gram(s) and one n x n work buffer, nothing more
+of size n^2.
 """
 
 from __future__ import annotations
@@ -36,7 +41,9 @@ from scipy.linalg.lapack import zpotrf, zpotrs
 from .basis import BasisSet, CornerAdapted, _require_star_shaped, build_basis
 from .errors import SceneConfigError, SingularGramError, SolveError
 from .geometry import Scene, _winding_number, arcs, corners, validate_scene
-from .integrals import GramData, _matching_corner, _scratch, assemble_gram
+# assemble_gram is not called here; bench/tracing.py swaps solver.assemble_gram
+from .integrals import (GramData, _assemble_grams, _matching_corner, _scratch,  # noqa: F401
+                        assemble_gram)
 from .quadrature import QuadratureSettings
 
 
@@ -92,7 +99,7 @@ def _factor(H: np.ndarray):
     # with conjugated right-hand side and result gives H's solution.  A
     # failed attempt overwrites the buffer, this thread's, so each step of
     # the ladder copies H again.
-    buf = _scratch("factor", (n, n))
+    buf = _scratch((n, n))
     info = 0
     for jit in _JITTERS:
         np.copyto(buf, H)
@@ -178,7 +185,7 @@ def bounds_for_basis(sc: Scene, basis, settings: QuadratureSettings | None = Non
     bs = basis if isinstance(basis, BasisSet) else BasisSet(basis)
     sc = validate_scene(sc)
     _require_poles_inside(sc, bs.funcs)
-    return _bracket(assemble_gram(sc, bs, settings), bs.d_vector(), settings, t0)
+    return _bracket(_assemble_grams(sc, bs, settings)[0], bs.d_vector(), settings, t0)
 
 
 def _require_poles_inside(sc: Scene, funcs) -> None:
@@ -212,7 +219,7 @@ def gamma_bounds(sc: Scene, schedule, settings: QuadratureSettings | None = None
     t0 = time.perf_counter()
     sc = validate_scene(sc)
     bs = BasisSet(build_basis(sc, schedule))
-    return _bracket(assemble_gram(sc, bs, settings), bs.d_vector(), settings, t0)
+    return _bracket(_assemble_grams(sc, bs, settings)[0], bs.d_vector(), settings, t0)
 
 
 def refine(sc: Scene, ladder, settings: QuadratureSettings | None = None) -> list[BoundsResult]:

@@ -39,6 +39,19 @@ def eighteen_disks() -> list:
     return [Disk(c, r) for c in centers]
 
 
+def cantor_disks(generation: int) -> list:
+    """The disks of generation g of the corner-quarter Cantor set: the unit
+    square's four corner squares of a quarter its side, taken g times, each
+    of the 4^g squares with its inscribed disk; each disk's three siblings
+    come right after it."""
+    corners, side = [0j], 1.0
+    for _ in range(generation):
+        side /= 4
+        corners = [c + dx + 1j * dy for c in corners for dx in (0, 3 * side)
+                   for dy in (0, 3 * side)]
+    return [Disk(c + (0.5 + 0.5j) * side, side / 2) for c in corners]
+
+
 def each_piece(g):
     """An ``integrate_arc`` integrand from g(t, z, s1, w), the weighted sum of
     one part's values: g runs on each part of a call alone."""

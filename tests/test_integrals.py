@@ -18,6 +18,7 @@ from anacap.basis import (
 from anacap.errors import MaxDepthError, NonRationalBasisError, PoleOnContourError
 from anacap.geometry import Disk, Ellipse, Polygon, arcs, scene, validate_scene
 from anacap.integrals import (
+    GramData,
     _assemble_grams,
     assemble_gram,
     circle_mean_integral,
@@ -27,8 +28,8 @@ from anacap.quadrature import QuadratureSettings, integrate_arc
 from anacap.solver import bounds_for_basis
 from anacap.sublab import max_sweep_radius, random_configuration
 
-from conftest import (MIXED_SHAPES, each_piece, eighteen_disks, half_disk, row_per_member_eval,
-                      same_bits)
+from conftest import (MIXED_SHAPES, cantor_disks, each_piece, eighteen_disks, half_disk,
+                      row_per_member_eval, same_bits)
 
 TWO_PI = 2 * math.pi
 ORACLE = QuadratureSettings(abs_tol=1e-12)
@@ -491,12 +492,38 @@ def test_disk_kernel_matches_the_closed_form_at_50_digits(disks, basis, elementw
         assert err <= 1.25 * elementwise_error + 4 * EPS
     assert sum(moment_rows) <= integrals._K_MAX * len(disks)
     if basis[-1] is GAP_POLE:
-        assert moment_rows == [integrals._K_MAX * len(disks)]
+        assert sum(moment_rows) == integrals._K_MAX * len(disks)
     mean = [sum(TWO_PI * d.radius / (d.center - p) for d in sc.shapes
                 if abs(p - d.center) > d.radius) for p in poles]
     np.testing.assert_allclose(g.u, np.array(mean) / TWO_PI, rtol=1e-15, atol=0)
     # c0 is formed in its final units, the sum of the radii
     assert g.c0 == sum(d.radius for d in sc.shapes)
+
+
+def test_blocked_moment_rows_keep_the_closed_form_and_the_split_bits(monkeypatch):
+    # 16 Cantor disks under Rings(1): the scene (n = 80) and each part (4
+    # disks and 12) take their moment rows in three blocks, each added into
+    # the Gram; every entry stays within rounding of the closed form's sum at
+    # 50 digits, and E and F keep the bits they have assembled alone
+    sc = validate_scene(scene(cantor_disks(2)))
+    parts = (scene(sc.shapes[:4]), scene(sc.shapes[4:]))
+    bases = [build_basis(p, Rings(1)) for p in parts]
+    want = [assemble_gram(p, b) for p, b in zip(parts, bases)]
+    union = bases[0] + bases[1]
+    blocks = []
+
+    def counting_zherk(alpha, a, **kw):
+        blocks.append(a.shape[0])
+        return zherk(alpha, a, **kw)
+
+    monkeypatch.setattr(integrals, "zherk", counting_zherk)
+    ef, e, f = _assemble_grams(sc, BasisSet(union), None, split=(4, len(bases[0])))
+    assert sorted(blocks) == [20] * 3 + [60] * 3 + [80] * 3
+    poles = np.array([b.c for b in union])
+    assert relative_error(ef.H, poles, sc.shapes, range(0, poles.size, 3)) <= 4 * EPS
+    for g, w in zip((e, f), want):
+        assert same_bits(g.H, np.triu(w.H)) and same_bits(g.u, w.u)
+        assert g.c0 == w.c0
 
 
 def test_disk_and_ellipse_gram_is_sum_of_one_shape_grams():
@@ -520,7 +547,9 @@ def test_split_grams_are_sums_of_one_disk_grams():
     parts = (scene(sc.shapes[:9]), scene(sc.shapes[9:]))
     bases = [build_basis(p, Rings(4)) for p in parts]
     union = bases[0] + bases[1]
-    grams = _assemble_grams(sc, BasisSet(union), None, split=(9, len(bases[0])))
+    # a disk Gram is this thread's buffer until the next assembly: copy each
+    grams = [GramData(g.H.copy(), g.u, g.c0)
+             for g in _assemble_grams(sc, BasisSet(union), None, split=(9, len(bases[0])))]
     for g, part, basis in zip(grams, (sc, *parts), (union, *bases)):
         ones = [assemble_gram(scene([s]), basis) for s in part.shapes]
         # the internal Grams are upper triangles over an exactly zero lower one

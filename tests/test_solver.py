@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from anacap.solver import (
     refine,
     upper_bound,
 )
-from conftest import MIXED_SHAPES, eighteen_disks, random_points
+from conftest import MIXED_SHAPES, cantor_disks, eighteen_disks, random_points
 
 TWO_DISK_GAMMA = 1.8755950190971197289
 
@@ -226,15 +227,34 @@ def test_bound_entry_points_equal_the_bracket_bitwise(shape, schedule, request):
     ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, with_corners=True)),
     (MIXED_SHAPES, Powers(3, with_corners=True)),
     ([Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)], Rings(4)),
-], ids=["square-Powers6", "mixed-Powers3", "four-ellipses-Rings4"])
+    (eighteen_disks(), Rings(4)),
+], ids=["square-Powers6", "mixed-Powers3", "four-ellipses-Rings4", "18-disks-Rings4"])
 def test_public_stages_give_gamma_bounds_bracket_bitwise(shapes, schedule):
     # assemble_gram -> GramSystem -> upper_bound / lower_bound, the stages a
-    # traced bench run replays, give gamma_bounds' bracket bit for bit
+    # traced bench run replays, give gamma_bounds' bracket bit for bit; on
+    # disks gamma_bounds reads the kernel's Gram buffer, the stages an owned
+    # mirrored copy
     sc = validate_scene(scene(shapes))
     bs = BasisSet(build_basis(sc, schedule))
     system = GramSystem(assemble_gram(sc, bs), bs.d_vector())
     res = gamma_bounds(sc, schedule)
     assert (upper_bound(system), lower_bound(system)) == (res.upper, res.lower)
+
+
+def test_warm_disk_bracket_allocates_under_half_a_gram():
+    # 64 Cantor disks under Rings(4), n = 1088: the Gram is this thread's Gram
+    # buffer, the moment rows and the Cholesky copy its work buffer, and the
+    # solver reads the upper triangle unmirrored, so once those exist the
+    # traced peak is the disks x poles arrays of the kernel (0.35 n^2 values)
+    sc = scene(cantor_disks(3))
+    n = gamma_bounds(sc, Rings(4)).n_basis
+    tracemalloc.start()
+    try:
+        gamma_bounds(sc, Rings(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 16 * n * n
 
 
 def test_objectives_make_one_factorization_one_solve_and_one_product(monkeypatch):

@@ -222,6 +222,21 @@ def test_ratio_record_makes_no_gram_sized_temporaries():
     assert peak <= 1.4 * grams
 
 
+def test_warm_ratio_record_allocates_no_gram_sized_array():
+    # the three Grams are this thread's Gram buffers and the moment rows and
+    # the factor copies its work buffer, so once they exist a record's traced
+    # peak stays below one n x n complex array
+    cfg = eighteen_disk_record(3)
+    n = ratio_bounds(cfg, Rings(4)).ef.n_basis
+    tracemalloc.start()
+    try:
+        ratio_bounds(cfg, Rings(4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n
+
+
 def test_max_sweep_radius():
     assert max_sweep_radius(PAIR) == pytest.approx(0.999 * 2.0)
 
