@@ -114,12 +114,13 @@ def _rational_parts(b: BasisFunction, c: complex) -> tuple[complex, int]:
         f"{type(b).__name__} is not rational; use the quadrature path")
 
 
-def _inside(w: complex, r: float) -> bool:
-    """Whether the pole w (from the centre) lies inside the circle |w| = r;
-    a pole on it, under the rule of :func:`_disk_blocks`, is an error."""
-    d = abs(w)
-    if abs(d - r) <= 1e-12 * max(r, d):
-        raise PoleOnContourError(f"pole {w} from the centre lies on the circle of radius {r}")
+def _inside(w, r):
+    """Whether the poles w (from the centre) lie inside the circles |w| = r,
+    for scalars or for arrays that broadcast; a pole on its circle, |w|
+    within 1e-12 max(|w|, r) of r, is an error."""
+    d = np.abs(w)
+    if np.any(np.abs(d - r) <= 1e-12 * np.maximum(r, d)):
+        raise PoleOnContourError("a pole lies on the circle of a disk")
     return d < r
 
 
@@ -181,28 +182,24 @@ def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups) -> list[GramData]
     mixed               0 exactly
     ========  ========  =============================================
 
-    and the mean (1/2pi) \\oint 1/(z - a) |dz| is r / (c - a) outside, 0
-    inside.  Each group ``(d0, d1, j0, j1)`` asks for the sums over disks
-    d0 .. d1-1 on basis indices j0 .. j1-1, returned as :class:`GramData` in
-    the group's own indices, H as its upper triangle over a zero lower one
-    in this thread's Gram buffer for the group's place in ``groups``
-    (:func:`_gram_buffer`), and c0 the sum of the radii.  H comes from
+    and the mean (1/2pi) \\oint 1/(z - a) |dz| is r / (c - a) = -kappa
+    outside, 0 inside.  Each group ``(d0, d1, j0, j1)`` asks for the sums
+    over disks d0 .. d1-1 on basis indices j0 .. j1-1, returned as
+    :class:`GramData` in the group's own indices, H as its upper triangle
+    over a zero lower one in this thread's Gram buffer for the group's place
+    in ``groups`` (:func:`_gram_buffer`), and c0 the sum of the radii.  H comes from
     multipole moments (:func:`_moment_gram`): each entry is within eps/2 of
-    sqrt(H_aa H_bb) of the closed forms' sum, plus rounding.  conj(kappa),
-    |kappa| and the inside pairs' closed forms are elementwise, formed once
-    for all the groups, and u is summed in disk order, so a group gets
-    bitwise the Gram data that its disks and indices give alone.
+    sqrt(H_aa H_bb) of the closed forms' sum, plus rounding.  w and
+    conj(kappa) are the only disks x poles arrays held; they and the inside
+    pairs' closed forms are elementwise, formed once for all the groups,
+    and each group sums its means from conj(kappa) in disk order, so a
+    group gets bitwise the Gram data that its disks and indices give alone.
     """
     c = np.array([d.center for d in disks], complex)[:, None]
     r = np.array([d.radius for d in disks])[:, None]
     w = poles - c  # disks x poles
-    dist = np.abs(w)
-    if np.any(np.abs(dist - r) <= 1e-12 * np.maximum(r, dist)):
-        raise PoleOnContourError("simple pole on the circle")
-    inside = dist < r
-    means = np.where(inside, 0j, r / np.where(poles != c, c - poles, 1.0))
+    inside = _inside(w, r)
     ck = np.divide(r, np.conj(w), out=np.zeros_like(w), where=~inside)  # conj(kappa)
-    rho = np.abs(ck)
     # a group takes the pairs inside its disks on its indices, the values
     # it would form; a <= b, so a >= j0 and b < j1 put both in the group
     d_in, a_in, b_in, term_in = _closed_form_pairs(w, r, inside, 1.0)
@@ -211,20 +208,21 @@ def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups) -> list[GramData]
         mine = (d0 <= d_in) & (d_in < d1) & (j0 <= a_in) & (b_in < j1)
         pairs = a_in[mine] - j0, b_in[mine] - j0, term_in[mine]
         part = np.s_[d0:d1, j0:j1]
-        H = _moment_gram(w[part], r[d0:d1], ck[part], rho[part], pairs,
-                         _gram_buffer(i, j1 - j0))
-        grams.append(GramData(H, np.add.reduce(means[part], axis=0),
-                              sum(d.radius for d in disks[d0:d1])))
+        H = _moment_gram(w[part], r[d0:d1], ck[part], pairs, _gram_buffer(i, j1 - j0))
+        # the means r / (c - a) = -kappa, summed as conj(kappa); 0.0 - keeps
+        # +0 at an inside pole of a one-disk group, where a bare minus gives -0
+        u = 0.0 - np.conj(np.add.reduce(ck[part], axis=0))
+        grams.append(GramData(H, u, sum(d.radius for d in disks[d0:d1])))
     return grams
 
 
-def _moment_gram(w: np.ndarray, r: np.ndarray, ck: np.ndarray, rho: np.ndarray,
-                 pairs, H: np.ndarray) -> np.ndarray:
+def _moment_gram(w: np.ndarray, r: np.ndarray, ck: np.ndarray, pairs,
+                 H: np.ndarray) -> np.ndarray:
     """Upper triangle of the sum over disks of the Hardy-split pair integrals
     (:func:`_disk_blocks`), written into H over its zero lower triangle and
     returned, given w = pole - c (disks x poles), the radii (disks x 1),
-    ck = conj(kappa) and rho = |kappa| (0 inside a disk), and the closed
-    forms (a, b, value) of the inside pairs.
+    ck = conj(kappa) (0 inside a disk), and the closed forms (a, b, value)
+    of the inside pairs; |kappa| is formed from ck where it is read.
 
     Outside, with kappa = r / w (|kappa| < 1), the pair integral is the
     series (1/r) sum_{k >= 1} kappa_a^k conj(kappa_b^k): on each disk a sum
@@ -249,7 +247,7 @@ def _moment_gram(w: np.ndarray, r: np.ndarray, ck: np.ndarray, rho: np.ndarray,
     of them is one entry.  No entry is summed over the disks in disk order.
     """
     n = w.shape[1]
-    k_d, capped = _moment_counts(rho.max(axis=1, initial=0.0))
+    k_d, capped = _moment_counts(np.abs(ck).max(axis=1, initial=0.0))
     order = np.argsort(-k_d, kind="stable")
     # live[k - 1] disks, the first of that order, take a k-th moment
     live = np.count_nonzero(k_d[:, None] > np.arange(k_d.max(initial=0)), axis=0)
@@ -275,6 +273,7 @@ def _moment_gram(w: np.ndarray, r: np.ndarray, ck: np.ndarray, rho: np.ndarray,
     if capped.any():
         # past _K_MAX moments a pair's tail is within eps/2 of its scale unless
         # both poles have |kappa|^K / (1 - |kappa|) above eps/2 (|kappa| > 0.556)
+        rho = np.abs(ck)
         tail = capped[:, None] & (rho ** _K_MAX > _HALF_EPS * (1.0 - rho))
         d, a, b, term = _closed_form_pairs(w, r, tail, -1.0)
         np.add.at(H, (a, b), (np.conj(ck[d, a]) * ck[d, b]) ** _K_MAX * term)
@@ -495,11 +494,9 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
 
 
 def _gram_data(H: np.ndarray, u: np.ndarray, length: float) -> GramData:
-    """Finish summed quadrature blocks in place: real diagonal, everything
-    over 2 pi, the units the disk kernel forms.  H's lower triangle is not
-    read or mirrored: the summed blocks leave it zero, and zero it stays."""
-    di = np.arange(u.size)
-    H[di, di] = H[di, di].real  # Gram diagonal is real; drop rounding residue
+    """Finish summed quadrature blocks in place: everything over 2 pi, the
+    units the disk kernel forms.  Their diagonal is real (``zherk`` writes it
+    so, and sums keep it) and their lower triangle zero, and both stay so."""
     # dividing a complex array by 2 pi gives x * fl(1/2pi) in each finite
     # component (it may drop the sign of a zero real part); the product on
     # the float64 view gives that without NumPy's complex division loop

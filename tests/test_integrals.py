@@ -112,6 +112,25 @@ def test_pole_on_contour_error():
         circle_pair_integral(PowerPole(1 + 0j, 1), PowerPole(5 + 0j, 1), c)
 
 
+@pytest.mark.parametrize("offset,on_circle", [
+    (5e-13, True), (-5e-13, True), (5e-12, False), (-5e-12, False)])
+def test_disk_kernel_and_exact_references_share_one_on_circle_rule(offset, on_circle):
+    # a pole within 1e-12 of the unit circle is on it for the disk kernel and
+    # for the exact references alike; 5e-12 off, all of them take it
+    disk = Disk(0j, 1.0)
+    sc = validate_scene(scene([disk]))
+    pole = PowerPole(complex(1.0 + offset), 1)
+    calls = (lambda: assemble_gram(sc, [PowerPole(0.5 + 0j, 1), pole]),
+             lambda: circle_pair_integral(pole, pole, disk),
+             lambda: circle_mean_integral(pole, disk))
+    for call in calls:
+        if on_circle:
+            with pytest.raises(PoleOnContourError):
+                call()
+        else:
+            call()
+
+
 def test_residue_vs_quadrature_randomized(rng):
     # property: the closed form and quadrature agree to 1e-9 for random
     # circles and random interior/exterior poles of random order
@@ -911,6 +930,36 @@ def test_warm_quadrature_assembly_allocates_few_blocks():
     assert peak < 9 * (bs.n + 1) ** 2 * 16 + 2 * 128 * 1024
 
 
+def test_warm_disk_kernel_holds_few_disks_by_poles_arrays():
+    # once the Gram and work buffers exist, the disk kernel's traced peak on
+    # the 64 Cantor disks of generation 3 (n = 1,088) is w, conj(kappa), its
+    # K-sorted copy and the temporaries of one elementwise step at a time
+    sc = validate_scene(scene(cantor_disks(3)))
+    bs = BasisSet(build_basis(sc, Rings(4)))
+    _assemble_grams(sc, bs, None)
+    tracemalloc.start()
+    try:
+        _assemble_grams(sc, bs, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 16 * len(sc.shapes) * bs.n
+
+
+@pytest.mark.parametrize("shapes,schedule", [
+    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, True)),
+    (MIXED_SHAPES, Powers(3, True)),
+    (FOUR_ELLIPSES, Rings(4)),
+], ids=["square-Powers6", "mixed-Powers3", "four-ellipses-Rings4"])
+def test_quadrature_blocks_have_an_exactly_real_diagonal(shapes, schedule):
+    # zherk writes a real diagonal and the ladder's sums keep it, so the
+    # Gram's finishing step need not drop an imaginary part there
+    sc = validate_scene(scene(shapes))
+    bs = BasisSet(build_basis(sc, schedule))
+    for G in integrals._quad_blocks(bs, list(sc.shapes), QuadratureSettings()):
+        assert not np.diag(G).imag.any()
+
+
 def test_max_depth_error_names_the_first_failing_piece_in_scene_order():
     # two flat ellipses fail the 2^16-node cap at the same level; the error
     # names the earlier one, as a shape-by-shape assembly would, and the
@@ -1009,12 +1058,9 @@ def test_gram_data_scales_each_component_by_the_reciprocal_of_two_pi(rng):
     A[n, :4] = [complex(-0.0, 0.0), complex(0.0, -0.0), -7e-321, 1e299]
     H, u = A[:n].copy(), A[n].copy()
     g = integrals._gram_data(H, u, 3.0)
-    # reference: real diagonal, then both float64 components times
-    # fl(1/2pi); only the upper triangle of H is the Gram's
-    ref = A[:n].copy()
-    di = np.arange(n)
-    ref[di, di] = ref[di, di].real
-    for got, x in ((np.triu(g.H), np.triu(ref)), (g.u, A[n])):
+    # reference: both float64 components times fl(1/2pi); only the upper
+    # triangle of H is the Gram's
+    for got, x in ((np.triu(g.H), np.triu(A[:n])), (g.u, A[n])):
         assert same_bits(got, (x.view(np.float64) * (1.0 / TWO_PI)).view(complex))
         # the complex division gives the same bits in every nonzero component
         div = x / TWO_PI

@@ -8,7 +8,7 @@ import pytest
 
 from anacap import basis, sublab
 from anacap.basis import Powers, Rings, build_basis
-from anacap.discrete import DiskConfiguration
+from anacap.discrete import DiskConfiguration, predicted_slope
 from anacap.errors import OverlapError, SolveError, SplitError
 from anacap.exact import nome_from_geometry, ratio_f
 from anacap.geometry import Disk, Scene
@@ -235,6 +235,16 @@ def test_warm_ratio_record_allocates_no_gram_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < 16 * n * n
+
+
+@pytest.mark.xfail(strict=True, reason="unbudgeted rounding: the bracket is [1, 1] "
+                   "exactly (ROADMAP items 2 and 19, Known defects)")
+def test_small_radius_ratio_bracket_holds_the_predicted_ratio():
+    # R = 1 - (delta/n) r^2 + O(r^3) is 1 - 4.0e-16 at r = 1e-8, which a
+    # bracket with a rounding budget holds
+    centers, m, r = random_configuration(18, 1), 9, 1e-8
+    rec = ratio_bounds(DiskConfiguration(centers, r, m), Rings(4))
+    assert rec.ratio_low <= 1.0 - predicted_slope(centers, m) * r * r <= rec.ratio_high
 
 
 def test_max_sweep_radius():
