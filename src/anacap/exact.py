@@ -183,13 +183,6 @@ def agm(a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def elliptic_F(k: float) -> float:
-    """Complete elliptic integral of the first kind, modulus k in [0, 1)."""
-    if not (0.0 <= k < 1.0):
-        raise DomainError(f"modulus k must lie in [0, 1), got {k}")
-    return math.pi / (2.0 * agm(1.0, math.sqrt(1.0 - k * k)))
-
-
 def murai_capacity(c: float, r: float) -> float:
     """Two-disk capacity via elliptic integrals; agrees with the theta form.
 

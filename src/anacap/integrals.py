@@ -15,13 +15,14 @@ moments.  The moments of all the disks of a scene, as many per disk as an
 a priori bound asks (the dropped tail of each entry is within eps/2 of
 sqrt(H_aa H_bb)), give the upper triangle from Hermitian products
 (``zherk``) of their rows, a block of whole moment levels at a time, and
-every disk value is formed over 2 pi already.  The same call can also
-give the Grams of a split of the scene into its first m
+every disk value is formed over 2 pi already (:func:`_disk_gram`).  The
+same call can also give the Grams of a split of the scene into its first m
 shapes (on their basis functions) and the rest, the E, F and E u F of a
-subadditivity record, each from its own moments and so bitwise what it
-would be assembled alone.  Every other boundary goes through one call of
-the node-and-weight quadrature of :mod:`anacap.quadrature` over all its
-pieces, which climb one ladder together: the basis values V of an
+subadditivity record: the kernel runs once per group on the group's own
+disks and poles, so each is bitwise what it would be assembled alone.
+Every other boundary goes through one call of the node-and-weight
+quadrature of :mod:`anacap.quadrature` over all its pieces, which climb
+one ladder together: the basis values V of an
 integrand call, with the constant 1 appended as a last row and scaled by
 sqrt(w) in one per-thread buffer, give the upper triangle of ``(V w) V^H``
 from one ``zherk`` per piece's node set, and that bordered block carries u
@@ -63,7 +64,7 @@ from .quadrature import QuadratureSettings, _within, integrate_arc
 
 TWO_PI = 2.0 * math.pi
 _HALF_EPS = 0.5 * np.finfo(float).eps
-# most multipole moments one disk takes in _moment_gram
+# most multipole moments one disk takes in _disk_gram
 _K_MAX = 64
 _THREAD = threading.local()
 
@@ -72,7 +73,7 @@ def _scratch(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialized C-ordered complex array of ``shape`` in this thread's
     one work buffer, grown on demand.  The next call in the same thread hands
     out the same memory, so the array must not outlive the call that took
-    it: the moment rows of :func:`_moment_gram`, the quadrature integrand's
+    it: the moment rows of :func:`_disk_gram`, the quadrature integrand's
     values and the solver's Cholesky copy take it in turn.  Reusing it
     spares the fresh pages of a new array; a buffer that must grow is dropped
     before the larger one is made, so the two are never held together.  A
@@ -91,7 +92,7 @@ def _scratch(shape: tuple[int, ...]) -> np.ndarray:
 def _gram_buffer(i: int, n: int) -> np.ndarray:
     """This thread's i-th disk Gram buffer, a C-ordered n x n complex array
     whose lower triangle is zero: group i of an assembly writes its upper
-    triangle there (:func:`_disk_blocks`), so the Gram stays valid until the
+    triangle there (:func:`_disk_gram`), so the Gram stays valid until the
     next assembly in the same thread.  A buffer of another shape is dropped
     and made again, zeroed."""
     grams = _THREAD.__dict__.setdefault("grams", {})
@@ -128,7 +129,7 @@ def circle_pair_integral(b1: BasisFunction, b2: BasisFunction, circle: Disk) -> 
     """Exact value of \\oint_{|z-c|=r} b1(z) * conj(b2(z)) |dz| in closed form.
 
     With x = a - c and y = b - c for the poles a of b1 and b of b2, the
-    Hardy split of :func:`_disk_blocks` gives a pair of simple poles as
+    Hardy split of :func:`_disk_gram` gives a pair of simple poles as
     s 2 pi r / D, D = r^2 - x conj(y), s = 1 with both poles inside and -1
     with both outside, and 0 with one on each side.  Orders k1 = m + 1 and
     k2 = n + 1 follow by differentiating m times in x and n times in
@@ -167,8 +168,9 @@ def _moment_counts(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(k, _K_MAX).astype(int), k > _K_MAX
 
 
-def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups) -> list[GramData]:
-    """Gram data over groups of disks for a basis of first-order poles.
+def _disk_gram(disks: list[Disk], poles: np.ndarray, H: np.ndarray) -> GramData:
+    """Gram data of the disks for a basis of first-order poles, H written
+    into the Gram buffer H as its upper triangle over a zero lower one.
 
     With w = pole - c, 1/(z - a) lies in the Hardy space H^2 of a disk when
     a is outside its circle and in the orthogonal complement when a is
@@ -183,56 +185,17 @@ def _disk_blocks(poles: np.ndarray, disks: list[Disk], groups) -> list[GramData]
     ========  ========  =============================================
 
     and the mean (1/2pi) \\oint 1/(z - a) |dz| is r / (c - a) = -kappa
-    outside, 0 inside.  Each group ``(d0, d1, j0, j1)`` asks for the sums
-    over disks d0 .. d1-1 on basis indices j0 .. j1-1, returned as
-    :class:`GramData` in the group's own indices, H as its upper triangle
-    over a zero lower one in this thread's Gram buffer for the group's place
-    in ``groups`` (:func:`_gram_buffer`), and c0 the sum of the radii.  H comes from
-    multipole moments (:func:`_moment_gram`): each entry is within eps/2 of
-    sqrt(H_aa H_bb) of the closed forms' sum, plus rounding.  w and
-    conj(kappa) are the only disks x poles arrays held; they and the inside
-    pairs' closed forms are elementwise, formed once for all the groups,
-    and each group sums its means from conj(kappa) in disk order, so a
-    group gets bitwise the Gram data that its disks and indices give alone.
-    """
-    c = np.array([d.center for d in disks], complex)[:, None]
-    r = np.array([d.radius for d in disks])[:, None]
-    w = poles - c  # disks x poles
-    inside = _inside(w, r)
-    ck = np.divide(r, np.conj(w), out=np.zeros_like(w), where=~inside)  # conj(kappa)
-    # a group takes the pairs inside its disks on its indices, the values
-    # it would form; a <= b, so a >= j0 and b < j1 put both in the group
-    d_in, a_in, b_in, term_in = _closed_form_pairs(w, r, inside, 1.0)
-    grams = []
-    for i, (d0, d1, j0, j1) in enumerate(groups):
-        mine = (d0 <= d_in) & (d_in < d1) & (j0 <= a_in) & (b_in < j1)
-        pairs = a_in[mine] - j0, b_in[mine] - j0, term_in[mine]
-        part = np.s_[d0:d1, j0:j1]
-        H = _moment_gram(w[part], r[d0:d1], ck[part], pairs, _gram_buffer(i, j1 - j0))
-        # the means r / (c - a) = -kappa, summed as conj(kappa); 0.0 - keeps
-        # +0 at an inside pole of a one-disk group, where a bare minus gives -0
-        u = 0.0 - np.conj(np.add.reduce(ck[part], axis=0))
-        grams.append(GramData(H, u, sum(d.radius for d in disks[d0:d1])))
-    return grams
-
-
-def _moment_gram(w: np.ndarray, r: np.ndarray, ck: np.ndarray, pairs,
-                 H: np.ndarray) -> np.ndarray:
-    """Upper triangle of the sum over disks of the Hardy-split pair integrals
-    (:func:`_disk_blocks`), written into H over its zero lower triangle and
-    returned, given w = pole - c (disks x poles), the radii (disks x 1),
-    ck = conj(kappa) (0 inside a disk), and the closed forms (a, b, value)
-    of the inside pairs; |kappa| is formed from ck where it is read.
-
-    Outside, with kappa = r / w (|kappa| < 1), the pair integral is the
-    series (1/r) sum_{k >= 1} kappa_a^k conj(kappa_b^k): on each disk a sum
-    of products of multipole moments.  Disk d takes K_d moments, the least
-    K with rho^(2K) / (1 - rho^2) <= eps/2, rho the largest |kappa| on d,
-    so by Cauchy-Schwarz each dropped tail is within eps/2 of
-    sqrt(H_aa H_bb).  With the disks in a stable order of K_d, most first,
-    those that take a k-th moment are a prefix, so one recurrence of slice
-    products builds the moment rows r^(-1/2) conj(kappa)^k, zero at the
-    poles inside the disk, in k-major order, and a Hermitian product
+    outside, 0 inside; c0 is the sum of the radii.  Pairs inside one disk
+    keep the closed form; a pole lies inside at most one disk, so each of
+    them is one entry.  Outside, with kappa = r / w (|kappa| < 1), the pair
+    integral is the series (1/r) sum_{k >= 1} kappa_a^k conj(kappa_b^k): on
+    each disk a sum of products of multipole moments.  Disk d takes K_d
+    moments, the least K with rho^(2K) / (1 - rho^2) <= eps/2, rho the
+    largest |kappa| on d, so by Cauchy-Schwarz each dropped tail is within
+    eps/2 of sqrt(H_aa H_bb).  With the disks in a stable order of K_d, most
+    first, those that take a k-th moment are a prefix, so one recurrence of
+    slice products builds the moment rows r^(-1/2) conj(kappa)^k, zero at
+    the poles inside the disk, in k-major order, and a Hermitian product
     (``zherk``) of them gives the upper triangle of every outside pair on
     every disk at once; a mixed pair meets a zero row.  The rows are made in
     blocks of whole moment levels, at most max(n, disks) rows each, in this
@@ -242,10 +205,20 @@ def _moment_gram(w: np.ndarray, r: np.ndarray, ck: np.ndarray, pairs,
     of a single product.  K_d is capped at ``_K_MAX``; a capped disk adds
     the exact tail p^K times the closed form, p = kappa_a conj(kappa_b), to
     its pairs with both |kappa|^K / (1 - |kappa|) above eps/2, the only
-    ones whose tail can exceed that bound.  Pairs inside one
-    disk keep the closed form; a pole lies inside at most one disk, so each
-    of them is one entry.  No entry is summed over the disks in disk order.
+    ones whose tail can exceed that bound.  No entry of H is summed disk by
+    disk; the means are, from conj(kappa), in disk order.
+
+    w and conj(kappa) are the only disks x poles arrays held, and the inside
+    pairs' closed forms are made before the K-sorted copy of conj(kappa).
+    All of it comes from these disks and poles, so a group of a split gets
+    bitwise the Gram data that it gives assembled alone.
     """
+    c = np.array([d.center for d in disks], complex)[:, None]
+    r = np.array([d.radius for d in disks])[:, None]
+    w = poles - c  # disks x poles
+    inside = _inside(w, r)
+    ck = np.divide(r, np.conj(w), out=np.zeros_like(w), where=~inside)  # conj(kappa)
+    _, a_in, b_in, term_in = _closed_form_pairs(w, r, inside, 1.0)
     n = w.shape[1]
     k_d, capped = _moment_counts(np.abs(ck).max(axis=1, initial=0.0))
     order = np.argsort(-k_d, kind="stable")
@@ -268,8 +241,7 @@ def _moment_gram(w: np.ndarray, r: np.ndarray, ck: np.ndarray, pairs,
             at, beta = 0, 1.0
     if not live.size:  # no pole outside any disk
         H.fill(0.0)
-    a, b, term = pairs
-    H[a, b] += term
+    H[a_in, b_in] += term_in
     if capped.any():
         # past _K_MAX moments a pair's tail is within eps/2 of its scale unless
         # both poles have |kappa|^K / (1 - |kappa|) above eps/2 (|kappa| > 0.556)
@@ -279,24 +251,26 @@ def _moment_gram(w: np.ndarray, r: np.ndarray, ck: np.ndarray, pairs,
         np.add.at(H, (a, b), (np.conj(ck[d, a]) * ck[d, b]) ** _K_MAX * term)
     # zherk's diagonal is real; the closed forms added to it may not be
     np.fill_diagonal(H.imag, 0.0)
-    return H
+    # the means r / (c - a) = -kappa, summed as conj(kappa); 0.0 - keeps +0
+    # at an inside pole of a one-disk Gram, where a bare minus gives -0
+    u = 0.0 - np.conj(np.add.reduce(ck, axis=0))
+    return GramData(H, u, sum(d.radius for d in disks))
 
 
 def _closed_form_pairs(w: np.ndarray, r: np.ndarray, mask: np.ndarray, sign: float):
     """(d, a, b, value) of the closed form sign r / (r^2 - w_a conj(w_b)) on
     disk d, for every pair a <= b of poles that mask marks on d, sorted by
     (d, a, b)."""
-    d, j = np.nonzero(mask)
-    count = np.bincount(d, minlength=mask.shape[0])
-    # entry p is repeated once for each entry q on its disk: q runs from the
-    # disk's first entry through the repeat block of p
-    rep = count[d]
+    f = np.flatnonzero(mask)
+    d, j = np.divmod(f, mask.shape[1])
+    # entry p is paired with itself and the entries after it on its disk,
+    # up to the disk's last entry, cumsum(count)[d] - 1
+    rep = np.cumsum(np.bincount(d, minlength=mask.shape[0]))[d] - np.arange(d.size)
     p = np.repeat(np.arange(d.size), rep)
-    q = (np.cumsum(count) - count)[d[p]] + np.arange(p.size) - np.repeat(np.cumsum(rep) - rep, rep)
-    keep = j[p] <= j[q]
-    d, a, b = d[p[keep]], j[p[keep]], j[q[keep]]
-    rd = r[d, 0]
-    return d, a, b, sign * rd / (rd * rd - w[d, a] * np.conj(w[d, b]))
+    q = p + np.arange(p.size) - np.repeat(np.cumsum(rep) - rep, rep)
+    d, fa, fb = d[p], f[p], f[q]
+    rd, wf = r[d, 0], w.ravel()
+    return d, j[p], j[q], sign * rd / (rd * rd - wf[fa] * np.conj(wf[fb]))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +401,7 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
     Disks under a basis of first-order poles use the Hardy split (opposite-side
     pole pairs are exactly zero), with the outside pairs of all the
     disks from Hermitian products of their multipole moments, accurate to
-    eps/2 of sqrt(H_aa H_bb) plus rounding (:func:`_disk_blocks`); every
+    eps/2 of sqrt(H_aa H_bb) plus rounding (:func:`_disk_gram`); every
     other boundary goes through node-and-weight quadrature at
     ``settings.abs_tol``.  The disks are accumulated first, then the other
     shapes in index order.  Only the upper triangle is computed; here it is
@@ -454,13 +428,14 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
     is this thread's Gram buffer of its group (:func:`_gram_buffer`), valid
     until the next assembly in the same thread: read it, or copy it, first.
 
-    The disk kernel takes each group's moments from its own disks and its own
-    indices only (:func:`_disk_blocks`), so with disks the group Grams are
-    bitwise those of the groups assembled alone.  A quadrature shape's block
-    is computed once over the whole basis and summed into each group that
-    holds it, on the group's indices (the adaptive rule then refines for the
-    whole basis, which moves a group's entries by rounding only); the sums
-    are finished by :func:`_gram_data` and added to the disks' Grams.
+    With disks the kernel runs once per group on the group's own disks and
+    basis functions only (:func:`_disk_gram`), a group without such disks
+    getting an empty one, so the group Grams are bitwise those of the groups
+    assembled alone.  A quadrature shape's block is computed once over the
+    whole basis and summed into each group that holds it, on the group's
+    indices (the adaptive rule then refines for the whole basis, which
+    moves a group's entries by rounding only); the sums are finished by
+    :func:`_gram_data` and added to the disks' Grams.
     """
     if settings is None:
         settings = QuadratureSettings()
@@ -470,13 +445,11 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
         m, k = split
         groups += [(0, m, 0, k), (m, len(sc.shapes), k, n)]
     closed_form = [isinstance(s, Disk) and bs.all_simple for s in sc.shapes]
-    disks = [s for s, cf in zip(sc.shapes, closed_form) if cf]
     quad = [i for i, cf in enumerate(closed_form) if not cf]
-    # a group's disks, counted among the closed-form disks
-    before = np.cumsum([0, *closed_form])
-    grams = _disk_blocks(bs._sa, disks, [(before[s0], before[s1], j0, j1)
-                                         for s0, s1, j0, j1 in groups]) if disks else None
-    if disks and not quad:
+    grams = [_disk_gram([s for s, cf in zip(sc.shapes[s0:s1], closed_form[s0:s1]) if cf],
+                        bs._sa[j0:j1], _gram_buffer(g, j1 - j0))
+             for g, (s0, s1, j0, j1) in enumerate(groups)] if any(closed_form) else None
+    if grams and not quad:
         return grams
     blocks = [(np.zeros((j1 - j0, j1 - j0), complex), np.zeros(j1 - j0, complex))
               for _, _, j0, j1 in groups]
@@ -490,7 +463,7 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
                 lengths[g] += float(G[n, n].real)
     quads = [_gram_data(H, u, L) for (H, u), L in zip(blocks, lengths)]
     return [GramData(np.add(g.H, q.H, out=q.H), g.u + q.u, g.c0 + q.c0)
-            for g, q in zip(grams, quads)] if disks else quads
+            for g, q in zip(grams, quads)] if grams else quads
 
 
 def _gram_data(H: np.ndarray, u: np.ndarray, length: float) -> GramData:

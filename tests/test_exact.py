@@ -6,7 +6,6 @@ import pytest
 from anacap.errors import DomainError
 from anacap.exact import (
     GAMMA_QUARTER,
-    elliptic_F,
     log_deriv_u,
     log_deriv_u_upper,
     murai_capacity,
@@ -193,14 +192,6 @@ def test_murai_agrees_with_theta_form_on_grid():
 def test_murai_rejects_underflowing_complementary_modulus():
     with pytest.raises(DomainError, match="underflows"):
         murai_capacity(1.0, 1.0 - 1e-9)
-
-
-def test_elliptic_F_limits():
-    assert elliptic_F(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
-    from scipy.special import ellipk
-
-    for k in (0.1, 0.5, 0.9, 0.99):
-        assert elliptic_F(k) == pytest.approx(float(ellipk(k * k)), rel=1e-13, abs=0)
 
 
 # --- square -----------------------------------------------------------------

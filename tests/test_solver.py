@@ -46,6 +46,16 @@ def test_unit_disk_is_exact():
     assert lower_bound(sys) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.xfail(strict=True, reason="unbudgeted rounding: both quadrature bounds are "
+                   "1.1e-15 relative below gamma = 0.5 (ROADMAP items 3 and 14, Known defects)")
+def test_one_disk_quadrature_bracket_holds_its_radius():
+    # Powers(2) is no basis of first-order poles, so the disk goes through
+    # quadrature; both bounds are 0.49999999999999944, which excludes gamma =
+    # 0.5 by less than slack, and a bracket with a rounding budget holds it
+    res = gamma_bounds(scene([Disk(0j, 0.5)]), Powers(2))
+    assert res.lower <= 0.5 <= res.upper
+
+
 def test_two_disk_single_pole_row(two_disks):
     sc = validate_scene(two_disks)
     basis = build_basis(sc, Rings(0))
