@@ -36,16 +36,19 @@ divided by 2 pi and added to the disks' part, so assembled matrices are
 bitwise reproducible.  The disks' H is not summed disk by disk: BLAS sums
 the moments of all of them at once.
 
-A Gram is kept as its upper triangle from the ``zherk`` that makes it to
-the Cholesky factorization that reads it (:mod:`anacap.solver`); its lower
-triangle stays exactly zero, and only the public :func:`assemble_gram`
-mirrors it, into an owned array, so that the H it returns is Hermitian.
-A disk Gram is written into a per-thread Gram buffer, one per group of a
-split (:func:`_gram_buffer`), valid until the next assembly in the same
-thread.  The moment rows, made in blocks of whole moment levels and each
-block added into the Gram, the integrand values and the solver's Cholesky
-copy take one per-thread work buffer in turn (:func:`_scratch`), so a
-bracket's memory of size n^2 is its Gram(s) and that one n x n buffer.
+A Gram is its upper triangle, from the ``zherk`` that makes it to the
+Cholesky factorization that reads it (:mod:`anacap.solver`); its lower
+triangle is not part of it and is never read, and only the public
+:func:`assemble_gram` mirrors it, into an owned array, so that the H it
+returns is Hermitian.  The solver factors a Gram where it lies and keeps a
+copy of the upper triangle in the lower one.  A disk Gram is written into
+a per-thread Gram buffer, one per group of a split (:func:`_gram_buffer`),
+valid until the next assembly in the same thread or its own bracket.  The
+moment rows, made in blocks of whole moment levels (at most ``_ROW_BLOCK``
+rows unless one level has more) and each block added into the Gram, and
+the integrand values take one per-thread work buffer in turn
+(:func:`_scratch`), so a disk bracket's memory of size n^2 is its Gram(s)
+alone.
 """
 
 from __future__ import annotations
@@ -66,6 +69,13 @@ TWO_PI = 2.0 * math.pi
 _HALF_EPS = 0.5 * np.finfo(float).eps
 # most multipole moments one disk takes in _disk_gram
 _K_MAX = 64
+# most moment rows in a block of _disk_gram, unless one level has more, so
+# that its work buffer holds about 128 n values.  On two cores, the seed-1
+# 18-disk ratio records took 3.2, 3.0 and 2.8 ms of warm assembly at 64,
+# 128 and 256 rows (2.8 in one block; 3.2-3.3 at each on one BLAS thread),
+# and a process of 40 of them peaked at 63.7, 64.2 and 64.8 MiB (64.8 in
+# blocks of n rows)
+_ROW_BLOCK = 128
 _THREAD = threading.local()
 
 
@@ -73,14 +83,13 @@ def _scratch(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialized C-ordered complex array of ``shape`` in this thread's
     one work buffer, grown on demand.  The next call in the same thread hands
     out the same memory, so the array must not outlive the call that took
-    it: the moment rows of :func:`_disk_gram`, the quadrature integrand's
-    values and the solver's Cholesky copy take it in turn.  Reusing it
-    spares the fresh pages of a new array; a buffer that must grow is dropped
-    before the larger one is made, so the two are never held together.  A
-    thread keeps the largest that it has asked for: n x n for a Cholesky
-    copy (1.5 MB at n = 306), max(n, disks) x n for a block of moment rows,
-    at most (n+1) x 4096 for the integrand (282 KB on the four ellipses,
-    n = 68)."""
+    it: the moment rows of :func:`_disk_gram` and the quadrature
+    integrand's values take it in turn.  Reusing it spares the fresh pages
+    of a new array; a buffer that must grow is dropped before the larger one
+    is made, so the two are never held together.  A thread keeps the largest
+    that it has asked for: max(``_ROW_BLOCK``, disks) x n for a block of
+    moment rows (627 KB at n = 306), at most (n+1) x 4096 for the integrand
+    (282 KB on the four ellipses, n = 68)."""
     size = math.prod(shape)
     buf = getattr(_THREAD, "work", None)
     if buf is None or buf.size < size:
@@ -90,11 +99,12 @@ def _scratch(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _gram_buffer(i: int, n: int) -> np.ndarray:
-    """This thread's i-th disk Gram buffer, a C-ordered n x n complex array
-    whose lower triangle is zero: group i of an assembly writes its upper
-    triangle there (:func:`_disk_gram`), so the Gram stays valid until the
-    next assembly in the same thread.  A buffer of another shape is dropped
-    and made again, zeroed."""
+    """This thread's i-th disk Gram buffer, a C-ordered n x n complex array:
+    group i of an assembly writes its upper triangle there
+    (:func:`_disk_gram`), so the Gram stays valid until the next assembly in
+    the same thread, or until a bracket factors it in place and leaves a
+    copy of the upper triangle in the lower one, which no assembly reads.  A
+    buffer of another shape is dropped and made again, zeroed."""
     grams = _THREAD.__dict__.setdefault("grams", {})
     H = grams.get(i)
     if H is None or H.shape != (n, n):
@@ -170,7 +180,8 @@ def _moment_counts(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _disk_gram(disks: list[Disk], poles: np.ndarray, H: np.ndarray) -> GramData:
     """Gram data of the disks for a basis of first-order poles, H written
-    into the Gram buffer H as its upper triangle over a zero lower one.
+    into the Gram buffer H as its upper triangle; its lower one is not
+    written.
 
     With w = pole - c, 1/(z - a) lies in the Hardy space H^2 of a disk when
     a is outside its circle and in the orthogonal complement when a is
@@ -198,15 +209,15 @@ def _disk_gram(disks: list[Disk], poles: np.ndarray, H: np.ndarray) -> GramData:
     the poles inside the disk, in k-major order, and a Hermitian product
     (``zherk``) of them gives the upper triangle of every outside pair on
     every disk at once; a mixed pair meets a zero row.  The rows are made in
-    blocks of whole moment levels, at most max(n, disks) rows each, in this
-    thread's work buffer (:func:`_scratch`), and each block is added into H
-    (``beta = 1`` after the first), so they never take more memory than the
-    solver's Cholesky copy; when all the rows fit one block, H has the bits
-    of a single product.  K_d is capped at ``_K_MAX``; a capped disk adds
-    the exact tail p^K times the closed form, p = kappa_a conj(kappa_b), to
-    its pairs with both |kappa|^K / (1 - |kappa|) above eps/2, the only
-    ones whose tail can exceed that bound.  No entry of H is summed disk by
-    disk; the means are, from conj(kappa), in disk order.
+    blocks of whole moment levels, at most max(``_ROW_BLOCK``, disks) rows
+    each, in this thread's work buffer (:func:`_scratch`), and each block is
+    added into H (``beta = 1`` after the first), so they take about
+    ``_ROW_BLOCK`` n values, not n^2; when all the rows fit one block, H has
+    the bits of a single product.  K_d is capped at ``_K_MAX``; a capped
+    disk adds the exact tail p^K times the closed form, p = kappa_a
+    conj(kappa_b), to its pairs with both |kappa|^K / (1 - |kappa|) above
+    eps/2, the only ones whose tail can exceed that bound.  No entry of H is
+    summed disk by disk; the means are, from conj(kappa), in disk order.
 
     w and conj(kappa) are the only disks x poles arrays held, and the inside
     pairs' closed forms are made before the K-sorted copy of conj(kappa).
@@ -224,7 +235,7 @@ def _disk_gram(disks: list[Disk], poles: np.ndarray, H: np.ndarray) -> GramData:
     order = np.argsort(-k_d, kind="stable")
     # live[k - 1] disks, the first of that order, take a k-th moment
     live = np.count_nonzero(k_d[:, None] > np.arange(k_d.max(initial=0)), axis=0)
-    cap = max(n, live[0]) if live.size else 0
+    cap = max(_ROW_BLOCK, live[0]) if live.size else 0
     rows = _scratch((cap, n))
     prev, ck_sorted, at, beta = 1.0 / np.sqrt(r[order]), ck[order], 0, 0.0
     for k, m in enumerate(live, 1):
@@ -299,8 +310,7 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
     One Hermitian rank-k update (``zherk``) per part, on the part's columns,
     then gives the upper triangle of the bordered block G = (A w) A^H: H in
     G[:n, :n], u in G[:n, n] and the length in G[n, n], with an exactly real
-    diagonal; the lower triangle stays zero, and so it stays in the Gram
-    that :func:`_assemble_grams` returns.  Corner endpoints need no flag:
+    diagonal; the lower triangle stays zero.  Corner endpoints need no flag:
     the open-piece rule of ``integrate_arc`` integrates their singular
     products, and ``_matching_corner`` only picks the members that take the
     exact displacement from the parametrization, spliced in per part: a corner's
@@ -420,13 +430,15 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
 
 def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None,
                     split: tuple[int, int] | None = None) -> list[GramData]:
-    """``[assemble_gram(sc, bs)]`` with each H its upper triangle over an
-    exactly zero lower one, the part the solver reads, and with
-    ``split = (m, k)`` also the Grams of the first m shapes on the first k
-    basis functions (theirs) and of the other shapes on the other
-    functions, from the same pass.  With disks and no other shapes each H
-    is this thread's Gram buffer of its group (:func:`_gram_buffer`), valid
-    until the next assembly in the same thread: read it, or copy it, first.
+    """``[assemble_gram(sc, bs)]`` with each H its upper triangle, the part
+    the solver reads (the lower one is not part of the Gram: it may hold
+    what an earlier bracket left there), and with ``split = (m, k)`` also
+    the Grams of the first m shapes on the first k basis functions (theirs)
+    and of the other shapes on the other functions, from the same pass.
+    With disks and no other shapes each H is this thread's Gram buffer of
+    its group (:func:`_gram_buffer`), valid until the next assembly in the
+    same thread: read it, or copy it, first.  A bracket factors its Gram in
+    place, so it consumes it.
 
     With disks the kernel runs once per group on the group's own disks and
     basis functions only (:func:`_disk_gram`), a group without such disks

@@ -16,23 +16,22 @@ an inexact linear solve can only loosen the bracket, never invalidate it.
 The bounds are rigorous up to quadrature error; the reported ``slack``
 (10 * abs_tol * n_basis) budgets for it.
 
-The solver reads only the upper triangle of H, in the factorization and in
-the products H x, so it takes the triangle that assembly makes
-(``integrals._assemble_grams``) and the mirrored H of ``assemble_gram``
-alike, with the same bits; ``gamma_bounds`` and ``bounds_for_basis`` take
-the triangle, which for disks is a per-thread Gram buffer, valid until the
-next assembly in the thread.  LAPACK factors a copy of the Gram as
-assembled, with no equilibration, in the per-thread work buffer that the
-moment rows and the quadrature integrand also take
-(``integrals._scratch``), and solves for both objectives in one call.  So
-a disk bracket holds its Gram(s) and one n x n work buffer, nothing more
-of size n^2.
+The solver reads only the upper triangle of H, so it takes the triangle
+that assembly makes (``integrals._assemble_grams``) and the mirrored H of
+``assemble_gram`` alike, with the same bits.  It factors the Gram where it
+lies, with no equilibration: H's strict lower triangle takes a copy of
+its upper one (transposed), LAPACK overwrites the upper one and the
+diagonal with the factor, and the products H x read the copy.  So
+``gamma_bounds`` and ``bounds_for_basis`` consume the Gram that they
+assemble, for disks a per-thread Gram buffer, and a disk bracket's memory
+of size n^2 is that Gram alone; ``upper_bound`` and ``lower_bound`` factor
+a copy, so the caller's ``GramData`` is left as it was.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.blas import zhemm
@@ -42,8 +41,7 @@ from .basis import BasisSet, CornerAdapted, _require_star_shaped, build_basis
 from .errors import SceneConfigError, SingularGramError, SolveError
 from .geometry import Scene, _winding_number, arcs, corners, validate_scene
 # assemble_gram is not called here; bench/tracing.py swaps solver.assemble_gram
-from .integrals import (GramData, _assemble_grams, _matching_corner, _scratch,  # noqa: F401
-                        assemble_gram)
+from .integrals import GramData, _assemble_grams, _matching_corner, assemble_gram  # noqa: F401
 from .quadrature import QuadratureSettings
 
 
@@ -73,11 +71,31 @@ class BoundsResult:
 
 
 _JITTERS = (0.0, 4e-15, 1e-13, 1e-11, 1e-9)
+# the strict lower triangle of a diagonal block of _mirror, which also sets
+# its block size: in blocks of 64 columns a mirror took 82 us at n = 306 and
+# 4.5 ms at n = 1,088, against 88 us and 7.1 ms in blocks of 32 and 87 us
+# and 5.8 ms in blocks of 128 (a copy of the whole Gram took 133 us and 3.2 ms)
+_LOWER = np.tri(64, k=-1, dtype=bool)
+
+
+def _mirror(A: np.ndarray) -> None:
+    """Copy A's strict upper triangle onto its strict lower one, transposed
+    and not conjugated, in place and a column block at a time; with A = H.T
+    it is H's strict upper triangle that takes its lower one."""
+    n, m = len(A), len(_LOWER)
+    for i in range(0, n, m):
+        j = min(i + m, n)
+        # the block below the diagonal block and the one right of it share no
+        # memory; the diagonal block is copied through a temporary
+        np.copyto(A[j:, i:j], A[i:j, j:].T)
+        np.copyto(A[i:j, i:j], A[i:j, i:j].T, where=_LOWER[:j - i, :j - i])
 
 
 def _factor(H: np.ndarray):
-    """Cholesky factor of conj(H) in Fortran order (its lower triangle) and
-    the jitter used.  Only H's upper triangle is read.
+    """Cholesky factor of conj(H), made in H's own memory, the jitter used and
+    H's real diagonal as it was.  Only H's upper triangle is read; on return
+    H's upper triangle and diagonal hold the factor, and its strict lower
+    triangle holds the transpose of its strict upper one (:func:`_mirror`).
 
     H is factored as assembled: Cholesky's success and backward error depend
     on H only through D^-1 H D^-1, D = diag(H)^(1/2) (Demmel, LAPACK Working
@@ -89,25 +107,24 @@ def _factor(H: np.ndarray):
     unaffected: the objectives are evaluated at the computed point with the
     true H, and any point yields a valid bound.
     """
-    diag = H.diagonal().real
+    diag = H.diagonal().real.copy()
     if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
         raise SingularGramError("Gram diagonal not strictly positive")
-    n = len(diag)
-    # the C-ordered copy of H is, in Fortran order, H^T = conj(H), whose
-    # lower triangle holds H's upper one; it is factored in place as
+    # for a C-ordered H, H.T is the same memory in Fortran order, conj(H)
+    # with H's upper triangle as its lower one; it is factored in place as
     # conj(H) = L L^H, the conjugate of H's factor bit for bit, so a solve
-    # with conjugated right-hand side and result gives H's solution.  A
-    # failed attempt overwrites the buffer, this thread's, so each step of
-    # the ladder copies H again.
-    buf = _scratch((n, n))
+    # with conjugated right-hand side and result gives H's solution.  LAPACK
+    # writes only that triangle and the diagonal, so the mirror keeps H's
+    # upper triangle, and a failed attempt is undone from it and from diag
+    _mirror(H)
     info = 0
     for jit in _JITTERS:
-        np.copyto(buf, H)
         if jit:
-            buf.ravel()[:: n + 1] += jit * diag
-        c, info = zpotrf(buf.T, lower=1, clean=0, overwrite_a=1)
+            _mirror(H.T)
+            np.fill_diagonal(H, diag + jit * diag)
+        c, info = zpotrf(H.T, lower=1, clean=0, overwrite_a=1)
         if info == 0:
-            return c, jit
+            return c, jit, diag
         if info < 0:
             raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
     raise SingularGramError(
@@ -120,22 +137,24 @@ def _objectives(gram: GramData, d: np.ndarray) -> tuple[float, float, float]:
     objective at its own column of the solution of H X = [-u, d], and the
     larger relative residual max|H x - rhs| / max|rhs| of the two columns.
 
-    Only H's upper triangle is read.  The factor is that of conj(H), so one
-    ``zpotrs`` on the conjugated right-hand sides gives conj(X).  For a
-    C-ordered H, H.T is the same memory in Fortran order, the matrix conj(H)
-    with H's upper triangle as its lower one, so H X = conj(conj(H) conj(X))
-    is one ``zhemm`` on that lower triangle, and nothing is copied.  H X runs
-    on SciPy's BLAS, the one library that assembly (its ``zherk``) and the
-    factorization use (see ``integrals._quad_blocks``).  With SciPy's
-    OpenBLAS on two cores, at n = 306 one ``zhemm`` of both columns takes
-    about 147 us against 188 us for two ``zhemv``, and one two-column
-    ``zpotrs`` 243 us against 391 us for two one-column solves.
+    Only H's upper triangle is read, and H is factored in place
+    (:func:`_factor`), so it is consumed: its upper triangle becomes the
+    factor.  The factor is that of conj(H), so one ``zpotrs`` on the
+    conjugated right-hand sides gives conj(X).  With H's diagonal restored,
+    the upper triangle of H.T in Fortran order is the mirror, H's upper
+    triangle as it was, so H X is one ``zhemm`` on that triangle, and
+    nothing is copied.  H X runs on SciPy's BLAS, the one library that
+    assembly (its ``zherk``) and the factorization use (see
+    ``integrals._quad_blocks``); one ``zhemm`` of both columns, and one
+    two-column ``zpotrs``, take less time than two one-column calls.
     """
-    c, _ = _factor(gram.H)
+    c, _, diag = _factor(gram.H)
     rhs = np.array([-gram.u, d], complex)
     # rows of a C-ordered 2 x n array are the columns of its n x 2 transpose
     xc = zpotrs(c, np.conj(rhs).T, lower=1, overwrite_b=1)[0]
-    (xu, xd), (hu, hd) = np.conj(xc.T), np.conj(zhemm(1.0, gram.H.T, xc, lower=1).T)
+    np.fill_diagonal(gram.H, diag)
+    x = np.conj(xc)
+    (xu, xd), (hu, hd) = x.T, zhemm(1.0, gram.H.T, x, lower=0).T
     res = max(float(np.max(np.abs(hx - b))) / (float(np.max(np.abs(b))) or 1.0)
               for hx, b in zip((hu, hd), rhs))
     up = gram.c0 + 2.0 * np.vdot(xu, gram.u).real + np.vdot(xu, hu).real
@@ -144,20 +163,22 @@ def _objectives(gram: GramData, d: np.ndarray) -> tuple[float, float, float]:
 
 
 def upper_bound(sys: GramSystem) -> float:
-    """Least boundary energy of 1 + (span member); an upper bound for gamma."""
-    return _objectives(sys.gram, sys.d)[0]
+    """Least boundary energy of 1 + (span member); an upper bound for gamma.
+    A copy of the Gram is factored, so ``sys`` is left as it was."""
+    return _objectives(replace(sys.gram, H=sys.gram.H.copy()), sys.d)[0]
 
 
 def lower_bound(sys: GramSystem) -> float:
-    """Best dual objective over the span; a lower bound for gamma."""
-    return _objectives(sys.gram, sys.d)[1]
+    """Best dual objective over the span; a lower bound for gamma.  A copy of
+    the Gram is factored, so ``sys`` is left as it was."""
+    return _objectives(replace(sys.gram, H=sys.gram.H.copy()), sys.d)[1]
 
 
 def _bracket(gram: GramData, d: np.ndarray, settings: QuadratureSettings,
              t0: float) -> BoundsResult:
-    """Both bounds from :func:`_objectives`; a crossing within the slack is
-    clamped, a larger one is a :class:`SolveError`.  ``wall_time`` runs from
-    ``t0``."""
+    """Both bounds from :func:`_objectives`, which consumes the Gram; a
+    crossing within the slack is clamped, a larger one is a
+    :class:`SolveError`.  ``wall_time`` runs from ``t0``."""
     up, lo, res = _objectives(gram, d)
     slack = 10.0 * settings.abs_tol * len(d)
     if lo > up:

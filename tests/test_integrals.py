@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import zherk
 
-from anacap import integrals
+from anacap import integrals, solver
 from anacap.basis import (
     BasisSet,
     CornerAdapted,
@@ -520,10 +520,12 @@ def test_disk_kernel_matches_the_closed_form_at_50_digits(disks, basis, elementw
 
 
 def test_blocked_moment_rows_keep_the_closed_form_and_the_split_bits(monkeypatch):
-    # 16 Cantor disks under Rings(1): the scene (n = 80) and each part (4
-    # disks and 12) take their moment rows in three blocks, each added into
-    # the Gram; every entry stays within rounding of the closed form's sum at
-    # 50 digits, and E and F keep the bits they have assembled alone
+    # 16 Cantor disks under Rings(1) with blocks of at most 32 rows: the
+    # scene (n = 80) and the part of 12 disks take their moment rows in six
+    # blocks and the part of 4 disks in two, each added into the Gram; every
+    # entry stays within rounding of the closed form's sum at 50 digits, and
+    # E and F keep the bits they have assembled alone
+    monkeypatch.setattr(integrals, "_ROW_BLOCK", 32)
     sc = validate_scene(scene(cantor_disks(2)))
     parts = (scene(sc.shapes[:4]), scene(sc.shapes[4:]))
     bases = [build_basis(p, Rings(1)) for p in parts]
@@ -537,7 +539,7 @@ def test_blocked_moment_rows_keep_the_closed_form_and_the_split_bits(monkeypatch
 
     monkeypatch.setattr(integrals, "zherk", counting_zherk)
     ef, e, f = _assemble_grams(sc, BasisSet(union), None, split=(4, len(bases[0])))
-    assert sorted(blocks) == [20] * 3 + [60] * 3 + [80] * 3
+    assert sorted(blocks) == [20] * 2 + [60] * 6 + [80] * 6
     poles = np.array([b.c for b in union])
     assert relative_error(ef.H, poles, sc.shapes, range(0, poles.size, 3)) <= 4 * EPS
     for g, w in zip((e, f), want):
@@ -592,11 +594,25 @@ def test_split_grams_are_sums_of_one_disk_grams():
              for g in _assemble_grams(sc, BasisSet(union), None, split=(9, len(bases[0])))]
     for g, part, basis in zip(grams, (sc, *parts), (union, *bases)):
         ones = [assemble_gram(scene([s]), basis) for s in part.shapes]
-        # the internal Grams are upper triangles over an exactly zero lower one
-        assert not np.tril(g.H, -1).any()
+        # an internal Gram is its upper triangle
         assert (np.abs(g.H - np.triu(sum(p.H for p in ones))).max()
                 <= 1e-14 * np.abs(g.H).max())
         assert np.abs(g.u - sum(p.u for p in ones)).max() <= 1e-14 * np.abs(g.u).max()
+
+
+def test_disk_gram_is_its_upper_triangle_whatever_the_lower_one_holds():
+    # a bracket factors its Gram in place and leaves the transpose of the
+    # upper triangle in the lower one; the next assembly into the same Gram
+    # buffer writes the upper triangle only, and that is the Gram, bit for bit
+    sc = validate_scene(scene(eighteen_disks()))
+    bs = BasisSet(build_basis(sc, Rings(4)))
+    want = np.triu(assemble_gram(sc, bs).H)
+    gram = _assemble_grams(sc, bs, None)[0]
+    solver._objectives(gram, bs.d_vector())
+    assert np.tril(gram.H, -1).any()
+    got = _assemble_grams(sc, bs, None)[0]
+    assert got.H is gram.H
+    assert np.triu(got.H).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("disks, m", [
@@ -619,7 +635,6 @@ def test_split_grams_bitwise_equal_to_separate_assembly(disks, m):
     want = [assemble_gram(s, b) for s, b in zip((sc, *parts), (union, *bases))]
     got = _assemble_grams(sc, BasisSet(union), None, split=(m, len(bases[0])))
     for g, w in zip(got, want):
-        assert not np.tril(g.H, -1).any()
         assert np.array_equal(np.triu(g.H), np.triu(w.H))
         assert np.array_equal(g.u, w.u)
         assert g.c0 == w.c0
@@ -634,7 +649,6 @@ def test_split_grams_by_quadrature_match_separate_assembly():
     got = _assemble_grams(sc, BasisSet(bases[0] + bases[1]), None, split=(1, len(bases[0])))
     for g, part in zip(got, (sc, *parts)):
         w = assemble_gram(part, build_basis(part, Powers(4)))
-        assert not np.tril(g.H, -1).any()
         assert np.abs(g.H - np.triu(w.H)).max() <= 1e-13 * np.abs(w.H).max()
         assert np.abs(g.u - w.u).max() <= 1e-13 * np.abs(w.u).max()
         assert g.c0 == pytest.approx(w.c0, rel=1e-15, abs=0)
@@ -821,7 +835,6 @@ def test_batched_ladder_gram_has_the_bits_of_piece_by_piece_assembly(
 
     monkeypatch.setattr(bs, "eval_all", counted)
     got = _assemble_grams(sc, bs, settings)[0]
-    assert not np.tril(got.H, -1).any()
     assert (np.triu(got.H).tobytes() == np.triu(want.H).tobytes()
             and got.u.tobytes() == want.u.tobytes())
     assert np.float64(got.c0).tobytes() == np.float64(want.c0).tobytes()

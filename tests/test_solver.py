@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+import threading
 import time
 import tracemalloc
 
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.blas import zhemm
+from scipy.linalg.lapack import zpotrf, zpotrs
 
 import anacap.exact as exact
-from anacap import solver
+from anacap import integrals, solver
 from anacap.basis import BasisSet, CornerAdapted, PowerPole, Powers, Rings, build_basis
 from anacap.errors import SceneConfigError, SingularGramError, SolveError
 from anacap.geometry import (Disk, Ellipse, Polygon, _signed_area, arcs, scene,
@@ -228,9 +231,11 @@ def test_bound_entry_points_equal_the_bracket_bitwise(shape, schedule, request):
     sc = validate_scene(request.getfixturevalue(shape))
     bs = BasisSet(build_basis(sc, schedule))
     gram = assemble_gram(sc, bs, QuadratureSettings())
-    res = solver._bracket(gram, bs.d_vector(), QuadratureSettings(), 0.0)
     system = GramSystem(gram, bs.d_vector())
-    assert (lower_bound(system), upper_bound(system)) == (res.lower, res.upper)
+    # the entry points factor copies; the bracket factors the Gram in place
+    bounds = (lower_bound(system), upper_bound(system))
+    res = solver._bracket(gram, bs.d_vector(), QuadratureSettings(), 0.0)
+    assert bounds == (res.lower, res.upper)
 
 
 @pytest.mark.parametrize("shapes, schedule", [
@@ -243,19 +248,78 @@ def test_public_stages_give_gamma_bounds_bracket_bitwise(shapes, schedule):
     # assemble_gram -> GramSystem -> upper_bound / lower_bound, the stages a
     # traced bench run replays, give gamma_bounds' bracket bit for bit; on
     # disks gamma_bounds reads the kernel's Gram buffer, the stages an owned
-    # mirrored copy
+    # mirrored copy.  A bracket factors its Gram in place, and the two entry
+    # points factor copies, so the system keeps every bit
     sc = validate_scene(scene(shapes))
     bs = BasisSet(build_basis(sc, schedule))
     system = GramSystem(assemble_gram(sc, bs), bs.d_vector())
+    before = system.gram.H.copy()
     res = gamma_bounds(sc, schedule)
     assert (upper_bound(system), lower_bound(system)) == (res.upper, res.lower)
+    assert system.gram.H.tobytes() == before.tobytes()
+
+
+def copy_factored_objectives(gram, d):
+    """(upper, lower, jitter) with every attempt of the jitter ladder made on
+    a fresh copy of the Gram, and H X from its upper triangle."""
+    H, n = gram.H, len(d)
+    diag = H.diagonal().real
+    for jit in solver._JITTERS:
+        buf = H.copy()
+        if jit:
+            buf.ravel()[:: n + 1] += jit * diag
+        c, info = zpotrf(buf.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            break
+    rhs = np.array([-gram.u, d], complex)
+    xc = zpotrs(c, np.conj(rhs).T, lower=1, overwrite_b=1)[0]
+    (xu, xd), (hu, hd) = np.conj(xc.T), np.conj(zhemm(1.0, H.T, xc, lower=1).T)
+    up = gram.c0 + 2.0 * np.vdot(xu, gram.u).real + np.vdot(xu, hu).real
+    lo = 2.0 * np.vdot(xd, d).real - np.vdot(xd, hd).real
+    return float(up), float(lo), jit
+
+
+@pytest.mark.parametrize("shapes, basis", [
+    ([Disk(0j, 1.0)], [PowerPole(0.1, 1), PowerPole(0.1 + 1e-8, 1), PowerPole(0.3j, 1)]),
+    ([Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)], Rings(8)),
+], ids=["one-disk-kernel", "four-ellipses-Rings8"])
+def test_jitter_ladder_restores_the_gram_between_attempts(shapes, basis):
+    # both Grams fail to factor without jitter: a failed attempt in place
+    # overwrites H's upper triangle and diagonal, and the next one starts
+    # from the mirror and a copy of the diagonal, so the bracket and the
+    # jitter are those of factoring a fresh copy at each step
+    sc = validate_scene(scene(shapes))
+    bs = BasisSet(basis if isinstance(basis, list) else build_basis(sc, basis))
+    up, lo, jit = copy_factored_objectives(assemble_gram(sc, bs), bs.d_vector())
+    assert jit == 4e-15
+    assert solver._factor(assemble_gram(sc, bs).H)[1] == jit
+    res = bounds_for_basis(sc, bs)
+    assert (res.upper, res.lower) == (up, lo)
+
+
+def test_disk_bracket_work_buffer_holds_a_block_of_moment_rows():
+    # the factorization takes no work buffer and the moment rows come in
+    # blocks of at most max(128, disks) rows, so after a bracket of the 64
+    # Cantor disks (n = 1,088) a fresh thread's work buffer holds 128 n
+    # values, not n^2
+    sizes = []
+
+    def bracket():
+        n = gamma_bounds(scene(cantor_disks(3)), Rings(4)).n_basis
+        sizes.append((integrals._THREAD.work.size, n))
+
+    worker = threading.Thread(target=bracket)
+    worker.start()
+    worker.join()
+    (size, n), = sizes
+    assert n == 1088 and size <= max(128, 64) * n
 
 
 def test_warm_disk_bracket_allocates_under_half_a_gram():
     # 64 Cantor disks under Rings(4), n = 1088: the Gram is this thread's Gram
-    # buffer, the moment rows and the Cholesky copy its work buffer, and the
-    # solver reads the upper triangle unmirrored, so once those exist the
-    # traced peak is the disks x poles arrays of the kernel (0.35 n^2 values)
+    # buffer, factored in place, and the moment rows take its work buffer, so
+    # once those exist the traced peak is the disks x poles arrays of the
+    # kernel (0.35 n^2 values)
     sc = scene(cantor_disks(3))
     n = gamma_bounds(sc, Rings(4)).n_basis
     tracemalloc.start()

@@ -178,9 +178,9 @@ def record_bits(rec):
 
 
 def test_concurrent_ratio_records_match_sequential_ones():
-    # the moment rows and the Cholesky copy live in per-thread buffers: two
-    # threads making different records at once get the records of sequential
-    # calls, bit for bit
+    # the Grams and the moment rows live in per-thread buffers, and each Gram
+    # is factored in place: two threads making different records at once get
+    # the records of sequential calls, bit for bit
     cfgs = [eighteen_disk_record(seed) for seed in (3, 4)]
     want = [record_bits(ratio_bounds(cfg, Rings(4))) for cfg in cfgs]
     got = [[], []]
@@ -208,8 +208,9 @@ def test_concurrent_ratio_records_match_sequential_ones():
 
 def test_ratio_record_makes_no_gram_sized_temporaries():
     # after a warm-up call, a record's traced peak is its three Grams and
-    # little more: the Grams stay upper triangles (no mirror temporaries) and
-    # the moment rows and the factor copies reuse this thread's buffers
+    # little more: the Grams stay upper triangles (no mirror temporaries),
+    # each is factored in place, and the moment rows reuse this thread's
+    # work buffer
     cfg = eighteen_disk_record(3)
     rec = ratio_bounds(cfg, Rings(4))
     grams = 16 * sum(b.n_basis ** 2 for b in (rec.ef, rec.e, rec.f))
@@ -223,9 +224,9 @@ def test_ratio_record_makes_no_gram_sized_temporaries():
 
 
 def test_warm_ratio_record_allocates_no_gram_sized_array():
-    # the three Grams are this thread's Gram buffers and the moment rows and
-    # the factor copies its work buffer, so once they exist a record's traced
-    # peak stays below one n x n complex array
+    # the three Grams are this thread's Gram buffers, factored in place, and
+    # the moment rows take its work buffer, so once they exist a record's
+    # traced peak stays below one n x n complex array
     cfg = eighteen_disk_record(3)
     n = ratio_bounds(cfg, Rings(4)).ef.n_basis
     tracemalloc.start()
