@@ -17,9 +17,10 @@ sqrt(H_aa H_bb)), give the upper triangle from Hermitian products
 (``zherk``) of their rows, a block of whole moment levels at a time, and
 every disk value is formed over 2 pi already (:func:`_disk_gram`).  The
 same call can also give the Grams of a split of the scene into its first m
-shapes (on their basis functions) and the rest, the E, F and E u F of a
-subadditivity record: the kernel runs once per group on the group's own
-disks and poles, so each is bitwise what it would be assembled alone.
+shapes (on their basis functions) and the rest, the E u F, E and F of a
+subadditivity record, one at a time: the kernel runs once per group, when
+its Gram is requested, on the group's own disks and poles, so each is
+bitwise what it would be assembled alone.
 Every other boundary goes through one call of the node-and-weight
 quadrature of :mod:`anacap.quadrature` over all its pieces, which climb
 one ladder together: the basis values V of an
@@ -42,19 +43,20 @@ triangle is not part of it and is never read, and only the public
 :func:`assemble_gram` mirrors it, into an owned array, so that the H it
 returns is Hermitian.  The solver factors a Gram where it lies and keeps a
 copy of the upper triangle in the lower one.  A disk Gram is written into
-a per-thread Gram buffer, one per group of a split (:func:`_gram_buffer`),
-valid until the next assembly in the same thread or its own bracket.  The
-moment rows, made in blocks of whole moment levels (at most ``_ROW_BLOCK``
-rows unless one level has more) and each block added into the Gram, and
-the integrand values take one per-thread work buffer in turn
-(:func:`_scratch`), so a disk bracket's memory of size n^2 is its Gram(s)
-alone.
+this thread's one Gram buffer (:func:`_gram_buffer`), E's and F's into
+views of its leading entries, valid until the next Gram is requested,
+another assembly starts in the same thread, or its own bracket.  The moment
+rows, made in blocks of whole moment levels (at most ``_ROW_BLOCK`` rows
+unless one level has more) and each block added into the Gram, and the
+integrand values take one per-thread work buffer in turn (:func:`_scratch`),
+so the n^2 memory of a disk bracket, or of a ratio record's three, is one Gram.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,18 +100,17 @@ def _scratch(shape: tuple[int, ...]) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-def _gram_buffer(i: int, n: int) -> np.ndarray:
-    """This thread's i-th disk Gram buffer, a C-ordered n x n complex array:
-    group i of an assembly writes its upper triangle there
-    (:func:`_disk_gram`), so the Gram stays valid until the next assembly in
-    the same thread, or until a bracket factors it in place and leaves a
-    copy of the upper triangle in the lower one, which no assembly reads.  A
-    buffer of another shape is dropped and made again, zeroed."""
-    grams = _THREAD.__dict__.setdefault("grams", {})
-    H = grams.get(i)
+def _gram_buffer(n: int) -> np.ndarray:
+    """This thread's one disk Gram buffer, a C-ordered n x n complex array
+    for an assembly of n basis functions: each group's Gram is its upper
+    triangle in a C-ordered view of the buffer's leading entries
+    (:func:`_disk_gram`), valid until the next Gram is requested or another
+    assembly starts in the same thread, or its bracket factors it in place.
+    A buffer of another shape is dropped and made again, zeroed."""
+    H = getattr(_THREAD, "gram", None)
     if H is None or H.shape != (n, n):
-        grams[i] = H = None
-        grams[i] = H = np.zeros((n, n), complex)
+        _THREAD.gram = H = None
+        _THREAD.gram = H = np.zeros((n, n), complex)
     return H
 
 
@@ -421,7 +422,7 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
     the scene, as upper triangles (:func:`_assemble_grams`).
     """
     bs = basis if isinstance(basis, BasisSet) else BasisSet(basis)
-    g = _assemble_grams(sc, bs, settings)[0]
+    g = next(_assemble_grams(sc, bs, settings))
     # an owned array: the disk kernel's Gram is this thread's buffer
     H = np.conj(g.H.T, order="C")
     np.copyto(H, g.H, where=np.tri(bs.n, dtype=bool).T)
@@ -429,16 +430,18 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
 
 
 def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None,
-                    split: tuple[int, int] | None = None) -> list[GramData]:
-    """``[assemble_gram(sc, bs)]`` with each H its upper triangle, the part
-    the solver reads (the lower one is not part of the Gram: it may hold
-    what an earlier bracket left there), and with ``split = (m, k)`` also
-    the Grams of the first m shapes on the first k basis functions (theirs)
-    and of the other shapes on the other functions, from the same pass.
-    With disks and no other shapes each H is this thread's Gram buffer of
-    its group (:func:`_gram_buffer`), valid until the next assembly in the
-    same thread: read it, or copy it, first.  A bracket factors its Gram in
-    place, so it consumes it.
+                    split: tuple[int, int] | None = None) -> Iterator[GramData]:
+    """The Gram of ``assemble_gram(sc, bs)`` with H its upper triangle, the
+    part the solver reads (the lower one is not part of the Gram: it may
+    hold what an earlier bracket left there), then with ``split = (m, k)``
+    those of the first m shapes on the first k basis functions (theirs) and
+    of the other shapes on the other functions, handed out one at a time:
+    a quadrature ladder runs for all of them before the first, a group's
+    disk kernel when its Gram is requested.  With disks and no other shapes
+    each H is this thread's Gram buffer (:func:`_gram_buffer`) or a view of
+    it, valid until the next Gram is requested or another assembly starts
+    in the same thread: read it, or copy it, first.  A bracket factors its
+    Gram in place, so it consumes it.
 
     With disks the kernel runs once per group on the group's own disks and
     basis functions only (:func:`_disk_gram`), a group without such disks
@@ -458,24 +461,28 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
         groups += [(0, m, 0, k), (m, len(sc.shapes), k, n)]
     closed_form = [isinstance(s, Disk) and bs.all_simple for s in sc.shapes]
     quad = [i for i, cf in enumerate(closed_form) if not cf]
-    grams = [_disk_gram([s for s, cf in zip(sc.shapes[s0:s1], closed_form[s0:s1]) if cf],
-                        bs._sa[j0:j1], _gram_buffer(g, j1 - j0))
-             for g, (s0, s1, j0, j1) in enumerate(groups)] if any(closed_form) else None
-    if grams and not quad:
-        return grams
-    blocks = [(np.zeros((j1 - j0, j1 - j0), complex), np.zeros(j1 - j0, complex))
-              for _, _, j0, j1 in groups]
-    lengths = [0.0] * len(groups)
-    for i, G in zip(quad, _quad_blocks(bs, [sc.shapes[i] for i in quad], settings)):
-        for g, (s0, s1, j0, j1) in enumerate(groups):
-            if s0 <= i < s1:
-                H, u = blocks[g]
-                H += G[j0:j1, j0:j1]
-                u += G[j0:j1, n]
-                lengths[g] += float(G[n, n].real)
-    quads = [_gram_data(H, u, L) for (H, u), L in zip(blocks, lengths)]
-    return [GramData(np.add(g.H, q.H, out=q.H), g.u + q.u, g.c0 + q.c0)
-            for g, q in zip(grams, quads)] if grams else quads
+    quads = [None] * len(groups)
+    if quad:
+        blocks = [(np.zeros((j1 - j0, j1 - j0), complex), np.zeros(j1 - j0, complex))
+                  for _, _, j0, j1 in groups]
+        lengths = [0.0] * len(groups)
+        for i, G in zip(quad, _quad_blocks(bs, [sc.shapes[i] for i in quad], settings)):
+            for g, (s0, s1, j0, j1) in enumerate(groups):
+                if s0 <= i < s1:
+                    H, u = blocks[g]
+                    H += G[j0:j1, j0:j1]
+                    u += G[j0:j1, n]
+                    lengths[g] += float(G[n, n].real)
+        quads = [_gram_data(H, u, L) for (H, u), L in zip(blocks, lengths)]
+    buf = _gram_buffer(n) if any(closed_form) else None
+    for (s0, s1, j0, j1), q in zip(groups, quads):
+        if buf is not None:
+            size = j1 - j0
+            H = buf if size == n else buf.reshape(-1)[:size * size].reshape(size, size)
+            g = _disk_gram([s for s, cf in zip(sc.shapes[s0:s1], closed_form[s0:s1]) if cf],
+                           bs._sa[j0:j1], H)
+            q = g if q is None else GramData(np.add(g.H, q.H, out=q.H), g.u + q.u, g.c0 + q.c0)
+        yield q
 
 
 def _gram_data(H: np.ndarray, u: np.ndarray, length: float) -> GramData:

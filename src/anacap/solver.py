@@ -23,9 +23,11 @@ lies, with no equilibration: H's strict lower triangle takes a copy of
 its upper one (transposed), LAPACK overwrites the upper one and the
 diagonal with the factor, and the products H x read the copy.  So
 ``gamma_bounds`` and ``bounds_for_basis`` consume the Gram that they
-assemble, for disks a per-thread Gram buffer, and a disk bracket's memory
-of size n^2 is that Gram alone; ``upper_bound`` and ``lower_bound`` factor
-a copy, so the caller's ``GramData`` is left as it was.
+assemble, for disks this thread's one Gram buffer, and a disk bracket's
+memory of size n^2 is that Gram alone; ``sublab.ratio_bounds`` brackets
+each of its three Grams before it asks for the next, which is assembled
+into the same buffer.  ``upper_bound`` and ``lower_bound`` factor a copy,
+so the caller's ``GramData`` is left as it was.
 """
 
 from __future__ import annotations
@@ -206,7 +208,7 @@ def bounds_for_basis(sc: Scene, basis, settings: QuadratureSettings | None = Non
     bs = basis if isinstance(basis, BasisSet) else BasisSet(basis)
     sc = validate_scene(sc)
     _require_poles_inside(sc, bs.funcs)
-    return _bracket(_assemble_grams(sc, bs, settings)[0], bs.d_vector(), settings, t0)
+    return _bracket(next(_assemble_grams(sc, bs, settings)), bs.d_vector(), settings, t0)
 
 
 def _require_poles_inside(sc: Scene, funcs) -> None:
@@ -240,7 +242,7 @@ def gamma_bounds(sc: Scene, schedule, settings: QuadratureSettings | None = None
     t0 = time.perf_counter()
     sc = validate_scene(sc)
     bs = BasisSet(build_basis(sc, schedule))
-    return _bracket(_assemble_grams(sc, bs, settings)[0], bs.d_vector(), settings, t0)
+    return _bracket(next(_assemble_grams(sc, bs, settings)), bs.d_vector(), settings, t0)
 
 
 def refine(sc: Scene, ladder, settings: QuadratureSettings | None = None) -> list[BoundsResult]:

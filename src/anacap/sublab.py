@@ -7,12 +7,12 @@ point produces a certified interval
 
     [ef.lower/(e.upper + f.upper),  ef.upper/(e.lower + f.lower)]
 
-containing R.  One record is one validation, one basis and one Gram
-assembly of E u F: the same kernel call gives the E and F Grams from the
-multipole moments of their own disks on their own basis functions, so only
-the factorizations and solves run three times.  Verdicts between adjacent
-radii compare intervals, never midpoints: a decrease (or increase) is only
-certified when the brackets are disjoint in the corresponding order.
+containing R.  One record is one validation, one basis and one assembly
+call, which hands out the Grams of E u F, E and F in turn, E's and F's from
+their own disks' moments, each into the Gram buffer that the bracket before
+it consumed.  Verdicts between adjacent radii compare intervals, never
+midpoints: a decrease (or increase) is only certified when the brackets are
+disjoint in the corresponding order.
 """
 
 from __future__ import annotations
@@ -92,11 +92,12 @@ def ratio_bounds(cfg: DiskConfiguration, schedule: Schedule,
                  settings: QuadratureSettings | None = None) -> SweepRecord:
     """Certified bracket for gamma(E u F)/(gamma(E) + gamma(F)).
 
-    One validation, one basis and one Gram assembly serve all three
-    brackets: the same kernel call gives the E and F Grams from their own
-    disks' moments on their own basis functions, and they equal bitwise what
-    E and F give assembled alone.  ``ef.wall_time`` covers the shared stages
-    and the union's solve, ``e`` and ``f`` their own solves.
+    One validation, one basis and one assembly call serve all three
+    brackets: it hands out the Grams of E u F, E and F in turn, E's and F's
+    bitwise what they give assembled alone, each assembled right before its
+    solve into the Gram buffer that the solve before it consumed.  So
+    ``e.wall_time`` and ``f.wall_time`` include their own kernels, and
+    ``ef.wall_time`` the shared stages; their sum is the whole record.
     """
     if cfg.m is None:
         raise SplitError("configuration needs a split index m")
@@ -108,11 +109,14 @@ def ratio_bounds(cfg: DiskConfiguration, schedule: Schedule,
     funcs, counts = _shape_counted_basis(sc, schedule)
     bs = BasisSet(funcs)
     k = sum(counts[: cfg.m])
-    gram_ef, gram_e, gram_f = _assemble_grams(sc, bs, settings, split=(cfg.m, k))
-    d = bs.d_vector()
-    ef = _bracket(gram_ef, d, settings, t0)
-    e = _bracket(gram_e, d[:k], settings, time.perf_counter())
-    f = _bracket(gram_f, d[k:], settings, time.perf_counter())
+    d, brackets = bs.d_vector(), []
+    # each Gram is bracketed, which consumes it, before the next is assembled
+    # into the same buffer; e's and f's clocks start before their kernels
+    for gram, dg in zip(_assemble_grams(sc, bs, settings, split=(cfg.m, k)),
+                        (d, d[:k], d[k:])):
+        brackets.append(_bracket(gram, dg, settings, t0))
+        t0 = time.perf_counter()
+    ef, e, f = brackets
     return SweepRecord(
         r=cfg.radius,
         ratio_low=ef.lower / (e.upper + f.upper),

@@ -538,13 +538,15 @@ def test_blocked_moment_rows_keep_the_closed_form_and_the_split_bits(monkeypatch
         return zherk(alpha, a, **kw)
 
     monkeypatch.setattr(integrals, "zherk", counting_zherk)
-    ef, e, f = _assemble_grams(sc, BasisSet(union), None, split=(4, len(bases[0])))
-    assert sorted(blocks) == [20] * 2 + [60] * 6 + [80] * 6
+    # E's and F's Grams take the union's buffer in turn: each is checked
+    # before the next is requested, and a Gram is its upper triangle
+    grams = _assemble_grams(sc, BasisSet(union), None, split=(4, len(bases[0])))
     poles = np.array([b.c for b in union])
-    assert relative_error(ef.H, poles, sc.shapes, range(0, poles.size, 3)) <= 4 * EPS
-    for g, w in zip((e, f), want):
-        assert same_bits(g.H, np.triu(w.H)) and same_bits(g.u, w.u)
+    assert relative_error(next(grams).H, poles, sc.shapes, range(0, poles.size, 3)) <= 4 * EPS
+    for g, w in zip(grams, want):
+        assert same_bits(np.triu(g.H), np.triu(w.H)) and same_bits(g.u, w.u)
         assert g.c0 == w.c0
+    assert sorted(blocks) == [20] * 2 + [60] * 6 + [80] * 6
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -589,8 +591,9 @@ def test_split_grams_are_sums_of_one_disk_grams():
     parts = (scene(sc.shapes[:9]), scene(sc.shapes[9:]))
     bases = [build_basis(p, Rings(4)) for p in parts]
     union = bases[0] + bases[1]
-    # a disk Gram is this thread's buffer until the next assembly: copy each
-    grams = [GramData(g.H.copy(), g.u, g.c0)
+    # a disk Gram is this thread's buffer until the next Gram is requested:
+    # copy each, its upper triangle, before the next
+    grams = [GramData(np.triu(g.H), g.u, g.c0)
              for g in _assemble_grams(sc, BasisSet(union), None, split=(9, len(bases[0])))]
     for g, part, basis in zip(grams, (sc, *parts), (union, *bases)):
         ones = [assemble_gram(scene([s]), basis) for s in part.shapes]
@@ -607,12 +610,33 @@ def test_disk_gram_is_its_upper_triangle_whatever_the_lower_one_holds():
     sc = validate_scene(scene(eighteen_disks()))
     bs = BasisSet(build_basis(sc, Rings(4)))
     want = np.triu(assemble_gram(sc, bs).H)
-    gram = _assemble_grams(sc, bs, None)[0]
+    gram = next(_assemble_grams(sc, bs, None))
     solver._objectives(gram, bs.d_vector())
     assert np.tril(gram.H, -1).any()
-    got = _assemble_grams(sc, bs, None)[0]
+    got = next(_assemble_grams(sc, bs, None))
     assert got.H is gram.H
     assert np.triu(got.H).tobytes() == want.tobytes()
+
+
+def test_split_grams_in_a_buffer_of_nan_and_inf_have_fresh_bits():
+    # each Gram of a split is written into the union's Gram buffer, E and F
+    # into views of its leading entries, over whatever was there: with the
+    # buffer filled with NaN and infinities before each Gram is requested,
+    # every Gram has the bits of a fresh assembly
+    sc = validate_scene(scene(eighteen_disks()))
+    parts = (scene(sc.shapes[:9]), scene(sc.shapes[9:]))
+    bases = [build_basis(p, Rings(4)) for p in parts]
+    union = bases[0] + bases[1]
+    want = [assemble_gram(s, b) for s, b in zip((sc, *parts), (union, *bases))]
+    specials = np.array([np.nan, np.inf, -np.inf, complex(np.nan, np.inf),
+                         complex(-np.inf, np.nan), complex(np.inf, -np.inf)])
+    buf = integrals._gram_buffer(len(union))
+    buf.ravel()[:] = np.resize(specials, buf.size)
+    for g, w in zip(_assemble_grams(sc, BasisSet(union), None, split=(9, len(bases[0]))), want):
+        assert np.shares_memory(g.H, buf)
+        assert np.triu(g.H).tobytes() == np.triu(w.H).tobytes()
+        assert g.u.tobytes() == w.u.tobytes() and g.c0 == w.c0
+        buf.ravel()[:] = np.resize(specials, buf.size)
 
 
 @pytest.mark.parametrize("disks, m", [
@@ -633,6 +657,7 @@ def test_split_grams_bitwise_equal_to_separate_assembly(disks, m):
         bases[1].append(PowerPole(-1 + 2j, 1))
     union = bases[0] + bases[1]
     want = [assemble_gram(s, b) for s, b in zip((sc, *parts), (union, *bases))]
+    # the Grams share one buffer: each is checked before the next is requested
     got = _assemble_grams(sc, BasisSet(union), None, split=(m, len(bases[0])))
     for g, w in zip(got, want):
         assert np.array_equal(np.triu(g.H), np.triu(w.H))
@@ -646,9 +671,10 @@ def test_split_grams_by_quadrature_match_separate_assembly():
     sc = validate_scene(scene([Disk(2 + 0j, 1.0), Disk(-2 + 0j, 1.0), Disk(4j, 0.5)]))
     parts = (scene(sc.shapes[:1]), scene(sc.shapes[1:]))
     bases = [build_basis(p, Powers(4)) for p in parts]
+    want = [assemble_gram(part, build_basis(part, Powers(4))) for part in (sc, *parts)]
+    # no other assembly runs while the split's Grams are handed out
     got = _assemble_grams(sc, BasisSet(bases[0] + bases[1]), None, split=(1, len(bases[0])))
-    for g, part in zip(got, (sc, *parts)):
-        w = assemble_gram(part, build_basis(part, Powers(4)))
+    for g, w in zip(got, want):
         assert np.abs(g.H - np.triu(w.H)).max() <= 1e-13 * np.abs(w.H).max()
         assert np.abs(g.u - w.u).max() <= 1e-13 * np.abs(w.u).max()
         assert g.c0 == pytest.approx(w.c0, rel=1e-15, abs=0)
@@ -834,7 +860,7 @@ def test_batched_ladder_gram_has_the_bits_of_piece_by_piece_assembly(
         return eval_all(z, corner_subs, out=out)
 
     monkeypatch.setattr(bs, "eval_all", counted)
-    got = _assemble_grams(sc, bs, settings)[0]
+    got = next(_assemble_grams(sc, bs, settings))
     assert (np.triu(got.H).tobytes() == np.triu(want.H).tobytes()
             and got.u.tobytes() == want.u.tobytes())
     assert np.float64(got.c0).tobytes() == np.float64(want.c0).tobytes()
@@ -941,7 +967,7 @@ def test_gram_convergence_decisions_on_the_ladder_levels(monkeypatch, shapes, sc
         return got
 
     monkeypatch.setattr(integrals, "_gram_converged", both)
-    _assemble_grams(sc, bs, QuadratureSettings(tol))
+    next(_assemble_grams(sc, bs, QuadratureSettings(tol)))
     assert decisions.count(True) == sum(len(arcs(s)) for s in sc.shapes)
     assert decisions.count(False) == fails
 
@@ -954,10 +980,10 @@ def test_warm_quadrature_assembly_allocates_few_blocks():
     # KiB in NumPy 2.4) come on top
     sc = validate_scene(scene(FOUR_ELLIPSES))
     bs = BasisSet(build_basis(sc, Rings(4)))
-    _assemble_grams(sc, bs, None)
+    next(_assemble_grams(sc, bs, None))
     tracemalloc.start()
     try:
-        _assemble_grams(sc, bs, None)
+        next(_assemble_grams(sc, bs, None))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -972,10 +998,10 @@ def test_warm_disk_kernel_holds_few_disks_by_poles_arrays():
     # disks x poles complex arrays)
     sc = validate_scene(scene(cantor_disks(3)))
     bs = BasisSet(build_basis(sc, Rings(4)))
-    _assemble_grams(sc, bs, None)
+    next(_assemble_grams(sc, bs, None))
     tracemalloc.start()
     try:
-        _assemble_grams(sc, bs, None)
+        next(_assemble_grams(sc, bs, None))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

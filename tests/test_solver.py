@@ -335,7 +335,7 @@ def test_objectives_make_one_factorization_one_solve_and_one_product(monkeypatch
     # both right-hand sides go through one zpotrs and one zhemm
     sc = validate_scene(scene(eighteen_disks()))
     bs = BasisSet(build_basis(sc, Rings(4)))
-    gram = _assemble_grams(sc, bs, None)[0]
+    gram = next(_assemble_grams(sc, bs, None))
     calls = []
 
     def counted(name):
@@ -364,7 +364,7 @@ def test_power_of_two_scaling_leaves_the_bounds_bitwise_unchanged(shapes, schedu
     # keep every bit
     sc = validate_scene(scene(shapes))
     bs = BasisSet(build_basis(sc, schedule))
-    gram, d = _assemble_grams(sc, bs, None)[0], bs.d_vector()
+    gram, d = next(_assemble_grams(sc, bs, None)), bs.d_vector()
     p = 2.0 ** rng.integers(-20, 21, bs.n)
     scaled = GramData(p[:, None] * gram.H * p[None, :], p * gram.u, gram.c0)
     want = solver._objectives(gram, d)[:2]

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from anacap import basis, sublab
+from anacap import basis, integrals, sublab
 from anacap.basis import Powers, Rings, build_basis
 from anacap.discrete import DiskConfiguration, predicted_slope
 from anacap.errors import OverlapError, SolveError, SplitError
@@ -207,10 +207,10 @@ def test_concurrent_ratio_records_match_sequential_ones():
 
 
 def test_ratio_record_makes_no_gram_sized_temporaries():
-    # after a warm-up call, a record's traced peak is its three Grams and
-    # little more: the Grams stay upper triangles (no mirror temporaries),
-    # each is factored in place, and the moment rows reuse this thread's
-    # work buffer
+    # after a warm-up call, a record's traced peak stays within the size of
+    # its three Grams: they stay upper triangles (no mirror temporaries) in
+    # this thread's one Gram buffer, each is factored in place, and the
+    # moment rows reuse this thread's work buffer
     cfg = eighteen_disk_record(3)
     rec = ratio_bounds(cfg, Rings(4))
     grams = 16 * sum(b.n_basis ** 2 for b in (rec.ef, rec.e, rec.f))
@@ -224,9 +224,9 @@ def test_ratio_record_makes_no_gram_sized_temporaries():
 
 
 def test_warm_ratio_record_allocates_no_gram_sized_array():
-    # the three Grams are this thread's Gram buffers, factored in place, and
-    # the moment rows take its work buffer, so once they exist a record's
-    # traced peak stays below one n x n complex array
+    # the three Grams take this thread's Gram buffer in turn, each factored
+    # in place, and the moment rows take its work buffer, so once they exist
+    # a record's traced peak stays below one n x n complex array
     cfg = eighteen_disk_record(3)
     n = ratio_bounds(cfg, Rings(4)).ef.n_basis
     tracemalloc.start()
@@ -236,6 +236,73 @@ def test_warm_ratio_record_allocates_no_gram_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < 16 * n * n
+
+
+def test_ratio_record_holds_one_gram_buffer(monkeypatch):
+    # E u F, E and F are assembled in turn into the one Gram buffer of a
+    # fresh thread, sized by the union, each bracketed before the next is
+    # requested: E's and F's Grams are views of its leading entries
+    cfg = eighteen_disk_record(3)
+    bracket, grams, held = sublab._bracket, [], []
+
+    def recording(gram, d, settings, t0):
+        grams.append(gram.H)
+        return bracket(gram, d, settings, t0)
+
+    def record():
+        rec = ratio_bounds(cfg, Rings(4))
+        held.append((rec, {k: v for k, v in vars(integrals._THREAD).items() if k != "work"}))
+
+    monkeypatch.setattr(sublab, "_bracket", recording)
+    worker = threading.Thread(target=record)
+    worker.start()
+    worker.join()
+    (rec, buffers), = held
+    n, k = rec.ef.n_basis, rec.e.n_basis
+    assert list(buffers) == ["gram"] and buffers["gram"].shape == (n, n)
+    assert [H.shape for H in grams] == [(n, n), (k, k), (n - k, n - k)]
+    assert grams[0] is buffers["gram"]
+    assert all(np.shares_memory(H, buffers["gram"]) for H in grams[1:])
+
+
+def test_large_ratio_record_peaks_near_one_gram():
+    # 64 disks at half the sweep cap under Rings(4), n = 1,088, split 32 | 32:
+    # in a fresh thread the record's traced peak is the union's Gram buffer,
+    # which E's and F's Grams reuse, and the kernel's disks x poles arrays;
+    # it was 1.69 n^2 values with a buffer per Gram
+    centers = random_configuration(64, 5)
+    cfg = DiskConfiguration(centers, 0.5 * max_sweep_radius(centers), 32)
+    peaks = []
+
+    def record():
+        tracemalloc.start()
+        try:
+            n = ratio_bounds(cfg, Rings(4)).ef.n_basis
+            peaks.append((tracemalloc.get_traced_memory()[1], n))
+        finally:
+            tracemalloc.stop()
+
+    worker = threading.Thread(target=record)
+    worker.start()
+    worker.join()
+    (peak, n), = peaks
+    assert n == 1088 and peak <= 1.45 * 16 * n * n
+
+
+def test_powers_ratio_record_takes_one_quadrature_ladder(monkeypatch):
+    # the quadrature blocks of all three groups come from one ladder, run
+    # before the first Gram is handed out
+    calls = []
+    integrate = integrals.integrate_arc
+
+    def counted(*args, **kw):
+        calls.append(len(args[1]))
+        return integrate(*args, **kw)
+
+    monkeypatch.setattr(integrals, "integrate_arc", counted)
+    rec = ratio_bounds(DiskConfiguration(PAIR, 0.5, 1), Powers(6))
+    assert rec.ratio_low <= exact_ratio(0.5) <= rec.ratio_high
+    assert calls == [2]
 
 
 @pytest.mark.xfail(strict=True, reason="unbudgeted rounding: the bracket is [1, 1] "
