@@ -354,8 +354,12 @@ class BasisSet:
         return out
 
     def corner_points(self) -> np.ndarray:
-        """Distinct corner locations used by corner-adapted members."""
-        return np.unique(self._ga)
+        """Distinct corner locations used by corner-adapted members, sorted, as
+        ``np.unique`` gives them without the ``numpy.ma`` import of its first call."""
+        pts = np.sort(self._ga, axis=None)
+        keep = np.ones(pts.size, bool)
+        keep[1:] = pts[1:] != pts[:-1]
+        return pts[keep]
 
 
 # ---------------------------------------------------------------------------

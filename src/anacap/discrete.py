@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import zposv
 from .errors import (
     DuplicateCenterError,
     PreconditionError,
@@ -118,10 +118,10 @@ def lambda_discrete(Z, r: float) -> float:
     n = C.shape[0]
     A = (1.0 / r) * np.eye(n) + r * (C @ C.conj().T)
     ones = np.ones(n, complex)
-    try:
-        x = scipy.linalg.solve(A, ones, assume_a="pos", check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolveError(f"discrete capacity solve failed: {exc}") from exc
+    x, info = zposv(A, ones)[1:]
+    if info > 0:
+        raise SolveError(f"discrete capacity solve failed: the leading minor of order "
+                         f"{info} is not positive definite")
     val = np.vdot(ones, x)
     if abs(val.imag) > _IMAG_TOL * max(1.0, abs(val.real)):
         raise SolveError(f"lambda has non-negligible imaginary part {val.imag}")

@@ -60,8 +60,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import zherk
 
+from ._lapack import zherk
 from .basis import BasisFunction, BasisSet, PowerPole
 from .errors import NonRationalBasisError, PoleOnContourError
 from .geometry import Disk, Scene, arcs
@@ -323,7 +323,8 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
     assembly.  A shape's block is its first piece's sum, the others added in
     place: a -0 entry vanishes in the sums of :func:`_assemble_grams`.
 
-    The update runs on SciPy's BLAS, like the solver's factorization: NumPy
+    The update runs on SciPy's BLAS (its compiled wrapper, which
+    :mod:`anacap._lapack` loads), like the solver's factorization: NumPy
     and SciPy each bundle an OpenBLAS with its own thread pool, and
     alternating between the two leaves one pool's workers spinning while the
     other's run, which on a two-core machine stalled a 20 ms job by up to

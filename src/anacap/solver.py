@@ -36,9 +36,8 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.blas import zhemm
-from scipy.linalg.lapack import zpotrf, zpotrs
 
+from ._lapack import zhemm, zpotrf, zpotrs
 from .basis import BasisSet, CornerAdapted, _require_star_shaped, build_basis
 from .errors import SceneConfigError, SingularGramError, SolveError
 from .geometry import Scene, _winding_number, arcs, corners, validate_scene
@@ -145,10 +144,11 @@ def _objectives(gram: GramData, d: np.ndarray) -> tuple[float, float, float]:
     conjugated right-hand sides gives conj(X).  With H's diagonal restored,
     the upper triangle of H.T in Fortran order is the mirror, H's upper
     triangle as it was, so H X is one ``zhemm`` on that triangle, and
-    nothing is copied.  H X runs on SciPy's BLAS, the one library that
-    assembly (its ``zherk``) and the factorization use (see
-    ``integrals._quad_blocks``); one ``zhemm`` of both columns, and one
-    two-column ``zpotrs``, take less time than two one-column calls.
+    nothing is copied.  H X runs on SciPy's BLAS, from the compiled wrappers
+    of :mod:`anacap._lapack`, the one library that assembly (its ``zherk``)
+    and the factorization use (see ``integrals._quad_blocks``); one
+    ``zhemm`` of both columns, and one two-column ``zpotrs``, take less time
+    than two one-column calls.
     """
     c, _, diag = _factor(gram.H)
     rhs = np.array([-gram.u, d], complex)

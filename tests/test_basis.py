@@ -324,6 +324,23 @@ def test_eval_all_into_buffer_rows(shapes, schedule):
         bs.eval_all(z, out=np.empty((n, 2 * z.size), complex)[:, ::2])
 
 
+@pytest.mark.parametrize("funcs", [
+    lambda: build_basis(validate_scene(scene([Disk(0j, 1.0), Disk(3 + 0j, 1.0)])), Powers(3)),
+    lambda: build_basis(validate_scene(scene([SQUARE])), Powers(6, True)),
+    lambda: build_basis(validate_scene(scene(MIXED_SHAPES)), Powers(3, True)),
+    # one anchor in several groups (other pole or exponent), anchors sharing a
+    # real part, listed out of order
+    lambda: [CornerAdapted(0.1j, 1 + 1j, -1 / 6, 1), CornerAdapted(0.1j, 1 - 1j, -1 / 6, 1),
+             CornerAdapted(-0.1 + 0j, 1 + 1j, -1 / 6, 1), CornerAdapted(0.1j, 1 + 1j, 1 / 3, 2),
+             PowerPole(0j, 1), CornerAdapted(0.1j, -1 + 0j, -1 / 6, 2),
+             CornerAdapted(-0.1 + 0j, 1 - 1j, 1 / 3, 1)],
+], ids=["no-corners", "square-Powers6-corners", "mixed-Powers3-corners", "shared-anchors"])
+def test_corner_points_equal_np_unique(funcs):
+    bs = BasisSet(funcs())
+    got, want = bs.corner_points(), np.unique(bs._ga)
+    assert got.dtype == want.dtype and same_bits(got, want)
+
+
 def test_simple_pole_values_go_straight_into_the_buffer():
     # a basis of first-order poles is written into out with no temporary of its
     # size, and keeps the bits of the per-member expression; at 4096 nodes,

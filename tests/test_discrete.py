@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from anacap import discrete
 from anacap.discrete import (
     DiskConfiguration,
     alpha,
@@ -18,11 +19,11 @@ from anacap.discrete import (
     predicted_slope,
     sandwich_check,
 )
-from anacap.errors import DuplicateCenterError, PreconditionError, SplitError
+from anacap.errors import DuplicateCenterError, PreconditionError, SolveError, SplitError
 from anacap.basis import Rings
 from anacap.geometry import Disk, scene
 from anacap.solver import gamma_bounds
-from conftest import random_points
+from conftest import random_points, same_bits
 
 
 def two_disk_lambda(c, r):
@@ -135,6 +136,36 @@ def test_lambda_sup_form_oracle(rng):
     a_star = np.linalg.solve(A, np.ones(2))
     attained = abs(np.sum(a_star)) ** 2 / np.vdot(a_star, A @ a_star).real
     assert attained == pytest.approx(lam, rel=1e-12, abs=0)
+
+
+def test_lambda_solve_has_the_bits_of_scipy_positive_definite_solve(monkeypatch):
+    # zposv gives the solution vector of scipy.linalg.solve(assume_a="pos") bit for bit
+    from scipy.linalg import solve
+
+    solutions, zposv = [], discrete.zposv
+
+    def recorded(*args):
+        out = zposv(*args)
+        solutions.append(out[1])
+        return out
+
+    monkeypatch.setattr(discrete, "zposv", recorded)
+    for seed in range(40):
+        Z = random_points(np.random.default_rng(seed), 3 + seed % 16)
+        C = cauchy_matrix(Z)
+        ones = np.ones(len(Z), complex)
+        for r in (0.05, 0.2, 0.8):
+            A = (1.0 / r) * np.eye(len(Z)) + r * (C @ C.conj().T)
+            want = solve(A, ones, assume_a="pos", check_finite=False)
+            assert lambda_discrete(Z, r) == float(np.vdot(ones, want).real)
+            assert same_bits(solutions.pop(), want)
+
+
+def test_lambda_solve_failure_is_a_solve_error():
+    # an odd number of centers makes C singular, so at r = 1e12 the matrix
+    # 1/r I + r C C^H is positive definite only in exact arithmetic
+    with pytest.raises(SolveError, match="discrete capacity solve failed"):
+        lambda_discrete([0j, 1 + 0j, 2j], 1e12)
 
 
 def test_lambda_monotone_in_radius():

@@ -1,0 +1,65 @@
+"""anacap's five BLAS and LAPACK routines come from SciPy's compiled wrappers
+alone: a fresh interpreter that makes brackets never imports the ``scipy``
+package, and the routines are SciPy's own function objects, whichever is
+imported first.  Each check runs in a fresh interpreter, because the tests
+import ``scipy.linalg`` themselves."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import anacap
+
+SRC = str(Path(anacap.__file__).resolve().parents[1])
+
+
+def run_fresh(code: str) -> str:
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+BRACKETS = """
+import json, sys
+import anacap as ac
+from anacap.sublab import max_sweep_radius, random_configuration
+
+ac.gamma_bounds(ac.scene([ac.Polygon((1 + 0j, 1j, -1 + 0j, -1j))]), ac.Powers(6, with_corners=True))
+ac.gamma_bounds(ac.scene([ac.Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)]),
+                ac.Rings(4))
+centers = random_configuration(18, 1)
+ac.ratio_bounds(ac.DiskConfiguration(centers, 0.4 * max_sweep_radius(centers), 9), ac.Rings(4))
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_brackets_load_the_compiled_wrappers_and_no_scipy_package():
+    # scipy.linalg's package import clones NumPy's namespace through SciPy's
+    # array-API layer (numpy.f2py among it), and np.unique imports numpy.ma
+    loaded = set(json.loads(run_fresh(BRACKETS)))
+    assert not loaded & {"scipy", "scipy.linalg", "scipy._lib._array_api", "numpy.ma",
+                         "numpy.f2py"}
+    assert {"scipy.linalg._fblas", "scipy.linalg._flapack"} <= loaded
+
+
+IDENTITY = """
+import {}, {}
+import scipy.linalg.blas as blas, scipy.linalg.lapack as lapack
+from anacap import discrete, integrals, solver
+
+print(integrals.zherk is blas.zherk, solver.zhemm is blas.zhemm, solver.zpotrf is lapack.zpotrf,
+      solver.zpotrs is lapack.zpotrs, discrete.zposv is lapack.zposv)
+"""
+
+
+@pytest.mark.parametrize("first,second", [("anacap", "scipy.linalg"), ("scipy.linalg", "anacap")],
+                         ids=["anacap-first", "scipy-first"])
+def test_routines_are_scipys_own_whichever_is_imported_first(first, second):
+    assert run_fresh(IDENTITY.format(first, second)).split() == ["True"] * 5
