@@ -214,6 +214,39 @@ def _require_star_shaped(shape: Shape, c: complex) -> None:
                 "basis would cross its branch cut")
 
 
+def _require_poles_inside(sc: Scene, funcs) -> None:
+    """Exact test that each member's pole is strictly inside a shape of sc and
+    that a corner member's branch cut (a, c) stays in that shape: a is one of
+    its corners and it is star-shaped about c, as under ``Powers``."""
+    boundaries = [geometry.arcs(s) for s in sc.shapes]
+    for b in funcs:
+        i = next((i for i, pieces in enumerate(boundaries)
+                  if geometry._winding_number(pieces, b.c)), None)
+        if i is None:
+            raise SceneConfigError(
+                f"the pole of basis member {b!r} is not strictly inside a shape of the scene")
+        if isinstance(b, CornerAdapted):
+            pts = np.array([k.location for k in geometry.corners(sc.shapes[i])], complex)
+            if _matching_corner(pts, b.a, boundaries[i]) is None:
+                raise SceneConfigError(f"the branch point of basis member {b!r} is not a "
+                                       "corner of the shape that holds its pole")
+            try:
+                _require_star_shaped(sc.shapes[i], b.c)
+            except SceneConfigError as exc:
+                raise SceneConfigError(f"basis member {b!r}: {exc}") from None
+
+
+def _matching_corner(corner_pts: np.ndarray, z: complex, pieces) -> complex | None:
+    """The corner point within 1e-12 max(1, |start of pieces[0]|) of z, a
+    point of the boundary made of ``pieces`` (``geometry.arcs``), or None."""
+    if not corner_pts.size:
+        return None
+    i = int(np.argmin(np.abs(corner_pts - z)))
+    if abs(corner_pts[i] - z) < 1e-12 * max(1.0, abs(pieces[0].start)):
+        return complex(corner_pts[i])
+    return None
+
+
 # ---------------------------------------------------------------------------
 # vectorized evaluation engine
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import zposv
+from ._lapack import zpocon, zposv
 from .errors import (
     DuplicateCenterError,
     PreconditionError,
@@ -34,6 +34,8 @@ from .errors import (
 )
 
 _IMAG_TOL = 1e-12
+# least reciprocal condition estimate of a discrete capacity solve
+_RCOND_MIN = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -112,16 +114,28 @@ def cauchy_matrix(Z) -> np.ndarray:
 
 
 def lambda_discrete(Z, r: float) -> float:
-    """lambda(Z, r) via the Hermitian positive-definite matrix form."""
+    """lambda(Z, r) via the Hermitian positive-definite matrix form.
+
+    A = (1/r) I + r C C^H is solved by Cholesky (``zposv``); a failed
+    factorization, or a reciprocal condition estimate (``zpocon``, from the
+    factor and A's 1-norm) below sqrt(eps), is a :class:`SolveError`, since
+    lambda's relative error grows as eps over that estimate.  With C
+    singular (an odd number of centers) it falls as 1/r^2: about 4e-5 at
+    r = 100 for the centers 0, 1 and 2i, and below sqrt(eps) from r = 1e4.
+    """
     _check_radius(r)
     C = cauchy_matrix(Z)
     n = C.shape[0]
     A = (1.0 / r) * np.eye(n) + r * (C @ C.conj().T)
     ones = np.ones(n, complex)
-    x, info = zposv(A, ones)[1:]
+    c, x, info = zposv(A, ones)
     if info > 0:
         raise SolveError(f"discrete capacity solve failed: the leading minor of order "
                          f"{info} is not positive definite")
+    rcond = zpocon(c, np.abs(A).sum(axis=0).max())[0]
+    if rcond < _RCOND_MIN:
+        raise SolveError(f"discrete capacity solve failed: the reciprocal condition "
+                         f"estimate {rcond:.3g} is below sqrt(eps)")
     val = np.vdot(ones, x)
     if abs(val.imag) > _IMAG_TOL * max(1.0, abs(val.real)):
         raise SolveError(f"lambda has non-negligible imaginary part {val.imag}")

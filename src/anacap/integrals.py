@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import zherk
-from .basis import BasisFunction, BasisSet, PowerPole
+from .basis import BasisFunction, BasisSet, PowerPole, _matching_corner
 from .errors import NonRationalBasisError, PoleOnContourError
 from .geometry import Disk, Scene, arcs
 from .quadrature import QuadratureSettings, _within, integrate_arc
@@ -343,11 +343,10 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
     pieces, ends, owner = [], [], []
     for k, shape in enumerate(shapes):
         shape_pieces = arcs(shape)
-        scale = max(1.0, abs(shape_pieces[0].start))
         for arc in shape_pieces:
             pieces.append(arc)
-            ends.append((_matching_corner(corner_pts, arc.start, scale),
-                         _matching_corner(corner_pts, arc.end, scale)))
+            ends.append((_matching_corner(corner_pts, arc.start, shape_pieces),
+                         _matching_corner(corner_pts, arc.end, shape_pieces)))
             owner.append(k)
 
     def f(spans, t, z, s1, w):
@@ -394,16 +393,6 @@ def _gram_converged(new: np.ndarray, old: np.ndarray, tol: float, m: int) -> np.
         size = np.sqrt(d[rows, :, None] * d[rows, None, :])
         ok[rows] = _within(new[rows], old[rows], size.reshape(len(size), -1), tol)
     return ok
-
-
-def _matching_corner(corner_pts: np.ndarray, endpoint: complex, scale: float):
-    """The corner-function anchor equal to this arc endpoint, if any."""
-    if not corner_pts.size:
-        return None
-    i = int(np.argmin(np.abs(corner_pts - endpoint)))
-    if abs(corner_pts[i] - endpoint) < 1e-12 * scale:
-        return complex(corner_pts[i])
-    return None
 
 
 def assemble_gram(sc: Scene, basis: list[BasisFunction],

@@ -53,10 +53,9 @@ _CHUNK = 4096  # nodes of one piece per part; bounds the integrand's temporaries
 # and 2^15; the ellipses, one 69-row piece a call at 2^13, took 1.03 and
 # 1.04 there, with up to three and seven pieces a call
 _BATCH_TERMS = 1 << 13
-# the open-piece map t = 1/(1 + exp(-a sinh x)) on x in [-X, X] stops at a
+# the open-piece map t = 1/(1 + exp(-sinh x)) on x in [-X, X] stops at a
 # parameter distance 1/(1 + e^85) < 1e-36 from either end
-_DE_A = 1.0
-_DE_X = math.asinh(85.0 / _DE_A)
+_DE_X = math.asinh(85.0)
 
 
 @dataclass(frozen=True)
@@ -89,10 +88,10 @@ def _open_nodes(u):
     # t and s1 = 1 - t are each computed directly, so each is the exact
     # distance from its end and never rounds to zero next to a corner
     x = _DE_X * (2.0 * u - 1.0)
-    y = _DE_A * np.sinh(x)
+    y = np.sinh(x)
     t = 1.0 / (1.0 + np.exp(-y))
     s1 = 1.0 / (1.0 + np.exp(y))
-    return t, s1, (2.0 * _DE_X * _DE_A) * np.cosh(x) * t * s1
+    return t, s1, (2.0 * _DE_X) * np.cosh(x) * t * s1
 
 
 def _nodes(pieces, closed, live, u, wu):

@@ -21,13 +21,14 @@ that assembly makes (``integrals._assemble_grams``) and the mirrored H of
 ``assemble_gram`` alike, with the same bits.  It factors the Gram where it
 lies, with no equilibration: H's strict lower triangle takes a copy of
 its upper one (transposed), LAPACK overwrites the upper one and the
-diagonal with the factor, and the products H x read the copy.  So
-``gamma_bounds`` and ``bounds_for_basis`` consume the Gram that they
-assemble, for disks this thread's one Gram buffer, and a disk bracket's
-memory of size n^2 is that Gram alone; ``sublab.ratio_bounds`` brackets
-each of its three Grams before it asks for the next, which is assembled
-into the same buffer.  ``upper_bound`` and ``lower_bound`` factor a copy,
-so the caller's ``GramData`` is left as it was.
+diagonal with the factor, and the products H x read the copy.  One loop
+(:func:`_brackets`) drives assembly for ``gamma_bounds``,
+``bounds_for_basis`` and ``sublab.ratio_bounds``: it brackets each Gram,
+and so consumes it, before it asks for the next, which is assembled into
+the same buffer, for disks this thread's one Gram buffer.  So a disk
+bracket's memory of size n^2, or a ratio record's, is one Gram.
+``upper_bound`` and ``lower_bound`` factor a copy, so the caller's
+``GramData`` is left as it was.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._lapack import zhemm, zpotrf, zpotrs
-from .basis import BasisSet, CornerAdapted, _require_star_shaped, build_basis
-from .errors import SceneConfigError, SingularGramError, SolveError
-from .geometry import Scene, _winding_number, arcs, corners, validate_scene
+from .basis import BasisSet, _require_poles_inside, build_basis
+from .errors import SingularGramError, SolveError
+from .geometry import Scene, validate_scene
 # assemble_gram is not called here; bench/tracing.py swaps solver.assemble_gram
-from .integrals import GramData, _assemble_grams, _matching_corner, assemble_gram  # noqa: F401
+from .integrals import GramData, _assemble_grams, assemble_gram  # noqa: F401
 from .quadrature import QuadratureSettings
 
 
@@ -192,6 +193,25 @@ def _bracket(gram: GramData, d: np.ndarray, settings: QuadratureSettings,
                         wall_time=time.perf_counter() - t0, slack=slack)
 
 
+def _brackets(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None, t0: float,
+              split: tuple[int, int] | None = None) -> list[BoundsResult]:
+    """Brackets of the Grams that ``integrals._assemble_grams`` hands out for
+    the validated scene and basis (default settings when None), the scene's
+    and, with ``split = (m, k)``, its two groups', each against its slice of
+    d and bracketed, which consumes it, before the next is assembled into
+    the same buffer.  ``wall_time`` runs from ``t0``, then from the end of
+    the bracket before, so it includes the group's own disk kernel."""
+    if settings is None:
+        settings = QuadratureSettings()
+    d = bs.d_vector()
+    ds = [d] if split is None else [d, d[:split[1]], d[split[1]:]]
+    out = []
+    for gram, dg in zip(_assemble_grams(sc, bs, settings, split), ds):
+        out.append(_bracket(gram, dg, settings, t0))
+        t0 = time.perf_counter()
+    return out
+
+
 def bounds_for_basis(sc: Scene, basis, settings: QuadratureSettings | None = None
                      ) -> BoundsResult:
     """Capacity bracket from an explicit basis-function list.
@@ -202,47 +222,20 @@ def bounds_for_basis(sc: Scene, basis, settings: QuadratureSettings | None = Non
     otherwise the bracket would not be a bracket, and this is a
     :class:`SceneConfigError`.
     """
-    if settings is None:
-        settings = QuadratureSettings()
     t0 = time.perf_counter()
     bs = basis if isinstance(basis, BasisSet) else BasisSet(basis)
     sc = validate_scene(sc)
     _require_poles_inside(sc, bs.funcs)
-    return _bracket(next(_assemble_grams(sc, bs, settings)), bs.d_vector(), settings, t0)
-
-
-def _require_poles_inside(sc: Scene, funcs) -> None:
-    """Exact test that each member's pole is strictly inside a shape of sc and
-    that a corner member's branch cut (a, c) stays in that shape: a is one of
-    its corners and it is star-shaped about c, as under ``Powers``."""
-    boundaries = [arcs(s) for s in sc.shapes]
-    for b in funcs:
-        i = next((i for i, pieces in enumerate(boundaries) if _winding_number(pieces, b.c)),
-                 None)
-        if i is None:
-            raise SceneConfigError(
-                f"the pole of basis member {b!r} is not strictly inside a shape of the scene")
-        if isinstance(b, CornerAdapted):
-            pts = np.array([k.location for k in corners(sc.shapes[i])], complex)
-            if _matching_corner(pts, b.a, max(1.0, abs(boundaries[i][0].start))) is None:
-                raise SceneConfigError(f"the branch point of basis member {b!r} is not a "
-                                       "corner of the shape that holds its pole")
-            try:
-                _require_star_shaped(sc.shapes[i], b.c)
-            except SceneConfigError as exc:
-                raise SceneConfigError(f"basis member {b!r}: {exc}") from None
+    return _brackets(sc, bs, settings, t0)[0]
 
 
 def gamma_bounds(sc: Scene, schedule, settings: QuadratureSettings | None = None) -> BoundsResult:
     """Validate, build the scheduled basis, assemble, and solve both programs;
     ``wall_time`` covers all of it.  A schedule places its poles inside their
     shapes, so they are not checked again."""
-    if settings is None:
-        settings = QuadratureSettings()
     t0 = time.perf_counter()
     sc = validate_scene(sc)
-    bs = BasisSet(build_basis(sc, schedule))
-    return _bracket(next(_assemble_grams(sc, bs, settings)), bs.d_vector(), settings, t0)
+    return _brackets(sc, BasisSet(build_basis(sc, schedule)), settings, t0)[0]
 
 
 def refine(sc: Scene, ladder, settings: QuadratureSettings | None = None) -> list[BoundsResult]:

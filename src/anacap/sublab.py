@@ -7,12 +7,11 @@ point produces a certified interval
 
     [ef.lower/(e.upper + f.upper),  ef.upper/(e.lower + f.lower)]
 
-containing R.  One record is one validation, one basis and one assembly
-call, which hands out the Grams of E u F, E and F in turn, E's and F's from
-their own disks' moments, each into the Gram buffer that the bracket before
-it consumed.  Verdicts between adjacent radii compare intervals, never
-midpoints: a decrease (or increase) is only certified when the brackets are
-disjoint in the corresponding order.
+containing R.  One record is one validation, one basis and one call of the
+solver's assemble-then-bracket loop, which brackets E u F, E and F in turn.
+Verdicts between adjacent radii compare intervals, never midpoints: a
+decrease (or increase) is only certified when the brackets are disjoint in
+the corresponding order.
 """
 
 from __future__ import annotations
@@ -28,10 +27,9 @@ from .basis import BasisSet, Rings, Schedule, _shape_counted_basis
 from .discrete import DiskConfiguration
 from .errors import AnacapError, SplitError
 from .geometry import Disk, Scene, validate_scene
-from .integrals import _assemble_grams
 from .quadrature import QuadratureSettings
 # gamma_bounds is not called here; bench/tracing.py swaps sublab.gamma_bounds
-from .solver import BoundsResult, _bracket, gamma_bounds  # noqa: F401
+from .solver import BoundsResult, _brackets, gamma_bounds  # noqa: F401
 
 CSV_COLUMNS = ("r", "ratio_low", "ratio_high", "gamma_ef_low", "gamma_ef_high",
                "gamma_e_low", "gamma_e_high", "gamma_f_low", "gamma_f_high",
@@ -92,31 +90,19 @@ def ratio_bounds(cfg: DiskConfiguration, schedule: Schedule,
                  settings: QuadratureSettings | None = None) -> SweepRecord:
     """Certified bracket for gamma(E u F)/(gamma(E) + gamma(F)).
 
-    One validation, one basis and one assembly call serve all three
-    brackets: it hands out the Grams of E u F, E and F in turn, E's and F's
-    bitwise what they give assembled alone, each assembled right before its
-    solve into the Gram buffer that the solve before it consumed.  So
-    ``e.wall_time`` and ``f.wall_time`` include their own kernels, and
-    ``ef.wall_time`` the shared stages; their sum is the whole record.
+    One validation and one basis serve all three brackets, which one call
+    of the solver's assemble-then-bracket loop makes in turn, E's and F's
+    bitwise what E and F give bracketed alone.  ``ef.wall_time`` includes
+    the shared stages, and ``e.wall_time`` and ``f.wall_time`` their own
+    disk kernels; their sum is the whole record.
     """
     if cfg.m is None:
         raise SplitError("configuration needs a split index m")
-    if settings is None:
-        settings = QuadratureSettings()
     t0 = time.perf_counter()
-    # the union's validation, basis and pole checks cover E's and F's
+    # the union's validation and basis cover E's and F's
     sc = validate_scene(_scene_for(cfg.centers, cfg.radius))
     funcs, counts = _shape_counted_basis(sc, schedule)
-    bs = BasisSet(funcs)
-    k = sum(counts[: cfg.m])
-    d, brackets = bs.d_vector(), []
-    # each Gram is bracketed, which consumes it, before the next is assembled
-    # into the same buffer; e's and f's clocks start before their kernels
-    for gram, dg in zip(_assemble_grams(sc, bs, settings, split=(cfg.m, k)),
-                        (d, d[:k], d[k:])):
-        brackets.append(_bracket(gram, dg, settings, t0))
-        t0 = time.perf_counter()
-    ef, e, f = brackets
+    ef, e, f = _brackets(sc, BasisSet(funcs), settings, t0, split=(cfg.m, sum(counts[:cfg.m])))
     return SweepRecord(
         r=cfg.radius,
         ratio_low=ef.lower / (e.upper + f.upper),

@@ -15,6 +15,7 @@ from anacap.basis import (
     build_basis,
     corner_exponent,
     disk_pole_layout,
+    ellipse_pole_layout,
     schedule_from_config,
     schedule_to_config,
 )
@@ -126,6 +127,17 @@ def test_layout_counts_and_interiority():
         assert rmax < d.radius
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: Rings(-1), "layers must be >= 0"),
+    (lambda: Powers(0), "n must be >= 1"),
+    (lambda: disk_pole_layout(Disk(0j, 1.0), -1), "layers must be >= 0"),
+    (lambda: ellipse_pole_layout(Ellipse(0j, 2.0, 1.0), -1), "layers must be >= 0"),
+], ids=["rings", "powers", "disk_layout", "ellipse_layout"])
+def test_negative_layers_and_empty_powers_rejected(make, match):
+    with pytest.raises(SceneConfigError, match=match):
+        make()
+
+
 # --- build_basis ------------------------------------------------------------
 
 def test_two_disk_single_pole_basis(two_disks):
@@ -219,6 +231,9 @@ def test_per_shape_schedules(two_disks):
     sc = validate_scene(two_disks)
     basis = build_basis(sc, [Rings(0), Rings(1)])
     assert len(basis) == 1 + 5
+
+    with pytest.raises(SceneConfigError, match="one schedule per shape"):
+        build_basis(sc, [Rings(0)])
 
 
 # --- BasisSet ---------------------------------------------------------------
@@ -466,6 +481,11 @@ def test_eval_all_interleaved_groups_and_shared_pole_powers():
     assert bs.eval_all(z).shape == (10, 40, 50)
 
 
+def test_basis_set_rejects_what_is_not_a_basis_function():
+    with pytest.raises(TypeError, match="not a basis function"):
+        BasisSet([object()])
+
+
 @pytest.mark.parametrize("member", [
     PowerPole(0j, 0), PowerPole(0.3 + 0j, -1), CornerAdapted(0j, 1 + 0j, -1 / 6, 0),
     CornerAdapted(0j, 1 + 0j, -1 / 6, -2),
@@ -505,6 +525,10 @@ def test_schedule_config_rejects():
         schedule_from_config({"mode": "spiral", "layers": 1})
     with pytest.raises(SceneConfigError):
         schedule_from_config({"layers": 1})
+    with pytest.raises(SceneConfigError, match="unknown fields in powers schedule"):
+        schedule_from_config({"mode": "powers", "n": 2, "layers": 1})
+    with pytest.raises(SceneConfigError, match="unknown schedule"):
+        schedule_to_config(object())
 
 
 @pytest.mark.parametrize("obj", [

@@ -229,6 +229,15 @@ def test_sweep_to_file(config_file, tmp_path, capsys):
     assert out_path.read_text().startswith("r,ratio_low")
 
 
+def test_sweep_of_one_step_takes_r_min(config_file, capsys):
+    code, out, err = run(capsys, "sweep", "--config", config_file(TWO_DISKS),
+                         "--m", "1", "--r-min", "0.5", "--r-max", "1.0", "--steps", "1")
+    assert code == EXIT_OK
+    _, row = out.strip().split("\n")
+    assert float(row.split(",")[0]) == 0.5
+    assert json.loads(err.strip().split("\n")[-1])["records"] == 1
+
+
 def test_sweep_has_no_threads_flag(config_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config", config_file(TWO_DISKS), "--m", "1", "--r-min", "0.5",

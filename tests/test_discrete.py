@@ -168,6 +168,29 @@ def test_lambda_solve_failure_is_a_solve_error():
         lambda_discrete([0j, 1 + 0j, 2j], 1e12)
 
 
+def test_lambda_at_a_large_radius_against_mpmath():
+    # the same singular C at r = 100: the condition number of A is about
+    # 2.6e4, and lambda keeps every digit but the last two
+    mp = pytest.importorskip("mpmath")
+    Z = [0j, 1 + 0j, 2j]
+    with mp.workdps(60):
+        r = mp.mpf(100)
+        C = mp.matrix([[0 if j == k else 1 / (mp.mpc(a) - mp.mpc(b)) for k, b in enumerate(Z)]
+                       for j, a in enumerate(Z)])
+        x = mp.lu_solve(mp.eye(3) / r + r * C * C.H, mp.matrix([1, 1, 1]))
+        want = float(mp.re(sum(x)))
+    assert lambda_discrete(Z, 100.0) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("r", [1e6, 1e8, 1e14])
+def test_lambda_ill_conditioned_solve_is_a_solve_error(r):
+    # the factorization succeeds, but A's reciprocal condition estimate is
+    # 3.9e-13 at r = 1e6 and 2e-17 at 1e8, where lambda came out as 4.4824e5
+    # (relative error 9e-5) and 8.72e7 (against 4.48e7); at 1e14 as 83.2
+    with pytest.raises(SolveError, match="reciprocal condition estimate"):
+        lambda_discrete([0j, 1 + 0j, 2j], r)
+
+
 def test_lambda_monotone_in_radius():
     Z = [0, 3, 7 + 2j]
     vals = [lambda_discrete(Z, r) for r in np.linspace(0.05, 1.2, 30)]

@@ -317,6 +317,18 @@ def test_disk_under_concave_bite(g):
             validate_scene(scene([BITE, Disk(0j, radius)]))
 
 
+@pytest.mark.parametrize("limit, value, match", [
+    ("_GAP_ROUNDS", 2, "gap not resolved within 2 rounds"),
+    ("_GAP_MAX_PAIRS", 64, "gap not certified above rounding"),
+])
+def test_gap_kernel_gives_up_on_the_bite_past_its_limits(monkeypatch, limit, value, match):
+    # the disk 1e-6 inside the bite needs more rounds, and more chord pairs
+    # at once, than these limits allow: the pair is refused, not passed
+    monkeypatch.setattr(geometry, limit, value)
+    with pytest.raises(OverlapError, match=match):
+        validate_scene(scene([BITE, Disk(0j, 1.5 - 1e-6)]))
+
+
 @pytest.mark.parametrize("shapes, limit", [
     ([Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)], 0),
     ([Disk(0j, 1.0), half_disk(3 + 0j, 0.5), half_disk(3j, 0.5)], 0),
@@ -580,6 +592,16 @@ def test_half_disk_corners():
     assert locs[1] == pytest.approx(4 + 0j, abs=1e-12)
     for c in cs:
         assert c.omega_angle == pytest.approx(1.5 * math.pi, abs=1e-9)
+
+
+def test_cusp_is_no_corner():
+    # the upper unit half-circle closed by two half-circles of radius 1/2
+    # below the axis, which meet at 0 with opposite tangents
+    chain = ArcChain((CircularArc(0j, 1.0, 0.0, math.pi),
+                      CircularArc(-0.5 + 0j, 0.5, math.pi, 2 * math.pi),
+                      CircularArc(0.5 + 0j, 0.5, math.pi, 2 * math.pi)))
+    with pytest.raises(DegenerateShapeError, match="cusp"):
+        corners(chain)
 
 
 @pytest.mark.parametrize("poly", [
@@ -859,3 +881,33 @@ def test_config_accepts_json_integers_and_floats():
         {"type": "arc_chain", "pieces": [_SEGMENT, _ARC]}]})
     assert sc.shapes == (Disk(4 + 0.5j, 1.0), Ellipse(-4j, 2.0, 1.0, 0.0),
                          ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, math.pi))))
+
+
+@pytest.mark.parametrize("obj, match", [
+    ({"shapes": [{"center": [0, 0], "radius": 1.0}]}, "each shape needs a 'type' field"),
+    ({"shapes": [{"type": "arc_chain", "pieces": [{"start": [-1, 0], "end": [1, 0]}, _ARC]}]},
+     "each piece needs a 'type' field"),
+    ({"shapes": [{"type": "arc_chain", "pieces": [dict(_SEGMENT, width=1), _ARC]}]},
+     "unknown fields in segment piece"),
+    ({"shapes": [{"type": "arc_chain", "pieces": [_SEGMENT, dict(_ARC, turns=1)]}]},
+     "unknown fields in circular_arc piece"),
+    ({"shapes": [{"type": "arc_chain", "pieces": [_SEGMENT, dict(_ARC, type="spline")]}]},
+     "unknown piece type 'spline'"),
+    ({"shapes": [{"type": "polygon", "vertices": 4}]}, "bad value in polygon"),
+    ([{"type": "disk", "center": [0, 0], "radius": 1.0}], "must be a JSON object"),
+    ({"schedule": {"mode": "rings", "layers": 1}}, "non-empty 'shapes' list"),
+], ids=["shape_type", "piece_type", "segment_field", "arc_field", "piece_kind",
+        "vertices", "not_object", "no_shapes"])
+def test_config_reader_errors(obj, match):
+    with pytest.raises(SceneConfigError, match=match):
+        scene_from_config(obj)
+
+
+def test_unreadable_config_file_is_a_config_error(tmp_path):
+    with pytest.raises(SceneConfigError, match="cannot read"):
+        geometry.load_scene(tmp_path / "missing.json")
+
+
+def test_scene_needs_a_label_per_shape():
+    with pytest.raises(SceneConfigError, match="one label per shape"):
+        geometry.Scene((Disk(0j, 1.0), Disk(3 + 0j, 1.0)), ("E",))

@@ -13,6 +13,7 @@ from anacap.basis import (
     PowerPole,
     Powers,
     Rings,
+    _matching_corner,
     build_basis,
 )
 from anacap.errors import MaxDepthError, NonRationalBasisError, PoleOnContourError
@@ -772,10 +773,9 @@ def bordered_product_gram(sc, bs: BasisSet, settings: QuadratureSettings,
     G = np.zeros((n + 1, n + 1), complex)
     for shape in sc.shapes:
         pieces = arcs(shape)
-        scale = max(1.0, abs(pieces[0].start))
         for arc in pieces:
-            a0 = integrals._matching_corner(corner_pts, arc.start, scale)
-            a1 = integrals._matching_corner(corner_pts, arc.end, scale)
+            a0 = _matching_corner(corner_pts, arc.start, pieces)
+            a1 = _matching_corner(corner_pts, arc.end, pieces)
 
             def f(t, z, s1, w, arc=arc, a0=a0, a1=a1):
                 subs = [(a, d) for a, d in ((a0, arc.disp_start(t)), (a1, arc.disp_end(s1)))
@@ -804,11 +804,10 @@ def piece_by_piece_gram(sc, bs: BasisSet, settings: QuadratureSettings):
     H, u, length = np.zeros((n, n), complex), np.zeros(n, complex), 0
     for shape in sc.shapes:
         pieces = arcs(shape)
-        scale = max(1.0, abs(pieces[0].start))
         G = np.zeros((n + 1, n + 1), complex)
         for arc in pieces:
-            a0 = integrals._matching_corner(corner_pts, arc.start, scale)
-            a1 = integrals._matching_corner(corner_pts, arc.end, scale)
+            a0 = _matching_corner(corner_pts, arc.start, pieces)
+            a1 = _matching_corner(corner_pts, arc.end, pieces)
 
             def f(t, z, s1, w, arc=arc, a0=a0, a1=a1):
                 subs = [(a, d) for a, d in ((a0, arc.disp_start(t)), (a1, arc.disp_end(s1)))

@@ -1,4 +1,4 @@
-"""anacap's five BLAS and LAPACK routines come from SciPy's compiled wrappers
+"""anacap's six BLAS and LAPACK routines come from SciPy's compiled wrappers
 alone: a fresh interpreter that makes brackets never imports the ``scipy``
 package, and the routines are SciPy's own function objects, whichever is
 imported first.  Each check runs in a fresh interpreter, because the tests
@@ -55,11 +55,12 @@ import scipy.linalg.blas as blas, scipy.linalg.lapack as lapack
 from anacap import discrete, integrals, solver
 
 print(integrals.zherk is blas.zherk, solver.zhemm is blas.zhemm, solver.zpotrf is lapack.zpotrf,
-      solver.zpotrs is lapack.zpotrs, discrete.zposv is lapack.zposv)
+      solver.zpotrs is lapack.zpotrs, discrete.zposv is lapack.zposv,
+      discrete.zpocon is lapack.zpocon)
 """
 
 
 @pytest.mark.parametrize("first,second", [("anacap", "scipy.linalg"), ("scipy.linalg", "anacap")],
                          ids=["anacap-first", "scipy-first"])
 def test_routines_are_scipys_own_whichever_is_imported_first(first, second):
-    assert run_fresh(IDENTITY.format(first, second)).split() == ["True"] * 5
+    assert run_fresh(IDENTITY.format(first, second)).split() == ["True"] * 6

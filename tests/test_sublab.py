@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from anacap import basis, integrals, sublab
+from anacap import basis, integrals, solver, sublab
 from anacap.basis import Powers, Rings, build_basis
 from anacap.discrete import DiskConfiguration, predicted_slope
 from anacap.errors import OverlapError, SolveError, SplitError
@@ -243,7 +243,7 @@ def test_ratio_record_holds_one_gram_buffer(monkeypatch):
     # fresh thread, sized by the union, each bracketed before the next is
     # requested: E's and F's Grams are views of its leading entries
     cfg = eighteen_disk_record(3)
-    bracket, grams, held = sublab._bracket, [], []
+    bracket, grams, held = solver._bracket, [], []
 
     def recording(gram, d, settings, t0):
         grams.append(gram.H)
@@ -253,7 +253,7 @@ def test_ratio_record_holds_one_gram_buffer(monkeypatch):
         rec = ratio_bounds(cfg, Rings(4))
         held.append((rec, {k: v for k, v in vars(integrals._THREAD).items() if k != "work"}))
 
-    monkeypatch.setattr(sublab, "_bracket", recording)
+    monkeypatch.setattr(solver, "_bracket", recording)
     worker = threading.Thread(target=record)
     worker.start()
     worker.join()
