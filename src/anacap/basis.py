@@ -77,11 +77,20 @@ class CornerAdapted:
 BasisFunction = Union[PowerPole, CornerAdapted]
 
 
+def _require_int(value, name: str) -> None:
+    """A schedule's count is an integer: a float or a bool in its place is a
+    :class:`SceneConfigError`, not a coerced value (int(2.9) is 2 and
+    int(True) is 1)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SceneConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Rings:
     layers: int
 
     def __post_init__(self):
+        _require_int(self.layers, "layers")
         if self.layers < 0:
             raise SceneConfigError("layers must be >= 0")
 
@@ -92,8 +101,12 @@ class Powers:
     with_corners: bool = False
 
     def __post_init__(self):
+        _require_int(self.n, "n")
         if self.n < 1:
             raise SceneConfigError("n must be >= 1")
+        if not isinstance(self.with_corners, bool):
+            raise SceneConfigError(f"with_corners must be True or False, "
+                                   f"got {self.with_corners!r}")
 
 
 Schedule = Union[Rings, Powers]
@@ -401,33 +414,27 @@ class BasisSet:
 
 def schedule_from_config(obj: dict) -> Schedule:
     """Parse a schedule config.  ``layers`` and ``n`` must be JSON integers
-    and ``corners`` a JSON boolean: a float, a bool or a string in their
-    place is a :class:`SceneConfigError`, not a coerced value."""
+    and ``corners`` a JSON boolean: :class:`Rings` and :class:`Powers` take
+    a float, a bool or a string in their place as a
+    :class:`SceneConfigError`, not a coerced value."""
     if not isinstance(obj, dict) or "mode" not in obj:
         raise SceneConfigError("schedule needs a 'mode' field")
     mode = obj["mode"]
     if mode == "rings":
         if set(obj) - {"mode", "layers"}:
             raise SceneConfigError("unknown fields in rings schedule")
-        return Rings(_config_int(obj, "layers", mode))
+        return Rings(_config_field(obj, "layers", mode))
     if mode == "powers":
         if set(obj) - {"mode", "n", "corners"}:
             raise SceneConfigError("unknown fields in powers schedule")
-        corners = obj.get("corners", False)
-        if not isinstance(corners, bool):
-            raise SceneConfigError(f"powers schedule 'corners' must be true or false, "
-                                   f"got {corners!r}")
-        return Powers(_config_int(obj, "n", mode), corners)
+        return Powers(_config_field(obj, "n", mode), obj.get("corners", False))
     raise SceneConfigError(f"unknown schedule mode {mode!r}")
 
 
-def _config_int(obj: dict, key: str, mode: str) -> int:
+def _config_field(obj: dict, key: str, mode: str):
     if key not in obj:
         raise SceneConfigError(f"{mode} schedule needs a {key!r} field")
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise SceneConfigError(f"{mode} schedule {key!r} must be an integer, got {val!r}")
-    return val
+    return obj[key]
 
 
 def schedule_to_config(s: Schedule) -> dict:

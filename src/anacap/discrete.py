@@ -51,8 +51,8 @@ class DiskConfiguration:
         if not self.centers:
             raise DuplicateCenterError("need at least one center")
         _check_radius(self.radius)
-        if self.m is not None and not (1 <= self.m <= len(self.centers) - 1):
-            raise SplitError(f"split m={self.m} invalid for n={len(self.centers)}")
+        if self.m is not None:
+            _check_split(self.m, len(self.centers))
 
     @property
     def n(self) -> int:
@@ -92,6 +92,13 @@ def _pair_distances(z: np.ndarray) -> np.ndarray:
 def _check_radius(r: float) -> None:
     if not (math.isfinite(r) and r > 0):
         raise PreconditionError(f"radius must be finite and positive, got {r}")
+
+
+def _check_split(m, n: int) -> None:
+    """A split of n centers is an integer m with 1 <= m <= n - 1; a float or
+    a bool is no split index."""
+    if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= n - 1:
+        raise SplitError(f"split m={m} invalid for n={n}")
 
 
 def _centers_array(Z) -> np.ndarray:
@@ -200,8 +207,7 @@ def alpha_geometric(Z) -> float:
 def delta(Z, m: int) -> float:
     """delta = alpha(Z) - alpha(Z[:m]) - alpha(Z[m:]); strictly positive."""
     Z = list(Z)
-    if not (1 <= m <= len(Z) - 1):
-        raise SplitError(f"split m={m} invalid for n={len(Z)}")
+    _check_split(m, len(Z))
     val = alpha(Z) - alpha(Z[:m]) - alpha(Z[m:])
     if val <= 0:
         raise SolveError(f"delta must be positive, got {val}")

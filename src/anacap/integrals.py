@@ -23,12 +23,11 @@ its Gram is requested, on the group's own disks and poles, so each is
 bitwise what it would be assembled alone.
 Every other boundary goes through one call of the node-and-weight
 quadrature of :mod:`anacap.quadrature` over all its pieces, which climb
-one ladder together: the basis values V of an
-integrand call, with the constant 1 appended as a last row and scaled by
-sqrt(w) in one per-thread buffer, give the upper triangle of ``(V w) V^H``
-from one ``zherk`` per piece's node set, and that bordered block carries u
-and the length too; its convergence test reads the diagonal first
-(:func:`_gram_converged`).  The same split gives ``circle_pair_integral`` and
+one ladder together: the basis values V of an integrand call, with the
+constant 1 appended as a last row and scaled by sqrt(w), give the upper
+triangle of ``(V w) V^H`` from one ``zherk`` per piece's node set, and
+that bordered block carries u and the length too; its convergence test
+reads the diagonal first (:func:`_gram_converged`).  The same split gives ``circle_pair_integral`` and
 ``circle_mean_integral`` in closed form for poles of any order; they are on
 no Gram path and stay public as exact references.
 
@@ -40,22 +39,20 @@ the moments of all of them at once.
 A Gram is its upper triangle, from the ``zherk`` that makes it to the
 Cholesky factorization that reads it (:mod:`anacap.solver`); its lower
 triangle is not part of it and is never read, and only the public
-:func:`assemble_gram` mirrors it, into an owned array, so that the H it
-returns is Hermitian.  The solver factors a Gram where it lies and keeps a
-copy of the upper triangle in the lower one.  A disk Gram is written into
-this thread's one Gram buffer (:func:`_gram_buffer`), E's and F's into
-views of its leading entries, valid until the next Gram is requested,
-another assembly starts in the same thread, or its own bracket.  The moment
-rows, made in blocks of whole moment levels (at most ``_ROW_BLOCK`` rows
-unless one level has more) and each block added into the Gram, and the
-integrand values take one per-thread work buffer in turn (:func:`_scratch`),
-so the n^2 memory of a disk bracket, or of a ratio record's three, is one Gram.
+:func:`assemble_gram` mirrors it, so that the H it returns is Hermitian.
+The solver factors a Gram where it lies and keeps a copy of the upper
+triangle in the lower one.  Every array belongs to the call that makes it:
+an assembly with disks makes one n x n Gram, and E's and F's are views of
+its leading entries; the moment rows are made in blocks of whole moment
+levels (at most ``_ROW_BLOCK`` rows unless one level has more), each added
+into the Gram, and each integrand call makes its own values.  So the n^2
+memory of a disk bracket, or of a ratio record's three, is one Gram, and
+none of it outlives the call.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -72,46 +69,12 @@ _HALF_EPS = 0.5 * np.finfo(float).eps
 # most multipole moments one disk takes in _disk_gram
 _K_MAX = 64
 # most moment rows in a block of _disk_gram, unless one level has more, so
-# that its work buffer holds about 128 n values.  On two cores, the seed-1
+# that a block holds about 128 n values.  On two cores, the seed-1
 # 18-disk ratio records took 3.2, 3.0 and 2.8 ms of warm assembly at 64,
 # 128 and 256 rows (2.8 in one block; 3.2-3.3 at each on one BLAS thread),
 # and a process of 40 of them peaked at 63.7, 64.2 and 64.8 MiB (64.8 in
 # blocks of n rows)
 _ROW_BLOCK = 128
-_THREAD = threading.local()
-
-
-def _scratch(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialized C-ordered complex array of ``shape`` in this thread's
-    one work buffer, grown on demand.  The next call in the same thread hands
-    out the same memory, so the array must not outlive the call that took
-    it: the moment rows of :func:`_disk_gram` and the quadrature
-    integrand's values take it in turn.  Reusing it spares the fresh pages
-    of a new array; a buffer that must grow is dropped before the larger one
-    is made, so the two are never held together.  A thread keeps the largest
-    that it has asked for: max(``_ROW_BLOCK``, disks) x n for a block of
-    moment rows (627 KB at n = 306), at most (n+1) x 4096 for the integrand
-    (282 KB on the four ellipses, n = 68)."""
-    size = math.prod(shape)
-    buf = getattr(_THREAD, "work", None)
-    if buf is None or buf.size < size:
-        _THREAD.work = buf = None
-        _THREAD.work = buf = np.empty(size, complex)
-    return buf[:size].reshape(shape)
-
-
-def _gram_buffer(n: int) -> np.ndarray:
-    """This thread's one disk Gram buffer, a C-ordered n x n complex array
-    for an assembly of n basis functions: each group's Gram is its upper
-    triangle in a C-ordered view of the buffer's leading entries
-    (:func:`_disk_gram`), valid until the next Gram is requested or another
-    assembly starts in the same thread, or its bracket factors it in place.
-    A buffer of another shape is dropped and made again, zeroed."""
-    H = getattr(_THREAD, "gram", None)
-    if H is None or H.shape != (n, n):
-        _THREAD.gram = H = None
-        _THREAD.gram = H = np.zeros((n, n), complex)
-    return H
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +144,8 @@ def _moment_counts(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _disk_gram(disks: list[Disk], poles: np.ndarray, H: np.ndarray) -> GramData:
     """Gram data of the disks for a basis of first-order poles, H written
-    into the Gram buffer H as its upper triangle; its lower one is not
-    written.
+    into the C-ordered array H as its upper triangle, over whatever H held;
+    its lower one is not written.
 
     With w = pole - c, 1/(z - a) lies in the Hardy space H^2 of a disk when
     a is outside its circle and in the orthogonal complement when a is
@@ -211,10 +174,10 @@ def _disk_gram(disks: list[Disk], poles: np.ndarray, H: np.ndarray) -> GramData:
     (``zherk``) of them gives the upper triangle of every outside pair on
     every disk at once; a mixed pair meets a zero row.  The rows are made in
     blocks of whole moment levels, at most max(``_ROW_BLOCK``, disks) rows
-    each, in this thread's work buffer (:func:`_scratch`), and each block is
-    added into H (``beta = 1`` after the first), so they take about
-    ``_ROW_BLOCK`` n values, not n^2; when all the rows fit one block, H has
-    the bits of a single product.  K_d is capped at ``_K_MAX``; a capped
+    each, in one array of the call, and each block is added into H
+    (``beta = 1`` after the first), so they take about ``_ROW_BLOCK`` n
+    values, not n^2; when all the rows fit one block, H has the bits of a
+    single product.  K_d is capped at ``_K_MAX``; a capped
     disk adds the exact tail p^K times the closed form, p = kappa_a
     conj(kappa_b), to its pairs with both |kappa|^K / (1 - |kappa|) above
     eps/2, the only ones whose tail can exceed that bound.  No entry of H is
@@ -237,7 +200,7 @@ def _disk_gram(disks: list[Disk], poles: np.ndarray, H: np.ndarray) -> GramData:
     # live[k - 1] disks, the first of that order, take a k-th moment
     live = np.count_nonzero(k_d[:, None] > np.arange(k_d.max(initial=0)), axis=0)
     cap = max(_ROW_BLOCK, live[0]) if live.size else 0
-    rows = _scratch((cap, n))
+    rows = np.empty((cap, n), complex)
     prev, ck_sorted, at, beta = 1.0 / np.sqrt(r[order]), ck[order], 0, 0.0
     for k, m in enumerate(live, 1):
         # a block's first level reads the last level of the block before:
@@ -304,10 +267,10 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
     quadrature, one (n+1) x (n+1) block per shape, from one ladder over all
     their pieces.
 
-    Each integrand call fills one per-thread buffer A (n+1 x nodes,
-    :func:`_scratch`) for all the parts it gets: ``bs.eval_all`` writes the
-    basis values into A[:n], row n is the constant 1, and A is scaled in
-    place by complex sqrt(w) (w >= 0; NumPy would cast a float in buffers).
+    Each integrand call makes one array A (n+1 x nodes) for all the parts
+    it gets: ``bs.eval_all`` writes the basis values into A[:n], row n is
+    the constant 1, and A is scaled in place by complex sqrt(w) (w >= 0;
+    NumPy would cast a float in buffers).
     One Hermitian rank-k update (``zherk``) per part, on the part's columns,
     then gives the upper triangle of the bordered block G = (A w) A^H: H in
     G[:n, :n], u in G[:n, n] and the length in G[n, n], with an exactly real
@@ -360,7 +323,7 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
                 subs.setdefault(start, z - start)[c] = arc.disp_start(t[c])
             if end is not None:
                 subs.setdefault(end, z - end)[c] = arc.disp_end(s1[c])
-        A = _scratch((n + 1, z.size))
+        A = np.empty((n + 1, z.size), complex)
         bs.eval_all(z, list(subs.items()) or None, out=A[:n])
         A[n] = 1.0
         A *= np.sqrt(w).astype(complex)
@@ -406,14 +369,13 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
     other boundary goes through node-and-weight quadrature at
     ``settings.abs_tol``.  The disks are accumulated first, then the other
     shapes in index order.  Only the upper triangle is computed; here it is
-    copied into an array of the caller's own, which no later assembly
-    overwrites, with the lower triangle its conjugate mirror, so H is
-    Hermitian exactly.  The same pass can also give the Grams of a split of
-    the scene, as upper triangles (:func:`_assemble_grams`).
+    copied into a new array with the lower triangle its conjugate mirror,
+    so H is Hermitian exactly.  The same pass can also give the Grams of a
+    split of the scene, as upper triangles (:func:`_assemble_grams`).
     """
     bs = basis if isinstance(basis, BasisSet) else BasisSet(basis)
     g = next(_assemble_grams(sc, bs, settings))
-    # an owned array: the disk kernel's Gram is this thread's buffer
+    # the lower triangle is not part of the Gram: it may hold anything
     H = np.conj(g.H.T, order="C")
     np.copyto(H, g.H, where=np.tri(bs.n, dtype=bool).T)
     return GramData(H, g.u, g.c0)
@@ -423,15 +385,15 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
                     split: tuple[int, int] | None = None) -> Iterator[GramData]:
     """The Gram of ``assemble_gram(sc, bs)`` with H its upper triangle, the
     part the solver reads (the lower one is not part of the Gram: it may
-    hold what an earlier bracket left there), then with ``split = (m, k)``
-    those of the first m shapes on the first k basis functions (theirs) and
-    of the other shapes on the other functions, handed out one at a time:
-    a quadrature ladder runs for all of them before the first, a group's
-    disk kernel when its Gram is requested.  With disks and no other shapes
-    each H is this thread's Gram buffer (:func:`_gram_buffer`) or a view of
-    it, valid until the next Gram is requested or another assembly starts
-    in the same thread: read it, or copy it, first.  A bracket factors its
-    Gram in place, so it consumes it.
+    hold anything), then with ``split = (m, k)`` those of the first m
+    shapes on the first k basis functions (theirs) and of the other shapes
+    on the other functions, handed out one at a time: a quadrature ladder
+    runs for all of them before the first, a group's disk kernel when its
+    Gram is requested.  With disks the call makes one n x n array: with no
+    other shapes the union's H is that array, and E's and F's are C-ordered
+    views of its leading entries, so each H is overwritten by the next:
+    read it, or copy it, first.  A bracket factors its Gram in place, so it
+    consumes it.
 
     With disks the kernel runs once per group on the group's own disks and
     basis functions only (:func:`_disk_gram`), a group without such disks
@@ -464,7 +426,7 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
                     u += G[j0:j1, n]
                     lengths[g] += float(G[n, n].real)
         quads = [_gram_data(H, u, L) for (H, u), L in zip(blocks, lengths)]
-    buf = _gram_buffer(n) if any(closed_form) else None
+    buf = np.empty((n, n), complex) if any(closed_form) else None
     for (s0, s1, j0, j1), q in zip(groups, quads):
         if buf is not None:
             size = j1 - j0

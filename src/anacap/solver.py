@@ -24,9 +24,10 @@ its upper one (transposed), LAPACK overwrites the upper one and the
 diagonal with the factor, and the products H x read the copy.  One loop
 (:func:`_brackets`) drives assembly for ``gamma_bounds``,
 ``bounds_for_basis`` and ``sublab.ratio_bounds``: it brackets each Gram,
-and so consumes it, before it asks for the next, which is assembled into
-the same buffer, for disks this thread's one Gram buffer.  So a disk
-bracket's memory of size n^2, or a ratio record's, is one Gram.
+and so consumes it, before it asks for the next, which for disks is
+assembled into the same memory, the one Gram that the assembly call makes.
+So a disk bracket's memory of size n^2, or a ratio record's, is one Gram,
+and none of it outlives the call.
 ``upper_bound`` and ``lower_bound`` factor a copy, so the caller's
 ``GramData`` is left as it was.
 """
@@ -199,7 +200,7 @@ def _brackets(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None, t0: 
     the validated scene and basis (default settings when None), the scene's
     and, with ``split = (m, k)``, its two groups', each against its slice of
     d and bracketed, which consumes it, before the next is assembled into
-    the same buffer.  ``wall_time`` runs from ``t0``, then from the end of
+    the same memory.  ``wall_time`` runs from ``t0``, then from the end of
     the bracket before, so it includes the group's own disk kernel."""
     if settings is None:
         settings = QuadratureSettings()

@@ -125,8 +125,7 @@ def sweep(centers, m: int, r_grid, schedule: Schedule,
     yields an error record, not a dropped row; other exceptions propagate.
     """
     centers = tuple(complex(c) for c in centers)
-    if not (1 <= m <= len(centers) - 1):
-        raise SplitError(f"split m={m} invalid for n={len(centers)}")
+    discrete._check_split(m, len(centers))
     r_grid = [float(r) for r in r_grid]
     cap = max_sweep_radius(centers)
 

@@ -132,7 +132,14 @@ def test_layout_counts_and_interiority():
     (lambda: Powers(0), "n must be >= 1"),
     (lambda: disk_pole_layout(Disk(0j, 1.0), -1), "layers must be >= 0"),
     (lambda: ellipse_pole_layout(Ellipse(0j, 2.0, 1.0), -1), "layers must be >= 0"),
-], ids=["rings", "powers", "disk_layout", "ellipse_layout"])
+    # no coercion: int(2.5) is 2, int(True) is 1 and bool("no") is True
+    (lambda: Rings(2.5), "layers must be an integer"),
+    (lambda: Rings(True), "layers must be an integer"),
+    (lambda: Powers(2.0), "n must be an integer"),
+    (lambda: Powers(True), "n must be an integer"),
+    (lambda: Powers(3, with_corners="no"), "with_corners must be True or False"),
+], ids=["rings", "powers", "disk_layout", "ellipse_layout", "rings_float", "rings_bool",
+        "powers_float", "powers_bool", "powers_corners_str"])
 def test_negative_layers_and_empty_powers_rejected(make, match):
     with pytest.raises(SceneConfigError, match=match):
         make()

@@ -285,6 +285,13 @@ def test_split_errors():
         delta([0, 1], 0)
     with pytest.raises(SplitError):
         DiskConfiguration((0j, 1 + 0j), 0.1, m=5)
+    # a float or a bool is no split index, though it compares within range
+    with pytest.raises(SplitError):
+        DiskConfiguration((0j, 1 + 0j, 2 + 0j), 0.1, m=2.0)
+    with pytest.raises(SplitError):
+        DiskConfiguration((0j, 1 + 0j), 0.1, m=True)
+    with pytest.raises(SplitError):
+        delta([0, 1, 2], 1.0)
 
 
 # --- polynomial bracket -----------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg.blas import zherk
 
-from anacap import integrals, solver
+from anacap import integrals
 from anacap.basis import (
     BasisSet,
     CornerAdapted,
@@ -592,8 +592,8 @@ def test_split_grams_are_sums_of_one_disk_grams():
     parts = (scene(sc.shapes[:9]), scene(sc.shapes[9:]))
     bases = [build_basis(p, Rings(4)) for p in parts]
     union = bases[0] + bases[1]
-    # a disk Gram is this thread's buffer until the next Gram is requested:
-    # copy each, its upper triangle, before the next
+    # E's and F's Grams are written over the union's: copy each, its upper
+    # triangle, before the next is requested
     grams = [GramData(np.triu(g.H), g.u, g.c0)
              for g in _assemble_grams(sc, BasisSet(union), None, split=(9, len(bases[0])))]
     for g, part, basis in zip(grams, (sc, *parts), (union, *bases)):
@@ -604,40 +604,50 @@ def test_split_grams_are_sums_of_one_disk_grams():
         assert np.abs(g.u - sum(p.u for p in ones)).max() <= 1e-14 * np.abs(g.u).max()
 
 
+SPECIALS = np.array([np.nan, np.inf, -np.inf, complex(np.nan, np.inf),
+                     complex(-np.inf, np.nan), complex(np.inf, -np.inf)])
+
+
 def test_disk_gram_is_its_upper_triangle_whatever_the_lower_one_holds():
-    # a bracket factors its Gram in place and leaves the transpose of the
-    # upper triangle in the lower one; the next assembly into the same Gram
-    # buffer writes the upper triangle only, and that is the Gram, bit for bit
+    # the disk kernel writes its Gram's upper triangle over whatever the
+    # array held, as it must in the uninitialized array of an assembly: in an
+    # array of NaN and infinities the upper triangle has the bits of a fresh
+    # assembly, and the lower one is left as it was
     sc = validate_scene(scene(eighteen_disks()))
     bs = BasisSet(build_basis(sc, Rings(4)))
-    want = np.triu(assemble_gram(sc, bs).H)
-    gram = next(_assemble_grams(sc, bs, None))
-    solver._objectives(gram, bs.d_vector())
-    assert np.tril(gram.H, -1).any()
-    got = next(_assemble_grams(sc, bs, None))
-    assert got.H is gram.H
-    assert np.triu(got.H).tobytes() == want.tobytes()
+    want = assemble_gram(sc, bs)
+    H = np.resize(SPECIALS, (bs.n, bs.n))
+    lower = np.tril_indices(bs.n, -1)
+    before = H[lower].tobytes()
+    g = integrals._disk_gram(list(sc.shapes), bs._sa, H)
+    assert g.H is H
+    assert np.triu(g.H).tobytes() == np.triu(want.H).tobytes()
+    assert g.u.tobytes() == want.u.tobytes() and g.c0 == want.c0
+    assert H[lower].tobytes() == before
 
 
 def test_split_grams_in_a_buffer_of_nan_and_inf_have_fresh_bits():
-    # each Gram of a split is written into the union's Gram buffer, E and F
-    # into views of its leading entries, over whatever was there: with the
-    # buffer filled with NaN and infinities before each Gram is requested,
-    # every Gram has the bits of a fresh assembly
+    # each Gram of a split is written into the union's Gram, E and F into
+    # views of its leading entries, over whatever was there: with the union's
+    # array filled with NaN and infinities before each Gram, every Gram has
+    # the bits of a fresh assembly
     sc = validate_scene(scene(eighteen_disks()))
     parts = (scene(sc.shapes[:9]), scene(sc.shapes[9:]))
     bases = [build_basis(p, Rings(4)) for p in parts]
-    union = bases[0] + bases[1]
+    union = BasisSet(bases[0] + bases[1])
     want = [assemble_gram(s, b) for s, b in zip((sc, *parts), (union, *bases))]
-    specials = np.array([np.nan, np.inf, -np.inf, complex(np.nan, np.inf),
-                         complex(-np.inf, np.nan), complex(np.inf, -np.inf)])
-    buf = integrals._gram_buffer(len(union))
-    buf.ravel()[:] = np.resize(specials, buf.size)
-    for g, w in zip(_assemble_grams(sc, BasisSet(union), None, split=(9, len(bases[0]))), want):
+    k = len(bases[0])
+    groups = [(sc.shapes, union._sa), (sc.shapes[:9], union._sa[:k]),
+              (sc.shapes[9:], union._sa[k:])]
+    buf = np.empty((union.n, union.n), complex)
+    for (disks, poles), w in zip(groups, want):
+        buf.ravel()[:] = np.resize(SPECIALS, buf.size)
+        size = len(poles)
+        H = buf.reshape(-1)[:size * size].reshape(size, size)
+        g = integrals._disk_gram(list(disks), poles, H)
         assert np.shares_memory(g.H, buf)
         assert np.triu(g.H).tobytes() == np.triu(w.H).tobytes()
         assert g.u.tobytes() == w.u.tobytes() and g.c0 == w.c0
-        buf.ravel()[:] = np.resize(specials, buf.size)
 
 
 @pytest.mark.parametrize("disks, m", [
@@ -990,21 +1000,24 @@ def test_warm_quadrature_assembly_allocates_few_blocks():
 
 
 def test_warm_disk_kernel_holds_few_disks_by_poles_arrays():
-    # once the Gram and work buffers exist, the disk kernel's traced peak on
-    # the 64 Cantor disks of generation 3 (n = 1,088) is w, conj(kappa), its
-    # K-sorted copy and the temporaries of one elementwise step at a time;
-    # the inside pairs' closed forms are made before the sorted copy (3.56
-    # disks x poles complex arrays)
+    # into a Gram made beforehand, the disk kernel's traced peak on the 64
+    # Cantor disks of generation 3 (n = 1,088) is one block of at most
+    # max(128, disks) moment rows, w, conj(kappa), its K-sorted copy and the
+    # temporaries of one elementwise step at a time; the inside pairs'
+    # closed forms are made before the sorted copy (3.56 disks x poles
+    # complex arrays)
     sc = validate_scene(scene(cantor_disks(3)))
     bs = BasisSet(build_basis(sc, Rings(4)))
-    next(_assemble_grams(sc, bs, None))
+    H = np.empty((bs.n, bs.n), complex)
+    integrals._disk_gram(list(sc.shapes), bs._sa, H)
     tracemalloc.start()
     try:
-        next(_assemble_grams(sc, bs, None))
+        integrals._disk_gram(list(sc.shapes), bs._sa, H)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.75 * 16 * len(sc.shapes) * bs.n
+    disks = len(sc.shapes)
+    assert peak <= 3.75 * 16 * disks * bs.n + 16 * max(128, disks) * bs.n
 
 
 @pytest.mark.parametrize("shapes,schedule", [

@@ -247,8 +247,8 @@ def test_bound_entry_points_equal_the_bracket_bitwise(shape, schedule, request):
 def test_public_stages_give_gamma_bounds_bracket_bitwise(shapes, schedule):
     # assemble_gram -> GramSystem -> upper_bound / lower_bound, the stages a
     # traced bench run replays, give gamma_bounds' bracket bit for bit; on
-    # disks gamma_bounds reads the kernel's Gram buffer, the stages an owned
-    # mirrored copy.  A bracket factors its Gram in place, and the two entry
+    # disks gamma_bounds reads the kernel's Gram, the stages a mirrored
+    # copy.  A bracket factors its Gram in place, and the two entry
     # points factor copies, so the system keeps every bit
     sc = validate_scene(scene(shapes))
     bs = BasisSet(build_basis(sc, schedule))
@@ -297,29 +297,26 @@ def test_jitter_ladder_restores_the_gram_between_attempts(shapes, basis):
     assert (res.upper, res.lower) == (up, lo)
 
 
-def test_disk_bracket_work_buffer_holds_a_block_of_moment_rows():
-    # the factorization takes no work buffer and the moment rows come in
-    # blocks of at most max(128, disks) rows, so after a bracket of the 64
-    # Cantor disks (n = 1,088) a fresh thread's work buffer holds 128 n
-    # values, not n^2
-    sizes = []
+def test_disk_bracket_makes_moment_rows_in_blocks_of_at_most_128(monkeypatch):
+    # the moment rows come in blocks of at most max(128, disks) rows, each
+    # added into the Gram by one zherk, so on the 64 Cantor disks (n = 1,088)
+    # they take 128 n values at a time, not n^2
+    rows, zherk = [], integrals.zherk
 
-    def bracket():
-        n = gamma_bounds(scene(cantor_disks(3)), Rings(4)).n_basis
-        sizes.append((integrals._THREAD.work.size, n))
+    def recording(alpha, a, **kw):
+        rows.append(a.shape[1])
+        return zherk(alpha, a, **kw)
 
-    worker = threading.Thread(target=bracket)
-    worker.start()
-    worker.join()
-    (size, n), = sizes
-    assert n == 1088 and size <= max(128, 64) * n
+    monkeypatch.setattr(integrals, "zherk", recording)
+    n = gamma_bounds(scene(cantor_disks(3)), Rings(4)).n_basis
+    assert n == 1088 and len(rows) > 1 and max(rows) <= max(128, 64)
 
 
-def test_warm_disk_bracket_allocates_under_half_a_gram():
-    # 64 Cantor disks under Rings(4), n = 1088: the Gram is this thread's Gram
-    # buffer, factored in place, and the moment rows take its work buffer, so
-    # once those exist the traced peak is the disks x poles arrays of the
-    # kernel (0.35 n^2 values)
+def test_warm_disk_bracket_allocates_its_gram_and_under_half_another():
+    # 64 Cantor disks under Rings(4), n = 1088: the bracket makes one Gram
+    # and factors it in place, and the moment rows come in blocks of 128
+    # rows, so the traced peak is the Gram and the disks x poles arrays of
+    # the kernel (0.35 n^2 values)
     sc = scene(cantor_disks(3))
     n = gamma_bounds(sc, Rings(4)).n_basis
     tracemalloc.start()
@@ -328,7 +325,30 @@ def test_warm_disk_bracket_allocates_under_half_a_gram():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5 * 16 * n * n
+    assert peak <= 16 * n * n + 0.5 * 16 * n * n
+
+
+def test_disk_bracket_keeps_no_memory():
+    # every array of a bracket belongs to its call: once gamma_bounds on the
+    # 64 Cantor disks (n = 1,088) returns, the memory it still holds is
+    # below n complex values, in a fresh thread, so that memory kept per
+    # thread would show
+    held = []
+
+    def bracket():
+        tracemalloc.start()
+        try:
+            n = gamma_bounds(scene(cantor_disks(3)), Rings(4)).n_basis
+            held.append((tracemalloc.get_traced_memory()[0], n))
+        finally:
+            tracemalloc.stop()
+
+    worker = threading.Thread(target=bracket)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    (size, n), = held
+    assert n == 1088 and size < 16 * n
 
 
 def test_objectives_make_one_factorization_one_solve_and_one_product(monkeypatch):

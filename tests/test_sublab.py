@@ -106,6 +106,14 @@ def test_ratio_requires_split():
         ratio_bounds(DiskConfiguration(PAIR, 1.0), Rings(2))
 
 
+def test_sweep_rejects_a_split_index_that_is_not_an_integer():
+    # 2.0 passes the range check 1 <= m <= n - 1 and would fail later as a
+    # slice index
+    centers = random_configuration(4, 1)
+    with pytest.raises(SplitError, match="split m=2.0"):
+        sweep(centers, 2.0, [0.1], Rings(1))
+
+
 def test_certified_flag_definition():
     rec = synthetic_record(0.5, 0.95, 0.999)
     assert rec.subadditive_certified
@@ -178,8 +186,8 @@ def record_bits(rec):
 
 
 def test_concurrent_ratio_records_match_sequential_ones():
-    # the Grams and the moment rows live in per-thread buffers, and each Gram
-    # is factored in place: two threads making different records at once get
+    # each record makes its own Gram and moment rows, and each Gram is
+    # factored in place: two threads making different records at once get
     # the records of sequential calls, bit for bit
     cfgs = [eighteen_disk_record(seed) for seed in (3, 4)]
     want = [record_bits(ratio_bounds(cfg, Rings(4))) for cfg in cfgs]
@@ -209,8 +217,8 @@ def test_concurrent_ratio_records_match_sequential_ones():
 def test_ratio_record_makes_no_gram_sized_temporaries():
     # after a warm-up call, a record's traced peak stays within the size of
     # its three Grams: they stay upper triangles (no mirror temporaries) in
-    # this thread's one Gram buffer, each is factored in place, and the
-    # moment rows reuse this thread's work buffer
+    # the one Gram that the record makes, each is factored in place, and the
+    # moment rows come in blocks of at most 128 rows
     cfg = eighteen_disk_record(3)
     rec = ratio_bounds(cfg, Rings(4))
     grams = 16 * sum(b.n_basis ** 2 for b in (rec.ef, rec.e, rec.f))
@@ -223,10 +231,10 @@ def test_ratio_record_makes_no_gram_sized_temporaries():
     assert peak <= 1.4 * grams
 
 
-def test_warm_ratio_record_allocates_no_gram_sized_array():
-    # the three Grams take this thread's Gram buffer in turn, each factored
-    # in place, and the moment rows take its work buffer, so once they exist
-    # a record's traced peak stays below one n x n complex array
+def test_warm_ratio_record_allocates_one_gram_sized_array():
+    # E u F, E and F take the union's Gram in turn, each factored in place,
+    # and the moment rows come in blocks of at most 128 rows, so a warm
+    # record's traced peak is one union Gram and nothing else Gram-sized
     cfg = eighteen_disk_record(3)
     n = ratio_bounds(cfg, Rings(4)).ef.n_basis
     tracemalloc.start()
@@ -235,57 +243,40 @@ def test_warm_ratio_record_allocates_no_gram_sized_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * n * n
+    assert peak < 2 * 16 * n * n
 
 
 def test_ratio_record_holds_one_gram_buffer(monkeypatch):
-    # E u F, E and F are assembled in turn into the one Gram buffer of a
-    # fresh thread, sized by the union, each bracketed before the next is
-    # requested: E's and F's Grams are views of its leading entries
+    # E u F, E and F are assembled in turn into the one Gram of the record,
+    # sized by the union, each bracketed before the next is requested: E's
+    # and F's Grams are views of its leading entries
     cfg = eighteen_disk_record(3)
-    bracket, grams, held = solver._bracket, [], []
+    bracket, grams = solver._bracket, []
 
     def recording(gram, d, settings, t0):
         grams.append(gram.H)
         return bracket(gram, d, settings, t0)
 
-    def record():
-        rec = ratio_bounds(cfg, Rings(4))
-        held.append((rec, {k: v for k, v in vars(integrals._THREAD).items() if k != "work"}))
-
     monkeypatch.setattr(solver, "_bracket", recording)
-    worker = threading.Thread(target=record)
-    worker.start()
-    worker.join()
-    (rec, buffers), = held
+    rec = ratio_bounds(cfg, Rings(4))
     n, k = rec.ef.n_basis, rec.e.n_basis
-    assert list(buffers) == ["gram"] and buffers["gram"].shape == (n, n)
     assert [H.shape for H in grams] == [(n, n), (k, k), (n - k, n - k)]
-    assert grams[0] is buffers["gram"]
-    assert all(np.shares_memory(H, buffers["gram"]) for H in grams[1:])
+    assert all(np.shares_memory(H, grams[0]) for H in grams[1:])
 
 
 def test_large_ratio_record_peaks_near_one_gram():
     # 64 disks at half the sweep cap under Rings(4), n = 1,088, split 32 | 32:
-    # in a fresh thread the record's traced peak is the union's Gram buffer,
-    # which E's and F's Grams reuse, and the kernel's disks x poles arrays;
-    # it was 1.69 n^2 values with a buffer per Gram
+    # the record's traced peak is the union's Gram, which E's and F's Grams
+    # reuse, and the kernel's disks x poles arrays; it was 1.69 n^2 values
+    # with a Gram per group
     centers = random_configuration(64, 5)
     cfg = DiskConfiguration(centers, 0.5 * max_sweep_radius(centers), 32)
-    peaks = []
-
-    def record():
-        tracemalloc.start()
-        try:
-            n = ratio_bounds(cfg, Rings(4)).ef.n_basis
-            peaks.append((tracemalloc.get_traced_memory()[1], n))
-        finally:
-            tracemalloc.stop()
-
-    worker = threading.Thread(target=record)
-    worker.start()
-    worker.join()
-    (peak, n), = peaks
+    tracemalloc.start()
+    try:
+        n = ratio_bounds(cfg, Rings(4)).ef.n_basis
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert n == 1088 and peak <= 1.45 * 16 * n * n
 
 
