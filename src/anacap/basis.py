@@ -240,7 +240,7 @@ def _require_poles_inside(sc: Scene, funcs) -> None:
                 f"the pole of basis member {b!r} is not strictly inside a shape of the scene")
         if isinstance(b, CornerAdapted):
             pts = np.array([k.location for k in geometry.corners(sc.shapes[i])], complex)
-            if _matching_corner(pts, b.a, boundaries[i]) is None:
+            if _matching_corner(pts, [b.a], boundaries[i])[0] is None:
                 raise SceneConfigError(f"the branch point of basis member {b!r} is not a "
                                        "corner of the shape that holds its pole")
             try:
@@ -249,15 +249,16 @@ def _require_poles_inside(sc: Scene, funcs) -> None:
                 raise SceneConfigError(f"basis member {b!r}: {exc}") from None
 
 
-def _matching_corner(corner_pts: np.ndarray, z: complex, pieces) -> complex | None:
-    """The corner point within 1e-12 max(1, |start of pieces[0]|) of z, a
-    point of the boundary made of ``pieces`` (``geometry.arcs``), or None."""
+def _matching_corner(corner_pts: np.ndarray, points, pieces) -> list:
+    """For each point of the boundary made of ``pieces`` (``geometry.arcs``),
+    the corner point within 1e-12 max(1, largest |start of a piece|) of it,
+    or None: a scale that does not depend on where the boundary starts."""
     if not corner_pts.size:
-        return None
-    i = int(np.argmin(np.abs(corner_pts - z)))
-    if abs(corner_pts[i] - z) < 1e-12 * max(1.0, abs(pieces[0].start)):
-        return complex(corner_pts[i])
-    return None
+        return [None] * len(points)
+    tol = 1e-12 * max(1.0, max(abs(p.start) for p in pieces))
+    d = np.abs(np.asarray(points, complex)[:, None] - corner_pts)
+    return [complex(corner_pts[i]) if d[j, i] < tol else None
+            for j, i in enumerate(d.argmin(axis=1))]
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +304,20 @@ class BasisSet:
     checks are not performed here; boundary quadrature never touches those
     sets for valid scenes.
 
-    Every member must vanish at infinity: a ``PowerPole`` or
-    ``CornerAdapted`` with k < 1 is a :class:`SceneConfigError`.
+    Near a corner, corner members are accurate only from the exact
+    displacement z - a of the parametrization; which members take which
+    piece end's displacement is decided here alone (:meth:`corner_ends`,
+    :meth:`eval_parts`).
+
+    An empty basis, or a ``PowerPole`` or ``CornerAdapted`` with k < 1,
+    which does not vanish at infinity, is a :class:`SceneConfigError`.
     """
 
     def __init__(self, funcs: list[BasisFunction]):
         self.funcs = list(funcs)
         self.n = len(self.funcs)
+        if not self.n:
+            raise SceneConfigError("the basis is empty")
         # first-order poles alone: eval_all's fast path and the disk kernel's
         # basis, which need none of the grouping below
         self.all_simple = all(isinstance(b, PowerPole) and b.k == 1 for b in self.funcs)
@@ -341,10 +349,6 @@ class BasisSet:
         self._gb = np.array([beta for _, _, beta in groups], float)[:, None]
         self._c_group = np.array(corner_group, dtype=int)
         self._c_pole = np.array(corner_pole, dtype=int)
-        # corner point -> the rows of its groups, for eval_all's corner_subs
-        self._rows_at: dict[complex, list[int]] = {}
-        for row, (_, a, _) in enumerate(groups):
-            self._rows_at.setdefault(complex(a), []).append(row)
 
     def d_vector(self) -> np.ndarray:
         return np.array([b.d_infinity() for b in self.funcs], complex)
@@ -353,11 +357,10 @@ class BasisSet:
         """Values of every basis function at z (scalar or array), shape
         ``(n,) + z.shape``.
 
-        ``corner_subs`` is an optional list of (corner_point, delta) pairs,
-        delta a scalar or an array of z's shape: corner-adapted members
-        anchored at corner_point are evaluated with the exact displacement
-        z - a = delta, which stays accurate when z is so close to the corner
-        that the subtraction would round to zero.
+        ``corner_subs`` is an optional list of (anchor, cols, delta): the
+        corner groups anchored at ``anchor`` take z - a = delta at the nodes
+        ``cols`` of z flattened, exact where the subtraction would round to
+        zero next to the corner (:meth:`eval_parts`).
 
         ``out``, if given, is a C-contiguous complex array of that shape
         (quadrature passes rows of its product buffer); the values are
@@ -387,10 +390,8 @@ class BasisSet:
             if self._ci.size:
                 zc = zf[None, :] - self._gc
                 num = zf[None, :] - self._ga
-                for pt, delta in corner_subs or ():
-                    rows = self._rows_at.get(pt)
-                    if rows is not None:
-                        num[rows] = np.reshape(delta, -1)
+                for a, cols, delta in corner_subs or ():
+                    num[self._ga[:, 0] == a, cols] = delta
                 frac = _principal_power(num / zc, self._gb)
                 # into a named buffer in a fixed operand order, so a value's
                 # bits do not depend on how many nodes the call evaluates
@@ -399,13 +400,26 @@ class BasisSet:
                 buf[self._ci] = vals
         return out
 
-    def corner_points(self) -> np.ndarray:
-        """Distinct corner locations used by corner-adapted members, sorted, as
-        ``np.unique`` gives them without the ``numpy.ma`` import of its first call."""
-        pts = np.sort(self._ga, axis=None)
-        keep = np.ones(pts.size, bool)
-        keep[1:] = pts[1:] != pts[:-1]
-        return pts[keep]
+    def corner_ends(self, pieces) -> list[tuple]:
+        """(piece, a0, a1) for each piece of one boundary (``geometry.arcs``),
+        a0 and a1 the corner anchors at its start and its end, or None."""
+        starts = _matching_corner(self._ga[:, 0], [p.start for p in pieces], pieces)
+        ends = _matching_corner(self._ga[:, 0], [p.end for p in pieces], pieces)
+        return list(zip(pieces, starts, ends))
+
+    def eval_parts(self, ends, spans, t, z, s1, out=None) -> np.ndarray:
+        """``eval_all`` at the nodes of an ``integrate_arc`` call: on each
+        part (i, columns c) of ``spans`` the corner groups anchored at the
+        start of ``ends[i]`` take ``disp_start(t)``, those at its end
+        ``disp_end(s1)`` (:meth:`corner_ends`)."""
+        subs = []
+        for i, c in spans:
+            arc, a0, a1 = ends[i]
+            if a0 is not None:
+                subs.append((a0, c, arc.disp_start(t[c])))
+            if a1 is not None:
+                subs.append((a1, c, arc.disp_end(s1[c])))
+        return self.eval_all(z, subs, out=out)
 
 
 # ---------------------------------------------------------------------------

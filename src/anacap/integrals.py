@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import zherk
-from .basis import BasisFunction, BasisSet, PowerPole, _matching_corner
+from .basis import BasisFunction, BasisSet, PowerPole
 from .errors import NonRationalBasisError, PoleOnContourError
 from .geometry import Disk, Scene, arcs
 from .quadrature import QuadratureSettings, _within, integrate_arc
@@ -75,6 +75,11 @@ _K_MAX = 64
 # and a process of 40 of them peaked at 63.7, 64.2 and 64.8 MiB (64.8 in
 # blocks of n rows)
 _ROW_BLOCK = 128
+# the strict lower triangle of a diagonal block of _mirror, which also sets
+# its block size: in blocks of 64 columns a mirror took 82 us at n = 306 and
+# 4.5 ms at n = 1,088, against 88 us and 7.1 ms in blocks of 32 and 87 us
+# and 5.8 ms in blocks of 128 (a copy of the whole Gram took 133 us and 3.2 ms)
+_LOWER = np.tri(64, k=-1, dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +273,7 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
     their pieces.
 
     Each integrand call makes one array A (n+1 x nodes) for all the parts
-    it gets: ``bs.eval_all`` writes the basis values into A[:n], row n is
+    it gets: ``bs.eval_parts`` writes the basis values into A[:n], row n is
     the constant 1, and A is scaled in place by complex sqrt(w) (w >= 0;
     NumPy would cast a float in buffers).
     One Hermitian rank-k update (``zherk``) per part, on the part's columns,
@@ -276,12 +281,9 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
     G[:n, :n], u in G[:n, n] and the length in G[n, n], with an exactly real
     diagonal; the lower triangle stays zero.  Corner endpoints need no flag:
     the open-piece rule of ``integrate_arc`` integrates their singular
-    products, and ``_matching_corner`` only picks the members that take the
-    exact displacement from the parametrization, spliced in per part: a corner's
-    displacement is ``disp_start(t)`` on a piece that starts at it,
-    ``disp_end(s1)`` on one that ends at it, and z - corner elsewhere, the
-    subtraction ``eval_all`` makes itself.  A basis value does not depend on
-    the other nodes of its call, so each piece's sums, and the blocks summed
+    products, and ``bs.eval_parts`` gives each corner member the exact
+    displacement of its piece end.  A basis value does not depend on the
+    other nodes of its call, so each piece's sums, and the blocks summed
     from them piece by piece in order, have the bits of a piece-by-piece
     assembly.  A shape's block is its first piece's sum, the others added in
     place: a -0 entry vanishes in the sums of :func:`_assemble_grams`.
@@ -302,29 +304,13 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
     threaded call here; the four ellipses under ``Rings(4)`` (n = 68) do.
     """
     n = bs.n
-    corner_pts = bs.corner_points()
-    pieces, ends, owner = [], [], []
-    for k, shape in enumerate(shapes):
-        shape_pieces = arcs(shape)
-        for arc in shape_pieces:
-            pieces.append(arc)
-            ends.append((_matching_corner(corner_pts, arc.start, shape_pieces),
-                         _matching_corner(corner_pts, arc.end, shape_pieces)))
-            owner.append(k)
+    per_shape = [bs.corner_ends(arcs(shape)) for shape in shapes]
+    ends = [e for shape_ends in per_shape for e in shape_ends]
+    owner = [k for k, shape_ends in enumerate(per_shape) for _ in shape_ends]
 
     def f(spans, t, z, s1, w):
-        # corner-adapted members anchored at a piece's endpoint take the
-        # exact displacement z - corner from the parametrization; near the
-        # corner the subtraction would round to zero
-        subs = {}
-        for i, c in spans:
-            (start, end), arc = ends[i], pieces[i]
-            if start is not None:
-                subs.setdefault(start, z - start)[c] = arc.disp_start(t[c])
-            if end is not None:
-                subs.setdefault(end, z - end)[c] = arc.disp_end(s1[c])
         A = np.empty((n + 1, z.size), complex)
-        bs.eval_all(z, list(subs.items()) or None, out=A[:n])
+        bs.eval_parts(ends, spans, t, z, s1, out=A[:n])
         A[n] = 1.0
         A *= np.sqrt(w).astype(complex)
         # A[:, c].T is a part's A in Fortran order (copied unless the part
@@ -332,7 +318,7 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
         # whose transpose is G's upper triangle in C order
         return [zherk(1.0, A[:, c].T, trans=2, lower=1).T.ravel() for _, c in spans]
 
-    vals = integrate_arc(f, pieces, settings, rows=n + 1,
+    vals = integrate_arc(f, [arc for arc, _, _ in ends], settings, rows=n + 1,
                          converged=lambda new, old, tol: _gram_converged(new, old, tol, n + 1))
     blocks = [None] * len(shapes)
     for k, v in zip(owner, vals):
@@ -358,6 +344,23 @@ def _gram_converged(new: np.ndarray, old: np.ndarray, tol: float, m: int) -> np.
     return ok
 
 
+def _mirror(A: np.ndarray, conj: bool = False) -> None:
+    """Copy A's strict upper triangle onto its strict lower one, transposed
+    (and conjugated with ``conj``), in place and a column block at a time;
+    with A = H.T it is H's strict upper triangle that takes its lower one."""
+    n, m = len(A), len(_LOWER)
+    for i in range(0, n, m):
+        j = min(i + m, n)
+        low = _LOWER[:j - i, :j - i]
+        # the block below the diagonal block and the one right of it share no
+        # memory; the diagonal block is copied through a temporary
+        np.copyto(A[j:, i:j], A[i:j, j:].T)
+        np.copyto(A[i:j, i:j], A[i:j, i:j].T, where=low)
+        if conj:
+            np.conjugate(A[j:, i:j], out=A[j:, i:j])
+            np.conjugate(A[i:j, i:j], out=A[i:j, i:j], where=low)
+
+
 def assemble_gram(sc: Scene, basis: list[BasisFunction],
                   settings: QuadratureSettings | None = None) -> GramData:
     """Assemble H, u, c0 for the scene boundary and the given basis.
@@ -368,17 +371,15 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
     eps/2 of sqrt(H_aa H_bb) plus rounding (:func:`_disk_gram`); every
     other boundary goes through node-and-weight quadrature at
     ``settings.abs_tol``.  The disks are accumulated first, then the other
-    shapes in index order.  Only the upper triangle is computed; here it is
-    copied into a new array with the lower triangle its conjugate mirror,
-    so H is Hermitian exactly.  The same pass can also give the Grams of a
-    split of the scene, as upper triangles (:func:`_assemble_grams`).
+    shapes in index order.  Only the upper triangle is computed; this call
+    owns the Gram and mirrors its conjugate in place, so H is Hermitian
+    exactly.  The same pass can also give the Grams of a split of the
+    scene, as upper triangles (:func:`_assemble_grams`).
     """
     bs = basis if isinstance(basis, BasisSet) else BasisSet(basis)
     g = next(_assemble_grams(sc, bs, settings))
-    # the lower triangle is not part of the Gram: it may hold anything
-    H = np.conj(g.H.T, order="C")
-    np.copyto(H, g.H, where=np.tri(bs.n, dtype=bool).T)
-    return GramData(H, g.u, g.c0)
+    _mirror(g.H, conj=True)
+    return g
 
 
 def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None,

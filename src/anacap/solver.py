@@ -44,7 +44,7 @@ from .basis import BasisSet, _require_poles_inside, build_basis
 from .errors import SingularGramError, SolveError
 from .geometry import Scene, validate_scene
 # assemble_gram is not called here; bench/tracing.py swaps solver.assemble_gram
-from .integrals import GramData, _assemble_grams, assemble_gram  # noqa: F401
+from .integrals import GramData, _assemble_grams, _mirror, assemble_gram  # noqa: F401
 from .quadrature import QuadratureSettings
 
 
@@ -74,31 +74,13 @@ class BoundsResult:
 
 
 _JITTERS = (0.0, 4e-15, 1e-13, 1e-11, 1e-9)
-# the strict lower triangle of a diagonal block of _mirror, which also sets
-# its block size: in blocks of 64 columns a mirror took 82 us at n = 306 and
-# 4.5 ms at n = 1,088, against 88 us and 7.1 ms in blocks of 32 and 87 us
-# and 5.8 ms in blocks of 128 (a copy of the whole Gram took 133 us and 3.2 ms)
-_LOWER = np.tri(64, k=-1, dtype=bool)
-
-
-def _mirror(A: np.ndarray) -> None:
-    """Copy A's strict upper triangle onto its strict lower one, transposed
-    and not conjugated, in place and a column block at a time; with A = H.T
-    it is H's strict upper triangle that takes its lower one."""
-    n, m = len(A), len(_LOWER)
-    for i in range(0, n, m):
-        j = min(i + m, n)
-        # the block below the diagonal block and the one right of it share no
-        # memory; the diagonal block is copied through a temporary
-        np.copyto(A[j:, i:j], A[i:j, j:].T)
-        np.copyto(A[i:j, i:j], A[i:j, i:j].T, where=_LOWER[:j - i, :j - i])
 
 
 def _factor(H: np.ndarray):
     """Cholesky factor of conj(H), made in H's own memory, the jitter used and
     H's real diagonal as it was.  Only H's upper triangle is read; on return
     H's upper triangle and diagonal hold the factor, and its strict lower
-    triangle holds the transpose of its strict upper one (:func:`_mirror`).
+    triangle holds the transpose of its strict upper one (``_mirror``).
 
     H is factored as assembled: Cholesky's success and backward error depend
     on H only through D^-1 H D^-1, D = diag(H)^(1/2) (Demmel, LAPACK Working

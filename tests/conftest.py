@@ -70,7 +70,9 @@ def random_points(rng, n, box=4.0, min_sep=0.5):
 def row_per_member_eval(funcs, z, corner_subs=None):
     """Basis values with one row per member and every factor recomputed for
     each member: the ungrouped expressions that ``BasisSet.eval_all`` must
-    reproduce bit for bit."""
+    reproduce bit for bit.  ``corner_subs`` is ``eval_all``'s list of
+    (anchor, cols, delta): each member anchored there takes z - a = delta at
+    the flattened nodes cols."""
     z = np.asarray(z, complex)
     zf = z.reshape(-1)
     out = np.empty((len(funcs), zf.size), complex)
@@ -87,8 +89,8 @@ def row_per_member_eval(funcs, z, corner_subs=None):
         ck = np.array([funcs[i].k for i in ci], int)
         zc = zf[None, :] - cc[:, None]
         num = zf[None, :] - ca[:, None]
-        for pt, delta in corner_subs or ():
-            num[ca == pt] = np.reshape(delta, -1)
+        for pt, cols, delta in corner_subs or ():
+            num[ca == pt, cols] = delta
         w = num / zc
         # exp(beta ln|w|) (cos + i sin)(beta arg w), arg w = arctan2(Im w, Re w)
         beta = cb[:, None]

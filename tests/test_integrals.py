@@ -13,7 +13,6 @@ from anacap.basis import (
     PowerPole,
     Powers,
     Rings,
-    _matching_corner,
     build_basis,
 )
 from anacap.errors import MaxDepthError, NonRationalBasisError, PoleOnContourError
@@ -775,22 +774,18 @@ def bordered_product_gram(sc, bs: BasisSet, settings: QuadratureSettings,
                           rule=None) -> np.ndarray:
     """Reference for quadrature assembly: on each node set the full bordered
     product (A w) A^H of the basis values A with the constant 1 appended as
-    row n, over 2 pi, integrated on the arcs and with the corner
-    displacements that ``_quad_blocks`` uses; by ``integrate_arc`` on each
+    row n, over 2 pi, integrated on the arcs and with the basis's corner
+    displacements (``BasisSet.eval_parts``); by ``integrate_arc`` on each
     piece alone, or by ``rule(f, arc)`` when given."""
     n = bs.n
-    corner_pts = bs.corner_points()
     G = np.zeros((n + 1, n + 1), complex)
     for shape in sc.shapes:
-        pieces = arcs(shape)
-        for arc in pieces:
-            a0 = _matching_corner(corner_pts, arc.start, pieces)
-            a1 = _matching_corner(corner_pts, arc.end, pieces)
+        ends = bs.corner_ends(arcs(shape))
+        for i, (arc, _, _) in enumerate(ends):
 
-            def f(t, z, s1, w, arc=arc, a0=a0, a1=a1):
-                subs = [(a, d) for a, d in ((a0, arc.disp_start(t)), (a1, arc.disp_end(s1)))
-                        if a is not None]
-                A = np.vstack([bs.eval_all(z, subs or None), np.ones(z.size)])
+            def f(t, z, s1, w, i=i):
+                A = np.vstack([bs.eval_parts(ends, [(i, slice(None))], t, z, s1),
+                               np.ones(z.size)])
                 return ((A * w) @ A.conj().T).ravel()
 
             if rule is None:
@@ -806,24 +801,19 @@ def piece_by_piece_gram(sc, bs: BasisSet, settings: QuadratureSettings):
     """Reference for the batched ladder: the Gram of a scene without
     closed-form disks with each piece on a ladder of its own, through
     ``integrate_arc`` on that piece alone, its integrand the bordered
-    ``zherk`` of sqrt(w)-scaled values with the corner displacements of
-    ``_quad_blocks``; the shapes' blocks summed piece by piece and then shape
-    by shape, in order."""
+    ``zherk`` of sqrt(w)-scaled values with the basis's corner displacements
+    (``BasisSet.eval_parts``); the shapes' blocks summed piece by piece and
+    then shape by shape, in order."""
     n = bs.n
-    corner_pts = bs.corner_points()
     H, u, length = np.zeros((n, n), complex), np.zeros(n, complex), 0
     for shape in sc.shapes:
-        pieces = arcs(shape)
+        ends = bs.corner_ends(arcs(shape))
         G = np.zeros((n + 1, n + 1), complex)
-        for arc in pieces:
-            a0 = _matching_corner(corner_pts, arc.start, pieces)
-            a1 = _matching_corner(corner_pts, arc.end, pieces)
+        for i, (arc, _, _) in enumerate(ends):
 
-            def f(t, z, s1, w, arc=arc, a0=a0, a1=a1):
-                subs = [(a, d) for a, d in ((a0, arc.disp_start(t)), (a1, arc.disp_end(s1)))
-                        if a is not None]
+            def f(t, z, s1, w, i=i):
                 A = np.empty((n + 1, z.size), complex)
-                bs.eval_all(z, subs or None, out=A[:n])
+                bs.eval_parts(ends, [(i, slice(None))], t, z, s1, out=A[:n])
                 A[n] = 1.0
                 A *= np.sqrt(w)
                 return zherk(1.0, A.T, trans=2, lower=1).T.ravel()
@@ -1018,6 +1008,25 @@ def test_warm_disk_kernel_holds_few_disks_by_poles_arrays():
         tracemalloc.stop()
     disks = len(sc.shapes)
     assert peak <= 3.75 * 16 * disks * bs.n + 16 * max(128, disks) * bs.n
+
+
+def test_warm_assemble_gram_mirrors_its_own_gram():
+    # the public Gram is the one the assembly made, mirrored in place a
+    # column block at a time: on the 64 Cantor disks of generation 3 (n =
+    # 1,088) a warm call peaks at the Gram plus the disk kernel's arrays
+    # (1.33 Grams), where a mirror into a second array peaked at 2.07
+    sc = validate_scene(scene(cantor_disks(3)))
+    basis = build_basis(sc, Rings(4))
+    n = len(basis)
+    assemble_gram(sc, basis)
+    tracemalloc.start()
+    try:
+        g = assemble_gram(sc, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * n * n
+    assert np.array_equal(g.H, np.conj(g.H.T))
 
 
 @pytest.mark.parametrize("shapes,schedule", [
