@@ -147,7 +147,8 @@ def build_basis(sc: Scene, schedule) -> list[BasisFunction]:
     """Basis functions for every shape of the scene under the given schedule.
 
     ``schedule`` is a single Rings/Powers mode applied to each shape, or a
-    sequence with one mode per shape.
+    list or tuple with one mode per shape; anything else is a
+    :class:`SceneConfigError`.
     """
     return _shape_counted_basis(sc, schedule)[0]
 
@@ -157,10 +158,13 @@ def _shape_counted_basis(sc: Scene, schedule) -> tuple[list[BasisFunction], list
     functions of shape i follow those of shapes 0 .. i-1."""
     if isinstance(schedule, (Rings, Powers)):
         per_shape = [schedule] * len(sc.shapes)
-    else:
+    elif isinstance(schedule, (list, tuple)):
         per_shape = list(schedule)
         if len(per_shape) != len(sc.shapes):
             raise SceneConfigError("need one schedule per shape")
+    else:
+        raise SceneConfigError("schedule must be Rings, Powers or a list or tuple of them, "
+                               f"got {type(schedule).__name__}")
     out: list[BasisFunction] = []
     counts = []
     for shape, mode in zip(sc.shapes, per_shape):

@@ -152,7 +152,7 @@ def cmd_sweep(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     quad = argparse.ArgumentParser(add_help=False)
-    quad.add_argument("--quad-tol", type=float, default=1e-9)
+    quad.add_argument("--quad-tol", type=float, default=QuadratureSettings.abs_tol)
 
     p = argparse.ArgumentParser(prog="anacap",
                                 description="analytic capacity bounds and experiments")

@@ -22,7 +22,8 @@ many analytic pieces.  The module knows how to
 * apply affine maps z -> a*z + b.
 
 ``Segment`` and ``CircularArc`` are input records of an :class:`ArcChain`;
-only :func:`arcs`, :func:`transform` and the JSON schema read them.
+only :func:`arcs` and the field table (``_TYPES``), which the JSON schema and
+:func:`transform` read, name them.
 
 Points are plain ``complex`` numbers throughout.
 """
@@ -33,7 +34,7 @@ import cmath
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -523,31 +524,16 @@ def _mean_point(arc: ParametricArc) -> complex:
 
 
 def transform(sc: Scene, a: complex, b: complex = 0j) -> Scene:
-    """Apply z -> a*z + b to every shape; shape types are preserved."""
+    """Apply z -> a*z + b to every shape; shape types are preserved.  By the
+    field table, a point goes to a*z + b, a length x to |a| x and an angle x
+    to x + arg a."""
     if a == 0:
         raise ZeroScaleError("scale factor a must be nonzero")
-    return Scene(tuple(_transform_shape(s, a, b) for s in sc.shapes), sc.labels)
-
-
-def _transform_shape(s: Shape, a: complex, b: complex) -> Shape:
     rot = cmath.phase(a)
-    if isinstance(s, Disk):
-        return Disk(a * s.center + b, abs(a) * s.radius)
-    if isinstance(s, Ellipse):
-        return Ellipse(a * s.center + b, abs(a) * s.semi_major, abs(a) * s.semi_minor,
-                       s.rotation + rot)
-    if isinstance(s, Polygon):
-        return Polygon(tuple(a * v + b for v in s.vertices))
-    if isinstance(s, ArcChain):
-        pieces = []
-        for piece in s.pieces:
-            if isinstance(piece, Segment):
-                pieces.append(Segment(a * piece.start + b, a * piece.end + b))
-            else:
-                pieces.append(CircularArc(a * piece.center + b, abs(a) * piece.radius,
-                                          piece.theta_start + rot, piece.theta_end + rot))
-        return ArcChain(tuple(pieces))
-    raise DegenerateShapeError(f"unknown shape {type(s).__name__}")
+    ops = {"point": lambda z: a * z + b, "length": lambda x: abs(a) * x,
+           "angle": lambda x: x + rot}
+    return Scene(tuple(_map_record(s, "shape", ops, tuple, lambda rec, out: type(rec)(**out))
+                       for s in sc.shapes), sc.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -769,14 +755,41 @@ def _segment_distance(a0, a1, b0, b1):
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (the fixed config schema)
+# the field table and the JSON schema
 
-_SHAPE_KEYS = {
-    "disk": {"type", "center", "radius", "label"},
-    "ellipse": {"type", "center", "semi_major", "semi_minor", "rotation", "label"},
-    "polygon": {"type", "vertices", "label"},
-    "arc_chain": {"type", "pieces", "label"},
+# The field table, which the reader, the writer and ``transform`` read: each
+# shape's and each piece's JSON type and record, and each field's kind.  The
+# JSON keys are the records' field names, and a field with a default
+# (``rotation``) may be left out.
+_TYPES = {
+    "shape": {"disk": Disk, "ellipse": Ellipse, "polygon": Polygon, "arc_chain": ArcChain},
+    "piece": {"segment": Segment, "circular_arc": CircularArc},
 }
+_FIELD_KINDS = {"center": "point", "start": "point", "end": "point",
+                "radius": "length", "semi_major": "length", "semi_minor": "length",
+                "rotation": "angle", "theta_start": "angle", "theta_end": "angle",
+                "vertices": "points", "pieces": "pieces"}
+_TYPE_NAMES = {cls: name for types in _TYPES.values() for name, cls in types.items()}
+
+
+def _map_record(rec, what: str, ops: dict, seq, build):
+    """Map the shape or piece (``what``) rec field by field and return
+    ``build(rec, out)``: ops[kind] maps a point, a length or an angle, and a
+    points field goes point by point and a pieces field piece by piece, each
+    into ``seq``.  A record outside the table, or a piece where a shape
+    belongs, is a :class:`DegenerateShapeError`."""
+    if _TYPE_NAMES.get(type(rec)) not in _TYPES[what]:
+        raise DegenerateShapeError(f"unknown {what} {type(rec).__name__}")
+    out = {}
+    for f in fields(rec):
+        kind, val = _FIELD_KINDS[f.name], getattr(rec, f.name)
+        if kind == "points":
+            out[f.name] = seq(map(ops["point"], val))
+        elif kind == "pieces":
+            out[f.name] = seq(_map_record(pc, "piece", ops, seq, build) for pc in val)
+        else:
+            out[f.name] = ops[kind](val)
+    return build(rec, out)
 
 
 def _number(val, what: str) -> float:
@@ -796,70 +809,48 @@ def _xy(val, what: str) -> complex:
     return complex(_number(val[0], what), _number(val[1], what))
 
 
-def shape_from_config(obj: dict) -> tuple[Shape, str]:
+def _from_config(obj, what: str):
+    """A shape or a piece (``what``) from its JSON object, by the field table."""
     if not isinstance(obj, dict) or "type" not in obj:
-        raise SceneConfigError("each shape needs a 'type' field")
-    kind = obj["type"]
-    if kind not in _SHAPE_KEYS:
-        raise SceneConfigError(f"unknown shape type {kind!r}")
-    unknown = set(obj) - _SHAPE_KEYS[kind]
+        raise SceneConfigError(f"each {what} needs a 'type' field")
+    name = obj["type"]
+    if not isinstance(name, str) or name not in _TYPES[what]:
+        raise SceneConfigError(f"unknown {what} type {name!r}")
+    cls = _TYPES[what][name]
+    known = {"type", "label"} if what == "shape" else {"type"}
+    unknown = set(obj) - known - {f.name for f in fields(cls)}
     if unknown:
-        raise SceneConfigError(f"unknown fields for {kind}: {sorted(unknown)}")
-    label = obj.get("label", "E")
-    if label not in ("E", "F"):
-        raise SceneConfigError(f"label must be 'E' or 'F', got {label!r}")
+        raise SceneConfigError(f"unknown fields in {name} {what}: {sorted(unknown)}")
+    out = {}
     try:
-        if kind == "disk":
-            return Disk(_xy(obj["center"], "center"), _number(obj["radius"], "radius")), label
-        if kind == "ellipse":
-            return Ellipse(_xy(obj["center"], "center"),
-                           *(_number(obj[k], k) for k in ("semi_major", "semi_minor")),
-                           _number(obj.get("rotation", 0.0), "rotation")), label
-        if kind == "polygon":
-            return Polygon(tuple(_xy(v, "vertex") for v in obj["vertices"])), label
-        pieces = []
-        for pc in obj["pieces"]:
-            if not isinstance(pc, dict) or "type" not in pc:
-                raise SceneConfigError("each piece needs a 'type' field")
-            if pc["type"] == "segment":
-                if set(pc) - {"type", "start", "end"}:
-                    raise SceneConfigError("unknown fields in segment piece")
-                pieces.append(Segment(_xy(pc["start"], "start"), _xy(pc["end"], "end")))
-            elif pc["type"] == "circular_arc":
-                if set(pc) - {"type", "center", "radius", "theta_start", "theta_end"}:
-                    raise SceneConfigError("unknown fields in circular_arc piece")
-                pieces.append(CircularArc(_xy(pc["center"], "center"), *(
-                    _number(pc[k], k) for k in ("radius", "theta_start", "theta_end"))))
-            else:
-                raise SceneConfigError(f"unknown piece type {pc['type']!r}")
-        return ArcChain(tuple(pieces)), label
+        for f in fields(cls):
+            if f.name in obj or f.default is MISSING:
+                val, kind = obj[f.name], _FIELD_KINDS[f.name]
+                if kind == "points":
+                    out[f.name] = tuple(_xy(v, "vertex") for v in val)
+                elif kind == "pieces":
+                    out[f.name] = tuple(_from_config(pc, "piece") for pc in val)
+                else:
+                    out[f.name] = (_xy if kind == "point" else _number)(val, f.name)
     except KeyError as exc:
-        raise SceneConfigError(f"missing field {exc.args[0]!r} for {kind}") from exc
+        raise SceneConfigError(f"missing field {exc.args[0]!r} for {name}") from exc
     except (TypeError, ValueError) as exc:
-        raise SceneConfigError(f"bad value in {kind}: {exc}") from exc
+        raise SceneConfigError(f"bad value in {name}: {exc}") from exc
+    return cls(**out)
+
+
+def shape_from_config(obj: dict) -> tuple[Shape, str]:
+    """A shape and its label, "E" when left out; :class:`Scene` checks the label."""
+    return _from_config(obj, "shape"), obj.get("label", "E")
+
+
+_TO_CONFIG = {"point": lambda z: [z.real, z.imag], "length": lambda x: x, "angle": lambda x: x}
 
 
 def shape_to_config(s: Shape, label: str) -> dict:
-    if isinstance(s, Disk):
-        return {"type": "disk", "center": [s.center.real, s.center.imag],
-                "radius": s.radius, "label": label}
-    if isinstance(s, Ellipse):
-        return {"type": "ellipse", "center": [s.center.real, s.center.imag],
-                "semi_major": s.semi_major, "semi_minor": s.semi_minor,
-                "rotation": s.rotation, "label": label}
-    if isinstance(s, Polygon):
-        return {"type": "polygon",
-                "vertices": [[v.real, v.imag] for v in s.vertices], "label": label}
-    pieces = []
-    for pc in s.pieces:
-        if isinstance(pc, Segment):
-            pieces.append({"type": "segment", "start": [pc.start.real, pc.start.imag],
-                           "end": [pc.end.real, pc.end.imag]})
-        else:
-            pieces.append({"type": "circular_arc", "center": [pc.center.real, pc.center.imag],
-                           "radius": pc.radius, "theta_start": pc.theta_start,
-                           "theta_end": pc.theta_end})
-    return {"type": "arc_chain", "pieces": pieces, "label": label}
+    return {**_map_record(s, "shape", _TO_CONFIG, list,
+                          lambda rec, out: {"type": _TYPE_NAMES[type(rec)], **out}),
+            "label": label}
 
 
 def scene_from_config(obj: dict) -> Scene:
@@ -871,13 +862,8 @@ def scene_from_config(obj: dict) -> Scene:
         raise SceneConfigError(f"unknown top-level fields: {sorted(unknown)}")
     if "shapes" not in obj or not isinstance(obj["shapes"], list) or not obj["shapes"]:
         raise SceneConfigError("scene config needs a non-empty 'shapes' list")
-    shapes = []
-    labels = []
-    for sh in obj["shapes"]:
-        s, lab = shape_from_config(sh)
-        shapes.append(s)
-        labels.append(lab)
-    return Scene(tuple(shapes), tuple(labels))
+    shapes, labels = zip(*map(shape_from_config, obj["shapes"]))
+    return Scene(shapes, labels)
 
 
 def scene_to_config(sc: Scene) -> dict:

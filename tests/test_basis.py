@@ -33,6 +33,7 @@ from anacap.geometry import (
     validate_scene,
 )
 from anacap.quadrature import QuadratureSettings, integrate_arc
+from anacap.solver import gamma_bounds
 
 from conftest import MIXED_SHAPES, row_per_member_eval, same_bits
 
@@ -243,6 +244,18 @@ def test_per_shape_schedules(two_disks):
 
     with pytest.raises(SceneConfigError, match="one schedule per shape"):
         build_basis(sc, [Rings(0)])
+
+
+@pytest.mark.parametrize("schedule, name", [
+    (None, "NoneType"), (4, "int"), ({"mode": "rings", "layers": 1}, "dict"),
+], ids=["none", "int", "config_dict"])
+def test_schedule_of_the_wrong_type_is_a_config_error(two_disks, schedule, name):
+    # not iterated as if it were one schedule per shape: a dict has two keys
+    # for two disks, so it would pass the count
+    with pytest.raises(SceneConfigError, match=f"list or tuple of them, got {name}$"):
+        build_basis(validate_scene(two_disks), schedule)
+    with pytest.raises(SceneConfigError, match=f"got {name}$"):
+        gamma_bounds(two_disks, schedule)
 
 
 # --- BasisSet ---------------------------------------------------------------

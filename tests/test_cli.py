@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from anacap.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION, main
+from anacap.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION, build_parser,
+                        main)
+from anacap.quadrature import QuadratureSettings
 
 TWO_DISKS = {
     "shapes": [
@@ -183,6 +185,15 @@ def test_discrete_rejects_mixed_radii(config_file, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_discrete_rejects_a_scene_that_is_not_all_disks(config_file, capsys):
+    ellipse = {"type": "ellipse", "center": [-3, 0], "semi_major": 0.5, "semi_minor": 0.25}
+    mixed = {"shapes": [TWO_DISKS["shapes"][0], ellipse]}
+    code, out, err = run(capsys, "discrete", "--config", config_file(mixed))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "needs an all-disk scene" in err
+
+
 def test_discrete_overlap_is_config_error(config_file, capsys):
     code, _, err = run(capsys, "discrete", "--config", config_file(OVERLAPPING_DISKS))
     assert code == EXIT_CONFIG
@@ -253,6 +264,27 @@ def test_sweep_overlapping_rmax_rejected(config_file, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_sweep_without_a_split_is_config_error(config_file, capsys):
+    # every disk labelled E and no --m: there is no F set to split off
+    all_e = {"shapes": [dict(sh, label="E") for sh in TWO_DISKS["shapes"]]}
+    code, out, err = run(capsys, "sweep", "--config", config_file(all_e),
+                         "--r-min", "0.5", "--r-max", "1.0", "--steps", "2")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "sweep needs a split" in err
+
+
+@pytest.mark.parametrize("grid", [("1.0", "0.5", "2"), ("0.5", "1.0", "0")],
+                         ids=["r_min_above_r_max", "no_steps"])
+def test_sweep_bad_radius_grid_is_config_error(config_file, capsys, grid):
+    r_min, r_max, steps = grid
+    code, out, err = run(capsys, "sweep", "--config", config_file(TWO_DISKS), "--m", "1",
+                         "--r-min", r_min, "--r-max", r_max, "--steps", steps)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "need 0 < --r-min <= --r-max and --steps >= 1" in err
+
+
 def test_sweep_split_out_of_range_is_config_error(config_file, capsys):
     code, _, err = run(capsys, "sweep", "--config", config_file(TWO_DISKS),
                        "--m", "5", "--r-min", "0.5", "--r-max", "1.0", "--steps", "2")
@@ -302,6 +334,14 @@ def test_determinism_identical_runs(config_file, capsys):
     _, out2, _ = run(capsys, *args)
     strip = lambda text: [line.rsplit(",", 1)[0] for line in text.split("\n")]
     assert strip(out1) == strip(out2)
+
+
+@pytest.mark.parametrize("argv", [
+    ("gamma", "--config", "scene.json"),
+    ("sweep", "--r-min", "0.1", "--r-max", "0.2", "--steps", "2"),
+], ids=["gamma", "sweep"])
+def test_quad_tol_default_is_the_quadrature_default(argv):
+    assert build_parser().parse_args(argv).quad_tol == QuadratureSettings().abs_tol
 
 
 def test_quad_flags_after_subcommand(config_file, capsys):

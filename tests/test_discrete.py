@@ -55,6 +55,11 @@ def test_cauchy_duplicate_rejected():
         cauchy_matrix([1, 1])
 
 
+def test_empty_disk_configuration_rejected():
+    with pytest.raises(DuplicateCenterError, match="at least one center"):
+        DiskConfiguration((), 1.0)
+
+
 @pytest.mark.parametrize("call", [
     cauchy_matrix, alpha, beta, alpha_geometric,
     lambda Z: lambda_discrete(Z, 0.5),

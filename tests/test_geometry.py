@@ -820,6 +820,63 @@ def test_transform_keeps_a_whole_turn_arc_whole(theta0, log_a, angle, bx, by):
     validate_scene(mapped)
 
 
+def _per_kind_transform(s, a, b):
+    """z -> a*z + b written out for each record kind, the reference of the
+    field table's ``transform``."""
+    rot = cmath.phase(a)
+    if isinstance(s, Disk):
+        return Disk(a * s.center + b, abs(a) * s.radius)
+    if isinstance(s, Ellipse):
+        return Ellipse(a * s.center + b, abs(a) * s.semi_major, abs(a) * s.semi_minor,
+                       s.rotation + rot)
+    if isinstance(s, Polygon):
+        return Polygon(tuple(a * v + b for v in s.vertices))
+    if isinstance(s, Segment):
+        return Segment(a * s.start + b, a * s.end + b)
+    if isinstance(s, CircularArc):
+        return CircularArc(a * s.center + b, abs(a) * s.radius, s.theta_start + rot,
+                           s.theta_end + rot)
+    return ArcChain(tuple(_per_kind_transform(pc, a, b) for pc in s.pieces))
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_transform_matches_the_per_kind_formulas_bitwise(seed):
+    rng = np.random.default_rng([seed, 4242])
+
+    def z(scale=10.0):
+        return complex(*rng.uniform(-scale, scale, 2))
+
+    a, b = z(3.0), z()
+    shapes = (Disk(z(), rng.uniform(0.1, 3)),
+              Ellipse(z(), *rng.uniform(0.1, 3, 2), rng.uniform(-4, 4)),
+              Ellipse(z(), *rng.uniform(0.1, 3, 2)),
+              Polygon(tuple(z() for _ in range(5))),
+              ArcChain((Segment(z(), z()), CircularArc(z(), rng.uniform(0.1, 3),
+                                                       *rng.uniform(-7, 7, 2)))),
+              BITE)
+    mapped = transform(scene(shapes, ("E", "F") * 3), a, b)
+    assert mapped.labels == ("E", "F") * 3
+    for s, m in zip(shapes, mapped.shapes):
+        # repr tells every float's bits apart, -0.0 from 0.0 included
+        assert repr(m) == repr(_per_kind_transform(s, a, b))
+
+
+@pytest.mark.parametrize("record, name", [
+    (Segment(0j, 1 + 0j), "shape Segment"),
+    (CircularArc(0j, 1.0, 0.0, math.pi), "shape CircularArc"),
+    (geometry.Corner(0j, math.pi), "shape Corner"),
+    (ArcChain((Segment(-1 + 0j, 1 + 0j), Disk(0j, 1.0))), "piece Disk"),
+    (ArcChain((half_disk(),)), "piece ArcChain"),
+], ids=["segment", "circular_arc", "corner", "disk_piece", "chain_piece"])
+def test_records_outside_the_field_table_are_degenerate_shapes(record, name):
+    # a piece where a shape belongs, or a record the table does not hold
+    sc = scene([record])
+    for call in (lambda: transform(sc, 2.0), lambda: scene_to_config(sc),
+                 lambda: geometry.shape_to_config(record, "E")):
+        with pytest.raises(DegenerateShapeError, match=f"unknown {name}$"):
+            call()
+
+
 # --- config round-trip ------------------------------------------------------
 
 def test_config_round_trip():
@@ -903,6 +960,31 @@ def test_config_reader_errors(obj, match):
         scene_from_config(obj)
 
 
+@pytest.mark.parametrize("obj, match", [
+    ({"type": "segment", "start": [0, 0], "end": [1, 0]}, "unknown shape type 'segment'"),
+    ({"type": "arc_chain", "pieces": [{"type": "disk", "center": [0, 0], "radius": 1.0}]},
+     "unknown piece type 'disk'"),
+    ({"type": ["disk"], "center": [0, 0], "radius": 1.0}, r"unknown shape type \['disk'\]"),
+    ({"type": "arc_chain", "pieces": [dict(_SEGMENT, label="E"), _ARC]},
+     r"unknown fields in segment piece: \['label'\]"),
+    ({"type": "ellipse", "center": [0, 0], "semi_major": 2.0}, "missing field 'semi_minor'"),
+    ({"type": "arc_chain", "pieces": [{"type": "segment", "start": [0, 0]}, _ARC]},
+     "missing field 'end' for segment"),
+], ids=["piece_as_shape", "shape_as_piece", "unhashable_type", "piece_label",
+        "missing_shape_field", "missing_piece_field"])
+def test_config_reader_takes_shapes_and_pieces_from_the_field_table(obj, match):
+    with pytest.raises(SceneConfigError, match=match):
+        scene_from_config({"shapes": [obj]})
+
+
+def test_config_round_trip_keeps_an_ellipse_rotation_and_defaults_it():
+    sc = scene([Ellipse(0j, 2.0, 1.0, -2.5), Ellipse(9 + 0j, 2.0, 1.0)])
+    obj = scene_to_config(sc)
+    assert [sh["rotation"] for sh in obj["shapes"]] == [-2.5, 0.0]
+    del obj["shapes"][1]["rotation"]
+    assert scene_from_config(obj) == sc
+
+
 def test_unreadable_config_file_is_a_config_error(tmp_path):
     with pytest.raises(SceneConfigError, match="cannot read"):
         geometry.load_scene(tmp_path / "missing.json")
@@ -911,3 +993,8 @@ def test_unreadable_config_file_is_a_config_error(tmp_path):
 def test_scene_needs_a_label_per_shape():
     with pytest.raises(SceneConfigError, match="one label per shape"):
         geometry.Scene((Disk(0j, 1.0), Disk(3 + 0j, 1.0)), ("E",))
+
+
+def test_empty_scene_is_a_config_error():
+    with pytest.raises(SceneConfigError, match="at least one shape"):
+        validate_scene(geometry.Scene((), ()))

@@ -29,7 +29,7 @@ from anacap.solver import (
     refine,
     upper_bound,
 )
-from conftest import MIXED_SHAPES, cantor_disks, eighteen_disks, random_points
+from conftest import MIXED_SHAPES, cantor_disks, eighteen_disks, half_disk, random_points
 
 TWO_DISK_GAMMA = 1.8755950190971197289
 
@@ -57,6 +57,21 @@ def test_one_disk_quadrature_bracket_holds_its_radius():
     # 0.5 by less than slack, and a bracket with a rounding budget holds it
     res = gamma_bounds(scene([Disk(0j, 0.5)]), Powers(2))
     assert res.lower <= 0.5 <= res.upper
+
+
+@pytest.mark.xfail(strict=True, raises=SolveError,
+                   reason="the default-tolerance Gram of a mapped corner scene is off by more "
+                   "than the fixed slack: the bounds cross (ROADMAP item 3, Known defects)")
+def test_mapped_corner_scene_bracket_meets_the_unmapped_one():
+    # the unit disk and half-disks over [2, 4] and [-4, -2]; under Powers(8,
+    # corners) the mapped scene's bounds cross, lower 2.3349076 > upper
+    # 2.3348975, both outside |a| times the Powers(10, corners) bracket
+    # [2.3349028, 2.3349050] of the unmapped scene
+    a, b = 0.6140479288728861 + 0.834620224977348j, 4.649677439797358 - 0.9836377611148253j
+    sc = scene([Disk(0j, 1.0), half_disk(3 + 0j, 1.0), half_disk(-3 + 0j, 1.0)])
+    ref = gamma_bounds(sc, Powers(10, with_corners=True))
+    res = gamma_bounds(transform(sc, a, b), Powers(8, with_corners=True))
+    assert res.lower <= abs(a) * ref.upper and res.upper >= abs(a) * ref.lower
 
 
 def test_two_disk_single_pole_row(two_disks):
@@ -199,6 +214,12 @@ def test_real_block_system_cross_check(two_disks):
     sys = GramSystem(gram, d)
     assert up_real == pytest.approx(upper_bound(sys), abs=1e-12)
     assert lo_real == pytest.approx(lower_bound(sys), abs=1e-12)
+
+
+def test_gram_system_rejects_a_d_vector_of_the_wrong_length():
+    gram = GramData(np.eye(2, dtype=complex), np.zeros(2, complex), 1.0)
+    with pytest.raises(SolveError, match="dimensions disagree"):
+        GramSystem(gram, np.ones(3, complex))
 
 
 def test_singular_gram_rejected():
