@@ -1,8 +1,10 @@
 """anacap: certified bounds for the analytic capacity of plane compact sets.
 
-The library computes rigorous upper and lower brackets for gamma(K) when K is
-a disjoint union of disks, ellipses, polygons, and segment/arc chains, using
-the dual boundary least-squares characterization of the capacity.  Exact
+The library computes upper and lower brackets for gamma(K) when K is a
+disjoint union of disks, ellipses, polygons, and segment/arc chains, using
+the dual boundary least-squares characterization of the capacity; they are
+exact duality for the computed Gram data, whose rounding and quadrature
+error are not budgeted yet (``anacap.solver``).  Exact
 theta-function formulas, Melnikov's discrete capacity, and a sweep harness
 for the subadditivity ratio round out the toolkit.
 """
@@ -14,7 +16,6 @@ from .basis import (
     PowerPole,
     Rings,
     build_basis,
-    disk_pole_layout,
 )
 from .discrete import (
     DiskConfiguration,

@@ -8,7 +8,8 @@ Two kinds of basis function:
   corner whose complement-side angle is ``omega``: beta = (pi/omega - 1)/2.
 
 A ``Schedule`` describes how to populate a scene with basis functions:
-``Rings(layers)`` lays first-order poles on interior rings of disks/ellipses,
+``Rings(layers)`` lays first-order poles on interior rings of a shape bounded
+by one whole-turn piece (a disk, an ellipse),
 ``Powers(n, with_corners)`` uses 1/(z-c)^k ladders at the interior anchor,
 optionally augmented with the corner-adapted family.
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import geometry
 from .errors import BranchCutError, PoleEvaluationError, SceneConfigError
-from .geometry import Disk, Ellipse, Scene, Shape
+from .geometry import Scene, Shape
 
 
 @dataclass(frozen=True)
@@ -112,29 +113,20 @@ class Powers:
 Schedule = Union[Rings, Powers]
 
 
-def disk_pole_layout(d: Disk, layers: int) -> list[complex]:
-    """4*layers + 1 points strictly inside d: the center plus rings at radii
-    m*r/(layers + 1) in directions +-1, +-i."""
-    if layers < 0:
-        raise SceneConfigError("layers must be >= 0")
-    pts = [d.center]
+def _ring_layout(shape: Shape, layers: int) -> list[complex]:
+    """4*layers + 1 points strictly inside a shape bounded by one whole-turn
+    piece p0 + b e + d conj(e) of ``geometry.arcs`` (a disk, an ellipse): p0
+    and, for m = 1 .. layers, p0 +- m u/(layers + 1) and p0 +- m v/(layers + 1)
+    on the semi-axes u = b + d and v = i (b - d); a disk's are r and i r."""
+    pieces = geometry.arcs(shape)
+    if len(pieces) != 1 or abs(pieces[0].turns) != 1:
+        raise SceneConfigError("Rings schedule applies to disks and ellipses only")
+    pc = pieces[0]
+    p0, u, v = pc.p0, pc.b + pc.d, 1j * (pc.b - pc.d)
+    pts = [p0]
     for m in range(1, layers + 1):
-        rho = m * d.radius / (layers + 1)
-        pts += [d.center + rho, d.center - rho, d.center + 1j * rho, d.center - 1j * rho]
-    return pts
-
-
-def ellipse_pole_layout(e: Ellipse, layers: int) -> list[complex]:
-    """Ring layout scaled to the ellipse axes: 4*layers + 1 interior points."""
-    if layers < 0:
-        raise SceneConfigError("layers must be >= 0")
-    rot = cmath.exp(1j * e.rotation)
-    u = rot * e.semi_major
-    v = rot * 1j * e.semi_minor
-    pts = [e.center]
-    for m in range(1, layers + 1):
-        f = m / (layers + 1)
-        pts += [e.center + f * u, e.center - f * u, e.center + f * v, e.center - f * v]
+        mu, mv = m * u / (layers + 1), m * v / (layers + 1)
+        pts += [p0 + mu, p0 - mu, p0 + mv, p0 - mv]
     return pts
 
 
@@ -147,8 +139,8 @@ def build_basis(sc: Scene, schedule) -> list[BasisFunction]:
     """Basis functions for every shape of the scene under the given schedule.
 
     ``schedule`` is a single Rings/Powers mode applied to each shape, or a
-    list or tuple with one mode per shape; anything else is a
-    :class:`SceneConfigError`.
+    list or tuple with one mode per shape; anything else, or anything else
+    in such a list or tuple, is a :class:`SceneConfigError`.
     """
     return _shape_counted_basis(sc, schedule)[0]
 
@@ -156,15 +148,14 @@ def build_basis(sc: Scene, schedule) -> list[BasisFunction]:
 def _shape_counted_basis(sc: Scene, schedule) -> tuple[list[BasisFunction], list[int]]:
     """``build_basis`` and how many functions each shape contributed; the
     functions of shape i follow those of shapes 0 .. i-1."""
-    if isinstance(schedule, (Rings, Powers)):
-        per_shape = [schedule] * len(sc.shapes)
-    elif isinstance(schedule, (list, tuple)):
-        per_shape = list(schedule)
-        if len(per_shape) != len(sc.shapes):
-            raise SceneConfigError("need one schedule per shape")
-    else:
-        raise SceneConfigError("schedule must be Rings, Powers or a list or tuple of them, "
-                               f"got {type(schedule).__name__}")
+    one = not isinstance(schedule, (list, tuple))
+    for mode in (schedule,) if one else schedule:
+        if not isinstance(mode, (Rings, Powers)):
+            raise SceneConfigError("schedule must be Rings, Powers or a list or tuple of them, "
+                                   f"got {type(mode).__name__}")
+    per_shape = [schedule] * len(sc.shapes) if one else list(schedule)
+    if len(per_shape) != len(sc.shapes):
+        raise SceneConfigError("need one schedule per shape")
     out: list[BasisFunction] = []
     counts = []
     for shape, mode in zip(sc.shapes, per_shape):
@@ -178,24 +169,18 @@ def _shape_counted_basis(sc: Scene, schedule) -> tuple[list[BasisFunction], list
 
 def _shape_basis(shape: Shape, mode) -> list[BasisFunction]:
     if isinstance(mode, Rings):
-        if isinstance(shape, Disk):
-            return [PowerPole(a, 1) for a in disk_pole_layout(shape, mode.layers)]
-        if isinstance(shape, Ellipse):
-            return [PowerPole(a, 1) for a in ellipse_pole_layout(shape, mode.layers)]
-        raise SceneConfigError("Rings schedule applies to disks and ellipses only")
-    if isinstance(mode, Powers):
-        c = geometry.interior_anchor(shape)
-        out: list[BasisFunction] = [PowerPole(c, k) for k in range(1, mode.n + 1)]
-        if mode.with_corners:
-            corner_list = geometry.corners(shape)
-            if corner_list:
-                _require_star_shaped(shape, c)
-            for corner in corner_list:
-                beta = corner_exponent(corner.omega_angle)
-                out += [CornerAdapted(c, corner.location, beta, k)
-                        for k in range(1, mode.n + 1)]
-        return out
-    raise SceneConfigError(f"unknown schedule mode {type(mode).__name__}")
+        return [PowerPole(a, 1) for a in _ring_layout(shape, mode.layers)]
+    c = geometry.interior_anchor(shape)
+    out: list[BasisFunction] = [PowerPole(c, k) for k in range(1, mode.n + 1)]
+    if mode.with_corners:
+        corner_list = geometry.corners(shape)
+        if corner_list:
+            _require_star_shaped(shape, c)
+        for corner in corner_list:
+            beta = corner_exponent(corner.omega_angle)
+            out += [CornerAdapted(c, corner.location, beta, k)
+                    for k in range(1, mode.n + 1)]
+    return out
 
 
 def _require_star_shaped(shape: Shape, c: complex) -> None:

@@ -13,8 +13,12 @@ where <x, y> = y^H x.  Both come from one Cholesky factorization of the
 Gram (:func:`_objectives`, which ``upper_bound`` and ``lower_bound`` also
 read), each evaluated as the objective at its computed solution vector, so
 an inexact linear solve can only loosen the bracket, never invalidate it.
-The bounds are rigorous up to quadrature error; the reported ``slack``
-(10 * abs_tol * n_basis) budgets for it.
+So the bounds are exact duality for the computed Gram data.  Rounding and
+quadrature error in that data are not budgeted yet, and a bound can lie on
+the wrong side of gamma by them (ROADMAP items 2, 3 and 25, and its Known
+defects).  The reported ``slack`` (10 * abs_tol * n_basis) is a fixed
+allowance, not a derived bound: :func:`_bracket` clamps a crossing of the
+two bounds within it and adds it to neither.
 
 The solver reads only the upper triangle of H, so it takes the triangle
 that assembly makes (``integrals._assemble_grams``) and the mirrored H of

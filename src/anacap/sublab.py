@@ -146,9 +146,12 @@ def _error_record(r: float, msg: str) -> SweepRecord:
 
 
 def monotonicity_verdict(records: list[SweepRecord]) -> Verdict:
-    """Interval comparison of adjacent records (sorted by r)."""
+    """Interval comparison of adjacent records, in order of nondecreasing r:
+    a pair whose r decreases, read as the opposite trend, is a ValueError."""
     pairs = []
-    for a, b in zip(records, records[1:]):
+    for i, (a, b) in enumerate(zip(records, records[1:])):
+        if b.r < a.r:
+            raise ValueError(f"records {i} and {i + 1} are not sorted by r: {a.r!r} > {b.r!r}")
         if a.error or b.error:
             pairs.append(UNDECIDED)
         elif b.ratio_high < a.ratio_low:
@@ -188,8 +191,11 @@ class AsymptoticReport:
 def asymptotic_check(centers, m: int, schedule: Schedule,
                      settings: QuadratureSettings | None = None,
                      r0: float | None = None, levels: int = 6) -> AsymptoticReport:
-    """Fit the quadratic coefficient of 1 - R over r_k = r0 2^{-k} and compare
-    with the predicted small-radius slope delta/n."""
+    """Fit the quadratic coefficient of 1 - R over r_k = r0 2^{-k}, k < levels,
+    and compare with the predicted small-radius slope delta/n; the fit has two
+    parameters, so fewer than two levels is a ValueError."""
+    if isinstance(levels, bool) or not isinstance(levels, int) or levels < 2:
+        raise ValueError(f"levels must be an integer >= 2, got {levels!r}")
     centers = tuple(complex(c) for c in centers)
     if r0 is None:
         r0 = 0.25 * max_sweep_radius(centers)

@@ -14,8 +14,6 @@ from anacap.basis import (
     _principal_power,
     build_basis,
     corner_exponent,
-    disk_pole_layout,
-    ellipse_pole_layout,
     schedule_from_config,
     schedule_to_config,
 )
@@ -109,19 +107,23 @@ def test_d_infinity_against_numeric_limit(b, expect):
 
 # --- layouts ----------------------------------------------------------------
 
+def ring_poles(shape, layers):
+    return [b.c for b in build_basis(scene([shape]), Rings(layers))]
+
+
 def test_layout_single_pole_is_center():
-    assert disk_pole_layout(Disk(2, 1.0), 0) == [2]
+    assert ring_poles(Disk(2, 1.0), 0) == [2]
 
 
 def test_layout_one_layer():
-    pts = disk_pole_layout(Disk(0, 1.0), 1)
+    pts = ring_poles(Disk(0, 1.0), 1)
     assert set(pts) == {0, 0.5, -0.5, 0.5j, -0.5j}
 
 
 def test_layout_counts_and_interiority():
     for layers in range(6):
         d = Disk(1 + 1j, 2.0)
-        pts = disk_pole_layout(d, layers)
+        pts = ring_poles(d, layers)
         assert len(pts) == 4 * layers + 1
         assert len(set(pts)) == len(pts)
         rmax = max(abs(p - d.center) for p in pts)
@@ -133,16 +135,14 @@ def test_layout_counts_and_interiority():
 @pytest.mark.parametrize("make, match", [
     (lambda: Rings(-1), "layers must be >= 0"),
     (lambda: Powers(0), "n must be >= 1"),
-    (lambda: disk_pole_layout(Disk(0j, 1.0), -1), "layers must be >= 0"),
-    (lambda: ellipse_pole_layout(Ellipse(0j, 2.0, 1.0), -1), "layers must be >= 0"),
     # no coercion: int(2.5) is 2, int(True) is 1 and bool("no") is True
     (lambda: Rings(2.5), "layers must be an integer"),
     (lambda: Rings(True), "layers must be an integer"),
     (lambda: Powers(2.0), "n must be an integer"),
     (lambda: Powers(True), "n must be an integer"),
     (lambda: Powers(3, with_corners="no"), "with_corners must be True or False"),
-], ids=["rings", "powers", "disk_layout", "ellipse_layout", "rings_float", "rings_bool",
-        "powers_float", "powers_bool", "powers_corners_str"])
+], ids=["rings", "powers", "rings_float", "rings_bool", "powers_float", "powers_bool",
+        "powers_corners_str"])
 def test_negative_layers_and_empty_powers_rejected(make, match):
     with pytest.raises(SceneConfigError, match=match):
         make()
@@ -182,6 +182,24 @@ def test_corner_exponent_range():
 def test_rings_on_polygon_rejected():
     with pytest.raises(SceneConfigError):
         build_basis(validate_scene(scene([SQUARE])), Rings(1))
+
+
+def test_rings_on_a_one_piece_circle_are_the_disks():
+    # a whole-turn circular arc is the disk's boundary from another start
+    for theta in (0.0, 1.0, -2.5):
+        circle = ArcChain((CircularArc(1 - 2j, 0.75, theta, theta + 2 * math.pi),))
+        assert same_bits(ring_poles(circle, 2), ring_poles(Disk(1 - 2j, 0.75), 2))
+    # its Gram comes from quadrature, and its bracket is the disk's capacity
+    res = gamma_bounds(scene([circle]), Rings(2))
+    assert res.lower == pytest.approx(0.75, rel=1e-12, abs=0)
+    assert res.upper == pytest.approx(0.75, rel=1e-12, abs=0)
+
+
+def test_rings_on_a_half_disk_rejected():
+    half_disk = ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, math.pi)))
+    with pytest.raises(SceneConfigError, match="^Rings schedule applies to disks and "
+                                               "ellipses only$"):
+        build_basis(validate_scene(scene([half_disk])), Rings(1))
 
 
 def test_duplicate_members_rejected():
@@ -256,6 +274,16 @@ def test_schedule_of_the_wrong_type_is_a_config_error(two_disks, schedule, name)
         build_basis(validate_scene(two_disks), schedule)
     with pytest.raises(SceneConfigError, match=f"got {name}$"):
         gamma_bounds(two_disks, schedule)
+
+
+@pytest.mark.parametrize("schedule, name", [
+    ([Rings(1), None], "NoneType"), ((Powers(2), "rings"), "str"),
+    ([Rings(1), {"mode": "rings", "layers": 1}], "dict"),
+], ids=["none", "str", "config_dict"])
+def test_schedule_list_of_the_wrong_type_is_a_config_error(two_disks, schedule, name):
+    # each entry of a per-shape list is checked as a single schedule is
+    with pytest.raises(SceneConfigError, match=f"list or tuple of them, got {name}$"):
+        build_basis(validate_scene(two_disks), schedule)
 
 
 # --- BasisSet ---------------------------------------------------------------

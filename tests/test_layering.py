@@ -1,9 +1,11 @@
 """Module layering of ``src/anacap``, read from the source with ``ast``.
 
 ``basis`` and ``geometry`` sit below the assembly and solve layers, so that a
-verifier of brackets can evaluate members on a boundary from them alone; and
-the exact corner displacements of a boundary piece are spliced into member
-values in ``basis`` only (``BasisSet.eval_parts``).
+verifier of brackets can evaluate members on a boundary from them alone; the
+exact corner displacements of a boundary piece are spliced into member
+values in ``basis`` only (``BasisSet.eval_parts``); and ``basis`` reads every
+boundary in the coefficient form of ``geometry.arcs``, naming no shape or
+piece class.
 """
 
 import ast
@@ -14,6 +16,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "anacap"
 UPPER = {"integrals", "quadrature", "solver", "sublab", "cli"}
 DISPLACEMENTS = {"disp_start", "disp_end"}
+SHAPE_CLASSES = {"Disk", "Ellipse", "Polygon", "ArcChain", "Segment", "CircularArc"}
 
 
 def _tree(name: str) -> ast.Module:
@@ -41,6 +44,19 @@ def _callers_of(tree: ast.Module, names: set[str]) -> list[int]:
             and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in names]
 
 
+def _names(tree: ast.Module) -> set[str]:
+    """Every name, attribute and imported name of a module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+    return out
+
+
 @pytest.mark.parametrize("name", ["basis", "geometry"])
 def test_lower_modules_import_no_upper_layer(name):
     assert not _imported_modules(_tree(name)) & UPPER
@@ -54,6 +70,10 @@ def test_only_basis_splices_corner_displacements():
     assert _callers_of(_tree("basis"), DISPLACEMENTS)
 
 
+def test_basis_names_no_shape_or_piece_class():
+    assert not _names(_tree("basis")) & SHAPE_CLASSES
+
+
 def test_the_checks_see_what_they_look_for():
     # the scans find an upper-layer import and a displacement call in each form
     src = ("from .integrals import x\nfrom . import solver\nimport anacap.cli\n"
@@ -62,3 +82,7 @@ def test_the_checks_see_what_they_look_for():
     tree = ast.parse(src)
     assert _imported_modules(tree) == UPPER
     assert _callers_of(tree, DISPLACEMENTS) == [6, 7]
+    # and a shape or piece class named, called, read as an attribute or imported
+    src = ("isinstance(s, Disk)\nEllipse(0j, 2.0, 1.0)\ngeometry.Polygon\n"
+           "from .geometry import ArcChain\nx: Segment\nimport anacap.geometry.CircularArc\n")
+    assert _names(ast.parse(src)) & SHAPE_CLASSES == SHAPE_CLASSES

@@ -87,8 +87,8 @@ def test_ratio_bounds_equal_three_gamma_bounds(centers, schedule, share, rtol):
 def test_pole_of_e_on_a_circle_of_f_is_an_error_record(monkeypatch):
     # an extra E pole at -1 lies on the circle of the F disk about -2; only
     # the union's pole check sees it
-    layout = basis.disk_pole_layout
-    monkeypatch.setattr(basis, "disk_pole_layout", lambda d, layers: layout(d, layers)
+    layout = basis._ring_layout
+    monkeypatch.setattr(basis, "_ring_layout", lambda d, layers: layout(d, layers)
                         + ([-1 + 0j] if d.center == PAIR[0] else []))
     (rec,) = sweep(PAIR, 1, [1.0], Rings(1))
     assert rec.error.startswith("PoleOnContourError")
@@ -342,6 +342,15 @@ def test_error_rows_make_pairs_undecided():
     assert v.pair_verdicts == (UNDECIDED,)
 
 
+def test_verdict_of_radii_out_of_order_is_an_error():
+    # R falls as r grows (about 0.9994, 0.9844, 0.9495 at r = 0.1, 0.5, 0.9);
+    # compared in the order given, the descending grid would read as increases
+    with pytest.raises(ValueError, match=r"^records 0 and 1 are not sorted by r: 0\.9 > 0\.5$"):
+        monotonicity_verdict(sweep(PAIR, 1, [0.9, 0.5, 0.1], Rings(3)))
+    v = monotonicity_verdict(sweep(PAIR, 1, [0.1, 0.5, 0.9], Rings(3)))
+    assert v.pair_verdicts == (CERTIFIED_DECREASE,) * 2
+
+
 def test_verdict_monotone_in_bracket_tightness():
     # refining the schedule can only turn UNDECIDED into a certified verdict
     grid = [0.4, 0.5]
@@ -380,6 +389,13 @@ def test_asymptotic_slope_two_disks():
     report = asymptotic_check(PAIR, 1, Rings(3), r0=0.4)
     assert report.predicted == pytest.approx(1 / 16)
     assert report.rel_deviation < 0.05
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2.0])
+def test_asymptotic_check_needs_two_radii(levels):
+    # the fit has two parameters: no radius, or one, determines it
+    with pytest.raises(ValueError, match="levels must be an integer >= 2"):
+        asymptotic_check(PAIR, 1, Rings(3), r0=0.4, levels=levels)
 
 
 def test_asymptotic_slope_on_exact_curve():
