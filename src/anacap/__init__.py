@@ -67,7 +67,6 @@ from .solver import (
     bounds_for_basis,
     gamma_bounds,
     lower_bound,
-    refine,
     upper_bound,
 )
 from .sublab import (

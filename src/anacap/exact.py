@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import sys
 
 from .errors import DomainError
@@ -238,6 +239,8 @@ def log_deriv_u(q: float, terms: int = 64) -> float:
         u(q) = -q/(1-q) - sum 8 n q^{4n}/(1-q^{4n}) + sum 4 n q^{2n}/(1+q^{2n}).
     """
     _check_q(q)
+    if isinstance(terms, bool) or not isinstance(terms, numbers.Integral):
+        raise DomainError(f"terms must be an integer, got {terms!r}")
     if terms < 1:
         raise DomainError("terms must be >= 1")
     val = -q / (1.0 - q)

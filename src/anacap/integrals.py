@@ -6,7 +6,8 @@ The Gram data of a scene consists of
 * ``u[j]   = (1/2pi) \\oint g_j(z) |dz|``,
 * ``c0     = (boundary length) / 2pi``.
 
-For disks under a basis of first-order poles Gram assembly uses the Hardy-space
+For a circle, a boundary of one whole-turn piece of ``geometry.arcs`` with
+d = 0, under a basis of first-order poles Gram assembly uses the Hardy-space
 split: 1/(z - a) is in H^2 of the disk for a outside and in its orthogonal
 complement for a inside, so a pair on opposite sides contributes exactly
 zero, a pair inside keeps its closed form, and a pair outside is a
@@ -61,7 +62,7 @@ import numpy as np
 from ._lapack import zherk
 from .basis import BasisFunction, BasisSet, PowerPole
 from .errors import NonRationalBasisError, PoleOnContourError
-from .geometry import Disk, Scene, arcs
+from .geometry import ParametricArc, Scene, arcs
 from .quadrature import QuadratureSettings, _within, integrate_arc
 
 TWO_PI = 2.0 * math.pi
@@ -104,8 +105,9 @@ def _inside(w, r):
     return d < r
 
 
-def circle_pair_integral(b1: BasisFunction, b2: BasisFunction, circle: Disk) -> complex:
-    """Exact value of \\oint_{|z-c|=r} b1(z) * conj(b2(z)) |dz| in closed form.
+def circle_pair_integral(b1: BasisFunction, b2: BasisFunction, circle) -> complex:
+    """Exact value of \\oint_{|z-c|=r} b1(z) * conj(b2(z)) |dz| in closed form,
+    c and r the ``center`` and ``radius`` of ``circle``.
 
     With x = a - c and y = b - c for the poles a of b1 and b of b2, the
     Hardy split of :func:`_disk_gram` gives a pair of simple poles as
@@ -129,7 +131,7 @@ def circle_pair_integral(b1: BasisFunction, b2: BasisFunction, circle: Disk) -> 
     return s * total / (r * r - x * yc) ** (m + n + 1)
 
 
-def circle_mean_integral(b: BasisFunction, circle: Disk) -> complex:
+def circle_mean_integral(b: BasisFunction, circle) -> complex:
     """Exact value of \\oint_{|z-c|=r} b(z) |dz| in closed form: the mean
     value 2 pi r (c - a)^-k for a pole a outside the circle, 0 inside."""
     x, k = _rational_parts(b, circle.center)
@@ -147,10 +149,10 @@ def _moment_counts(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(k, _K_MAX).astype(int), k > _K_MAX
 
 
-def _disk_gram(disks: list[Disk], poles: np.ndarray, H: np.ndarray) -> GramData:
-    """Gram data of the disks for a basis of first-order poles, H written
-    into the C-ordered array H as its upper triangle, over whatever H held;
-    its lower one is not written.
+def _disk_gram(circles: list[ParametricArc], poles: np.ndarray, H: np.ndarray) -> GramData:
+    """Gram data of the disks inside circles p0 + b e(t) (centre p0, radius
+    |b|) for a basis of first-order poles, H written into the C-ordered array
+    H as its upper triangle, over whatever H held; its lower one is not written.
 
     With w = pole - c, 1/(z - a) lies in the Hardy space H^2 of a disk when
     a is outside its circle and in the orthogonal complement when a is
@@ -193,8 +195,9 @@ def _disk_gram(disks: list[Disk], poles: np.ndarray, H: np.ndarray) -> GramData:
     All of it comes from these disks and poles, so a group of a split gets
     bitwise the Gram data that it gives assembled alone.
     """
-    c = np.array([d.center for d in disks], complex)[:, None]
-    r = np.array([d.radius for d in disks])[:, None]
+    radii = [abs(pc.b) for pc in circles]
+    c = np.array([pc.p0 for pc in circles], complex)[:, None]
+    r = np.array(radii)[:, None]
     w = poles - c  # disks x poles
     inside = _inside(w, r)
     ck = np.divide(r, np.conj(w), out=np.zeros_like(w), where=~inside)  # conj(kappa)
@@ -234,7 +237,7 @@ def _disk_gram(disks: list[Disk], poles: np.ndarray, H: np.ndarray) -> GramData:
     # the means r / (c - a) = -kappa, summed as conj(kappa); 0.0 - keeps +0
     # at an inside pole of a one-disk Gram, where a bare minus gives -0
     u = 0.0 - np.conj(np.add.reduce(ck, axis=0))
-    return GramData(H, u, sum(d.radius for d in disks))
+    return GramData(H, u, sum(radii))
 
 
 def _closed_form_pairs(w: np.ndarray, r: np.ndarray, mask: np.ndarray, sign: float):
@@ -266,11 +269,11 @@ class GramData:
     c0: float
 
 
-def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
-                 ) -> list[np.ndarray]:
-    """Bordered Gram blocks of the shapes' boundaries by node-and-weight
-    quadrature, one (n+1) x (n+1) block per shape, from one ladder over all
-    their pieces.
+def _quad_blocks(bs: BasisSet, boundaries: list[list[ParametricArc]],
+                 settings: QuadratureSettings) -> list[np.ndarray]:
+    """Bordered Gram blocks of boundaries (``geometry.arcs``) by
+    node-and-weight quadrature, one (n+1) x (n+1) block per boundary, from
+    one ladder over all their pieces.
 
     Each integrand call makes one array A (n+1 x nodes) for all the parts
     it gets: ``bs.eval_parts`` writes the basis values into A[:n], row n is
@@ -304,7 +307,7 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
     threaded call here; the four ellipses under ``Rings(4)`` (n = 68) do.
     """
     n = bs.n
-    per_shape = [bs.corner_ends(arcs(shape)) for shape in shapes]
+    per_shape = [bs.corner_ends(pieces) for pieces in boundaries]
     ends = [e for shape_ends in per_shape for e in shape_ends]
     owner = [k for k, shape_ends in enumerate(per_shape) for _ in shape_ends]
 
@@ -320,7 +323,7 @@ def _quad_blocks(bs: BasisSet, shapes: list, settings: QuadratureSettings
 
     vals = integrate_arc(f, [arc for arc, _, _ in ends], settings, rows=n + 1,
                          converged=lambda new, old, tol: _gram_converged(new, old, tol, n + 1))
-    blocks = [None] * len(shapes)
+    blocks = [None] * len(boundaries)
     for k, v in zip(owner, vals):
         v = v.reshape(n + 1, n + 1)
         blocks[k] = v if blocks[k] is None else np.add(blocks[k], v, out=blocks[k])
@@ -365,9 +368,9 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
                   settings: QuadratureSettings | None = None) -> GramData:
     """Assemble H, u, c0 for the scene boundary and the given basis.
 
-    Disks under a basis of first-order poles use the Hardy split (opposite-side
-    pole pairs are exactly zero), with the outside pairs of all the
-    disks from Hermitian products of their multipole moments, accurate to
+    Circles under a basis of first-order poles use the Hardy split
+    (opposite-side pole pairs are exactly zero), with the outside pairs of all
+    the disks from Hermitian products of their multipole moments, accurate to
     eps/2 of sqrt(H_aa H_bb) plus rounding (:func:`_disk_gram`); every
     other boundary goes through node-and-weight quadrature at
     ``settings.abs_tol``.  The disks are accumulated first, then the other
@@ -412,14 +415,16 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
     if split is not None:
         m, k = split
         groups += [(0, m, 0, k), (m, len(sc.shapes), k, n)]
-    closed_form = [isinstance(s, Disk) and bs.all_simple for s in sc.shapes]
+    boundaries = [arcs(s) for s in sc.shapes]
+    closed_form = [bs.all_simple and len(b) == 1 and abs(b[0].turns) == 1 and b[0].d == 0
+                   for b in boundaries]
     quad = [i for i, cf in enumerate(closed_form) if not cf]
     quads = [None] * len(groups)
     if quad:
         blocks = [(np.zeros((j1 - j0, j1 - j0), complex), np.zeros(j1 - j0, complex))
                   for _, _, j0, j1 in groups]
         lengths = [0.0] * len(groups)
-        for i, G in zip(quad, _quad_blocks(bs, [sc.shapes[i] for i in quad], settings)):
+        for i, G in zip(quad, _quad_blocks(bs, [boundaries[i] for i in quad], settings)):
             for g, (s0, s1, j0, j1) in enumerate(groups):
                 if s0 <= i < s1:
                     H, u = blocks[g]
@@ -432,7 +437,7 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
         if buf is not None:
             size = j1 - j0
             H = buf if size == n else buf.reshape(-1)[:size * size].reshape(size, size)
-            g = _disk_gram([s for s, cf in zip(sc.shapes[s0:s1], closed_form[s0:s1]) if cf],
+            g = _disk_gram([b[0] for b, cf in zip(boundaries[s0:s1], closed_form[s0:s1]) if cf],
                            bs._sa[j0:j1], H)
             q = g if q is None else GramData(np.add(g.H, q.H, out=q.H), g.u + q.u, g.c0 + q.c0)
         yield q

@@ -34,6 +34,7 @@ have alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,10 @@ class QuadratureSettings:
     abs_tol: float = 1e-9
 
     def __post_init__(self):
+        # a bool is an int to isinstance, and True would be a tolerance of 1
+        if isinstance(self.abs_tol, bool) or not isinstance(self.abs_tol, numbers.Real):
+            raise SceneConfigError(
+                f"quadrature tolerance must be a real number, got {self.abs_tol!r}")
         # an infinite one would report an infinite slack as if certified
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
             raise SceneConfigError(

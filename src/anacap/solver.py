@@ -223,8 +223,3 @@ def gamma_bounds(sc: Scene, schedule, settings: QuadratureSettings | None = None
     t0 = time.perf_counter()
     sc = validate_scene(sc)
     return _brackets(sc, BasisSet(build_basis(sc, schedule)), settings, t0)[0]
-
-
-def refine(sc: Scene, ladder, settings: QuadratureSettings | None = None) -> list[BoundsResult]:
-    """Run a ladder of nested schedules; brackets tighten monotonically."""
-    return [gamma_bounds(sc, sched, settings) for sched in ladder]

@@ -211,9 +211,15 @@ def asymptotic_check(centers, m: int, schedule: Schedule,
 
 
 def fit_quadratic_slope(radii, ratio_values) -> float:
-    """Least squares fit of (1 - R)/r^2 = C + D r^2; returns C."""
+    """Least squares fit of (1 - R)/r^2 = C + D r^2; returns C.  The fit has
+    two parameters, so it needs two finite positive radii or more and one
+    value per radius; anything else is a ValueError."""
     r = np.asarray(radii, float)
-    y = (1.0 - np.asarray(ratio_values, float)) / r ** 2
+    R = np.asarray(ratio_values, float)
+    if r.ndim != 1 or r.size < 2 or R.shape != r.shape or not np.all(np.isfinite(r) & (r > 0)):
+        raise ValueError(f"need two or more finite positive radii and one value per radius, "
+                         f"got radii {radii!r} and values {ratio_values!r}")
+    y = (1.0 - R) / r ** 2
     A = np.stack([np.ones_like(r), r ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     return float(coef[0])

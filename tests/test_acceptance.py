@@ -22,7 +22,7 @@ from anacap.discrete import (
 from anacap.geometry import Disk, Ellipse, Polygon, arcs, scene, transform, validate_scene
 from anacap.integrals import assemble_gram, circle_pair_integral
 from anacap.quadrature import QuadratureSettings, integrate_arc
-from anacap.solver import bounds_for_basis, gamma_bounds, refine
+from anacap.solver import bounds_for_basis, gamma_bounds
 from anacap.sublab import (
     CERTIFIED_DECREASE,
     asymptotic_check,
@@ -56,7 +56,7 @@ def test_criterion_1_two_disk_row_one_exact():
 
 def test_criterion_2_two_disk_ladder_convergence():
     t0 = time.perf_counter()
-    results = refine(TWO_DISKS, [Rings(k) for k in range(5)])
+    results = [gamma_bounds(TWO_DISKS, Rings(k)) for k in range(5)]
     dt = time.perf_counter() - t0
     lowers = [r.lower for r in results]
     uppers = [r.upper for r in results]

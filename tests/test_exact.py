@@ -291,3 +291,11 @@ def test_u_domain_errors():
         log_deriv_u(1.5)
     with pytest.raises(DomainError):
         log_deriv_u(0.5, terms=0)
+
+
+@pytest.mark.parametrize("terms", [True, False, 2.5, 8.0, "8"])
+def test_u_term_count_is_an_integer(terms):
+    # True would sum one term, and 2.5 would stop range with an untyped TypeError
+    for f in (log_deriv_u, log_deriv_u_upper):
+        with pytest.raises(DomainError, match="terms must be an integer"):
+            f(0.5, terms)

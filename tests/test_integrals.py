@@ -16,7 +16,8 @@ from anacap.basis import (
     build_basis,
 )
 from anacap.errors import MaxDepthError, NonRationalBasisError, PoleOnContourError
-from anacap.geometry import Disk, Ellipse, Polygon, arcs, scene, validate_scene
+from anacap.geometry import (ArcChain, CircularArc, Disk, Ellipse, Polygon, arcs, scene,
+                             validate_scene)
 from anacap.integrals import (
     GramData,
     _assemble_grams,
@@ -25,7 +26,7 @@ from anacap.integrals import (
     circle_pair_integral,
 )
 from anacap.quadrature import QuadratureSettings, integrate_arc
-from anacap.solver import bounds_for_basis
+from anacap.solver import bounds_for_basis, gamma_bounds
 from anacap.sublab import max_sweep_radius, random_configuration
 
 from conftest import (MIXED_SHAPES, cantor_disks, each_piece, eighteen_disks, half_disk,
@@ -304,11 +305,40 @@ def test_first_order_pole_bases_take_the_disk_kernel(basis, monkeypatch):
                     for a in funcs]) / TWO_PI
     scale = np.sqrt(np.outer(ref.diagonal().real, ref.diagonal().real))
     assert np.all(np.abs(g.H - ref) <= 4 * EPS * scale)
-    # the route these bases took before: every disk through quadrature
-    monkeypatch.setattr(integrals, "Disk", type("NotADisk", (), {}))
-    q = bounds_for_basis(sc, funcs)
+    # the quadrature route: the same disks, each bounded by two half circles
+    halves = scene([ArcChain((CircularArc(d.center, d.radius, 0.0, math.pi),
+                              CircularArc(d.center, d.radius, math.pi, 2 * math.pi)))
+                    for d in sc.shapes])
+    q = bounds_for_basis(halves, funcs)
     assert len(calls) == 1
     assert abs(res.lower - q.lower) <= res.slack and abs(res.upper - q.upper) <= res.slack
+
+
+def test_a_circle_takes_the_disk_kernel_however_it_is_written(monkeypatch):
+    # two unit circles as disks, as ellipses with equal axes and as arc chains
+    # of one whole turn from three start angles: each boundary is one
+    # whole-turn piece with d = 0, so each takes the disk kernel, with no
+    # quadrature, and all give one Gram and one bracket, bitwise
+    calls = []
+
+    def counting_integrate_arc(*args, **kwargs):
+        calls.append(args)
+        return integrate_arc(*args, **kwargs)
+
+    monkeypatch.setattr(integrals, "integrate_arc", counting_integrate_arc)
+    centers = (-2 + 0j, 2 + 0j)
+    forms = [[Disk(c, 1.0) for c in centers], [Ellipse(c, 1.0, 1.0) for c in centers]]
+    forms += [[ArcChain((CircularArc(c, 1.0, th, th + 2 * math.pi),)) for c in centers]
+              for th in (0.0, 1.3, -2.0)]
+    grams, brackets = set(), set()
+    for shapes in forms:
+        sc = validate_scene(scene(shapes))
+        g = assemble_gram(sc, build_basis(sc, Rings(2)))
+        grams.add((g.H.tobytes(), g.u.tobytes(), g.c0))
+        r = gamma_bounds(sc, Rings(2))
+        brackets.add((r.lower, r.upper, r.n_basis, r.solve_residual, r.slack))
+    assert calls == []
+    assert len(grams) == 1 and len(brackets) == 1
 
 
 def test_circle_pair_integral_small_far_disk_against_mpmath():
@@ -618,7 +648,7 @@ def test_disk_gram_is_its_upper_triangle_whatever_the_lower_one_holds():
     H = np.resize(SPECIALS, (bs.n, bs.n))
     lower = np.tril_indices(bs.n, -1)
     before = H[lower].tobytes()
-    g = integrals._disk_gram(list(sc.shapes), bs._sa, H)
+    g = integrals._disk_gram([arcs(d)[0] for d in sc.shapes], bs._sa, H)
     assert g.H is H
     assert np.triu(g.H).tobytes() == np.triu(want.H).tobytes()
     assert g.u.tobytes() == want.u.tobytes() and g.c0 == want.c0
@@ -643,7 +673,7 @@ def test_split_grams_in_a_buffer_of_nan_and_inf_have_fresh_bits():
         buf.ravel()[:] = np.resize(SPECIALS, buf.size)
         size = len(poles)
         H = buf.reshape(-1)[:size * size].reshape(size, size)
-        g = integrals._disk_gram(list(disks), poles, H)
+        g = integrals._disk_gram([arcs(d)[0] for d in disks], poles, H)
         assert np.shares_memory(g.H, buf)
         assert np.triu(g.H).tobytes() == np.triu(w.H).tobytes()
         assert g.u.tobytes() == w.u.tobytes() and g.c0 == w.c0
@@ -999,10 +1029,11 @@ def test_warm_disk_kernel_holds_few_disks_by_poles_arrays():
     sc = validate_scene(scene(cantor_disks(3)))
     bs = BasisSet(build_basis(sc, Rings(4)))
     H = np.empty((bs.n, bs.n), complex)
-    integrals._disk_gram(list(sc.shapes), bs._sa, H)
+    circles = [arcs(d)[0] for d in sc.shapes]
+    integrals._disk_gram(circles, bs._sa, H)
     tracemalloc.start()
     try:
-        integrals._disk_gram(list(sc.shapes), bs._sa, H)
+        integrals._disk_gram(circles, bs._sa, H)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1039,7 +1070,7 @@ def test_quadrature_blocks_have_an_exactly_real_diagonal(shapes, schedule):
     # Gram's finishing step need not drop an imaginary part there
     sc = validate_scene(scene(shapes))
     bs = BasisSet(build_basis(sc, schedule))
-    for G in integrals._quad_blocks(bs, list(sc.shapes), QuadratureSettings()):
+    for G in integrals._quad_blocks(bs, [arcs(s) for s in sc.shapes], QuadratureSettings()):
         assert not np.diag(G).imag.any()
 
 

@@ -3,9 +3,9 @@
 ``basis`` and ``geometry`` sit below the assembly and solve layers, so that a
 verifier of brackets can evaluate members on a boundary from them alone; the
 exact corner displacements of a boundary piece are spliced into member
-values in ``basis`` only (``BasisSet.eval_parts``); and ``basis`` reads every
-boundary in the coefficient form of ``geometry.arcs``, naming no shape or
-piece class.
+values in ``basis`` only (``BasisSet.eval_parts``); and ``basis``, like the
+assembly and solve layers above it, reads every boundary in the coefficient
+form of ``geometry.arcs``, naming no shape or piece class.
 """
 
 import ast
@@ -70,8 +70,9 @@ def test_only_basis_splices_corner_displacements():
     assert _callers_of(_tree("basis"), DISPLACEMENTS)
 
 
-def test_basis_names_no_shape_or_piece_class():
-    assert not _names(_tree("basis")) & SHAPE_CLASSES
+@pytest.mark.parametrize("name", ["basis", "integrals", "quadrature", "solver"])
+def test_names_no_shape_or_piece_class(name):
+    assert not _names(_tree(name)) & SHAPE_CLASSES
 
 
 def test_the_checks_see_what_they_look_for():

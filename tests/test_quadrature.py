@@ -29,6 +29,18 @@ def test_settings_validation():
     assert DEFAULT.abs_tol == 1e-9
 
 
+@pytest.mark.parametrize("bad", [True, False, "x", 1e-9 + 0j, None])
+def test_settings_tolerance_is_a_real_number(bad):
+    # True would be a tolerance of 1, and a string would raise an untyped TypeError
+    with pytest.raises(SceneConfigError, match="must be a real number"):
+        QuadratureSettings(abs_tol=bad)
+
+
+def test_settings_take_numpy_floats():
+    assert QuadratureSettings(np.float64(1e-10)).abs_tol == 1e-10
+    assert QuadratureSettings(np.float32(1e-6)).abs_tol == np.float32(1e-6)
+
+
 def test_unit_circle_perimeter():
     (arc,) = arcs(Disk(0, 1.0))
     val = integrate_arc(each_piece(lambda t, z, s1, w: np.ones_like(z) @ w), [arc], TIGHT)[0]

@@ -26,7 +26,6 @@ from anacap.solver import (
     bounds_for_basis,
     gamma_bounds,
     lower_bound,
-    refine,
     upper_bound,
 )
 from conftest import MIXED_SHAPES, cantor_disks, eighteen_disks, half_disk, random_points
@@ -109,11 +108,11 @@ def test_four_ellipse_modest_schedule():
     assert res.lower <= 5.3719956 <= res.upper
 
 
-# --- refine ladders ---------------------------------------------------------
+# --- schedule ladders -------------------------------------------------------
 
-def test_refine_two_disk_ladder(two_disks):
+def test_two_disk_ladder(two_disks):
     ladder = [Rings(k) for k in range(5)]  # 1, 5, 9, 13, 17 poles per disk
-    results = refine(two_disks, ladder)
+    results = [gamma_bounds(two_disks, sched) for sched in ladder]
     lowers = [r.lower for r in results]
     uppers = [r.upper for r in results]
     assert all(b >= a - 1e-12 for a, b in zip(lowers, lowers[1:]))
@@ -122,9 +121,9 @@ def test_refine_two_disk_ladder(two_disks):
     assert results[-1].upper - results[-1].lower < 1e-9
 
 
-def test_refine_square_ladder(unit_square):
-    results = refine(unit_square, [Powers(n) for n in (2, 4, 8)],
-                     QuadratureSettings(1e-9))
+def test_square_ladder(unit_square):
+    results = [gamma_bounds(unit_square, Powers(n), QuadratureSettings(1e-9))
+               for n in (2, 4, 8)]
     uppers = [r.upper for r in results]
     lowers = [r.lower for r in results]
     assert all(b <= a + 1e-12 for a, b in zip(uppers, uppers[1:]))
@@ -133,7 +132,7 @@ def test_refine_square_ladder(unit_square):
 
 
 def test_trivial_ladder(two_disks):
-    results = refine(two_disks, [Rings(1)])
+    results = [gamma_bounds(two_disks, sched) for sched in [Rings(1)]]
     assert len(results) == 1
 
 

@@ -398,6 +398,19 @@ def test_asymptotic_check_needs_two_radii(levels):
         asymptotic_check(PAIR, 1, Rings(3), r0=0.4, levels=levels)
 
 
+@pytest.mark.parametrize("radii, values", [
+    ([0.4], [0.99]),
+    ([], []),
+    ([0.1, 0.2], [0.99]),
+    ([0.0, 0.2], [1.0, 0.98]),
+], ids=["one-radius", "no-radius", "mismatched", "zero-radius"])
+def test_slope_fit_needs_two_positive_radii_and_a_value_each(radii, values):
+    # two parameters from one point, from none, from values that broadcast
+    # or over r = 0 (a nan) are not a fit
+    with pytest.raises(ValueError, match="two or more finite positive radii"):
+        fit_quadratic_slope(radii, values)
+
+
 def test_asymptotic_slope_on_exact_curve():
     radii = [0.4 * 2 ** (-k) for k in range(6)]
     mids = [exact_ratio(r) for r in radii]
