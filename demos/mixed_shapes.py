@@ -21,7 +21,7 @@ def half_disk(center, r=0.5):
 SCENE = ac.scene([ac.Disk(0j, 1.0), half_disk(3 + 0j), half_disk(3j)])
 
 for shape in SCENE.shapes[1:2]:
-    for c in ac.corners(shape):
+    for c in ac.corners(ac.arcs(shape)):
         print(f"corner at {c.location:.3f} with complement angle "
               f"{c.omega_angle / math.pi:.3f} pi")
 

@@ -11,7 +11,8 @@ A ``Schedule`` describes how to populate a scene with basis functions:
 ``Rings(layers)`` lays first-order poles on interior rings of a shape bounded
 by one whole-turn piece (a disk, an ellipse),
 ``Powers(n, with_corners)`` uses 1/(z-c)^k ladders at the interior anchor,
-optionally augmented with the corner-adapted family.
+optionally augmented with the corner-adapted family.  Every placement reads
+a shape's boundary pieces from ``Scene.boundaries``, not the shape.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import geometry
 from .errors import BranchCutError, PoleEvaluationError, SceneConfigError
-from .geometry import Scene, Shape
+from .geometry import ParametricArc, Scene
 
 
 @dataclass(frozen=True)
@@ -113,12 +114,11 @@ class Powers:
 Schedule = Union[Rings, Powers]
 
 
-def _ring_layout(shape: Shape, layers: int) -> list[complex]:
-    """4*layers + 1 points strictly inside a shape bounded by one whole-turn
-    piece p0 + b e + d conj(e) of ``geometry.arcs`` (a disk, an ellipse): p0
-    and, for m = 1 .. layers, p0 +- m u/(layers + 1) and p0 +- m v/(layers + 1)
-    on the semi-axes u = b + d and v = i (b - d); a disk's are r and i r."""
-    pieces = geometry.arcs(shape)
+def _ring_layout(pieces: list[ParametricArc], layers: int) -> list[complex]:
+    """4*layers + 1 points strictly inside a boundary of one whole-turn piece
+    p0 + b e + d conj(e) (a disk, an ellipse): p0 and, for m = 1 .. layers,
+    p0 +- m u/(layers + 1) and p0 +- m v/(layers + 1) on the semi-axes
+    u = b + d and v = i (b - d); a disk's are r and i r."""
     if len(pieces) != 1 or abs(pieces[0].turns) != 1:
         raise SceneConfigError("Rings schedule applies to disks and ellipses only")
     pc = pieces[0]
@@ -158,8 +158,8 @@ def _shape_counted_basis(sc: Scene, schedule) -> tuple[list[BasisFunction], list
         raise SceneConfigError("need one schedule per shape")
     out: list[BasisFunction] = []
     counts = []
-    for shape, mode in zip(sc.shapes, per_shape):
-        funcs = _shape_basis(shape, mode)
+    for pieces, mode in zip(sc.boundaries, per_shape):
+        funcs = _shape_basis(pieces, mode)
         out.extend(funcs)
         counts.append(len(funcs))
     if len(set(out)) != len(out):
@@ -167,15 +167,15 @@ def _shape_counted_basis(sc: Scene, schedule) -> tuple[list[BasisFunction], list
     return out, counts
 
 
-def _shape_basis(shape: Shape, mode) -> list[BasisFunction]:
+def _shape_basis(pieces: list[ParametricArc], mode) -> list[BasisFunction]:
     if isinstance(mode, Rings):
-        return [PowerPole(a, 1) for a in _ring_layout(shape, mode.layers)]
-    c = geometry.interior_anchor(shape)
+        return [PowerPole(a, 1) for a in _ring_layout(pieces, mode.layers)]
+    c = geometry.interior_anchor(pieces)
     out: list[BasisFunction] = [PowerPole(c, k) for k in range(1, mode.n + 1)]
     if mode.with_corners:
-        corner_list = geometry.corners(shape)
+        corner_list = geometry.corners(pieces)
         if corner_list:
-            _require_star_shaped(shape, c)
+            _require_star_shaped(pieces, c)
         for corner in corner_list:
             beta = corner_exponent(corner.omega_angle)
             out += [CornerAdapted(c, corner.location, beta, k)
@@ -183,13 +183,13 @@ def _shape_basis(shape: Shape, mode) -> list[BasisFunction]:
     return out
 
 
-def _require_star_shaped(shape: Shape, c: complex) -> None:
+def _require_star_shaped(pieces: list[ParametricArc], c: complex) -> None:
     """Exact test that arg(z - c) strictly increases along the boundary.
 
     The branch cut of each corner function is the segment (corner, c); it
     stays inside the shape when the shape is star-shaped about c, which for
     a positively oriented simple boundary is exactly this monotonicity.  It
-    holds piece by piece, on the pieces of ``geometry.arcs``:
+    holds piece by piece:
 
     * segment p0 -> p0 + p1: Im(conj(p0 - c) p1) > 0;
     * arc p0 + |b| e^{i theta}, theta from arg e0 over 2 pi turns, with
@@ -197,7 +197,7 @@ def _require_star_shaped(shape: Shape, c: complex) -> None:
       has the sign of s (|b| + Re(conj(w) e^{i theta})), whose extremes in
       theta lie at the two ends and at theta = arg w + k pi inside the arc.
     """
-    for arc in geometry.arcs(shape):
+    for arc in pieces:
         if not arc.turns:
             ok = ((arc.p0 - c).conjugate() * arc.p1).imag > 0
         else:
@@ -220,7 +220,7 @@ def _require_poles_inside(sc: Scene, funcs) -> None:
     """Exact test that each member's pole is strictly inside a shape of sc and
     that a corner member's branch cut (a, c) stays in that shape: a is one of
     its corners and it is star-shaped about c, as under ``Powers``."""
-    boundaries = [geometry.arcs(s) for s in sc.shapes]
+    boundaries = sc.boundaries
     for b in funcs:
         i = next((i for i, pieces in enumerate(boundaries)
                   if geometry._winding_number(pieces, b.c)), None)
@@ -228,18 +228,18 @@ def _require_poles_inside(sc: Scene, funcs) -> None:
             raise SceneConfigError(
                 f"the pole of basis member {b!r} is not strictly inside a shape of the scene")
         if isinstance(b, CornerAdapted):
-            pts = np.array([k.location for k in geometry.corners(sc.shapes[i])], complex)
+            pts = np.array([k.location for k in geometry.corners(boundaries[i])], complex)
             if _matching_corner(pts, [b.a], boundaries[i])[0] is None:
                 raise SceneConfigError(f"the branch point of basis member {b!r} is not a "
                                        "corner of the shape that holds its pole")
             try:
-                _require_star_shaped(sc.shapes[i], b.c)
+                _require_star_shaped(boundaries[i], b.c)
             except SceneConfigError as exc:
                 raise SceneConfigError(f"basis member {b!r}: {exc}") from None
 
 
 def _matching_corner(corner_pts: np.ndarray, points, pieces) -> list:
-    """For each point of the boundary made of ``pieces`` (``geometry.arcs``),
+    """For each point of the boundary made of ``pieces``,
     the corner point within 1e-12 max(1, largest |start of a piece|) of it,
     or None: a scale that does not depend on where the boundary starts."""
     if not corner_pts.size:
@@ -390,7 +390,7 @@ class BasisSet:
         return out
 
     def corner_ends(self, pieces) -> list[tuple]:
-        """(piece, a0, a1) for each piece of one boundary (``geometry.arcs``),
+        """(piece, a0, a1) for each piece of one boundary (``Scene.boundaries``),
         a0 and a1 the corner anchors at its start and its end, or None."""
         starts = _matching_corner(self._ga[:, 0], [p.start for p in pieces], pieces)
         ends = _matching_corner(self._ga[:, 0], [p.end for p in pieces], pieces)

@@ -14,15 +14,16 @@ many analytic pieces.  The module knows how to
   boundary is covered by chords that carry their sagitta bounds, and only
   chord pairs whose lower bound is not yet above rounding are halved); no
   gap is measured,
-* list the corners of a shape together with the angle the complement
+* list the corners of a boundary together with the angle the complement
   occupies there,
 * pick an interior anchor point for pole placement, exactly: the mean of
   the pieces' parameter means, or an inward probe when that is not inside,
   and
 * apply affine maps z -> a*z + b.
 
-``Segment`` and ``CircularArc`` are input records of an :class:`ArcChain`;
-only :func:`arcs` and the field table (``_TYPES``), which the JSON schema and
+:attr:`Scene.boundaries` forms each shape's pieces once, for every stage.
+The shapes and the pieces of an :class:`ArcChain` are input records: only
+:func:`arcs` and the field table (``_TYPES``), which the JSON schema and
 :func:`transform` read, name them.
 
 Points are plain ``complex`` numbers throughout.
@@ -31,6 +32,7 @@ Points are plain ``complex`` numbers throughout.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -239,6 +241,12 @@ class Scene:
             if lab not in ("E", "F"):
                 raise SceneConfigError(f"label must be 'E' or 'F', got {lab!r}")
 
+    @functools.cached_property
+    def boundaries(self) -> tuple[list[ParametricArc], ...]:
+        """Each shape's :func:`arcs`, formed on the first read and kept with
+        this scene object; no part of its equality, hash or repr."""
+        return tuple(map(arcs, self.shapes))
+
 
 def scene(shapes, labels=None) -> Scene:
     """Convenience constructor; labels default to all-'E'."""
@@ -367,15 +375,6 @@ def _signed_area(pieces: list[ParametricArc]) -> float:
     return 0.5 * area
 
 
-def point_in_shape(s: Shape, z: complex) -> bool:
-    """True iff z lies strictly inside s (points on the boundary are outside).
-
-    Each call builds the boundary pieces; a caller that tests many points
-    builds ``arcs(s)`` once and reads :func:`_winding_number`.
-    """
-    return _winding_number(arcs(s), z) != 0
-
-
 def _winding_number(pieces: list[ParametricArc], z: complex) -> int:
     """Winding number of the closed boundary about z, in closed form.
 
@@ -420,8 +419,8 @@ def _winding_number(pieces: list[ParametricArc], z: complex) -> int:
 # core operations
 
 
-def corners(s: Shape) -> list[Corner]:
-    """Corners of a shape with the complement-side angle at each.
+def corners(pieces: list[ParametricArc]) -> list[Corner]:
+    """Corners of a boundary (a shape's pieces) with the complement-side angle at each.
 
     Smooth shapes (disks, ellipses) have none.  For polygons and arc chains,
     every junction where the tangent turns by more than 1e-9 becomes a corner
@@ -431,7 +430,6 @@ def corners(s: Shape) -> list[Corner]:
     :class:`DegenerateShapeError`.  Corners come in boundary order, from the
     start of the first piece (a polygon's first vertex).
     """
-    pieces = arcs(s)
     out = []
     for i, arc in enumerate(pieces):
         turn = cmath.phase(arc.velocity(0) / pieces[i - 1].velocity(1))
@@ -491,8 +489,8 @@ def _turn(t):
     return np.exp((t - 0.25 * q) * (2j * math.pi)) * _QUARTER_TURNS.take(q.astype(int), mode="wrap")
 
 
-def interior_anchor(s: Shape) -> complex:
-    """A point strictly inside the shape, used as the default pole center.
+def interior_anchor(pieces: list[ParametricArc]) -> complex:
+    """A point strictly inside a boundary, used as the default pole center.
 
     The mean over the pieces of each piece's exact parameter mean
     p0 + p1/2 + b m + d conj(m), m = (e(1) - e0)/(2 pi i turns) the mean of
@@ -503,7 +501,6 @@ def interior_anchor(s: Shape) -> complex:
     p +- h, p +- i h, h = (f/2) i z'(1/2): so a probe on another piece is
     refused whichever side of it rounding puts it.
     """
-    pieces = arcs(s)
     cand = sum(map(_mean_point, pieces)) / len(pieces)
     if _winding_number(pieces, cand):
         return cand
@@ -514,7 +511,7 @@ def interior_anchor(s: Shape) -> complex:
             h = 0.5 * frac * inward
             if all(_winding_number(pieces, p + dz) for dz in (0, h, -h, 1j * h, -1j * h)):
                 return p
-    raise DegenerateShapeError(f"could not find an interior point of {type(s).__name__}")
+    raise DegenerateShapeError("could not find an interior point of the boundary")
 
 
 def _mean_point(arc: ParametricArc) -> complex:
@@ -541,22 +538,23 @@ def transform(sc: Scene, a: complex, b: complex = 0j) -> Scene:
 
 
 def validate_scene(sc: Scene) -> Scene:
-    """Check every shape's ``arcs`` by :func:`_check_boundary`, one rule set
-    for every shape kind, then the pairwise disjointness of their closures.
+    """Check ``sc.boundaries`` by :func:`_check_boundary`, one rule set for
+    every shape kind, then the pairwise disjointness of their closures.
 
-    Returns the scene unchanged.  Every pair is first settled, if it can be,
-    by the shapes' enclosing disks (:func:`_enclosing_disk`,
-    :func:`_disks_apart`), which for a disk is the disk itself, so a circle
-    gets one verdict as a ``Disk`` or an ``Ellipse``; the rest go through one
-    call of the chord-bound kernel :func:`_certified_gaps`, which sees
-    crossing boundaries exactly and stops once each gap is certified above
-    rounding; no gap is measured.  A shape inside another is found by the
-    exact winding number.  Raises :class:`OverlapError` for any pair whose
-    gap is not certified positive.  Deterministic.
+    Returns the same scene, its boundaries formed.  Every pair is first
+    settled, if it can be, by the shapes' enclosing disks
+    (:func:`_enclosing_disk`, :func:`_disks_apart`), which for a disk is the
+    disk itself, so a circle gets one verdict as a ``Disk`` or an
+    ``Ellipse``; the rest go through one call of the chord-bound kernel
+    :func:`_certified_gaps`, which sees crossing boundaries exactly and stops
+    once each gap is certified above rounding; no gap is measured.  A shape
+    inside another is found by the exact winding number.  Raises
+    :class:`OverlapError` for any pair whose gap is not certified positive.
+    Deterministic.
     """
     if not sc.shapes:
         raise SceneConfigError("scene needs at least one shape")
-    pieces = [arcs(s) for s in sc.shapes]
+    pieces = sc.boundaries
     for p in pieces:
         _check_boundary(p)
     disks = [_enclosing_disk(p) for p in pieces]

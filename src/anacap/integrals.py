@@ -6,7 +6,7 @@ The Gram data of a scene consists of
 * ``u[j]   = (1/2pi) \\oint g_j(z) |dz|``,
 * ``c0     = (boundary length) / 2pi``.
 
-For a circle, a boundary of one whole-turn piece of ``geometry.arcs`` with
+For a circle, a boundary (``Scene.boundaries``) of one whole-turn piece with
 d = 0, under a basis of first-order poles Gram assembly uses the Hardy-space
 split: 1/(z - a) is in H^2 of the disk for a outside and in its orthogonal
 complement for a inside, so a pair on opposite sides contributes exactly
@@ -62,7 +62,7 @@ import numpy as np
 from ._lapack import zherk
 from .basis import BasisFunction, BasisSet, PowerPole
 from .errors import NonRationalBasisError, PoleOnContourError
-from .geometry import ParametricArc, Scene, arcs
+from .geometry import ParametricArc, Scene
 from .quadrature import QuadratureSettings, _within, integrate_arc
 
 TWO_PI = 2.0 * math.pi
@@ -271,7 +271,7 @@ class GramData:
 
 def _quad_blocks(bs: BasisSet, boundaries: list[list[ParametricArc]],
                  settings: QuadratureSettings) -> list[np.ndarray]:
-    """Bordered Gram blocks of boundaries (``geometry.arcs``) by
+    """Bordered Gram blocks of boundaries (``Scene.boundaries``) by
     node-and-weight quadrature, one (n+1) x (n+1) block per boundary, from
     one ladder over all their pieces.
 
@@ -415,7 +415,7 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
     if split is not None:
         m, k = split
         groups += [(0, m, 0, k), (m, len(sc.shapes), k, n)]
-    boundaries = [arcs(s) for s in sc.shapes]
+    boundaries = sc.boundaries
     closed_form = [bs.all_simple and len(b) == 1 and abs(b[0].turns) == 1 and b[0].d == 0
                    for b in boundaries]
     quad = [i for i, cf in enumerate(closed_form) if not cf]

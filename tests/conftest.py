@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anacap
 from anacap.basis import CornerAdapted, PowerPole
 from anacap.geometry import ArcChain, CircularArc, Disk, Polygon, Scene, Segment, scene
 from anacap.sublab import max_sweep_radius, random_configuration
@@ -109,3 +114,17 @@ def same_bits(x, y) -> bool:
     x, y = np.asarray(x, complex), np.asarray(y, complex)
     return x.shape == y.shape and np.array_equal(x.reshape(-1).view(np.uint64),
                                                  y.reshape(-1).view(np.uint64))
+
+
+SRC = str(Path(anacap.__file__).resolve().parents[1])
+
+
+def run_fresh(code: str) -> str:
+    """The standard output of ``python -c code`` in a fresh interpreter that
+    imports this ``anacap``."""
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout

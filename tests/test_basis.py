@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from anacap import geometry
 from anacap.basis import (
     BasisSet,
     CornerAdapted,
@@ -212,10 +213,8 @@ def test_rings_on_ellipse():
     e = Ellipse(0, 2.0, 1.0)
     basis = build_basis(validate_scene(scene([e])), Rings(1))
     assert len(basis) == 5
-    from anacap.geometry import point_in_shape
-
     for b in basis:
-        assert point_in_shape(e, b.c)
+        assert geometry._winding_number(arcs(e), b.c) != 0
 
 
 def test_non_star_shape_with_corners_rejected():
@@ -240,9 +239,9 @@ def test_star_shape_arc_checked_between_its_ends():
     from anacap.basis import _require_star_shaped
 
     hd = ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, math.pi)))
-    _require_star_shaped(hd, 0.5j)
+    _require_star_shaped(arcs(hd), 0.5j)
     with pytest.raises(SceneConfigError):
-        _require_star_shaped(hd, -0.5 + 1.2j)
+        _require_star_shaped(arcs(hd), -0.5 + 1.2j)
 
 
 def test_vanishing_at_infinity(two_disks):

@@ -24,7 +24,6 @@ from anacap.geometry import (
     arcs,
     corners,
     interior_anchor,
-    point_in_shape,
     scene,
     scene_from_config,
     scene_to_config,
@@ -43,7 +42,7 @@ BITE = ArcChain((CircularArc(0j, 1.5, math.pi / 2, -math.pi / 2), Segment(-1.5j,
 
 def boundary_length(s) -> float:
     """2 pi c0 of a one-member Gram: the length every upper bound starts from."""
-    gram = assemble_gram(scene([s]), [PowerPole(interior_anchor(s), 1)],
+    gram = assemble_gram(scene([s]), [PowerPole(interior_anchor(arcs(s)), 1)],
                          QuadratureSettings(1e-13))
     return 2 * math.pi * gram.c0
 
@@ -157,7 +156,7 @@ def test_tiny_disk_nested_in_half_disk_rejected():
     hd = half_disk(3 + 0j, 0.5)
     theta = 100.5 * math.pi / 512
     tiny = Disk(3 + (0.5 - 1e-6) * cmath.exp(1j * theta), 1e-8)
-    assert point_in_shape(hd, tiny.center)
+    assert geometry._winding_number(arcs(hd), tiny.center) != 0
     with pytest.raises(OverlapError):
         validate_scene(scene([hd, tiny]))
 
@@ -176,12 +175,12 @@ def test_point_in_shape_exact_on_concave_arc(rng):
     pts = rng.uniform(-0.5, 3.5, 4000) + 1j * rng.uniform(-2, 2, 4000)
     for z in pts:
         inside = abs(z) > r and 0 < z.real < 3 and abs(z.imag) < 1.5
-        assert point_in_shape(BITE, complex(z)) == inside
+        assert (geometry._winding_number(arcs(BITE), complex(z)) != 0) == inside
     # points 1e-12 either side of the arc
     for phi in (-1.2, 0.0, 0.7):
         u = cmath.exp(1j * phi)
-        assert point_in_shape(BITE, (r + 1e-12) * u)
-        assert not point_in_shape(BITE, (r - 1e-12) * u)
+        assert geometry._winding_number(arcs(BITE), (r + 1e-12) * u) != 0
+        assert geometry._winding_number(arcs(BITE), (r - 1e-12) * u) == 0
 
 
 @pytest.mark.parametrize("shape, z", [
@@ -191,7 +190,7 @@ def test_point_in_shape_exact_on_concave_arc(rng):
     (Disk(1j, 2.0), 1 - 1j), (Ellipse(0j, 2.0, 1.0), 2 + 0j), (Ellipse(0j, 2.0, 1.0), -1j),
 ])
 def test_boundary_points_are_outside(shape, z):
-    assert not point_in_shape(shape, z)
+    assert geometry._winding_number(arcs(shape), z) == 0
 
 
 def test_points_on_a_chord_inside_its_arc_disk():
@@ -200,14 +199,15 @@ def test_points_on_a_chord_inside_its_arc_disk():
     dome = ArcChain((CircularArc(0j, 1.0, -math.pi / 2, math.pi / 2), Segment(1j, -1 + 1j),
                      Segment(-1 + 1j, -1 - 1j), Segment(-1 - 1j, -1j)))
     for y in (-0.5, -0.3, 0.0, 0.3, 0.5):
-        assert point_in_shape(dome, complex(0, y))
-        assert not point_in_shape(BITE, complex(0, y))
+        assert geometry._winding_number(arcs(dome), complex(0, y)) != 0
+        assert geometry._winding_number(arcs(BITE), complex(0, y)) == 0
 
 
 def test_full_circle_arc_chain_contains_its_centre():
     ring = ArcChain((CircularArc(1 + 1j, 2.0, 0.5, 0.5 + 2 * math.pi),))
-    assert point_in_shape(ring, 1 + 1j) and point_in_shape(ring, 2.9 + 1j)
-    assert not point_in_shape(ring, 3.1 + 1j)
+    assert geometry._winding_number(arcs(ring), 1 + 1j) != 0
+    assert geometry._winding_number(arcs(ring), 2.9 + 1j) != 0
+    assert geometry._winding_number(arcs(ring), 3.1 + 1j) == 0
 
 
 # --- certified gaps: disk placed along an outward normal ---------------------
@@ -570,12 +570,12 @@ def test_bad_labels_rejected():
 # --- corners ----------------------------------------------------------------
 
 def test_disk_and_ellipse_have_no_corners():
-    assert corners(Disk(0, 1.0)) == []
-    assert corners(Ellipse(0, 2.0, 1.0)) == []
+    assert corners(arcs(Disk(0, 1.0))) == []
+    assert corners(arcs(Ellipse(0, 2.0, 1.0))) == []
 
 
 def test_square_corners_omega():
-    cs = corners(SQUARE)
+    cs = corners(arcs(SQUARE))
     assert len(cs) == 4
     assert {c.location for c in cs} == {1 + 0j, 1j, -1 + 0j, -1j}
     for c in cs:
@@ -585,7 +585,7 @@ def test_square_corners_omega():
 def test_half_disk_corners():
     # interior angle pi/2 where the diameter meets the semicircle, so the
     # complement occupies 3*pi/2; oracle is the tangent-vector computation
-    cs = corners(half_disk())
+    cs = corners(arcs(half_disk()))
     assert len(cs) == 2
     locs = sorted([c.location for c in cs], key=lambda z: z.real)
     assert locs[0] == pytest.approx(2 + 0j, abs=1e-12)
@@ -601,7 +601,7 @@ def test_cusp_is_no_corner():
                       CircularArc(-0.5 + 0j, 0.5, math.pi, 2 * math.pi),
                       CircularArc(0.5 + 0j, 0.5, math.pi, 2 * math.pi)))
     with pytest.raises(DegenerateShapeError, match="cusp"):
-        corners(chain)
+        corners(arcs(chain))
 
 
 @pytest.mark.parametrize("poly", [
@@ -611,7 +611,7 @@ def test_cusp_is_no_corner():
 ])
 def test_polygon_turning_angles_sum(poly):
     # sum of (omega - pi) over corners equals 2*pi for every simple polygon
-    total = sum(c.omega_angle - math.pi for c in corners(poly))
+    total = sum(c.omega_angle - math.pi for c in corners(arcs(poly)))
     assert total == pytest.approx(2 * math.pi, abs=1e-9)
 
 
@@ -708,12 +708,12 @@ def test_ellipse_perimeter_elliptic_oracle():
 # --- interior_anchor --------------------------------------------------------
 
 def test_anchor_examples():
-    assert interior_anchor(Disk(2, 1.0)) == 2
-    assert interior_anchor(SQUARE) == 0
+    assert interior_anchor(arcs(Disk(2, 1.0))) == 2
+    assert interior_anchor(arcs(SQUARE)) == 0
     tri = Polygon((0j, 1 + 0j, 1j))
-    anchor = interior_anchor(tri)
+    anchor = interior_anchor(arcs(tri))
     assert anchor == pytest.approx((1 + 1j) / 3, abs=1e-12)
-    assert point_in_shape(tri, anchor)
+    assert geometry._winding_number(arcs(tri), anchor) != 0
 
 
 def _edge_distance(vertices, z: complex) -> float:
@@ -726,14 +726,14 @@ def _edge_distance(vertices, z: complex) -> float:
 
 
 def test_anchor_inside_every_shape():
-    # checked against each shape's own interior, independently of point_in_shape
+    # checked against each shape's own interior, independently of the winding number
     e = Ellipse(3 + 1j, 2.0, 0.5, 0.7)
-    w = (interior_anchor(e) - e.center) * cmath.exp(-1j * e.rotation)
+    w = (interior_anchor(arcs(e)) - e.center) * cmath.exp(-1j * e.rotation)
     assert (w.real / e.semi_major) ** 2 + (w.imag / e.semi_minor) ** 2 < 1
-    z = interior_anchor(half_disk())  # the half-disk over [2, 4]
+    z = interior_anchor(arcs(half_disk()))  # the half-disk over [2, 4]
     assert z == pytest.approx(3 + 1j / math.pi, abs=1e-15)
     assert min(1 - abs(z - 3), z.imag) > 0
-    z = interior_anchor(L_SHAPE)
+    z = interior_anchor(arcs(L_SHAPE))
     assert (0 < z.real < 4 and 0 < z.imag < 1) or (0 < z.real < 1 and 0 < z.imag < 3)
     assert _edge_distance(L_SHAPE.vertices, z) > 0
 
@@ -745,7 +745,7 @@ def test_anchor_off_the_boundary_gives_a_bracket():
     from anacap.solver import bounds_for_basis, gamma_bounds
 
     sc = scene([L_SHAPE])
-    assert interior_anchor(L_SHAPE) == 2 + 0.4j
+    assert interior_anchor(arcs(L_SHAPE)) == 2 + 0.4j
     res = gamma_bounds(sc, Powers(4))
     # Ahlfors-Beurling: gamma >= sqrt(area / pi); the disk of radius 2.5
     # about 2 + 1.5j encloses the shape
@@ -764,7 +764,7 @@ def test_anchor_follows_a_rotation(angle):
 
     a = cmath.exp(1j * angle)
     sc = transform(scene([L_SHAPE]), a)
-    assert interior_anchor(sc.shapes[0]) == pytest.approx(a * (2 + 0.4j), abs=1e-14)
+    assert interior_anchor(arcs(sc.shapes[0])) == pytest.approx(a * (2 + 0.4j), abs=1e-14)
     res = gamma_bounds(sc, Powers(4))
     assert res.upper >= math.sqrt(6 / math.pi)
 
@@ -784,18 +784,19 @@ def test_transform_scales_disks(two_disks):
 
 def test_transform_rotates_square_corners():
     mapped = transform(scene([SQUARE]), 1j, 0).shapes[0]
-    orig = {c.location * 1j for c in corners(SQUARE)}
-    new = {c.location for c in corners(mapped)}
+    orig = {c.location * 1j for c in corners(arcs(SQUARE))}
+    new = {c.location for c in corners(arcs(mapped))}
     assert all(min(abs(a - b) for b in new) < 1e-12 for a in orig)
-    for c in corners(mapped):
+    for c in corners(arcs(mapped)):
         assert c.omega_angle == pytest.approx(1.5 * math.pi, abs=1e-12)
 
 
 def test_transform_preserves_corner_angles_generic():
     a = 0.7 - 1.3j
     tri = Polygon((0j, 2 + 0j, 1 + 2j))
-    before = sorted(c.omega_angle for c in corners(tri))
-    after = sorted(c.omega_angle for c in corners(transform(scene([tri]), a, 5j).shapes[0]))
+    before = sorted(c.omega_angle for c in corners(arcs(tri)))
+    mapped = transform(scene([tri]), a, 5j).shapes[0]
+    after = sorted(c.omega_angle for c in corners(arcs(mapped)))
     assert np.allclose(before, after, atol=1e-12)
 
 

@@ -5,25 +5,10 @@ imported first.  Each check runs in a fresh interpreter, because the tests
 import ``scipy.linalg`` themselves."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import anacap
-
-SRC = str(Path(anacap.__file__).resolve().parents[1])
-
-
-def run_fresh(code: str) -> str:
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=120)
-    assert out.returncode == 0, out.stderr
-    return out.stdout
+from conftest import run_fresh
 
 
 BRACKETS = """

@@ -3,9 +3,10 @@
 ``basis`` and ``geometry`` sit below the assembly and solve layers, so that a
 verifier of brackets can evaluate members on a boundary from them alone; the
 exact corner displacements of a boundary piece are spliced into member
-values in ``basis`` only (``BasisSet.eval_parts``); and ``basis``, like the
+values in ``basis`` only (``BasisSet.eval_parts``); ``basis``, like the
 assembly and solve layers above it, reads every boundary in the coefficient
-form of ``geometry.arcs``, naming no shape or piece class.
+form of ``geometry.arcs``, naming no shape or piece class; and only
+``geometry`` calls ``arcs``, once per shape for ``Scene.boundaries``.
 """
 
 import ast
@@ -70,6 +71,13 @@ def test_only_basis_splices_corner_displacements():
     assert _callers_of(_tree("basis"), DISPLACEMENTS)
 
 
+def test_only_geometry_forms_boundaries():
+    modules = sorted(p.stem for p in SRC.glob("*.py"))
+    callers = {m: _callers_of(_tree(m), {"arcs"}) for m in modules if m != "geometry"}
+    assert {m: lines for m, lines in callers.items() if lines} == {}
+    assert _callers_of(_tree("geometry"), {"arcs"})
+
+
 @pytest.mark.parametrize("name", ["basis", "integrals", "quadrature", "solver"])
 def test_names_no_shape_or_piece_class(name):
     assert not _names(_tree(name)) & SHAPE_CLASSES
@@ -79,10 +87,11 @@ def test_the_checks_see_what_they_look_for():
     # the scans find an upper-layer import and a displacement call in each form
     src = ("from .integrals import x\nfrom . import solver\nimport anacap.cli\n"
            "from anacap.sublab import y\nfrom anacap import quadrature\n"
-           "arc.disp_start(t)\ndisp_end(s)\n")
+           "arc.disp_start(t)\ndisp_end(s)\ngeometry.arcs(shape)\narcs(s)\n")
     tree = ast.parse(src)
     assert _imported_modules(tree) == UPPER
     assert _callers_of(tree, DISPLACEMENTS) == [6, 7]
+    assert _callers_of(tree, {"arcs"}) == [8, 9]
     # and a shape or piece class named, called, read as an attribute or imported
     src = ("isinstance(s, Disk)\nEllipse(0j, 2.0, 1.0)\ngeometry.Polygon\n"
            "from .geometry import ArcChain\nx: Segment\nimport anacap.geometry.CircularArc\n")

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import re
 import threading
@@ -13,8 +14,9 @@ from scipy.linalg.blas import zhemm
 from scipy.linalg.lapack import zpotrf, zpotrs
 
 import anacap.exact as exact
-from anacap import integrals, solver
+from anacap import geometry, integrals, solver, sublab
 from anacap.basis import BasisSet, CornerAdapted, PowerPole, Powers, Rings, build_basis
+from anacap.discrete import DiskConfiguration
 from anacap.errors import SceneConfigError, SingularGramError, SolveError
 from anacap.geometry import (Disk, Ellipse, Polygon, _signed_area, arcs, scene,
                              transform, validate_scene)
@@ -28,7 +30,9 @@ from anacap.solver import (
     lower_bound,
     upper_bound,
 )
-from conftest import MIXED_SHAPES, cantor_disks, eighteen_disks, half_disk, random_points
+from anacap.sublab import max_sweep_radius, random_configuration, ratio_bounds
+from conftest import (MIXED_SHAPES, cantor_disks, eighteen_disks, half_disk, random_points,
+                      run_fresh)
 
 TWO_DISK_GAMMA = 1.8755950190971197289
 
@@ -132,8 +136,11 @@ def test_square_ladder(unit_square):
 
 
 def test_trivial_ladder(two_disks):
-    results = [gamma_bounds(two_disks, sched) for sched in [Rings(1)]]
-    assert len(results) == 1
+    # the one Rings(1) bracket, [1.8755930640, 1.8756197644], holds the
+    # closed form with no slack added
+    res = gamma_bounds(two_disks, Rings(1))
+    assert res.n_basis == 10
+    assert res.lower <= exact.two_disk_capacity(2, 1) <= res.upper
 
 
 # --- properties -------------------------------------------------------------
@@ -371,6 +378,33 @@ def test_disk_bracket_keeps_no_memory():
     assert n == 1088 and size < 16 * n
 
 
+RESIDENT_AFTER_BRACKETS = """
+import json, os
+import anacap as ac
+corners, side = [0j], 1.0
+for _ in range(4):
+    side /= 4
+    corners = [c + dx + 1j * dy for c in corners for dx in (0, 3 * side) for dy in (0, 3 * side)]
+cantor = ac.scene([ac.Disk(c + (0.5 + 0.5j) * side, side / 2) for c in corners])
+r = ac.gamma_bounds(cantor, ac.Rings(4))
+pair = ac.gamma_bounds(ac.scene([ac.Disk(-2 + 0j, 1.0), ac.Disk(2 + 0j, 1.0)]), ac.Rings(4))
+with open("/proc/self/statm") as fh:
+    rss_mib = int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2 ** 20
+print(json.dumps([r.n_basis, pair.lower, pair.upper, rss_mib]))
+"""
+
+
+def test_large_disk_bracket_leaves_a_small_resident_set():
+    # every array of a bracket belongs to its call: after the generation-4
+    # Cantor bracket (n = 4,352, a 289 MiB Gram) and a two-disk bracket in one
+    # fresh process, the resident set is below 60 MiB (about 47 MiB; 85 MiB
+    # with a Gram buffer and a work buffer kept per thread)
+    n, lower, upper, rss_mib = json.loads(run_fresh(RESIDENT_AFTER_BRACKETS))
+    assert n == 4352
+    assert lower <= upper
+    assert rss_mib < 60
+
+
 def test_objectives_make_one_factorization_one_solve_and_one_product(monkeypatch):
     # both right-hand sides go through one zpotrs and one zhemm
     sc = validate_scene(scene(eighteen_disks()))
@@ -523,3 +557,53 @@ def test_scheduled_bases_skip_the_pole_check(two_disks, unit_square, monkeypatch
     monkeypatch.setattr(solver, "_require_poles_inside", refuse)
     gamma_bounds(two_disks, Rings(1))
     gamma_bounds(unit_square, Powers(2, with_corners=True))
+
+
+# --- one boundary form per shape ---------------------------------------------
+
+@pytest.fixture
+def arcs_calls(monkeypatch) -> list:
+    """The argument of each ``geometry.arcs`` call, kept, so no two of them
+    share an id."""
+    args, arcs_of = [], geometry.arcs
+    monkeypatch.setattr(geometry, "arcs", lambda s: args.append(s) or arcs_of(s))
+    return args
+
+
+def calls_per_shape(args: list, sc) -> list[int]:
+    # by identity, so a disk's own call on its ellipse is not counted
+    return [sum(a is s for a in args) for s in sc.shapes]
+
+
+@pytest.mark.parametrize("shapes, schedule", [
+    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, with_corners=True)),
+    (MIXED_SHAPES, Powers(3, with_corners=True)),
+], ids=["square-Powers6", "mixed-Powers3"])
+def test_gamma_bounds_forms_each_boundary_once(shapes, schedule, arcs_calls):
+    sc = scene(shapes)
+    gamma_bounds(sc, schedule)
+    assert calls_per_shape(arcs_calls, sc) == [1] * len(shapes)
+
+
+def test_bounds_for_basis_forms_each_boundary_once(unit_square, arcs_calls):
+    corner_members = [CornerAdapted(0j, 1 + 0j, -1 / 6, k) for k in (1, 2)]
+    bounds_for_basis(unit_square, SQUARE_POWERS + corner_members)
+    assert calls_per_shape(arcs_calls, unit_square) == [1]
+
+
+def test_ratio_record_forms_each_boundary_once(arcs_calls, monkeypatch):
+    made, scene_for = [], sublab._scene_for
+    monkeypatch.setattr(sublab, "_scene_for", lambda *a: made.append(scene_for(*a)) or made[-1])
+    centers = random_configuration(18, 1)
+    ratio_bounds(DiskConfiguration(centers, 0.4 * max_sweep_radius(centers), 9), Rings(4))
+    (sc,) = made
+    assert calls_per_shape(arcs_calls, sc) == [1] * 18
+
+
+def test_boundaries_are_kept_with_the_scene_and_outside_equality(two_disks):
+    sc = validate_scene(two_disks)
+    assert sc is two_disks
+    assert sc.boundaries is sc.boundaries
+    assert sc.boundaries == tuple(arcs(s) for s in sc.shapes)
+    fresh = scene(two_disks.shapes)
+    assert fresh == sc and hash(fresh) == hash(sc) and repr(fresh) == repr(sc)

@@ -89,7 +89,7 @@ def test_pole_of_e_on_a_circle_of_f_is_an_error_record(monkeypatch):
     # the union's pole check sees it
     layout = basis._ring_layout
     monkeypatch.setattr(basis, "_ring_layout", lambda d, layers: layout(d, layers)
-                        + ([-1 + 0j] if d.center == PAIR[0] else []))
+                        + ([-1 + 0j] if d[0].p0 == PAIR[0] else []))
     (rec,) = sweep(PAIR, 1, [1.0], Rings(1))
     assert rec.error.startswith("PoleOnContourError")
     assert math.isnan(rec.ratio_low) and not rec.subadditive_certified
