@@ -25,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from . import geometry
-from .errors import BranchCutError, PoleEvaluationError, SceneConfigError
+from .errors import SceneConfigError
 from .geometry import ParametricArc, Scene
 
 
@@ -33,11 +33,6 @@ from .geometry import ParametricArc, Scene
 class PowerPole:
     c: complex
     k: int
-
-    def eval(self, z: complex) -> complex:
-        if z == self.c:
-            raise PoleEvaluationError(f"evaluation at pole {self.c}")
-        return (z - self.c) ** (-self.k)
 
     def d_infinity(self) -> complex:
         return (1.0 + 0j) if self.k == 1 else 0j
@@ -56,17 +51,6 @@ class CornerAdapted:
     a: complex
     beta: float
     k: int
-
-    def eval(self, z: complex) -> complex:
-        if z == self.c:
-            raise PoleEvaluationError(f"evaluation at pole {self.c}")
-        if z == self.a:
-            raise PoleEvaluationError(f"evaluation at corner point {self.a}")
-        w = (z - self.a) / (z - self.c)
-        if w.real <= 0 and abs(w.imag) <= 1e-14 * abs(w.real):
-            raise BranchCutError(f"branch ratio {w} on the cut (-inf, 0]")
-        val = cmath.exp(self.beta * cmath.log(w))
-        return val * (z - self.c) ** (-self.k) if self.k else val
 
     def d_infinity(self) -> complex:
         # ((z-a)/(z-c))^beta = 1 + beta (c - a)/z + O(1/z^2), so for k >= 1
@@ -439,10 +423,3 @@ def _config_field(obj: dict, key: str, mode: str):
         raise SceneConfigError(f"{mode} schedule needs a {key!r} field")
     return obj[key]
 
-
-def schedule_to_config(s: Schedule) -> dict:
-    if isinstance(s, Rings):
-        return {"mode": "rings", "layers": s.layers}
-    if isinstance(s, Powers):
-        return {"mode": "powers", "n": s.n, "corners": s.with_corners}
-    raise SceneConfigError(f"unknown schedule {s!r}")

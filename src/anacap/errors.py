@@ -21,14 +21,6 @@ class ZeroScaleError(AnacapError):
     """Affine map z -> a*z + b requested with a = 0."""
 
 
-class PoleEvaluationError(AnacapError):
-    """Basis function evaluated at one of its pole points."""
-
-
-class BranchCutError(AnacapError):
-    """Fractional-power basis function evaluated on its branch cut."""
-
-
 class NonRationalBasisError(AnacapError):
     """Closed-form circle integral requested for a non-rational basis function."""
 

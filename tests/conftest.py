@@ -1,3 +1,4 @@
+import cmath
 import math
 import os
 import subprocess
@@ -70,6 +71,16 @@ def random_points(rng, n, box=4.0, min_sep=0.5):
         if all(abs(cand - p) > min_sep for p in pts):
             pts.append(cand)
     return pts
+
+
+def principal_value(b, z: complex) -> complex:
+    """A basis member's value at z by its principal-branch formula, written
+    out in ``cmath``: (z - c)^-k, or exp(beta log((z - a)/(z - c))) (z - c)^-k
+    for a corner member.  An independent reference for ``BasisSet.eval_all``,
+    which computes the power in real arithmetic."""
+    if isinstance(b, CornerAdapted):
+        return cmath.exp(b.beta * cmath.log((z - b.a) / (z - b.c))) * (z - b.c) ** (-b.k)
+    return (z - b.c) ** (-b.k)
 
 
 def row_per_member_eval(funcs, z, corner_subs=None):

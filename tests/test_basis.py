@@ -16,9 +16,8 @@ from anacap.basis import (
     build_basis,
     corner_exponent,
     schedule_from_config,
-    schedule_to_config,
 )
-from anacap.errors import BranchCutError, PoleEvaluationError, SceneConfigError
+from anacap.errors import SceneConfigError
 from anacap.geometry import (
     ArcChain,
     CircularArc,
@@ -34,7 +33,7 @@ from anacap.geometry import (
 from anacap.quadrature import QuadratureSettings, integrate_arc
 from anacap.solver import gamma_bounds
 
-from conftest import MIXED_SHAPES, row_per_member_eval, same_bits
+from conftest import MIXED_SHAPES, principal_value, row_per_member_eval, same_bits
 
 SQUARE = Polygon((1 + 0j, 1j, -1 + 0j, -1j))
 EPS = float(np.finfo(float).eps)
@@ -43,52 +42,39 @@ EPS = float(np.finfo(float).eps)
 # --- evaluation -------------------------------------------------------------
 
 def test_simple_pole_value():
-    assert PowerPole(2 + 0j, 1).eval(3 + 0j) == 1.0
+    assert principal_value(PowerPole(2 + 0j, 1), 3 + 0j) == 1.0
 
 
 def test_power_pole_value():
-    assert PowerPole(0j, 2).eval(1 + 1j) == pytest.approx(-0.5j, abs=1e-15)
+    assert principal_value(PowerPole(0j, 2), 1 + 1j) == pytest.approx(-0.5j, abs=1e-15)
 
 
 def test_corner_function_tends_to_one_at_infinity():
     f = CornerAdapted(0j, 1 + 0j, -1 / 6, 0)
-    assert f.eval(1e9 + 0j) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_pole_evaluation_errors():
-    with pytest.raises(PoleEvaluationError):
-        PowerPole(2 + 0j, 1).eval(2 + 0j)
-    with pytest.raises(PoleEvaluationError):
-        PowerPole(1j, 3).eval(1j)
-    with pytest.raises(PoleEvaluationError):
-        CornerAdapted(0j, 1 + 0j, -1 / 6, 1).eval(1 + 0j)
-
-
-def test_branch_cut_error_between_corner_and_anchor():
-    f = CornerAdapted(0j, 1 + 0j, -1 / 6, 1)
-    with pytest.raises(BranchCutError):
-        f.eval(0.5 + 0j)  # midpoint of the cut segment (a, c)
+    assert principal_value(f, 1e9 + 0j) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_corner_function_safe_on_convex_boundary():
     # with the anchor at the interior anchor point, boundary evaluation of a
-    # convex shape never touches the branch cut
+    # convex shape never touches the branch cut: the ratio (z - a)/(z - c)
+    # stays off (-inf, 0]
     fs = [CornerAdapted(0j, a, -1 / 6, 1) for a in (1, 1j, -1, -1j)]
     t = np.linspace(1e-6, 1 - 1e-6, 400)
     for seg_start, seg_end in [(1, 1j), (1j, -1), (-1, -1j), (-1j, 1)]:
         for z in seg_start + t * (seg_end - seg_start):
             for f in fs:
-                f.eval(complex(z))  # must not raise
+                w = (complex(z) - f.a) / (complex(z) - f.c)
+                assert w.real > 0 or abs(w.imag) > 1e-14 * abs(w.real)
 
 
 # --- d_infinity -------------------------------------------------------------
 
 def numeric_d_infinity(b):
-    # oracle: z*eval(b, z) sampled at growing |z| and Richardson-extrapolated
+    # oracle: z b(z) sampled at growing |z| and Richardson-extrapolated
     vals = []
     for R in (1e4, 1e5, 1e6):
         z = R * cmath.exp(0.37j)
-        vals.append(z * b.eval(z))
+        vals.append(z * principal_value(b, z))
     # successive differences decay by 10x; extrapolate linearly in 1/R
     v1, v2, v3 = vals
     return v3 + (v3 - v2) / 9.0
@@ -251,7 +237,7 @@ def test_vanishing_at_infinity(two_disks):
     R = 1e8
     for b in basis:
         for theta in (0.1, 2.0, 4.0):
-            assert abs(b.eval(R * cmath.exp(1j * theta))) < 1e-6
+            assert abs(principal_value(b, R * cmath.exp(1j * theta))) < 1e-6
 
 
 def test_per_shape_schedules(two_disks):
@@ -296,7 +282,7 @@ def test_basis_set_matches_scalar_eval(rng):
         z = complex(rng.uniform(2, 4), rng.uniform(0.5, 3))
         vals = bs.eval_all(z)
         for i, b in enumerate(basis):
-            assert vals[i] == pytest.approx(b.eval(z), rel=1e-13, abs=0)
+            assert vals[i] == pytest.approx(principal_value(b, z), rel=1e-13, abs=0)
 
 
 def test_basis_set_array_eval():
@@ -493,7 +479,7 @@ def test_eval_all_matches_scalar_eval_on_both_sides_of_the_cut():
             z = c + t * (a - c) + side * offset * normal
             vals = bs.eval_all(z)
             for i, b in enumerate(funcs):
-                want = np.array([b.eval(complex(x)) for x in z])
+                want = np.array([principal_value(b, complex(x)) for x in z])
                 assert np.all(np.abs(vals[i] - want) <= 1e-13 * np.abs(want))
 
 
@@ -547,7 +533,7 @@ def test_eval_parts_gives_each_part_its_own_piece_ends_displacement():
                     want = cmath.exp(b.beta * cmath.log(delta / zc)) * zc ** -b.k
                     corner_members += 1
                 else:
-                    want = b.eval(complex(z[k]))
+                    want = principal_value(b, complex(z[k]))
                 assert abs(vals[j, k] - want) <= 1e-13 * abs(want)
     assert corner_members == 8 * 6
 
@@ -584,14 +570,14 @@ def test_basis_set_rejects_members_not_vanishing_at_infinity(member):
         return
     with pytest.raises(SceneConfigError, match="vanish at infinity"):
         BasisSet([PowerPole(0j, 1), member])
-    member.eval(2.5 + 0.5j)  # the scalar function itself stays defined
 
 
 def test_d_infinity_of_corner_factor_alone():
     # ((z-a)/(z-c))^beta = 1 + beta (c - a)/z + O(1/z^2)
     f = CornerAdapted(0.2j, 1 + 0j, 0.25, 0)
     assert f.d_infinity() == pytest.approx(0.25 * (0.2j - 1))
-    vals = [z * (f.eval(z) - 1.0) for z in (R * cmath.exp(0.37j) for R in (1e4, 1e5, 1e6))]
+    vals = [z * (principal_value(f, z) - 1.0)
+            for z in (R * cmath.exp(0.37j) for R in (1e4, 1e5, 1e6))]
     assert vals[2] + (vals[2] - vals[1]) / 9.0 == pytest.approx(f.d_infinity(), abs=1e-6)
 
 
@@ -601,11 +587,6 @@ def test_d_vector_order():
 
 
 # --- schedule config --------------------------------------------------------
-
-def test_schedule_round_trip():
-    for sched in (Rings(4), Powers(6, True), Powers(2, False)):
-        assert schedule_from_config(schedule_to_config(sched)) == sched
-
 
 def test_schedule_config_rejects():
     with pytest.raises(SceneConfigError):
@@ -618,8 +599,6 @@ def test_schedule_config_rejects():
         schedule_from_config({"layers": 1})
     with pytest.raises(SceneConfigError, match="unknown fields in powers schedule"):
         schedule_from_config({"mode": "powers", "n": 2, "layers": 1})
-    with pytest.raises(SceneConfigError, match="unknown schedule"):
-        schedule_to_config(object())
 
 
 @pytest.mark.parametrize("obj", [
@@ -647,3 +626,5 @@ def test_schedule_config_accepts_json_types():
     assert schedule_from_config({"mode": "powers", "n": 4, "corners": False}) == Powers(4, False)
     assert schedule_from_config({"mode": "powers", "n": 4, "corners": True}) == Powers(4, True)
     assert schedule_from_config({"mode": "rings", "layers": 0}) == Rings(0)
+    assert schedule_from_config({"mode": "rings", "layers": 4}) == Rings(4)
+    assert schedule_from_config({"mode": "powers", "n": 6, "corners": True}) == Powers(6, True)

@@ -1,11 +1,16 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from anacap.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION, build_parser,
                         main)
+from anacap.geometry import scene_from_config, scene_to_config
 from anacap.quadrature import QuadratureSettings
+from conftest import run_fresh
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 TWO_DISKS = {
     "shapes": [
@@ -142,6 +147,8 @@ def test_exact_domain_error(capsys):
     (("square", "--s", "1e308"), 8.346268416740732e307),
     (("two-disks", "--c", "2e300", "--r", "1e300"), 1.8755950190971197e300),
     (("two-disks", "--c", "1e300", "--r", "1"), 2.0),
+    # 1e-9 from touching, every digit kept (mpmath, 50 digits)
+    (("two-disks", "--c", "1", "--r", "0.999999999"), 1.5707963257476990976),
 ])
 def test_exact_at_extreme_scales_prints_a_finite_value(capsys, argv, value):
     code, out, _ = run(capsys, "exact", *argv)
@@ -382,3 +389,32 @@ def test_non_finite_vertex_is_config_error(config_file, capsys):
     code, _, err = run(capsys, "gamma", "--config", config_file(bad))
     assert code == EXIT_CONFIG
     assert "finite" in err
+
+
+# --- README examples --------------------------------------------------------
+
+def readme_block(heading, lang):
+    """The first ``lang`` code block of the README after ``heading``."""
+    section = README.read_text().split(heading, 1)[1]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_quick_start_runs_with_warnings_as_errors():
+    # a public name that the README uses and the package no longer has fails here
+    run_fresh("import warnings\nwarnings.simplefilter('error')\n"
+              + readme_block("## Library quick start", "python"))
+
+
+def test_readme_schema_example(config_file, capsys):
+    # a valid scene of all four shape kinds and both piece kinds, which gets a
+    # bracket, and which the writer and the reader of the field table give back
+    config = json.loads(readme_block("### Scene configuration schema", "json"))
+    code, out, _ = run(capsys, "gamma", "--config", config_file(config))
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert obj["lower"] <= obj["upper"]
+    sc = scene_from_config(config)
+    kinds = {type(s).__name__ for s in sc.shapes}
+    kinds |= {type(pc).__name__ for s in sc.shapes for pc in getattr(s, "pieces", ())}
+    assert kinds == {"Disk", "Ellipse", "Polygon", "ArcChain", "Segment", "CircularArc"}
+    assert scene_from_config(scene_to_config(sc)) == sc

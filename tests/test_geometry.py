@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anacap import geometry
-from anacap.basis import PowerPole
+from anacap.basis import PowerPole, Powers
 from anacap.errors import (
     DegenerateShapeError,
     OverlapError,
@@ -32,6 +32,7 @@ from anacap.geometry import (
 )
 from anacap.integrals import assemble_gram
 from anacap.quadrature import QuadratureSettings
+from anacap.solver import gamma_bounds
 
 SQUARE = Polygon((1 + 0j, 1j, -1 + 0j, -1j))
 L_SHAPE = Polygon((0j, 4 + 0j, 4 + 1j, 1 + 1j, 1 + 3j, 3j))
@@ -169,7 +170,7 @@ def test_arc_chain_with_crossing_pieces_rejected():
         validate_scene(scene([chain]))
 
 
-def test_point_in_shape_exact_on_concave_arc(rng):
+def test_winding_number_exact_on_concave_arc(rng):
     r = 1.5
     validate_scene(scene([BITE]))
     pts = rng.uniform(-0.5, 3.5, 4000) + 1j * rng.uniform(-2, 2, 4000)
@@ -310,8 +311,10 @@ def test_sagitta_bounds_wide_chords(rng):
 @pytest.mark.parametrize("g", [0.1, 1e-3, 1e-6])
 def test_disk_under_concave_bite(g):
     # the arc of the bite runs at gap g along half the disk: certified apart,
-    # while the disk that touches the arc, or crosses it, is rejected
-    validate_scene(scene([BITE, Disk(0j, 1.5 - g)]))
+    # and bracketed, while the disk that touches the arc, or crosses it, is
+    # rejected
+    res = gamma_bounds(scene([BITE, Disk(0j, 1.5 - g)]), Powers(2))
+    assert res.lower <= res.upper
     for radius in (1.5, 1.5 + g):
         with pytest.raises(OverlapError):
             validate_scene(scene([BITE, Disk(0j, radius)]))
@@ -475,6 +478,8 @@ class Unknown:
     ArcChain((CircularArc(0j, 1.0, 0.0, 2 * math.pi * (1 + 1e-9)),)),
     ArcChain((CircularArc(0j, 1.0, 1e16, 1e16),)),  # 4 eps |theta| > 2 pi: no turn to round to
     ArcChain((Segment(-1 + 0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, math.pi - 1e-3))),
+    # a half-disk whose diameter is two collinear segments, as its polygon would be
+    ArcChain((Segment(-1 + 0j, 0j), Segment(0j, 1 + 0j), CircularArc(0j, 1.0, 0.0, math.pi))),
     ArcChain((CircularArc(0j, 1.0, math.pi, 0.0), Segment(1 + 0j, -1 + 0j))),
     # a half-disk with a slit out to 1: the second segment folds straight back
     ArcChain((Segment(-1 + 0j, 1 + 0j), Segment(1 + 0j, 0j),
@@ -505,7 +510,8 @@ class Unknown:
         "polygon_1e-15_sliver",
         "chain_empty", "chain_zero_segment", "chain_zero_arc", "chain_radius_-1", "chain_3pi_arc",
         "chain_arc_past_a_turn", "chain_zero_arc_at_1e16",
-        "chain_1e-3_gap", "chain_clockwise", "chain_slit", "chain_arc_turns_back",
+        "chain_1e-3_gap", "chain_collinear_split", "chain_clockwise", "chain_slit",
+        "chain_arc_turns_back",
         "chain_arc_crosses_segment", "chain_arc_crosses_segment_4", "chain_two_whole_circles",
         "chain_two_circles_cross", "chain_one_circle_overlaps", "chain_unknown_piece",
         "unknown_shape"])

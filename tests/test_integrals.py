@@ -35,6 +35,7 @@ from conftest import (MIXED_SHAPES, cantor_disks, each_piece, eighteen_disks, ha
 TWO_PI = 2 * math.pi
 ORACLE = QuadratureSettings(abs_tol=1e-12)
 EPS = np.finfo(float).eps
+FOUR_ELLIPSES = [Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)]
 
 
 def quad_pair(b1, b2, circle):
@@ -763,13 +764,15 @@ def test_corner_gram_bitwise_equal_to_row_per_member_assembly(shapes, schedule):
 
 
 @pytest.mark.parametrize("shapes,schedule,calls,nodes", [
-    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, True), 2, 512),
+    ([Polygon((1 + 0j, 1j, -1 + 0j, -1j))], Powers(6, True), 2, 4 * 128),
     (MIXED_SHAPES, Powers(3, True), 3, 896),
-], ids=["square-Powers6", "mixed-Powers3"])
-def test_corner_assembly_work(monkeypatch, shapes, schedule, calls, nodes):
+    (FOUR_ELLIPSES, Rings(4), 16, 4 * 512),
+], ids=["square-Powers6", "mixed-Powers3", "four-ellipses-Rings4"])
+def test_quadrature_assembly_work(monkeypatch, shapes, schedule, calls, nodes):
     # integrand calls and nodes of one assembly: every piece starts at 64
     # nodes on one nested ladder, so every node evaluated is kept, and the
-    # pieces climb it together, all of a level's nodes in one call
+    # pieces climb it together, a level's nodes in as few calls as the 2^13
+    # rows x nodes of a call allow (one 69-row ellipse piece a call)
     sc = validate_scene(scene(shapes))
     bs = BasisSet(build_basis(sc, schedule))
     sizes = []
@@ -781,7 +784,7 @@ def test_corner_assembly_work(monkeypatch, shapes, schedule, calls, nodes):
 
     monkeypatch.setattr(bs, "eval_all", counted)
     assemble_gram(sc, bs)
-    assert 0 < len(sizes) <= calls and sum(sizes) <= nodes
+    assert len(sizes) == calls and sum(sizes) == nodes
 
 
 def whole_block_converged(new, old, tol, m):
@@ -895,9 +898,6 @@ def test_batched_ladder_gram_has_the_bits_of_piece_by_piece_assembly(
     assert np.float64(got.c0).tobytes() == np.float64(want.c0).tobytes()
     if first_calls is not None:
         assert sizes[:len(first_calls)] == first_calls
-
-
-FOUR_ELLIPSES = [Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)]
 
 
 def convergence_cases(m=5, tol=1e-9):

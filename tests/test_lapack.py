@@ -17,18 +17,26 @@ import anacap as ac
 from anacap.sublab import max_sweep_radius, random_configuration
 
 ac.gamma_bounds(ac.scene([ac.Polygon((1 + 0j, 1j, -1 + 0j, -1j))]), ac.Powers(6, with_corners=True))
-ac.gamma_bounds(ac.scene([ac.Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)]),
-                ac.Rings(4))
+r = ac.gamma_bounds(ac.scene([ac.Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)]),
+                    ac.Rings(4))
+with open("/proc/self/status") as fh:
+    peak_mib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
 centers = random_configuration(18, 1)
 ac.ratio_bounds(ac.DiskConfiguration(centers, 0.4 * max_sweep_radius(centers), 9), ac.Rings(4))
-print(json.dumps(sorted(sys.modules)))
+print(json.dumps([r.lower, r.upper, peak_mib, sorted(sys.modules)]))
 """
 
 
 def test_brackets_load_the_compiled_wrappers_and_no_scipy_package():
+    lower, upper, peak_mib, modules = json.loads(run_fresh(BRACKETS))
+    # the four ellipses under Rings(4) hold the criterion-6 band, and the
+    # process peaks below 45 MiB right after them (about 37 MiB; 60 MiB with
+    # scipy.linalg and its array-API layer imported)
+    assert lower <= 5.371995432221965 and upper >= 5.371995878776166
+    assert peak_mib < 45
     # scipy.linalg's package import clones NumPy's namespace through SciPy's
     # array-API layer (numpy.f2py among it), and np.unique imports numpy.ma
-    loaded = set(json.loads(run_fresh(BRACKETS)))
+    loaded = set(modules)
     assert not loaded & {"scipy", "scipy.linalg", "scipy._lib._array_api", "numpy.ma",
                          "numpy.f2py"}
     assert {"scipy.linalg._fblas", "scipy.linalg._flapack"} <= loaded

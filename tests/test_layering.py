@@ -7,6 +7,9 @@ values in ``basis`` only (``BasisSet.eval_parts``); ``basis``, like the
 assembly and solve layers above it, reads every boundary in the coefficient
 form of ``geometry.arcs``, naming no shape or piece class; and only
 ``geometry`` calls ``arcs``, once per shape for ``Scene.boundaries``.
+
+No test calls ``pytest.approx`` with ``rel=`` and no ``abs=``: a relative
+tolerance alone still accepts approx's default absolute error of 1e-12.
 """
 
 import ast
@@ -14,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "anacap"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "anacap"
 UPPER = {"integrals", "quadrature", "solver", "sublab", "cli"}
 DISPLACEMENTS = {"disp_start", "disp_end"}
 SHAPE_CLASSES = {"Disk", "Ellipse", "Polygon", "ArcChain", "Segment", "CircularArc"}
@@ -58,6 +62,13 @@ def _names(tree: ast.Module) -> set[str]:
     return out
 
 
+def _rel_only_approx(tree: ast.Module) -> list[int]:
+    """Lines of the ``approx`` calls with ``rel=`` and no ``abs=``."""
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "approx"]
+    return [c.lineno for c in calls if {"rel", "abs"} & {k.arg for k in c.keywords} == {"rel"}]
+
+
 @pytest.mark.parametrize("name", ["basis", "geometry"])
 def test_lower_modules_import_no_upper_layer(name):
     assert not _imported_modules(_tree(name)) & UPPER
@@ -83,6 +94,12 @@ def test_names_no_shape_or_piece_class(name):
     assert not _names(_tree(name)) & SHAPE_CLASSES
 
 
+def test_no_rel_only_approx_in_the_tests():
+    found = {p.name: _rel_only_approx(ast.parse(p.read_text(), str(p)))
+             for p in sorted(TESTS.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 def test_the_checks_see_what_they_look_for():
     # the scans find an upper-layer import and a displacement call in each form
     src = ("from .integrals import x\nfrom . import solver\nimport anacap.cli\n"
@@ -96,3 +113,7 @@ def test_the_checks_see_what_they_look_for():
     src = ("isinstance(s, Disk)\nEllipse(0j, 2.0, 1.0)\ngeometry.Polygon\n"
            "from .geometry import ArcChain\nx: Segment\nimport anacap.geometry.CircularArc\n")
     assert _names(ast.parse(src)) & SHAPE_CLASSES == SHAPE_CLASSES
+    # and an approx with rel= and no abs=, also split over lines
+    src = ("pytest.approx(1.0, rel=1e-9)\napprox(2.0, rel=1e-9, abs=0)\napprox(3.0)\n"
+           "approx(\n    4.0,\n    rel=1e-9)\n")
+    assert _rel_only_approx(ast.parse(src)) == [1, 4]

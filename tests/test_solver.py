@@ -101,6 +101,13 @@ def test_two_disk_converged_bracket(two_disks):
     assert res.lower <= TWO_DISK_GAMMA <= res.upper
     assert res.upper - res.lower <= 1e-10
     assert res.solve_residual < 1e-10
+    # two unit disks 2e-9 apart: the pole 0.8 from the far centre has |kappa|
+    # = 0.83 on the other disk, so that disk takes the capped multipole
+    # moments plus the exact tail; the bracket holds the closed form
+    # (mpmath, 50 digits)
+    res = gamma_bounds(scene([Disk(-1.000000001 + 0j, 1.0), Disk(1.000000001 + 0j, 1.0)]),
+                       Rings(4))
+    assert res.lower <= 1.57079632731849539 <= res.upper
 
 
 def test_four_ellipse_modest_schedule():
@@ -151,6 +158,10 @@ def test_bracket_contains_known_values(two_disks, unit_square):
     assert res.lower - eps <= exact.two_disk_capacity(2, 1) <= res.upper + eps
     res = gamma_bounds(unit_square, Powers(4, with_corners=True))
     assert res.lower - 1e-7 <= exact.square_capacity() <= res.upper + 1e-7
+    # with corner functions to Powers(6) at a 1e-13 quadrature tolerance, the
+    # bracket holds the square's capacity with no slack
+    res = gamma_bounds(unit_square, Powers(6, with_corners=True), QuadratureSettings(1e-13))
+    assert res.lower <= 0.8346268416740731 <= res.upper
 
 
 def test_nesting_monotonicity_random_poles(two_disks, rng):
@@ -337,6 +348,12 @@ def test_disk_bracket_makes_moment_rows_in_blocks_of_at_most_128(monkeypatch):
     monkeypatch.setattr(integrals, "zherk", recording)
     n = gamma_bounds(scene(cantor_disks(3)), Rings(4)).n_basis
     assert n == 1088 and len(rows) > 1 and max(rows) <= max(128, 64)
+    # under Rings(1), n = 320 and 704 moment rows in blocks; the bracket holds
+    # the Rings(4) value, whose bracket is below 1e-15 wide
+    rows.clear()
+    res = gamma_bounds(scene(cantor_disks(3)), Rings(1))
+    assert res.n_basis == 320 and sum(rows) == 704 and max(rows) <= 128
+    assert res.lower <= 0.373747272332747 <= res.upper
 
 
 def test_warm_disk_bracket_allocates_its_gram_and_under_half_another():
@@ -387,21 +404,30 @@ for _ in range(4):
     corners = [c + dx + 1j * dy for c in corners for dx in (0, 3 * side) for dy in (0, 3 * side)]
 cantor = ac.scene([ac.Disk(c + (0.5 + 0.5j) * side, side / 2) for c in corners])
 r = ac.gamma_bounds(cantor, ac.Rings(4))
+with open("/proc/self/status") as fh:
+    peak_mib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
 pair = ac.gamma_bounds(ac.scene([ac.Disk(-2 + 0j, 1.0), ac.Disk(2 + 0j, 1.0)]), ac.Rings(4))
 with open("/proc/self/statm") as fh:
     rss_mib = int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2 ** 20
-print(json.dumps([r.n_basis, pair.lower, pair.upper, rss_mib]))
+print(json.dumps([r.n_basis, r.lower, r.upper, peak_mib, pair.lower, pair.upper, rss_mib]))
 """
 
 
 def test_large_disk_bracket_leaves_a_small_resident_set():
-    # every array of a bracket belongs to its call: after the generation-4
-    # Cantor bracket (n = 4,352, a 289 MiB Gram) and a two-disk bracket in one
-    # fresh process, the resident set is below 60 MiB (about 47 MiB; 85 MiB
-    # with a Gram buffer and a work buffer kept per thread)
-    n, lower, upper, rss_mib = json.loads(run_fresh(RESIDENT_AFTER_BRACKETS))
-    assert n == 4352
-    assert lower <= upper
+    # the generation-4 Cantor bracket (n = 4,352), below 1e-15 wide, agrees
+    # with 0.349224214984 to 12 digits; the Gram (289 MiB) is factored where
+    # it lies and the moment rows take one level of 256 disks at a time, so
+    # the process peaks below 520 MiB (about 407 MiB; 625 MiB with a copy of
+    # the Cholesky factor beside the Gram).  Every array of a bracket belongs
+    # to its call: after it and a two-disk bracket in one fresh process, the
+    # resident set is below 60 MiB (about 47 MiB; 85 MiB with a Gram buffer
+    # and a work buffer kept per thread)
+    n, lower, upper, peak_mib, pair_lower, pair_upper, rss_mib = json.loads(
+        run_fresh(RESIDENT_AFTER_BRACKETS))
+    assert n == 4352 and upper - lower < 1e-15
+    assert abs(lower - 0.349224214984) < 5e-13
+    assert peak_mib < 520
+    assert pair_lower <= pair_upper
     assert rss_mib < 60
 
 

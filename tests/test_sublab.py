@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import threading
@@ -10,7 +11,7 @@ from anacap import basis, integrals, solver, sublab
 from anacap.basis import Powers, Rings, build_basis
 from anacap.discrete import DiskConfiguration, predicted_slope
 from anacap.errors import OverlapError, SolveError, SplitError
-from anacap.exact import nome_from_geometry, ratio_f
+from anacap.exact import nome_from_geometry, ratio_f, two_disk_capacity
 from anacap.geometry import Disk, Scene
 from anacap.integrals import assemble_gram
 from anacap.solver import BoundsResult, _factor, gamma_bounds
@@ -29,6 +30,7 @@ from anacap.sublab import (
     records_to_csv,
     sweep,
 )
+from conftest import random_points, run_fresh
 
 PAIR = (2 + 0j, -2 + 0j)
 
@@ -62,17 +64,28 @@ def test_ratio_tends_to_one_for_small_radius():
     assert rec.ratio_low - 1e-12 <= exact_ratio(0.01) <= rec.ratio_high + 1e-12
 
 
-@pytest.mark.parametrize("centers, schedule, share, rtol", [
-    (random_configuration(18, 1), Rings(4), None, 0.0),  # r = 0.02
-    (random_configuration(18, 1), Rings(4), 0.5, 0.0),
-    (random_configuration(18, 1), Rings(4), 0.95, 0.0),
+@pytest.mark.parametrize("centers, schedule, share, rtol, zherk_calls", [
+    (random_configuration(18, 1), Rings(4), None, 0.0, 3),  # r = 0.02
+    (random_configuration(18, 1), Rings(4), 0.5, 0.0, 4),
+    (random_configuration(18, 1), Rings(4), 0.95, 0.0, 8),
     # power poles take the quadrature path, whose refinement sees the union basis
-    (PAIR, Powers(4), 0.5, 1e-12),
+    (PAIR, Powers(4), 0.5, 1e-12, 4),
 ], ids=["18-disks-r0.02", "18-disks-50%", "18-disks-95%", "pair-powers"])
-def test_ratio_bounds_equal_three_gamma_bounds(centers, schedule, share, rtol):
+def test_ratio_bounds_equal_three_gamma_bounds(monkeypatch, centers, schedule, share, rtol,
+                                               zherk_calls):
     r = 0.02 if share is None else share * max_sweep_radius(centers)
     m = len(centers) // 2
+    calls, zherk = [], integrals.zherk
+
+    def counted(alpha, a, **kw):
+        calls.append(a.shape)
+        return zherk(alpha, a, **kw)
+
+    monkeypatch.setattr(integrals, "zherk", counted)
     rec = ratio_bounds(DiskConfiguration(centers, r, m), schedule)
+    # one zherk per moment-row block of each group (disks), or per part of
+    # each quadrature call (powers)
+    assert len(calls) == zherk_calls
     parts = (centers, centers[:m], centers[m:])
     for got, part in zip((rec.ef, rec.e, rec.f), parts):
         sc = Scene(tuple(Disk(c, r) for c in part), ("E",) * len(part))
@@ -131,6 +144,21 @@ def test_sweep_matches_exact_curve():
         exact = exact_ratio(rec.r)
         assert rec.ratio_low - 1e-6 <= exact <= rec.ratio_high + 1e-6
         assert rec.gap < 1e-6
+
+
+@pytest.mark.parametrize("c, grid, schedule", [
+    # two unit disks 2e-9 apart at r = 1, split E | F: the union's Gram takes
+    # the split path of the disk kernel with both disks capped
+    (1.000000001, [0.99 + i * ((0.999 - 0.99) / 2) for i in range(3)], Rings(4)),
+    # not a basis of first-order poles: each group's Gram is summed from the
+    # quadrature blocks of its shapes; at r = 0.5 the bracket holds the closed
+    # form by only 2.6e-15 (ROADMAP, Known defects)
+    (2.0, [0.5, 1.0, 1.5], Powers(6)),
+], ids=["2e-9-apart-Rings4", "Powers6"])
+def test_two_disk_sweep_holds_the_closed_form(c, grid, schedule):
+    for rec in sweep((-c + 0j, c + 0j), 1, grid, schedule):
+        v = two_disk_capacity(c, rec.r) / (2 * rec.r)
+        assert rec.ratio_low <= v <= rec.ratio_high
 
 
 def test_sweep_single_radius():
@@ -264,6 +292,18 @@ def test_ratio_record_holds_one_gram_buffer(monkeypatch):
     assert all(np.shares_memory(H, grams[0]) for H in grams[1:])
 
 
+RECORD_OF_128_DISKS = """
+import json
+from anacap import DiskConfiguration, Rings, ratio_bounds
+from anacap.sublab import max_sweep_radius, random_configuration
+centers = random_configuration(128, 5)
+rec = ratio_bounds(DiskConfiguration(centers, 0.5 * max_sweep_radius(centers), 64), Rings(4))
+with open("/proc/self/status") as fh:
+    peak_mib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+print(json.dumps([rec.ef.n_basis, rec.ratio_low, rec.ratio_high, peak_mib]))
+"""
+
+
 def test_large_ratio_record_peaks_near_one_gram():
     # 64 disks at half the sweep cap under Rings(4), n = 1,088, split 32 | 32:
     # the record's traced peak is the union's Gram, which E's and F's Grams
@@ -278,6 +318,13 @@ def test_large_ratio_record_peaks_near_one_gram():
     finally:
         tracemalloc.stop()
     assert n == 1088 and peak <= 1.45 * 16 * n * n
+    # 128 disks split 64 | 64 (n = 2,176) in a fresh process: E u F, E and F
+    # are assembled in turn into one Gram, each bracketed before the next, so
+    # the process peaks below 170 MiB (about 137 MiB; 184 MiB with a Gram per
+    # group)
+    n, low, high, peak_mib = json.loads(run_fresh(RECORD_OF_128_DISKS))
+    assert n == 2176 and low <= high < 1.0
+    assert peak_mib < 170
 
 
 def test_powers_ratio_record_takes_one_quadrature_ladder(monkeypatch):
@@ -420,7 +467,6 @@ def test_asymptotic_slope_on_exact_curve():
 
 def test_asymptotic_slope_random_configuration(rng):
     from anacap.discrete import predicted_slope
-    from conftest import random_points
 
     Z = random_points(rng, 4, box=3.0, min_sep=2.0)
     report = asymptotic_check(Z, 2, Rings(3))
@@ -464,8 +510,6 @@ def test_random_configuration_seeded():
 def test_subadditivity_certified_across_corpus(rng):
     # every configuration in the regression corpus certifies ratio_high < 1
     # once the schedule has at least two ring layers
-    from conftest import random_points
-
     corpora = [
         tuple(random_points(rng, 4, box=3.0, min_sep=1.5)),
         tuple(complex(k, 0) for k in range(5)),
