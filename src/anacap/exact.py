@@ -5,9 +5,8 @@ subadditivity analysis.
 Theta functions are evaluated by their rapidly convergent q-series
 
     theta2(q) = sum_n q^{(n+1/2)^2},   theta3(q) = sum_n q^{n^2},
-    theta4(q) = sum_n (-1)^n q^{n^2},
+    theta4(q) = sum_n (-1)^n q^{n^2}.
 
-with the classical product forms available as an independent second path.
 Near q = 1 (q > 0.8, ``_MODULAR_SWITCH``) the series converge slowly and
 lose digits, and evaluation is routed through the Jacobi modular identities
 
@@ -64,16 +63,6 @@ def _series(q: float, s: float, n: int, power, coef) -> float:
             return s
 
 
-def _product(p: float, factor) -> float:
-    """p times factor(1) factor(2) ..., stopped at the first factor within
-    _REL of 1."""
-    for n in itertools.count(1):
-        f = factor(n)
-        p *= f
-        if abs(f - 1.0) < _REL:
-            return p
-
-
 def theta2(q: float) -> float:
     _check_q(q)
     if q > _MODULAR_SWITCH:
@@ -102,25 +91,6 @@ def theta4(q: float) -> float:
         x = math.pi / (-math.log(q))
         return math.sqrt(x) * 2.0 * math.exp(-0.25 * math.pi * x)
     return _series(q, 1.0, 1, lambda n: n * n, lambda n: -2.0 if n % 2 else 2.0)
-
-
-def theta2_product(q: float) -> float:
-    """theta2 via 2 q^{1/4} prod (1-q^{2n})(1+q^{2n})^2."""
-    _check_q(q)
-    return _product(2.0 * q ** 0.25,
-                    lambda n: (1.0 - q ** (2 * n)) * (1.0 + q ** (2 * n)) ** 2)
-
-
-def theta3_product(q: float) -> float:
-    """theta3 via prod (1-q^{2n})(1+q^{2n-1})^2."""
-    _check_q(q)
-    return _product(1.0, lambda n: (1.0 - q ** (2 * n)) * (1.0 + q ** (2 * n - 1)) ** 2)
-
-
-def theta4_product(q: float) -> float:
-    """theta4 via prod (1-q^{2n})(1-q^{2n-1})^2."""
-    _check_q(q)
-    return _product(1.0, lambda n: (1.0 - q ** (2 * n)) * (1.0 - q ** (2 * n - 1)) ** 2)
 
 
 def _nome_root(c: float, r: float) -> tuple[float, float]:
@@ -215,8 +185,7 @@ def square_capacity(s: float = 1.0) -> float:
 def ratio_f(q: float) -> float:
     """The two-disk capacity ratio f(q) = (q^{-1/2} - q^{1/2}) theta2(q)^2 / 4.
 
-    Evaluated through the product form (1-q) prod (1-q^{4n})^2 (1+q^{2n})^2
-    (cross-checked against the theta form), and above ``_MODULAR_SWITCH``
+    Evaluated through the theta series, and above ``_MODULAR_SWITCH``
     through the modular form (x/2) sinh(pi/2x) theta4(e^{-pi x})^2, whose
     theta4 factor is 1 to rounding there.
     """
@@ -224,13 +193,7 @@ def ratio_f(q: float) -> float:
     if q > _MODULAR_SWITCH:
         x = math.pi / (-math.log(q))
         return 0.5 * x * math.sinh(0.5 * math.pi / x)
-    prod = _product(1.0 - q,
-                    lambda n: (1.0 - q ** (4 * n)) ** 2 * (1.0 + q ** (2 * n)) ** 2)
-    series = 0.25 * (1.0 / math.sqrt(q) - math.sqrt(q)) * theta2(q) ** 2
-    if abs(series - prod) > 1e-12 * max(1.0, abs(prod)):
-        raise ArithmeticError(
-            f"ratio_f forms disagree at q={q}: {prod} vs {series}")
-    return prod
+    return 0.25 * (1.0 / math.sqrt(q) - math.sqrt(q)) * theta2(q) ** 2
 
 
 def log_deriv_u(q: float, terms: int = 64) -> float:

@@ -7,8 +7,9 @@ point produces a certified interval
 
     [ef.lower/(e.upper + f.upper),  ef.upper/(e.lower + f.lower)]
 
-containing R.  One record is one validation, one basis and one call of the
-solver's assemble-then-bracket loop, which brackets E u F, E and F in turn.
+containing R, each end rounded outward.  One record is one validation, one
+basis and one call of the solver's assemble-then-bracket loop, which
+brackets E u F, E and F in turn.
 Verdicts between adjacent radii compare intervals, never midpoints: a
 decrease (or increase) is only certified when the brackets are disjoint in
 the corresponding order.
@@ -103,10 +104,14 @@ def ratio_bounds(cfg: DiskConfiguration, schedule: Schedule,
     sc = validate_scene(_scene_for(cfg.centers, cfg.radius))
     funcs, counts = _shape_counted_basis(sc, schedule)
     ef, e, f = _brackets(sc, BasisSet(funcs), settings, t0, split=(cfg.m, sum(counts[:cfg.m])))
+    # each sum and quotient rounds outward, so the ends hold the exact
+    # quotients of the brackets' own ends
     return SweepRecord(
         r=cfg.radius,
-        ratio_low=ef.lower / (e.upper + f.upper),
-        ratio_high=ef.upper / (e.lower + f.lower),
+        ratio_low=math.nextafter(ef.lower / math.nextafter(e.upper + f.upper, math.inf),
+                                 -math.inf),
+        ratio_high=math.nextafter(ef.upper / math.nextafter(e.lower + f.lower, -math.inf),
+                                  math.inf),
         ef=ef, e=e, f=f,
     )
 

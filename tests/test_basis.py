@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -437,7 +438,7 @@ def test_corner_values_do_not_depend_on_the_node_count():
                          bs.eval_all(z[:16], corner_subs=head))
 
 
-def _mp_principal_power(mp, w: complex, beta: float):
+def _mp_principal_power(w: complex, beta: float):
     """40-digit w**beta on the principal branch; -0 imaginary parts on the
     negative axis take the lower side of the cut."""
     lower_side = w.imag == 0.0 and w.real < 0.0 and math.copysign(1.0, w.imag) < 0.0
@@ -448,7 +449,6 @@ def _mp_principal_power(mp, w: complex, beta: float):
 def test_principal_power_against_mpmath(rng):
     # |w| log-uniform over [1e-200, 1e3]; arguments anywhere in (-pi, pi],
     # within 1e-16 .. 1e-1 of +-pi, and exactly +-pi through signed zeros
-    mp = pytest.importorskip("mpmath")
     m = 200
     mod = 10.0 ** rng.uniform(-200.0, 3.0, 4 * m)
     near = math.pi - 10.0 ** rng.uniform(-16.0, -1.0, m)
@@ -461,7 +461,7 @@ def test_principal_power_against_mpmath(rng):
         got = _principal_power(w, beta)
         with mp.workdps(40):
             for wi, gi in zip(w, got):
-                ref = _mp_principal_power(mp, complex(wi), beta)
+                ref = _mp_principal_power(complex(wi), beta)
                 bound = (abs(beta * math.log(abs(wi))) + abs(beta * cmath.phase(wi)) + 8.0)
                 assert abs(mp.mpc(gi) - ref) <= bound * EPS * abs(ref)
 

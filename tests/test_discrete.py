@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -176,7 +177,6 @@ def test_lambda_solve_failure_is_a_solve_error():
 def test_lambda_at_a_large_radius_against_mpmath():
     # the same singular C at r = 100: the condition number of A is about
     # 2.6e4, and lambda keeps every digit but the last two
-    mp = pytest.importorskip("mpmath")
     Z = [0j, 1 + 0j, 2j]
     with mp.workdps(60):
         r = mp.mpf(100)

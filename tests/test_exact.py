@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,11 +14,8 @@ from anacap.exact import (
     ratio_f,
     square_capacity,
     theta2,
-    theta2_product,
     theta3,
-    theta3_product,
     theta4,
-    theta4_product,
     two_disk_capacity,
 )
 
@@ -50,11 +48,24 @@ def test_modular_identity(x):
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+# relative errors of (theta2, theta3, theta4) measured against 120-digit
+# mpmath, the same up to q = 0.3; at 0.9 and 0.99 theta4 is on its modular
+# side, which loses digits as q -> 1 (it bounds murai_capacity's k')
+SMALL_Q_THETA_ERRORS = (1.2e-16, 5.8e-17, 6.4e-17)
+THETA_ERRORS = {0.6: (4.1e-17, 2.9e-16, 4.7e-16), 0.9: (5.3e-17, 5.3e-17, 4.0e-15),
+                0.99: (1.2e-16, 1.2e-16, 5.5e-14)}
+
+
 @pytest.mark.parametrize("q", [1e-6, 1e-3, 0.05, 0.3, 0.6, 0.9, 0.99])
 def test_series_and_product_forms_agree(q):
-    assert theta2(q) == pytest.approx(theta2_product(q), abs=1e-13 * theta2(q))
-    assert theta3(q) == pytest.approx(theta3_product(q), abs=1e-13 * theta3(q))
-    assert theta4(q) == pytest.approx(theta4_product(q), abs=1e-13)
+    # mpmath's jtheta is the second path.  theta4(0.99) = 8.46e-106 is the
+    # sum of O(1) terms, so mpmath needs more than 106 digits for it: at 40
+    # digits it returns -7.9e-46, while 120 and 300 digits agree
+    errors = THETA_ERRORS.get(q, SMALL_Q_THETA_ERRORS)
+    for k, theta, err in zip((2, 3, 4), (theta2, theta3, theta4), errors):
+        with mp.workdps(120):
+            want = mp.jtheta(k, 0, mp.mpf(q))
+            assert abs(theta(q) - want) <= 2 * err * want
 
 
 def test_theta_domain_errors():
@@ -129,7 +140,6 @@ def test_two_disk_at_extreme_scales():
 def test_two_disk_keeps_its_digits_as_the_disks_touch():
     # on the modular side -ln q comes from y and (c - r)/c, not from a q
     # rounded near 1: every digit holds from 1 - r/c = 1e-5 down to 1e-12
-    mp = pytest.importorskip("mpmath")
     for gap in 10.0 ** -np.arange(5, 12.5, 0.5):
         for c in (1.0, 0.37, 3e5):
             r = c * (1.0 - gap)
@@ -144,7 +154,6 @@ def test_modular_side_keeps_every_digit_from_q_of_point_eight():
     # from q = 0.8 the transformed nome is below 6.3e-20, so theta2, theta3 and
     # the capacity take the modular form; the series there lose digits to
     # 1.1e-15 (theta2, theta3) and 1.7e-14 (capacity) up to q = 0.99
-    mp = pytest.importorskip("mpmath")
     for q in np.linspace(0.8, 0.99, 39):
         with mp.workdps(50):
             qm = mp.mpf(float(q))
@@ -230,6 +239,16 @@ def test_ratio_f_small_q_limit():
     assert ratio_f(1e-12) == pytest.approx(1.0, abs=1e-11)
 
 
+def test_ratio_f_series_side_against_mpmath():
+    # up to q = 0.8 the theta2 series form keeps every digit but one: 8.5e-16
+    # at most on this grid
+    for q in np.linspace(1e-4, 0.8, 400):
+        with mp.workdps(60):
+            qm = mp.mpf(float(q))
+            want = float((1 / mp.sqrt(qm) - mp.sqrt(qm)) * mp.jtheta(2, 0, qm) ** 2 / 4)
+        assert ratio_f(q) == pytest.approx(want, rel=1e-15, abs=0)
+
+
 def test_ratio_f_matches_capacity_ratio():
     # f(q(c, r)) = gamma(two disks)/(2 r) along the whole family
     for c, r in ((2.0, 1.0), (2.0, 0.3), (5.0, 4.0), (1.0, 0.9)):
@@ -244,7 +263,7 @@ def test_ratio_f_monotone_decreasing():
 
 
 def test_ratio_f_modular_branch_continuity():
-    # the product form and the modular form must agree near the switch point
+    # the series form and the modular form must agree near the switch point
     for q in (0.78, 0.7999, 0.8001, 0.83):
         series = 0.25 * (1 / math.sqrt(q) - math.sqrt(q)) * theta2(q) ** 2
         assert ratio_f(q) == pytest.approx(series, rel=1e-12, abs=0)
@@ -253,7 +272,6 @@ def test_ratio_f_modular_branch_continuity():
 def test_ratio_f_modular_side_against_mpmath():
     # from q = 0.8 the modular form keeps every digit; the product form lost
     # up to 5.6e-15 between 0.8 and 0.9
-    mp = pytest.importorskip("mpmath")
     for q in np.linspace(0.8, 0.9, 101)[1:]:
         with mp.workdps(50):
             qm = mp.mpf(float(q))

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -639,7 +640,6 @@ def test_ellipse_arc_parametrization():
 def _mp_piece(kind):
     """A boundary piece, its z(t) from the shape's own definition in mpmath,
     a bound on |z'| and a bound on |z|."""
-    mp = pytest.importorskip("mpmath")
     mp.mp.dps = 40
     c = lambda z: mp.mpc(z.real, z.imag)
     if kind == "segment":
@@ -662,8 +662,6 @@ def _mp_piece(kind):
 
 @pytest.mark.parametrize("kind", ["segment", "arc_forward", "arc_backward", "ellipse", "disk"])
 def test_piece_parametrization_against_mpmath(kind):
-    import mpmath as mp
-
     arc, z, speed, size = _mp_piece(kind)
     # the displacements from each end stay exact down to s = 1e-15
     s = np.logspace(-15, 0, 31)

@@ -2,6 +2,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg.blas import zherk
@@ -345,7 +346,6 @@ def test_a_circle_takes_the_disk_kernel_however_it_is_written(monkeypatch):
 def test_circle_pair_integral_small_far_disk_against_mpmath():
     # poles shifted by -c before reflecting: every entry of a small disk far
     # from the origin matches the 40-digit closed form to 1e-15 relative
-    mp = pytest.importorskip("mpmath")
     d = Disk(8 + 1j, 0.03)
     basis = build_basis(validate_scene(scene([d])), Rings(2))
     assert len(basis) == 9
@@ -361,7 +361,6 @@ def test_circle_pair_integral_small_far_disk_against_mpmath():
 
 def test_circle_pair_integral_pole_near_the_centre():
     # a pole 1e-6 from the centre keeps every digit
-    mp = pytest.importorskip("mpmath")
     b = PowerPole(1e-6 + 0j, 1)
     got = circle_pair_integral(b, b, Disk(0j, 1.0))
     exact = TWO_PI / (1.0 - 1e-12)  # 2 pi r / (r^2 - |w|^2)
@@ -375,7 +374,6 @@ def test_circle_pair_integral_pole_near_the_centre():
 def test_circle_pair_integral_beside_its_circle(a):
     # a pole next to the circle: the closed form stays exact to the
     # conditioning of r^2 - |a|^2
-    mp = pytest.importorskip("mpmath")
     b = PowerPole(a, 1)
     got = circle_pair_integral(b, b, Disk(0j, 1.0))
     with mp.workdps(40):
@@ -385,7 +383,6 @@ def test_circle_pair_integral_beside_its_circle(a):
 
 @pytest.mark.parametrize("a, j, k", [(0.99999, 2, 3), (1.00001, 2, 2)])
 def test_circle_pair_integral_power_poles_beside_its_circle(a, j, k):
-    mp = pytest.importorskip("mpmath")
     got = circle_pair_integral(PowerPole(a, j), PowerPole(a, k), Disk(0j, 1.0))
     with mp.workdps(40):
         f = lambda t: (mp.expj(t) - a) ** -j * mp.conj((mp.expj(t) - a) ** -k)
@@ -395,7 +392,7 @@ def test_circle_pair_integral_power_poles_beside_its_circle(a, j, k):
         assert abs(mp.mpc(got) - ref) <= 8 * np.finfo(float).eps / abs(1 - a * a) * abs(ref)
 
 
-def hardy_pair_reference(mp, a, k1, b, k2, c, r):
+def hardy_pair_reference(a, k1, b, k2, c, r):
     """\\oint (z - a)^-k1 conj((z - b)^-k2) |dz| over |z - c| = r at mpmath's
     working precision, from the power series of the two factors in
     w = z - c, which are orthogonal on the circle (<w^p, w^q> is
@@ -425,7 +422,6 @@ def test_circle_pair_integral_closed_form_against_mpmath(rng):
     # random circles, orders 1-5, each pole inside (0-0.9 r from the centre)
     # or outside (1.15-3 r): every pair is within 16 eps of its
     # Cauchy-Schwarz scale sqrt(H11 H22), against a 30-digit reference
-    mp = pytest.importorskip("mpmath")
     sides = set()
     with mp.workdps(30):
         for _ in range(240):
@@ -439,9 +435,9 @@ def test_circle_pair_integral_closed_form_against_mpmath(rng):
                 sides.add(inside)
             (a, k1), (b, k2) = poles
             got = circle_pair_integral(PowerPole(a, k1), PowerPole(b, k2), Disk(c, r))
-            ref = hardy_pair_reference(mp, a, k1, b, k2, c, r)
-            scale = mp.sqrt(abs(hardy_pair_reference(mp, a, k1, a, k1, c, r))
-                            * abs(hardy_pair_reference(mp, b, k2, b, k2, c, r)))
+            ref = hardy_pair_reference(a, k1, b, k2, c, r)
+            scale = mp.sqrt(abs(hardy_pair_reference(a, k1, a, k1, c, r))
+                            * abs(hardy_pair_reference(b, k2, b, k2, c, r)))
             assert abs(mp.mpc(got) - ref) <= 16 * np.finfo(float).eps * scale
     assert sides == {True, False}
 
@@ -454,7 +450,6 @@ def closed_form_reference(poles, disks, rows):
     """H[a, b] for a in rows and b >= a, and the whole diagonal, at 50 digits:
     the Hardy-split closed form summed disk by disk, from the same float
     poles, centres and radii that the kernel reads."""
-    mp = pytest.importorskip("mpmath")
     with mp.workdps(50):
         disks = [(mp.mpc(d.center), mp.mpf(d.radius)) for d in disks]
         w = [[mp.mpc(complex(p)) - c for p in poles] for c, _ in disks]
@@ -475,7 +470,6 @@ def closed_form_reference(poles, disks, rows):
 
 def relative_error(H, poles, disks, rows):
     """max |H_ab - ref_ab| / sqrt(ref_aa ref_bb) over the reference's entries."""
-    mp = pytest.importorskip("mpmath")
     ref, diag = closed_form_reference(poles, disks, rows)
     with mp.workdps(50):
         return max(float(abs(mp.mpc(complex(H[a, b])) - v) / mp.sqrt(diag[a] * diag[b]))

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -93,8 +94,25 @@ def test_ratio_bounds_equal_three_gamma_bounds(monkeypatch, centers, schedule, s
         assert got.lower == pytest.approx(want.lower, rel=rtol, abs=0)
         assert got.upper == pytest.approx(want.upper, rel=rtol, abs=0)
         assert (got.n_basis, got.slack) == (want.n_basis, want.slack)
-    assert rec.ratio_low == rec.ef.lower / (rec.e.upper + rec.f.upper)
-    assert rec.ratio_high == rec.ef.upper / (rec.e.lower + rec.f.lower)
+    assert rec.ratio_low == math.nextafter(
+        rec.ef.lower / math.nextafter(rec.e.upper + rec.f.upper, math.inf), -math.inf)
+    assert rec.ratio_high == math.nextafter(
+        rec.ef.upper / math.nextafter(rec.e.lower + rec.f.lower, -math.inf), math.inf)
+
+
+@pytest.mark.parametrize("r", [3e-8, 0.02, 0.5 * max_sweep_radius(random_configuration(18, 1))],
+                         ids=["r3e-8", "r0.02", "50%"])
+def test_ratio_ends_hold_the_exact_quotients_of_their_brackets(r):
+    # round-to-nearest ends fall on the wrong side of these quotients here:
+    # ratio_high at all three radii and ratio_low at 50% of the cap
+    rec = ratio_bounds(DiskConfiguration(random_configuration(18, 1), r, 9), Rings(4))
+    ef, e, f = rec.ef, rec.e, rec.f
+    low = Fraction(ef.lower) / (Fraction(e.upper) + Fraction(f.upper))
+    high = Fraction(ef.upper) / (Fraction(e.lower) + Fraction(f.lower))
+    assert Fraction(rec.ratio_low) <= low <= high <= Fraction(rec.ratio_high)
+    # and stay within 4 ulps of them
+    assert low - Fraction(rec.ratio_low) <= 4 * Fraction(math.ulp(rec.ratio_low))
+    assert Fraction(rec.ratio_high) - high <= 4 * Fraction(math.ulp(rec.ratio_high))
 
 
 def test_pole_of_e_on_a_circle_of_f_is_an_error_record(monkeypatch):
@@ -152,7 +170,7 @@ def test_sweep_matches_exact_curve():
     (1.000000001, [0.99 + i * ((0.999 - 0.99) / 2) for i in range(3)], Rings(4)),
     # not a basis of first-order poles: each group's Gram is summed from the
     # quadrature blocks of its shapes; at r = 0.5 the bracket holds the closed
-    # form by only 2.6e-15 (ROADMAP, Known defects)
+    # form by only 2.8e-15 (ROADMAP, Known defects)
     (2.0, [0.5, 1.0, 1.5], Powers(6)),
 ], ids=["2e-9-apart-Rings4", "Powers6"])
 def test_two_disk_sweep_holds_the_closed_form(c, grid, schedule):
@@ -320,11 +338,12 @@ def test_large_ratio_record_peaks_near_one_gram():
     assert n == 1088 and peak <= 1.45 * 16 * n * n
     # 128 disks split 64 | 64 (n = 2,176) in a fresh process: E u F, E and F
     # are assembled in turn into one Gram, each bracketed before the next, so
-    # the process peaks below 170 MiB (about 137 MiB; 184 MiB with a Gram per
-    # group)
+    # the process peaks below 150 MiB (about 137 MiB; 161 MiB with E and F in
+    # fresh arrays, 162 MiB with all three Grams assembled before the first
+    # bracket, 184 MiB with a Gram per group)
     n, low, high, peak_mib = json.loads(run_fresh(RECORD_OF_128_DISKS))
     assert n == 2176 and low <= high < 1.0
-    assert peak_mib < 170
+    assert peak_mib < 150
 
 
 def test_powers_ratio_record_takes_one_quadrature_ladder(monkeypatch):
@@ -347,7 +366,8 @@ def test_powers_ratio_record_takes_one_quadrature_ladder(monkeypatch):
                    "exactly (ROADMAP items 2 and 19, Known defects)")
 def test_small_radius_ratio_bracket_holds_the_predicted_ratio():
     # R = 1 - (delta/n) r^2 + O(r^3) is 1 - 4.0e-16 at r = 1e-8, which a
-    # bracket with a rounding budget holds
+    # bracket with a rounding budget holds; rounded outward, the record is
+    # [0.9999999999999998, 1.0000000000000004], still above it
     centers, m, r = random_configuration(18, 1), 9, 1e-8
     rec = ratio_bounds(DiskConfiguration(centers, r, m), Rings(4))
     assert rec.ratio_low <= 1.0 - predicted_slope(centers, m) * r * r <= rec.ratio_high
