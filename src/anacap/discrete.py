@@ -54,10 +54,6 @@ class DiskConfiguration:
         if self.m is not None:
             _check_split(self.m, len(self.centers))
 
-    @property
-    def n(self) -> int:
-        return len(self.centers)
-
     def min_center_distance(self) -> float:
         return float(_pair_distances(np.asarray(self.centers, complex)).min())
 

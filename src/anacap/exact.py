@@ -81,6 +81,11 @@ def theta3(q: float) -> float:
 
 
 def theta4(q: float) -> float:
+    """theta4(q).  Above q = 0.8, by the modular side 2 sqrt(x) e^{-pi x/4}
+    with x = pi / -ln q, it is within 1.002 (pi x/4) eps relative of the
+    60-digit value (5.5e-14 at q = 0.99): e^{-y} turns the absolute rounding
+    error of y = pi x/4 into a relative one.  It is subnormal from
+    q = 0.99654 and 0 from 0.99669; the true value is 1.0e-1069 at 0.999."""
     _check_q(q)
     if q > _MODULAR_SWITCH:
         # the alternating series cancels catastrophically as q -> 1 (the

@@ -146,10 +146,6 @@ class ParametricArc(NamedTuple):
         e = self.e0 * _turn(self.turns * t)
         return self.p0 + self.p1 * t + self.b * e + self.d * np.conj(e)
 
-    def velocity(self, t):
-        """z'(t) at a scalar or an array t."""
-        return self._point_velocity(t)[1] + 0.0 * t  # a segment's is a constant
-
     def _point_velocity(self, t, e=None):
         """z(t), equal to ``point(t)`` up to rounding, and z'(t) of one piece,
         both from one e = ``_turn(turns * t)``, which a caller may pass in.
@@ -273,8 +269,7 @@ def _check_boundary(pieces: list[ParametricArc]) -> None:
     turn opposite ways on one circle; the signed area is positive (a radius or
     semi-axis <= 0 breaks this or k > 0); two pieces in a row, one of them
     curved, share no point but their join to within tol (see
-    :func:`_meet_again`); and non-adjacent pieces have a certified positive
-    gap.
+    :func:`_meet_again`).
     """
     if not pieces:
         raise DegenerateShapeError("boundary has no pieces")
@@ -310,11 +305,6 @@ def _check_boundary(pieces: list[ParametricArc]) -> None:
         for i, arc in enumerate(pieces):
             if _meet_again(pieces[i - 1], arc, 1e-9 * scale):
                 raise DegenerateShapeError(f"piece {i} meets the one before away from their join")
-    if len(pieces) > 3:
-        try:
-            _certified_gaps([_stack(pieces)], [(0, 0)], ["two non-adjacent pieces"])
-        except OverlapError as exc:
-            raise DegenerateShapeError(f"boundary is not simple: {exc}") from None
 
 
 def _meet_again(prev: ParametricArc, arc: ParametricArc, tol: float) -> bool:
@@ -432,7 +422,7 @@ def corners(pieces: list[ParametricArc]) -> list[Corner]:
     """
     out = []
     for i, arc in enumerate(pieces):
-        turn = cmath.phase(arc.velocity(0) / pieces[i - 1].velocity(1))
+        turn = cmath.phase(arc._point_velocity(0)[1] / pieces[i - 1]._point_velocity(1)[1])
         if abs(turn) < 1e-9:
             continue
         if abs(abs(turn) - math.pi) < 1e-9:
@@ -505,7 +495,7 @@ def interior_anchor(pieces: list[ParametricArc]) -> complex:
     if _winding_number(pieces, cand):
         return cand
     for arc in pieces:
-        mid, inward = arc.point(0.5), 1j * arc.velocity(0.5)  # the interior is left of travel
+        mid, inward = arc.point(0.5), 1j * arc._point_velocity(0.5)[1]  # interior on the left
         for frac in (0.25, 0.1, 0.02):
             p = complex(mid + frac * inward)
             h = 0.5 * frac * inward
@@ -539,18 +529,19 @@ def transform(sc: Scene, a: complex, b: complex = 0j) -> Scene:
 
 def validate_scene(sc: Scene) -> Scene:
     """Check ``sc.boundaries`` by :func:`_check_boundary`, one rule set for
-    every shape kind, then the pairwise disjointness of their closures.
+    every shape kind, then that each is simple and their closures disjoint.
 
     Returns the same scene, its boundaries formed.  Every pair is first
     settled, if it can be, by the shapes' enclosing disks
     (:func:`_enclosing_disk`, :func:`_disks_apart`), which for a disk is the
     disk itself, so a circle gets one verdict as a ``Disk`` or an
-    ``Ellipse``; the rest go through one call of the chord-bound kernel
-    :func:`_certified_gaps`, which sees crossing boundaries exactly and stops
-    once each gap is certified above rounding; no gap is measured.  A shape
-    inside another is found by the exact winding number.  Raises
-    :class:`OverlapError` for any pair whose gap is not certified positive.
-    Deterministic.
+    ``Ellipse``.  A shape inside another is found by the exact winding
+    number.  The rest, and every boundary of four or more pieces against
+    itself, go through one call of the chord-bound kernel
+    :func:`_certified_gaps`, which sees crossing pieces exactly and stops
+    once each gap is certified above rounding; no gap is measured.  Raises
+    :class:`OverlapError` for a pair, or :class:`DegenerateShapeError` for a
+    boundary, whose gap is not certified positive.  Deterministic.
     """
     if not sc.shapes:
         raise SceneConfigError("scene needs at least one shape")
@@ -558,7 +549,7 @@ def validate_scene(sc: Scene) -> Scene:
     for p in pieces:
         _check_boundary(p)
     disks = [_enclosing_disk(p) for p in pieces]
-    pairs = []
+    pairs = [(i, i) for i, p in enumerate(pieces) if len(p) > 3]
     for i, j in itertools.combinations(range(len(sc.shapes)), 2):
         if _disks_apart(disks[i], disks[j]):
             continue
@@ -569,7 +560,7 @@ def validate_scene(sc: Scene) -> Scene:
                                "a boundary point of one lies inside the other")
         pairs.append((i, j))
     if pairs:
-        _certified_gaps([_stack(p) for p in pieces], pairs, [f"shapes {i} and {j}" for i, j in pairs])
+        _certified_gaps([_stack(p) for p in pieces], pairs)
     return sc
 
 
@@ -628,11 +619,10 @@ def _stack(pieces: list[ParametricArc]) -> ParametricArc:
     return ParametricArc(*map(np.array, zip(*pieces)))
 
 
-def _certified_gaps(curves: list[ParametricArc], pairs: list[tuple[int, int]],
-                    names: list[str]) -> None:
+def _certified_gaps(curves: list[ParametricArc], pairs: list[tuple[int, int]]) -> None:
     """Certify a positive distance between curves m and n for every (m, n)
-    in ``pairs``; for m == n, between the non-adjacent pieces of m.  Each
-    curve is one shape's pieces, stacked by :func:`_stack`.
+    in ``pairs``; for m == n, between the non-adjacent pieces of m.  Curve m
+    is shape m's pieces, stacked by :func:`_stack`.
 
     Each curve is covered by chords of at most ``_CHORD_TURNS`` of a turn that
     carry their pieces' sagitta bounds.  For a pair of chords, the
@@ -644,7 +634,8 @@ def _certified_gaps(curves: list[ParametricArc], pairs: list[tuple[int, int]],
     pairs go through the rounds as arrays of (pair, piece, t0, t1, piece, t0,
     t1), in independent batches of at most ``_GAP_MAX_PAIRS``.
 
-    Raises OverlapError, naming the curve pair, when two curves meet within
+    Raises OverlapError naming shapes m and n, or for m == n
+    DegenerateShapeError naming shape m, when two curves meet within
     rounding (the curve points at the chords' nearest parameters, or two
     chord ends), when a straight pair's distance is within rounding, when the
     live chord pairs outgrow the cap (a boundary that runs parallel to
@@ -668,14 +659,14 @@ def _certified_gaps(curves: list[ParametricArc], pairs: list[tuple[int, int]],
                 keep = (apart > 1) & (apart < curves[m].p0.size - 1)
                 ja, jb = ja[keep], jb[keep]
             if batch and rows + ja.size > _GAP_MAX_PAIRS:
-                _refine_gaps(curve, batch, slack, names)
+                _refine_gaps(curve, batch, slack, pairs)
                 batch, rows = [], 0
             batch.append((np.full(ja.size, g), ia[ja], ta0[ja], ta1[ja], ib[jb], tb0[jb], tb1[jb]))
             rows += ja.size
-    _refine_gaps(curve, batch, slack, names)
+    _refine_gaps(curve, batch, slack, pairs)
 
 
-def _refine_gaps(curve: ParametricArc, blocks, slack, names) -> None:
+def _refine_gaps(curve: ParametricArc, blocks, slack, pairs) -> None:
     """Run one batch of chord pairs until every one is settled."""
     rows = [np.concatenate(col) for col in zip(*blocks)]
     for _ in range(_GAP_ROUNDS):
@@ -689,24 +680,29 @@ def _refine_gaps(curve: ParametricArc, blocks, slack, names) -> None:
         near = np.abs(pa.point(a0 + s * (a1 - a0)) - pb.point(b0 + u * (b1 - b0)))
         for p, q in ((za0, zb0), (za0, zb1), (za1, zb0), (za1, zb1)):
             near = np.minimum(near, np.abs(p - q))
-        _raise_first(near <= slack[g], g, names,
-                     "have intersecting closures (distance within rounding)")
+        _raise_first(near <= slack[g], g, pairs,
+                     " have intersecting closures (distance within rounding)")
         low = lb <= slack[g]
         bent_a = pa.k > 0
         live = low & (bent_a | (pb.k > 0))
         if 4 * np.count_nonzero(live) > _GAP_MAX_PAIRS:
             live[:] = False  # too many chord pairs to halve: the low bounds are final
-        _raise_first(low & ~live, g, names, "gap not certified above rounding")
+        _raise_first(low & ~live, g, pairs, " gap not certified above rounding")
         if not live.any():
             return
         rows = _split([x[live] for x in rows], bent_a[live], 2, 3)
         rows = _split(rows, curve.k[rows[4]] > 0, 5, 6)
-    raise OverlapError(f"{names[rows[0][0]]}: gap not resolved within {_GAP_ROUNDS} rounds")
+    _raise_first(live, g, pairs, f": gap not resolved within {_GAP_ROUNDS} rounds")
 
 
-def _raise_first(bad: np.ndarray, g: np.ndarray, names: list[str], what: str) -> None:
+def _raise_first(bad: np.ndarray, g: np.ndarray, pairs: list[tuple[int, int]], what: str) -> None:
+    """Raise the error of the first bad row's curve pair; ``what`` follows its name."""
     if bad.any():
-        raise OverlapError(f"{names[g[int(np.argmax(bad))]]} {what}")
+        m, n = pairs[g[int(np.argmax(bad))]]
+        if m == n:
+            raise DegenerateShapeError(
+                f"boundary is not simple: shape {m}'s non-adjacent pieces{what}")
+        raise OverlapError(f"shapes {m} and {n}{what}")
 
 
 def _split(rows, split, lo, hi):

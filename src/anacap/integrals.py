@@ -298,13 +298,13 @@ def _quad_blocks(bs: BasisSet, boundaries: list[list[ParametricArc]],
     other's run, which on a two-core machine stalled a 20 ms job by up to
     0.2 s.  Even so, a call that OpenBLAS threads stalls for about 4 ms
     right after threaded work in NumPy's pool, and a single-threaded one
-    does not.  With OpenBLAS 0.3.31 on two cores, ``zherk`` runs on one
-    thread at 31 rows by 64 or 128 nodes and 22 rows by 512, and is threaded
-    from 69 rows; a ``zgemm`` from 31 by 128 and a ``zgemv`` at 21 by 512
-    are threaded, which is why u and the length come through the bordered
-    row.  The update stays per part, so bases of up to 30 functions (the
-    bench's corner bases, whose parts are of 64 or 128 nodes) make no
-    threaded call here; the four ellipses under ``Rings(4)`` (n = 68) do.
+    does not.  With SciPy's OpenBLAS 0.3.30 on two cores, ``zherk`` runs on
+    one thread up to 31 rows, at 64, 128 and 512 nodes, and is threaded from
+    32; a ``zgemm`` at 31 by 128 and a ``zgemv`` at 21 by 512 are threaded,
+    which is why u and the length come through the bordered row.  The update
+    stays per part, so bases of up to 30 functions (the bench's corner
+    bases, whose parts are of 64 or 128 nodes) make no threaded call here;
+    the four ellipses under ``Rings(4)`` (n = 68) do.
     """
     n = bs.n
     per_shape = [bs.corner_ends(pieces) for pieces in boundaries]
@@ -322,7 +322,7 @@ def _quad_blocks(bs: BasisSet, boundaries: list[list[ParametricArc]],
         return [zherk(1.0, A[:, c].T, trans=2, lower=1).T.ravel() for _, c in spans]
 
     vals = integrate_arc(f, [arc for arc, _, _ in ends], settings, rows=n + 1,
-                         converged=lambda new, old, tol: _gram_converged(new, old, tol, n + 1))
+                         converged=_gram_converged)
     blocks = [None] * len(boundaries)
     for k, v in zip(owner, vals):
         v = v.reshape(n + 1, n + 1)
@@ -330,7 +330,7 @@ def _quad_blocks(bs: BasisSet, boundaries: list[list[ParametricArc]],
     return blocks
 
 
-def _gram_converged(new: np.ndarray, old: np.ndarray, tol: float, m: int) -> np.ndarray:
+def _gram_converged(new: np.ndarray, old: np.ndarray, tol: float) -> np.ndarray:
     """Whether each of two successive estimates of m x m blocks G (H
     bordered by u and the length), stacked one raveled block per row, has
     converged: every entry within max(tol, 64 eps sqrt(G_jj G_kk)) of the
@@ -338,6 +338,7 @@ def _gram_converged(new: np.ndarray, old: np.ndarray, tol: float, m: int) -> np.
     diagonal, a Cauchy-Schwarz bound on the weighted sum of |terms|.  Most
     blocks that have not converged fail on the diagonal, so it is tested
     first, and only the blocks that pass it take the whole test."""
+    m = math.isqrt(new.shape[1])
     d = np.abs(new[:, :: m + 1].real)
     ok = _within(new[:, :: m + 1], old[:, :: m + 1], np.sqrt(d * d), tol)
     if ok.any():

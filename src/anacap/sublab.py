@@ -68,10 +68,6 @@ class Verdict:
     n_undecided: int
     subadditive_flags: tuple[bool, ...]
 
-    @property
-    def all_decreasing(self) -> bool:
-        return self.n_increase == 0 and self.n_undecided == 0
-
     def to_json_dict(self) -> dict:
         return {
             "certified_decrease": self.n_decrease,

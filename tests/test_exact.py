@@ -68,6 +68,20 @@ def test_series_and_product_forms_agree(q):
             assert abs(theta(q) - want) <= 2 * err * want
 
 
+@pytest.mark.parametrize("q", [0.8000001, 0.81, 0.85, 0.9, 0.95, 0.99, 0.995])
+def test_theta4_modular_side_within_its_exponent_rounding(q):
+    # theta4 = 2 sqrt(x) e^{-y}, x = pi / -ln q and y = pi x/4, is off by the
+    # rounding of y, which e^{-y} turns into a relative error: within
+    # 2 y eps of the modular reference sqrt(x) theta2(e^{-pi x}) at 60 digits
+    # (the measured errors are 0.21-1.002 y eps).  mpmath's jtheta(4, 0, q)
+    # is no reference here: at 120 digits it returns -1.6e-125 at q = 0.995,
+    # where theta4 is 8.3e-213
+    with mp.workdps(60):
+        x = mp.pi / -mp.log(mp.mpf(q))
+        want = mp.sqrt(x) * mp.jtheta(2, 0, mp.exp(-mp.pi * x))
+        assert abs(theta4(q) - want) <= 2 * float(mp.pi * x / 4) * np.finfo(float).eps * want
+
+
 def test_theta_domain_errors():
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(DomainError):

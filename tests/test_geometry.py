@@ -387,9 +387,9 @@ def test_enclosing_disks_settle_pairs_as_the_kernel_does(monkeypatch):
     kernel = geometry._certified_gaps
     kernel_pairs = []
 
-    def spy(curves, pairs, names):
+    def spy(curves, pairs):
         kernel_pairs.extend(pairs)
-        return kernel(curves, pairs, names)
+        return kernel(curves, pairs)
 
     monkeypatch.setattr(geometry, "_certified_gaps", spy)
 
@@ -418,7 +418,7 @@ def test_enclosing_disks_settle_pairs_as_the_kernel_does(monkeypatch):
             got = verdict(lambda: validate_scene(scene([a, moved])))
             assert not (apart and (0, 1) in kernel_pairs)
             want = verdict(lambda: kernel([geometry._stack(arcs(a)), geometry._stack(arcs(moved))],
-                                          [(0, 1)], ["the pair"]))
+                                          [(0, 1)]))
             assert got == want
             settled += apart
             overlaps += not got
@@ -431,15 +431,55 @@ def test_pair_over_more_chord_pairs_than_one_batch(monkeypatch):
     batches = []
     refine_gaps = geometry._refine_gaps
 
-    def spy(curve, blocks, slack, names):
-        batches.append(names[0])
-        return refine_gaps(curve, blocks, slack, names)
+    def spy(curve, blocks, slack, pairs):
+        batches.append({pairs[g] for block in blocks for g in np.unique(block[0])})
+        return refine_gaps(curve, blocks, slack, pairs)
 
     monkeypatch.setattr(geometry, "_refine_gaps", spy)
     gons = [Polygon(tuple(c + cmath.exp(2j * math.pi * k / 400) for k in range(400)))
             for c in (0j, 2.5 + 0j)]
     validate_scene(scene(gons))
-    assert batches.count("shapes 0 and 1") > 1
+    assert sum((0, 1) in pairs for pairs in batches) > 1
+
+
+GRID_4X4 = [Polygon(tuple(3 * complex(i, j) + 1j ** k for k in range(4)))
+            for i in range(4) for j in range(4)]
+# positively oriented, and passes the local rules, but edge 3 crosses edge 0 at 2.5
+CROSSING_PENTAGON = Polygon((0j, 4 + 0j, 4 + 3j, 1 + 3j, 3 - 1j))
+
+
+@pytest.mark.parametrize("shapes, calls, error", [
+    ([SQUARE], 1, None),
+    ([Disk(0j, 1.0), half_disk(3 + 0j, 0.5), half_disk(3j, 0.5)], 0, None),
+    (GRID_4X4, 1, None),
+    ([Disk(-100 + 0j, 1.0), CROSSING_PENTAGON], 1, "^boundary is not simple: shape 1's "),
+], ids=["square", "disk_and_half_disks", "grid_4x4", "far_disk_and_crossing_pentagon"])
+def test_one_gap_kernel_call_per_scene(monkeypatch, shapes, calls, error):
+    # validate_scene certifies every boundary of four or more pieces against
+    # itself, and every pair its enclosing disks leave, in one kernel call;
+    # _check_boundary makes none.  The disk and half-disks need no call: no
+    # boundary has four pieces, and the enclosing disks settle every pair
+    seen = []
+    kernel = geometry._certified_gaps
+
+    def spy(curves, pairs):
+        seen.append(pairs)
+        return kernel(curves, pairs)
+
+    monkeypatch.setattr(geometry, "_certified_gaps", spy)
+    sc = scene(shapes)
+    for pieces in sc.boundaries:
+        geometry._check_boundary(pieces)
+    assert seen == []
+    if error:
+        with pytest.raises(DegenerateShapeError, match=error):
+            validate_scene(sc)
+    else:
+        validate_scene(sc)
+    assert len(seen) == calls
+    for pairs in seen:
+        assert [(m, n) for m, n in pairs if m == n] == [
+            (i, i) for i, pieces in enumerate(sc.boundaries) if len(pieces) > 3]
 
 
 def test_degenerate_shapes_rejected():
@@ -670,8 +710,10 @@ def test_piece_parametrization_against_mpmath(kind):
         for x, g in zip(s, got):
             assert abs(complex(ref(x)) - g) <= 1e-14 * x * speed
     t = np.linspace(0.0, 1.0, 9)
-    for x, p, v in zip(t, arc.point(t), arc.velocity(t)):
+    zt, dz = arc._point_velocity(t)
+    for x, p, q, v in zip(t, arc.point(t), zt, np.broadcast_to(dz, t.shape)):
         assert abs(complex(z(x)) - p) <= 1e-15 * size
+        assert abs(complex(z(x)) - q) <= 1e-15 * size
         assert abs(complex(mp.diff(z, x)) - v) <= 1e-14 * speed
     assert arc.start == pytest.approx(complex(z(0)), abs=1e-15 * size)
     assert arc.end == pytest.approx(complex(z(1)), abs=1e-15 * size)

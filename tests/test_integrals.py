@@ -951,14 +951,14 @@ def test_gram_convergence_test_decides_as_the_whole_block_test():
     old = np.stack([c[2].ravel() for c in cases])
     with np.errstate(invalid="ignore", over="ignore"):
         want = whole_block_converged(new, old, tol, m)
-        assert np.array_equal(integrals._gram_converged(new, old, tol, m), want)
+        assert np.array_equal(integrals._gram_converged(new, old, tol), want)
         for r, (name, _, _) in enumerate(cases):
-            got = integrals._gram_converged(new[r:r + 1], old[r:r + 1], tol, m)
+            got = integrals._gram_converged(new[r:r + 1], old[r:r + 1], tol)
             assert got.tolist() == [want[r]], name
         rng = np.random.default_rng(7)
         for _ in range(50):
             rows = rng.choice(len(cases), size=rng.integers(2, 6), replace=False)
-            got = integrals._gram_converged(new[rows], old[rows], tol, m)
+            got = integrals._gram_converged(new[rows], old[rows], tol)
             assert np.array_equal(got, want[rows])
     passed = {name for (name, _, _), ok in zip(cases, want) if ok}
     assert passed == {
@@ -983,9 +983,9 @@ def test_gram_convergence_decisions_on_the_ladder_levels(monkeypatch, shapes, sc
     bs = BasisSet(build_basis(sc, schedule))
     test, decisions = integrals._gram_converged, []
 
-    def both(new, old, tol, m):
-        got = test(new, old, tol, m)
-        assert np.array_equal(got, whole_block_converged(new, old, tol, m))
+    def both(new, old, tol):
+        got = test(new, old, tol)
+        assert np.array_equal(got, whole_block_converged(new, old, tol, bs.n + 1))
         decisions.extend(got.tolist())
         return got
 

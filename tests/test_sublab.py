@@ -384,7 +384,6 @@ def test_two_disk_sweep_all_certified_decrease():
     records = sweep(PAIR, 1, grid, Rings(4))
     v = monotonicity_verdict(records)
     assert v.pair_verdicts == (CERTIFIED_DECREASE,) * 11
-    assert v.all_decreasing
     assert all(v.subadditive_flags)
 
 
