@@ -11,7 +11,6 @@ SCENE = ac.scene([ac.Disk(2 + 0j, 1.0), ac.Disk(-2 + 0j, 1.0)])
 
 exact_value = ac.two_disk_capacity(2, 1)
 print(f"exact capacity (theta formula) : {exact_value:.19f}")
-print(f"exact capacity (Murai's form)  : {ac.murai_capacity(2, 1):.19f}")
 print()
 print(f"{'poles/disk':>10} {'lower bound':>22} {'upper bound':>22} {'gap':>10}")
 for layers in range(5):

@@ -34,7 +34,6 @@ from .discrete import (
     sandwich_check,
 )
 from .exact import (
-    murai_capacity,
     nome_from_geometry,
     ratio_f,
     square_capacity,

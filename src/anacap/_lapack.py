@@ -1,4 +1,4 @@
-"""The six BLAS and LAPACK routines anacap calls, from SciPy's compiled wrappers.
+"""The seven BLAS and LAPACK routines anacap calls, from SciPy's compiled wrappers.
 
 They come from SciPy's f2py extension modules ``scipy.linalg._fblas`` and
 ``scipy.linalg._flapack``, loaded by import spec from SciPy's install
@@ -27,4 +27,5 @@ def _extension(name: str):
 
 _fblas, _flapack = _extension("_fblas"), _extension("_flapack")
 zherk, zhemm = _fblas.zherk, _fblas.zhemm
-zpotrf, zpotrs, zposv, zpocon = _flapack.zpotrf, _flapack.zpotrs, _flapack.zposv, _flapack.zpocon
+zpotrf, zpotrs, zpstrf = _flapack.zpotrf, _flapack.zpotrs, _flapack.zpstrf
+zposv, zpocon = _flapack.zposv, _flapack.zpocon

@@ -34,7 +34,8 @@ class MaxDepthError(AnacapError):
 
 
 class SingularGramError(AnacapError):
-    """Gram matrix factorization failed; the basis is numerically dependent."""
+    """The Gram cannot be factored: its diagonal is not positive and finite,
+    or it is not semidefinite."""
 
 
 class SolveError(AnacapError):

@@ -17,13 +17,7 @@ lose digits, and evaluation is routed through the Jacobi modular identities
 For two disks of radius r centered at +-c (0 < r < c) the capacity is exactly
 
     gamma = sqrt(c^2 - r^2) * theta2(q)^2,
-    c/r   = (q^{-1/2} + q^{1/2}) / 2,
-
-and equivalently, through k = theta2(q)^2/theta3(q)^2 and the complete
-elliptic integral F of the first kind (Murai's formula, with the corrected
-factor c):
-
-    gamma = (2/pi) c k F(k) tanh((pi/2) F(sqrt(1-k^2)) / F(k)).
+    c/r   = (q^{-1/2} + q^{1/2}) / 2.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import sys
 
 from .errors import DomainError
 
@@ -150,31 +143,6 @@ def two_disk_capacity(c: float, r: float) -> float:
     if not math.isfinite(gamma):
         raise DomainError(f"capacity overflows at r={r}, c={c}")
     return gamma
-
-
-def agm(a: float, b: float) -> float:
-    """Arithmetic-geometric mean, iterated to 1e-15 relative agreement."""
-    while abs(a - b) > 1e-15 * abs(a):
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return 0.5 * (a + b)
-
-
-def murai_capacity(c: float, r: float) -> float:
-    """Two-disk capacity via elliptic integrals; agrees with the theta form.
-
-    k' = theta4^2/theta3^2 rather than sqrt(1 - k^2), which loses k' as the
-    disks touch, and F(k) = pi/(2 agm(1, k')), F(k') = pi/(2 agm(1, k)).  A
-    k' below the normal range (1 - r/c under about 6e-6) is a DomainError.
-    """
-    q = nome_from_geometry(c, r)
-    t3 = theta3(q) ** 2
-    k = theta2(q) ** 2 / t3
-    kp = theta4(q) ** 2 / t3
-    if kp < sys.float_info.min:
-        raise DomainError(f"complementary modulus underflows at r={r}, c={c}")
-    F = 0.5 * math.pi / agm(1.0, kp)
-    Fp = 0.5 * math.pi / agm(1.0, k)
-    return (2.0 / math.pi) * c * k * F * math.tanh(0.5 * math.pi * Fp / F)
 
 
 def square_capacity(s: float = 1.0) -> float:

@@ -10,9 +10,10 @@ derivative-at-infinity vector d:
                 = <H^{-1} d, d>,
 
 where <x, y> = y^H x.  Both come from one Cholesky factorization of the
-Gram (:func:`_objectives`, which ``upper_bound`` and ``lower_bound`` also
-read), each evaluated as the objective at its computed solution vector, so
-an inexact linear solve can only loosen the bracket, never invalidate it.
+Gram, pivoted on members kept where the plain one fails (:func:`_objectives`,
+which ``upper_bound`` and ``lower_bound`` also read), each evaluated as the
+objective at its computed solution vector, so an inexact linear solve, or a
+dropped member, can only loosen the bracket, never invalidate it.
 So the bounds are exact duality for the computed Gram data.  Rounding and
 quadrature error in that data are not budgeted yet, and a bound can lie on
 the wrong side of gamma by them (ROADMAP items 2, 3 and 25, and its Known
@@ -23,15 +24,15 @@ two bounds within it and adds it to neither.
 The solver reads only the upper triangle of H, so it takes the triangle
 that assembly makes (``integrals._assemble_grams``) and the mirrored H of
 ``assemble_gram`` alike, with the same bits.  It factors the Gram where it
-lies, with no equilibration: H's strict lower triangle takes a copy of
-its upper one (transposed), LAPACK overwrites the upper one and the
-diagonal with the factor, and the products H x read the copy.  One loop
-(:func:`_brackets`) drives assembly for ``gamma_bounds``,
-``bounds_for_basis`` and ``sublab.ratio_bounds``: it brackets each Gram,
-and so consumes it, before it asks for the next, which for disks is
-assembled into the same memory, the one Gram that the assembly call makes.
-So a disk bracket's memory of size n^2, or a ratio record's, is one Gram,
-and none of it outlives the call.
+lies: H's strict lower triangle takes a copy of its upper one (transposed),
+LAPACK overwrites the upper one and the diagonal with the factor, and the
+products H x read the copy.  One loop (:func:`_brackets`) drives assembly
+for ``gamma_bounds``, ``bounds_for_basis`` and ``sublab.ratio_bounds``: it
+brackets each Gram, and so consumes it, before it asks for the next, which
+for disks is assembled into the same memory, the one Gram that the assembly
+call makes.  So a disk bracket's memory of size n^2, or a ratio record's,
+is one Gram, and one scaled copy if the pivoted fallback is taken, and
+none of it outlives the call.
 ``upper_bound`` and ``lower_bound`` factor a copy, so the caller's
 ``GramData`` is left as it was.
 """
@@ -43,7 +44,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._lapack import zhemm, zpotrf, zpotrs
+from ._lapack import zhemm, zherk, zpotrf, zpotrs, zpstrf
 from .basis import BasisSet, _require_poles_inside, build_basis
 from .errors import SingularGramError, SolveError
 from .geometry import Scene, validate_scene
@@ -77,24 +78,30 @@ class BoundsResult:
                 "slack": self.slack, "wall_time_s": self.wall_time}
 
 
-_JITTERS = (0.0, 4e-15, 1e-13, 1e-11, 1e-9)
+# pivots of the equilibrated Gram (unit diagonal) at most this are dropped
+_RANK_TOL = 1e-15
 
 
 def _factor(H: np.ndarray):
-    """Cholesky factor of conj(H), made in H's own memory, the jitter used and
-    H's real diagonal as it was.  Only H's upper triangle is read; on return
-    H's upper triangle and diagonal hold the factor, and its strict lower
-    triangle holds the transpose of its strict upper one (``_mirror``).
+    """(factor, kept, scale, diag): a Cholesky factor of conj(D^-1 H D^-1) on
+    the kept members, their index, D^-1 and H's real diagonal as it was.
+    Only H's upper triangle is read; on return H's strict lower triangle
+    holds the transpose of that as it was (``_mirror``).
 
-    H is factored as assembled: Cholesky's success and backward error depend
-    on H only through D^-1 H D^-1, D = diag(H)^(1/2) (Demmel, LAPACK Working
-    Note 14, 1989; Higham, *Accuracy and Stability of Numerical Algorithms*,
-    2nd ed., sec. 10.1), so it needs no equilibration.  A large basis can be
-    singular to working precision although positive definite; a bounded
-    ladder of jitters, each adding jit H_jj to the diagonal (jit to that of
-    D^-1 H D^-1), recovers a usable factorization.  Bound validity is
-    unaffected: the objectives are evaluated at the computed point with the
-    true H, and any point yields a valid bound.
+    H is factored as assembled, in place, all kept and D = 1: Cholesky's
+    success and backward error depend on H only through D^-1 H D^-1,
+    D = diag(H)^(1/2) (Demmel, LAPACK Working Note 14, 1989; Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., sec. 10.1).
+    If that fails, the basis is singular to working precision, and any
+    coefficient vector gives valid bounds: H is restored, and a copy of
+    A = D^-1 H D^-1 is factored by the pivoted ``zpstrf`` (Higham, "Analysis
+    of the Cholesky decomposition of a semi-definite matrix", 1990), which
+    stops at rank r once no pivot left exceeds ``_RANK_TOL``, or on an
+    indefinite A.  For a semidefinite A, S = A22 - L21 L21^H is semidefinite
+    with diagonal at most tol, so |S_ij| <= tol; L's rows have norm at most
+    about 1, so the r steps and ``zherk``'s S each add at most gamma_(r+1)
+    ~ (r + 1)u to an entry (sec. 10.1).  An entry of S beyond
+    tol + 2(r + 1) eps (eps = 2u covers complex arithmetic) rejects the Gram.
     """
     diag = H.diagonal().real.copy()
     if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
@@ -106,42 +113,49 @@ def _factor(H: np.ndarray):
     # writes only that triangle and the diagonal, so the mirror keeps H's
     # upper triangle, and a failed attempt is undone from it and from diag
     _mirror(H)
-    info = 0
-    for jit in _JITTERS:
-        if jit:
-            _mirror(H.T)
-            np.fill_diagonal(H, diag + jit * diag)
-        c, info = zpotrf(H.T, lower=1, clean=0, overwrite_a=1)
-        if info == 0:
-            return c, jit, diag
-        if info < 0:
-            raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
-    raise SingularGramError(
-        f"Gram factorization failed ({info}-th leading minor of the array is not "
-        "positive definite); the basis is numerically dependent -- use a smaller schedule")
+    c, info = zpotrf(H.T, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        return c, slice(None), np.ones(len(diag)), diag
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
+    _mirror(H.T)
+    np.fill_diagonal(H, diag)
+    s = 1.0 / np.sqrt(diag)
+    c, piv, r, _ = zpstrf((H * s[:, None] * s).T, tol=_RANK_TOL, lower=1, overwrite_a=1)
+    drop = piv[r:] - 1
+    # the factored conj(H) is the array below its diagonal, its conjugate above
+    U = H[np.ix_(drop, drop)] * s[drop, None] * s[drop]
+    S = zherk(-1.0, c[r:, :r], beta=1.0, c=np.where(drop[:, None] > drop, U, U.conj()), lower=1)
+    if (rem := np.abs(np.tril(S)).max(initial=0.0)) > _RANK_TOL + 2 * (r + 1) * np.finfo(float).eps:
+        raise SingularGramError(
+            f"Gram factorization failed ({info}-th leading minor of the array is not positive "
+            f"definite) and the Gram is not semidefinite (Schur complement entry {rem:.3g})")
+    return c[:r, :r], piv[:r] - 1, s, diag
 
 
 def _objectives(gram: GramData, d: np.ndarray) -> tuple[float, float, float]:
     """(upper, lower, residual) from one factorization of the Gram: each
-    objective at its own column of the solution of H X = [-u, d], and the
-    larger relative residual max|H x - rhs| / max|rhs| of the two columns.
+    objective at its own column of the solution of H X = [-u, d] on the
+    kept members (0 on the others), and the larger relative residual
+    max|H x - rhs| / max|rhs| of the two columns.
 
     Only H's upper triangle is read, and H is factored in place
     (:func:`_factor`), so it is consumed: its upper triangle becomes the
-    factor.  The factor is that of conj(H), so one ``zpotrs`` on the
-    conjugated right-hand sides gives conj(X).  With H's diagonal restored,
-    the upper triangle of H.T in Fortran order is the mirror, H's upper
-    triangle as it was, so H X is one ``zhemm`` on that triangle, and
-    nothing is copied.  H X runs on SciPy's BLAS, from the compiled wrappers
-    of :mod:`anacap._lapack`, the one library that assembly (its ``zherk``)
-    and the factorization use (see ``integrals._quad_blocks``); one
-    ``zhemm`` of both columns, and one two-column ``zpotrs``, take less time
-    than two one-column calls.
+    factor.  The factor is that of conj(D^-1 H D^-1), so one ``zpotrs`` on
+    the scaled conjugated right-hand sides gives conj(D X).  With H's
+    diagonal restored, the upper triangle of H.T in Fortran order is the
+    mirror, H's upper triangle as it was, so H X is one ``zhemm`` on that
+    triangle, and nothing is copied.  H X runs on SciPy's BLAS, from the
+    compiled wrappers of :mod:`anacap._lapack`, the one library that
+    assembly (its ``zherk``) and the factorization use (see
+    ``integrals._quad_blocks``); one ``zhemm`` of both columns, and one
+    two-column ``zpotrs``, take less time than two one-column calls.
     """
-    c, _, diag = _factor(gram.H)
+    c, keep, s, diag = _factor(gram.H)
     rhs = np.array([-gram.u, d], complex)
-    # rows of a C-ordered 2 x n array are the columns of its n x 2 transpose
-    xc = zpotrs(c, np.conj(rhs).T, lower=1, overwrite_b=1)[0]
+    # rhs.T's columns are rhs's rows; X keeps zpotrs's Fortran order, bit for bit
+    xc = np.zeros((len(d), 2), complex, order="F")
+    xc[keep] = s[keep, None] * zpotrs(c, s[keep, None] * np.conj(rhs).T[keep], lower=1)[0]
     np.fill_diagonal(gram.H, diag)
     x = np.conj(xc)
     (xu, xd), (hu, hd) = x.T, zhemm(1.0, gram.H.T, x, lower=0).T

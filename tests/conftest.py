@@ -10,8 +10,40 @@ import pytest
 
 import anacap
 from anacap.basis import CornerAdapted, PowerPole
+from anacap.errors import DomainError
+from anacap.exact import nome_from_geometry, theta2, theta3, theta4
 from anacap.geometry import ArcChain, CircularArc, Disk, Polygon, Scene, Segment, scene
 from anacap.sublab import max_sweep_radius, random_configuration
+
+
+def agm(a: float, b: float) -> float:
+    """Arithmetic-geometric mean, iterated to 1e-15 relative agreement."""
+    while abs(a - b) > 1e-15 * abs(a):
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * (a + b)
+
+
+def murai_capacity(c: float, r: float) -> float:
+    """Two-disk capacity by Murai's formula (with the corrected factor c),
+    a second closed form to check ``exact.two_disk_capacity`` against:
+
+        gamma = (2/pi) c k F(k) tanh((pi/2) F(k') / F(k)),
+
+    k = theta2(q)^2/theta3(q)^2 and F the complete elliptic integral of the
+    first kind.  k' = theta4^2/theta3^2 rather than sqrt(1 - k^2), which
+    loses k' as the disks touch, and F(k) = pi/(2 agm(1, k')),
+    F(k') = pi/(2 agm(1, k)).  A k' below the normal range (1 - r/c under
+    about 6e-6) is a DomainError.
+    """
+    q = nome_from_geometry(c, r)
+    t3 = theta3(q) ** 2
+    k = theta2(q) ** 2 / t3
+    kp = theta4(q) ** 2 / t3
+    if kp < sys.float_info.min:
+        raise DomainError(f"complementary modulus underflows at r={r}, c={c}")
+    F = 0.5 * math.pi / agm(1.0, kp)
+    Fp = 0.5 * math.pi / agm(1.0, k)
+    return (2.0 / math.pi) * c * k * F * math.tanh(0.5 * math.pi * Fp / F)
 
 
 @pytest.fixture

@@ -31,7 +31,7 @@ from anacap.sublab import (
     monotonicity_verdict,
     sweep,
 )
-from conftest import each_piece, random_points
+from conftest import each_piece, murai_capacity, random_points
 
 TWO_DISK_GAMMA = 1.8755950190971197289
 TWO_DISKS = scene([Disk(2 + 0j, 1.0), Disk(-2 + 0j, 1.0)])
@@ -74,7 +74,7 @@ def test_criterion_2_two_disk_ladder_convergence():
 
 def test_criterion_3_theta_cross_validation():
     theta_val = exact.two_disk_capacity(2, 1)
-    murai_val = exact.murai_capacity(2, 1)
+    murai_val = murai_capacity(2, 1)
     res = gamma_bounds(TWO_DISKS, Rings(4))
     mid = 0.5 * (res.lower + res.upper)
     agree = max(abs(theta_val - murai_val), abs(theta_val - mid)) <= 1e-9

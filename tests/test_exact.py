@@ -9,7 +9,6 @@ from anacap.exact import (
     GAMMA_QUARTER,
     log_deriv_u,
     log_deriv_u_upper,
-    murai_capacity,
     nome_from_geometry,
     ratio_f,
     square_capacity,
@@ -18,6 +17,7 @@ from anacap.exact import (
     theta4,
     two_disk_capacity,
 )
+from conftest import murai_capacity
 
 Q21 = 7 - 4 * math.sqrt(3)  # the nome of the (c, r) = (2, 1) configuration
 TWO_DISK_GAMMA = 1.8755950190971197289

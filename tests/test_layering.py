@@ -8,6 +8,11 @@ assembly and solve layers above it, reads every boundary in the coefficient
 form of ``geometry.arcs``, naming no shape or piece class; and only
 ``geometry`` calls ``arcs``, once per shape for ``Scene.boundaries``.
 
+``basis``, ``integrals``, ``quadrature`` and ``solver`` make no matrix
+product through NumPy: their products run on SciPy's BLAS
+(``anacap._lapack``), and a NumPy product would wake NumPy's own OpenBLAS
+thread pool, which stalls SciPy's (see ``integrals._quad_blocks``).
+
 No test calls ``pytest.approx`` with ``rel=`` and no ``abs=``: a relative
 tolerance alone still accepts approx's default absolute error of 1e-12.
 """
@@ -22,6 +27,7 @@ SRC = TESTS.parent / "src" / "anacap"
 UPPER = {"integrals", "quadrature", "solver", "sublab", "cli"}
 DISPLACEMENTS = {"disp_start", "disp_end"}
 SHAPE_CLASSES = {"Disk", "Ellipse", "Polygon", "ArcChain", "Segment", "CircularArc"}
+NUMPY_PRODUCTS = {"dot", "matmul", "einsum", "linalg"}
 
 
 def _tree(name: str) -> ast.Module:
@@ -62,6 +68,25 @@ def _names(tree: ast.Module) -> set[str]:
     return out
 
 
+def _numpy_products(tree: ast.Module) -> list[int]:
+    """Lines of the matrix products made through NumPy: ``@`` and ``@=``,
+    and ``dot``, ``matmul``, ``einsum`` or ``linalg`` read from ``np`` or
+    ``numpy`` or imported from it."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            lines.add(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr in NUMPY_PRODUCTS
+              and getattr(node.value, "id", None) in {"np", "numpy"}):
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None)
+            for name in (f"{module}.{a.name}" if module else a.name for a in node.names):
+                if name.split(".")[0] == "numpy" and NUMPY_PRODUCTS & set(name.split(".")):
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
 def _rel_only_approx(tree: ast.Module) -> list[int]:
     """Lines of the ``approx`` calls with ``rel=`` and no ``abs=``."""
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
@@ -94,6 +119,11 @@ def test_names_no_shape_or_piece_class(name):
     assert not _names(_tree(name)) & SHAPE_CLASSES
 
 
+@pytest.mark.parametrize("name", ["basis", "integrals", "quadrature", "solver"])
+def test_makes_no_numpy_matrix_product(name):
+    assert _numpy_products(_tree(name)) == []
+
+
 def test_no_rel_only_approx_in_the_tests():
     found = {p.name: _rel_only_approx(ast.parse(p.read_text(), str(p)))
              for p in sorted(TESTS.glob("*.py"))}
@@ -117,3 +147,8 @@ def test_the_checks_see_what_they_look_for():
     src = ("pytest.approx(1.0, rel=1e-9)\napprox(2.0, rel=1e-9, abs=0)\napprox(3.0)\n"
            "approx(\n    4.0,\n    rel=1e-9)\n")
     assert _rel_only_approx(ast.parse(src)) == [1, 4]
+    # and a NumPy matrix product in each form, but not an elementwise one
+    src = ("a @ b\na @= b\nnp.dot(a, b)\nnumpy.matmul(a, b)\nnp.einsum('ij,jk', a, b)\n"
+           "np.linalg.solve(a, b)\nfrom numpy import dot\nfrom numpy.linalg import cholesky\n"
+           "import numpy.linalg\na * b\nnp.vdot(a, b)\nzherk(1.0, a)\n")
+    assert _numpy_products(ast.parse(src)) == [1, 2, 3, 4, 5, 6, 7, 8, 9]

@@ -69,7 +69,7 @@ def test_mapped_corner_scene_bracket_meets_the_unmapped_one():
     # the unit disk and half-disks over [2, 4] and [-4, -2]; under Powers(8,
     # corners) the mapped scene's bounds cross, lower 2.3349076 > upper
     # 2.3348975, both outside |a| times the Powers(10, corners) bracket
-    # [2.3349028, 2.3349050] of the unmapped scene
+    # [2.3349030, 2.3349047] of the unmapped scene
     a, b = 0.6140479288728861 + 0.834620224977348j, 4.649677439797358 - 0.9836377611148253j
     sc = scene([Disk(0j, 1.0), half_disk(3 + 0j, 1.0), half_disk(-3 + 0j, 1.0)])
     ref = gamma_bounds(sc, Powers(10, with_corners=True))
@@ -244,6 +244,13 @@ def test_singular_gram_rejected():
     gram = GramData(H, np.zeros(2, complex), 1.0)
     with pytest.raises(SingularGramError, match="2-th leading minor"):
         upper_bound(GramSystem(gram, np.ones(2, complex)))
+    # pivoting stops at rank 1 with a zero Schur diagonal; only the
+    # off-diagonal -0.5 shows the least eigenvalue, -0.186
+    H = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.5], [1.0, 0.5, 1.0]], complex)
+    gram3 = GramSystem(GramData(H, np.zeros(3, complex), 1.0), np.ones(3, complex))
+    for bound in (upper_bound, lower_bound):
+        with pytest.raises(SingularGramError, match="not semidefinite"):
+            bound(gram3)
     gram2 = GramData(np.array([[0.0]], complex), np.zeros(1, complex), 1.0)
     with pytest.raises(SingularGramError):
         lower_bound(GramSystem(gram2, np.ones(1, complex)))
@@ -295,44 +302,79 @@ def test_public_stages_give_gamma_bounds_bracket_bitwise(shapes, schedule):
     res = gamma_bounds(sc, schedule)
     assert (upper_bound(system), lower_bound(system)) == (res.upper, res.lower)
     assert system.gram.H.tobytes() == before.tobytes()
+    # each Gram factors on the first try, with the bits of a copy factored
+    assert copy_factored_objectives(system.gram, system.d) == (res.upper, res.lower)
 
 
 def copy_factored_objectives(gram, d):
-    """(upper, lower, jitter) with every attempt of the jitter ladder made on
-    a fresh copy of the Gram, and H X from its upper triangle."""
-    H, n = gram.H, len(d)
-    diag = H.diagonal().real
-    for jit in solver._JITTERS:
-        buf = H.copy()
-        if jit:
-            buf.ravel()[:: n + 1] += jit * diag
-        c, info = zpotrf(buf.T, lower=1, clean=0, overwrite_a=1)
-        if info == 0:
-            break
+    """(upper, lower) from a copy of the Gram that factors on the first try,
+    and H X from its upper triangle."""
+    H = gram.H
+    c, info = zpotrf(H.copy().T, lower=1, clean=0, overwrite_a=1)
+    assert info == 0
     rhs = np.array([-gram.u, d], complex)
     xc = zpotrs(c, np.conj(rhs).T, lower=1, overwrite_b=1)[0]
     (xu, xd), (hu, hd) = np.conj(xc.T), np.conj(zhemm(1.0, H.T, xc, lower=1).T)
     up = gram.c0 + 2.0 * np.vdot(xu, gram.u).real + np.vdot(xu, hu).real
     lo = 2.0 * np.vdot(xd, d).real - np.vdot(xd, hd).real
-    return float(up), float(lo), jit
+    return float(up), float(lo)
 
 
-@pytest.mark.parametrize("shapes, basis", [
-    ([Disk(0j, 1.0)], [PowerPole(0.1, 1), PowerPole(0.1 + 1e-8, 1), PowerPole(0.3j, 1)]),
-    ([Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)], Rings(8)),
+def test_ratio_record_brackets_are_those_of_the_copy_factored_reference(monkeypatch):
+    # the three Grams of the seed-1 18-disk record at r = 3e-8 factor on the
+    # first try; their brackets, and so the ratio ends, lose bits if the
+    # solution is not kept in the Fortran order that zpotrs returns (E's
+    # bounds cross by rounding and are clamped, so the objectives are compared)
+    seen, got, objectives = [], [], solver._objectives
+
+    def recording(gram, d):
+        seen.append(copy_factored_objectives(gram, d))
+        got.append(objectives(gram, d))
+        return got[-1]
+
+    monkeypatch.setattr(solver, "_objectives", recording)
+    ratio_bounds(DiskConfiguration(random_configuration(18, 1), 3e-8, 9), Rings(4))
+    assert len(seen) == 3 and seen == [g[:2] for g in got]
+
+
+@pytest.mark.parametrize("shapes, basis, jittered", [
+    ([Disk(0j, 1.0)], [PowerPole(0.1, 1), PowerPole(0.1 + 1e-8, 1), PowerPole(0.3j, 1)],
+     (0.9991023342889914, 1.0)),
+    ([Ellipse(c, 2.0, 1.0) for c in (-3 + 0j, 3 + 0j, 10j, -10j)], Rings(8),
+     (5.371993756104061, 5.371996494785229)),
 ], ids=["one-disk-kernel", "four-ellipses-Rings8"])
-def test_jitter_ladder_restores_the_gram_between_attempts(shapes, basis):
-    # both Grams fail to factor without jitter: a failed attempt in place
-    # overwrites H's upper triangle and diagonal, and the next one starts
-    # from the mirror and a copy of the diagonal, so the bracket and the
-    # jitter are those of factoring a fresh copy at each step
+def test_pivoted_fallback_meets_the_jittered_bracket(shapes, basis, jittered, monkeypatch):
+    # both Grams fail zpotrf.  The fallback restores the Gram from its
+    # mirror, factors D^-1 H D^-1 once by zpstrf and drops members, and the
+    # bracket meets the one that a 4e-15 jitter of the diagonal gave, with a
+    # gap at most 1.2 times as wide
     sc = validate_scene(scene(shapes))
     bs = BasisSet(basis if isinstance(basis, list) else build_basis(sc, basis))
-    up, lo, jit = copy_factored_objectives(assemble_gram(sc, bs), bs.d_vector())
-    assert jit == 4e-15
-    assert solver._factor(assemble_gram(sc, bs).H)[1] == jit
+    infos, seen, ranks, potrf, pstrf = [], [], [], solver.zpotrf, solver.zpstrf
+
+    def first(a, **kw):
+        out = potrf(a, **kw)
+        infos.append(out[1])
+        return out
+
+    def pivoted(a, **kw):
+        seen.append(np.tril(a))
+        out = pstrf(a, **kw)
+        ranks.append(out[2])
+        return out
+
+    monkeypatch.setattr(solver, "zpotrf", first)
+    monkeypatch.setattr(solver, "zpstrf", pivoted)
     res = bounds_for_basis(sc, bs)
-    assert (res.upper, res.lower) == (up, lo)
+    # one call of each; the pivoted one reads the restored, equilibrated Gram
+    (info,), (rank,), (a,) = infos, ranks, seen
+    assert info > 0 and rank < bs.n
+    H = assemble_gram(sc, bs).H
+    s = 1.0 / np.sqrt(H.diagonal().real)
+    assert np.array_equal(a, np.tril((H * s[:, None] * s).T))
+    lo, hi = jittered
+    assert res.lower <= hi and lo <= res.upper
+    assert res.upper - res.lower <= max(1.2 * (hi - lo), 1e-14 * hi)
 
 
 def test_disk_bracket_makes_moment_rows_in_blocks_of_at_most_128(monkeypatch):

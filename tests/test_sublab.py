@@ -216,7 +216,8 @@ def test_nine_small_disks_factor_without_jitter():
     res = gamma_bounds(sc, Rings(4))
     assert res.lower <= res.upper
     gram = assemble_gram(sc, build_basis(sc, Rings(4)))
-    assert _factor(gram.H)[1] == 0.0
+    # the first zpotrf keeps every member
+    assert _factor(gram.H)[1] == slice(None)
 
 
 def eighteen_disk_record(seed):
