@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -63,12 +64,15 @@ class CornerAdapted:
 BasisFunction = Union[PowerPole, CornerAdapted]
 
 
-def _require_int(value, name: str) -> None:
-    """A schedule's count is an integer: a float or a bool in its place is a
-    :class:`SceneConfigError`, not a coerced value (int(2.9) is 2 and
-    int(True) is 1)."""
-    if isinstance(value, bool) or not isinstance(value, int):
+def _require_int(value, name: str, least: int) -> int:
+    """A schedule's count: an integer (a NumPy one too) of at least ``least``,
+    kept as a Python int; a float or a bool is a :class:`SceneConfigError`,
+    not a coerced value (int(2.9) is 2 and int(True) is 1)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise SceneConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise SceneConfigError(f"{name} must be >= {least}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,7 @@ class Rings:
     layers: int
 
     def __post_init__(self):
-        _require_int(self.layers, "layers")
-        if self.layers < 0:
-            raise SceneConfigError("layers must be >= 0")
+        object.__setattr__(self, "layers", _require_int(self.layers, "layers", 0))
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,7 @@ class Powers:
     with_corners: bool = False
 
     def __post_init__(self):
-        _require_int(self.n, "n")
-        if self.n < 1:
-            raise SceneConfigError("n must be >= 1")
+        object.__setattr__(self, "n", _require_int(self.n, "n", 1))
         if not isinstance(self.with_corners, bool):
             raise SceneConfigError(f"with_corners must be True or False, "
                                    f"got {self.with_corners!r}")

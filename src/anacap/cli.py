@@ -107,7 +107,7 @@ def cmd_discrete(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    schedule = _sweepmod.default_schedule()
+    schedule = _sweepmod.DEFAULT_SCHEDULE
     if args.config:
         centers, _, m, raw = _load_disks(args.config, args.m)
         if "schedule" in raw:

@@ -21,6 +21,7 @@ squares of circumscribed-circle radii over all triples.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,7 @@ class DiskConfiguration:
             raise DuplicateCenterError("need at least one center")
         _check_radius(self.radius)
         if self.m is not None:
-            _check_split(self.m, len(self.centers))
+            object.__setattr__(self, "m", _check_split(self.m, len(self.centers)))
 
     def min_center_distance(self) -> float:
         return float(_pair_distances(np.asarray(self.centers, complex)).min())
@@ -90,11 +91,12 @@ def _check_radius(r: float) -> None:
         raise PreconditionError(f"radius must be finite and positive, got {r}")
 
 
-def _check_split(m, n: int) -> None:
-    """A split of n centers is an integer m with 1 <= m <= n - 1; a float or
-    a bool is no split index."""
-    if isinstance(m, bool) or not isinstance(m, int) or not 1 <= m <= n - 1:
-        raise SplitError(f"split m={m} invalid for n={n}")
+def _check_split(m, n: int) -> int:
+    """A split of n centers is an integer m, NumPy's too, with 1 <= m <= n - 1,
+    returned as a Python int; a float or a bool is no split index."""
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or not 1 <= m <= n - 1:
+        raise SplitError(f"split m={m!r} invalid for n={n}: m must be an integer in [1, n - 1]")
+    return int(m)
 
 
 def _centers_array(Z) -> np.ndarray:
@@ -203,7 +205,7 @@ def alpha_geometric(Z) -> float:
 def delta(Z, m: int) -> float:
     """delta = alpha(Z) - alpha(Z[:m]) - alpha(Z[m:]); strictly positive."""
     Z = list(Z)
-    _check_split(m, len(Z))
+    m = _check_split(m, len(Z))
     val = alpha(Z) - alpha(Z[:m]) - alpha(Z[m:])
     if val <= 0:
         raise SolveError(f"delta must be positive, got {val}")

@@ -129,8 +129,8 @@ class ParametricArc(NamedTuple):
     |e - c| <= 1 - cos delta/2.
 
     Quadrature reads single pieces.  The gap kernel stacks pieces, one array
-    entry per piece in every field, and reads ``point``, ``sagitta``,
-    ``chords`` and ``size``, which take arrays of one t per piece.
+    entry per piece in every field, and reads ``point``, ``sagitta`` and
+    ``chords``, which take arrays of one t per piece.
     """
 
     p0: complex
@@ -217,10 +217,6 @@ class ParametricArc(NamedTuple):
         j = np.arange(i.size) - np.repeat(np.cumsum(m) - m, m)
         return i, j / m[i], (j + 1) / m[i]
 
-    def size(self) -> float:
-        """A bound on |z(t)|, which sets the rounding error of the points."""
-        return float(np.max(np.abs(self.p0) + np.abs(self.p1) + np.abs(self.b) + np.abs(self.d)))
-
 
 @dataclass(frozen=True)
 class Scene:
@@ -256,14 +252,16 @@ def scene(shapes, labels=None) -> Scene:
 # boundary check
 
 
-def _check_boundary(pieces: list[ParametricArc]) -> None:
+def _check_boundary(pieces: list[ParametricArc]) -> tuple[complex, float, float]:
     """Check one shape's boundary pieces, its ``arcs``, by rules that read no
-    shape kind, so a polygon and the arc chain of its edges get one verdict.
-    Raises :class:`DegenerateShapeError` unless there are pieces, all finite;
-    each starts within tol = 1e-9 max|z| of where the one before ends; a
-    curved piece has k > 0 and turns less than once, or once as the only
-    piece; a straight piece is longer than 1e-14 diam, diam the widest
-    distance between piece starts (a zero-length arc is a straight piece with
+    shape kind, so a polygon and the arc chain of its edges get one verdict,
+    and return their :func:`_enclosing_disk`.  Raises
+    :class:`DegenerateShapeError` unless there are pieces, all finite; each
+    starts within tol = 1e-9 max|z| of where the one before ends; a curved
+    piece has k > 0 and turns less than once, or once as the only piece; a
+    straight piece is longer than 1e-14 diam, diam the diagonal of the piece
+    starts' bounding box (1 to sqrt 2 times their widest distance, and
+    unmoved by a translation; a zero-length arc is a straight piece with
     p1 = 0); two straight pieces in a row do not lie on one line, so they
     neither run on nor fold straight back; two curved pieces in a row do not
     turn opposite ways on one circle; the signed area is positive (a radius or
@@ -278,7 +276,8 @@ def _check_boundary(pieces: list[ParametricArc]) -> None:
     starts = [arc.start for arc in pieces]
     ends = [arc.end for arc in pieces]
     scale = max(map(abs, starts + ends)) or 1.0
-    diam = max(abs(z - w) for z in starts for w in starts)
+    x, y = [z.real for z in starts], [z.imag for z in starts]
+    diam = math.hypot(max(x) - min(x), max(y) - min(y))
     for i, arc in enumerate(pieces):
         if abs(ends[i - 1] - starts[i]) > 1e-9 * scale:
             raise DegenerateShapeError(f"piece {i} does not start where the one before ends")
@@ -305,6 +304,7 @@ def _check_boundary(pieces: list[ParametricArc]) -> None:
         for i, arc in enumerate(pieces):
             if _meet_again(pieces[i - 1], arc, 1e-9 * scale):
                 raise DegenerateShapeError(f"piece {i} meets the one before away from their join")
+    return _enclosing_disk(pieces)
 
 
 def _meet_again(prev: ParametricArc, arc: ParametricArc, tol: float) -> bool:
@@ -489,18 +489,20 @@ def interior_anchor(pieces: list[ParametricArc]) -> complex:
     inside, the anchor is the first inward probe p = point(1/2) + f i z'(1/2),
     f = 1/4, 1/10, 1/50, piece by piece, that is inside with the cross
     p +- h, p +- i h, h = (f/2) i z'(1/2): so a probe on another piece is
-    refused whichever side of it rounding puts it.
+    refused whichever side of it rounding puts it.  When no piece has one, a
+    thin shape, the probes go on, piece by piece, at f = 2^-k/50, k = 1..40.
     """
     cand = sum(map(_mean_point, pieces)) / len(pieces)
     if _winding_number(pieces, cand):
         return cand
-    for arc in pieces:
-        mid, inward = arc.point(0.5), 1j * arc._point_velocity(0.5)[1]  # interior on the left
-        for frac in (0.25, 0.1, 0.02):
-            p = complex(mid + frac * inward)
-            h = 0.5 * frac * inward
-            if all(_winding_number(pieces, p + dz) for dz in (0, h, -h, 1j * h, -1j * h)):
-                return p
+    for depths in ((0.25, 0.1, 0.02), [0.02 * 0.5 ** k for k in range(1, 41)]):
+        for arc in pieces:
+            mid, inward = arc.point(0.5), 1j * arc._point_velocity(0.5)[1]  # interior on the left
+            for frac in depths:
+                p = complex(mid + frac * inward)
+                h = 0.5 * frac * inward
+                if all(_winding_number(pieces, p + dz) for dz in (0, h, -h, 1j * h, -1j * h)):
+                    return p
     raise DegenerateShapeError("could not find an interior point of the boundary")
 
 
@@ -546,9 +548,7 @@ def validate_scene(sc: Scene) -> Scene:
     if not sc.shapes:
         raise SceneConfigError("scene needs at least one shape")
     pieces = sc.boundaries
-    for p in pieces:
-        _check_boundary(p)
-    disks = [_enclosing_disk(p) for p in pieces]
+    disks = [_check_boundary(p) for p in pieces]
     pairs = [(i, i) for i, p in enumerate(pieces) if len(p) > 3]
     for i, j in itertools.combinations(range(len(sc.shapes)), 2):
         if _disks_apart(disks[i], disks[j]):
@@ -560,7 +560,7 @@ def validate_scene(sc: Scene) -> Scene:
                                "a boundary point of one lies inside the other")
         pairs.append((i, j))
     if pairs:
-        _certified_gaps([_stack(p) for p in pieces], pairs)
+        _certified_gaps(pieces, [size for _, _, size in disks], pairs)
     return sc
 
 
@@ -572,7 +572,7 @@ _SLACK = 32.0 * _EPS  # a gap must clear this times the larger curve size
 
 def _enclosing_disk(pieces: list[ParametricArc]) -> tuple[complex, float, float]:
     """(centre c, radius R, size) of a disk that holds the boundary, from the
-    pieces' coefficients; size is the kernel's ``size()`` of the pieces.
+    pieces' coefficients; size = max_k (|p0| + |p1| + |b| + |d|) >= |z|.
 
     Piece k lies in the disk about c_k = p0 + p1/2 of radius
     r_k = |p1|/2 + |b| + |d|, since z(t) - c_k = p1 (t - 1/2) + b e + d conj(e)
@@ -614,25 +614,22 @@ def _disks_apart(a: tuple[complex, float, float], b: tuple[complex, float, float
     return abs(ca - cb) - ra - rb > 2.0 * _SLACK * size + _TINY
 
 
-def _stack(pieces: list[ParametricArc]) -> ParametricArc:
-    """The pieces as one ParametricArc of arrays, one entry per piece."""
-    return ParametricArc(*map(np.array, zip(*pieces)))
+def _certified_gaps(boundaries, sizes: list[float], pairs: list[tuple[int, int]]) -> None:
+    """Certify a positive distance between boundaries m and n for every
+    (m, n) in ``pairs``; for m == n, between the non-adjacent pieces of m.
+    Boundary m is shape m's pieces and sizes[m] its enclosing disk's size;
+    all go into one table, whose chords are cut once and split by boundary.
 
-
-def _certified_gaps(curves: list[ParametricArc], pairs: list[tuple[int, int]]) -> None:
-    """Certify a positive distance between curves m and n for every (m, n)
-    in ``pairs``; for m == n, between the non-adjacent pieces of m.  Curve m
-    is shape m's pieces, stacked by :func:`_stack`.
-
-    Each curve is covered by chords of at most ``_CHORD_TURNS`` of a turn that
-    carry their pieces' sagitta bounds.  For a pair of chords, the
+    Each boundary is covered by chords of at most ``_CHORD_TURNS`` of a turn
+    that carry their pieces' sagitta bounds.  For a pair of chords, the
     segment-segment distance (0 when they cross) minus both sagittas is a
     lower bound on the distance between the two pieces.  A chord pair is
-    settled when that bound is above its curve pair's rounding slack, or when
-    both chords are straight (the bound is then exact and must clear the
-    slack); every other chord pair has each curved chord halved.  Chord
-    pairs go through the rounds as arrays of (pair, piece, t0, t1, piece, t0,
-    t1), in independent batches of at most ``_GAP_MAX_PAIRS``.
+    settled when that bound is above its pair's rounding slack (_SLACK times
+    the larger size), or when both chords are straight (the bound is then
+    exact and must clear the slack); every other chord pair has each curved
+    chord halved.  Chord pairs go through the rounds as arrays of (pair,
+    piece, t0, t1, piece, t0, t1), in independent batches of at most
+    ``_GAP_MAX_PAIRS``.
 
     Raises OverlapError naming shapes m and n, or for m == n
     DegenerateShapeError naming shape m, when two curves meet within
@@ -641,27 +638,27 @@ def _certified_gaps(curves: list[ParametricArc], pairs: list[tuple[int, int]]) -
     live chord pairs outgrow the cap (a boundary that runs parallel to
     another within rounding), or after ``_GAP_ROUNDS`` rounds.
     """
-    curve = ParametricArc(*map(np.concatenate, zip(*curves)))
-    off = np.cumsum([0] + [c.p0.size for c in curves])
-    cuts = [(i + o, t0, t1) for (i, t0, t1), o in zip((c.chords() for c in curves), off)]
-    slack = _SLACK * np.array([max(curves[m].size(), curves[n].size()) for m, n in pairs])
+    curve = ParametricArc(*map(np.array, zip(*itertools.chain.from_iterable(boundaries))))
+    i, t0, t1 = curve.chords()
+    first = np.searchsorted(i, np.cumsum([0] + [len(p) for p in boundaries]))
+    slack = _SLACK * np.array([max(sizes[m], sizes[n]) for m, n in pairs])
     batch, rows = [], 0
     for g, (m, n) in enumerate(pairs):
-        (ia, ta0, ta1), (ib, tb0, tb1) = cuts[m], cuts[n]
-        nb = ib.size
+        (a0, a1), (b0, b1) = first[m:m + 2], first[n:n + 2]
+        nb = b1 - b0
         step = max(1, _GAP_MAX_PAIRS // nb)
-        for lo in range(0, ia.size, step):
-            ja = np.repeat(np.arange(lo, min(lo + step, ia.size)), nb)
-            jb = np.tile(np.arange(nb), ja.size // nb)
+        for lo in range(a0, a1, step):
+            ja = np.repeat(np.arange(lo, min(lo + step, a1)), nb)
+            jb = np.tile(np.arange(b0, b1), ja.size // nb)
             if m == n:
                 # a boundary against itself: each two non-adjacent pieces once
-                apart = ib[jb] - ia[ja]
-                keep = (apart > 1) & (apart < curves[m].p0.size - 1)
+                apart = i[jb] - i[ja]
+                keep = (apart > 1) & (apart < len(boundaries[m]) - 1)
                 ja, jb = ja[keep], jb[keep]
             if batch and rows + ja.size > _GAP_MAX_PAIRS:
                 _refine_gaps(curve, batch, slack, pairs)
                 batch, rows = [], 0
-            batch.append((np.full(ja.size, g), ia[ja], ta0[ja], ta1[ja], ib[jb], tb0[jb], tb1[jb]))
+            batch.append((np.full(ja.size, g), i[ja], t0[ja], t1[ja], i[jb], t0[jb], t1[jb]))
             rows += ja.size
     _refine_gaps(curve, batch, slack, pairs)
 

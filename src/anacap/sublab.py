@@ -18,6 +18,7 @@ the corresponding order.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -35,6 +36,8 @@ from .solver import BoundsResult, _brackets, gamma_bounds  # noqa: F401
 CSV_COLUMNS = ("r", "ratio_low", "ratio_high", "gamma_ef_low", "gamma_ef_high",
                "gamma_e_low", "gamma_e_high", "gamma_f_low", "gamma_f_high",
                "n_basis", "wall_time_s")
+DEFAULT_SCHEDULE = Rings(4)  # of ``anacap sweep`` when its config names none
+_SPREAD = 10.0  # the side of the square that random centers are drawn from
 
 CERTIFIED_DECREASE = "CERTIFIED_DECREASE"
 CERTIFIED_INCREASE = "CERTIFIED_INCREASE"
@@ -126,7 +129,7 @@ def sweep(centers, m: int, r_grid, schedule: Schedule,
     yields an error record, not a dropped row; other exceptions propagate.
     """
     centers = tuple(complex(c) for c in centers)
-    discrete._check_split(m, len(centers))
+    m = discrete._check_split(m, len(centers))
     r_grid = [float(r) for r in r_grid]
     cap = max_sweep_radius(centers)
 
@@ -195,7 +198,7 @@ def asymptotic_check(centers, m: int, schedule: Schedule,
     """Fit the quadratic coefficient of 1 - R over r_k = r0 2^{-k}, k < levels,
     and compare with the predicted small-radius slope delta/n; the fit has two
     parameters, so fewer than two levels is a ValueError."""
-    if isinstance(levels, bool) or not isinstance(levels, int) or levels < 2:
+    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral) or levels < 2:
         raise ValueError(f"levels must be an integer >= 2, got {levels!r}")
     centers = tuple(complex(c) for c in centers)
     if r0 is None:
@@ -247,17 +250,13 @@ def records_to_csv(records: list[SweepRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def random_configuration(n: int, seed: int, spread: float = 10.0) -> tuple[complex, ...]:
-    """Seeded random centers with pairwise spacing at least ~spread/n."""
+def random_configuration(n: int, seed: int) -> tuple[complex, ...]:
+    """Seeded random centers in [0, 10]^2 with pairwise spacing above 10/n."""
     rng = np.random.default_rng(seed)
-    min_sep = spread / n
+    min_sep = _SPREAD / n
     pts: list[complex] = []
     while len(pts) < n:
-        cand = complex(rng.uniform(0, spread), rng.uniform(0, spread))
+        cand = complex(rng.uniform(0, _SPREAD), rng.uniform(0, _SPREAD))
         if all(abs(cand - p) > min_sep for p in pts):
             pts.append(cand)
     return tuple(pts)
-
-
-def default_schedule() -> Rings:
-    return Rings(4)

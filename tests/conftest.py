@@ -70,6 +70,16 @@ def half_disk(center: complex, r: float = 0.5) -> ArcChain:
 MIXED_SHAPES = (Disk(0j, 1.0), half_disk(3 + 0j), half_disk(3j))
 
 
+def crescent(shift: float) -> ArcChain:
+    """The unit circle's arc over [-80, 80] degrees, closed by an arc about
+    ``shift`` through its two ends, turning back: 1 - shift - |e^{ia} - shift|
+    thick on the real axis (0.040 at shift -0.05, 0.008 at -0.01)."""
+    a = math.radians(80)
+    top, bottom = cmath.exp(1j * a) - shift, cmath.exp(-1j * a) - shift
+    return ArcChain((CircularArc(0j, 1.0, -a, a),
+                     CircularArc(shift + 0j, abs(top), cmath.phase(top), cmath.phase(bottom))))
+
+
 def eighteen_disks() -> list:
     """The 18 disks of a disk_sweep record, at 0.4 of the sweep's cap."""
     centers = random_configuration(18, 3)
@@ -162,12 +172,12 @@ def same_bits(x, y) -> bool:
 SRC = str(Path(anacap.__file__).resolve().parents[1])
 
 
-def run_fresh(code: str) -> str:
-    """The standard output of ``python -c code`` in a fresh interpreter that
-    imports this ``anacap``."""
+def run_fresh(*argv: str, cwd=None) -> str:
+    """The standard output of ``python *argv`` (``"-c", code``, say) in a
+    fresh interpreter that imports this ``anacap``."""
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=120)
+    out = subprocess.run([sys.executable, *argv], env=env, cwd=cwd, capture_output=True,
+                         text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     return out.stdout

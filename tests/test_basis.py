@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -128,12 +129,28 @@ def test_layout_counts_and_interiority():
     (lambda: Rings(True), "layers must be an integer"),
     (lambda: Powers(2.0), "n must be an integer"),
     (lambda: Powers(True), "n must be an integer"),
+    (lambda: Rings(np.float64(4.0)), "layers must be an integer"),
+    (lambda: Powers(np.bool_(True)), "n must be an integer"),
     (lambda: Powers(3, with_corners="no"), "with_corners must be True or False"),
 ], ids=["rings", "powers", "rings_float", "rings_bool", "powers_float", "powers_bool",
-        "powers_corners_str"])
+        "rings_numpy_float", "powers_numpy_bool", "powers_corners_str"])
 def test_negative_layers_and_empty_powers_rejected(make, match):
     with pytest.raises(SceneConfigError, match=match):
         make()
+
+
+@pytest.mark.parametrize("make, count, shape", [
+    (Rings, 4, Ellipse(0.3 - 0.2j, 2.0, 0.7, 0.9)),
+    (lambda n: Powers(n, True), 3, Polygon((1 + 0j, 1j, -1 + 0j, -1j))),
+], ids=["rings", "powers"])
+def test_numpy_integer_counts_give_the_brackets_of_python_ints(make, count, shape):
+    # the count is kept as a Python int: as a np.int64 it rounds some of a
+    # rotated ellipse's ring poles differently
+    schedule, numpy_schedule = make(count), make(np.int64(count))
+    assert numpy_schedule == schedule
+    assert type(dataclasses.astuple(numpy_schedule)[0]) is int
+    want, got = (gamma_bounds(scene([shape]), s) for s in (schedule, numpy_schedule))
+    assert same_bits([want.lower, want.upper], [got.lower, got.upper])
 
 
 # --- build_basis ------------------------------------------------------------

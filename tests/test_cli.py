@@ -6,11 +6,12 @@ import pytest
 
 from anacap.cli import (EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VIOLATION, build_parser,
                         main)
-from anacap.geometry import scene_from_config, scene_to_config
+from anacap.geometry import scene, scene_from_config, scene_to_config
 from anacap.quadrature import QuadratureSettings
-from conftest import run_fresh
+from conftest import crescent, run_fresh
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+DEMOS = README.parent / "demos"
 
 TWO_DISKS = {
     "shapes": [
@@ -382,6 +383,15 @@ def test_max_depth_failure_is_numerical_exit(config_file, capsys):
     assert "65536 nodes" in err
 
 
+@pytest.mark.parametrize("shift, exit_code", [(-0.05, EXIT_OK), (-0.01, EXIT_NUMERICAL)])
+def test_thin_crescent_is_no_invalid_scene(config_file, capsys, shift, exit_code):
+    # a valid scene whose anchor needs the deeper probes: a bracket at 0.040
+    # thick, a quadrature failure at 0.008, never exit 2
+    config = {**scene_to_config(scene([crescent(shift)])), "schedule": {"mode": "powers", "n": 4}}
+    code, _, _ = run(capsys, "gamma", "--config", config_file(config))
+    assert code == exit_code
+
+
 def test_non_finite_vertex_is_config_error(config_file, capsys):
     # NaN is valid JSON to Python's reader; the shape check rejects it like a zero radius
     bad = dict(SQUARE_CORNERS, shapes=[dict(SQUARE_CORNERS["shapes"][0],
@@ -401,8 +411,14 @@ def readme_block(heading, lang):
 
 def test_readme_quick_start_runs_with_warnings_as_errors():
     # a public name that the README uses and the package no longer has fails here
-    run_fresh("import warnings\nwarnings.simplefilter('error')\n"
+    run_fresh("-c", "import warnings\nwarnings.simplefilter('error')\n"
               + readme_block("## Library quick start", "python"))
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda p: p.stem)
+def test_demo_runs_with_warnings_as_errors(demo, tmp_path):
+    # from tmp_path, where subadditivity_sweep.py writes its CSV
+    run_fresh("-W", "error", str(demo), cwd=tmp_path)
 
 
 def test_readme_schema_example(config_file, capsys):

@@ -11,6 +11,7 @@ from anacap import geometry
 from anacap.basis import PowerPole, Powers
 from anacap.errors import (
     DegenerateShapeError,
+    MaxDepthError,
     OverlapError,
     SceneConfigError,
     ZeroScaleError,
@@ -34,6 +35,7 @@ from anacap.geometry import (
 from anacap.integrals import assemble_gram
 from anacap.quadrature import QuadratureSettings
 from anacap.solver import gamma_bounds
+from conftest import crescent
 
 SQUARE = Polygon((1 + 0j, 1j, -1 + 0j, -1j))
 L_SHAPE = Polygon((0j, 4 + 0j, 4 + 1j, 1 + 1j, 1 + 3j, 3j))
@@ -387,9 +389,9 @@ def test_enclosing_disks_settle_pairs_as_the_kernel_does(monkeypatch):
     kernel = geometry._certified_gaps
     kernel_pairs = []
 
-    def spy(curves, pairs):
+    def spy(boundaries, sizes, pairs):
         kernel_pairs.extend(pairs)
-        return kernel(curves, pairs)
+        return kernel(boundaries, sizes, pairs)
 
     monkeypatch.setattr(geometry, "_certified_gaps", spy)
 
@@ -417,7 +419,7 @@ def test_enclosing_disks_settle_pairs_as_the_kernel_does(monkeypatch):
             kernel_pairs.clear()
             got = verdict(lambda: validate_scene(scene([a, moved])))
             assert not (apart and (0, 1) in kernel_pairs)
-            want = verdict(lambda: kernel([geometry._stack(arcs(a)), geometry._stack(arcs(moved))],
+            want = verdict(lambda: kernel([arcs(a), arcs(moved)], [disk_a[2], disk_b[2]],
                                           [(0, 1)]))
             assert got == want
             settled += apart
@@ -462,9 +464,9 @@ def test_one_gap_kernel_call_per_scene(monkeypatch, shapes, calls, error):
     seen = []
     kernel = geometry._certified_gaps
 
-    def spy(curves, pairs):
+    def spy(boundaries, sizes, pairs):
         seen.append(pairs)
-        return kernel(curves, pairs)
+        return kernel(boundaries, sizes, pairs)
 
     monkeypatch.setattr(geometry, "_certified_gaps", spy)
     sc = scene(shapes)
@@ -480,6 +482,28 @@ def test_one_gap_kernel_call_per_scene(monkeypatch, shapes, calls, error):
     for pairs in seen:
         assert [(m, n) for m, n in pairs if m == n] == [
             (i, i) for i, pieces in enumerate(sc.boundaries) if len(pieces) > 3]
+
+
+def test_validation_forms_each_enclosing_disk_once(monkeypatch):
+    # _check_boundary returns each boundary's disk, which the pair screen
+    # reads and whose size the kernel takes as its slack scale
+    disks, sizes = [], []
+    enclosing_disk, kernel = geometry._enclosing_disk, geometry._certified_gaps
+
+    def disk_spy(pieces):
+        disks.append(enclosing_disk(pieces))
+        return disks[-1]
+
+    def kernel_spy(boundaries, got, pairs):
+        sizes.extend(got)
+        return kernel(boundaries, got, pairs)
+
+    monkeypatch.setattr(geometry, "_enclosing_disk", disk_spy)
+    monkeypatch.setattr(geometry, "_certified_gaps", kernel_spy)
+    sc = scene(GRID_4X4 + [Disk(20j, 1.0), half_disk(-10 + 0j)])
+    validate_scene(sc)
+    assert len(disks) == len(sc.shapes)
+    assert sizes == [size for _, _, size in disks]
 
 
 def test_degenerate_shapes_rejected():
@@ -572,6 +596,29 @@ def test_chain_turning_on_at_each_join_validates(chain):
     # the fold-back and meet-again rules reject neither a corner, nor an arc
     # running on along its circle, nor a segment meeting an arc tangentially
     validate_scene(scene([chain]))
+
+
+def test_nearly_flat_arc_validates():
+    # the length and collinearity rules read the extent of the piece starts,
+    # about 1 here; read from the enclosing radius R, about 2e6 for this
+    # radius-1e6 arc, 1e-14 (2R)^2 = 0.16 would exceed the cross product 0.03
+    # of the segments at the corners 0 and 1 and reject the shape
+    r = 1e6
+    c = 0.5 + 0.03j - 1j * math.sqrt(r * r - 0.25)
+    chain = ArcChain((Segment(0j, 1 + 0j), Segment(1 + 0j, 1 + 0.03j),
+                      CircularArc(c, r, cmath.phase(1 + 0.03j - c), cmath.phase(0.03j - c)),
+                      Segment(0.03j, 0j)))
+    validate_scene(scene([chain]))
+    assert geometry._check_boundary(arcs(chain))[1] > r
+
+
+# at a = 1e-3 the shift 1e3 + 1e3i rounds the third vertex onto the second
+@pytest.mark.parametrize("a, b", [(a, b) for a in (1, 1e3, 1e-3, 1j)
+                                  for b in (0, 1e3, 1e3 + 1e3j) if (a, b) != (1e-3, 1e3 + 1e3j)])
+def test_thin_triangle_validates_wherever_it_is_moved(a, b):
+    # cross products of 1e-12 |a|^2 against 1e-14 diam^2 with diam about |a|:
+    # a scale read from the size max|z|, about 1e3 once shifted, would reject it
+    validate_scene(transform(scene([Polygon((0j, 1 + 0j, 1 + 1e-12j))]), a, b))
 
 
 def _edge_chain(p: Polygon) -> ArcChain:
@@ -799,6 +846,28 @@ def test_anchor_off_the_boundary_gives_a_bracket():
     assert res.lower <= 2.5
     with pytest.raises(SceneConfigError):
         bounds_for_basis(sc, [PowerPole(2 + 1j, 1)])
+
+
+def test_thin_crescent_gets_an_anchor_and_a_bracket():
+    # 0.040 thick: every probe at 1/4, 1/10 and 1/50 of |z'(1/2)| leaves it,
+    # and the outer arc's probe at 1/200 is the anchor
+    sc = scene([crescent(-0.05)])
+    validate_scene(sc)
+    assert interior_anchor(sc.boundaries[0]) == pytest.approx(0.98604, abs=1e-5)
+    res = gamma_bounds(sc, Powers(4))
+    # Ahlfors-Beurling: gamma >= sqrt(area / pi); the unit disk holds the shape
+    assert math.sqrt(geometry._signed_area(sc.boundaries[0]) / math.pi) <= res.upper
+    assert res.lower <= 1.0
+    assert (res.lower, res.upper) == pytest.approx((0.0248, 0.873), abs=1e-3)
+
+
+def test_thinner_crescent_is_a_quadrature_failure():
+    # 0.008 thick: the anchor is found, and the pole so near the boundary
+    # leaves the quadrature unresolved, a numerical error and no scene error
+    sc = scene([crescent(-0.01)])
+    validate_scene(sc)
+    with pytest.raises(MaxDepthError, match="65536 nodes"):
+        gamma_bounds(sc, Powers(4))
 
 
 @pytest.mark.parametrize("angle", [0.3, 1.0, 1.5, 3.0])

@@ -28,7 +28,7 @@ print(json.dumps([r.lower, r.upper, peak_mib, sorted(sys.modules)]))
 
 
 def test_brackets_load_the_compiled_wrappers_and_no_scipy_package():
-    lower, upper, peak_mib, modules = json.loads(run_fresh(BRACKETS))
+    lower, upper, peak_mib, modules = json.loads(run_fresh("-c", BRACKETS))
     # the four ellipses under Rings(4) hold the criterion-6 band, and the
     # process peaks below 45 MiB right after them (about 37 MiB; 60 MiB with
     # scipy.linalg and its array-API layer imported)
@@ -56,4 +56,4 @@ print(integrals.zherk is blas.zherk, solver.zhemm is blas.zhemm, solver.zpotrf i
 @pytest.mark.parametrize("first,second", [("anacap", "scipy.linalg"), ("scipy.linalg", "anacap")],
                          ids=["anacap-first", "scipy-first"])
 def test_routines_are_scipys_own_whichever_is_imported_first(first, second):
-    assert run_fresh(IDENTITY.format(first, second)).split() == ["True"] * 7
+    assert run_fresh("-c", IDENTITY.format(first, second)).split() == ["True"] * 7

@@ -18,8 +18,8 @@ from anacap import geometry, integrals, solver, sublab
 from anacap.basis import BasisSet, CornerAdapted, PowerPole, Powers, Rings, build_basis
 from anacap.discrete import DiskConfiguration
 from anacap.errors import SceneConfigError, SingularGramError, SolveError
-from anacap.geometry import (Disk, Ellipse, Polygon, _signed_area, arcs, scene,
-                             transform, validate_scene)
+from anacap.geometry import (Disk, Ellipse, Polygon, _enclosing_disk, _signed_area, arcs,
+                             scene, transform, validate_scene)
 from anacap.integrals import GramData, _assemble_grams, assemble_gram
 from anacap.quadrature import QuadratureSettings
 from anacap.solver import (
@@ -465,7 +465,7 @@ def test_large_disk_bracket_leaves_a_small_resident_set():
     # resident set is below 60 MiB (about 47 MiB; 85 MiB with a Gram buffer
     # and a work buffer kept per thread)
     n, lower, upper, peak_mib, pair_lower, pair_upper, rss_mib = json.loads(
-        run_fresh(RESIDENT_AFTER_BRACKETS))
+        run_fresh("-c", RESIDENT_AFTER_BRACKETS))
     assert n == 4352 and upper - lower < 1e-15
     assert abs(lower - 0.349224214984) < 5e-13
     assert peak_mib < 520
@@ -562,7 +562,7 @@ def test_bracket_respects_area_and_enclosing_disk(name, scale, angle, bx, by):
     sc = transform(base, scale * cmath.exp(1j * angle), complex(bx, by))
     res = gamma_bounds(sc, schedule)
     area = sum(_signed_area(arcs(s)) for s in sc.shapes)
-    radius = max(arc.size() for s in sc.shapes for arc in arcs(s))
+    radius = max(_enclosing_disk(arcs(s))[2] for s in sc.shapes)
     assert res.upper >= math.sqrt(area / math.pi)
     assert res.lower <= radius
 

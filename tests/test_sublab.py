@@ -145,6 +145,15 @@ def test_sweep_rejects_a_split_index_that_is_not_an_integer():
         sweep(centers, 2.0, [0.1], Rings(1))
 
 
+def test_numpy_integer_split_and_levels_are_integers():
+    assert type(DiskConfiguration(PAIR, 0.5, np.int64(1)).m) is int
+    want, got = (sweep(PAIR, m, [0.5, 0.9], Rings(2)) for m in (1, np.int64(1)))
+    assert [(r.r, r.ratio_low, r.ratio_high, r.error) for r in got] == [
+        (r.r, r.ratio_low, r.ratio_high, r.error) for r in want]
+    assert (asymptotic_check(PAIR, 1, Rings(1), r0=0.4, levels=np.int64(3))
+            == asymptotic_check(PAIR, 1, Rings(1), r0=0.4, levels=3))
+
+
 def test_certified_flag_definition():
     rec = synthetic_record(0.5, 0.95, 0.999)
     assert rec.subadditive_certified
@@ -342,7 +351,7 @@ def test_large_ratio_record_peaks_near_one_gram():
     # the process peaks below 150 MiB (about 137 MiB; 161 MiB with E and F in
     # fresh arrays, 162 MiB with all three Grams assembled before the first
     # bracket, 184 MiB with a Gram per group)
-    n, low, high, peak_mib = json.loads(run_fresh(RECORD_OF_128_DISKS))
+    n, low, high, peak_mib = json.loads(run_fresh("-c", RECORD_OF_128_DISKS))
     assert n == 2176 and low <= high < 1.0
     assert peak_mib < 150
 
@@ -458,7 +467,7 @@ def test_asymptotic_slope_two_disks():
     assert report.rel_deviation < 0.05
 
 
-@pytest.mark.parametrize("levels", [0, 1, 2.0])
+@pytest.mark.parametrize("levels", [0, 1, 2.0, True, np.float64(3.0)])
 def test_asymptotic_check_needs_two_radii(levels):
     # the fit has two parameters: no radius, or one, determines it
     with pytest.raises(ValueError, match="levels must be an integer >= 2"):
