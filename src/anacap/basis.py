@@ -1,6 +1,6 @@
 """Approximating-function families vanishing at infinity.
 
-Two kinds of basis function:
+Two kinds of basis function, plain records that :class:`BasisSet` reads:
 
 * ``PowerPole``     1/(z - c)^k, a simple pole 1/(z - c) at k = 1
 * ``CornerAdapted`` ((z - a)/(z - c))^beta / (z - c)^k, the fractional-power
@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Union
 
 import numpy as np
@@ -34,9 +34,6 @@ from .geometry import ParametricArc, Scene
 class PowerPole:
     c: complex
     k: int
-
-    def d_infinity(self) -> complex:
-        return (1.0 + 0j) if self.k == 1 else 0j
 
 
 @dataclass(frozen=True)
@@ -52,13 +49,6 @@ class CornerAdapted:
     a: complex
     beta: float
     k: int
-
-    def d_infinity(self) -> complex:
-        # ((z-a)/(z-c))^beta = 1 + beta (c - a)/z + O(1/z^2), so for k >= 1
-        # the 1/z coefficient comes from the power factor alone
-        if self.k == 0:
-            return complex(self.beta * (self.c - self.a))
-        return (1.0 + 0j) if self.k == 1 else 0j
 
 
 BasisFunction = Union[PowerPole, CornerAdapted]
@@ -282,8 +272,9 @@ class BasisSet:
     piece end's displacement is decided here alone (:meth:`corner_ends`,
     :meth:`eval_parts`).
 
-    An empty basis, or a ``PowerPole`` or ``CornerAdapted`` with k < 1,
-    which does not vanish at infinity, is a :class:`SceneConfigError`.
+    An empty basis is a :class:`SceneConfigError`, and so is a member, named,
+    whose k is not an integer >= 1 (a NumPy one too, not a bool; k < 1 does
+    not vanish at infinity) or whose c, a or beta is not finite.
     """
 
     def __init__(self, funcs: list[BasisFunction]):
@@ -291,6 +282,14 @@ class BasisSet:
         self.n = len(self.funcs)
         if not self.n:
             raise SceneConfigError("the basis is empty")
+        for b in self.funcs:
+            if not isinstance(b, (PowerPole, CornerAdapted)):
+                raise TypeError(f"not a basis function: {b!r}")
+            k = b.k  # a scheduled member's k is an int: one comparison admits it
+            if type(k) is not int and (isinstance(k, bool) or not isinstance(k, numbers.Integral)):
+                raise SceneConfigError(f"basis member {b!r}: k must be an integer")
+            if k < 1:
+                raise SceneConfigError(f"{b!r} does not vanish at infinity (k < 1)")
         # first-order poles alone: eval_all's fast path and the disk kernel's
         # basis, which need none of the grouping below
         self.all_simple = all(isinstance(b, PowerPole) and b.k == 1 for b in self.funcs)
@@ -300,10 +299,6 @@ class BasisSet:
         groups: dict[tuple[complex, complex, float], int] = {}  # (c, a, beta) -> row
         power_row, corner_group, corner_pole = [], [], []
         for i, b in enumerate([] if self.all_simple else self.funcs):
-            if not isinstance(b, (PowerPole, CornerAdapted)):
-                raise TypeError(f"not a basis function: {b!r}")
-            if b.k < 1:
-                raise SceneConfigError(f"{b!r} does not vanish at infinity (k < 1)")
             row = poles.setdefault((b.c, b.k), len(poles))
             if isinstance(b, PowerPole):
                 power_idx.append(i)
@@ -322,9 +317,13 @@ class BasisSet:
         self._gb = np.array([beta for _, _, beta in groups], float)[:, None]
         self._c_group = np.array(corner_group, dtype=int)
         self._c_pole = np.array(corner_pole, dtype=int)
+        if not all(np.isfinite(x).all() for x in (self._sa, self._pc, self._ga, self._gb)):
+            b = next(b for b in self.funcs if not np.isfinite(astuple(b)).all())
+            raise SceneConfigError(f"basis member {b!r} has a field that is not finite")
 
     def d_vector(self) -> np.ndarray:
-        return np.array([b.d_infinity() for b in self.funcs], complex)
+        """1/z coefficients at infinity: 1 at k = 1, 0 above (a corner factor tends to 1)."""
+        return np.array([b.k == 1 for b in self.funcs], complex)
 
     def eval_all(self, z, corner_subs=None, out=None) -> np.ndarray:
         """Values of every basis function at z (scalar or array), shape

@@ -12,14 +12,15 @@ Only ``gamma`` and ``sweep`` integrate over boundaries, so only they take the
 quadrature tolerance.
 
 Exit codes: 0 success, 2 configuration/domain error (an invalid scene, such
-as overlapping or degenerate shapes, and a --quad-tol that is not finite and
-positive included), 3 numerical failure, 4 certified monotonicity violation
-in a sweep.
+as overlapping or degenerate shapes, a --quad-tol that is not finite and
+positive, a negative --seed and an --out that cannot be written included),
+3 numerical failure, 4 certified monotonicity violation in a sweep.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -113,6 +114,8 @@ def cmd_sweep(args) -> int:
         if "schedule" in raw:
             schedule = schedule_from_config(raw["schedule"])
     else:
+        if args.seed < 0:
+            raise SceneConfigError(f"--seed must be >= 0, got {args.seed}")
         centers = _sweepmod.random_configuration(18, args.seed)
         m = args.m if args.m is not None else len(centers) // 2
         print(f'{{"seed": {args.seed}, "n_disks": {len(centers)}}}', file=sys.stderr)
@@ -129,13 +132,14 @@ def cmd_sweep(args) -> int:
     else:
         step = (args.r_max - args.r_min) / (args.steps - 1)
         grid = [args.r_min + i * step for i in range(args.steps)]
-    records = _sweepmod.sweep(centers, m, grid, schedule, _settings(args))
-    csv_text = _sweepmod.records_to_csv(records)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    # opened first, so that a path that cannot be written costs no sweep
+    try:
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise SceneConfigError(f"cannot write {args.out}: {exc}") from exc
+    with out as fh:
+        records = _sweepmod.sweep(centers, m, grid, schedule, _settings(args))
+        fh.write(_sweepmod.records_to_csv(records))
     verdict = _sweepmod.monotonicity_verdict(records)
     print(_json_line(verdict.to_json_dict()), file=sys.stderr)
     if verdict.n_increase > 0:

@@ -181,14 +181,13 @@ def alpha_geometric(Z) -> float:
 
         alpha = sum_{j != l} |z_j - z_l|^{-2} + sum_{j<k<l} R(z_j,z_k,z_l)^{-2},
 
-    with R the circumscribed-circle radius, infinite for collinear triples.
+    with R the circumscribed-circle radius: R^-2 = (4S/(abc))^2 for area S and
+    sides a, b, c > 0 (distinct centres), exactly 0 on a collinear triple.
     """
     z = _centers_array(Z)
     n = len(z)
     d = _pair_distances(z)
     total = float(np.sum(d ** -2.0))
-    diam = float(np.max(np.where(np.isfinite(d), d, 0.0))) or 1.0
-    area_floor = 1e-14 * diam * diam
     for j in range(n):
         for k in range(j + 1, n):
             for l in range(k + 1, n):
@@ -196,17 +195,27 @@ def alpha_geometric(Z) -> float:
                 b = abs(z[l] - z[j])
                 c = abs(z[l] - z[k])
                 S = 0.5 * abs(((z[k] - z[j]).conjugate() * (z[l] - z[j])).imag)
-                if S < area_floor:
-                    continue  # collinear: R = infinity
                 total += (4.0 * S / (a * b * c)) ** 2  # = 1/R^2 with R = abc/(4S)
     return total
 
 
 def delta(Z, m: int) -> float:
-    """delta = alpha(Z) - alpha(Z[:m]) - alpha(Z[m:]); strictly positive."""
+    """delta = alpha(Z) - alpha(Z[:m]) - alpha(Z[m:]) > 0, from the cross terms,
+    not as a difference of alphas (which errs by eps alpha).  With v_k and w_k
+    the sums of 1/(z_j - z_k) over k's own part and over the other part,
+    delta = sum_k |w_k|^2 + 2 Re sum_k v_k conj(w_k - w_r), z_r the first
+    centre of k's part (sum_k v_k = 0 over a part), and w_k - w_r is
+    (z_k - z_r) sum_l 1/((z_l - z_k)(z_l - z_r)), with no cancellation."""
     Z = list(Z)
     m = _check_split(m, len(Z))
-    val = alpha(Z) - alpha(Z[:m]) - alpha(Z[m:])
+    z = _centers_array(Z)
+    val = 0.0
+    for own, other in ((z[:m], z[m:]), (z[m:], z[:m])):
+        v = cauchy_matrix(own).sum(axis=0)
+        inv = 1.0 / (other[:, None] - own)  # 1/(z_l - z_k)
+        w = inv.sum(axis=0)
+        dw = (own - own[0]) * (inv * inv[:, :1]).sum(axis=0)
+        val += float(np.vdot(w, w).real + 2.0 * np.vdot(dw, v).real)
     if val <= 0:
         raise SolveError(f"delta must be positive, got {val}")
     return val

@@ -366,7 +366,7 @@ def _mirror(A: np.ndarray, conj: bool = False) -> None:
 
 
 def assemble_gram(sc: Scene, basis: list[BasisFunction],
-                  settings: QuadratureSettings | None = None) -> GramData:
+                  settings: QuadratureSettings = QuadratureSettings()) -> GramData:
     """Assemble H, u, c0 for the scene boundary and the given basis.
 
     Circles under a basis of first-order poles use the Hardy split
@@ -386,7 +386,7 @@ def assemble_gram(sc: Scene, basis: list[BasisFunction],
     return g
 
 
-def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None,
+def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings,
                     split: tuple[int, int] | None = None) -> Iterator[GramData]:
     """The Gram of ``assemble_gram(sc, bs)`` with H its upper triangle, the
     part the solver reads (the lower one is not part of the Gram: it may
@@ -409,8 +409,6 @@ def _assemble_grams(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None
     moves a group's entries by rounding only); the sums are finished by
     :func:`_gram_data` and added to the disks' Grams.
     """
-    if settings is None:
-        settings = QuadratureSettings()
     n = bs.n
     groups = [(0, len(sc.shapes), 0, n)]
     if split is not None:

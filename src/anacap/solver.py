@@ -194,16 +194,14 @@ def _bracket(gram: GramData, d: np.ndarray, settings: QuadratureSettings,
                         wall_time=time.perf_counter() - t0, slack=slack)
 
 
-def _brackets(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None, t0: float,
+def _brackets(sc: Scene, bs: BasisSet, settings: QuadratureSettings, t0: float,
               split: tuple[int, int] | None = None) -> list[BoundsResult]:
     """Brackets of the Grams that ``integrals._assemble_grams`` hands out for
-    the validated scene and basis (default settings when None), the scene's
+    the validated scene and basis under ``settings``, the scene's
     and, with ``split = (m, k)``, its two groups', each against its slice of
     d and bracketed, which consumes it, before the next is assembled into
     the same memory.  ``wall_time`` runs from ``t0``, then from the end of
     the bracket before, so it includes the group's own disk kernel."""
-    if settings is None:
-        settings = QuadratureSettings()
     d = bs.d_vector()
     ds = [d] if split is None else [d, d[:split[1]], d[split[1]:]]
     out = []
@@ -213,15 +211,15 @@ def _brackets(sc: Scene, bs: BasisSet, settings: QuadratureSettings | None, t0: 
     return out
 
 
-def bounds_for_basis(sc: Scene, basis, settings: QuadratureSettings | None = None
+def bounds_for_basis(sc: Scene, basis, settings: QuadratureSettings = QuadratureSettings()
                      ) -> BoundsResult:
     """Capacity bracket from an explicit basis-function list.
 
     Every pole must lie strictly inside a shape of the scene, every corner
     member's branch point must be a corner of that shape with the shape
-    star-shaped about the pole, and every member must vanish at infinity;
-    otherwise the bracket would not be a bracket, and this is a
-    :class:`SceneConfigError`.
+    star-shaped about the pole, and every member must vanish at infinity
+    with an integer k and finite fields (:class:`BasisSet`); otherwise the
+    bracket would not be a bracket, and this is a :class:`SceneConfigError`.
     """
     t0 = time.perf_counter()
     bs = basis if isinstance(basis, BasisSet) else BasisSet(basis)
@@ -230,7 +228,8 @@ def bounds_for_basis(sc: Scene, basis, settings: QuadratureSettings | None = Non
     return _brackets(sc, bs, settings, t0)[0]
 
 
-def gamma_bounds(sc: Scene, schedule, settings: QuadratureSettings | None = None) -> BoundsResult:
+def gamma_bounds(sc: Scene, schedule,
+                 settings: QuadratureSettings = QuadratureSettings()) -> BoundsResult:
     """Validate, build the scheduled basis, assemble, and solve both programs;
     ``wall_time`` covers all of it.  A schedule places its poles inside their
     shapes, so they are not checked again."""

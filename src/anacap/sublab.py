@@ -87,7 +87,7 @@ def _scene_for(centers, r: float) -> Scene:
 
 
 def ratio_bounds(cfg: DiskConfiguration, schedule: Schedule,
-                 settings: QuadratureSettings | None = None) -> SweepRecord:
+                 settings: QuadratureSettings = QuadratureSettings()) -> SweepRecord:
     """Certified bracket for gamma(E u F)/(gamma(E) + gamma(F)).
 
     One validation and one basis serve all three brackets, which one call
@@ -122,7 +122,7 @@ def max_sweep_radius(centers) -> float:
 
 
 def sweep(centers, m: int, r_grid, schedule: Schedule,
-          settings: QuadratureSettings | None = None) -> list[SweepRecord]:
+          settings: QuadratureSettings = QuadratureSettings()) -> list[SweepRecord]:
     """One certified ratio record per radius, in grid order.
 
     A radius that fails with an AnacapError (overlap, numerical error)
@@ -193,7 +193,7 @@ class AsymptoticReport:
 
 
 def asymptotic_check(centers, m: int, schedule: Schedule,
-                     settings: QuadratureSettings | None = None,
+                     settings: QuadratureSettings = QuadratureSettings(),
                      r0: float | None = None, levels: int = 6) -> AsymptoticReport:
     """Fit the quadratic coefficient of 1 - R over r_k = r0 2^{-k}, k < levels,
     and compare with the predicted small-radius slope delta/n; the fit has two

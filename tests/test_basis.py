@@ -1,13 +1,14 @@
 import cmath
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from anacap import geometry
+from anacap import geometry, integrals, solver
 from anacap.basis import (
     BasisSet,
     CornerAdapted,
@@ -33,7 +34,7 @@ from anacap.geometry import (
     validate_scene,
 )
 from anacap.quadrature import QuadratureSettings, integrate_arc
-from anacap.solver import gamma_bounds
+from anacap.solver import bounds_for_basis, gamma_bounds
 
 from conftest import MIXED_SHAPES, principal_value, row_per_member_eval, same_bits
 
@@ -69,7 +70,7 @@ def test_corner_function_safe_on_convex_boundary():
                 assert w.real > 0 or abs(w.imag) > 1e-14 * abs(w.real)
 
 
-# --- d_infinity -------------------------------------------------------------
+# --- d at infinity ----------------------------------------------------------
 
 def numeric_d_infinity(b):
     # oracle: z b(z) sampled at growing |z| and Richardson-extrapolated
@@ -90,7 +91,7 @@ def numeric_d_infinity(b):
     (CornerAdapted(0.2j, 1 + 0j, 0.25, 2), 0.0),
 ])
 def test_d_infinity_against_numeric_limit(b, expect):
-    assert b.d_infinity() == expect
+    assert BasisSet([b]).d_vector()[0] == expect
     assert numeric_d_infinity(b) == pytest.approx(expect, abs=1e-6)
 
 
@@ -589,13 +590,48 @@ def test_basis_set_rejects_members_not_vanishing_at_infinity(member):
         BasisSet([PowerPole(0j, 1), member])
 
 
-def test_d_infinity_of_corner_factor_alone():
-    # ((z-a)/(z-c))^beta = 1 + beta (c - a)/z + O(1/z^2)
-    f = CornerAdapted(0.2j, 1 + 0j, 0.25, 0)
-    assert f.d_infinity() == pytest.approx(0.25 * (0.2j - 1))
-    vals = [z * (principal_value(f, z) - 1.0)
-            for z in (R * cmath.exp(0.37j) for R in (1e4, 1e5, 1e6))]
-    assert vals[2] + (vals[2] - vals[1]) / 9.0 == pytest.approx(f.d_infinity(), abs=1e-6)
+NAN, INF = complex(math.nan, 0.0), complex(math.inf, 0.0)
+
+
+@pytest.mark.parametrize("member", [
+    PowerPole(0.1j, 1.5), PowerPole(0.1j, 1.0), PowerPole(0.1j, 2.0), PowerPole(0.1j, True),
+    PowerPole(0.1j, "1"), PowerPole(NAN, 1), PowerPole(INF, 1),
+    CornerAdapted(0j, 1 + 0j, math.nan, 1), CornerAdapted(0j, 1 + 0j, -1 / 6, 1.5),
+], ids=["k1.5", "k1.0", "k2.0", "kTrue", "kstr", "c_nan", "c_inf", "beta_nan", "corner_k1.5"])
+def test_member_that_is_not_integer_ordered_and_finite_is_a_config_error(
+        member, unit_square, monkeypatch):
+    # PowerPole(0, 1.5) was evaluated as the pole power (z - c)^-1 with d = 0,
+    # and its bracket crossed; a non-finite c reached the winding number's round
+    def refuse(*args):
+        raise AssertionError("assembly of a basis that is not admitted")
+
+    monkeypatch.setattr(solver, "_assemble_grams", refuse)
+    for make in (BasisSet, lambda funcs: bounds_for_basis(unit_square, funcs)):
+        with pytest.raises(SceneConfigError, match=re.escape(repr(member))):
+            make([PowerPole(0j, 1), member])
+
+
+def test_numpy_integer_orders_give_the_brackets_of_python_ints(unit_square):
+    def basis(k):
+        return ([PowerPole(0j, k(j)) for j in range(1, 5)]
+                + [CornerAdapted(0j, 1 + 0j, -1 / 6, k(j)) for j in (1, 2)])
+
+    want, got = (bounds_for_basis(unit_square, basis(k)) for k in (int, np.int64))
+    assert same_bits([want.lower, want.upper], [got.lower, got.upper])
+    assert same_bits(BasisSet(basis(int)).d_vector(), BasisSet(basis(np.int64)).d_vector())
+
+
+def test_numpy_integer_simple_poles_take_the_disk_kernel(two_disks, monkeypatch):
+    want = bounds_for_basis(two_disks, [PowerPole(2 + 0j, 1), PowerPole(-2 + 0j, 1)])
+
+    def refuse(*args):
+        raise AssertionError("quadrature of a basis of first-order poles on disks")
+
+    monkeypatch.setattr(integrals, "_quad_blocks", refuse)
+    basis = [PowerPole(2 + 0j, np.int64(1)), PowerPole(-2 + 0j, np.int64(1))]
+    assert BasisSet(basis).all_simple
+    got = bounds_for_basis(two_disks, basis)
+    assert same_bits([want.lower, want.upper], [got.lower, got.upper])
 
 
 def test_d_vector_order():

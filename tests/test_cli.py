@@ -248,6 +248,23 @@ def test_sweep_to_file(config_file, tmp_path, capsys):
     assert out_path.read_text().startswith("r,ratio_low")
 
 
+def test_sweep_to_a_missing_directory_is_config_error_before_the_sweep(
+        config_file, tmp_path, capsys, monkeypatch):
+    # the file was opened after every record had been computed, and its
+    # FileNotFoundError ended in a traceback with exit 1
+    def refuse(*args):
+        raise AssertionError("sweep run before its output was opened")
+
+    monkeypatch.setattr("anacap.sublab.sweep", refuse)
+    out_path = tmp_path / "missing" / "sweep.csv"
+    code, out, err = run(capsys, "sweep", "--config", config_file(TWO_DISKS),
+                         "--m", "1", "--r-min", "0.5", "--r-max", "1.0",
+                         "--steps", "2", "--out", str(out_path))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"error: cannot write {out_path}")
+
+
 def test_sweep_of_one_step_takes_r_min(config_file, capsys):
     code, out, err = run(capsys, "sweep", "--config", config_file(TWO_DISKS),
                          "--m", "1", "--r-min", "0.5", "--r-max", "1.0", "--steps", "1")
@@ -326,6 +343,15 @@ def test_sweep_seeded_random_scene(capsys):
     # identical seeds give identical value columns (timing column varies)
     for l1, l2 in zip(out1.split("\n"), out2.split("\n")):
         assert l1.rsplit(",", 1)[0] == l2.rsplit(",", 1)[0]
+
+
+def test_sweep_negative_seed_is_config_error(capsys):
+    # NumPy's generator raised "expected non-negative integer", exit 1
+    code, out, err = run(capsys, "sweep", "--r-min", "0.01", "--r-max", "0.02",
+                         "--steps", "2", "--seed", "-1")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "error: --seed must be >= 0, got -1\n"
 
 
 def test_output_floats_have_17_significant_digits(config_file, capsys):

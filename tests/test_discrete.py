@@ -24,6 +24,7 @@ from anacap.errors import DuplicateCenterError, PreconditionError, SolveError, S
 from anacap.basis import Rings
 from anacap.geometry import Disk, scene
 from anacap.solver import gamma_bounds
+from anacap.sublab import random_configuration
 from conftest import random_points, same_bits
 
 
@@ -245,6 +246,8 @@ def test_alpha_geometric_collinear():
     # pairs only: 2*(1 + 1 + 1/4)
     assert alpha_geometric([0, 1, 2]) == pytest.approx(4.5, rel=1e-14, abs=0)
     assert alpha([0, 1, 2]) == pytest.approx(4.5, rel=1e-12, abs=0)
+    # a collinear triple's circumradius term is exactly 0, with no floor
+    assert alpha_geometric([0, 1, 2, 3]) == pytest.approx(alpha([0, 1, 2, 3]), rel=1e-14, abs=0)
 
 
 def test_alpha_geometric_equilateral():
@@ -261,6 +264,41 @@ def test_alpha_identity_randomized(rng):
         a1 = alpha(Z)
         a2 = alpha_geometric(Z)
         assert a2 == pytest.approx(a1, rel=1e-10, abs=0)
+
+
+def alpha_60_digits(Z) -> mp.mpf:
+    """|C^H 1|^2 in 60-digit arithmetic."""
+    with mp.workdps(60):
+        z = [mp.mpc(complex(c).real, complex(c).imag) for c in Z]
+        return mp.fsum(abs(mp.fsum(1 / (z[j] - z[k]) for j in range(len(z)) if j != k)) ** 2
+                       for k in range(len(z)))
+
+
+@pytest.mark.parametrize("Z", [[0, 1, 1 + 1j, 1e7], [0, 1e-5, 1e-5 + 1e-5j, 1e9]],
+                         ids=["unit-triangle-and-far", "small-triangle-and-far"])
+def test_alpha_identity_on_multiscale_centres(Z):
+    # a collinearity floor of 1e-14 diam^2 dropped the triangle, whose term is
+    # 1/R^2 = 2/side^2: 5.0 for 7.0 and 4.99e10 for 6.99e10
+    want = float(alpha_60_digits(Z))
+    assert alpha(Z) == pytest.approx(want, rel=1e-12, abs=0)
+    assert alpha_geometric(Z) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("Z, m", [
+    ([0, 1, 1 + 1j, 1e7, 1e7 + 1, 1e7 + 2j], 3), ([0, 1e-5, 1e9], 2),
+    ([0, 1e-8, 1e8], 2), ([0, 1e-6, 1e6, 1e6 + 1e-6], 2),
+], ids=["two-far-triangles", "near-pair-and-far", "nearer-pair-and-far", "two-far-pairs"])
+def test_delta_of_far_clusters_against_60_digits(Z, m):
+    # alpha(Z) - alpha(Z') - alpha(Z'') gave 5.764e-13 (7e-4 off), 3.8e-6 for
+    # 4e-18, and 0.0, a SolveError, for the last two
+    with mp.workdps(60):
+        want = float(alpha_60_digits(Z) - alpha_60_digits(Z[:m]) - alpha_60_digits(Z[m:]))
+    assert delta(Z, m) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_delta_of_the_seed_one_sweep_centres():
+    assert delta(random_configuration(18, 1), 9) == pytest.approx(71.70308343138646,
+                                                                  rel=1e-14, abs=0)
 
 
 def test_delta_examples():

@@ -565,7 +565,7 @@ def test_blocked_moment_rows_keep_the_closed_form_and_the_split_bits(monkeypatch
     monkeypatch.setattr(integrals, "zherk", counting_zherk)
     # E's and F's Grams take the union's buffer in turn: each is checked
     # before the next is requested, and a Gram is its upper triangle
-    grams = _assemble_grams(sc, BasisSet(union), None, split=(4, len(bases[0])))
+    grams = _assemble_grams(sc, BasisSet(union), QuadratureSettings(), split=(4, len(bases[0])))
     poles = np.array([b.c for b in union])
     assert relative_error(next(grams).H, poles, sc.shapes, range(0, poles.size, 3)) <= 4 * EPS
     for g, w in zip(grams, want):
@@ -619,7 +619,8 @@ def test_split_grams_are_sums_of_one_disk_grams():
     # E's and F's Grams are written over the union's: copy each, its upper
     # triangle, before the next is requested
     grams = [GramData(np.triu(g.H), g.u, g.c0)
-             for g in _assemble_grams(sc, BasisSet(union), None, split=(9, len(bases[0])))]
+             for g in _assemble_grams(sc, BasisSet(union), QuadratureSettings(),
+                                      split=(9, len(bases[0])))]
     for g, part, basis in zip(grams, (sc, *parts), (union, *bases)):
         ones = [assemble_gram(scene([s]), basis) for s in part.shapes]
         # an internal Gram is its upper triangle
@@ -693,7 +694,7 @@ def test_split_grams_bitwise_equal_to_separate_assembly(disks, m):
     union = bases[0] + bases[1]
     want = [assemble_gram(s, b) for s, b in zip((sc, *parts), (union, *bases))]
     # the Grams share one buffer: each is checked before the next is requested
-    got = _assemble_grams(sc, BasisSet(union), None, split=(m, len(bases[0])))
+    got = _assemble_grams(sc, BasisSet(union), QuadratureSettings(), split=(m, len(bases[0])))
     for g, w in zip(got, want):
         assert np.array_equal(np.triu(g.H), np.triu(w.H))
         assert np.array_equal(g.u, w.u)
@@ -708,7 +709,8 @@ def test_split_grams_by_quadrature_match_separate_assembly():
     bases = [build_basis(p, Powers(4)) for p in parts]
     want = [assemble_gram(part, build_basis(part, Powers(4))) for part in (sc, *parts)]
     # no other assembly runs while the split's Grams are handed out
-    got = _assemble_grams(sc, BasisSet(bases[0] + bases[1]), None, split=(1, len(bases[0])))
+    got = _assemble_grams(sc, BasisSet(bases[0] + bases[1]), QuadratureSettings(),
+                          split=(1, len(bases[0])))
     for g, w in zip(got, want):
         assert np.abs(g.H - np.triu(w.H)).max() <= 1e-13 * np.abs(w.H).max()
         assert np.abs(g.u - w.u).max() <= 1e-13 * np.abs(w.u).max()
@@ -1003,10 +1005,10 @@ def test_warm_quadrature_assembly_allocates_few_blocks():
     # KiB in NumPy 2.4) come on top
     sc = validate_scene(scene(FOUR_ELLIPSES))
     bs = BasisSet(build_basis(sc, Rings(4)))
-    next(_assemble_grams(sc, bs, None))
+    next(_assemble_grams(sc, bs, QuadratureSettings()))
     tracemalloc.start()
     try:
-        next(_assemble_grams(sc, bs, None))
+        next(_assemble_grams(sc, bs, QuadratureSettings()))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

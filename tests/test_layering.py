@@ -13,6 +13,10 @@ product through NumPy: their products run on SciPy's BLAS
 (``anacap._lapack``), and a NumPy product would wake NumPy's own OpenBLAS
 thread pool, which stalls SciPy's (see ``integrals._quad_blocks``).
 
+The basis members ``PowerPole`` and ``CornerAdapted`` are records that
+define no function: ``basis.BasisSet`` alone reads a member, for its values
+and for its d at infinity.
+
 No test calls ``pytest.approx`` with ``rel=`` and no ``abs=``: a relative
 tolerance alone still accepts approx's default absolute error of 1e-12.
 """
@@ -28,6 +32,7 @@ UPPER = {"integrals", "quadrature", "solver", "sublab", "cli"}
 DISPLACEMENTS = {"disp_start", "disp_end"}
 SHAPE_CLASSES = {"Disk", "Ellipse", "Polygon", "ArcChain", "Segment", "CircularArc"}
 NUMPY_PRODUCTS = {"dot", "matmul", "einsum", "linalg"}
+MEMBER_RECORDS = {"PowerPole", "CornerAdapted"}
 
 
 def _tree(name: str) -> ast.Module:
@@ -87,6 +92,13 @@ def _numpy_products(tree: ast.Module) -> list[int]:
     return sorted(lines)
 
 
+def _class_functions(tree: ast.Module, names: set[str]) -> dict[str, list[str]]:
+    """The functions that each class named in names defines, nested ones too."""
+    return {node.name: [f.name for f in ast.walk(node)
+                        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name in names}
+
+
 def _rel_only_approx(tree: ast.Module) -> list[int]:
     """Lines of the ``approx`` calls with ``rel=`` and no ``abs=``."""
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
@@ -124,6 +136,10 @@ def test_makes_no_numpy_matrix_product(name):
     assert _numpy_products(_tree(name)) == []
 
 
+def test_basis_members_define_no_functions():
+    assert _class_functions(_tree("basis"), MEMBER_RECORDS) == {n: [] for n in MEMBER_RECORDS}
+
+
 def test_no_rel_only_approx_in_the_tests():
     found = {p.name: _rel_only_approx(ast.parse(p.read_text(), str(p)))
              for p in sorted(TESTS.glob("*.py"))}
@@ -147,6 +163,13 @@ def test_the_checks_see_what_they_look_for():
     src = ("pytest.approx(1.0, rel=1e-9)\napprox(2.0, rel=1e-9, abs=0)\napprox(3.0)\n"
            "approx(\n    4.0,\n    rel=1e-9)\n")
     assert _rel_only_approx(ast.parse(src)) == [1, 4]
+    # and a function defined in a member class, a method or a nested one, but
+    # not one of another class
+    src = ("class PowerPole:\n    k: int\n\n    def d_infinity(self):\n        return 0j\n"
+           "class CornerAdapted:\n    class Inner:\n        async def f(self):\n            pass\n"
+           "class BasisSet:\n    def d_vector(self):\n        pass\n")
+    assert _class_functions(ast.parse(src), MEMBER_RECORDS) == {"PowerPole": ["d_infinity"],
+                                                                "CornerAdapted": ["f"]}
     # and a NumPy matrix product in each form, but not an elementwise one
     src = ("a @ b\na @= b\nnp.dot(a, b)\nnumpy.matmul(a, b)\nnp.einsum('ij,jk', a, b)\n"
            "np.linalg.solve(a, b)\nfrom numpy import dot\nfrom numpy.linalg import cholesky\n"
